@@ -6,6 +6,7 @@
      dune exec bench/main.exe -- fig7      # one figure
      dune exec bench/main.exe -- ablations # only the ablation studies
      dune exec bench/main.exe -- micro     # only the micro-benchmarks
+     dune exec bench/main.exe -- pdes      # only the PDES fabric sweep
      dune exec bench/main.exe -- -j 4      # fan jobs over 4 domains
      dune exec bench/main.exe -- --json out.json   # dump timings
      dune exec bench/main.exe -- --engine-queue=heap  # heap oracle
@@ -17,12 +18,11 @@
    (-j N or ASMAN_JOBS; default: cores - 1; -j 1 = sequential). With
    --json [FILE] the per-figure and per-job wall-clock timings plus
    the worker count are dumped to FILE (default BENCH_<date>.json) so
-   the perf trajectory is tracked across PRs; scripts/bench_diff (or
-   `asman compare`) compares two dumps. --engine-queue selects the
-   event-queue backend (default wheel; results are byte-identical
-   either way). Per-job wall times persist in BENCH_COST_CACHE
-   (default runs/cost_cache; empty disables) so repeat runs schedule
-   longest jobs first.
+   the perf trajectory is tracked over time; `asman compare` compares
+   two dumps. --engine-queue selects the event-queue backend (default
+   wheel; results are byte-identical either way). Per-job wall times
+   persist in BENCH_COST_CACHE (default runs/cost_cache; empty
+   disables) so repeat runs schedule longest jobs first.
 
    Every invocation also drops a metadata-stamped record into the run
    registry (runs/ by default; ASMAN_RUNS= disables) — see
@@ -93,7 +93,7 @@ let print_timing id wall_sec (stats : Pool.stats) =
 
 (* Fairness entries from the theft figure: one
    "<series label> <attack>" -> attained/entitled ratio per cell.
-   Dumped as the "fairness" JSON section so scripts/bench_diff can
+   Dumped as the "fairness" JSON section so `asman compare` can
    gate attained-share drift next to the wall-clock timings. *)
 let fairness_results : (string * float) list ref = ref []
 
@@ -107,19 +107,14 @@ let run_experiment (e : Experiments.t) =
   print_string (Report.outcome e outcome);
   print_timing id wall_sec stats
 
-let run_figures ids =
+let run_figures experiments =
   Printf.printf
     "ASMan reproduction — figure regeneration (workload scale %g, seed %Ld, \
      %d worker domains)\n\
      Absolute times are simulator scale; compare shapes and ratios with the\n\
      paper columns printed next to each measured table.\n\n%!"
     scale config.Config.seed (Pool.jobs ());
-  List.iter
-    (fun id ->
-      match Experiments.find id with
-      | Some e -> run_experiment e
-      | None -> Printf.eprintf "unknown figure id %s\n" id)
-    ids
+  List.iter run_experiment experiments
 
 (* ----- ablation studies ----- *)
 
@@ -198,7 +193,7 @@ let write_json path =
       (speedup ~wall_sec:e.wall_sec e.stats)
       job_secs
   in
-  (* Section present only when the theft figure ran: bench_diff
+  (* Section present only when the theft figure ran: `asman compare`
      reports (never gates) a section missing from one side. *)
   let fairness_section =
     match !fairness_results with
@@ -555,8 +550,31 @@ let save_cost_cache () =
     Reg.Registry.ensure_dir (Filename.dirname f);
     Pool.save_cost_cache f
 
+(* What a positional id selects. Every id is resolved before anything
+   runs, so a typo exits 2 with the usage text instead of silently
+   running the rest. *)
+type target = Figure of Experiments.t | Ablation of Ablations.t
+
+let resolve_targets ids =
+  let resolve id =
+    match (Experiments.find id, Ablations.find id) with
+    | Some e, _ -> Some (Figure e)
+    | None, Some a -> Some (Ablation a)
+    | None, None -> None
+  in
+  match List.filter (fun id -> Option.is_none (resolve id)) ids with
+  | [] -> List.filter_map resolve ids
+  | unknown ->
+    List.iter (Printf.eprintf "unknown id %s\n") unknown;
+    usage ()
+
 let () =
   let opts = parse_args (List.tl (Array.to_list Sys.argv)) in
+  let targets =
+    match opts.ids with
+    | [] | [ ("micro" | "pdes" | "pdes-vmm" | "ablations" | "chaos") ] -> []
+    | ids -> resolve_targets ids
+  in
   (match opts.jobs with Some j -> Pool.set_jobs j | None -> ());
   (match opts.queue with
   | Some k -> Sim_engine.Engine.set_default_queue k
@@ -564,22 +582,18 @@ let () =
   load_cost_cache ();
   (match opts.ids with
   | [] ->
-    run_figures (Experiments.ids ());
+    run_figures Experiments.all;
     run_ablations ();
     microbenchmarks ()
   | [ "micro" ] -> microbenchmarks ()
   | [ "pdes" ] -> pdes_suite ()
   | [ "pdes-vmm" ] -> pdes_vmm_suite ()
   | [ "ablations" ] -> run_ablations ()
-  | [ "chaos" ] -> run_figures [ "resilience" ]
-  | ids ->
+  | [ "chaos" ] -> run_figures (Option.to_list (Experiments.find "resilience"))
+  | _ ->
     List.iter
-      (fun id ->
-        match (Experiments.find id, Ablations.find id) with
-        | Some e, _ -> run_experiment e
-        | None, Some a -> run_ablation a
-        | None, None -> Printf.eprintf "unknown id %s\n" id)
-      ids);
+      (function Figure e -> run_experiment e | Ablation a -> run_ablation a)
+      targets);
   save_cost_cache ();
   (match opts.json with Some path -> write_json path | None -> ());
   record_run ~ids:opts.ids ~json:opts.json;

@@ -128,30 +128,31 @@ let to_json_fragment results =
            r.bench r.backend r.pending r.ops r.sec r.ops_per_sec)
        results)
 
-(* ----- conservative-PDES throughput: events/sec per shard count and
+(* ----- conservative-PDES throughput: events/sec per member count and
    host size ------------------------------------------------------------
 
    Each PCPU of a big host owns [per-pcpu] self-rescheduling timer
    chains (the hold pattern above, one population per PCPU); chains
-   live on the shard owning their PCPU, and roughly one firing in 64
-   (chosen by hash bits) posts a cross-shard one-shot at >= lookahead
-   ahead — the relocation/IPI traffic the conservative window is sized
-   for. sim-jobs = 1 is the sequential single-queue reference (Shard
-   with one shard degenerates to exactly the engine's pop-with-limit
-   loop); sim-jobs = N runs the same event population partitioned N
-   ways.
+   live on the {!Fabric} member owning their PCPU, and roughly one
+   firing in 64 (chosen by hash bits) mails a cross-member one-shot at
+   >= lookahead ahead — the relocation/IPI traffic the conservative
+   window is sized for. sim-jobs = 1 is the single-member reference
+   (one engine whose windows degenerate to its own pop-with-limit
+   loop); sim-jobs = N runs the same event population over N member
+   engines.
 
    Each chain's delay stream is a pure hash of (PCPU, fire time) — no
    per-chain state — so the multiset of fire times is independent of
-   the partition; the commutative Shard.digest must therefore agree
-   between -j1 and -jN, and the bench fails on any mismatch. The
-   lookahead derives from the 10 ms slot quantum (slot/16 ~ 625 us,
-   >> the modeled IPI latency), matching how cross-shard scheduler
-   traffic is slot-granular. *)
+   the partition. The bench sums a commutative hash of every fire
+   time per member; the total must agree between -j1 and -jN, and the
+   bench fails on any mismatch. The lookahead derives from the 10 ms
+   slot quantum (slot/16 ~ 625 us, >> the modeled IPI latency),
+   matching how cross-member scheduler traffic is slot-granular. *)
 
 type pdes_result = {
+  p_backend : string;
   p_pcpus : int;
-  p_jobs : int;  (* shard count: the --sim-jobs axis *)
+  p_jobs : int;  (* fabric member count: the --sim-jobs axis *)
   p_workers : int;  (* worker domains actually used *)
   p_pending : int;
   p_events : int;
@@ -165,19 +166,32 @@ type pdes_result = {
 let pdes_lookahead =
   Sim_hw.Cpu_model.slot_cycles Sim_hw.Cpu_model.default / 16
 
-let run_pdes_once ?(kind = Equeue.Wheel_queue) ~pcpus ~jobs () =
-  let shards = jobs in
-  let shard_of p = p * shards / pcpus in
+(* Mix a fire time into the commutative digest. The per-event hash is
+   a strong scramble; the combination is plain wrapping addition so
+   the total is independent of execution and partition order. *)
+let dg_mix time =
+  let h = (time + 1) * 0x2545F4914F6CDD1 in
+  (h lxor (h lsr 29)) land max_int
+
+let run_pdes_once ?(kind = Engine.default_queue ()) ~pcpus ~jobs () =
+  let member_of p = p * jobs / pcpus in
   let la = pdes_lookahead in
   let per_pcpu = if pcpus >= 256 then 1024 else 2048 in
   let until = 64 * la in
-  let t = Shard.create ~queue:kind ~shards ~lookahead:la () in
+  let engines = Array.init jobs (fun _ -> Engine.create ~queue:kind ()) in
+  let fab = Fabric.create ~lookahead:la engines in
+  (* Per-member digest accumulators: a member's events only ever run
+     on the one domain draining it in a window. *)
+  let dg = Array.make jobs 0 in
+  let note m =
+    dg.(m) <- (dg.(m) + dg_mix (Engine.now engines.(m))) land max_int
+  in
   (* The delay stream is a pure function of (PCPU, fire time): an
      event firing at [time] on PCPU [p] reschedules at
      [time + g (p, time)]. The executed multiset of fire times is then
      fully determined by the initial population — independent of the
-     partition (a chain's PCPU is its own property, not the shard's) —
-     so the digest must agree across shard counts, and the harness
+     partition (a chain's PCPU is its own property, not the member's) —
+     so the digest must agree across member counts, and the harness
      needs no per-chain state at all (one shared closure per PCPU).
      Keying on the PCPU as well as the time keeps chains on distinct
      trajectories: a time-only hash would merge any two chains that
@@ -185,7 +199,7 @@ let run_pdes_once ?(kind = Equeue.Wheel_queue) ~pcpus ~jobs () =
      slot — cache-hot inserts that flatter the single-queue baseline.
      Per-event bookkeeping is a handful of register ops; everything
      else an event does is queue work, which is precisely what
-     sharding divides. *)
+     partitioning divides. *)
   let mask = (1 lsl 24) - 1 in
   let mix v =
     let h = v * 0x3E3779B97F4A7C15 in
@@ -193,21 +207,24 @@ let run_pdes_once ?(kind = Equeue.Wheel_queue) ~pcpus ~jobs () =
     (h lxor (h lsr 27)) land max_int
   in
   for p = 0 to pcpus - 1 do
-    let sp = shard_of p in
-    let sdst = shard_of ((p + (pcpus / 2)) mod pcpus) in
+    let sp = member_of p in
+    let e = engines.(sp) in
+    let sdst = member_of ((p + (pcpus / 2)) mod pcpus) in
+    let mailed () = note sdst in
     let rec act () =
-      let time = Shard.clock t ~shard:sp in
+      note sp;
+      let time = Engine.now e in
       let m = mix ((time lsl 8) lor (p land 0xFF)) in
       if (m lsr 24) land 63 = 0 then
-        Shard.post t ~src:sp ~dst:sdst
+        Fabric.post fab ~src:sp ~dst:sdst
           ~time:(time + la + 1 + ((m lsr 30) land mask))
-          nothing;
-      ignore (Shard.schedule t ~shard:sp ~time:(time + 1 + (m land mask)) act)
+          mailed;
+      ignore (Engine.schedule_at e ~time:(time + 1 + (m land mask)) act)
     in
     for k = 0 to per_pcpu - 1 do
       let key = (p * per_pcpu) + k in
       ignore
-        (Shard.schedule t ~shard:sp ~time:(1 + (mix (key lsl 8) land mask)) act)
+        (Engine.schedule_at e ~time:(1 + (mix (key lsl 8) land mask)) act)
     done
   done;
   let workers = max 1 (min jobs (Domain.recommended_domain_count ())) in
@@ -216,10 +233,11 @@ let run_pdes_once ?(kind = Equeue.Wheel_queue) ~pcpus ~jobs () =
      cost to whichever run happens to trip the major slice. *)
   Gc.compact ();
   let t0 = Unix.gettimeofday () in
-  Shard.run ~workers ~until t;
+  Fabric.run ~workers ~until fab;
   let sec = Unix.gettimeofday () -. t0 in
-  let events = Shard.events_fired t in
+  let events = Fabric.events_fired fab in
   {
+    p_backend = Equeue.kind_name kind;
     p_pcpus = pcpus;
     p_jobs = jobs;
     p_workers = workers;
@@ -227,9 +245,9 @@ let run_pdes_once ?(kind = Equeue.Wheel_queue) ~pcpus ~jobs () =
     p_events = events;
     p_sec = sec;
     p_events_per_sec = (if sec > 0. then float_of_int events /. sec else 0.);
-    p_windows = Shard.windows t;
-    p_cross = Shard.cross_posts t;
-    p_digest = Shard.digest t;
+    p_windows = Fabric.windows fab;
+    p_cross = Fabric.cross_posts fab;
+    p_digest = Array.fold_left (fun acc d -> (acc + d) land max_int) 0 dg;
   }
 
 (* Best-of-N wall clock: the setup is deterministic (reps execute the
@@ -245,8 +263,8 @@ let pdes_reps = 4
 let pdes_sweep =
   [ (64, 1); (64, 4); (128, 1); (128, 2); (128, 4); (256, 1); (256, 4) ]
 
-(* Returns the rows plus the fingerprint verdict: within a host size,
-   every shard count must execute the identical event multiset. *)
+(* Returns the rows plus the digest verdict: within a host size, every
+   member count must execute the identical event multiset. *)
 let run_pdes_all ?kind () =
   let best = Array.make (List.length pdes_sweep) None in
   for _ = 1 to pdes_reps do
@@ -285,7 +303,8 @@ let pdes_ratio results ~pcpus ~jobs ~jobs_ref =
 
 let print_pdes (results, ok) =
   print_endline
-    "conservative PDES throughput (sharded hold pattern, events per second):";
+    "conservative PDES throughput (hold pattern on the fabric, events per \
+     second):";
   List.iter
     (fun r ->
       Printf.printf
@@ -307,12 +326,12 @@ let pdes_to_json_fragment results =
     (List.map
        (fun r ->
          Printf.sprintf
-           "    {\"bench\":\"pdes-hold\",\"backend\":\"wheel\",\
+           "    {\"bench\":\"pdes-hold\",\"backend\":\"%s\",\
             \"pcpus\":%d,\"sim_jobs\":%d,\"workers\":%d,\"pending\":%d,\
             \"ops\":%d,\"sec\":%.6f,\"ops_per_sec\":%.1f,\"windows\":%d,\
             \"cross_posts\":%d,\"digest\":\"%x\"}"
-           r.p_pcpus r.p_jobs r.p_workers r.p_pending r.p_events r.p_sec
-           r.p_events_per_sec r.p_windows r.p_cross r.p_digest)
+           r.p_backend r.p_pcpus r.p_jobs r.p_workers r.p_pending r.p_events
+           r.p_sec r.p_events_per_sec r.p_windows r.p_cross r.p_digest)
        results)
 
 (* ----- decoupled-VMM scenario bench (pdes-vmm) -----
@@ -414,7 +433,7 @@ let run_vmm_coupled ~topology ~vcpus =
 
 let run_vmm_decoupled ~topology ~vcpus ~workers =
   let config =
-    { (vmm_config ~topology) with Asman.Config.sim_jobs = 4; decouple = true }
+    { (vmm_config ~topology) with Asman.Config.sim_jobs = 4 }
   in
   let specs = vmm_specs config ~vcpus in
   let d = Asman.Decouple.build config ~sched:Asman.Config.Asman ~vms:specs in

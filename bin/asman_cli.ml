@@ -132,34 +132,25 @@ let config_of ~scale ~seed ~chaos ~invariants =
   let config = Config.with_seed (Config.with_scale Config.default scale) seed in
   { config with Config.faults = chaos; invariants }
 
-(* ----- big-host / parallel-simulation flags (run/experiment) ----- *)
+(* ----- big-host / parallel-simulation flags (run/experiment/cluster) ----- *)
 
 let sim_jobs_arg =
   let doc =
-    "Simulation shards. Without $(b,--decouple): arms the engine's \
-     conservative-sharding ledger (clamped to the PCPU count); \
-     scheduler-visible outcomes stay byte-identical at any value, N > 1 \
-     additionally reports windows, cross-shard events and coupling \
-     density. With $(b,--decouple): the number of sub-hosts that really \
-     run in parallel. 1 (the default) leaves both off."
+    "Decoupled sub-hosts. N >= 2 partitions the host socket-aligned into N \
+     sub-hosts and runs them in parallel on the windowed PDES fabric, with \
+     work-stealing VM migration between them. Deterministic and \
+     worker-count invariant; requires a clean run (no $(b,--chaos) or \
+     $(b,--attack)) and a socket count divisible by N. 1 (the default) \
+     runs one host on one sequential engine."
   in
   Arg.(value & opt int 1 & info [ "sim-jobs" ] ~doc ~docv:"N")
 
-let decouple_arg =
-  let doc =
-    "Actually decouple the VMM: partition the host socket-aligned into \
-     $(b,--sim-jobs) sub-hosts and run them in parallel on the windowed \
-     PDES fabric, with work-stealing VM migration between shards. \
-     Deterministic and worker-count invariant; requires a clean (no \
-     --chaos/--attack) run and a socket count divisible by --sim-jobs."
-  in
-  Arg.(value & flag & info [ "decouple" ] ~doc)
-
 let workers_arg =
   let doc =
-    "Worker domains driving a $(b,--decouple) run (capped at the shard \
-     count; default: all available cores). Changes wall-clock speed only, \
-     never the simulation outcome."
+    "Worker domains driving the PDES fabric: a decoupled run (capped at \
+     $(b,--sim-jobs); default: all available cores) or a cluster run \
+     (default 1). Changes wall-clock speed only, never the simulation \
+     outcome."
   in
   Arg.(value & opt (some int) None & info [ "workers" ] ~doc ~docv:"W")
 
@@ -186,27 +177,13 @@ let numa_arg =
   in
   Arg.(value & flag & info [ "numa" ] ~doc)
 
-let apply_parallel config ~sim_jobs ~topology ~numa =
+let apply_host config ~topology ~numa =
   let config =
     match topology with
     | None -> config
     | Some topology -> { config with Config.topology }
   in
-  { config with Config.sim_jobs = max 1 sim_jobs; numa }
-
-let print_shard_report engine =
-  match Sim_engine.Engine.shard_report engine with
-  | None -> ()
-  | Some r ->
-    Printf.printf
-      "sim-jobs: %d shards, lookahead %d cycles, %d windows, %d cross-shard \
-       events, %d couplings (sub-lookahead)\n"
-      r.Sim_engine.Engine.r_shards r.Sim_engine.Engine.r_lookahead
-      r.Sim_engine.Engine.r_windows r.Sim_engine.Engine.r_cross
-      r.Sim_engine.Engine.r_coupled;
-    (match Sim_engine.Engine.shard_fingerprint engine with
-    | Some fp -> Printf.printf "sim-jobs fingerprint: %s\n" fp
-    | None -> ())
+  { config with Config.numa }
 
 (* ----- observability flags (shared by run/experiment/ablation) ----- *)
 
@@ -393,14 +370,14 @@ let experiment_cmd =
     Arg.(
       value & opt (some string) None & info [ "cost-cache" ] ~doc ~docv:"FILE")
   in
-  let run id csv scale seed jobs queue cost_cache chaos invariants sim_jobs
-      topology numa trace trace_cats metrics profile =
+  let run id csv scale seed jobs queue cost_cache chaos invariants topology
+      numa trace trace_cats metrics profile =
     Pool.set_jobs jobs;
     set_queue queue;
     (match cost_cache with Some f -> Pool.load_cost_cache f | None -> ());
     let obs, export = obs_setup ~trace ~trace_cats ~metrics ~profile in
     let config = { (config_of ~scale ~seed ~chaos ~invariants) with Config.obs } in
-    let config = apply_parallel config ~sim_jobs ~topology ~numa in
+    let config = apply_host config ~topology ~numa in
     let timings = ref [] and fairness = ref [] and cluster = ref [] in
     let run_one (e : Experiments.t) =
       (match cost_cache with
@@ -481,7 +458,7 @@ let experiment_cmd =
     Term.(
       const run $ id_arg $ csv_arg $ scale_arg $ seed_arg $ jobs_arg
       $ queue_arg $ cost_cache_arg $ chaos_arg $ invariants_arg
-      $ sim_jobs_arg $ topology_arg $ numa_arg $ trace_arg
+      $ topology_arg $ numa_arg $ trace_arg
       $ trace_cats_arg $ metrics_arg $ profile_arg)
 
 (* ----- ablation ----- *)
@@ -590,14 +567,14 @@ let cluster_cmd =
     Arg.(value & flag & info [ "log" ] ~doc)
   in
   let run hosts vms policy dist horizon overcommit no_rebalance penalty log
-      scale seed sched queue invariants sim_jobs workers topology numa =
+      scale seed sched queue invariants workers topology numa =
     set_queue queue;
     if hosts < 1 then raise (Usage_error "--hosts must be >= 1");
     if vms < 1 then raise (Usage_error "--vms must be >= 1");
     let config =
       config_of ~scale ~seed ~chaos:Sim_faults.Fault.none ~invariants
     in
-    let config = apply_parallel config ~sim_jobs ~topology ~numa in
+    let config = apply_host config ~topology ~numa in
     let trace =
       Sim_cluster.Vtrace.generate ~max_vcpus:(Config.pcpus config) ~seed ~vms
         ~dist ~horizon_sec:horizon ()
@@ -606,12 +583,9 @@ let cluster_cmd =
       Sim_cluster.Cluster.build ~overcommit ~penalty_sec:penalty
         ~rebalance:(not no_rebalance) config ~sched ~policy ~hosts ~trace
     in
-    (* --sim-jobs N drives the fabric with N workers (members are
-       always hosts+1); --workers overrides it. Outcomes are
-       worker-count invariant either way. *)
-    let workers =
-      match workers with Some w -> w | None -> max 1 sim_jobs
-    in
+    (* Members are always hosts+1; outcomes are worker-count
+       invariant. *)
+    let workers = Option.value workers ~default:1 in
     let wall0 = Unix.gettimeofday () in
     let r = Sim_cluster.Cluster.run ~workers t ~horizon_sec:horizon in
     let wall = Unix.gettimeofday () -. wall0 in
@@ -721,8 +695,8 @@ let cluster_cmd =
       const run $ hosts_arg $ vms_arg $ policy_arg $ dist_arg $ horizon_arg
       $ overcommit_arg $ no_rebalance_arg $ penalty_arg $ log_arg $ scale_arg
       $ seed_arg
-      $ sched_arg $ queue_arg $ invariants_arg $ sim_jobs_arg $ workers_arg
-      $ topology_arg $ numa_arg)
+      $ sched_arg $ queue_arg $ invariants_arg $ workers_arg $ topology_arg
+      $ numa_arg)
 
 (* ----- run ----- *)
 
@@ -808,12 +782,13 @@ let run_cmd =
       & info [ "attack" ] ~doc ~docv:"ATTACK")
   in
   let run vms weight capped rounds max_sec sched scale seed queue chaos
-      invariants sim_jobs decouple workers topology numa accounting attack
-      trace trace_cats metrics profile =
+      invariants sim_jobs workers topology numa accounting attack trace
+      trace_cats metrics profile =
     set_queue queue;
     let obs, export = obs_setup ~trace ~trace_cats ~metrics ~profile in
     let config = { (config_of ~scale ~seed ~chaos ~invariants) with Config.obs } in
-    let config = apply_parallel config ~sim_jobs ~topology ~numa in
+    let config = apply_host config ~topology ~numa in
+    let config = { config with Config.sim_jobs = max 1 sim_jobs } in
     let config = Config.with_work_conserving config (not capped) in
     let config =
       match Sim_vmm.Vmm.accounting_of_name accounting with
@@ -861,13 +836,17 @@ let run_cmd =
     let vm_names =
       List.map (fun (s : Scenario.vm_spec) -> s.Scenario.vm_name) specs
     in
-    if decouple then begin
+    if sim_jobs >= 2 then begin
       if attack <> None then
         raise
           (Usage_error
-             "--decouple does not support --attack (fixed-window attack runs \
-              need the coupled engine)");
-      let config = { config with Config.decouple = true } in
+             "--sim-jobs >= 2 does not support --attack (fixed-window attack \
+              runs need a single host)");
+      if not (Sim_faults.Fault.is_none chaos) then
+        raise
+          (Usage_error
+             "--sim-jobs >= 2 does not support --chaos (fault injection \
+              targets a single host)");
       let d =
         try Decouple.build config ~sched ~vms:specs
         with Invalid_argument msg -> raise (Usage_error msg)
@@ -968,7 +947,6 @@ let run_cmd =
     print_string (Sim_stats.Table.render ~headers rows);
     print_newline ();
     print_string (Report.health_summary metrics);
-    print_shard_report scenario.Scenario.engine;
     let violations = Sim_vmm.Vmm.invariant_violations scenario.Scenario.vmm in
     List.iteri
       (fun i msg -> if i < 5 then Printf.printf "  violation: %s\n" msg)
@@ -1009,7 +987,7 @@ let run_cmd =
     Term.(
       const run $ vms_arg $ weight_arg $ capped_arg $ rounds_arg $ max_sec_arg
       $ sched_arg $ scale_arg $ seed_arg $ queue_arg $ chaos_arg
-      $ invariants_arg $ sim_jobs_arg $ decouple_arg $ workers_arg
+      $ invariants_arg $ sim_jobs_arg $ workers_arg
       $ topology_arg $ numa_arg
       $ accounting_arg $ attack_arg $ trace_arg $ trace_cats_arg $ metrics_arg
       $ profile_arg)
@@ -1287,7 +1265,7 @@ let repro_cmd =
     let spec =
       try Sim_check.Spec.load file with
       | Sys_error e -> raise (Usage_error e)
-      | Sim_check.Cjson.Parse_error e ->
+      | Reg.Cjson.Parse_error e ->
         raise (Usage_error (Printf.sprintf "%s: %s" file e))
     in
     (match spec.Sim_check.Spec.provenance with

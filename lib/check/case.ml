@@ -16,7 +16,7 @@ let trace_cap = 1 lsl 17
 let probe_every_sec = 0.005
 let max_probe_errors = 5
 
-let config_of_spec ?queue ?sim_jobs (spec : Spec.t) =
+let config_of_spec ?queue (spec : Spec.t) =
   let queue = Option.value queue ~default:(Spec.queue_kind spec) in
   {
     Config.default with
@@ -30,7 +30,7 @@ let config_of_spec ?queue ?sim_jobs (spec : Spec.t) =
     accounting = Spec.accounting_mode spec;
     invariants = Sim_vmm.Vmm.Record;
     engine_queue = Some queue;
-    sim_jobs = Option.value sim_jobs ~default:spec.Spec.sim_jobs;
+    sim_jobs = spec.Spec.sim_jobs;
     obs =
       {
         Config.trace_mask;
@@ -60,8 +60,8 @@ let fingerprint_to_string fp =
           (fun (n, m, r, v) -> Printf.sprintf "%s:%d/%d/%d" n m r v)
           fp.fp_vms))
 
-let run_once ?queue ?sim_jobs (spec : Spec.t) =
-  let config = config_of_spec ?queue ?sim_jobs spec in
+let run_once ?queue (spec : Spec.t) =
+  let config = config_of_spec ?queue spec in
   let s =
     Scenario.of_descs config ~sched:(Spec.sched_kind spec) (Spec.vm_descs spec)
   in
@@ -163,7 +163,7 @@ let flip = function
 let decouple_rounds = 2
 
 let run_decoupled_once ~workers (spec : Spec.t) =
-  let config = { (config_of_spec spec) with Config.decouple = true } in
+  let config = config_of_spec spec in
   let vms =
     List.map
       (fun (d : Scenario.vm_desc) ->
@@ -288,7 +288,7 @@ let run (spec : Spec.t) : Oracle.failure list =
   match Spec.validate spec with
   | Error e -> [ { Oracle.oracle = "spec"; message = e } ]
   | Ok () when spec.Spec.cluster <> None -> run_cluster spec
-  | Ok () when spec.Spec.decouple -> run_decoupled spec
+  | Ok () when spec.Spec.sim_jobs >= 2 -> run_decoupled spec
   | Ok () -> (
     match run_once spec with
     | exception e ->
@@ -321,31 +321,4 @@ let run (spec : Spec.t) : Oracle.failure list =
                 (fingerprint_to_string fp');
           };
         ]
-      | _ -> (
-        (* Backend flip clean: the sim-jobs oracle reruns with the
-           sharding ledger flipped (armed cases rerun unarmed and vice
-           versa) — scheduler-visible outcomes must be byte-identical,
-           the -j1-vs-jN contract. *)
-        let sim_jobs' = if spec.Spec.sim_jobs > 1 then 1 else 4 in
-        match run_once ~sim_jobs:sim_jobs' spec with
-        | exception e ->
-          [
-            {
-              Oracle.oracle = "sim-jobs";
-              message =
-                Printf.sprintf "rerun with --sim-jobs %d crashed: %s" sim_jobs'
-                  (Printexc.to_string e);
-            };
-          ]
-        | fp'', _ ->
-          if fp = fp'' then []
-          else
-            [
-              {
-                Oracle.oracle = "sim-jobs";
-                message =
-                  Printf.sprintf "--sim-jobs %d vs %d divergence: %s vs %s"
-                    spec.Spec.sim_jobs sim_jobs' (fingerprint_to_string fp)
-                    (fingerprint_to_string fp'');
-              };
-            ])))
+      | _ -> []))

@@ -21,17 +21,13 @@ type fingerprint = {
 val fingerprint_to_string : fingerprint -> string
 
 val config_of_spec :
-  ?queue:Sim_engine.Engine.queue_kind ->
-  ?sim_jobs:int ->
-  Spec.t ->
-  Asman.Config.t
+  ?queue:Sim_engine.Engine.queue_kind -> Spec.t -> Asman.Config.t
 (** The exact config a case runs under ([queue] overrides the spec's
-    backend — the determinism rerun; [sim_jobs] overrides the spec's
-    shard count — the sim-jobs rerun). *)
+    backend — the determinism rerun). [sim_jobs] passes through: at 2
+    or more, {!run} builds the case as decoupled sub-hosts. *)
 
 val run_once :
   ?queue:Sim_engine.Engine.queue_kind ->
-  ?sim_jobs:int ->
   Spec.t ->
   fingerprint * Oracle.failure list
 (** One simulation, no determinism rerun, exceptions propagate. *)
@@ -44,9 +40,8 @@ val run_cluster_once :
 
 val run : Spec.t -> Oracle.failure list
 (** The full judgement: validate, run, oracles, then on clean runs the
-    determinism rerun (flipped queue backend) and the sim-jobs rerun
-    (sharding ledger flipped: armed specs rerun at [--sim-jobs 1],
-    unarmed ones at 4). Cluster specs are judged instead by the
-    cluster-conservation oracle and a 1-vs-2-worker
-    placement-determinism rerun. [[]] means the case passed
-    everything. *)
+    determinism rerun (flipped queue backend). Decoupled specs
+    ([sim_jobs >= 2]) are judged instead by a 1-vs-2-worker fabric
+    digest rerun, and cluster specs by the cluster-conservation
+    oracle and a 1-vs-2-worker placement-determinism rerun. [[]] means
+    the case passed everything. *)

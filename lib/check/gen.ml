@@ -77,8 +77,8 @@ let vm_name i = Printf.sprintf "vm%d" i
 
 let base_spec rng =
   (* Mostly paper-testbed-sized hosts; one case in 16 is a big-host
-     NUMA-ish box (64/128 PCPUs) so the sharding ledger and the
-     big-topology paths stay fuzzed. *)
+     NUMA-ish box (64/128 PCPUs) so the big-topology paths stay
+     fuzzed. *)
   let sockets, cores_per_socket =
     if Rng.int rng 16 = 0 then ((if Rng.bool rng then 4 else 8), 16)
     else
@@ -91,8 +91,7 @@ let base_spec rng =
     work_conserving = Rng.int rng 4 <> 0;
     faults = "none";
     queue = (if Rng.bool rng then "wheel" else "heap");
-    sim_jobs = [| 1; 1; 2; 4 |].(Rng.int rng 4);
-    decouple = false;
+    sim_jobs = 1;
     sockets;
     cores_per_socket;
     horizon_sec = 0.06 +. (0.02 *. float_of_int (Rng.int rng 8));
@@ -253,7 +252,6 @@ let decoupled_shape rng spec =
     Spec.sched = [| "credit"; "asman"; "con" |].(Rng.int rng 3);
     faults = "none";
     sim_jobs = shards;
-    decouple = true;
     sockets = shards * (if Rng.bool rng then 1 else 2);
     cores_per_socket = [| 2; 4 |].(Rng.int rng 2);
     horizon_sec = 0.06 +. (0.02 *. float_of_int (Rng.int rng 4));
@@ -272,7 +270,6 @@ let cluster_shape rng spec =
     Spec.sched = [| "credit"; "asman"; "con" |].(Rng.int rng 3);
     faults = "none";
     sim_jobs = 1;
-    decouple = false;
     sockets = 1;
     cores_per_socket = [| 2; 2; 4 |].(Rng.int rng 3);
     horizon_sec = 0.2 +. (0.1 *. float_of_int (Rng.int rng 3));

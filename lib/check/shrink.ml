@@ -197,11 +197,6 @@ let candidates (spec : Spec.t) : Spec.t list =
     if spec.Spec.faults <> "none" then [ { spec with Spec.faults = "none" } ]
     else []
   in
-  (* 4b. disarm the sharding ledger — outcome-invariant by contract,
-     so a failure surviving this candidate is not a sharding bug *)
-  let drop_sim_jobs =
-    if spec.Spec.sim_jobs > 1 then [ { spec with Spec.sim_jobs = 1 } ] else []
-  in
   (* 5. halve the horizon *)
   let shrink_horizon =
     if spec.Spec.horizon_sec > 0.05 then
@@ -209,7 +204,7 @@ let candidates (spec : Spec.t) : Spec.t list =
     else []
   in
   shrink_cluster @ drop_vm @ shrink_wl @ shrink_vcpus @ drop_faults
-  @ drop_sim_jobs @ shrink_horizon
+  @ shrink_horizon
 
 let minimize ?(budget = 200) ~(fails : Spec.t -> Oracle.failure list) spec
     ~initial_failures =

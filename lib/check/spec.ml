@@ -1,4 +1,5 @@
 open Asman
+module Cjson = Sim_registry.Cjson
 
 type vm = {
   v_name : string;
@@ -28,11 +29,10 @@ type t = {
   work_conserving : bool;
   faults : string;  (** profile name, ["none"] for clean runs *)
   queue : string;  (** ["wheel"] or ["heap"] *)
-  sim_jobs : int;  (** --sim-jobs shard count; 1 = ledger unarmed *)
-  decouple : bool;
-      (** run the scenario as [sim_jobs] decoupled sub-hosts on the
-          PDES fabric; judged by the worker-invariance oracle instead
-          of the coupled trace oracles *)
+  sim_jobs : int;
+      (** --sim-jobs; >= 2 runs the scenario as that many decoupled
+          sub-hosts on the PDES fabric, judged by the
+          worker-invariance oracle instead of the trace oracles *)
   sockets : int;
   cores_per_socket : int;
   horizon_sec : float;
@@ -160,7 +160,6 @@ let to_json t =
       ("faults", Cjson.String t.faults);
       ("queue", Cjson.String t.queue);
       ("sim_jobs", Cjson.Int t.sim_jobs);
-      ("decouple", Cjson.Bool t.decouple);
       ("sockets", Cjson.Int t.sockets);
       ("cores_per_socket", Cjson.Int t.cores_per_socket);
       ("horizon_sec", Cjson.Float t.horizon_sec);
@@ -210,17 +209,11 @@ let of_json j =
     work_conserving = Cjson.get "work_conserving" j ~of_:Cjson.to_bool;
     faults = Cjson.get "faults" j ~of_:Cjson.to_string_v;
     queue = Cjson.get "queue" j ~of_:Cjson.to_string_v;
-    (* absent in pre-sim-jobs corpus files: default to the unarmed
-       ledger so the committed corpus replays unchanged *)
+    (* absent in pre-sim-jobs corpus files: one host *)
     sim_jobs =
       (match Cjson.member "sim_jobs" j with
       | None -> 1
       | Some v -> Cjson.to_int v);
-    (* absent in pre-decouple corpus files: coupled, as before *)
-    decouple =
-      (match Cjson.member "decouple" j with
-      | None -> false
-      | Some v -> Cjson.to_bool v);
     sockets = Cjson.get "sockets" j ~of_:Cjson.to_int;
     cores_per_socket = Cjson.get "cores_per_socket" j ~of_:Cjson.to_int;
     horizon_sec = Cjson.get "horizon_sec" j ~of_:Cjson.to_float;
@@ -321,7 +314,7 @@ let validate t =
       (* mirror Cluster.build / Vtrace.generate's preconditions so a
          cluster case (or a shrink candidate derived from one) fails
          validation instead of crashing the builder *)
-      if t.decouple then err "cluster excludes decouple"
+      if t.sim_jobs > 1 then err "cluster excludes sim_jobs > 1"
       else if t.faults <> "none" then err "cluster excludes fault injection"
       else if t.vms <> [] then
         err "cluster cases draw their VMs from the trace, not [vms]"
@@ -333,20 +326,18 @@ let validate t =
         err "unknown lifetime distribution %S" c.cl_dist
       else Ok ()
     | None ->
-      if t.decouple then
-    (* mirror Decouple.build's preconditions so a decoupled case (or a
-       shrink candidate derived from one) fails validation instead of
-       crashing the builder *)
-    if t.sim_jobs < 2 then err "decouple needs sim_jobs >= 2"
-    else if t.faults <> "none" then err "decouple excludes fault injection"
-    else if t.sockets mod t.sim_jobs <> 0 then
-      err "%d sockets cannot split into %d shards" t.sockets t.sim_jobs
-    else if List.length t.vms < t.sim_jobs then
-      err "decouple needs at least one VM per shard"
-    else if List.for_all (fun v -> v.v_workload = None) t.vms then
-      err "decouple needs a workload VM"
-    else Ok ()
-  else Ok ()
+      if t.sim_jobs < 2 then Ok ()
+      (* mirror Decouple.build's preconditions so a decoupled case (or
+         a shrink candidate derived from one) fails validation instead
+         of crashing the builder *)
+      else if t.faults <> "none" then err "decouple excludes fault injection"
+      else if t.sockets mod t.sim_jobs <> 0 then
+        err "%d sockets cannot split into %d shards" t.sockets t.sim_jobs
+      else if List.length t.vms < t.sim_jobs then
+        err "decouple needs at least one VM per shard"
+      else if List.for_all (fun v -> v.v_workload = None) t.vms then
+        err "decouple needs a workload VM"
+      else Ok ()
 
 let sched_kind t =
   match Config.sched_of_name t.sched with

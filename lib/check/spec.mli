@@ -44,17 +44,13 @@ type t = {
   faults : string;  (** fault profile name; ["none"] = clean *)
   queue : string;  (** event-queue backend: ["wheel"] or ["heap"] *)
   sim_jobs : int;
-      (** [--sim-jobs] shard count for the engine's sharding ledger;
-          1 (the default when absent from older corpus JSON) leaves
-          the ledger unarmed. Outcome-invariant by contract — the
-          sim-jobs oracle reruns cases across values to enforce it. *)
-  decouple : bool;
-      (** [true]: run the scenario as [sim_jobs] decoupled sub-hosts
-          on the windowed PDES fabric and judge it with the
-          worker-invariance oracle (the fabric digest must not depend
-          on the worker count) instead of the coupled trace oracles.
-          [false] (the default when absent from older corpus JSON)
-          keeps the single-engine path. *)
+      (** [--sim-jobs]: [1] (the default when absent from older
+          corpus JSON) runs one host on one engine. [N >= 2] runs the
+          scenario as [N] decoupled sub-hosts on the windowed PDES
+          fabric and judges it with the worker-invariance oracle (the
+          fabric digest must not depend on the worker count) instead
+          of the trace oracles. Older corpus JSON may still carry a
+          ["decouple"] key; it is ignored. *)
   sockets : int;
   cores_per_socket : int;
   horizon_sec : float;  (** simulated measurement window *)
@@ -83,14 +79,14 @@ type t = {
 
 val pcpus : t -> int
 
-val to_json : t -> Cjson.t
-val of_json : Cjson.t -> t
+val to_json : t -> Sim_registry.Cjson.t
+val of_json : Sim_registry.Cjson.t -> t
 
 val to_string : t -> string
 (** Indented JSON (corpus files are committed; keep diffs readable). *)
 
 val of_string : string -> t
-(** Raises {!Cjson.Parse_error} on malformed input. *)
+(** Raises {!Sim_registry.Cjson.Parse_error} on malformed input. *)
 
 val load : string -> t
 val save : t -> string -> unit

@@ -436,7 +436,6 @@ let build ?(overcommit = 2.0) ?(penalty_sec = 0.75) ?(rebalance = true)
       Asman.Config.topology;
       seed = mix_seed config.Asman.Config.seed k;
       sim_jobs = 1;
-      decouple = false;
       (* members run dark: tracing and the obs hub are process-shared
          surfaces the engines would race on *)
       obs = { config.Asman.Config.obs with Asman.Config.trace_mask = 0; hub = false };

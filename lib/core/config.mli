@@ -59,16 +59,14 @@ type t = {
           [--engine-queue] flag). SimCheck pins it per case so a
           differential rerun needs no global state. *)
   sim_jobs : int;
-      (** [--sim-jobs]: shards for the engine's coupled-mode sharding
-          ledger (clamped to the PCPU count). 1 — the default — leaves
-          the ledger unarmed. Any value produces scheduler-visible
-          outcomes byte-identical to 1: the ledger attributes and
-          measures, it never reorders. *)
+      (** [--sim-jobs]: decoupled sub-host count. [1] (default) is
+          one host on one sequential engine; {!Decouple.build} runs
+          [N >= 2] socket-aligned sub-hosts on the windowed PDES
+          fabric. {!Scenario.build} ignores it. *)
   decouple : bool;
-      (** [--decouple]: run the scenario as [sim_jobs] decoupled
-          sub-hosts on the windowed PDES fabric ({!Decouple}) instead
-          of arming the coupled-mode ledger. Default off: the single
-          sequential engine, byte-identical to earlier builds. *)
+      (** Unused: nothing reads it; [sim_jobs >= 2] alone selects a
+          decoupled run. Kept only because [perfbench/workloads.ml]
+          still sets it; remove the two together. *)
   numa : bool;
       (** arm the NUMA host model (same-socket steal preference,
           cross-socket relocation penalty). Default off: flat-host

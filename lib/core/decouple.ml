@@ -161,7 +161,7 @@ let balance_tick t k =
 let build config ~sched ~vms =
   let nshards = config.Config.sim_jobs in
   if nshards < 2 then
-    invalid_arg "Decouple.build: --decouple needs --sim-jobs >= 2";
+    invalid_arg "Decouple.build: needs --sim-jobs >= 2";
   if not (Sim_faults.Fault.is_none config.Config.faults) then
     invalid_arg "Decouple.build: fault injection requires the coupled engine";
   let topo = config.Config.topology in
@@ -188,7 +188,6 @@ let build config ~sched ~vms =
             Config.topology = sub_topo;
             seed = mix_seed config.Config.seed k;
             sim_jobs = 1;
-            decouple = false;
             (* Sub-hosts run dark: tracing and the obs hub are
                process-shared surfaces the member engines would race
                on. *)

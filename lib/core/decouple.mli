@@ -1,13 +1,12 @@
 (** Decoupled VMM: one scenario as [sim_jobs] parallel sub-hosts.
 
-    Coupled mode ([--sim-jobs] without [--decouple]) runs the whole
-    VMM on one sequential engine and only {e accounts} what a sharded
-    run would do. This module actually does it: the host is
-    partitioned socket-aligned into [sim_jobs] shards, each shard a
+    A single host ([--sim-jobs 1], the default) runs the whole VMM on
+    one sequential engine. With [--sim-jobs N >= 2] the host is
+    partitioned socket-aligned into [N] shards, each shard a
     full sub-host — its own engine, machine, VMM, scheduler, Dom0 and
     guest kernels — built by {!Scenario.build} over a sub-topology,
     and the shards advance together on the conservative windowed
-    {!Sim_engine.Fabric}. Shard-local scheduling needs no change: a
+    {!Sim_engine.Fabric}. Scheduling inside a shard needs no change: a
     shard's runqueues, timers and credit state are private by
     construction. Every cross-shard interaction is a mailbox message
     that respects the fabric lookahead (one scheduler slot):

@@ -44,20 +44,6 @@ let build ?(domain_id_base = 0) ?(vcpu_id_base = 0) ?(launch = true) config
       ~cap:config.Config.obs.Config.trace_cap
       (Sim_engine.Engine.trace engine)
       ~mask:config.Config.obs.Config.trace_mask;
-  (* Arm the coupled-mode sharding ledger before the machine programs
-     its tick chains, so every event is attributed from boot. PCPUs
-     map to shards in contiguous blocks; the lookahead — the window a
-     conservative decoupled run would use — is the modeled IPI
-     latency, the fastest cross-PCPU signal in the simulation. *)
-  (if config.Config.sim_jobs > 1 then begin
-     let pcpus = Config.pcpus config in
-     let nshards = max 1 (min config.Config.sim_jobs pcpus) in
-     let shard_of_pcpu = Array.init pcpus (fun p -> p * nshards / pcpus) in
-     Sim_engine.Engine.arm_sharding engine
-       ~lookahead:
-         (max 1 config.Config.cpu.Sim_hw.Cpu_model.ipi_latency_cycles)
-       ~shard_of_pcpu
-   end);
   let machine =
     Sim_hw.Machine.create ~stagger:config.Config.stagger engine
       config.Config.cpu config.Config.topology

@@ -49,16 +49,11 @@ val trace : t -> Sim_obs.Trace.t
     zero-capacity ring) so instrumented subsystems pay one branch per
     potential event; arm it with {!Sim_obs.Trace.enable}. *)
 
-val schedule_at : ?shard:int -> t -> time:int -> (unit -> unit) -> handle
+val schedule_at : t -> time:int -> (unit -> unit) -> handle
 (** [schedule_at t ~time f] fires [f] when the clock reaches [time].
-    Raises [Invalid_argument] if [time] is in the past.
+    Raises [Invalid_argument] if [time] is in the past. *)
 
-    When the sharding ledger is armed ({!arm_sharding}), [?shard]
-    attributes the event to that shard; omitted, it inherits the shard
-    of the event currently executing. Tagging never changes execution
-    order — it feeds the coupled-mode shard accounting. *)
-
-val schedule_after : ?shard:int -> t -> delay:int -> (unit -> unit) -> handle
+val schedule_after : t -> delay:int -> (unit -> unit) -> handle
 (** [schedule_after t ~delay f] is
     [schedule_at t ~time:(now t + delay)]. A zero delay fires later in
     the current instant, after already-queued same-time events. *)
@@ -110,7 +105,6 @@ val next_time : t -> int option
     extraction — the fabric's window-bound probe. *)
 
 val periodic :
-  ?shard:int ->
   t ->
   start:int ->
   period:int ->
@@ -124,61 +118,5 @@ val periodic :
     runs before the next occurrence is inserted, so two chains created
     in order keep their relative insertion order at shared instants.
     Returns a stop function that cancels the pending occurrence and
-    ends the chain — the cancellation path used by fault windows.
-    [?shard] tags the first occurrence (see {!schedule_at});
-    reschedules inherit the chain's shard ambiently. Raises
+    ends the chain — the cancellation path used by fault windows. Raises
     [Invalid_argument] if [period <= 0]. *)
-
-(** {1 Coupled-mode sharding ledger ([--sim-jobs N] on a scenario)}
-
-    The VMM's scheduler state is global (host-wide work stealing and
-    credit accounting), so scenarios cannot yet run on the decoupled
-    {!Shard} engine without changing scheduler-visible outcomes.
-    Arming this ledger keeps the exact single (time, seq) execution
-    order — outcomes stay byte-identical to the unarmed engine by
-    construction — while partitioning PCPUs into shards on paper:
-    every fired event is attributed to a shard, conservative windows
-    are counted at the lookahead quantum, and the coupling density
-    that blocks partitioned execution is measured (cross-shard events
-    scheduled closer than the lookahead, zero-latency remote-state
-    touches). *)
-
-type shard_report = {
-  r_shards : int;
-  r_lookahead : int;  (** cycles; the conservative window quantum *)
-  r_windows : int;  (** windows a decoupled run would have executed *)
-  r_cross : int;  (** cross-shard events >= lookahead ahead: mailable *)
-  r_coupled : int;  (** sub-lookahead cross-shard events + remote touches *)
-  r_events : int array;  (** events fired, per shard *)
-}
-
-val arm_sharding : t -> lookahead:int -> shard_of_pcpu:int array -> unit
-(** Arm the ledger on a fresh engine (empty queue, clock 0), mapping
-    PCPU [p] to shard [shard_of_pcpu.(p)]. The shard count is
-    [1 + max shard_of_pcpu]. Raises [Invalid_argument] if the engine
-    has been used, is already armed, [lookahead < 1], or the map is
-    empty or contains a negative shard. *)
-
-val sharded : t -> bool
-
-val shard_count : t -> int
-(** Number of shards; [1] when the ledger is unarmed. *)
-
-val shard_hint : t -> pcpu:int -> int option
-(** Shard owning [pcpu], for [?shard] tagging at scheduling sites;
-    [None] when unarmed (or [pcpu] outside the map), so callers can
-    pass [?shard:(shard_hint t ~pcpu)] unconditionally. *)
-
-val note_remote_touch : t -> src_pcpu:int -> dst_pcpu:int -> unit
-(** Record a zero-latency cross-shard state access (a steal or
-    relocation touching another shard's runqueue). Counted as a
-    coupling when the two PCPUs live on different shards; no-op when
-    unarmed. *)
-
-val shard_report : t -> shard_report option
-
-val shard_fingerprint : t -> string option
-(** Per-shard digest (event counts, final clocks, rolling hashes of
-    fire times, window count) of the executed stream. Identical
-    streams — e.g. [-j N] vs the [-j 1] reference replayed through the
-    same ledger — must produce identical fingerprints. *)

@@ -150,8 +150,9 @@ let pop ?limit t =
 
 (* Fused fire loop: equivalent to looping over [pop ~limit] but with
    no per-event allocation (neither the [limit] option nor the
-   [pop_result] block), which matters on the sharded drain hot path
-   where millions of events fire per window. *)
+   [pop_result] block). Not on the simulator's fire path (Engine.run
+   pops one event at a time); test_equeue checks it against the heap
+   oracle. *)
 let drain t ~limit f =
   let continue_ = ref true in
   (match t.backend with

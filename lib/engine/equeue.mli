@@ -50,8 +50,8 @@ val next_time : t -> int option
 (** Fire time of the live [(time, seq)]-minimum event, without
     extracting it; [None] on an empty queue. The backend descent is
     shared with {!pop}, so a following [pop] re-finds the minimum in
-    O(1). The conservative shard scheduler uses this to compute the
-    global safe horizon. *)
+    O(1). The conservative {!Fabric} uses it to compute the global
+    safe horizon. *)
 
 type pop_result =
   | Event of int * (unit -> unit)  (** fire time and action *)

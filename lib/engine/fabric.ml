@@ -1,8 +1,7 @@
 (* Conservative windowed coordination of full Engine members — the
    decoupled-VMM execution core.
 
-   Where {!Shard} shards one logical simulation over bare Equeues,
-   the fabric couples N complete {!Engine} instances (each carrying
+   The fabric couples N complete {!Engine} instances (each carrying
    its own clock, RNG, trace and, above it, a whole VMM sub-host) and
    advances them in lockstep conservative windows on a {!Team} of
    worker domains:
@@ -15,10 +14,9 @@
      4. repeat until a stop condition holds, the [until] horizon is
         passed, or every queue is empty.
 
-   The safety argument is Shard's: {!post} requires
-   [time >= src clock + lookahead], and a draining member's clock
-   stays <= limit < t_min + lookahead, so no message posted during a
-   window can land inside it; holding mail until the next flush
+   Safety: {!post} requires [time >= src clock + lookahead], and a
+   draining member's clock stays <= limit < t_min + lookahead, so no
+   message posted during a window can land inside it; holding mail until the next flush
    reorders nothing any member could have observed. Member event
    streams therefore depend only on the member partition and the
    message contents — never on the worker count — which

@@ -1,18 +1,17 @@
-(* Deterministic cross-shard mailbox, fused post/flush hot path.
+(* Deterministic cross-member mailbox, fused post/flush hot path.
 
-   One mailbox per receiving shard. Senders post (time, src, per-src
+   One mailbox per receiving fabric member. Senders post (time, src, per-src
    seq, action) tuples under the mailbox mutex; the coordinator
    flushes between conservative windows, delivering in the canonical
    (time, src, seq) order no domain interleaving can perturb.
 
-   Zero-alloc contract (the PR 6 Equeue.drain treatment applied to
-   mail): messages live in preallocated parallel arrays — three int
+   Zero-alloc contract: messages live in preallocated parallel arrays — three int
    arrays plus one action array — so a post is four array stores under
    the lock and a flush is an in-place insertion sort plus a callback
    sweep. The only allocation on the whole path is the amortized array
    doubling when a window's mail exceeds every previous window's;
    steady state allocates nothing per message (see the regression test
-   in test/test_fabric.ml). Insertion sort is the right shape here:
+   in test/test_decouple.ml). Insertion sort is the right shape here:
    per-window mail is small (tens of messages) and already nearly
    sorted because per-src sequences arrive monotonically. *)
 

@@ -1,14 +1,14 @@
-(** Deterministic cross-shard mailbox with a fused, allocation-free
+(** Deterministic cross-member mailbox with a fused, allocation-free
     post/flush hot path.
 
-    One mailbox per receiving shard (used by both {!Shard} and
-    {!Fabric}). Senders {!post} under the mailbox mutex; the window
-    coordinator {!flush}es between conservative windows, delivering in
-    the canonical [(time, src, per-src seq)] order. Messages live in
-    preallocated parallel arrays: a post is four array stores, a flush
-    is an in-place insertion sort plus a callback sweep, and nothing
-    is allocated per message in steady state (arrays double only when
-    a window posts more mail than any window before it). *)
+    One mailbox per receiving {!Fabric} member. Senders {!post} under
+    the mailbox mutex; the window coordinator {!flush}es between
+    conservative windows, delivering in the canonical
+    [(time, src, per-src seq)] order. Messages live in preallocated
+    parallel arrays: a post is four array stores, a flush is an
+    in-place insertion sort plus a callback sweep, and nothing is
+    allocated per message in steady state (arrays double only when a
+    window posts more mail than any window before it). *)
 
 type t
 

@@ -1,8 +1,7 @@
 (* Persistent worker-domain team with a generation barrier.
 
-   Extracted from Shard.run so the decoupled-VMM fabric can drive the
-   same machinery: [tasks] drainable units (shards, member engines),
-   a [work i ~limit] closure that drains unit [i] up to [limit], and a
+   The execution engine under Fabric.run: [tasks] drainable units
+   (member engines), a [work i ~limit] closure that drains unit [i] up to [limit], and a
    team of [workers - 1] spawned domains plus the calling coordinator.
 
    Each window the coordinator publishes (limit, gen+1) under the

@@ -1,6 +1,5 @@
 (** Persistent worker-domain team with a per-window generation
-    barrier — the execution engine under {!Shard.run} and
-    {!Fabric.run}.
+    barrier — the execution engine under {!Fabric.run}.
 
     [tasks] numbered drainable units share one [work i ~limit]
     closure; each {!window} distributes the unit indices over the

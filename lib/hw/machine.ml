@@ -90,9 +90,7 @@ let start t =
      timer is a VMM software clock: it keeps firing even when PCPU 0's
      slot timer is stalled or the PCPU is offlined by a fault. *)
   let (_ : unit -> unit) =
-    Engine.periodic
-      ?shard:(Engine.shard_hint t.engine ~pcpu:0)
-      t.engine ~start:t.phases.(0) ~period:(slot * period_slots)
+    Engine.periodic t.engine ~start:t.phases.(0) ~period:(slot * period_slots)
       (fun () -> match t.period_handler with Some f -> f () | None -> ())
   in
   for pcpu = 0 to pcpu_count t - 1 do
@@ -102,9 +100,7 @@ let start t =
       | Some j -> Some (fun () -> j ~pcpu)
     in
     let (_ : unit -> unit) =
-      Engine.periodic
-        ?shard:(Engine.shard_hint t.engine ~pcpu)
-        t.engine ~start:t.phases.(pcpu) ~period:slot ?jitter
+      Engine.periodic t.engine ~start:t.phases.(pcpu) ~period:slot ?jitter
         (fun () ->
           if t.online.(pcpu) && not t.stalled.(pcpu) then slot_handler pcpu
           else begin
@@ -187,19 +183,12 @@ let send_ipi t ~src ~dst callback =
     t.ipis_dropped <- t.ipis_dropped + 1;
     emit_fault Sim_obs.Trace.fault_ipi_dropped src
   | Deliver ->
-    (* The delivery event belongs to the destination PCPU's shard: the
-       interrupt latency is exactly the modeled cross-shard lag. *)
-    ignore
-      (Engine.schedule_after
-         ?shard:(Engine.shard_hint t.engine ~pcpu:dst)
-         t.engine ~delay:latency callback)
+    ignore (Engine.schedule_after t.engine ~delay:latency callback)
   | Delay extra ->
     t.ipis_delayed <- t.ipis_delayed + 1;
     emit_fault Sim_obs.Trace.fault_ipi_delayed (max 0 extra);
     ignore
-      (Engine.schedule_after
-         ?shard:(Engine.shard_hint t.engine ~pcpu:dst)
-         t.engine ~delay:(latency + max 0 extra) callback)
+      (Engine.schedule_after t.engine ~delay:(latency + max 0 extra) callback)
 
 let ipis_sent t = t.ipis
 

@@ -1,7 +1,7 @@
-(** The cross-run regression engine behind [asman compare] and
-    [bench/diff.exe]: one verdict machine covering performance
-    (figure/ablation wall time, micro throughput), fairness
-    (attained/entitled ratios) and fuzzer health (SimCheck counts).
+(** The cross-run regression engine behind [asman compare]: one
+    verdict machine covering performance (figure/ablation wall time,
+    micro throughput), fairness (attained/entitled ratios) and fuzzer
+    health (SimCheck counts).
 
     Verdict rules, per section:
     - [runs] — wall time; a regression is growth beyond
@@ -33,8 +33,7 @@ type thresholds = {
 }
 
 val default : thresholds
-(** 25% / 0.25 s / 5% / lax sections — the historical
-    [scripts/bench_diff] defaults. *)
+(** 25% / 0.25 s / 5% / lax sections. *)
 
 type result = {
   regressions : int;  (** entries (or sections) past their gate *)
@@ -43,9 +42,7 @@ type result = {
 
 val records : thresholds -> Record.t -> Record.t -> result
 (** Compare old vs new. Works on any two records, including raw
-    [BENCH_*.json] dumps ingested via {!Registry.ingest_bench} —
-    on those it reproduces the historical [bench/diff.exe]
-    verdicts exactly. *)
+    [BENCH_*.json] dumps ingested via {!Registry.ingest_bench}. *)
 
 (** {2 Section extractors (shared with the HTML report and tests)} *)
 

@@ -168,10 +168,6 @@ let run_on t ~pcpu (v : Vcpu.t) =
     Runqueue.remove t.runqueues.(v.Vcpu.home) v;
     if v.Vcpu.home <> pcpu then begin
       v.Vcpu.migrations <- v.Vcpu.migrations + 1;
-      (* Pulling work from another runqueue is a zero-latency remote
-         state access; the sharding ledger counts it as a coupling
-         when the two PCPUs live on different shards. *)
-      Engine.note_remote_touch t.engine ~src_pcpu:v.Vcpu.home ~dst_pcpu:pcpu;
       match t.numa with
       | Some { Sched_intf.topo; reloc_penalty_cycles }
         when not (Topology.same_socket topo v.Vcpu.home pcpu) ->
@@ -201,7 +197,6 @@ let migrate t (v : Vcpu.t) ~dst =
     if not (Mutation.enabled Mutation.Double_insert_reloc) then
       Runqueue.remove t.runqueues.(v.Vcpu.home) v;
     v.Vcpu.migrations <- v.Vcpu.migrations + 1;
-    Engine.note_remote_touch t.engine ~src_pcpu:v.Vcpu.home ~dst_pcpu:dst;
     (match t.numa with
     | Some { Sched_intf.topo; reloc_penalty_cycles }
       when not (Topology.same_socket topo v.Vcpu.home dst) ->

@@ -269,8 +269,7 @@ let big_spec =
     work_conserving = true;
     faults = "chaos-mild";
     queue = "wheel";
-    sim_jobs = 2;
-    decouple = false;
+    sim_jobs = 1;
     sockets = 2;
     cores_per_socket = 4;
     horizon_sec = 0.4;
@@ -396,7 +395,6 @@ let mutation_spec =
     faults = "none";
     queue = "wheel";
     sim_jobs = 1;
-    decouple = false;
     sockets = 2;
     cores_per_socket = 2;
     horizon_sec = 0.14;
@@ -444,7 +442,6 @@ let sampled_mutation_spec =
     faults = "none";
     queue = "heap";
     sim_jobs = 1;
-    decouple = false;
     sockets = 1;
     cores_per_socket = 1;
     horizon_sec = 0.125;
@@ -494,7 +491,6 @@ let cluster_spec =
     faults = "none";
     queue = "wheel";
     sim_jobs = 1;
-    decouple = false;
     sockets = 1;
     cores_per_socket = 2;
     horizon_sec = 0.3;
@@ -521,7 +517,7 @@ let test_cluster_spec_json () =
      pre-cluster corpus file) parses to a single-host spec *)
   let single = Spec.to_string mutation_spec in
   Alcotest.(check bool) "no cluster key emitted for single-host specs" true
-    (Sim_check.Cjson.member "cluster" (Sim_check.Cjson.of_string single)
+    (Sim_registry.Cjson.member "cluster" (Sim_registry.Cjson.of_string single)
     = None);
   Alcotest.(check bool) "absent cluster key parses to None" true
     ((Spec.of_string single).Spec.cluster = None)
@@ -547,8 +543,8 @@ let test_cluster_spec_validation () =
     (rejected (with_cluster (fun c -> { c with Spec.cl_dist = "cauchy" })));
   Alcotest.(check bool) "cluster excludes fault injection" true
     (rejected { cluster_spec with Spec.faults = "chaos-mild" });
-  Alcotest.(check bool) "cluster excludes decouple" true
-    (rejected { cluster_spec with Spec.decouple = true; sim_jobs = 2 })
+  Alcotest.(check bool) "cluster excludes a decoupled host" true
+    (rejected { cluster_spec with Spec.sim_jobs = 2 })
 
 (* The planted double-place mutation end to end: the pinned cluster
    spec replays clean, the armed mutation books arriving VMs on two

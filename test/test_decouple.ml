@@ -189,7 +189,6 @@ let dec_config ~sockets ~cores =
     scale = 0.05;
     seed = 11L;
     sim_jobs = 2;
-    decouple = true;
     obs = { Config.default.Config.obs with Config.hub = false };
   }
 
@@ -197,7 +196,7 @@ let heavy name = Scenario.vm ~name ~vcpus:2 ~weight:256
 let light name = Scenario.vm ~name ~vcpus:1 ~weight:256
 
 (* Round-robin split: even indices land on shard 0, odd on shard 1.
-   Shard 0 is overcommitted with throughput VMs (6 VCPUs on 2 PCPUs,
+   The first shard is overcommitted with throughput VMs (6 VCPUs on 2 PCPUs,
    so preempted domains sit quiescent in the runqueues); shard 1's
    finite workloads drain fast and leave it idle — the balance ticks
    must then move work across. *)
@@ -276,7 +275,7 @@ let test_build_rejects_bad_shapes () =
     (fun () -> ignore (Decouple.build config ~sched:Config.Asman ~vms));
   let config1 = { (dec_config ~sockets:2 ~cores:2) with Config.sim_jobs = 1 } in
   Alcotest.check_raises "one shard is not decoupled"
-    (Invalid_argument "Decouple.build: --decouple needs --sim-jobs >= 2")
+    (Invalid_argument "Decouple.build: needs --sim-jobs >= 2")
     (fun () ->
       ignore (Decouple.build config1 ~sched:Config.Asman ~vms))
 

@@ -25,7 +25,7 @@ let () =
       ("properties", Test_properties.suite);
       ("obs", Test_obs.suite);
       ("check", Test_check.suite);
-      ("shard", Test_shard.suite);
+      ("shard", Test_fabric.suite);
       ("decouple", Test_decouple.suite);
       ("cluster", Test_cluster.suite);
       ("registry", Test_registry.suite);
