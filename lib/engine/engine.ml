@@ -71,40 +71,40 @@ let fire_time t h = Equeue.fire_time t.queue h
 
 let pending_count t = Equeue.length t.queue
 
+let[@inline] fire t time action =
+  t.clock <- time;
+  t.fired_count <- t.fired_count + 1;
+  t.stream_fp <- ((t.stream_fp * 31) + time + 1) land max_int;
+  action ()
+
 let step t =
-  match Equeue.pop t.queue with
-  | Equeue.Empty | Equeue.Beyond -> false
-  | Equeue.Event (time, action) ->
-    t.clock <- time;
-    t.fired_count <- t.fired_count + 1;
-    t.stream_fp <- ((t.stream_fp * 31) + time + 1) land max_int;
-    action ();
+  if Equeue.ready t.queue then begin
+    let time = Equeue.top_time t.queue in
+    fire t time (Equeue.take t.queue);
     true
+  end
+  else false
 
 let halt t = t.stop <- true
 
 let halted t = t.stop
 
-(* One queue descent per fired event: [Equeue.pop ?limit] locates the
-   live minimum once and either extracts it or reports it beyond the
-   horizon, where the old loop peeked (dropping cancelled events) and
-   then popped (dropping them again). *)
+(* The fire loop: one queue descent per fired event ([Equeue.ready]),
+   then the fire time is read and the action extracted in place, so
+   firing an event allocates nothing. An event after [until] is left
+   queued. *)
 let run ?until t =
   t.stop <- false;
+  let limit = match until with Some l -> l | None -> max_int in
+  let q = t.queue in
   let continue = ref true in
   while !continue && not t.stop do
-    match Equeue.pop ?limit:until t.queue with
-    | Equeue.Event (time, action) ->
-      t.clock <- time;
-      t.fired_count <- t.fired_count + 1;
-      t.stream_fp <- ((t.stream_fp * 31) + time + 1) land max_int;
-      action ()
-    | Equeue.Beyond ->
-      (match until with
-      | Some limit -> t.clock <- max t.clock limit
-      | None -> ());
-      continue := false
-    | Equeue.Empty -> continue := false
+    if Equeue.ready q then begin
+      let time = Equeue.top_time q in
+      if time <= limit then fire t time (Equeue.take q)
+      else continue := false
+    end
+    else continue := false
   done;
   match until with
   | Some limit when (not t.stop) && t.clock < limit -> t.clock <- limit

@@ -83,7 +83,8 @@ val step : t -> bool
 val run : ?until:int -> t -> unit
 (** [run ?until t] fires events until the queue is empty, the engine
     is {!halt}ed, or the next event is strictly after [until] (the
-    clock is then advanced to [until]). *)
+    clock is then advanced to [until]). The loop itself allocates
+    nothing per fired event. *)
 
 val halt : t -> unit
 (** Stop the current {!run} after the in-flight event returns. *)

@@ -104,85 +104,46 @@ let rec heap_ensure pool h =
   end
   else true
 
-(* Peek at the live minimum's fire time without extracting it. Shares
-   the backend descent with [pop]: the wheel advances its cursor until
-   the near heap holds the global minimum, the heap oracle sheds
-   tombstones off its top. Both are work [pop] would do anyway. *)
-let next_time t =
+(* The fire path, as three primitives that allocate nothing: [ready]
+   locates the live minimum (the one descent both backends share: the
+   wheel advances its cursor until the near heap holds the global
+   minimum, the heap oracle sheds tombstones off its top), [top_time]
+   reads its fire time, [take] extracts its action. [pop], [next_time]
+   and Engine's fire loop are all built from them, so each backend has
+   one descent path. *)
+let ready t =
   match t.backend with
-  | Wheel w -> if Wheel.ensure_near w then Some (Wheel.near_top_time w) else None
-  | Heap h ->
-    if heap_ensure t.pool h then
-      Some t.pool.Wheel.time.(Wheel.Sheap.top h)
-    else None
+  | Wheel w -> Wheel.ensure_near w
+  | Heap h -> heap_ensure t.pool h
+
+let top_time t =
+  match t.backend with
+  | Wheel w -> Wheel.near_top_time w
+  | Heap h -> t.pool.Wheel.time.(Wheel.Sheap.top h)
+
+let take t =
+  let s =
+    match t.backend with
+    | Wheel w -> Wheel.take_near w
+    | Heap h -> Wheel.Sheap.pop t.pool h
+  in
+  let action = t.pool.Wheel.act.(s) in
+  Wheel.release t.pool s;
+  t.live <- t.live - 1;
+  action
+
+let next_time t = if ready t then Some (top_time t) else None
 
 type pop_result =
   | Event of int * (unit -> unit)  (** fire time and action *)
   | Beyond  (** next live event is after [limit]; left queued *)
   | Empty
 
-(* One queue descent per fired event: find the live minimum, compare
-   against the limit, and either extract it or leave it queued. *)
 let pop ?limit t =
-  let take_slot time s =
-    let action = t.pool.Wheel.act.(s) in
-    Wheel.release t.pool s;
-    t.live <- t.live - 1;
-    Event (time, action)
-  in
-  match t.backend with
-  | Wheel w ->
-    if not (Wheel.ensure_near w) then Empty
-    else begin
-      let time = Wheel.near_top_time w in
-      match limit with
-      | Some l when time > l -> Beyond
-      | _ -> take_slot time (Wheel.take_near w)
-    end
-  | Heap h ->
-    if not (heap_ensure t.pool h) then Empty
-    else begin
-      let time = t.pool.Wheel.time.(Wheel.Sheap.top h) in
-      match limit with
-      | Some l when time > l -> Beyond
-      | _ -> take_slot time (Wheel.Sheap.pop t.pool h)
-    end
-
-(* Fused fire loop: equivalent to looping over [pop ~limit] but with
-   no per-event allocation (neither the [limit] option nor the
-   [pop_result] block). Not on the simulator's fire path (Engine.run
-   pops one event at a time); test_equeue checks it against the heap
-   oracle. *)
-let drain t ~limit f =
-  let continue_ = ref true in
-  (match t.backend with
-  | Wheel w ->
-    while !continue_ do
-      if not (Wheel.ensure_near w) then continue_ := false
-      else begin
-        let time = Wheel.near_top_time w in
-        if time > limit then continue_ := false
-        else begin
-          let s = Wheel.take_near w in
-          let action = t.pool.Wheel.act.(s) in
-          Wheel.release t.pool s;
-          t.live <- t.live - 1;
-          f time action
-        end
-      end
-    done
-  | Heap h ->
-    while !continue_ do
-      if not (heap_ensure t.pool h) then continue_ := false
-      else begin
-        let time = t.pool.Wheel.time.(Wheel.Sheap.top h) in
-        if time > limit then continue_ := false
-        else begin
-          let s = Wheel.Sheap.pop t.pool h in
-          let action = t.pool.Wheel.act.(s) in
-          Wheel.release t.pool s;
-          t.live <- t.live - 1;
-          f time action
-        end
-      end
-    done)
+  if not (ready t) then Empty
+  else begin
+    let time = top_time t in
+    match limit with
+    | Some l when time > l -> Beyond
+    | _ -> Event (time, take t)
+  end

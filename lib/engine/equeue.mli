@@ -46,12 +46,32 @@ val cancel : t -> handle -> bool
     residents are unlinked and recycled eagerly, slot-heap residents
     tombstoned and dropped lazily. Stale handles return [false]. *)
 
+(** {2 Fire path}
+
+    [ready], [top_time] and [take] are the allocation-free primitives
+    the engine's fire loop is built on; {!pop} and {!next_time} are
+    thin wrappers over them. *)
+
+val ready : t -> bool
+(** Locate the live [(time, seq)]-minimum event, dropping cancelled
+    ones on the way; [false] iff the queue is empty. The wheel
+    advances its cursor until its near heap holds the minimum. *)
+
+val top_time : t -> int
+(** Fire time of the minimum located by {!ready}; valid only right
+    after [ready] returned [true] (and before any other queue
+    operation). *)
+
+val take : t -> (unit -> unit)
+(** Extract the minimum located by {!ready} and return its action;
+    same validity rule as {!top_time}. The slot is recycled and the
+    live count decremented. *)
+
 val next_time : t -> int option
-(** Fire time of the live [(time, seq)]-minimum event, without
-    extracting it; [None] on an empty queue. The backend descent is
-    shared with {!pop}, so a following [pop] re-finds the minimum in
-    O(1). The conservative {!Fabric} uses it to compute the global
-    safe horizon. *)
+(** Fire time of the live minimum, without extracting it; [None] on
+    an empty queue. A following {!pop} re-finds the minimum in O(1).
+    The conservative {!Fabric} uses it to compute the global safe
+    horizon. *)
 
 type pop_result =
   | Event of int * (unit -> unit)  (** fire time and action *)
@@ -61,11 +81,5 @@ type pop_result =
 val pop : ?limit:int -> t -> pop_result
 (** Extract the live [(time, seq)]-minimum event in one queue
     descent. With [limit], an event strictly after it is left queued
-    and [Beyond] is returned. *)
-
-val drain : t -> limit:int -> (int -> (unit -> unit) -> unit) -> unit
-(** [drain t ~limit f] pops and applies [f time action] to every live
-    event with fire time at or below [limit], in [(time, seq)] order —
-    exactly a [pop ~limit] loop, minus the per-event [pop_result] and
-    option allocations. [f] may schedule further events; ones landing
-    at or below [limit] fire within the same drain. *)
+    and [Beyond] is returned. Allocates the result block; the engine
+    fires through {!ready}/{!top_time}/{!take} instead. *)

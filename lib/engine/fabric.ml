@@ -77,14 +77,19 @@ let deliver t =
   t.cross_posts <- t.cross_posts + !delivered;
   if !delivered > t.max_window_mail then t.max_window_mail <- !delivered
 
+(* Earliest pending fire time over the members. The fold carries a
+   bare int ([max_int]: nothing pending yet), not an option rebuilt at
+   every member. *)
 let next_global t =
-  Array.fold_left
-    (fun acc m ->
-      match Engine.next_time m with
-      | None -> acc
-      | Some nt -> (
-        match acc with None -> Some nt | Some a -> Some (min a nt)))
-    None t.members
+  let t_min =
+    Array.fold_left
+      (fun acc m ->
+        match Engine.next_time m with
+        | Some nt when nt < acc -> nt
+        | _ -> acc)
+      max_int t.members
+  in
+  if t_min = max_int then None else Some t_min
 
 let run ?workers ?until ?(stop = fun () -> false) t =
   let n = Array.length t.members in

@@ -29,7 +29,16 @@
    same-instant scheduling keep their FIFO semantics. Cancelled events
    are unlinked from wheel buckets eagerly (O(1) via the intrusive
    doubly-linked lists); only events already in a slot-heap are
-   tombstoned and dropped lazily at the top. *)
+   tombstoned and dropped lazily at the top.
+
+   The cursor advance costs in proportion to occupied buckets, not to
+   elapsed time. Each level keeps a one-bit-per-bucket occupancy
+   bitmap, scanned a 32-bit word at a time with a de Bruijn
+   lowest-set-bit lookup. When level 0 runs dry, the cursor jumps
+   straight to the next occupied bucket of the lowest level that has
+   one (1, then 2, then 3), so the empty windows between two sparse
+   events cost one scan per level rather than one step per 2^16-cycle
+   window. *)
 
 (* ----- pooled event store ----- *)
 
@@ -248,23 +257,38 @@ let bit_set w b = w.bits.(b lsr 5) <- w.bits.(b lsr 5) lor (1 lsl (b land 31))
 let bit_clear w b =
   w.bits.(b lsr 5) <- w.bits.(b lsr 5) land lnot (1 lsl (b land 31))
 
+(* Index (0..31) of the lowest set bit of a nonzero 32-bit word: the
+   isolated bit times the de Bruijn constant 0x077CB531 puts a distinct
+   5-bit pattern in bits 27..31, which the table maps back to the bit
+   position. Branch-free; the product stays below 2^59, so OCaml's
+   63-bit ints need only the 32-bit mask. *)
+let debruijn32 =
+  "\000\001\028\002\029\014\024\003\030\022\020\015\025\017\004\008\031\027\013\023\021\019\016\007\026\012\018\006\011\005\010\009"
+
+let[@inline] lowest_set_bit x =
+  Char.code
+    (String.unsafe_get debruijn32
+       ((((x land -x) * 0x077CB531) land 0xFFFFFFFF) lsr 27))
+
 (* Lowest set bucket of [level] whose in-level index is >= [from];
-   -1 when the rest of the level is empty. *)
+   -1 when the rest of the level is empty. Every level starts on a
+   word boundary, so the scan masks off the bits below [from] in the
+   first word and then reads whole words. *)
 let next_occupied w ~level ~from =
-  let base = bucket_offsets.(level) in
   let size = level_sizes.(level) in
-  let idx = ref (-1) in
-  let i = ref from in
-  while !idx < 0 && !i < size do
-    let b = base + !i in
-    let word = w.bits.(b lsr 5) lsr (b land 31) in
-    if word = 0 then
-      (* Skip to the next word boundary. *)
-      i := ((b lor 31) + 1) - base
-    else if word land 1 <> 0 then idx := !i
-    else incr i
-  done;
-  !idx
+  if from >= size then -1
+  else begin
+    let base = bucket_offsets.(level) in
+    let b = base + from in
+    let last = (base + size - 1) lsr 5 in
+    let i = ref (b lsr 5) in
+    let word = ref (w.bits.(!i) land (-1 lsl (b land 31))) in
+    while !word = 0 && !i < last do
+      incr i;
+      word := w.bits.(!i)
+    done;
+    if !word = 0 then -1 else (!i lsl 5) + lowest_set_bit !word - base
+  end
 
 (* ----- bucket lists (intrusive, FIFO in insertion = seq order) ----- *)
 
@@ -367,7 +391,7 @@ let cascade w ~level =
     s := nx
   done
 
-(* Pull far-future events whose 2^38 window the cursor has entered.
+(* Pull far-future events whose 2^34 window the cursor has entered.
    Cancelled tombstones surfacing at the top are dropped here. *)
 let pull_far w =
   let p = w.p in
@@ -420,10 +444,10 @@ let drop_dead_near w =
    a level-1 window cascades its bucket down to level 0; entering a
    higher-level window cascades outermost-first so events settle one
    level at a time (far -> 3 -> 2 -> 1). The cursor can land on a
-   boundary either by the empty-window jump below or by [dump]ing the
-   last slot of a window, so this runs at the top of every advance
-   step; it is idempotent at a fixed cursor — an already-opened
-   window's buckets are simply empty. *)
+   boundary either by a [skip] or by [dump]ing the last slot of a
+   window, so this runs at the top of every advance step; it is
+   idempotent at a fixed cursor — an already-opened window's buckets
+   are simply empty. *)
 let open_boundaries w =
   if w.cur0 land 255 = 0 then begin
     if w.cur0 land ((1 lsl 14) - 1) = 0 then begin
@@ -433,6 +457,35 @@ let open_boundaries w =
     end;
     cascade w ~level:1
   end
+
+(* Level 0 is empty from the cursor to the end of its level-1 window:
+   move the cursor to the start of the next occupied level-1 bucket in
+   the current level-2 window, else of the next occupied level-2
+   bucket in the current level-3 window, else of the next occupied
+   level-3 bucket, else to the next level-3 window. Each level's
+   current bucket was cascaded when the cursor entered it and events
+   behind the cursor go to the near heap, so a level's occupied
+   buckets all lie after the cursor's index there and the scan never
+   wraps. The buckets jumped over are empty, so the next
+   [open_boundaries] runs exactly the cascades a one-window-at-a-time
+   walk would have run on non-empty buckets. *)
+let skip w =
+  let c = w.cur0 in
+  let next =
+    let i1 = next_occupied w ~level:1 ~from:(((c lsr 8) land 63) + 1) in
+    if i1 >= 0 then ((c lsr 14) lsl 14) lor (i1 lsl 8)
+    else
+      let i2 = next_occupied w ~level:2 ~from:(((c lsr 14) land 63) + 1) in
+      if i2 >= 0 then ((c lsr 20) lsl 20) lor (i2 lsl 14)
+      else
+        let i3 = next_occupied w ~level:3 ~from:(((c lsr 20) land 63) + 1) in
+        if i3 >= 0 then ((c lsr 26) lsl 26) lor (i3 lsl 20)
+        else ((c lsr 26) + 1) lsl 26
+  in
+  (* A cursor moved backwards would re-file the buckets it opened and
+     loop forever; fail loudly instead. *)
+  assert (next > c);
+  w.cur0 <- next
 
 (* Advance the cursor until the near heap holds the global minimum
    (time, seq) event, cascading buckets at level boundaries. Returns
@@ -465,16 +518,17 @@ let ensure_near w =
     else begin
       open_boundaries w;
       (* Next occupied level-0 bucket in the cursor's current level-1
-         window, if any; otherwise jump to the window boundary (the
-         next iteration opens it). *)
-      match next_occupied w ~level:0 ~from:(w.cur0 land 255) with
-      | idx when idx >= 0 ->
+         window, if any; otherwise skip ahead to the next occupied
+         bucket further up (the next iteration opens it). *)
+      let idx = next_occupied w ~level:0 ~from:(w.cur0 land 255) in
+      if idx >= 0 then begin
         (* The masked scan never wraps: buckets below cur0's masked
            index belong to already-dumped slots, and next-window
            events live at level >= 1 until their cascade. *)
         dump w ((w.cur0 land lnot 255) lor idx);
         live := true
-      | _ -> w.cur0 <- ((w.cur0 lsr 8) + 1) lsl 8
+      end
+      else skip w
     end
   done;
   !live

@@ -99,11 +99,20 @@ val remove : t -> int -> unit
 (** Eagerly unlink a slot from its wheel bucket (only valid when
     [loc >= 0]); O(1), leaves no tombstone. The caller releases. *)
 
+val lowest_set_bit : int -> int
+(** Position (0..31) of the lowest set bit of a nonzero 32-bit word,
+    by a branch-free de Bruijn lookup; the bitmap scans use it. The
+    result is unspecified for [0]. *)
+
 val ensure_near : t -> bool
 (** Advance the cursor — dumping due buckets, cascading levels and
     pulling far-future events — until the near heap's top is the
     queue's live [(time, seq)] minimum. [false] iff no live event
-    remains. *)
+    remains. When level 0 is empty to the end of its window, the
+    cursor jumps to the start of the next occupied level-1, else
+    level-2, else level-3 bucket (else the next level-3 window)
+    instead of stepping one 2^16-cycle window at a time, so the cost
+    follows the occupied buckets, not the simulated time elapsed. *)
 
 val near_top_time : t -> int
 (** Fire time of the near-heap top; call only after {!ensure_near}

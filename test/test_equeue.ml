@@ -158,19 +158,179 @@ let test_cancel_everywhere () =
   in
   Alcotest.(check bool) "cancel everywhere" true (check_script ops)
 
-(* ----- the fused drain loop under cancellation -----
+(* ----- the cursor skip -----
 
-   [Equeue.drain] pops without materialising [pop_result] blocks, so
-   it has its own unlink/recycle path; cancelling events from inside
-   the drained window — including events later in the *same* window —
-   must leave both backends with identical fire sequences and queue
-   contents. *)
+   When level 0 runs dry the wheel jumps its cursor to the next
+   occupied level-1, level-2 or level-3 bucket, found by a word-at-a-time
+   bitmap scan. These scripts put events exactly on the edges that
+   scan and jump must get right; each is checked against the heap
+   oracle. Scripts start at time 0, so a leading [Schedule d] lands at
+   absolute time [d]. *)
 
-(* Directed: a drain whose actions cancel later same-window events,
+let check_skip name ops = Alcotest.(check bool) name true (check_script ops)
+
+(* Bucket starts at every level, with and without higher-level
+   prefixes, scheduled up front and drained by the trailing pop loop;
+   then the same times reached with the cursor already advanced. *)
+let test_skip_bucket_starts () =
+  let l1 k = k lsl 16 and l2 k = k lsl 22 and l3 k = k lsl 28 in
+  let times =
+    [
+      l1 1; l1 2; l1 31; l1 32; l1 63;
+      l2 1; l2 5; l2 5 + l1 7; l2 32; l2 63;
+      l3 1; l3 1 + l2 3; l3 1 + l2 3 + l1 5; l3 7; l3 32; l3 63;
+      (1 lsl 34) + l3 2 + l2 3; (1 lsl 34) + l2 9; (3 lsl 34) + l1 4;
+    ]
+  in
+  check_skip "level-1/2/3 bucket starts" (List.map (fun t -> Schedule t) times);
+  check_skip "bucket starts, reverse insertion"
+    (List.rev_map (fun t -> Schedule t) times);
+  (* Relative to a cursor sitting on a level-3 bucket start: the jumps
+     must keep the cursor's level-3 prefix. *)
+  check_skip "bucket starts after advancing"
+    ([ Schedule (l3 1); Pop ]
+    @ List.map (fun t -> Schedule t) [ l2 3; l2 7; l2 7 + l1 2; l1 9; l3 2 ]
+    @ [ Pop; Schedule (l2 5); Pop; Schedule (l1 1); Pop; Pop ])
+
+(* Level-0 bucket indices on bitmap word edges (31 | 32, 63 | 64) and
+   the last bucket (255), in the first level-1 window and in a later
+   one. *)
+let test_skip_word_edges () =
+  let l0 i = i lsl 8 in
+  let edges = [ l0 31; l0 32; l0 63; l0 255; l0 255 + 255; l0 31 + 1 ] in
+  check_skip "level-0 word edges" (List.map (fun t -> Schedule t) edges);
+  check_skip "level-0 word edges, later window"
+    (List.map (fun t -> Schedule ((5 lsl 16) + t)) edges);
+  check_skip "level-0 word edges, popped one by one"
+    (List.concat_map (fun t -> [ Schedule t; Pop ]) edges
+    @ List.concat_map (fun t -> [ Schedule t; Schedule (t + 1) ]) edges);
+  (* Level-1/2/3 bucket indices on the same word edges. *)
+  check_skip "upper-level word edges"
+    (List.concat_map
+       (fun i -> [ Schedule (i lsl 16); Schedule (i lsl 22); Schedule (i lsl 28) ])
+       [ 31; 32; 63 ])
+
+(* Times exactly on each level's window size, one cycle either side,
+   and pops that leave the cursor on those boundaries. *)
+let test_skip_window_edges () =
+  let edges = [ 1 lsl 16; 1 lsl 22; 1 lsl 28; 1 lsl 34 ] in
+  check_skip "window edges"
+    (List.concat_map (fun t -> [ Schedule (t - 1); Schedule t; Schedule (t + 1) ]) edges);
+  check_skip "window edges, one by one"
+    (List.concat_map (fun t -> [ Schedule t; Pop; Schedule 0; Schedule 1; Pop ]) edges);
+  check_skip "window edges, twice"
+    (List.concat_map (fun t -> [ Schedule t; Schedule (2 * t); Pop ]) edges)
+
+(* Cancels of events whose buckets the cursor then jumps over: the
+   bucket's bit must clear, or the cursor stops on an empty bucket and
+   must still find the right event. Handles index from the newest
+   ([Cancel 0] is the last scheduled). *)
+let test_skip_cancel_jumped () =
+  check_skip "cancel in jumped-over buckets"
+    [
+      Schedule (5 lsl 16);
+      Schedule (40 lsl 16);
+      Schedule (3 lsl 22);
+      Schedule (2 lsl 28);
+      Schedule ((2 lsl 28) + (3 lsl 22));
+      Schedule (1 lsl 34);
+      Cancel 1; (* 2^28*2 *)
+      Cancel 3; (* 3*2^22 *)
+      Cancel 4; (* 40*2^16 *)
+      Pop;
+      Pop;
+    ];
+  check_skip "cancel every upper-level event"
+    [
+      Schedule (1 lsl 16);
+      Schedule (9 lsl 16);
+      Schedule (9 lsl 22);
+      Schedule (9 lsl 28);
+      Pop;
+      Cancel 0;
+      Cancel 1;
+      Cancel 2;
+      Schedule (17 lsl 16);
+      Pop;
+    ];
+  (* Cancel after the cascade put the event into a lower level. *)
+  check_skip "cancel after cascade"
+    [
+      Schedule (1 lsl 28);
+      Schedule ((1 lsl 28) + (4 lsl 22));
+      Schedule ((1 lsl 28) + (4 lsl 22) + (6 lsl 16));
+      Schedule ((1 lsl 28) + (8 lsl 22));
+      Pop;
+      Cancel 1;
+      Cancel 0;
+      Pop;
+    ]
+
+(* [Pop_until] limits that fall in the empty gap the cursor jumps:
+   the descent moves the cursor past the limit to the next event,
+   which stays queued; events then scheduled inside the gap, behind
+   the cursor, must still fire first. *)
+let test_skip_pop_until_gap () =
+  check_skip "Pop_until inside skipped gap"
+    [
+      Schedule (5 lsl 16);
+      Schedule (40 lsl 22);
+      Schedule ((1 lsl 28) + (2 lsl 22));
+      Pop;
+      Pop_until (10 lsl 22);
+      Schedule 100;
+      Schedule (3 lsl 16);
+      Schedule (1 lsl 22);
+      Pop;
+      Pop_until (1 lsl 16);
+      Pop;
+      Pop_until ((1 lsl 28) - (1 lsl 22));
+      Schedule 0;
+      Pop;
+      Pop;
+    ];
+  check_skip "Pop_until in gap, then exact limit"
+    [
+      Schedule (7 lsl 28);
+      Pop_until (3 lsl 28);
+      Pop_until (4 lsl 28);
+      Schedule 1;
+      Pop;
+      Pop_until 0;
+      Pop;
+    ]
+
+let test_lowest_set_bit () =
+  for i = 0 to 31 do
+    Alcotest.(check int) (Printf.sprintf "bit %d" i) i
+      (Wheel.lowest_set_bit (1 lsl i));
+    (* higher bits set too, and the full word above bit i *)
+    Alcotest.(check int) (Printf.sprintf "bits >= %d" i) i
+      (Wheel.lowest_set_bit (0xFFFFFFFF land (-1 lsl i)));
+    Alcotest.(check int) (Printf.sprintf "bit %d and bit 31" i) i
+      (Wheel.lowest_set_bit ((1 lsl i) lor (1 lsl 31)))
+  done
+
+(* ----- the engine fire loop under cancellation -----
+
+   [Engine.run ~until] fires through [Equeue.ready]/[top_time]/[take]
+   without materialising [pop_result] blocks; cancelling events from
+   inside the run window — including events later in the *same*
+   window — must leave both backends with identical fire sequences and
+   queue contents. *)
+
+(* [Equeue.cancel]'s verdict through the Engine API: whether the event
+   was still pending. *)
+let cancel e h =
+  let pending = Engine.is_pending e h in
+  Engine.cancel e h;
+  pending
+
+(* Directed: a run whose actions cancel later same-window events,
    re-cancel already-fired ones (stale, must be [false]), and schedule
    new events both inside and beyond the limit. *)
 let drain_cancel_trace kind =
-  let q = Equeue.create kind in
+  let e = Engine.create ~queue:kind () in
   let fired = ref [] in
   let n = 24 in
   let handles = Array.make n (-1) in
@@ -178,25 +338,23 @@ let drain_cancel_trace kind =
     (* pairs share fire times, so cancellation also crosses seq
        tie-breaks *)
     handles.(i) <-
-      Equeue.schedule q
+      Engine.schedule_at e
         ~time:(10 * (i / 2))
         (fun () ->
           fired := i :: !fired;
-          (* cancel an event later in the same drained window *)
-          if i mod 3 = 0 && i + 5 < n then
-            ignore (Equeue.cancel q handles.(i + 5));
+          (* cancel an event later in the same window *)
+          if i mod 3 = 0 && i + 5 < n then ignore (cancel e handles.(i + 5));
           (* stale: this very event is firing, cancel must refuse *)
-          if Equeue.cancel q handles.(i) then fired := -1 :: !fired;
-          (* grow the window from inside the drain... *)
+          if cancel e handles.(i) then fired := -1 :: !fired;
+          (* grow the window from inside the run... *)
           if i = 4 then
             ignore
-              (Equeue.schedule q ~time:95 (fun () -> fired := 100 :: !fired));
+              (Engine.schedule_at e ~time:95 (fun () -> fired := 100 :: !fired));
           (* ...and schedule beyond it, to be left queued *)
-          if i = 6 then
-            ignore (Equeue.schedule q ~time:5000 (fun () -> ())))
+          if i = 6 then ignore (Engine.schedule_at e ~time:5000 (fun () -> ())))
   done;
-  Equeue.drain q ~limit:100 (fun _time action -> action ());
-  (List.rev !fired, Equeue.length q)
+  Engine.run e ~until:100;
+  (List.rev !fired, Engine.pending_count e)
 
 let test_drain_cancel_directed () =
   let wheel = drain_cancel_trace Equeue.Wheel_queue in
@@ -211,25 +369,30 @@ let test_drain_cancel_directed () =
   Alcotest.(check bool) "in-window growth fired" true (List.mem 100 fired);
   Alcotest.(check int) "beyond-limit events left queued" 2 leftover
 
-(* Seeded interleavings of drain and cancel: every action flips a
-   coin per outstanding handle; both backends must agree event for
-   event. Deterministic per seed — no QCheck shrinking needed, a
+(* Seeded interleavings of a bounded run and cancel: every action
+   flips a coin per outstanding handle; both backends must agree event
+   for event. Deterministic per seed — no QCheck shrinking needed, a
    failing seed is the repro. *)
 let drain_cancel_seeded seed kind =
   let rng = Rng.create (Int64.of_int seed) in
-  let q = Equeue.create kind in
+  let e = Engine.create ~queue:kind () in
   let fired = ref [] in
   let handles = ref [] in
   let tag = ref 0 in
+  (* after the bounded run, the rest is drained and its fire times
+     recorded separately *)
+  let rest = ref [] in
+  let draining_rest = ref false in
   let rec spawn time =
     let id = !tag in
     incr tag;
     if id < 400 then begin
       let h =
-        Equeue.schedule q ~time (fun () ->
+        Engine.schedule_at e ~time (fun () ->
+            if !draining_rest then rest := time :: !rest;
             fired := (time, id) :: !fired;
             List.iter
-              (fun h -> if Rng.int rng 8 = 0 then ignore (Equeue.cancel q h))
+              (fun h -> if Rng.int rng 8 = 0 then ignore (cancel e h))
               !handles;
             if Rng.int rng 3 = 0 then
               spawn (time + Rng.int_in rng ~lo:0 ~hi:300))
@@ -240,17 +403,9 @@ let drain_cancel_seeded seed kind =
   for _ = 1 to 60 do
     spawn (Rng.int_in rng ~lo:0 ~hi:900)
   done;
-  Equeue.drain q ~limit:600 (fun _time action -> action ());
-  let rest = ref [] in
-  let rec pop_all () =
-    match Equeue.pop q with
-    | Equeue.Event (time, action) ->
-      rest := time :: !rest;
-      action ();
-      pop_all ()
-    | Equeue.Beyond | Equeue.Empty -> ()
-  in
-  pop_all ();
+  Engine.run e ~until:600;
+  draining_rest := true;
+  Engine.run e;
   (List.rev !fired, List.rev !rest)
 
 let test_drain_cancel_seeded () =
@@ -320,6 +475,16 @@ let suite =
     Alcotest.test_case "drain/cancel directed" `Quick test_drain_cancel_directed;
     Alcotest.test_case "drain/cancel seeded vs heap oracle" `Quick
       test_drain_cancel_seeded;
+    Alcotest.test_case "skip: level-1/2/3 bucket starts" `Quick
+      test_skip_bucket_starts;
+    Alcotest.test_case "skip: level-0 word edges" `Quick test_skip_word_edges;
+    Alcotest.test_case "skip: window edges" `Quick test_skip_window_edges;
+    Alcotest.test_case "skip: cancel in jumped-over buckets" `Quick
+      test_skip_cancel_jumped;
+    Alcotest.test_case "skip: Pop_until inside skipped gap" `Quick
+      test_skip_pop_until_gap;
+    Alcotest.test_case "lowest set bit at all 32 positions" `Quick
+      test_lowest_set_bit;
     Alcotest.test_case "periodic identical" `Quick test_engine_periodic_identical;
     QCheck_alcotest.to_alcotest prop_backends_agree;
     Alcotest.test_case "fig1a identical across backends" `Slow
