@@ -227,7 +227,7 @@ let run_pdes_once ?(kind = Engine.default_queue ()) ~pcpus ~jobs () =
         (Engine.schedule_at e ~time:(1 + (mix (key lsl 8) land mask)) act)
     done
   done;
-  let workers = max 1 (min jobs (Domain.recommended_domain_count ())) in
+  let workers = Fabric.workers fab in
   (* Level the GC playing field between sweep points: without this,
      garbage from the previous point's setup charges its collection
      cost to whichever run happens to trip the major slice. *)

@@ -1,13 +1,5 @@
 open Sim_engine
-
-(* Id-counter strides keeping domain/vcpu ids globally unique across
-   the hosts of a cluster (host k's VMM numbers domains from
-   [k * domain_stride]); same scheme as {!Asman.Decouple}. *)
-let domain_stride = 4096
-let vcpu_stride = 65536
-
-let mix_seed seed k =
-  Int64.add (Int64.mul seed 1_000_003L) (Int64.of_int (k + 1))
+module Hosts = Asman.Hosts
 
 (* Where a VM currently is, from the controller's point of view.
    Written only by controller (incubator-member) events; host events
@@ -34,8 +26,7 @@ let phase_name = function
 
 type unit_state = {
   cu_entry : Vtrace.entry;
-  cu_kernel : Sim_guest.Kernel.t;
-  cu_domain : Sim_vmm.Domain.t;
+  cu_vm : Hosts.vm;  (** [id] is the trace index *)
   cu_resident : Placement.resident;
       (** the controller's bookkeeping record; lives in exactly one
           host view while the VM is admitted *)
@@ -48,30 +39,19 @@ type unit_state = {
   mutable cu_repredictions : int;  (** controller-side *)
 }
 
-(* Per-host physical truth: mutated only by that host's own events
-   (attach/detach), read by the coordinator after the run. *)
-type host = {
-  ho_index : int;
-  ho_scenario : Asman.Scenario.t;
-  mutable ho_resident : unit_state list;
-}
-
+(* Members 0..n-1 are the hosts; member n is the incubator, whose
+   engine runs the controller. *)
 type t = {
-  config : Asman.Config.t;
-  sched : Asman.Config.sched_kind;
   policy : Placement.policy;
-  hosts : host array;
-  incubator : Asman.Scenario.t;
-  fabric : Fabric.t;
+  hosts : Hosts.t;
+  nhosts : int;
   units : unit_state array;
   by_name : (string, unit_state) Hashtbl.t;
   views : Placement.host_view array;  (** controller bookkeeping *)
-  lookahead : int;
   freq : Units.freq;
   copy_cycles_per_mb : int;
   penalty_sec : float;
   rebalance : bool;
-  rebalance_margin : int;
   mutable queue : unit_state list;  (** admission queue, arrival order *)
   mutable log_rev : (int * string) list;
   mutable placements : int;
@@ -87,12 +67,20 @@ type t = {
   mutable resident_integral : float;
 }
 
-let controller t = Array.length t.hosts
+(* A pressure move is taken only while the host imbalance is at least
+   this many VCPU slots, and at least twice the VM's VCPUs. *)
+let rebalance_margin = 4
 
-let inc_engine t = t.incubator.Asman.Scenario.engine
+let controller t = t.nhosts
+
+let inc_engine t = Hosts.engine t.hosts (controller t)
 let inc_now t = Engine.now (inc_engine t)
 let sec_of t cycles = Units.sec_of_cycles t.freq cycles
 let now_sec t = sec_of t (inc_now t)
+let name u = u.cu_entry.Vtrace.e_name
+
+(* every controller <-> host message rides one lookahead *)
+let send t ~src ~dst action = Hosts.send t.hosts ~src ~dst action
 
 let logf t fmt =
   Printf.ksprintf (fun s -> t.log_rev <- (inc_now t, s) :: t.log_rev) fmt
@@ -104,16 +92,13 @@ let note_admitted_change t delta =
   t.admitted <- t.admitted + delta;
   t.last_change <- now
 
-let copy_cycles t (u : unit_state) =
-  u.cu_entry.Vtrace.e_footprint_mb * t.copy_cycles_per_mb
-
 (* ----- controller-side bookkeeping transitions ----- *)
 
 let rec ctrl_attached t u h ~first =
   if first then begin
     u.cu_phase <- Resident h;
     u.cu_run_at <- inc_now t;
-    logf t "run %s host %d" u.cu_entry.Vtrace.e_name h;
+    logf t "run %s host %d" (name u) h;
     (* The lifetime clock starts at the launch ack; the controller
        owns the departure timer so it survives later migrations. *)
     let (_ : Engine.handle) =
@@ -129,57 +114,27 @@ let rec ctrl_attached t u h ~first =
     Placement.admit t.views.(h) u.cu_resident;
     u.cu_phase <- Resident h;
     t.migrations <- t.migrations + 1;
-    logf t "migrated %s host %d" u.cu_entry.Vtrace.e_name h
+    logf t "migrated %s host %d" (name u) h
   end
 
 and ctrl_depart t u =
   match u.cu_phase with
   | Resident h ->
     u.cu_phase <- Departing h;
-    logf t "halt %s host %d" u.cu_entry.Vtrace.e_name h;
-    let now = inc_now t in
-    Fabric.post t.fabric ~src:(controller t) ~dst:h ~time:(now + t.lookahead)
-      (fun () -> host_halt t u h)
+    logf t "halt %s host %d" (name u) h;
+    (* the host drains the guest, detaches it and reports back *)
+    send t ~src:(controller t) ~dst:h (fun () ->
+        Hosts.depart t.hosts u.cu_vm ~gone:(fun () ->
+            send t ~src:h ~dst:(controller t) (fun () -> ctrl_departed t u h)))
   | Evicting _ | Migrating _ | Placing _ ->
     (* mid-migration; try again once the move settles *)
     let (_ : Engine.handle) =
-      Engine.schedule_after (inc_engine t) ~delay:(2 * t.lookahead) (fun () ->
-          ctrl_depart t u)
+      Engine.schedule_after (inc_engine t)
+        ~delay:(2 * Hosts.lookahead t.hosts)
+        (fun () -> ctrl_depart t u)
     in
     ()
   | Incubating | Pending | Departing _ | Departed -> ()
-
-(* ----- host-side events ----- *)
-
-and host_halt t u h =
-  Sim_guest.Kernel.request_halt u.cu_kernel;
-  let hs = t.hosts.(h) in
-  let (_ : Engine.handle) =
-    Engine.schedule_after hs.ho_scenario.Asman.Scenario.engine
-      ~delay:t.lookahead (fun () -> host_depart_poll t u h)
-  in
-  ()
-
-and host_depart_poll t u h =
-  let hs = t.hosts.(h) in
-  let vmm = hs.ho_scenario.Asman.Scenario.vmm in
-  if
-    Sim_guest.Kernel.quiescent u.cu_kernel
-    && Sim_vmm.Vmm.sched_migratable vmm u.cu_domain
-  then begin
-    Sim_guest.Kernel.park u.cu_kernel;
-    Sim_vmm.Vmm.detach_domain vmm u.cu_domain;
-    hs.ho_resident <- List.filter (fun x -> x != u) hs.ho_resident;
-    let now = Engine.now hs.ho_scenario.Asman.Scenario.engine in
-    Fabric.post t.fabric ~src:h ~dst:(controller t) ~time:(now + t.lookahead)
-      (fun () -> ctrl_departed t u h)
-  end
-  else
-    let (_ : Engine.handle) =
-      Engine.schedule_after hs.ho_scenario.Asman.Scenario.engine
-        ~delay:t.lookahead (fun () -> host_depart_poll t u h)
-    in
-    ()
 
 and ctrl_departed t u h =
   Placement.remove t.views.(h) u.cu_resident;
@@ -187,80 +142,42 @@ and ctrl_departed t u h =
   u.cu_departed_at <- inc_now t;
   t.departures <- t.departures + 1;
   note_admitted_change t (-1);
-  logf t "depart %s host %d" u.cu_entry.Vtrace.e_name h;
+  logf t "depart %s host %d" (name u) h;
   try_place_queue t
 
-and host_attach t u h ~first =
-  let hs = t.hosts.(h) in
-  let vmm = hs.ho_scenario.Asman.Scenario.vmm in
-  Sim_guest.Kernel.retarget u.cu_kernel ~vmm;
-  Sim_vmm.Vmm.attach_domain vmm u.cu_domain;
-  hs.ho_resident <- u :: hs.ho_resident;
-  if first then Sim_guest.Kernel.launch u.cu_kernel
-  else Sim_guest.Kernel.thaw u.cu_kernel;
-  let now = Engine.now hs.ho_scenario.Asman.Scenario.engine in
-  Fabric.post t.fabric ~src:h ~dst:(controller t) ~time:(now + t.lookahead)
-    (fun () -> ctrl_attached t u h ~first)
+(* Move [u] to host [dst] on the substrate (from the incubator for a
+   placement, from its host for a pressure migration); the
+   destination acks the attach to the controller. *)
+and ship ?extra ?shipped t u ~dst ~first ~nacked =
+  Hosts.migrate ?extra ?shipped t.hosts u.cu_vm ~dst ~nacked
+    ~arrived:(fun () ->
+      send t ~src:dst ~dst:(controller t) (fun () ->
+          ctrl_attached t u dst ~first))
 
 (* Source side of a pressure migration, executing on the source
-   host's engine. This is live migration of a running guest:
-   [Kernel.request_freeze] drains it to quiescence with all state
-   intact, the grant polls for the drain to land, and the domain then
-   exists only inside the mailbox closure for the duration of the
-   stop-and-copy (modeled as footprint-proportional mailbox latency).
-   The destination thaws it on attach. *)
+   host's engine: live migration of a running guest, whose
+   stop-and-copy rides as footprint-proportional extra latency. *)
 and host_release t u ~src ~dst =
-  let hs = t.hosts.(src) in
-  let now = Engine.now hs.ho_scenario.Asman.Scenario.engine in
+  let nack () =
+    send t ~src ~dst:(controller t) (fun () -> ctrl_migration_nack t u ~src ~dst)
+  in
   if
-    List.memq u hs.ho_resident
-    && not (Sim_guest.Kernel.halt_requested u.cu_kernel)
-  then begin
-    Sim_guest.Kernel.request_freeze u.cu_kernel;
-    host_release_poll t u ~src ~dst ~frozen_at:now ~tries:0
-  end
-  else
-    Fabric.post t.fabric ~src ~dst:(controller t) ~time:(now + t.lookahead)
-      (fun () -> ctrl_migration_nack t u ~src ~dst)
-
-and host_release_poll t u ~src ~dst ~frozen_at ~tries =
-  let hs = t.hosts.(src) in
-  let vmm = hs.ho_scenario.Asman.Scenario.vmm in
-  let now = Engine.now hs.ho_scenario.Asman.Scenario.engine in
-  if
-    Sim_guest.Kernel.quiescent u.cu_kernel
-    && Sim_vmm.Vmm.sched_migratable vmm u.cu_domain
-  then begin
-    Sim_guest.Kernel.park u.cu_kernel;
-    Sim_vmm.Vmm.detach_domain vmm u.cu_domain;
-    hs.ho_resident <- List.filter (fun x -> x != u) hs.ho_resident;
-    let copy = copy_cycles t u in
-    u.cu_migrations <- u.cu_migrations + 1;
-    (* downtime = freeze drain + transit + stop-and-copy *)
-    u.cu_downtime <- u.cu_downtime + (now - frozen_at) + t.lookahead + copy;
-    Fabric.post t.fabric ~src ~dst ~time:(now + t.lookahead + copy) (fun () ->
-        host_attach t u dst ~first:false);
-    Fabric.post t.fabric ~src ~dst:(controller t) ~time:(now + t.lookahead)
-      (fun () -> ctrl_migration_started t u ~src ~dst)
-  end
-  else if tries >= 64 then begin
-    (* drain never landed (scheduler state pinned): resume in place *)
-    Sim_guest.Kernel.thaw u.cu_kernel;
-    Fabric.post t.fabric ~src ~dst:(controller t) ~time:(now + t.lookahead)
-      (fun () -> ctrl_migration_nack t u ~src ~dst)
-  end
-  else
-    let (_ : Engine.handle) =
-      Engine.schedule_after hs.ho_scenario.Asman.Scenario.engine
-        ~delay:t.lookahead (fun () ->
-          host_release_poll t u ~src ~dst ~frozen_at ~tries:(tries + 1))
-    in
-    ()
+    List.memq u.cu_vm (Hosts.residents t.hosts src)
+    && not (Sim_guest.Kernel.halt_requested u.cu_vm.Hosts.kernel)
+  then
+    let copy = u.cu_entry.Vtrace.e_footprint_mb * t.copy_cycles_per_mb in
+    ship ~extra:copy t u ~dst ~first:false ~nacked:nack
+      ~shipped:(fun ~downtime ->
+        u.cu_migrations <- u.cu_migrations + 1;
+        u.cu_downtime <- u.cu_downtime + downtime;
+        send t ~src ~dst:(controller t) (fun () ->
+            ctrl_migration_started t u ~src ~dst))
+  else nack ()
 
 and ctrl_migration_started t u ~src ~dst =
   Placement.remove t.views.(src) u.cu_resident;
   u.cu_phase <- Migrating (src, dst);
-  logf t "copy %s %d->%d" u.cu_entry.Vtrace.e_name src dst;
+  logf t "copy %s %d->%d" (name u) src dst;
   try_place_queue t
 
 and ctrl_migration_nack t u ~src ~dst =
@@ -269,7 +186,7 @@ and ctrl_migration_nack t u ~src ~dst =
   | _ -> ());
   Placement.release t.views.(dst) ~vcpus:u.cu_entry.Vtrace.e_vcpus;
   t.nacks <- t.nacks + 1;
-  logf t "nack %s %d->%d" u.cu_entry.Vtrace.e_name src dst
+  logf t "nack %s %d->%d" (name u) src dst
 
 (* ----- placement ----- *)
 
@@ -289,7 +206,7 @@ and try_place t u =
     t.placements <- t.placements + 1;
     note_admitted_change t 1;
     u.cu_phase <- Placing h;
-    logf t "place %s host %d" u.cu_entry.Vtrace.e_name h;
+    logf t "place %s host %d" (name u) h;
     (if Sim_vmm.Mutation.enabled Sim_vmm.Mutation.Double_place then
        (* planted bug: admit the VM to a second feasible host's
           bookkeeping as well — the phantom residency corrupts the
@@ -308,19 +225,15 @@ and try_place t u =
        | Some v ->
          Placement.admit v
            {
-             Placement.r_name = u.cu_entry.Vtrace.e_name;
+             Placement.r_name = name u;
              r_vcpus = vcpus;
              r_predicted_end_sec = predicted_end;
            };
          t.double_places <- t.double_places + 1;
-         logf t "place %s host %d (double)" u.cu_entry.Vtrace.e_name
-           v.Placement.h_id);
-    (* the VM incubates unlaunched, hence quiescent: park it out of
-       the incubator and ship it to its host *)
-    Sim_guest.Kernel.park u.cu_kernel;
-    Sim_vmm.Vmm.detach_domain t.incubator.Asman.Scenario.vmm u.cu_domain;
-    Fabric.post t.fabric ~src:(controller t) ~dst:h ~time:(now + t.lookahead)
-      (fun () -> host_attach t u h ~first:true);
+         logf t "place %s host %d (double)" (name u) v.Placement.h_id);
+    (* the VM incubates unlaunched, hence quiescent: the move leaves
+       the incubator at once and the host launches it on arrival *)
+    ship t u ~dst:h ~first:true ~nacked:ignore;
     true
 
 and try_place_queue t =
@@ -332,7 +245,7 @@ let arrive t u =
   try_place_queue t;
   if List.memq u t.queue then begin
     t.deferrals <- t.deferrals + 1;
-    logf t "defer %s" u.cu_entry.Vtrace.e_name
+    logf t "defer %s" (name u)
   end
 
 (* ----- pressure rebalance + lifetime repredict tick ----- *)
@@ -385,14 +298,12 @@ let rebalance_tick t =
             if
               dv.Placement.h_used + v <= dv.Placement.h_capacity
               && sv.Placement.h_used - dv.Placement.h_used
-                 >= max t.rebalance_margin (2 * v)
+                 >= max rebalance_margin (2 * v)
             then begin
               match !cand with
               | Some (b : unit_state)
                 when b.cu_entry.Vtrace.e_vcpus > v
-                     || (b.cu_entry.Vtrace.e_vcpus = v
-                        && b.cu_entry.Vtrace.e_name
-                           <= u.cu_entry.Vtrace.e_name) ->
+                     || (b.cu_entry.Vtrace.e_vcpus = v && name b <= name u) ->
                 ()
               | _ -> cand := Some u
             end
@@ -405,21 +316,18 @@ let rebalance_tick t =
         Placement.reserve dv ~vcpus:u.cu_entry.Vtrace.e_vcpus;
         u.cu_phase <- Evicting s;
         t.evictions <- t.evictions + 1;
-        logf t "evict %s %d->%d" u.cu_entry.Vtrace.e_name s d;
-        let now = inc_now t in
-        Fabric.post t.fabric ~src:(controller t) ~dst:s
-          ~time:(now + t.lookahead) (fun () -> host_release t u ~src:s ~dst:d)
+        logf t "evict %s %d->%d" (name u) s d;
+        send t ~src:(controller t) ~dst:s (fun () ->
+            host_release t u ~src:s ~dst:d)
     end
   end
 
 (* ----- build ----- *)
 
 let build ?(overcommit = 2.0) ?(penalty_sec = 0.75) ?(rebalance = true)
-    ?(rebalance_margin = 4) config ~sched ~policy ~hosts:nhosts ~trace =
+    config ~sched ~policy ~hosts:nhosts ~trace =
   if nhosts < 1 then invalid_arg "Cluster.build: hosts < 1";
   if trace = [] then invalid_arg "Cluster.build: empty trace";
-  if not (Sim_faults.Fault.is_none config.Asman.Config.faults) then
-    invalid_arg "Cluster.build: fault injection is per-host only";
   let pcpus = Asman.Config.pcpus config in
   List.iter
     (fun (e : Vtrace.entry) ->
@@ -428,80 +336,52 @@ let build ?(overcommit = 2.0) ?(penalty_sec = 0.75) ?(rebalance = true)
           (Printf.sprintf "Cluster.build: %s has %d VCPUs but hosts have %d \
                            PCPUs" e.Vtrace.e_name e.Vtrace.e_vcpus pcpus))
     trace;
-  let lookahead = Sim_hw.Cpu_model.slot_cycles config.Asman.Config.cpu in
   let freq = Asman.Config.freq config in
-  let sub_config k topology =
+  let host =
     {
-      config with
-      Asman.Config.topology;
-      seed = mix_seed config.Asman.Config.seed k;
-      sim_jobs = 1;
-      (* members run dark: tracing and the obs hub are process-shared
-         surfaces the engines would race on *)
-      obs = { config.Asman.Config.obs with Asman.Config.trace_mask = 0; hub = false };
+      Hosts.topology = config.Asman.Config.topology;
+      (* an idle sentinel keeps the host scenario well-formed; it has
+         no kernel and never wakes *)
+      vms =
+        [
+          { Asman.Scenario.vm_name = "idle"; weight = 256; vcpus = 1; workload = None };
+        ];
+      launch = true;
+    }
+  in
+  (* the incubator holds every trace VM unlaunched (hence quiescent)
+     until it is placed *)
+  let incubator =
+    {
+      Hosts.topology = Sim_hw.Topology.make ~sockets:1 ~cores_per_socket:1;
+      vms =
+        List.map
+          (fun (e : Vtrace.entry) ->
+            {
+              Asman.Scenario.vm_name = e.Vtrace.e_name;
+              weight = e.Vtrace.e_weight;
+              vcpus = e.Vtrace.e_vcpus;
+              workload =
+                Some (Asman.Scenario.workload_of_desc config e.Vtrace.e_workload);
+            })
+          trace;
+      launch = false;
     }
   in
   let hosts =
-    Array.init nhosts (fun k ->
-        let scen =
-          Asman.Scenario.build
-            ~domain_id_base:(k * domain_stride)
-            ~vcpu_id_base:(k * vcpu_stride)
-            (sub_config k config.Asman.Config.topology)
-            ~sched
-            ~vms:
-              [
-                (* an idle sentinel keeps the host scenario well-formed;
-                   it has no kernel and never wakes *)
-                {
-                  Asman.Scenario.vm_name = "idle";
-                  weight = 256;
-                  vcpus = 1;
-                  workload = None;
-                };
-              ]
-        in
-        { ho_index = k; ho_scenario = scen; ho_resident = [] })
+    Hosts.create config ~sched
+      (Array.init (nhosts + 1) (fun k -> if k < nhosts then host else incubator))
   in
-  let inc_config =
-    sub_config nhosts (Sim_hw.Topology.make ~sockets:1 ~cores_per_socket:1)
-  in
-  let incubator =
-    Asman.Scenario.build
-      ~domain_id_base:(nhosts * domain_stride)
-      ~vcpu_id_base:(nhosts * vcpu_stride)
-      ~launch:false inc_config ~sched
-      ~vms:
-        (List.map
-           (fun (e : Vtrace.entry) ->
-             {
-               Asman.Scenario.vm_name = e.Vtrace.e_name;
-               weight = e.Vtrace.e_weight;
-               vcpus = e.Vtrace.e_vcpus;
-               workload =
-                 Some
-                   (Asman.Scenario.workload_of_desc inc_config
-                      e.Vtrace.e_workload);
-             })
-           trace)
-  in
+  let inc = Hosts.scenario hosts nhosts in
   let units =
     Array.of_list
       (List.map
          (fun (e : Vtrace.entry) ->
-           let inst = Asman.Scenario.find_vm incubator e.Vtrace.e_name in
-           let kernel =
-             match inst.Asman.Scenario.kernel with
-             | Some k -> k
-             | None ->
-               invalid_arg
-                 (Printf.sprintf "Cluster.build: %s has no kernel"
-                    e.Vtrace.e_name)
-           in
            {
              cu_entry = e;
-             cu_kernel = kernel;
-             cu_domain = inst.Asman.Scenario.domain;
+             cu_vm =
+               Hosts.adopt hosts ~member:nhosts
+                 (Asman.Scenario.find_vm inc e.Vtrace.e_name);
              cu_resident =
                {
                  Placement.r_name = e.Vtrace.e_name;
@@ -519,34 +399,20 @@ let build ?(overcommit = 2.0) ?(penalty_sec = 0.75) ?(rebalance = true)
          trace)
   in
   let by_name = Hashtbl.create 64 in
-  Array.iter (fun u -> Hashtbl.replace by_name u.cu_entry.Vtrace.e_name u) units;
+  Array.iter (fun u -> Hashtbl.replace by_name (name u) u) units;
   let capacity = int_of_float (overcommit *. float_of_int pcpus) in
-  let views =
-    Array.init nhosts (fun k -> Placement.make_view ~id:k ~capacity)
-  in
-  let engines =
-    Array.append
-      (Array.map (fun h -> h.ho_scenario.Asman.Scenario.engine) hosts)
-      [| incubator.Asman.Scenario.engine |]
-  in
-  let fabric = Fabric.create ~lookahead engines in
   let t =
     {
-      config;
-      sched;
       policy;
       hosts;
-      incubator;
-      fabric;
+      nhosts;
       units;
       by_name;
-      views;
-      lookahead;
+      views = Array.init nhosts (fun k -> Placement.make_view ~id:k ~capacity);
       freq;
       copy_cycles_per_mb = Units.cycles_of_us freq 100;
       penalty_sec;
       rebalance;
-      rebalance_margin;
       queue = [];
       log_rev = [];
       placements = 0;
@@ -572,9 +438,10 @@ let build ?(overcommit = 2.0) ?(penalty_sec = 0.75) ?(rebalance = true)
       in
       ())
     t.units;
+  let period = 4 * Hosts.lookahead hosts in
   let (_ : unit -> unit) =
-    Engine.periodic (inc_engine t) ~start:(4 * lookahead)
-      ~period:(4 * lookahead) (fun () -> rebalance_tick t)
+    Engine.periodic (inc_engine t) ~start:period ~period (fun () ->
+        rebalance_tick t)
   in
   t
 
@@ -633,7 +500,8 @@ let stall_histogram t =
   Array.fold_left
     (fun acc u ->
       Sim_stats.Histogram.merge acc
-        (Sim_guest.Monitor.spin_histogram (Sim_guest.Kernel.monitor u.cu_kernel)))
+        (Sim_guest.Monitor.spin_histogram
+           (Sim_guest.Kernel.monitor u.cu_vm.Hosts.kernel)))
     (Sim_stats.Histogram.create ()) t.units
 
 (* p99 over real (non-zero) spin waits, HDR-style: locate the
@@ -668,45 +536,42 @@ let log_digest log =
 
 let placement_log t = List.rev t.log_rev
 
+(* the names of the VMs attached to host [k] *)
+let physical t k =
+  List.map (fun (vm : Hosts.vm) -> vm.Hosts.name)
+    (Hosts.residents t.hosts k)
+
 let digest t =
-  Fabric.digest t.fabric lxor log_digest (placement_log t)
+  Fabric.digest (Hosts.fabric t.hosts) lxor log_digest (placement_log t)
 
 let run ?workers t ~horizon_sec =
-  let limit = Units.cycles_of_sec_f t.freq horizon_sec in
-  let wall0 = Unix.gettimeofday () in
-  Fabric.run ?workers ~until:limit
-    ~stop:(fun () ->
-      Array.for_all (fun u -> u.cu_phase = Departed) t.units)
-    t.fabric;
-  let wall = Unix.gettimeofday () -. wall0 in
+  let r =
+    Hosts.run ?workers
+      ~until:(Units.cycles_of_sec_f t.freq horizon_sec)
+      ~stop:(fun () ->
+        Array.for_all (fun u -> u.cu_phase = Departed) t.units)
+      t.hosts
+  in
   (* close the density integral at the controller's final clock *)
   note_admitted_change t 0;
   let end_cycles = max 1 (inc_now t) in
-  let sim_end =
-    Array.fold_left
-      (fun acc (h : host) ->
-        max acc (Engine.now h.ho_scenario.Asman.Scenario.engine))
-      (inc_now t) t.hosts
-  in
+  let fabric = Hosts.fabric t.hosts in
   let hist = stall_histogram t in
-  let n = Array.length t.hosts in
+  let n = t.nhosts in
   let density =
     t.resident_integral /. float_of_int end_cycles /. float_of_int n
   in
   let log = placement_log t in
   {
     cr_hosts = n;
-    cr_workers =
-      (match workers with
-      | Some w -> max 1 (min w (n + 1))
-      | None -> max 1 (min (n + 1) (Stdlib.Domain.recommended_domain_count ())));
+    cr_workers = r.Hosts.workers;
     cr_policy = Placement.policy_name t.policy;
-    cr_wall_sec = wall;
-    cr_sim_sec = Units.sec_of_cycles t.freq sim_end;
+    cr_wall_sec = r.Hosts.wall_sec;
+    cr_sim_sec = Units.sec_of_cycles t.freq r.Hosts.sim_end;
     cr_end_cycles = end_cycles;
-    cr_events = Fabric.events_fired t.fabric;
-    cr_windows = Fabric.windows t.fabric;
-    cr_cross_posts = Fabric.cross_posts t.fabric;
+    cr_events = Fabric.events_fired fabric;
+    cr_windows = Fabric.windows fabric;
+    cr_cross_posts = Fabric.cross_posts fabric;
     cr_density = density;
     cr_p99_stall_ms = Units.ms_of_cycles t.freq 1 *. p99_cycles hist;
     cr_mean_stall_ms =
@@ -731,13 +596,13 @@ let run ?workers t ~horizon_sec =
     cr_double_places = t.double_places;
     cr_log = log;
     cr_digest = digest t;
-    cr_fingerprint = Fabric.fingerprint t.fabric;
+    cr_fingerprint = Fabric.fingerprint fabric;
     cr_vms =
       Array.to_list
         (Array.map
            (fun u ->
              {
-               v_name = u.cu_entry.Vtrace.e_name;
+               v_name = name u;
                v_phase = phase_name u.cu_phase;
                v_vcpus = u.cu_entry.Vtrace.e_vcpus;
                v_run_at = u.cu_run_at;
@@ -749,24 +614,17 @@ let run ?workers t ~horizon_sec =
              })
            t.units);
     cr_host_reports =
-      Array.to_list
-        (Array.map
-           (fun (h : host) ->
-             {
-               h_host = h.ho_index;
-               h_peak_used = t.views.(h.ho_index).Placement.h_peak_used;
-               h_physical =
-                 List.sort compare
-                   (List.map
-                      (fun u -> u.cu_entry.Vtrace.e_name)
-                      h.ho_resident);
-               h_view =
-                 List.sort compare
-                   (List.map
-                      (fun (r : Placement.resident) -> r.Placement.r_name)
-                      t.views.(h.ho_index).Placement.h_residents);
-             })
-           t.hosts);
+      List.init n (fun k ->
+          {
+            h_host = k;
+            h_peak_used = t.views.(k).Placement.h_peak_used;
+            h_physical = List.sort compare (physical t k);
+            h_view =
+              List.sort compare
+                (List.map
+                   (fun (r : Placement.resident) -> r.Placement.r_name)
+                   t.views.(k).Placement.h_residents);
+          });
   }
 
 (* ----- cluster-conservation oracle ----- *)
@@ -775,37 +633,33 @@ let run ?workers t ~horizon_sec =
    have departed by now": covers the controller's mid-migration
    retries, the stop-and-copy latency, the guest's halt drain under
    overcommit, and the quiescence polling cadence. *)
-let departure_slack t = 30 * t.lookahead
+let departure_slack t = 30 * Hosts.lookahead t.hosts
 
 let conservation_errors t =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
-  let n = Array.length t.hosts in
-  let physical = Array.map (fun h -> h.ho_resident) t.hosts in
-  let phys_names k =
-    List.map (fun u -> u.cu_entry.Vtrace.e_name) physical.(k)
-  in
+  let n = t.nhosts in
+  let phys_names = physical t in
   let view_names k =
     List.map
       (fun (r : Placement.resident) -> r.Placement.r_name)
       t.views.(k).Placement.h_residents
   in
   let mem name l = List.exists (String.equal name) l in
+  let ids l = String.concat "," (List.map string_of_int l) in
   let count name l =
     List.length (List.filter (String.equal name) l)
   in
   (* no VM on two hosts, physically or in the controller's books *)
   Array.iter
     (fun u ->
-      let name = u.cu_entry.Vtrace.e_name in
+      let name = name u in
       let phys_on = List.filter (fun k -> mem name (phys_names k)) (List.init n Fun.id) in
       let view_on = List.filter (fun k -> mem name (view_names k)) (List.init n Fun.id) in
       if List.length phys_on > 1 then
-        err "%s physically resident on hosts %s" name
-          (String.concat "," (List.map string_of_int phys_on));
+        err "%s physically resident on hosts %s" name (ids phys_on);
       if List.length view_on > 1 then
-        err "%s in the controller's books on hosts %s (duplicated)" name
-          (String.concat "," (List.map string_of_int view_on));
+        err "%s in the controller's books on hosts %s (duplicated)" name (ids view_on);
       List.iter
         (fun k ->
           if count name (view_names k) > 1 then
@@ -818,35 +672,27 @@ let conservation_errors t =
         if view_on <> [] then err "%s is %s but in the books" name (phase_name u.cu_phase)
       | Placing h ->
         if view_on <> [ h ] then
-          err "%s placing on host %d but booked on [%s]" name h
-            (String.concat "," (List.map string_of_int view_on));
+          err "%s placing on host %d but booked on [%s]" name h (ids view_on);
         if phys_on <> [] && phys_on <> [ h ] then
-          err "%s placing on host %d but attached to [%s]" name h
-            (String.concat "," (List.map string_of_int phys_on))
+          err "%s placing on host %d but attached to [%s]" name h (ids phys_on)
       | Resident h ->
         if view_on <> [ h ] then
-          err "%s on host %d per phase but booked on [%s]" name h
-            (String.concat "," (List.map string_of_int view_on));
+          err "%s on host %d per phase but booked on [%s]" name h (ids view_on);
         if phys_on <> [ h ] then
-          err "%s on host %d per phase but attached to [%s]" name h
-            (String.concat "," (List.map string_of_int phys_on))
+          err "%s on host %d per phase but attached to [%s]" name h (ids phys_on)
       | Departing h | Evicting h ->
         if view_on <> [ h ] then
-          err "%s on host %d per phase but booked on [%s]" name h
-            (String.concat "," (List.map string_of_int view_on));
+          err "%s on host %d per phase but booked on [%s]" name h (ids view_on);
         (* the host detaches as soon as the drain lands; until the
            controller's ack arrives one lookahead later the VM is
            legitimately attached nowhere *)
         if phys_on <> [ h ] && phys_on <> [] then
-          err "%s leaving host %d but attached to [%s]" name h
-            (String.concat "," (List.map string_of_int phys_on))
+          err "%s leaving host %d but attached to [%s]" name h (ids phys_on)
       | Migrating (_, d) ->
         if view_on <> [] then
-          err "%s mid-migration but still in the books on [%s]" name
-            (String.concat "," (List.map string_of_int view_on));
+          err "%s mid-migration but still in the books on [%s]" name (ids view_on);
         if phys_on <> [] && phys_on <> [ d ] then
-          err "%s mid-migration but attached to [%s]" name
-            (String.concat "," (List.map string_of_int phys_on))
+          err "%s mid-migration but attached to [%s]" name (ids phys_on)
       | Departed ->
         if phys_on <> [] then err "%s departed but still attached" name;
         if view_on <> [] then err "%s departed but still in the books" name))
@@ -863,7 +709,7 @@ let conservation_errors t =
   let end_now = inc_now t in
   Array.iter
     (fun u ->
-      let name = u.cu_entry.Vtrace.e_name in
+      let name = name u in
       if u.cu_departed_at >= 0 && u.cu_run_at >= 0
          && u.cu_departed_at < u.cu_run_at + u.cu_life_cycles
       then
@@ -881,7 +727,7 @@ let conservation_errors t =
   let log = placement_log t in
   Array.iter
     (fun u ->
-      let name = u.cu_entry.Vtrace.e_name in
+      let name = name u in
       let count_prefix prefix =
         List.length
           (List.filter (fun (_, s) -> String.starts_with ~prefix s) log)

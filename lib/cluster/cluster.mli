@@ -1,32 +1,26 @@
-(** Cluster-scale layer: a simulated datacenter of N full
-    Engine+Machine+Vmm hosts on the conservative-parallel fabric,
-    driven by a seeded VM arrival/departure trace ({!Vtrace}) through
-    a pluggable placement engine ({!Placement}).
+(** Cluster-scale layer: a simulated datacenter of N full hosts on
+    the {!Asman.Hosts} substrate, driven by a seeded VM
+    arrival/departure trace ({!Vtrace}) through a pluggable placement
+    engine ({!Placement}).
 
-    Topology: hosts 0..N-1 are fabric members each running a complete
-    single-host stack (with an idle sentinel VM); member N is the
-    {e incubator}, a tiny extra host whose VMM holds every trace VM
-    unlaunched (hence quiescent) and whose engine runs the cluster
-    controller: arrival events, the admission queue, the placement
-    bookkeeping ({!Placement.host_view}s), departure timers and the
-    periodic repredict/rebalance tick.
+    Members 0..N-1 are the hosts, each a complete single-host stack
+    with an idle sentinel VM; member N is the {e incubator}, a tiny
+    extra host whose VMM holds every trace VM unlaunched (hence
+    quiescent) and whose engine runs the cluster controller: arrival
+    events, the admission queue, the placement bookkeeping
+    ({!Placement.host_view}s), departure timers and the periodic
+    repredict/rebalance tick.
 
-    All cross-host movement reuses the decoupled-VMM migration
-    machinery — [Kernel.park] + [Vmm.detach_domain] on the source,
-    mailbox transit, [Kernel.retarget] + [Vmm.attach_domain] on the
-    destination — so VCRD/credit state travels with the domain.
-    Placement: the incubator parks the unlaunched VM and ships it to
-    its host, which launches it on attach. Live migration: the
-    controller picks a victim, the source grants only when the guest
-    is quiescent and scheduler-migratable, and the stop-and-copy cost
-    rides as extra mailbox latency proportional to the VM's memory
-    footprint. Departure: the controller's lifetime timer asks the
-    guest to drain ({!Sim_guest.Kernel.request_halt}), polls
-    quiescence and detaches.
+    Every move is one {!Asman.Hosts.migrate}: a placement ships the
+    VM out of the incubator (its host launches it on arrival), a
+    pressure migration ships a running guest between hosts with a
+    stop-and-copy cost proportional to its memory footprint as extra
+    latency, and a departure is {!Asman.Hosts.depart}. This layer adds
+    the policy: which VM goes where, and when.
 
     Determinism: controller state is mutated only by incubator-member
     events and host state only by that host's events, with every
-    cross-member hop a [Fabric.post] at [>= lookahead]; the placement
+    cross-member hop a fabric post at [>= lookahead]; the placement
     log and digest are therefore identical at any worker count. *)
 
 type t
@@ -35,7 +29,6 @@ val build :
   ?overcommit:float ->
   ?penalty_sec:float ->
   ?rebalance:bool ->
-  ?rebalance_margin:int ->
   Asman.Config.t ->
   sched:Asman.Config.sched_kind ->
   policy:Placement.policy ->
@@ -44,9 +37,10 @@ val build :
   t
 (** [overcommit] (default 2.0) scales each host's VCPU-slot capacity
     relative to its PCPU count; [penalty_sec] (default 0.75) is the
-    lifetime-aware scorer's load-spreading weight;
-    [rebalance]/[rebalance_margin] (default on, 4 slots) control
-    pressure migrations. [config.topology] is the per-host topology.
+    lifetime-aware scorer's load-spreading weight; [rebalance]
+    (default on) enables pressure migrations, taken only while the
+    host imbalance is at least [max 4 (2 * vcpus)] slots.
+    [config.topology] is the per-host topology.
     Raises [Invalid_argument] on an empty trace, a fault profile, or
     a trace VM with more VCPUs than a host has PCPUs. *)
 

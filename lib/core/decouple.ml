@@ -1,30 +1,17 @@
 open Sim_engine
 
-(* Id-counter strides keeping domain/vcpu ids globally unique across
-   sub-hosts (shard k's VMM numbers domains from [k * domain_stride]).
-   Far above any realistic per-shard population. *)
-let domain_stride = 4096
-let vcpu_stride = 65536
-
-(* One workload VM, wherever it currently lives. Mutated only from
-   events on the engine hosting it; ownership transfer rides the
+(* A workload VM, wherever it currently lives. Mutated only from
+   events on the member hosting it; ownership transfer rides the
    fabric's window barrier, which gives the happens-before edge. *)
 type unit_state = {
-  u_name : string;
-  u_slot : int;  (** index into the shared done array *)
-  u_kernel : Sim_guest.Kernel.t;
-  u_domain : Sim_vmm.Domain.t;
+  u_vm : Hosts.vm;  (** [id] indexes [units] and the done array *)
   mutable u_round_times : int list;  (** newest first *)
   mutable u_migrations : int;
-  mutable u_shard : int;
 }
 
-(* Per-shard state and counters: single-writer (the shard's own
-   events), aggregated only after the run completes. *)
+(* Per-shard balancer state and counters: single-writer (the shard's
+   own events), aggregated only after the run completes. *)
 type shard = {
-  s_index : int;
-  s_scenario : Scenario.t;
-  mutable s_resident : unit_state list;
   s_remote_load : int array;  (** last Load heard from each shard *)
   mutable s_stealing : bool;  (** an outstanding Steal_req *)
   mutable s_steal_req_at : int;
@@ -36,91 +23,60 @@ type shard = {
 
 type t = {
   config : Config.t;
+  hosts : Hosts.t;
   shards : shard array;
-  fabric : Fabric.t;
   units : unit_state array;
   vm_done : bool array;
-  lookahead : int;
-  balance_period : int;
 }
-
-let mix_seed seed k =
-  Int64.add (Int64.mul seed 1_000_003L) (Int64.of_int (k + 1))
 
 (* A VM still contributes load while it has rounds left to its target
    (throughput workloads restart forever, so thread completion alone
    is not an idleness signal — the run's round target is). *)
-let pending t u =
-  (not t.vm_done.(u.u_slot))
-  && not (Sim_guest.Kernel.all_finished u.u_kernel)
+let pending t (vm : Hosts.vm) =
+  (not t.vm_done.(vm.Hosts.id))
+  && not (Sim_guest.Kernel.all_finished vm.Hosts.kernel)
 
-let shard_load t s =
-  List.fold_left (fun n u -> if pending t u then n + 1 else n) 0 s.s_resident
+let shard_load t k =
+  List.fold_left
+    (fun n vm -> if pending t vm then n + 1 else n)
+    0 (Hosts.residents t.hosts k)
 
 (* Victim side of a steal, executing on the victim's engine at the
-   request's delivery time. The candidate must be quiescent (kernel
-   owns no pending event) and scheduler-approved; ties break on the
-   lowest domain id so the choice is independent of resident-list
-   order. Parking the monitor and detaching are victim-side queue and
-   VMM mutations; the granted domain then exists only inside the
-   mailbox closure until the thief attaches it one window later. *)
+   request's delivery time. The candidate must already be quiescent
+   (kernel owns no pending event) and scheduler-approved, so the
+   substrate's freeze poll succeeds at once and the Grant ships with no
+   extra latency; ties break on the lowest domain id so the choice is
+   independent of resident-list order. *)
 let handle_steal_req t ~thief ~victim =
-  let v = t.shards.(victim) in
   let th = t.shards.(thief) in
-  let now = Engine.now v.s_scenario.Scenario.engine in
-  let vmm = v.s_scenario.Scenario.vmm in
-  let candidate =
-    if shard_load t v < 2 then None
-    else
-      List.fold_left
-        (fun acc u ->
-          if
-            pending t u
-            && Sim_guest.Kernel.quiescent u.u_kernel
-            && Sim_vmm.Vmm.sched_migratable vmm u.u_domain
-          then
-            match acc with
-            | Some (b : unit_state)
-              when b.u_domain.Sim_vmm.Domain.id
-                   <= u.u_domain.Sim_vmm.Domain.id ->
-              acc
-            | _ -> Some u
-          else acc)
-        None v.s_resident
+  let vmm = (Hosts.scenario t.hosts victim).Scenario.vmm in
+  let eligible (vm : Hosts.vm) =
+    pending t vm
+    && Sim_guest.Kernel.quiescent vm.Hosts.kernel
+    && Sim_vmm.Vmm.sched_migratable vmm vm.Hosts.domain
   in
-  (match Sys.getenv_opt "ASMAN_DECOUPLE_DEBUG" with
-  | Some _ when candidate = None ->
-    List.iter
-      (fun u ->
-        Printf.eprintf
-          "nack@%d shard%d: %s pending=%b quiescent=%b migratable=%b\n%!" now
-          victim u.u_name (pending t u)
-          (Sim_guest.Kernel.quiescent u.u_kernel)
-          (Sim_vmm.Vmm.sched_migratable vmm u.u_domain))
-      v.s_resident
-  | _ -> ());
-  match candidate with
-  | None ->
-    Fabric.post t.fabric ~src:victim ~dst:thief ~time:(now + t.lookahead)
-      (fun () ->
+  let dom_id (vm : Hosts.vm) = vm.Hosts.domain.Sim_vmm.Domain.id in
+  let candidates =
+    if shard_load t victim < 2 then []
+    else
+      List.filter eligible (Hosts.residents t.hosts victim)
+      |> List.sort (fun a b -> compare (dom_id a) (dom_id b))
+  in
+  let nack () =
+    Hosts.send t.hosts ~src:victim ~dst:thief (fun () ->
         th.s_stealing <- false;
         th.s_nacks <- th.s_nacks + 1)
-  | Some u ->
-    Sim_guest.Kernel.park u.u_kernel;
-    Sim_vmm.Vmm.detach_domain vmm u.u_domain;
-    v.s_resident <- List.filter (fun x -> x != u) v.s_resident;
-    Fabric.post t.fabric ~src:victim ~dst:thief ~time:(now + t.lookahead)
-      (fun () ->
-        let dst_vmm = th.s_scenario.Scenario.vmm in
-        Sim_guest.Kernel.retarget u.u_kernel ~vmm:dst_vmm;
-        Sim_vmm.Vmm.attach_domain dst_vmm u.u_domain;
-        u.u_shard <- thief;
+  in
+  match candidates with
+  | [] -> nack ()
+  | vm :: _ ->
+    Hosts.migrate t.hosts vm ~dst:thief ~nacked:nack
+      ~arrived:(fun () ->
+        let u = t.units.(vm.Hosts.id) in
         u.u_migrations <- u.u_migrations + 1;
-        th.s_resident <- u :: th.s_resident;
         th.s_steals_in <- th.s_steals_in + 1;
         th.s_steal_latency <-
-          th.s_steal_latency
-          + (Engine.now th.s_scenario.Scenario.engine - th.s_steal_req_at);
+          th.s_steal_latency + (Hosts.now t.hosts thief - th.s_steal_req_at);
         th.s_stealing <- false)
 
 (* The balance tick: broadcast own load, and — when idle with no
@@ -130,14 +86,13 @@ let handle_steal_req t ~thief ~victim =
    at any worker count. *)
 let balance_tick t k =
   let s = t.shards.(k) in
-  let now = Engine.now s.s_scenario.Scenario.engine in
-  let load = shard_load t s in
+  let load = shard_load t k in
   let n = Array.length t.shards in
   s.s_remote_load.(k) <- load;
   for j = 0 to n - 1 do
     if j <> k then
-      Fabric.post t.fabric ~src:k ~dst:j ~time:(now + t.lookahead)
-        (fun () -> t.shards.(j).s_remote_load.(k) <- load)
+      Hosts.send t.hosts ~src:k ~dst:j (fun () ->
+          t.shards.(j).s_remote_load.(k) <- load)
   done;
   if load = 0 && not s.s_stealing then begin
     let best = ref (-1) in
@@ -151,10 +106,10 @@ let balance_tick t k =
     if !best >= 0 then begin
       let victim = !best in
       s.s_stealing <- true;
-      s.s_steal_req_at <- now;
+      s.s_steal_req_at <- Hosts.now t.hosts k;
       s.s_steal_reqs <- s.s_steal_reqs + 1;
-      Fabric.post t.fabric ~src:k ~dst:victim ~time:(now + t.lookahead)
-        (fun () -> handle_steal_req t ~thief:k ~victim)
+      Hosts.send t.hosts ~src:k ~dst:victim (fun () ->
+          handle_steal_req t ~thief:k ~victim)
     end
   end
 
@@ -162,8 +117,6 @@ let build config ~sched ~vms =
   let nshards = config.Config.sim_jobs in
   if nshards < 2 then
     invalid_arg "Decouple.build: needs --sim-jobs >= 2";
-  if not (Sim_faults.Fault.is_none config.Config.faults) then
-    invalid_arg "Decouple.build: fault injection requires the coupled engine";
   let topo = config.Config.topology in
   let sockets = topo.Sim_hw.Topology.sockets in
   if sockets mod nshards <> 0 then
@@ -174,106 +127,71 @@ let build config ~sched ~vms =
          sockets nshards);
   if List.length vms < nshards then
     invalid_arg "Decouple.build: need at least one VM per shard";
-  let sub_topo =
+  let topology =
     Sim_hw.Topology.make ~sockets:(sockets / nshards)
       ~cores_per_socket:topo.Sim_hw.Topology.cores_per_socket
   in
-  let lookahead = Sim_hw.Cpu_model.slot_cycles config.Config.cpu in
-  let subs =
-    Array.init nshards (fun k ->
-        let sub_vms = List.filteri (fun i _ -> i mod nshards = k) vms in
-        let sub_config =
-          {
-            config with
-            Config.topology = sub_topo;
-            seed = mix_seed config.Config.seed k;
-            sim_jobs = 1;
-            (* Sub-hosts run dark: tracing and the obs hub are
-               process-shared surfaces the member engines would race
-               on. *)
-            obs =
-              { config.Config.obs with Config.trace_mask = 0; hub = false };
-          }
-        in
-        Scenario.build
-          ~domain_id_base:(k * domain_stride)
-          ~vcpu_id_base:(k * vcpu_stride) sub_config ~sched ~vms:sub_vms)
+  let hosts =
+    Hosts.create config ~sched
+      (Array.init nshards (fun k ->
+           {
+             Hosts.topology;
+             vms = List.filteri (fun i _ -> i mod nshards = k) vms;
+             launch = true;
+           }))
   in
-  let units = ref [] in
-  let n_units = ref 0 in
-  List.iteri
-    (fun i (spec : Scenario.vm_spec) ->
-      let k = i mod nshards in
-      let inst = List.nth subs.(k).Scenario.vms (i / nshards) in
-      match inst.Scenario.kernel with
-      | None -> ()
-      | Some kernel ->
-        units :=
-          {
-            u_name = spec.Scenario.vm_name;
-            u_slot = !n_units;
-            u_kernel = kernel;
-            u_domain = inst.Scenario.domain;
-            u_round_times = [];
-            u_migrations = 0;
-            u_shard = k;
-          }
-          :: !units;
-        incr n_units)
-    vms;
-  let units = Array.of_list (List.rev !units) in
+  (* VM i starts on shard i mod N; adopting in list order makes a
+     unit's Hosts id its index in [units]. *)
+  let units =
+    List.mapi
+      (fun i _ ->
+        let k = i mod nshards in
+        (k, List.nth (Hosts.scenario hosts k).Scenario.vms (i / nshards)))
+      vms
+    |> List.filter (fun (_, inst) -> inst.Scenario.kernel <> None)
+    |> List.map (fun (k, inst) ->
+           let u_vm = Hosts.adopt hosts ~member:k inst in
+           { u_vm; u_round_times = []; u_migrations = 0 })
+    |> Array.of_list
+  in
   if Array.length units = 0 then
     invalid_arg "Decouple.build: no workload VMs";
-  let shards =
-    Array.init nshards (fun k ->
-        {
-          s_index = k;
-          s_scenario = subs.(k);
-          s_resident = [];
-          s_remote_load = Array.make nshards 0;
-          s_stealing = false;
-          s_steal_req_at = 0;
-          s_steal_reqs = 0;
-          s_nacks = 0;
-          s_steals_in = 0;
-          s_steal_latency = 0;
-        })
-  in
-  Array.iter
-    (fun u -> shards.(u.u_shard).s_resident <- u :: shards.(u.u_shard).s_resident)
-    units;
-  let fabric =
-    Fabric.create ~lookahead
-      (Array.map (fun s -> s.s_scenario.Scenario.engine) shards)
-  in
   let t =
     {
       config;
-      shards;
-      fabric;
+      hosts;
+      shards =
+        Array.init nshards (fun _ ->
+            {
+              s_remote_load = Array.make nshards 0;
+              s_stealing = false;
+              s_steal_req_at = 0;
+              s_steal_reqs = 0;
+              s_nacks = 0;
+              s_steals_in = 0;
+              s_steal_latency = 0;
+            });
       units;
       vm_done = Array.make (Array.length units) false;
-      lookahead;
-      balance_period = 4 * lookahead;
     }
   in
   (* Identical chains armed at the same start on every member fire at
      identical times; load info posted at tick T arrives by T +
-     lookahead < T + balance_period, so each tick sees fresh loads. *)
-  Array.iter
-    (fun s ->
-      let (_stop : unit -> unit) =
-        Engine.periodic s.s_scenario.Scenario.engine ~start:t.balance_period
-          ~period:t.balance_period (fun () -> balance_tick t s.s_index)
-      in
-      ())
-    t.shards;
+     lookahead < T + period, so each tick sees fresh loads. *)
+  let period = 4 * Hosts.lookahead hosts in
+  for k = 0 to nshards - 1 do
+    let (_stop : unit -> unit) =
+      Engine.periodic (Hosts.engine hosts k) ~start:period ~period (fun () ->
+          balance_tick t k)
+    in
+    ()
+  done;
   t
 
 let shards t = Array.length t.shards
-let scenario t i = t.shards.(i).s_scenario
-let fabric t = t.fabric
-let lookahead t = t.lookahead
+let scenario t i = Hosts.scenario t.hosts i
+let fabric t = Hosts.fabric t.hosts
+let lookahead t = Hosts.lookahead t.hosts
 
 type vm_report = {
   r_vm : string;
@@ -308,50 +226,43 @@ type report = {
 let install_round_tracking t ~target =
   Array.iter
     (fun u ->
-      Sim_guest.Kernel.set_round_hook u.u_kernel
+      let kernel = u.u_vm.Hosts.kernel in
+      Sim_guest.Kernel.set_round_hook kernel
         (fun _thread ~round:_ ~duration:_ ->
-          let completed = Sim_guest.Kernel.min_rounds u.u_kernel in
+          let completed = Sim_guest.Kernel.min_rounds kernel in
           let have = List.length u.u_round_times in
           if completed > have then begin
-            let now = Sim_vmm.Vmm.now (Sim_guest.Kernel.vmm u.u_kernel) in
+            let now = Sim_vmm.Vmm.now (Sim_guest.Kernel.vmm kernel) in
             for _ = have + 1 to completed do
               u.u_round_times <- now :: u.u_round_times
             done
           end;
-          if completed >= target && not t.vm_done.(u.u_slot) then
-            t.vm_done.(u.u_slot) <- true))
+          if completed >= target && not t.vm_done.(u.u_vm.Hosts.id) then
+            t.vm_done.(u.u_vm.Hosts.id) <- true))
     t.units
 
 let run ?workers t ~rounds ~max_sec =
   install_round_tracking t ~target:rounds;
   let freq = Config.freq t.config in
-  let limit = Units.cycles_of_sec_f freq max_sec in
-  let wall0 = Unix.gettimeofday () in
-  Fabric.run ?workers ~until:limit
-    ~stop:(fun () -> Array.for_all Fun.id t.vm_done)
-    t.fabric;
-  let wall = Unix.gettimeofday () -. wall0 in
-  let n = Array.length t.shards in
-  let sim_end =
-    Array.fold_left
-      (fun acc s -> max acc (Engine.now s.s_scenario.Scenario.engine))
-      0 t.shards
+  let r =
+    Hosts.run ?workers
+      ~until:(Units.cycles_of_sec_f freq max_sec)
+      ~stop:(fun () -> Array.for_all Fun.id t.vm_done)
+      t.hosts
   in
+  let fabric = fabric t in
   let sum f = Array.fold_left (fun acc s -> acc + f s) 0 t.shards in
   let grants = sum (fun s -> s.s_steals_in) in
   let latency = sum (fun s -> s.s_steal_latency) in
   {
-    rp_shards = n;
-    rp_workers =
-      (match workers with
-      | Some w -> max 1 (min w n)
-      | None -> max 1 (min n (Stdlib.Domain.recommended_domain_count ())));
-    rp_wall_sec = wall;
-    rp_sim_sec = Units.sec_of_cycles freq sim_end;
-    rp_events = Fabric.events_fired t.fabric;
-    rp_windows = Fabric.windows t.fabric;
-    rp_cross_posts = Fabric.cross_posts t.fabric;
-    rp_max_window_mail = Fabric.max_window_mail t.fabric;
+    rp_shards = Array.length t.shards;
+    rp_workers = r.Hosts.workers;
+    rp_wall_sec = r.Hosts.wall_sec;
+    rp_sim_sec = Units.sec_of_cycles freq r.Hosts.sim_end;
+    rp_events = Fabric.events_fired fabric;
+    rp_windows = Fabric.windows fabric;
+    rp_cross_posts = Fabric.cross_posts fabric;
+    rp_max_window_mail = Fabric.max_window_mail fabric;
     rp_steal_reqs = sum (fun s -> s.s_steal_reqs);
     rp_grants = grants;
     rp_nacks = sum (fun s -> s.s_nacks);
@@ -362,66 +273,51 @@ let run ?workers t ~rounds ~max_sec =
         (Array.map
            (fun u ->
              {
-               r_vm = u.u_name;
+               r_vm = u.u_vm.Hosts.name;
                r_rounds = List.length u.u_round_times;
-               r_marks = Sim_guest.Kernel.total_marks u.u_kernel;
+               r_marks = Sim_guest.Kernel.total_marks u.u_vm.Hosts.kernel;
                r_migrations = u.u_migrations;
-               r_final_shard = u.u_shard;
+               r_final_shard = u.u_vm.Hosts.member;
              })
            t.units);
-    rp_digest = Fabric.digest t.fabric;
-    rp_fingerprint = Fabric.fingerprint t.fabric;
+    rp_digest = Fabric.digest fabric;
+    rp_fingerprint = Fabric.fingerprint fabric;
   }
 
-let report_metrics r =
+(* Every report key with its registry value and its printed form (a
+   VM's final shard is printed only). *)
+let report_rows r =
+  let int k v = (k, Some (float_of_int v), string_of_int v) in
+  let flt fmt k v = (k, Some v, Printf.sprintf fmt v) in
+  let digest = r.rp_digest land 0xffffffff in
   [
-    ("shards", float_of_int r.rp_shards);
-    ("workers", float_of_int r.rp_workers);
-    ("wall_sec", r.rp_wall_sec);
-    ("sim_sec", r.rp_sim_sec);
-    ("events", float_of_int r.rp_events);
-    ("windows", float_of_int r.rp_windows);
-    ("cross_posts", float_of_int r.rp_cross_posts);
-    ("max_window_mail", float_of_int r.rp_max_window_mail);
-    ("steal_reqs", float_of_int r.rp_steal_reqs);
-    ("grants", float_of_int r.rp_grants);
-    ("nacks", float_of_int r.rp_nacks);
-    ("mean_steal_latency_cycles", r.rp_mean_steal_latency_cycles);
-    ("digest", float_of_int (r.rp_digest land 0xffffffff));
+    int "shards" r.rp_shards;
+    int "workers" r.rp_workers;
+    flt "%.3f" "wall_sec" r.rp_wall_sec;
+    flt "%.3f" "sim_sec" r.rp_sim_sec;
+    int "events" r.rp_events;
+    int "windows" r.rp_windows;
+    int "cross_posts" r.rp_cross_posts;
+    int "max_window_mail" r.rp_max_window_mail;
+    int "steal_reqs" r.rp_steal_reqs;
+    int "grants" r.rp_grants;
+    int "nacks" r.rp_nacks;
+    flt "%.0f" "mean_steal_latency_cycles" r.rp_mean_steal_latency_cycles;
+    ("digest", Some (float_of_int digest), Printf.sprintf "%08x" digest);
   ]
   @ List.concat_map
       (fun v ->
+        let key s = Printf.sprintf "vm.%s.%s" v.r_vm s in
         [
-          (Printf.sprintf "vm.%s.rounds" v.r_vm, float_of_int v.r_rounds);
-          (Printf.sprintf "vm.%s.migrations" v.r_vm,
-           float_of_int v.r_migrations);
+          int (key "rounds") v.r_rounds;
+          int (key "migrations") v.r_migrations;
+          (key "final_shard", None, string_of_int v.r_final_shard);
         ])
       r.rp_vms
 
-let report_kv r =
-  [
-    ("shards", string_of_int r.rp_shards);
-    ("workers", string_of_int r.rp_workers);
-    ("wall_sec", Printf.sprintf "%.3f" r.rp_wall_sec);
-    ("sim_sec", Printf.sprintf "%.3f" r.rp_sim_sec);
-    ("events", string_of_int r.rp_events);
-    ("windows", string_of_int r.rp_windows);
-    ("cross_posts", string_of_int r.rp_cross_posts);
-    ("max_window_mail", string_of_int r.rp_max_window_mail);
-    ("steal_reqs", string_of_int r.rp_steal_reqs);
-    ("grants", string_of_int r.rp_grants);
-    ("nacks", string_of_int r.rp_nacks);
-    ("mean_steal_latency_cycles",
-     Printf.sprintf "%.0f" r.rp_mean_steal_latency_cycles);
-    ("digest", Printf.sprintf "%08x" (r.rp_digest land 0xffffffff));
-  ]
-  @ List.concat_map
-      (fun v ->
-        [
-          (Printf.sprintf "vm.%s.rounds" v.r_vm, string_of_int v.r_rounds);
-          (Printf.sprintf "vm.%s.migrations" v.r_vm,
-           string_of_int v.r_migrations);
-          (Printf.sprintf "vm.%s.final_shard" v.r_vm,
-           string_of_int v.r_final_shard);
-        ])
-      r.rp_vms
+let report_metrics r =
+  List.filter_map
+    (fun (k, v, _) -> Option.map (fun v -> (k, v)) v)
+    (report_rows r)
+
+let report_kv r = List.map (fun (k, _, s) -> (k, s)) (report_rows r)

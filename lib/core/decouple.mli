@@ -2,26 +2,24 @@
 
     A single host ([--sim-jobs 1], the default) runs the whole VMM on
     one sequential engine. With [--sim-jobs N >= 2] the host is
-    partitioned socket-aligned into [N] shards, each shard a
-    full sub-host — its own engine, machine, VMM, scheduler, Dom0 and
-    guest kernels — built by {!Scenario.build} over a sub-topology,
-    and the shards advance together on the conservative windowed
-    {!Sim_engine.Fabric}. Scheduling inside a shard needs no change: a
-    shard's runqueues, timers and credit state are private by
-    construction. Every cross-shard interaction is a mailbox message
-    that respects the fabric lookahead (one scheduler slot):
+    partitioned socket-aligned into [N] shards, each shard a full
+    sub-host on the {!Hosts} substrate, and the shards advance together
+    on the conservative windowed fabric. Scheduling inside a shard
+    needs no change: a shard's runqueues, timers and credit state are
+    private by construction. This module is the steal balancer on top;
+    every cross-shard interaction is a message one lookahead (one
+    scheduler slot) ahead:
 
     - [Load] — each shard broadcasts its runnable-domain count on a
       periodic balance tick (period [4 * lookahead]).
     - [Steal_req] — an idle shard asks the busiest remote (load >= 2)
       for work; at most one outstanding request per thief.
-    - [Grant] — the victim parks a quiescent, scheduler-approved
-      domain ({!Sim_guest.Kernel.park}, {!Sim_vmm.Vmm.detach_domain})
-      and ships it; the domain's VCRD state, credits and online
-      accounting travel with it. The one-window transit time is the
-      modeled stop-and-copy cost. Arrival doubles as the ack: the
-      thief re-points the kernel ({!Sim_guest.Kernel.retarget}),
-      attaches the domain and measures the steal latency.
+    - [Grant] — the victim picks a pending domain that is already
+      quiescent and scheduler-approved (lowest domain id) and moves it
+      with {!Hosts.migrate}, so the freeze poll succeeds at once and
+      the one-window transit is the modeled stop-and-copy cost.
+      Arrival doubles as the ack: the thief counts the migration and
+      measures the steal latency.
     - [Nack] — no migratable candidate; the thief may retry on a
       later tick.
 
@@ -39,10 +37,7 @@ val build :
     Raises [Invalid_argument] if [sim_jobs < 2], if the topology's
     socket count is not divisible by [sim_jobs] (shards must be
     socket-aligned), if there are fewer VMs than shards, or if the
-    config carries a fault profile (fault injection targets one
-    machine; decoupled runs are clean by contract — which is also
-    what makes the gang scheduler's IPI-horizon migration gate
-    exact). *)
+    config carries a fault profile (see {!Hosts.create}). *)
 
 val shards : t -> int
 

@@ -91,13 +91,18 @@ let next_global t =
   in
   if t_min = max_int then None else Some t_min
 
-let run ?workers ?until ?(stop = fun () -> false) t =
+let workers ?workers t =
   let n = Array.length t.members in
-  let workers =
+  let w =
     match workers with
-    | Some w -> max 1 (min w n)
-    | None -> max 1 (min n (Domain.recommended_domain_count ()))
+    | Some w -> w
+    | None -> Domain.recommended_domain_count ()
   in
+  max 1 (min w n)
+
+let run ?workers:requested ?until ?(stop = fun () -> false) t =
+  let n = Array.length t.members in
+  let workers = workers ?workers:requested t in
   let finish () =
     match until with
     | None -> ()

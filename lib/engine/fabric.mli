@@ -36,9 +36,14 @@ val run : ?workers:int -> ?until:int -> ?stop:(unit -> bool) -> t -> unit
     are then clamped to [until]), or [stop ()] holds at a window
     boundary. [stop] is polled between windows only — member events
     set flags during a window and the run ends at the next boundary,
-    keeping the stop point a pure function of event times. [workers]
-    defaults to [min members (recommended_domain_count ())]; any
-    value yields identical member streams. *)
+    keeping the stop point a pure function of event times. {!workers}
+    gives the worker-domain count; any value yields identical member
+    streams. *)
+
+val workers : ?workers:int -> t -> int
+(** The worker-domain count {!run} uses for the same [?workers]: the
+    request (default [Domain.recommended_domain_count ()]) clamped to
+    [1 .. members]. *)
 
 val windows : t -> int
 val cross_posts : t -> int

@@ -757,6 +757,8 @@ let set_round_hook t hook = t.round_hook <- hook
 
 let set_finished_hook t hook = t.finished_hook <- hook
 
+let launched t = t.launched
+
 let launch t =
   if t.launched then failwith "Kernel.launch: already launched";
   t.launched <- true;

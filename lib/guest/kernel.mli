@@ -85,6 +85,9 @@ val launch : t -> unit
 (** Wake every VCPU that has an executable thread. Requires the VMM to
     have been started (or to be started before the engine runs). *)
 
+val launched : t -> bool
+(** Whether {!launch} has run. *)
+
 (** {2 Decoupled-VMM domain migration} *)
 
 val quiescent : t -> bool

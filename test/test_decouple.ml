@@ -263,6 +263,15 @@ let test_decoupled_worker_invariance () =
         a.Decouple.r_final_shard b.Decouple.r_final_shard)
     r1.Decouple.rp_vms r2.Decouple.rp_vms
 
+(* The only grant-bearing decoupled run with pinned outputs (the
+   benchmark's decoupled workload steals nothing): any change to the
+   migrate path's post order, times or state shows up here. *)
+let test_decoupled_steal_pinned () =
+  let r = run_steal_scenario ~workers:1 in
+  Alcotest.(check int) "grants" 2 r.Decouple.rp_grants;
+  Alcotest.(check int) "events" 41743 r.Decouple.rp_events;
+  Alcotest.(check int) "digest" 4357812683845658914 r.Decouple.rp_digest
+
 (* Build-time preconditions: misaligned topology and missing VMs are
    rejected up front, not discovered as a mid-run crash. *)
 let test_build_rejects_bad_shapes () =
@@ -329,6 +338,8 @@ let suite =
       test_decoupled_steals_move_work;
     Alcotest.test_case "decoupled run is worker-invariant" `Quick
       test_decoupled_worker_invariance;
+    Alcotest.test_case "grant-bearing run is pinned" `Quick
+      test_decoupled_steal_pinned;
     Alcotest.test_case "build rejects bad shapes" `Quick
       test_build_rejects_bad_shapes;
     Alcotest.test_case "park requires quiescence" `Quick

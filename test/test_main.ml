@@ -26,6 +26,7 @@ let () =
       ("obs", Test_obs.suite);
       ("check", Test_check.suite);
       ("shard", Test_fabric.suite);
+      ("hosts", Test_hosts.suite);
       ("decouple", Test_decouple.suite);
       ("cluster", Test_cluster.suite);
       ("registry", Test_registry.suite);
