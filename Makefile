@@ -33,8 +33,9 @@ bench-compare: build
 	$(DUNE) exec bin/asman_cli.exe -- compare bench_heap.json \
 	  bench_wheel.json --threshold 50 --strict-sections
 
-# Diff any two runs: registry ids, record files, or raw BENCH dumps.
-#   make compare OLD=BENCH_2026-08-06.json NEW=BENCH_2026-08-07.json
+# Diff any two runs taken on the same axes (seed, scale, workers, ...):
+# registry ids, record files, or raw BENCH dumps.
+#   make bench-compare && make compare OLD=bench_heap.json NEW=bench_wheel.json
 compare: build
 	@test -n "$(OLD)" -a -n "$(NEW)" || \
 	  { echo "usage: make compare OLD=<run> NEW=<run>"; exit 2; }

@@ -1,11 +1,12 @@
-(* The benchmark harness: regenerates every figure of the paper's
+(* The figure harness: regenerates every figure of the paper's
    evaluation (Figures 1, 2, 7-12 — the paper has no numbered tables)
-   and micro-benchmarks the simulator's core primitives with Bechamel.
+   and the ablation studies, and times the two layers the figures
+   cannot isolate: the event queue (wheel vs heap) and the PDES fabric.
 
      dune exec bench/main.exe              # figures + ablations + micro
      dune exec bench/main.exe -- fig7      # one figure
      dune exec bench/main.exe -- ablations # only the ablation studies
-     dune exec bench/main.exe -- micro     # only the micro-benchmarks
+     dune exec bench/main.exe -- micro     # event-queue micro + PDES sweep
      dune exec bench/main.exe -- pdes      # only the PDES fabric sweep
      dune exec bench/main.exe -- -j 4      # fan jobs over 4 domains
      dune exec bench/main.exe -- --json out.json   # dump timings
@@ -17,12 +18,13 @@
    Figure/ablation data points fan out over Asman.Pool worker domains
    (-j N or ASMAN_JOBS; default: cores - 1; -j 1 = sequential). With
    --json [FILE] the per-figure and per-job wall-clock timings plus
-   the worker count are dumped to FILE (default BENCH_<date>.json) so
-   the perf trajectory is tracked over time; `asman compare` compares
-   two dumps. --engine-queue selects the event-queue backend (default
-   wheel; results are byte-identical either way). Per-job wall times
-   persist in BENCH_COST_CACHE (default runs/cost_cache; empty
-   disables) so repeat runs schedule longest jobs first.
+   the worker count are dumped to FILE (default BENCH_<date>.json);
+   `asman compare` compares two dumps taken on the same axes.
+   --engine-queue selects the event-queue backend (default wheel;
+   results are byte-identical either way). Per-job wall times persist
+   in BENCH_COST_CACHE (default runs/cost_cache; empty disables) so
+   repeat runs schedule longest jobs first. Whole-program speed across
+   commits is perfbench's job (perfbench/README.md), not this one's.
 
    Every invocation also drops a metadata-stamped record into the run
    registry (runs/ by default; ASMAN_RUNS= disables) — see
@@ -168,11 +170,16 @@ let pdes_results : Micro.pdes_result list ref = ref []
 
 let pdes_ok = ref true
 
-(* Decoupled-VMM scenario rows and the w1-vs-wN digest verdict, when
-   that suite ran; rows merge into the same "micro" JSON array. *)
-let vmm_results : Micro.vmm_result list ref = ref []
-
-let vmm_ok = ref true
+(* The "micro" JSON rows of whichever suites ran, for the --json dump
+   and the registry record alike. *)
+let micro_rows () =
+  String.concat ",\n"
+    (List.filter
+       (fun s -> s <> "")
+       [
+         Micro.to_json_fragment !micro_results;
+         Micro.pdes_to_json_fragment !pdes_results;
+       ])
 
 let write_json path =
   let entries = List.rev !recorded in
@@ -246,14 +253,7 @@ let write_json path =
     (json_escape (Sim_hw.Topology.to_string config.Config.topology))
     config.Config.numa total_wall
     (String.concat ",\n" (List.map entry_json entries))
-    (String.concat ",\n"
-       (List.filter
-          (fun s -> s <> "")
-          [
-            Micro.to_json_fragment !micro_results;
-            Micro.pdes_to_json_fragment !pdes_results;
-            Micro.vmm_to_json_fragment !vmm_results;
-          ]))
+    (micro_rows ())
     fairness_section
     (Sim_obs.Prof.to_json_fragment prof);
   close_out oc;
@@ -284,17 +284,7 @@ let registry_sections () =
              ])
          entries)
   in
-  let micro_rows =
-    String.concat ","
-      (List.filter
-         (fun s -> s <> "")
-         [
-           Micro.to_json_fragment !micro_results;
-           Micro.pdes_to_json_fragment !pdes_results;
-           Micro.vmm_to_json_fragment !vmm_results;
-         ])
-  in
-  let micro = Reg.Cjson.of_string ("[" ^ micro_rows ^ "]") in
+  let micro = Reg.Cjson.of_string ("[" ^ micro_rows () ^ "]") in
   let fairness =
     Reg.Cjson.List
       (List.map
@@ -353,7 +343,7 @@ let record_run ~ids ~json =
   | Some path -> Printf.eprintf "run recorded: %s\n%!" path
   | None -> ()
 
-(* ----- Bechamel micro-benchmarks ----- *)
+(* ----- event-queue and fabric micro-benchmarks ----- *)
 
 let pdes_suite () =
   let results, ok = Micro.run_pdes_all () in
@@ -361,124 +351,11 @@ let pdes_suite () =
   pdes_ok := ok;
   Micro.print_pdes (results, ok)
 
-let pdes_vmm_suite () =
-  let results, ok = Micro.run_vmm_all () in
-  vmm_results := results;
-  vmm_ok := ok;
-  Micro.print_vmm (results, ok)
-
 let microbenchmarks () =
-  (* Event-queue throughput first: plain wall-clock over fixed op
-     counts (bechamel's small quotas don't fit 10^7-pending setups). *)
   let eq = Micro.run () in
   micro_results := eq;
   Micro.print eq;
-  pdes_suite ();
-  pdes_vmm_suite ();
-  let open Bechamel in
-  let freq = Config.freq config in
-  (* One Test.make per core primitive of the simulator. *)
-  let test_heap =
-    Test.make ~name:"heap push+pop (256 elems)"
-      (Staged.stage (fun () ->
-           let h = Sim_engine.Heap.create () in
-           for i = 0 to 255 do
-             Sim_engine.Heap.add h ~key:((i * 7919) mod 997) ~seq:i i
-           done;
-           let rec drain () =
-             match Sim_engine.Heap.pop h with Some _ -> drain () | None -> ()
-           in
-           drain ()))
-  in
-  let test_rng =
-    Test.make ~name:"rng lognormal draw"
-      (let rng = Sim_engine.Rng.create 1L in
-       Staged.stage (fun () ->
-           ignore (Sim_engine.Rng.lognormal_cv rng ~mean:100. ~cv:0.2)))
-  in
-  let test_engine =
-    Test.make ~name:"engine schedule+fire (64 events)"
-      (Staged.stage (fun () ->
-           let e = Sim_engine.Engine.create () in
-           for i = 1 to 64 do
-             ignore (Sim_engine.Engine.schedule_at e ~time:i (fun () -> ()))
-           done;
-           Sim_engine.Engine.run e))
-  in
-  let test_estimator =
-    Test.make ~name:"estimator adjusting event"
-      (let slot = Sim_hw.Cpu_model.slot_cycles config.Config.cpu in
-       let est =
-         Sim_learn.Estimator.create
-           (Sim_learn.Estimator.default_params ~slot_cycles:slot)
-           (Sim_engine.Rng.create 2L)
-       in
-       let now = ref 0 in
-       Staged.stage (fun () ->
-           now := !now + slot;
-           ignore (Sim_learn.Estimator.on_adjusting_event est ~now:!now)))
-  in
-  let test_histogram =
-    Test.make ~name:"histogram add"
-      (let h = Sim_stats.Histogram.create () in
-       let i = ref 1 in
-       Staged.stage (fun () ->
-           i := ((!i * 1103515245) + 12345) land 0xFFFFFF;
-           Sim_stats.Histogram.add h !i))
-  in
-  let test_pool =
-    Test.make ~name:"pool map (32 jobs)"
-      (Staged.stage (fun () ->
-           ignore (Pool.map (fun x -> x * x) (List.init 32 Fun.id))))
-  in
-  let test_sim_slice =
-    Test.make ~name:"simulate 100ms of LU@40% (asman)"
-      (Staged.stage (fun () ->
-           let c = Config.with_scale config 0.02 in
-           let workload =
-             Sim_workloads.Nas.workload
-               (Sim_workloads.Nas.params Sim_workloads.Nas.LU ~freq ~scale:0.02)
-           in
-           let s =
-             Scenario.build
-               (Config.with_work_conserving c false)
-               ~sched:Config.Asman
-               ~vms:
-                 [ { Scenario.vm_name = "V"; weight = 64; vcpus = 4;
-                     workload = Some workload } ]
-           in
-           ignore (Runner.run_window s ~sec:0.1)))
-  in
-  let tests =
-    Test.make_grouped ~name:"asman" ~fmt:"%s %s"
-      [
-        test_heap; test_rng; test_engine; test_estimator; test_histogram;
-        test_pool; test_sim_slice;
-      ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let merged = Analyze.merge ols instances results in
-  print_endline "micro-benchmarks (nanoseconds per run, OLS estimate):";
-  Hashtbl.iter
-    (fun _measure_label per_test ->
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (est :: _) -> Printf.printf "  %-45s %14.1f ns\n" name est
-          | Some [] | None -> Printf.printf "  %-45s (no estimate)\n" name)
-        per_test)
-    merged;
-  print_newline ()
+  pdes_suite ()
 
 (* ----- argument parsing ----- *)
 
@@ -492,7 +369,7 @@ type opts = {
 let usage () =
   prerr_endline
     "usage: main.exe [-j N] [--json [FILE]] [--engine-queue=wheel|heap] \
-     [micro|pdes|pdes-vmm|ablations|chaos|<figure ids>]";
+     [micro|pdes|ablations|chaos|<figure ids>]";
   exit 2
 
 let parse_args args =
@@ -572,7 +449,7 @@ let () =
   let opts = parse_args (List.tl (Array.to_list Sys.argv)) in
   let targets =
     match opts.ids with
-    | [] | [ ("micro" | "pdes" | "pdes-vmm" | "ablations" | "chaos") ] -> []
+    | [] | [ ("micro" | "pdes" | "ablations" | "chaos") ] -> []
     | ids -> resolve_targets ids
   in
   (match opts.jobs with Some j -> Pool.set_jobs j | None -> ());
@@ -587,7 +464,6 @@ let () =
     microbenchmarks ()
   | [ "micro" ] -> microbenchmarks ()
   | [ "pdes" ] -> pdes_suite ()
-  | [ "pdes-vmm" ] -> pdes_vmm_suite ()
   | [ "ablations" ] -> run_ablations ()
   | [ "chaos" ] -> run_figures (Option.to_list (Experiments.find "resilience"))
   | _ ->
@@ -599,9 +475,5 @@ let () =
   record_run ~ids:opts.ids ~json:opts.json;
   if not !pdes_ok then begin
     prerr_endline "pdes: -j1-vs-jN fingerprint mismatch";
-    exit 1
-  end;
-  if not !vmm_ok then begin
-    prerr_endline "pdes-vmm: w1-vs-wN decoupled digest mismatch";
     exit 1
   end

@@ -333,238 +333,3 @@ let pdes_to_json_fragment results =
            r.p_backend r.p_pcpus r.p_jobs r.p_workers r.p_pending r.p_events
            r.p_sec r.p_events_per_sec r.p_windows r.p_cross r.p_digest)
        results)
-
-(* ----- decoupled-VMM scenario bench (pdes-vmm) -----
-
-   The real thing, not a synthetic hold pattern: full fig-style
-   scenarios (overcommitted gang-scheduled guests on big hosts) run
-   to a fixed round target, coupled vs decoupled. The coupled row is
-   the classic single sequential engine over the whole host; the
-   decoupled rows run the same VM population as 4 socket-aligned
-   sub-hosts on the windowed fabric at 1/2/4 worker domains. Two
-   axes fall out:
-
-   - decoupled -j4 vs coupled -j1: sharding efficiency — four
-     narrow VMMs (O(pcpus/4) scheduler scans, small queues) versus
-     one wide one. Meaningful on any host.
-   - w4 vs w1 within -j4: parallel speedup proper. Only moves on a
-     multi-core host; the digest gate pins it to the exact same
-     simulation either way.
-
-   Decoupled outcomes must be worker-count invariant: any digest
-   mismatch across w1/w2/w4 fails the bench (exit 1 from main). *)
-
-type vmm_result = {
-  m_pcpus : int;
-  m_mode : string;  (* "coupled" | "w1" | "w2" | "w4" *)
-  m_shards : int;  (* the --sim-jobs axis: 1 for the coupled row *)
-  m_workers : int;
-  m_vcpus : int;  (* total guest VCPUs (the size axis) *)
-  m_events : int;
-  m_sec : float;
-  m_events_per_sec : float;
-  m_sim_sec : float;
-  m_windows : int;
-  m_cross : int;
-  m_grants : int;  (* completed cross-shard VM steals *)
-  m_steal_latency : float;  (* mean request-to-arrival, cycles *)
-  m_digest : int;  (* fabric digest; 0 for the coupled row *)
-}
-
-let vmm_rounds = 4
-let vmm_max_sec = 120.
-
-let vmm_config ~topology =
-  {
-    Asman.Config.default with
-    Asman.Config.topology;
-    scale = 0.05;
-    seed = 11L;
-  }
-
-(* 20 VMs dealt over 4 shards = 5 per shard; VCPU counts are sized to
-   overcommit each sub-host (gang parking windows are what make VMs
-   quiescent, hence stealable). *)
-let vmm_specs config ~vcpus =
-  List.init 20 (fun i ->
-      let name, desc =
-        match i mod 4 with
-        | 0 -> ("LU", Asman.Scenario.W_nas "LU")
-        | 1 -> ("EP", Asman.Scenario.W_nas "EP")
-        | 2 -> ("CG", Asman.Scenario.W_nas "CG")
-        | _ -> ("gcc", Asman.Scenario.W_speccpu "gcc")
-      in
-      {
-        Asman.Scenario.vm_name = Printf.sprintf "V%d:%s" (i + 1) name;
-        weight = 256;
-        vcpus;
-        workload = Some (Asman.Scenario.workload_of_desc config desc);
-      })
-
-let run_vmm_coupled ~topology ~vcpus =
-  let config = vmm_config ~topology in
-  let specs = vmm_specs config ~vcpus in
-  let scenario =
-    Asman.Scenario.build config ~sched:Asman.Config.Asman ~vms:specs
-  in
-  Gc.compact ();
-  let t0 = Unix.gettimeofday () in
-  let metrics =
-    Asman.Runner.run_rounds scenario ~rounds:vmm_rounds ~max_sec:vmm_max_sec
-  in
-  let sec = Unix.gettimeofday () -. t0 in
-  let events = metrics.Asman.Runner.events_fired in
-  {
-    m_pcpus = Sim_hw.Topology.pcpu_count topology;
-    m_mode = "coupled";
-    m_shards = 1;
-    m_workers = 1;
-    m_vcpus = 20 * vcpus;
-    m_events = events;
-    m_sec = sec;
-    m_events_per_sec = (if sec > 0. then float_of_int events /. sec else 0.);
-    m_sim_sec = metrics.Asman.Runner.wall_sec;
-    m_windows = 0;
-    m_cross = 0;
-    m_grants = 0;
-    m_steal_latency = 0.;
-    m_digest = 0;
-  }
-
-let run_vmm_decoupled ~topology ~vcpus ~workers =
-  let config =
-    { (vmm_config ~topology) with Asman.Config.sim_jobs = 4 }
-  in
-  let specs = vmm_specs config ~vcpus in
-  let d = Asman.Decouple.build config ~sched:Asman.Config.Asman ~vms:specs in
-  Gc.compact ();
-  let r =
-    Asman.Decouple.run ~workers d ~rounds:vmm_rounds ~max_sec:vmm_max_sec
-  in
-  {
-    m_pcpus = Sim_hw.Topology.pcpu_count topology;
-    m_mode = Printf.sprintf "w%d" workers;
-    m_shards = r.Asman.Decouple.rp_shards;
-    m_workers = r.Asman.Decouple.rp_workers;
-    m_vcpus = 20 * vcpus;
-    m_events = r.Asman.Decouple.rp_events;
-    m_sec = r.Asman.Decouple.rp_wall_sec;
-    m_events_per_sec =
-      (if r.Asman.Decouple.rp_wall_sec > 0. then
-         float_of_int r.Asman.Decouple.rp_events
-         /. r.Asman.Decouple.rp_wall_sec
-       else 0.);
-    m_sim_sec = r.Asman.Decouple.rp_sim_sec;
-    m_windows = r.Asman.Decouple.rp_windows;
-    m_cross = r.Asman.Decouple.rp_cross_posts;
-    m_grants = r.Asman.Decouple.rp_grants;
-    m_steal_latency = r.Asman.Decouple.rp_mean_steal_latency_cycles;
-    m_digest = r.Asman.Decouple.rp_digest;
-  }
-
-(* (topology, per-VM vcpus): 64- and 128-PCPU hosts, both ~1.25x
-   overcommitted per shard. *)
-let vmm_sweep =
-  [ (Sim_hw.Topology.make ~sockets:4 ~cores_per_socket:16, 4);
-    (Sim_hw.Topology.make ~sockets:8 ~cores_per_socket:16, 8) ]
-
-let vmm_reps = 2
-
-(* Best-of-N wall over full (build + run) repetitions, with the same
-   rounds-over-the-sweep organisation as run_pdes_all; digests must
-   agree across reps of the same point (the build is deterministic). *)
-let run_vmm_all () =
-  let points =
-    List.concat_map
-      (fun (topology, vcpus) ->
-        [ (topology, vcpus, None);
-          (topology, vcpus, Some 1);
-          (topology, vcpus, Some 2);
-          (topology, vcpus, Some 4) ])
-      vmm_sweep
-  in
-  let best = Array.make (List.length points) None in
-  for _ = 1 to vmm_reps do
-    List.iteri
-      (fun i (topology, vcpus, workers) ->
-        let r =
-          match workers with
-          | None -> run_vmm_coupled ~topology ~vcpus
-          | Some w -> run_vmm_decoupled ~topology ~vcpus ~workers:w
-        in
-        match best.(i) with
-        | None -> best.(i) <- Some r
-        | Some b ->
-          if r.m_digest <> b.m_digest then
-            failwith "Micro.run_vmm_all: digest varies across identical reps";
-          if r.m_sec < b.m_sec then best.(i) <- Some r)
-      points
-  done;
-  let results = List.filter_map Fun.id (Array.to_list best) in
-  (* Worker-count invariance: within a host size, every decoupled row
-     must be the exact same simulation. *)
-  let ok =
-    List.for_all
-      (fun r ->
-        r.m_shards = 1
-        || List.for_all
-             (fun r' ->
-               r'.m_shards = 1 || r'.m_pcpus <> r.m_pcpus
-               || (r'.m_digest = r.m_digest && r'.m_events = r.m_events))
-             results)
-      results
-  in
-  (results, ok)
-
-let vmm_find results ~pcpus ~mode =
-  List.find_opt (fun r -> r.m_pcpus = pcpus && r.m_mode = mode) results
-
-let vmm_ratio results ~pcpus ~mode ~mode_ref =
-  match
-    (vmm_find results ~pcpus ~mode, vmm_find results ~pcpus ~mode:mode_ref)
-  with
-  | Some a, Some b when a.m_sec > 0. -> Some (b.m_sec /. a.m_sec)
-  | _ -> None
-
-let print_vmm (results, ok) =
-  print_endline
-    "decoupled VMM on the PDES fabric (fig-style scenarios, wall seconds to \
-     finish the round target):";
-  List.iter
-    (fun r ->
-      Printf.printf
-        "  %4d pcpus  %-7s  -j%d  %3d vcpus  %7.3f s wall  %8.0f ev/s  %4d \
-         windows  %5d cross  %2d steals\n"
-        r.m_pcpus r.m_mode r.m_shards r.m_vcpus r.m_sec r.m_events_per_sec
-        r.m_windows r.m_cross r.m_grants)
-    results;
-  List.iter
-    (fun (topology, _) ->
-      let pcpus = Sim_hw.Topology.pcpu_count topology in
-      (match vmm_ratio results ~pcpus ~mode:"w1" ~mode_ref:"coupled" with
-      | Some x ->
-        Printf.printf "  %d pcpus: decoupled -j4(w1) vs coupled: %.2fx wall\n"
-          pcpus x
-      | None -> ());
-      match vmm_ratio results ~pcpus ~mode:"w4" ~mode_ref:"w1" with
-      | Some x -> Printf.printf "  %d pcpus: w4 vs w1: %.2fx wall\n" pcpus x
-      | None -> ())
-    vmm_sweep;
-  Printf.printf "  w1-vs-wN digest: %s\n"
-    (if ok then "identical" else "MISMATCH");
-  print_newline ()
-
-let vmm_to_json_fragment results =
-  String.concat ",\n"
-    (List.map
-       (fun r ->
-         Printf.sprintf
-           "    {\"bench\":\"pdes-vmm\",\"backend\":\"%s\",\
-            \"pcpus\":%d,\"sim_jobs\":%d,\"workers\":%d,\"pending\":%d,\
-            \"ops\":%d,\"sec\":%.6f,\"ops_per_sec\":%.1f,\"sim_sec\":%.3f,\
-            \"windows\":%d,\"cross_posts\":%d,\"steals\":%d,\
-            \"steal_latency_cycles\":%.0f,\"digest\":\"%x\"}"
-           r.m_mode r.m_pcpus r.m_shards r.m_workers r.m_vcpus r.m_events
-           r.m_sec r.m_events_per_sec r.m_sim_sec r.m_windows r.m_cross
-           r.m_grants r.m_steal_latency r.m_digest)
-       results)

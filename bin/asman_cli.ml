@@ -34,9 +34,33 @@ open Asman
    driver at the bottom can map them uniformly. *)
 exception Usage_error of string
 
+(* Counts, sizes and durations that only make sense positive. A zero or
+   negative value is refused at parse time (exit 2) instead of being
+   clamped, ignored or failing inside the run. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x > 0. && Float.is_finite x -> Ok x
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "%S is not a positive number" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let scale_arg =
   let doc = "Workload scale factor (fraction of the full benchmark size)." in
-  Arg.(value & opt float Config.default.Config.scale & info [ "scale" ] ~doc)
+  Arg.(
+    value
+    & opt positive_float Config.default.Config.scale
+    & info [ "scale" ] ~doc)
 
 let seed_arg =
   let doc = "Random seed (simulations are deterministic per seed)." in
@@ -143,7 +167,7 @@ let sim_jobs_arg =
      $(b,--attack)) and a socket count divisible by N. 1 (the default) \
      runs one host on one sequential engine."
   in
-  Arg.(value & opt int 1 & info [ "sim-jobs" ] ~doc ~docv:"N")
+  Arg.(value & opt positive_int 1 & info [ "sim-jobs" ] ~doc ~docv:"N")
 
 let workers_arg =
   let doc =
@@ -152,7 +176,8 @@ let workers_arg =
      (default 1). Changes wall-clock speed only, never the simulation \
      outcome."
   in
-  Arg.(value & opt (some int) None & info [ "workers" ] ~doc ~docv:"W")
+  Arg.(
+    value & opt (some positive_int) None & info [ "workers" ] ~doc ~docv:"W")
 
 let topology_arg =
   let doc =
@@ -509,11 +534,11 @@ let ablation_cmd =
 let cluster_cmd =
   let hosts_arg =
     let doc = "Number of simulated hosts (each a full VMM stack)." in
-    Arg.(value & opt int 8 & info [ "hosts" ] ~doc ~docv:"N")
+    Arg.(value & opt positive_int 8 & info [ "hosts" ] ~doc ~docv:"N")
   in
   let vms_arg =
     let doc = "Trace length: VMs arriving over the run." in
-    Arg.(value & opt int 24 & info [ "vms" ] ~doc ~docv:"N")
+    Arg.(value & opt positive_int 24 & info [ "vms" ] ~doc ~docv:"N")
   in
   let policy_arg =
     let doc = "Placement policy: first-fit, best-fit or lifetime." in
@@ -547,11 +572,11 @@ let cluster_cmd =
   in
   let horizon_arg =
     let doc = "Simulated horizon in seconds." in
-    Arg.(value & opt float 2.0 & info [ "horizon" ] ~doc ~docv:"SEC")
+    Arg.(value & opt positive_float 2.0 & info [ "horizon" ] ~doc ~docv:"SEC")
   in
   let overcommit_arg =
     let doc = "VCPU-slot capacity per host as a multiple of its PCPUs." in
-    Arg.(value & opt float 2.0 & info [ "overcommit" ] ~doc ~docv:"X")
+    Arg.(value & opt positive_float 2.0 & info [ "overcommit" ] ~doc ~docv:"X")
   in
   let no_rebalance_arg =
     let doc = "Disable pressure migrations (placement only)." in
@@ -569,8 +594,6 @@ let cluster_cmd =
   let run hosts vms policy dist horizon overcommit no_rebalance penalty log
       scale seed sched queue invariants workers topology numa =
     set_queue queue;
-    if hosts < 1 then raise (Usage_error "--hosts must be >= 1");
-    if vms < 1 then raise (Usage_error "--vms must be >= 1");
     let config =
       config_of ~scale ~seed ~chaos:Sim_faults.Fault.none ~invariants
     in
@@ -748,11 +771,11 @@ let run_cmd =
   in
   let rounds_arg =
     let doc = "Rounds of each VM's workload to wait for." in
-    Arg.(value & opt int 1 & info [ "rounds" ] ~doc)
+    Arg.(value & opt positive_int 1 & info [ "rounds" ] ~doc)
   in
   let max_sec_arg =
     let doc = "Simulated-time budget in seconds." in
-    Arg.(value & opt float 120. & info [ "max-sec" ] ~doc)
+    Arg.(value & opt positive_float 120. & info [ "max-sec" ] ~doc)
   in
   let accounting_arg =
     let doc =
@@ -788,7 +811,7 @@ let run_cmd =
     let obs, export = obs_setup ~trace ~trace_cats ~metrics ~profile in
     let config = { (config_of ~scale ~seed ~chaos ~invariants) with Config.obs } in
     let config = apply_host config ~topology ~numa in
-    let config = { config with Config.sim_jobs = max 1 sim_jobs } in
+    let config = { config with Config.sim_jobs } in
     let config = Config.with_work_conserving config (not capped) in
     let config =
       match Sim_vmm.Vmm.accounting_of_name accounting with
@@ -1036,11 +1059,11 @@ let trace_cmd =
 let lhp_cmd =
   let sec_arg =
     let doc = "Simulated observation window in seconds." in
-    Arg.(value & opt float 5. & info [ "sec" ] ~doc)
+    Arg.(value & opt positive_float 5. & info [ "sec" ] ~doc)
   in
   let vms_count_arg =
     let doc = "Number of identical concurrent (LU) VMs." in
-    Arg.(value & opt int 3 & info [ "vms" ] ~doc)
+    Arg.(value & opt positive_int 3 & info [ "vms" ] ~doc)
   in
   (* One diagnosis: run the same overcommitted concurrent workload
      under a scheduler with Sched+Spin tracing on, then join the
@@ -1087,7 +1110,6 @@ let lhp_cmd =
     (Sim_obs.Lhp.classify ~timeline entries, vm_names)
   in
   let run sec nvms scale seed =
-    if nvms <= 0 then raise (Usage_error "lhp: --vms must be positive");
     let base = Config.with_seed (Config.with_scale Config.default scale) seed in
     let schedulers = [ Config.Credit; Config.Asman ] in
     let reports =
@@ -1391,6 +1413,13 @@ let compare_cmd =
         raise (Usage_error (Printf.sprintf "%s: %s" s msg))
     in
     let old_r = resolve old_file and new_r = resolve new_file in
+    (match Reg.Compare.axis_mismatches old_r new_r with
+    | [] -> ()
+    | diffs ->
+      raise
+        (Usage_error
+           ("refusing to compare runs whose axes differ: "
+           ^ String.concat ", " diffs)));
     let t =
       {
         Reg.Compare.threshold;

@@ -171,6 +171,28 @@ let describe (r : Record.t) =
     (if r.Record.date = "" then "undated" else r.Record.date)
     sha
 
+(* The axes two records must share for their numbers to be comparable.
+   The queue backend is left out on purpose: wheel against heap is the
+   differential the CI perf smoke runs across it. An empty value is a
+   dump that predates the stamp (topology) and matches anything. *)
+let axes (r : Record.t) =
+  [
+    ("seed", Int64.to_string r.Record.seed);
+    ("scale", Printf.sprintf "%g" r.Record.scale);
+    ("workers", string_of_int r.Record.workers);
+    ("topology", r.Record.topology);
+    ("sim_jobs", string_of_int r.Record.sim_jobs);
+    ("numa", string_of_bool r.Record.numa);
+    ("accounting", r.Record.accounting);
+  ]
+
+let axis_mismatches old_r new_r =
+  List.filter_map
+    (fun ((name, o), (_, n)) ->
+      if o = n || o = "" || n = "" then None
+      else Some (Printf.sprintf "%s %s vs %s" name o n))
+    (List.combine (axes old_r) (axes new_r))
+
 let records t old_r new_r =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf

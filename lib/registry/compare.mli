@@ -40,9 +40,17 @@ type result = {
   text : string;  (** the printable comparison tables *)
 }
 
+val axis_mismatches : Record.t -> Record.t -> string list
+(** The axes on which two records differ, each as ["workers 4 vs 1"]:
+    seed, scale, workers, topology, sim_jobs, numa and accounting.
+    Records that differ on any of them measure different things, so
+    [asman compare] refuses them. The queue backend is not an axis:
+    wheel against heap is a deliberate differential. *)
+
 val records : thresholds -> Record.t -> Record.t -> result
 (** Compare old vs new. Works on any two records, including raw
-    [BENCH_*.json] dumps ingested via {!Registry.ingest_bench}. *)
+    [BENCH_*.json] dumps ingested via {!Registry.ingest_bench}; it does
+    not check {!axis_mismatches}. *)
 
 (** {2 Section extractors (shared with the HTML report and tests)} *)
 

@@ -1,7 +1,6 @@
 let () =
   Alcotest.run "asman"
     [
-      ("heap", Test_heap.suite);
       ("rng", Test_rng.suite);
       ("units", Test_units.suite);
       ("engine", Test_engine.suite);

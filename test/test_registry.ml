@@ -292,6 +292,21 @@ let test_compare_one_sided_entries () =
   Alcotest.(check int) "entries on one side only never gate" 0
     (compare_t ~strict:true old_r new_r).Compare.regressions
 
+(* Records taken on different axes measure different things; the
+   queue backend is the one axis a comparison may cross. *)
+let test_compare_axes () =
+  let base = { (mk ~id:"old" ()) with Record.topology = "2x4" } in
+  let other =
+    { base with Record.id = "new"; seed = 7L; workers = 4; topology = "4x16" }
+  in
+  Alcotest.(check (list string)) "differing axes are named"
+    [ "seed 42 vs 7"; "workers 2 vs 4"; "topology 2x4 vs 4x16" ]
+    (Compare.axis_mismatches base other);
+  Alcotest.(check (list string)) "queue backend is not an axis" []
+    (Compare.axis_mismatches base { base with Record.queue = "heap" });
+  Alcotest.(check (list string)) "an unstamped topology matches" []
+    (Compare.axis_mismatches { base with Record.topology = "" } base)
+
 (* ----- BENCH_*.json ingestion ----- *)
 
 let bench_dump =
@@ -456,6 +471,7 @@ let suite =
       test_compare_strict_sections;
     Alcotest.test_case "compare: one-sided entries" `Quick
       test_compare_one_sided_entries;
+    Alcotest.test_case "compare: axes must match" `Quick test_compare_axes;
     Alcotest.test_case "ingest BENCH dump" `Quick test_ingest_bench;
     Alcotest.test_case "save/load/list/resolve" `Quick
       test_save_load_list_resolve;
