@@ -121,17 +121,9 @@ let run_figures experiments =
 (* ----- ablation studies ----- *)
 
 let run_ablation (a : Ablations.t) =
-  let id = a.Ablations.id in
-  let outcome, wall_sec, stats = timed id (fun () -> a.Ablations.run config) in
-  let as_experiment =
-    {
-      Experiments.id;
-      title = a.Ablations.title;
-      description = a.Ablations.description;
-      run = a.Ablations.run;
-    }
-  in
-  print_string (Report.outcome as_experiment outcome);
+  let id = a.Experiments.id in
+  let outcome, wall_sec, stats = timed id (fun () -> a.Experiments.run config) in
+  print_string (Report.outcome a outcome);
   print_timing id wall_sec stats
 
 let run_ablations () =

@@ -87,7 +87,7 @@ let jobs_arg =
   in
   Arg.(
     value
-    & opt int (Pool.default_jobs ())
+    & opt positive_int (Pool.default_jobs ())
     & info [ "j"; "jobs" ] ~doc ~docv:"N")
 
 let queue_arg =
@@ -368,7 +368,7 @@ let list_cmd =
       all_experiments;
     List.iter
       (fun (a : Ablations.t) ->
-        Printf.printf "%-16s  %s\n" a.Ablations.id a.Ablations.title)
+        Printf.printf "%-16s  %s\n" a.Experiments.id a.Experiments.title)
       Ablations.all;
     0
   in
@@ -501,16 +501,7 @@ let ablation_cmd =
         ~invariants:Config.default.Config.invariants
     in
     let run_one (a : Ablations.t) =
-      let outcome = a.Ablations.run config in
-      let as_experiment =
-        {
-          Experiments.id = a.Ablations.id;
-          title = a.Ablations.title;
-          description = a.Ablations.description;
-          run = a.Ablations.run;
-        }
-      in
-      print_string (Report.outcome as_experiment outcome);
+      print_string (Report.outcome a (a.Experiments.run config));
       print_newline ()
     in
     if id = "all" then List.iter run_one Ablations.all
@@ -763,7 +754,7 @@ let run_cmd =
   in
   let weight_arg =
     let doc = "Weight of every guest VM (Dom0 is fixed at 256)." in
-    Arg.(value & opt int 256 & info [ "weight" ] ~doc)
+    Arg.(value & opt positive_int 256 & info [ "weight" ] ~doc)
   in
   let capped_arg =
     let doc = "Non-work-conserving mode (strict proportional cap)." in
@@ -1020,7 +1011,7 @@ let run_cmd =
 let trace_cmd =
   let weight_arg =
     let doc = "VM weight: 256/128/64/32 give 100/66.7/40/22.2% online." in
-    Arg.(value & opt int 32 & info [ "weight" ] ~doc)
+    Arg.(value & opt positive_int 32 & info [ "weight" ] ~doc)
   in
   let bench_arg =
     let doc = "NAS benchmark to trace." in
@@ -1042,9 +1033,13 @@ let trace_cmd =
           ~vms:
             [ { Scenario.vm_name = "V1"; weight; vcpus = 4; workload = Some workload } ]
       in
-      let _ = Runner.run_rounds scenario ~rounds:1 ~max_sec:600. in
-      let monitor = Runner.monitor_of scenario ~vm:"V1" in
-      print_string (Report.trace_csv (Sim_guest.Monitor.trace monitor));
+      let rows = ref [] in
+      Sim_guest.Monitor.on_traced_wait (Runner.monitor_of scenario ~vm:"V1")
+        (fun e -> rows := e :: !rows);
+      let (_ : Runner.metrics) =
+        Runner.run_rounds scenario ~rounds:1 ~max_sec:600.
+      in
+      print_string (Report.trace_csv (List.rev !rows));
       0
   in
   Cmd.v
@@ -1192,14 +1187,14 @@ let mutate_arg =
 let check_cmd =
   let cases_arg =
     let doc = "Number of random cases to generate and run." in
-    Arg.(value & opt int 100 & info [ "cases" ] ~doc ~docv:"N")
+    Arg.(value & opt positive_int 100 & info [ "cases" ] ~doc ~docv:"N")
   in
   let timeout_arg =
     let doc =
       "Per-case wall-clock limit in seconds; a case over the limit is \
        reported as a failure with its seed."
     in
-    Arg.(value & opt float 120. & info [ "timeout" ] ~doc ~docv:"SEC")
+    Arg.(value & opt positive_float 120. & info [ "timeout" ] ~doc ~docv:"SEC")
   in
   let shrink_budget_arg =
     let doc = "Maximum simulations the shrinker may spend per failure." in

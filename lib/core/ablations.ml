@@ -1,11 +1,6 @@
 open Sim_stats
 
-type t = {
-  id : string;
-  title : string;
-  description : string;
-  run : Config.t -> Experiments.outcome;
-}
+type t = Experiments.t
 
 let note fmt = Printf.ksprintf (fun s -> s) fmt
 
@@ -388,60 +383,60 @@ let ablate_llc config =
       ];
   }
 
-let all =
+let all : t list =
   [
     {
-      id = "ablate-gang";
+      Experiments.id = "ablate-gang";
       title = "Gang-dispatch mechanisms (IPI / solidarity / continuity)";
       description =
         "Toggle each of the three coscheduling mechanisms off individually";
       run = ablate_gang;
     };
     {
-      id = "ablate-stagger";
+      Experiments.id = "ablate-stagger";
       title = "Per-PCPU slot-clock stagger";
       description = "Aligned vs staggered PCPU timers under Credit and ASMan";
       run = ablate_stagger;
     };
     {
-      id = "ablate-grace";
+      Experiments.id = "ablate-grace";
       title = "Guest busy-wait grace sweep";
       description = "spin_grace in {1,5,10,20,50} ms: the Credit calibration knob";
       run = ablate_grace;
     };
     {
-      id = "ablate-learning";
+      Experiments.id = "ablate-learning";
       title = "Roth-Erev estimator vs fixed coscheduling durations";
       description = "Learned window lengths against degenerate single candidates";
       run = ablate_learning;
     };
     {
-      id = "ablate-threshold";
+      Experiments.id = "ablate-threshold";
       title = "Over-threshold exponent delta";
       description = "delta in {16..24} around the paper's delta = 20";
       run = ablate_threshold;
     };
     {
-      id = "ablate-slice";
+      Experiments.id = "ablate-slice";
       title = "Scheduling slice length";
       description = "10 ms vs Xen's 30 ms PCPU allocation slices";
       run = ablate_slice;
     };
     {
-      id = "ablate-llc";
+      Experiments.id = "ablate-llc";
       title = "Topology-blind vs LLC-aware gang relocation";
       description =
         "Algorithm 3 relocation preferring PCPUs that share the gang's socket (the paper's future work)";
       run = ablate_llc;
     };
     {
-      id = "ablate-oov";
+      Experiments.id = "ablate-oov";
       title = "In-VM Monitoring Module vs out-of-VM PLE detection";
       description = "The paper's future-work variant against the prototype";
       run = ablate_oov;
     };
   ]
 
-let find id = List.find_opt (fun a -> a.id = id) all
+let find id = List.find_opt (fun (a : t) -> a.Experiments.id = id) all
 
-let ids () = List.map (fun a -> a.id) all
+let ids () = List.map (fun (a : t) -> a.Experiments.id) all

@@ -7,12 +7,7 @@
     by one through the CLI. Outcomes reuse the experiment report
     format. *)
 
-type t = {
-  id : string;
-  title : string;
-  description : string;
-  run : Config.t -> Experiments.outcome;
-}
+type t = Experiments.t
 
 val all : t list
 (** - [ablate-gang]: the three gang mechanisms (IPI dispatch,

@@ -169,15 +169,41 @@ let fig1b_run config =
 
 (* ----- Fig 2 / Fig 8: detailed spinlock wait traces ----- *)
 
+(* Property (4) of §2.2: long waits arrive in neighbouring spinlocks.
+   Listens to the monitor's traced waits (>= 2^trace_exp) and counts
+   the >=2^20 ones and those whose predecessor in that stream is also
+   >=2^20 (clustering); the returned thunk reads the fraction. *)
+let track_locality monitor =
+  let threshold = Sim_engine.Units.pow2 20 in
+  let prev_big = ref false and hits = ref 0 and total = ref 0 in
+  Sim_guest.Monitor.on_traced_wait monitor (fun e ->
+      let big = e.Sim_guest.Monitor.wait >= threshold in
+      if big then begin
+        incr total;
+        if !prev_big then incr hits
+      end;
+      prev_big := big);
+  fun () ->
+    if !total = 0 then nan else float_of_int !hits /. float_of_int !total
+
 let trace_summary config ~sched =
-  (* Each job returns its scenario's monitor: private to the job while
-     running, read-only once the job has completed. *)
+  (* Each job returns its scenario's monitor and locality fraction:
+     private to the job while running, read-only once it has
+     completed. *)
   let per_rate =
     par_map
       (fun (w, r) ->
-        let s, _m = nas_run config ~sched ~bench:Sim_workloads.Nas.LU ~weight:w in
+        let bench = Sim_workloads.Nas.LU in
+        let s =
+          single_vm_scenario config ~sched ~weight:w
+            ~workload:(nas_workload config bench)
+        in
         let monitor = Runner.monitor_of s ~vm:"V1" in
-        (r, monitor))
+        let locality = track_locality monitor in
+        let (_ : Runner.metrics) =
+          Runner.run_rounds s ~rounds:1 ~max_sec:(max_sec_for config bench)
+        in
+        (r, monitor, locality ()))
       online_rate_points
   in
   let band lo hi =
@@ -185,7 +211,7 @@ let trace_summary config ~sched =
       ~label:(Printf.sprintf "waits in [2^%d, 2^%d)" lo hi)
       ~x_name:"online rate (%)" ~y_name:"count"
       (List.map
-         (fun (r, m) ->
+         (fun (r, m, _) ->
            let h = Sim_guest.Monitor.spin_histogram m in
            ( r,
              float_of_int
@@ -196,7 +222,7 @@ let trace_summary config ~sched =
     Series.make ~label:"max wait (log2 cycles)" ~x_name:"online rate (%)"
       ~y_name:"log2 cycles"
       (List.map
-         (fun (r, m) ->
+         (fun (r, m, _) ->
            let h = Sim_guest.Monitor.spin_histogram m in
            match Histogram.max_value h with
            | Some v when v >= 1 ->
@@ -207,27 +233,10 @@ let trace_summary config ~sched =
   ([ band 10 15; band 15 20; band 20 25; band 25 31; max_wait ], per_rate)
 
 let locality_note per_rate =
-  (* Property (4) of §2.2: long waits arrive in neighbouring spinlocks.
-     Measure the fraction of >=2^20 trace entries whose predecessor in
-     the trace is also >=2^20 (clustering). *)
-  let cluster m =
-    let threshold = Sim_engine.Units.pow2 20 in
-    let entries = Sim_guest.Monitor.trace m in
-    let rec scan prev_big hits total = function
-      | [] -> (hits, total)
-      | (e : Sim_guest.Monitor.trace_entry) :: rest ->
-        let big = e.Sim_guest.Monitor.wait >= threshold in
-        if big then
-          scan big (if prev_big then hits + 1 else hits) (total + 1) rest
-        else scan big hits total rest
-    in
-    let hits, total = scan false 0 0 entries in
-    if total = 0 then nan else float_of_int hits /. float_of_int total
-  in
   note "locality: fraction of >=2^20 waits immediately preceded by another: %s"
     (String.concat ", "
        (List.map
-          (fun (r, m) -> Printf.sprintf "%.2f at %g%%" (cluster m) r)
+          (fun (r, _, locality) -> Printf.sprintf "%.2f at %g%%" locality r)
           per_rate))
 
 let fig2_run config =
@@ -246,8 +255,9 @@ let fig2_run config =
 let fig8_run config =
   let series, per_rate = trace_summary config ~sched:Config.Asman in
   let over_222 =
-    match List.assoc_opt 22.2 per_rate with
-    | Some m -> Histogram.count_ge_pow2 (Sim_guest.Monitor.spin_histogram m) 25
+    match List.find_opt (fun (r, _, _) -> r = 22.2) per_rate with
+    | Some (_, m, _) ->
+      Histogram.count_ge_pow2 (Sim_guest.Monitor.spin_histogram m) 25
     | None -> 0
   in
   {

@@ -118,9 +118,7 @@ let build ?(domain_id_base = 0) ?(vcpu_id_base = 0) ?(launch = true) config
           Sim_guest.Monitor.over_threshold_count m);
       Sim_obs.Metrics.gauge registry ~subsystem:"guest" ~vm:name
         ~name:"adjusting_events" (fun () ->
-          Sim_guest.Monitor.adjusting_events m);
-      Sim_obs.Metrics.gauge registry ~subsystem:"guest" ~vm:name
-        ~name:"trace_dropped" (fun () -> Sim_guest.Monitor.trace_dropped m)
+          Sim_guest.Monitor.adjusting_events m)
   in
   let instances =
     List.map

@@ -4,7 +4,6 @@ type params = {
   delta_exp : int;
   trace_exp : int;
   report_vcrd : bool;
-  trace_cap : int;
   estimator : Sim_learn.Estimator.params;
 }
 
@@ -13,10 +12,6 @@ let default_params ~slot_cycles =
     delta_exp = 20;
     trace_exp = 10;
     report_vcrd = true;
-    (* Bounds the spinlock trace (ring, oldest overwritten): generous
-       for any figure window; prevents unbounded growth on very long
-       simulations. *)
-    trace_cap = 1_000_000;
     estimator = Sim_learn.Estimator.default_params ~slot_cycles;
   }
 
@@ -30,7 +25,7 @@ type t = {
   estimator : Sim_learn.Estimator.t;
   mutable spin_hist : Sim_stats.Histogram.t;
   mutable sem_hist : Sim_stats.Histogram.t;
-  trace_ring : trace_entry Sim_obs.Ring.t;
+  mutable on_traced : (trace_entry -> unit) option;
   mutable over_threshold : int;
   mutable adjusting_events : int;
   mutable window_end : Engine.handle option;
@@ -48,7 +43,7 @@ let create params ~engine ~hypercall ~domain ~rng =
     estimator = Sim_learn.Estimator.create params.estimator rng;
     spin_hist = Sim_stats.Histogram.create ();
     sem_hist = Sim_stats.Histogram.create ();
-    trace_ring = Sim_obs.Ring.create ~cap:params.trace_cap;
+    on_traced = None;
     over_threshold = 0;
     adjusting_events = 0;
     window_end = None;
@@ -138,9 +133,10 @@ let adjusting_event t =
 
 let record_spin_wait ?(vcpu = -1) ?(holder = -1) t ~lock_id ~wait =
   Sim_stats.Histogram.add t.spin_hist wait;
-  if wait >= Units.pow2 t.params.trace_exp then
-    Sim_obs.Ring.push t.trace_ring
-      { time = Engine.now t.engine; wait; lock_id };
+  (match t.on_traced with
+  | Some f when wait >= Units.pow2 t.params.trace_exp ->
+    f { time = Engine.now t.engine; wait; lock_id }
+  | Some _ | None -> ());
   if wait > threshold_cycles t then begin
     t.over_threshold <- t.over_threshold + 1;
     let tr = Engine.trace t.engine in
@@ -158,10 +154,7 @@ let spin_histogram t = t.spin_hist
 
 let sem_histogram t = t.sem_hist
 
-let trace t = Sim_obs.Ring.to_list t.trace_ring
-
-let trace_in_window t ~from_ ~until =
-  List.filter (fun e -> e.time >= from_ && e.time <= until) (trace t)
+let on_traced_wait t f = t.on_traced <- Some f
 
 let over_threshold_count t = t.over_threshold
 
@@ -172,9 +165,4 @@ let estimator t = t.estimator
 let reset_window t =
   t.spin_hist <- Sim_stats.Histogram.create ();
   t.sem_hist <- Sim_stats.Histogram.create ();
-  (* Ring.clear keeps the lifetime drop count — the semantics
-     [trace_dropped] has always had across window resets. *)
-  Sim_obs.Ring.clear t.trace_ring;
   t.over_threshold <- 0
-
-let trace_dropped t = Sim_obs.Ring.dropped t.trace_ring

@@ -1,8 +1,9 @@
 (** The Monitoring Module (paper §3.3), one per VM.
 
     Runs "in the guest kernel": instruments every spinlock acquisition
-    with the hi-res timer, keeps the waiting-time histogram and trace
-    (Figures 1b, 2, 8), and detects {e over-threshold} spinlocks —
+    with the hi-res timer, keeps the waiting-time histograms (Figures
+    1b, 2, 8), hands each long wait to an optional listener (the raw
+    trace behind Fig 2's locality note and [asman trace]), and detects {e over-threshold} spinlocks —
     waits above [2^delta_exp] cycles (δ = 20). Each detection is a
     VCRD {e adjusting event} (Algorithm 1): the {!Sim_learn.Estimator}
     picks a lasting time [x], the module raises the domain's VCRD to
@@ -13,20 +14,16 @@
 
 type params = {
   delta_exp : int;  (** δ: over-threshold boundary is 2^δ cycles *)
-  trace_exp : int;  (** record trace entries for waits >= 2^trace_exp *)
+  trace_exp : int;  (** pass waits >= 2^trace_exp to the listener *)
   report_vcrd : bool;
       (** issue hypercalls (off when the module only observes, e.g.
           under the plain Credit scheduler one can disable reporting —
           the scheduler would ignore it anyway) *)
-  trace_cap : int;
-      (** spinlock-trace ring capacity; oldest entries are overwritten
-          beyond it (see {!trace_dropped}) *)
   estimator : Sim_learn.Estimator.params;
 }
 
 val default_params : slot_cycles:int -> params
-(** δ = 20, trace threshold 2^10, reporting on, trace capacity one
-    million entries. *)
+(** δ = 20, trace threshold 2^10, reporting on. *)
 
 type trace_entry = { time : int; wait : int; lock_id : int }
 
@@ -72,13 +69,12 @@ val record_sem_wait : t -> wait:int -> unit
 val spin_histogram : t -> Sim_stats.Histogram.t
 val sem_histogram : t -> Sim_stats.Histogram.t
 
-val trace : t -> trace_entry list
-(** Chronological trace of waits above the trace threshold. Bounded
-    by a [trace_cap]-entry ring ({!Sim_obs.Ring}, the same type the
-    VMM event trace uses): beyond capacity the oldest entry is
-    overwritten (see {!trace_dropped}). *)
-
-val trace_in_window : t -> from_:int -> until:int -> trace_entry list
+val on_traced_wait : t -> (trace_entry -> unit) -> unit
+(** Install the listener (replacing any earlier one) for spin waits
+    [>= 2^trace_exp]: it is called once per such wait, in recording
+    order, with the engine time of the recording. The monitor keeps
+    no entries itself; without a listener a long wait costs one
+    branch. *)
 
 val over_threshold_count : t -> int
 
@@ -86,11 +82,7 @@ val adjusting_events : t -> int
 
 val estimator : t -> Sim_learn.Estimator.t
 
-val trace_dropped : t -> int
-(** Entries discarded by the bound over the monitor's lifetime
-    (0 in any normal run); not reset by {!reset_window}. *)
-
 val reset_window : t -> unit
-(** Clear histograms and trace (not the learner, nor the
-    {!trace_dropped} tally): starts a fresh measurement window, e.g.
-    the paper's 30-second observation. *)
+(** Clear the histograms and the over-threshold count (not the
+    learner, nor the listener): starts a fresh measurement window,
+    e.g. the paper's 30-second observation. *)

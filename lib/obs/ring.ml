@@ -54,9 +54,7 @@ let to_list t =
   in
   go (t.len - 1) []
 
-(* Clearing keeps the drop count: it tallies lifetime losses, the
-   semantics Monitor.trace_dropped has always had across window
-   resets. *)
+(* Clearing keeps the drop count: it tallies lifetime losses. *)
 let clear t =
   t.start <- 0;
   t.len <- 0

@@ -1,9 +1,7 @@
-(** Bounded ring buffer with drop accounting.
-
-    Shared by {!Trace} (the event sink) and the guest Monitoring
-    Module's spinlock trace, so both bound memory the same way: once
-    [cap] elements are held, each further push overwrites the oldest
-    element and increments {!dropped}. *)
+(** Bounded ring buffer with drop accounting, the storage behind
+    {!Trace} (the event sink): once [cap] elements are held, each
+    further push overwrites the oldest element and increments
+    {!dropped}. *)
 
 type 'a t
 

@@ -105,6 +105,22 @@ let test_report_rendering () =
     let csv = Report.series_csv o.Experiments.series in
     Alcotest.(check bool) "csv non-empty" true (String.length csv > 0)
 
+(* Fig 2's locality note folds the monitor's traced-wait stream; pin
+   it exactly so a change to the stream's order or filter shows. *)
+let test_fig2_locality_note () =
+  match Experiments.find "fig2" with
+  | None -> Alcotest.fail "fig2 missing"
+  | Some e ->
+    let o =
+      e.Experiments.run
+        (Config.with_scale (Config.with_seed Config.default 42L) 0.05)
+    in
+    Alcotest.(check bool) "locality note" true
+      (List.mem
+         "locality: fraction of >=2^20 waits immediately preceded by \
+          another: nan at 100%, 0.67 at 66.7%, 0.72 at 40%, 0.89 at 22.2%"
+         o.Experiments.notes)
+
 let suite =
   [
     Alcotest.test_case "registry" `Quick test_registry;
@@ -113,4 +129,5 @@ let suite =
     Alcotest.test_case "nas_runtime helper" `Quick test_nas_runtime_helper;
     Alcotest.test_case "wait buckets" `Quick test_wait_bucket_counts;
     Alcotest.test_case "report rendering" `Slow test_report_rendering;
+    Alcotest.test_case "fig2 locality note" `Quick test_fig2_locality_note;
   ]

@@ -31,18 +31,38 @@ let test_default_threshold () =
   Alcotest.(check int) "2^20" 1_048_576
     (Sim_guest.Monitor.threshold_cycles monitor)
 
-let test_records_histogram_and_trace () =
-  let _, _, _, _, monitor = make_env () in
+let test_traced_wait_listener () =
+  let engine, _, _, _, monitor = make_env () in
+  let seen = ref [] in
+  Sim_guest.Monitor.on_traced_wait monitor (fun e -> seen := e :: !seen);
   Sim_guest.Monitor.record_spin_wait monitor ~lock_id:1 ~wait:0;
-  Sim_guest.Monitor.record_spin_wait monitor ~lock_id:1 ~wait:500;
-  Sim_guest.Monitor.record_spin_wait monitor ~lock_id:2 ~wait:5_000;
+  Sim_guest.Monitor.record_spin_wait monitor ~lock_id:1 ~wait:1_023;
+  Sim_guest.Monitor.record_spin_wait monitor ~lock_id:2 ~wait:1_024;
+  ignore (Sim_engine.Engine.schedule_at engine ~time:1_000 (fun () ->
+      Sim_guest.Monitor.record_spin_wait monitor ~lock_id:3 ~wait:500;
+      Sim_guest.Monitor.record_spin_wait monitor ~lock_id:4 ~wait:6_000));
+  Sim_engine.Engine.run engine;
   let h = Sim_guest.Monitor.spin_histogram monitor in
-  Alcotest.(check int) "all recorded" 3 (Sim_stats.Histogram.count h);
-  (* Trace keeps only waits >= 2^10. *)
-  Alcotest.(check int) "trace filtered" 1
-    (List.length (Sim_guest.Monitor.trace monitor));
+  Alcotest.(check int) "histogram sees every wait" 5
+    (Sim_stats.Histogram.count h);
+  (* Only waits >= 2^10 arrive, in order, stamped with engine time. *)
+  Alcotest.(check (list (triple int int int))) "time, wait, lock"
+    [ (0, 1_024, 2); (1_000, 6_000, 4) ]
+    (List.rev_map
+       (fun (e : Sim_guest.Monitor.trace_entry) ->
+         Sim_guest.Monitor.(e.time, e.wait, e.lock_id))
+       !seen);
   Alcotest.(check int) "no over-threshold" 0
-    (Sim_guest.Monitor.over_threshold_count monitor)
+    (Sim_guest.Monitor.over_threshold_count monitor);
+  (* Without a listener the monitor keeps nothing per wait. *)
+  let _, _, _, _, bare = make_env () in
+  Sim_guest.Monitor.record_spin_wait bare ~lock_id:1 ~wait:2_000;
+  let words = Obj.reachable_words (Obj.repr bare) in
+  for i = 1 to 1_000 do
+    Sim_guest.Monitor.record_spin_wait bare ~lock_id:i ~wait:(2_000 + i)
+  done;
+  Alcotest.(check int) "no entries kept" words
+    (Obj.reachable_words (Obj.repr bare))
 
 let test_over_threshold_raises_vcrd () =
   let _, _, domain, hypercall, monitor = make_env () in
@@ -122,28 +142,16 @@ let test_reset_window () =
   Alcotest.(check int) "spin cleared" 0
     (Sim_stats.Histogram.count (Sim_guest.Monitor.spin_histogram monitor));
   Alcotest.(check int) "sem cleared" 0
-    (Sim_stats.Histogram.count (Sim_guest.Monitor.sem_histogram monitor));
-  Alcotest.(check int) "trace cleared" 0
-    (List.length (Sim_guest.Monitor.trace monitor))
-
-let test_trace_window_filter () =
-  let engine, _, _, _, monitor = make_env () in
-  Sim_guest.Monitor.record_spin_wait monitor ~lock_id:1 ~wait:5_000;
-  ignore (Sim_engine.Engine.schedule_at engine ~time:1_000 (fun () ->
-      Sim_guest.Monitor.record_spin_wait monitor ~lock_id:1 ~wait:6_000));
-  Sim_engine.Engine.run engine;
-  Alcotest.(check int) "window [500,2000]" 1
-    (List.length (Sim_guest.Monitor.trace_in_window monitor ~from_:500 ~until:2_000))
+    (Sim_stats.Histogram.count (Sim_guest.Monitor.sem_histogram monitor))
 
 let suite =
   [
     Alcotest.test_case "threshold" `Quick test_default_threshold;
-    Alcotest.test_case "histogram and trace" `Quick test_records_histogram_and_trace;
+    Alcotest.test_case "traced-wait listener" `Quick test_traced_wait_listener;
     Alcotest.test_case "over-threshold raises vcrd" `Quick
       test_over_threshold_raises_vcrd;
     Alcotest.test_case "window closes" `Quick test_window_closes_after_online_budget;
     Alcotest.test_case "retrigger extends" `Quick test_retrigger_extends_window;
     Alcotest.test_case "report disabled" `Quick test_report_disabled;
     Alcotest.test_case "reset window" `Quick test_reset_window;
-    Alcotest.test_case "trace window filter" `Quick test_trace_window_filter;
   ]

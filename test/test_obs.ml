@@ -203,51 +203,6 @@ let test_lhp_unknown_holder_uses_sibling () =
   let report = Sim_obs.Lhp.classify ~timeline entries in
   Alcotest.(check int) "preempted via sibling" 1 report.Sim_obs.Lhp.preempted
 
-(* ----- monitor trace ring regression ----- *)
-
-let test_monitor_trace_drop_accounting () =
-  let engine = Sim_engine.Engine.create ~seed:2L () in
-  let machine =
-    Sim_hw.Machine.create engine Config.default.Config.cpu
-      Config.default.Config.topology
-  in
-  let vmm = Sim_vmm.Vmm.create machine ~sched:Sim_vmm.Sched_credit.make in
-  let domain = Sim_vmm.Vmm.create_domain vmm ~name:"V" ~weight:256 ~vcpus:2 () in
-  let hypercall = Sim_vmm.Hypercall.create vmm in
-  let params =
-    {
-      (Sim_guest.Monitor.default_params
-         ~slot_cycles:(Sim_hw.Cpu_model.slot_cycles Config.default.Config.cpu))
-      with
-      Sim_guest.Monitor.trace_cap = 3;
-    }
-  in
-  let monitor =
-    Sim_guest.Monitor.create params ~engine ~hypercall ~domain
-      ~rng:(Sim_engine.Rng.create 3L)
-  in
-  (* Waits above the trace threshold (2^10) but below the adjusting
-     threshold (2^20). Exactly at capacity: nothing dropped. *)
-  for i = 1 to 3 do
-    Sim_guest.Monitor.record_spin_wait monitor ~lock_id:i ~wait:(2_000 + i)
-  done;
-  Alcotest.(check int) "at capacity" 3
-    (List.length (Sim_guest.Monitor.trace monitor));
-  Alcotest.(check int) "no drops at boundary" 0
-    (Sim_guest.Monitor.trace_dropped monitor);
-  (* One past capacity: oldest overwritten, drop counted. *)
-  Sim_guest.Monitor.record_spin_wait monitor ~lock_id:4 ~wait:2_004;
-  let entries = Sim_guest.Monitor.trace monitor in
-  Alcotest.(check int) "still capped" 3 (List.length entries);
-  Alcotest.(check int) "one drop" 1 (Sim_guest.Monitor.trace_dropped monitor);
-  Alcotest.(check (list int)) "newest three survive" [ 2; 3; 4 ]
-    (List.map (fun (e : Sim_guest.Monitor.trace_entry) -> e.Sim_guest.Monitor.lock_id) entries);
-  Sim_guest.Monitor.reset_window monitor;
-  Alcotest.(check int) "window reset clears trace" 0
-    (List.length (Sim_guest.Monitor.trace monitor));
-  Alcotest.(check int) "drop tally survives reset" 1
-    (Sim_guest.Monitor.trace_dropped monitor)
-
 (* ----- metrics registry basics ----- *)
 
 let test_metrics_diff_and_lookup () =
@@ -292,8 +247,6 @@ let suite =
       test_lhp_classification;
     Alcotest.test_case "LHP sibling heuristic for unknown holder" `Quick
       test_lhp_unknown_holder_uses_sibling;
-    Alcotest.test_case "monitor trace ring drop accounting" `Quick
-      test_monitor_trace_drop_accounting;
     Alcotest.test_case "metrics diff and lookup" `Quick
       test_metrics_diff_and_lookup;
   ]

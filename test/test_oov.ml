@@ -148,7 +148,7 @@ let test_ablation_registry () =
   List.iter
     (fun id ->
       match Ablations.find id with
-      | Some a -> Alcotest.(check string) "id" id a.Ablations.id
+      | Some a -> Alcotest.(check string) "id" id a.Experiments.id
       | None -> Alcotest.failf "missing %s" id)
     ids;
   Alcotest.(check bool) "unknown" true (Ablations.find "nope" = None)
@@ -157,7 +157,7 @@ let test_ablation_oov_runs () =
   match Ablations.find "ablate-oov" with
   | None -> Alcotest.fail "ablate-oov missing"
   | Some a ->
-    let o = a.Ablations.run (Config.with_scale config 0.03) in
+    let o = a.Experiments.run (Config.with_scale config 0.03) in
     Alcotest.(check int) "three series" 3 (List.length o.Experiments.series);
     Alcotest.(check bool) "has a note" true (o.Experiments.notes <> [])
 
