@@ -31,10 +31,10 @@ bench-compare: build
 	BENCH_SCALE=$(SCALE) BENCH_COST_CACHE= $(DUNE) exec bench/main.exe -- \
 	  -j $(JOBS) --engine-queue=wheel --json bench_wheel.json fig1a fig7 fig9
 	$(DUNE) exec bin/asman_cli.exe -- compare bench_heap.json \
-	  bench_wheel.json --threshold 50 --strict-sections
+	  bench_wheel.json --threshold 75 --strict-sections
 
 # Diff any two runs taken on the same axes (seed, scale, workers, ...):
-# registry ids, record files, or raw BENCH dumps.
+# registry ids or record files (bench --json writes one).
 #   make bench-compare && make compare OLD=bench_heap.json NEW=bench_wheel.json
 compare: build
 	@test -n "$(OLD)" -a -n "$(NEW)" || \

@@ -9,7 +9,7 @@
      dune exec bench/main.exe -- micro     # event-queue micro + PDES sweep
      dune exec bench/main.exe -- pdes      # only the PDES fabric sweep
      dune exec bench/main.exe -- -j 4      # fan jobs over 4 domains
-     dune exec bench/main.exe -- --json out.json   # dump timings
+     dune exec bench/main.exe -- --json out.json   # write the run record
      dune exec bench/main.exe -- --engine-queue=heap  # heap oracle
      BENCH_SCALE=0.5 dune exec bench/main.exe   # bigger workloads
      ASMAN_JOBS=4 dune exec bench/main.exe      # worker count via env
@@ -17,9 +17,11 @@
 
    Figure/ablation data points fan out over Asman.Pool worker domains
    (-j N or ASMAN_JOBS; default: cores - 1; -j 1 = sequential). With
-   --json [FILE] the per-figure and per-job wall-clock timings plus
-   the worker count are dumped to FILE (default BENCH_<date>.json);
-   `asman compare` compares two dumps taken on the same axes.
+   --json [FILE] the invocation's run record (per-figure and per-job
+   wall-clock timings, micro rows, fairness ratios, profile sections
+   and the config axes) is also written to FILE (default
+   BENCH_<date>.json); `asman compare` compares two records taken on
+   the same axes.
    --engine-queue selects the event-queue backend (default wheel;
    results are byte-identical either way). Per-job wall times persist
    in BENCH_COST_CACHE (default runs/cost_cache; empty disables) so
@@ -43,7 +45,7 @@ let scale =
 
 (* Every run in this harness charges the runner's phases
    (engine.run/collect, summed across Pool workers) to one shared
-   self-profiler; the sections land in the --json dump next to the
+   self-profiler; the sections land in the run record next to the
    wall-clock timings. Profiling does not perturb simulation results —
    only trace/metrics flags stay off. *)
 let prof = Sim_obs.Prof.create ~clock:Unix.gettimeofday ()
@@ -54,7 +56,7 @@ let config =
     Config.obs = { Config.obs_off with Config.profile = Some prof };
   }
 
-(* ----- per-run timing records (for the report and --json) ----- *)
+(* ----- per-run timings (for the report and the run record) ----- *)
 
 type timing_entry = {
   entry_id : string;
@@ -95,7 +97,7 @@ let print_timing id wall_sec (stats : Pool.stats) =
 
 (* Fairness entries from the theft figure: one
    "<series label> <attack>" -> attained/entitled ratio per cell.
-   Dumped as the "fairness" JSON section so `asman compare` can
+   Recorded as the "fairness" section so `asman compare` can
    gate attained-share drift next to the wall-clock timings. *)
 let fairness_results : (string * float) list ref = ref []
 
@@ -130,167 +132,66 @@ let run_ablations () =
   print_endline "--- ablation studies (DESIGN.md design choices) ---\n";
   List.iter run_ablation Ablations.all
 
-(* ----- machine-readable timing dump (--json) ----- *)
+(* ----- the run record (lib/registry): runs/ and --json ----- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Reg = Sim_registry
+module Json = Sim_obs.Json
 
-let date_string () =
-  let tm = Unix.localtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-    tm.Unix.tm_mday
-
-let default_json_file () = Printf.sprintf "BENCH_%s.json" (date_string ())
+let default_json_file () = Printf.sprintf "BENCH_%s.json" (Reg.Meta.date ())
 
 (* Event-queue micro results (bench/micro.ml), when that suite ran. *)
 let micro_results : Micro.result list ref = ref []
 
 (* Conservative-PDES sweep results and fingerprint verdict, when that
-   suite ran; rows are merged into the "micro" JSON array. *)
+   suite ran; rows join the "micro" section. *)
 let pdes_results : Micro.pdes_result list ref = ref []
 
 let pdes_ok = ref true
 
-(* The "micro" JSON rows of whichever suites ran, for the --json dump
-   and the registry record alike. *)
-let micro_rows () =
-  String.concat ",\n"
-    (List.filter
-       (fun s -> s <> "")
-       [
-         Micro.to_json_fragment !micro_results;
-         Micro.pdes_to_json_fragment !pdes_results;
-       ])
-
-let write_json path =
-  let entries = List.rev !recorded in
-  let total_wall = List.fold_left (fun s e -> s +. e.wall_sec) 0. entries in
-  let entry_json e =
-    let job_secs =
-      String.concat ","
-        (List.map
-           (fun (t : Pool.job_timing) -> Printf.sprintf "%.6f" t.Pool.wall_sec)
-           e.stats.Pool.timings)
-    in
-    Printf.sprintf
-      "    {\"id\":\"%s\",\"wall_sec\":%.6f,\"busy_sec\":%.6f,\"jobs\":%d,\
-       \"workers\":%d,\"speedup\":%.3f,\"job_sec\":[%s]}"
-      (json_escape e.entry_id) e.wall_sec e.stats.Pool.busy_sec
-      (List.length e.stats.Pool.timings)
-      e.stats.Pool.jobs_used
-      (speedup ~wall_sec:e.wall_sec e.stats)
-      job_secs
+(* The record's metric sections: per-run wall and per-job seconds,
+   micro rows, theft fairness ratios (only when that figure ran:
+   `asman compare` reports, never gates, a section missing from one
+   side) and the self-profiler's sections. *)
+let sections entries =
+  let run e =
+    Json.Obj
+      [
+        ("id", Json.String e.entry_id);
+        ("wall_sec", Json.Float e.wall_sec);
+        ("busy_sec", Json.Float e.stats.Pool.busy_sec);
+        ("jobs", Json.Int (List.length e.stats.Pool.timings));
+        ("workers", Json.Int e.stats.Pool.jobs_used);
+        ("speedup", Json.Float (speedup ~wall_sec:e.wall_sec e.stats));
+        ( "job_sec",
+          Json.List
+            (List.map
+               (fun (t : Pool.job_timing) -> Json.Float t.Pool.wall_sec)
+               e.stats.Pool.timings) );
+      ]
   in
-  (* Section present only when the theft figure ran: `asman compare`
-     reports (never gates) a section missing from one side. *)
-  let fairness_section =
-    match !fairness_results with
-    | [] -> ""
-    | entries ->
-      Printf.sprintf "  \"fairness\": [\n%s\n  ],\n"
-        (String.concat ",\n"
-           (List.map
-              (fun (id, ratio) ->
-                Printf.sprintf "    {\"id\":\"%s\",\"ratio\":%.6f}"
-                  (json_escape id) ratio)
-              entries))
+  let fairness (id, ratio) =
+    Json.Obj [ ("id", Json.String id); ("ratio", Json.Float ratio) ]
   in
-  (* Provenance stamps (satellite of the run registry): which tree,
-     which machine axes. Older dumps without them still ingest — the
-     readers default every stamp. *)
-  let git_stamp =
-    match Sim_registry.Meta.git_info () with
-    | None -> ""
-    | Some (sha, dirty) ->
-      Printf.sprintf "  \"git_sha\": \"%s\",\n  \"git_dirty\": %b,\n"
-        (json_escape sha) dirty
+  let profile (s : Sim_obs.Prof.section) =
+    Json.Obj
+      [
+        ("label", Json.String s.Sim_obs.Prof.label);
+        ("total_sec", Json.Float s.Sim_obs.Prof.total_sec);
+        ("calls", Json.Int s.Sim_obs.Prof.calls);
+      ]
   in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-     \  \"date\": \"%s\",\n\
-     \  \"scale\": %g,\n\
-     \  \"seed\": %Ld,\n\
-     \  \"workers\": %d,\n\
-     \  \"queue\": \"%s\",\n\
-     %s\
-     \  \"accounting\": \"%s\",\n\
-     \  \"sim_jobs\": %d,\n\
-     \  \"topology\": \"%s\",\n\
-     \  \"numa\": %b,\n\
-     \  \"total_wall_sec\": %.6f,\n\
-     \  \"runs\": [\n%s\n\
-     \  ],\n\
-     \  \"micro\": [\n%s\n\
-     \  ],\n\
-     %s\
-     \  \"profile\": [%s]\n\
-     }\n"
-    (date_string ()) scale config.Config.seed (Pool.jobs ())
-    (Sim_engine.Equeue.kind_name (Sim_engine.Engine.default_queue ()))
-    git_stamp
-    (Sim_vmm.Vmm.accounting_name config.Config.accounting)
-    config.Config.sim_jobs
-    (json_escape (Sim_hw.Topology.to_string config.Config.topology))
-    config.Config.numa total_wall
-    (String.concat ",\n" (List.map entry_json entries))
-    (micro_rows ())
-    fairness_section
-    (Sim_obs.Prof.to_json_fragment prof);
-  close_out oc;
-  Printf.printf "timings written to %s\n%!" path
-
-(* ----- run-registry record (lib/registry) ----- *)
-
-module Reg = Sim_registry
-
-(* The record's sections mirror the --json dump shapes so `asman
-   compare` treats a record and a raw dump interchangeably. Micro rows
-   are round-tripped through Cjson from the same fragments write_json
-   emits. *)
-let registry_sections () =
-  let entries = List.rev !recorded in
-  let runs =
-    Reg.Cjson.List
-      (List.map
-         (fun e ->
-           Reg.Cjson.Obj
-             [
-               ("id", Reg.Cjson.String e.entry_id);
-               ("wall_sec", Reg.Cjson.Float e.wall_sec);
-               ("busy_sec", Reg.Cjson.Float e.stats.Pool.busy_sec);
-               ("jobs", Reg.Cjson.Int (List.length e.stats.Pool.timings));
-               ("workers", Reg.Cjson.Int e.stats.Pool.jobs_used);
-               ("speedup", Reg.Cjson.Float (speedup ~wall_sec:e.wall_sec e.stats));
-             ])
-         entries)
-  in
-  let micro = Reg.Cjson.of_string ("[" ^ micro_rows () ^ "]") in
-  let fairness =
-    Reg.Cjson.List
-      (List.map
-         (fun (id, ratio) ->
-           Reg.Cjson.Obj
-             [ ("id", Reg.Cjson.String id); ("ratio", Reg.Cjson.Float ratio) ])
-         !fairness_results)
-  in
-  Reg.Cjson.Obj
-    (("runs", runs) :: ("micro", micro)
-    ::
-    (match !fairness_results with
-    | [] -> []
-    | _ -> [ ("fairness", fairness) ]))
+  Json.Obj
+    ([
+       ("runs", Json.List (List.map run entries));
+       ( "micro",
+         Json.List
+           (List.map Micro.to_json !micro_results
+           @ List.map Micro.pdes_to_json !pdes_results) );
+     ]
+    @ (match !fairness_results with
+      | [] -> []
+      | l -> [ ("fairness", Json.List (List.map fairness l)) ])
+    @ [ ("profile", Json.List (List.map profile (Sim_obs.Prof.sections prof))) ])
 
 let record_run ~ids ~json =
   let label =
@@ -305,14 +206,14 @@ let record_run ~ids ~json =
     List.fold_left (fun s e -> s +. e.stats.Pool.busy_sec) 0. entries
   in
   let spec =
-    Reg.Cjson.Obj
+    Json.Obj
       [
         ( "argv",
-          Reg.Cjson.List
+          Json.List
             (List.map
-               (fun s -> Reg.Cjson.String s)
+               (fun s -> Json.String s)
                (List.tl (Array.to_list Sys.argv))) );
-        ("scale", Reg.Cjson.Float scale);
+        ("scale", Json.Float scale);
       ]
   in
   let r =
@@ -324,11 +225,13 @@ let record_run ~ids ~json =
       ~topology:(Sim_hw.Topology.to_string config.Config.topology)
       ~numa:config.Config.numa
       ~accounting:(Sim_vmm.Vmm.accounting_name config.Config.accounting)
-      ~label ~spec ~wall_sec ~busy_sec
-      ~sections:(registry_sections ())
-      ~exports:(match json with Some p -> [ p ] | None -> [])
-      ()
+      ~label ~spec ~wall_sec ~busy_sec ~sections:(sections entries) ()
   in
+  (match json with
+  | Some path ->
+    Reg.Registry.write path r;
+    Printf.printf "run record written to %s\n%!" path
+  | None -> ());
   (* Observation-only: the note goes to stderr so stdout stays
      byte-identical with recording on or off. *)
   match Reg.Registry.save_if_enabled r with
@@ -463,7 +366,6 @@ let () =
       (function Figure e -> run_experiment e | Ablation a -> run_ablation a)
       targets);
   save_cost_cache ();
-  (match opts.json with Some path -> write_json path | None -> ());
   record_run ~ids:opts.ids ~json:opts.json;
   if not !pdes_ok then begin
     prerr_endline "pdes: -j1-vs-jN fingerprint mismatch";

@@ -118,15 +118,15 @@ let print results =
   | _ -> ());
   print_newline ()
 
-let to_json_fragment results =
-  String.concat ",\n"
-    (List.map
-       (fun r ->
-         Printf.sprintf
-           "    {\"bench\":\"%s\",\"backend\":\"%s\",\"pending\":%d,\
-            \"ops\":%d,\"sec\":%.6f,\"ops_per_sec\":%.1f}"
-           r.bench r.backend r.pending r.ops r.sec r.ops_per_sec)
-       results)
+(* One "micro" section row of the bench record. *)
+let to_json r =
+  Sim_obs.Json.(
+    Obj
+      [
+        ("bench", String r.bench); ("backend", String r.backend);
+        ("pending", Int r.pending); ("ops", Int r.ops); ("sec", Float r.sec);
+        ("ops_per_sec", Float r.ops_per_sec);
+      ])
 
 (* ----- conservative-PDES throughput: events/sec per member count and
    host size ------------------------------------------------------------
@@ -321,15 +321,17 @@ let print_pdes (results, ok) =
     (if ok then "identical" else "MISMATCH");
   print_newline ()
 
-let pdes_to_json_fragment results =
-  String.concat ",\n"
-    (List.map
-       (fun r ->
-         Printf.sprintf
-           "    {\"bench\":\"pdes-hold\",\"backend\":\"%s\",\
-            \"pcpus\":%d,\"sim_jobs\":%d,\"workers\":%d,\"pending\":%d,\
-            \"ops\":%d,\"sec\":%.6f,\"ops_per_sec\":%.1f,\"windows\":%d,\
-            \"cross_posts\":%d,\"digest\":\"%x\"}"
-           r.p_backend r.p_pcpus r.p_jobs r.p_workers r.p_pending r.p_events
-           r.p_sec r.p_events_per_sec r.p_windows r.p_cross r.p_digest)
-       results)
+(* A PDES sweep row, in the same "micro" section: pcpus and sim_jobs
+   keep the sweep points distinct in `asman compare`. *)
+let pdes_to_json r =
+  Sim_obs.Json.(
+    Obj
+      [
+        ("bench", String "pdes-hold"); ("backend", String r.p_backend);
+        ("pcpus", Int r.p_pcpus); ("sim_jobs", Int r.p_jobs);
+        ("workers", Int r.p_workers); ("pending", Int r.p_pending);
+        ("ops", Int r.p_events); ("sec", Float r.p_sec);
+        ("ops_per_sec", Float r.p_events_per_sec);
+        ("windows", Int r.p_windows); ("cross_posts", Int r.p_cross);
+        ("digest", String (Printf.sprintf "%x" r.p_digest));
+      ])

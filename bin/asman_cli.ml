@@ -9,9 +9,8 @@
      validate-json <file>      check an exported trace/metrics file parses
      learn                     demonstrate the Roth-Erev estimator on a
                                synthetic locality trace
-     compare OLD NEW           diff two runs (registry ids, record files
-                               or raw BENCH_*.json dumps); exit 1 on
-                               regression
+     compare OLD NEW           diff two runs (registry ids or record
+                               files); exit 1 on regression
      report [--out FILE]       render the registry as a self-contained
                                HTML trend page
 
@@ -305,6 +304,7 @@ let obs_setup ~trace ~trace_cats ~metrics ~profile =
 (* ----- run-registry recording (lib/registry) ----- *)
 
 module Reg = Sim_registry
+module Json = Sim_obs.Json
 
 (* One record per invocation, stamped with the config axes; exports
    written by obs_setup's hook are picked up as pointers. Failure to
@@ -341,11 +341,11 @@ let record_invocation ~kind ?id ~config ?workers ~label ~spec ~wall_sec
   | None -> ()
 
 let kv_section entries =
-  Reg.Cjson.List
+  Json.List
     (List.map
        (fun (id, v) ->
-         Reg.Cjson.Obj
-           [ ("id", Reg.Cjson.String id); ("value", Reg.Cjson.Float v) ])
+         Json.Obj
+           [ ("id", Json.String id); ("value", Json.Float v) ])
        entries)
 
 (* ----- list ----- *)
@@ -432,12 +432,12 @@ let experiment_cmd =
     export ();
     let timings = List.rev !timings in
     let runs_section =
-      Reg.Cjson.List
+      Json.List
         (List.map
            (fun (fid, wall) ->
-             Reg.Cjson.Obj
+             Json.Obj
                [
-                 ("id", Reg.Cjson.String fid); ("wall_sec", Reg.Cjson.Float wall);
+                 ("id", Json.String fid); ("wall_sec", Json.Float wall);
                ])
            timings)
     in
@@ -446,14 +446,14 @@ let experiment_cmd =
       ~config
       ~label:("experiment " ^ id)
       ~spec:
-        (Reg.Cjson.Obj
+        (Json.Obj
            [
-             ("subcommand", Reg.Cjson.String "experiment");
-             ("id", Reg.Cjson.String id);
+             ("subcommand", Json.String "experiment");
+             ("id", Json.String id);
            ])
       ~wall_sec:(List.fold_left (fun s (_, w) -> s +. w) 0. timings)
       ~sections:
-        (Reg.Cjson.Obj
+        (Json.Obj
            (("runs", runs_section)
            ::
            ((match !fairness with
@@ -461,13 +461,13 @@ let experiment_cmd =
             | f ->
               [
                 ( "fairness",
-                  Reg.Cjson.List
+                  Json.List
                     (List.map
                        (fun (fid, ratio) ->
-                         Reg.Cjson.Obj
+                         Json.Obj
                            [
-                             ("id", Reg.Cjson.String fid);
-                             ("ratio", Reg.Cjson.Float ratio);
+                             ("id", Json.String fid);
+                             ("ratio", Json.Float ratio);
                            ])
                        f) );
               ])
@@ -661,19 +661,19 @@ let cluster_cmd =
         (Printf.sprintf "cluster %dh %dvm %s %s" hosts vms
            r.Sim_cluster.Cluster.cr_policy (Config.sched_name sched))
       ~spec:
-        (Reg.Cjson.Obj
+        (Json.Obj
            [
-             ("subcommand", Reg.Cjson.String "cluster");
-             ("hosts", Reg.Cjson.Int hosts);
-             ("vms", Reg.Cjson.Int vms);
-             ("policy", Reg.Cjson.String r.Sim_cluster.Cluster.cr_policy);
-             ("dist", Reg.Cjson.String (Sim_cluster.Vtrace.dist_name dist));
-             ("horizon_sec", Reg.Cjson.Float horizon);
-             ("sched", Reg.Cjson.String (Config.sched_name sched));
+             ("subcommand", Json.String "cluster");
+             ("hosts", Json.Int hosts);
+             ("vms", Json.Int vms);
+             ("policy", Json.String r.Sim_cluster.Cluster.cr_policy);
+             ("dist", Json.String (Sim_cluster.Vtrace.dist_name dist));
+             ("horizon_sec", Json.Float horizon);
+             ("sched", Json.String (Config.sched_name sched));
            ])
       ~wall_sec:wall
       ~sections:
-        (Reg.Cjson.Obj
+        (Json.Obj
            [
              ( "cluster",
                kv_section
@@ -904,17 +904,17 @@ let run_cmd =
           (Printf.sprintf "run-decoupled %s %s" (Config.sched_name sched)
              (String.concat "," vm_names))
         ~spec:
-          (Reg.Cjson.Obj
+          (Json.Obj
              [
-               ("subcommand", Reg.Cjson.String "run");
-               ("decouple", Reg.Cjson.Bool true);
-               ("sched", Reg.Cjson.String (Config.sched_name sched));
+               ("subcommand", Json.String "run");
+               ("decouple", Json.Bool true);
+               ("sched", Json.String (Config.sched_name sched));
                ( "vms",
-                 Reg.Cjson.List
-                   (List.map (fun n -> Reg.Cjson.String n) vm_names) );
-               ("weight", Reg.Cjson.Int weight);
-               ("rounds", Reg.Cjson.Int rounds);
-               ("max_sec", Reg.Cjson.Float max_sec);
+                 Json.List
+                   (List.map (fun n -> Json.String n) vm_names) );
+               ("weight", Json.Int weight);
+               ("rounds", Json.Int rounds);
+               ("max_sec", Json.Float max_sec);
              ])
         ~wall_sec:host_wall
         ~metrics:(Decouple.report_metrics r) ();
@@ -975,21 +975,21 @@ let run_cmd =
         (Printf.sprintf "run %s %s" (Config.sched_name sched)
            (String.concat "," vm_names))
       ~spec:
-        (Reg.Cjson.Obj
+        (Json.Obj
            [
-             ("subcommand", Reg.Cjson.String "run");
-             ("sched", Reg.Cjson.String (Config.sched_name sched));
+             ("subcommand", Json.String "run");
+             ("sched", Json.String (Config.sched_name sched));
              ( "vms",
-               Reg.Cjson.List
-                 (List.map (fun n -> Reg.Cjson.String n) vm_names) );
-             ("weight", Reg.Cjson.Int weight);
-             ("capped", Reg.Cjson.Bool capped);
-             ("rounds", Reg.Cjson.Int rounds);
-             ("max_sec", Reg.Cjson.Float max_sec);
+               Json.List
+                 (List.map (fun n -> Json.String n) vm_names) );
+             ("weight", Json.Int weight);
+             ("capped", Json.Bool capped);
+             ("rounds", Json.Int rounds);
+             ("max_sec", Json.Float max_sec);
              ( "attack",
                match attack with
-               | None -> Reg.Cjson.Null
-               | Some a -> Reg.Cjson.String a );
+               | None -> Json.Null
+               | Some a -> Json.String a );
            ])
       ~wall_sec:host_wall
       ~metrics:(Runner.metrics_kv metrics) ();
@@ -1151,7 +1151,7 @@ let validate_json_cmd =
       if file = "-" then In_channel.input_all stdin
       else In_channel.with_open_bin file In_channel.input_all
     in
-    match Sim_obs.Json.validate contents with
+    match Json.validate contents with
     | Ok () ->
       Printf.printf "%s: valid JSON\n" file;
       0
@@ -1239,20 +1239,20 @@ let check_cmd =
       ~config:(Config.with_seed Config.default seed)
       ~workers:jobs ~label:(Printf.sprintf "check %d cases" cases)
       ~spec:
-        (Reg.Cjson.Obj
+        (Json.Obj
            [
-             ("subcommand", Reg.Cjson.String "check");
-             ("cases", Reg.Cjson.Int cases);
-             ("timeout_sec", Reg.Cjson.Float timeout);
-             ("shrink_budget", Reg.Cjson.Int shrink_budget);
+             ("subcommand", Json.String "check");
+             ("cases", Json.Int cases);
+             ("timeout_sec", Json.Float timeout);
+             ("shrink_budget", Json.Int shrink_budget);
              ( "mutate",
                match mutate with
-               | None -> Reg.Cjson.Null
-               | Some m -> Reg.Cjson.String (Sim_vmm.Mutation.to_name m) );
+               | None -> Json.Null
+               | Some m -> Json.String (Sim_vmm.Mutation.to_name m) );
            ])
       ~wall_sec:host_wall
       ~sections:
-        (Reg.Cjson.Obj
+        (Json.Obj
            [ ("check", kv_section (Sim_check.Check.summary_kv report)) ])
       ();
     if Sim_check.Check.passed report then begin
@@ -1282,7 +1282,7 @@ let repro_cmd =
     let spec =
       try Sim_check.Spec.load file with
       | Sys_error e -> raise (Usage_error e)
-      | Reg.Cjson.Parse_error e ->
+      | Json.Parse_error e ->
         raise (Usage_error (Printf.sprintf "%s: %s" file e))
     in
     (match spec.Sim_check.Spec.provenance with
@@ -1363,7 +1363,7 @@ let runs_dir_arg =
 
 let compare_cmd =
   let old_arg =
-    let doc = "Baseline: a run id, a record file, or a raw BENCH_*.json dump." in
+    let doc = "Baseline: a run id or a record file (bench --json writes one)." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"OLD" ~doc)
   in
   let new_arg =
@@ -1404,7 +1404,7 @@ let compare_cmd =
     let resolve s =
       try Reg.Registry.resolve ?dir:runs_dir s with
       | Sys_error msg -> raise (Usage_error msg)
-      | Reg.Cjson.Parse_error msg ->
+      | Json.Parse_error msg ->
         raise (Usage_error (Printf.sprintf "%s: %s" s msg))
     in
     let old_r = resolve old_file and new_r = resolve new_file in
@@ -1454,7 +1454,7 @@ let report_cmd =
               | None -> Option.value (Reg.Registry.dir ()) ~default:"runs")));
     let html = Reg.Html.report records in
     (* The page promises to be self-contained; hold it to that. *)
-    (match Sim_obs.Json.validate_html html with
+    (match Reg.Html.validate_html html with
     | Ok () -> ()
     | Error msg -> failwith (Printf.sprintf "generated report invalid: %s" msg));
     write_file out html;

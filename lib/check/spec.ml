@@ -1,5 +1,5 @@
 open Asman
-module Cjson = Sim_registry.Cjson
+module Json = Sim_obs.Json
 
 type vm = {
   v_name : string;
@@ -65,11 +65,11 @@ let pcpus t = t.sockets * t.cores_per_socket
 (* ----- JSON ----- *)
 
 let workload_to_json (w : Scenario.workload_desc) =
-  let o kind fields = Cjson.Obj (("kind", Cjson.String kind) :: fields) in
-  let i n v = (n, Cjson.Int v) in
+  let o kind fields = Json.Obj (("kind", Json.String kind) :: fields) in
+  let i n v = (n, Json.Int v) in
   match w with
-  | Scenario.W_nas name -> o "nas" [ ("bench", Cjson.String name) ]
-  | Scenario.W_speccpu name -> o "speccpu" [ ("bench", Cjson.String name) ]
+  | Scenario.W_nas name -> o "nas" [ ("bench", Json.String name) ]
+  | Scenario.W_speccpu name -> o "speccpu" [ ("bench", Json.String name) ]
   | Scenario.W_jbb { warehouses } -> o "jbb" [ i "warehouses" warehouses ]
   | Scenario.W_compute { threads; chunks; chunk_us } ->
     o "compute" [ i "threads" threads; i "chunks" chunks; i "chunk_us" chunk_us ]
@@ -80,7 +80,7 @@ let workload_to_json (w : Scenario.workload_desc) =
   | Scenario.W_barrier { threads; rounds; compute_us; cv } ->
     o "barrier"
       [ i "threads" threads; i "rounds" rounds; i "compute_us" compute_us;
-        ("cv", Cjson.Float cv) ]
+        ("cv", Json.Float cv) ]
   | Scenario.W_ping_pong { rounds; compute_us } ->
     o "ping_pong" [ i "rounds" rounds; i "compute_us" compute_us ]
   | Scenario.W_random { threads; ops; nlocks; prog_seed } ->
@@ -90,13 +90,13 @@ let workload_to_json (w : Scenario.workload_desc) =
   | Scenario.W_attack_dodge { threads } -> o "attack_dodge" [ i "threads" threads ]
   | Scenario.W_attack_steal { threads } -> o "attack_steal" [ i "threads" threads ]
   | Scenario.W_attack_launder { threads; phased } ->
-    o "attack_launder" [ i "threads" threads; ("phased", Cjson.Bool phased) ]
+    o "attack_launder" [ i "threads" threads; ("phased", Json.Bool phased) ]
 
 let workload_of_json j : Scenario.workload_desc =
-  let geti n = Cjson.get n j ~of_:Cjson.to_int in
-  match Cjson.get "kind" j ~of_:Cjson.to_string_v with
-  | "nas" -> Scenario.W_nas (Cjson.get "bench" j ~of_:Cjson.to_string_v)
-  | "speccpu" -> Scenario.W_speccpu (Cjson.get "bench" j ~of_:Cjson.to_string_v)
+  let geti n = Json.get n j ~of_:Json.to_int in
+  match Json.get "kind" j ~of_:Json.to_string_v with
+  | "nas" -> Scenario.W_nas (Json.get "bench" j ~of_:Json.to_string_v)
+  | "speccpu" -> Scenario.W_speccpu (Json.get "bench" j ~of_:Json.to_string_v)
   | "jbb" -> Scenario.W_jbb { warehouses = geti "warehouses" }
   | "compute" ->
     Scenario.W_compute
@@ -110,7 +110,7 @@ let workload_of_json j : Scenario.workload_desc =
     Scenario.W_barrier
       { threads = geti "threads"; rounds = geti "rounds";
         compute_us = geti "compute_us";
-        cv = Cjson.get "cv" j ~of_:Cjson.to_float }
+        cv = Json.get "cv" j ~of_:Json.to_float }
   | "ping_pong" ->
     Scenario.W_ping_pong
       { rounds = geti "rounds"; compute_us = geti "compute_us" }
@@ -123,50 +123,50 @@ let workload_of_json j : Scenario.workload_desc =
   | "attack_launder" ->
     Scenario.W_attack_launder
       { threads = geti "threads";
-        phased = Cjson.get "phased" j ~of_:Cjson.to_bool }
-  | k -> raise (Cjson.Parse_error (Printf.sprintf "unknown workload kind %S" k))
+        phased = Json.get "phased" j ~of_:Json.to_bool }
+  | k -> raise (Json.Parse_error (Printf.sprintf "unknown workload kind %S" k))
 
 let vm_to_json v =
-  Cjson.Obj
+  Json.Obj
     [
-      ("name", Cjson.String v.v_name);
-      ("weight", Cjson.Int v.v_weight);
-      ("vcpus", Cjson.Int v.v_vcpus);
+      ("name", Json.String v.v_name);
+      ("weight", Json.Int v.v_weight);
+      ("vcpus", Json.Int v.v_vcpus);
       ( "workload",
         match v.v_workload with
-        | None -> Cjson.Null
+        | None -> Json.Null
         | Some w -> workload_to_json w );
     ]
 
 let vm_of_json j =
   {
-    v_name = Cjson.get "name" j ~of_:Cjson.to_string_v;
-    v_weight = Cjson.get "weight" j ~of_:Cjson.to_int;
-    v_vcpus = Cjson.get "vcpus" j ~of_:Cjson.to_int;
+    v_name = Json.get "name" j ~of_:Json.to_string_v;
+    v_weight = Json.get "weight" j ~of_:Json.to_int;
+    v_vcpus = Json.get "vcpus" j ~of_:Json.to_int;
     v_workload =
-      (match Cjson.member "workload" j with
-      | None | Some Cjson.Null -> None
+      (match Json.member "workload" j with
+      | None | Some Json.Null -> None
       | Some w -> Some (workload_of_json w));
   }
 
 let to_json t =
-  Cjson.Obj
+  Json.Obj
     ([
       (* int64 seeds exceed JSON's exact-integer range: as a string *)
-      ("seed", Cjson.String (Int64.to_string t.seed));
-      ("sched", Cjson.String t.sched);
-      ("scale", Cjson.Float t.scale);
-      ("work_conserving", Cjson.Bool t.work_conserving);
-      ("faults", Cjson.String t.faults);
-      ("queue", Cjson.String t.queue);
-      ("sim_jobs", Cjson.Int t.sim_jobs);
-      ("sockets", Cjson.Int t.sockets);
-      ("cores_per_socket", Cjson.Int t.cores_per_socket);
-      ("horizon_sec", Cjson.Float t.horizon_sec);
-      ("check_fairness", Cjson.Bool t.check_fairness);
-      ("accounting", Cjson.String t.accounting);
-      ("check_entitlement", Cjson.Bool t.check_entitlement);
-      ("vms", Cjson.List (List.map vm_to_json t.vms));
+      ("seed", Json.String (Int64.to_string t.seed));
+      ("sched", Json.String t.sched);
+      ("scale", Json.Float t.scale);
+      ("work_conserving", Json.Bool t.work_conserving);
+      ("faults", Json.String t.faults);
+      ("queue", Json.String t.queue);
+      ("sim_jobs", Json.Int t.sim_jobs);
+      ("sockets", Json.Int t.sockets);
+      ("cores_per_socket", Json.Int t.cores_per_socket);
+      ("horizon_sec", Json.Float t.horizon_sec);
+      ("check_fairness", Json.Bool t.check_fairness);
+      ("accounting", Json.String t.accounting);
+      ("check_entitlement", Json.Bool t.check_entitlement);
+      ("vms", Json.List (List.map vm_to_json t.vms));
     ]
     @
     (* absent for single-host specs: pre-cluster corpus files and
@@ -176,14 +176,14 @@ let to_json t =
     | Some c ->
       [
         ( "cluster",
-          Cjson.Obj
+          Json.Obj
             [
-              ("hosts", Cjson.Int c.cl_hosts);
+              ("hosts", Json.Int c.cl_hosts);
               (* int64, same exact-range concern as the spec seed *)
-              ("trace_seed", Cjson.String (Int64.to_string c.cl_trace_seed));
-              ("policy", Cjson.String c.cl_policy);
-              ("dist", Cjson.String c.cl_dist);
-              ("vms", Cjson.Int c.cl_vms);
+              ("trace_seed", Json.String (Int64.to_string c.cl_trace_seed));
+              ("policy", Json.String c.cl_policy);
+              ("dist", Json.String c.cl_dist);
+              ("vms", Json.Int c.cl_vms);
             ] );
       ])
     @
@@ -192,86 +192,86 @@ let to_json t =
     (match t.provenance with
     | None -> []
     | Some p ->
-      [ ("found_seed", Cjson.String (Int64.to_string p.pv_seed)) ]
+      [ ("found_seed", Json.String (Int64.to_string p.pv_seed)) ]
       @ (match p.pv_record with
         | None -> []
-        | Some id -> [ ("found_record", Cjson.String id) ])))
+        | Some id -> [ ("found_record", Json.String id) ])))
 
 let of_json j =
   {
     seed =
-      (let s = Cjson.get "seed" j ~of_:Cjson.to_string_v in
+      (let s = Json.get "seed" j ~of_:Json.to_string_v in
        match Int64.of_string_opt s with
        | Some v -> v
-       | None -> raise (Cjson.Parse_error (Printf.sprintf "bad seed %S" s)));
-    sched = Cjson.get "sched" j ~of_:Cjson.to_string_v;
-    scale = Cjson.get "scale" j ~of_:Cjson.to_float;
-    work_conserving = Cjson.get "work_conserving" j ~of_:Cjson.to_bool;
-    faults = Cjson.get "faults" j ~of_:Cjson.to_string_v;
-    queue = Cjson.get "queue" j ~of_:Cjson.to_string_v;
+       | None -> raise (Json.Parse_error (Printf.sprintf "bad seed %S" s)));
+    sched = Json.get "sched" j ~of_:Json.to_string_v;
+    scale = Json.get "scale" j ~of_:Json.to_float;
+    work_conserving = Json.get "work_conserving" j ~of_:Json.to_bool;
+    faults = Json.get "faults" j ~of_:Json.to_string_v;
+    queue = Json.get "queue" j ~of_:Json.to_string_v;
     (* absent in pre-sim-jobs corpus files: one host *)
     sim_jobs =
-      (match Cjson.member "sim_jobs" j with
+      (match Json.member "sim_jobs" j with
       | None -> 1
-      | Some v -> Cjson.to_int v);
-    sockets = Cjson.get "sockets" j ~of_:Cjson.to_int;
-    cores_per_socket = Cjson.get "cores_per_socket" j ~of_:Cjson.to_int;
-    horizon_sec = Cjson.get "horizon_sec" j ~of_:Cjson.to_float;
-    check_fairness = Cjson.get "check_fairness" j ~of_:Cjson.to_bool;
+      | Some v -> Json.to_int v);
+    sockets = Json.get "sockets" j ~of_:Json.to_int;
+    cores_per_socket = Json.get "cores_per_socket" j ~of_:Json.to_int;
+    horizon_sec = Json.get "horizon_sec" j ~of_:Json.to_float;
+    check_fairness = Json.get "check_fairness" j ~of_:Json.to_bool;
     (* both absent in pre-accounting corpus files: precise accounting,
        oracle ungated — the committed corpus replays unchanged *)
     accounting =
-      (match Cjson.member "accounting" j with
+      (match Json.member "accounting" j with
       | None -> "precise"
-      | Some v -> Cjson.to_string_v v);
+      | Some v -> Json.to_string_v v);
     check_entitlement =
-      (match Cjson.member "check_entitlement" j with
+      (match Json.member "check_entitlement" j with
       | None -> false
-      | Some v -> Cjson.to_bool v);
-    vms = Cjson.get "vms" j ~of_:(fun v -> List.map vm_of_json (Cjson.to_list v));
+      | Some v -> Json.to_bool v);
+    vms = Json.get "vms" j ~of_:(fun v -> List.map vm_of_json (Json.to_list v));
     (* absent in pre-cluster corpus files: single-host, as before *)
     cluster =
-      (match Cjson.member "cluster" j with
-      | None | Some Cjson.Null -> None
+      (match Json.member "cluster" j with
+      | None | Some Json.Null -> None
       | Some c ->
-        let s = Cjson.get "trace_seed" c ~of_:Cjson.to_string_v in
+        let s = Json.get "trace_seed" c ~of_:Json.to_string_v in
         let cl_trace_seed =
           match Int64.of_string_opt s with
           | Some v -> v
           | None ->
-            raise (Cjson.Parse_error (Printf.sprintf "bad trace_seed %S" s))
+            raise (Json.Parse_error (Printf.sprintf "bad trace_seed %S" s))
         in
         Some
           {
-            cl_hosts = Cjson.get "hosts" c ~of_:Cjson.to_int;
+            cl_hosts = Json.get "hosts" c ~of_:Json.to_int;
             cl_trace_seed;
-            cl_policy = Cjson.get "policy" c ~of_:Cjson.to_string_v;
-            cl_dist = Cjson.get "dist" c ~of_:Cjson.to_string_v;
-            cl_vms = Cjson.get "vms" c ~of_:Cjson.to_int;
+            cl_policy = Json.get "policy" c ~of_:Json.to_string_v;
+            cl_dist = Json.get "dist" c ~of_:Json.to_string_v;
+            cl_vms = Json.get "vms" c ~of_:Json.to_int;
           });
     provenance =
-      (match Cjson.member "found_seed" j with
+      (match Json.member "found_seed" j with
       | None -> None
       | Some v ->
-        let s = Cjson.to_string_v v in
+        let s = Json.to_string_v v in
         let pv_seed =
           match Int64.of_string_opt s with
           | Some sv -> sv
           | None ->
-            raise (Cjson.Parse_error (Printf.sprintf "bad found_seed %S" s))
+            raise (Json.Parse_error (Printf.sprintf "bad found_seed %S" s))
         in
         Some
           {
             pv_seed;
             pv_record =
-              (match Cjson.member "found_record" j with
-              | None | Some Cjson.Null -> None
-              | Some r -> Some (Cjson.to_string_v r));
+              (match Json.member "found_record" j with
+              | None | Some Json.Null -> None
+              | Some r -> Some (Json.to_string_v r));
           });
   }
 
-let to_string t = Cjson.to_string ~indent:true (to_json t)
-let of_string s = of_json (Cjson.of_string s)
+let to_string t = Json.to_string ~indent:true (to_json t)
+let of_string s = of_json (Json.of_string s)
 
 let load file =
   let ic = open_in_bin file in

@@ -79,14 +79,14 @@ type t = {
 
 val pcpus : t -> int
 
-val to_json : t -> Sim_registry.Cjson.t
-val of_json : Sim_registry.Cjson.t -> t
+val to_json : t -> Sim_obs.Json.t
+val of_json : Sim_obs.Json.t -> t
 
 val to_string : t -> string
 (** Indented JSON (corpus files are committed; keep diffs readable). *)
 
 val of_string : string -> t
-(** Raises {!Sim_registry.Cjson.Parse_error} on malformed input. *)
+(** Raises {!Sim_obs.Json.Parse_error} on malformed input. *)
 
 val load : string -> t
 val save : t -> string -> unit

@@ -1065,8 +1065,8 @@ let find id = List.find_opt (fun e -> e.id = id) all
 let ids () = List.map (fun e -> e.id) all
 
 (* Theft-figure cells flattened to "<series label> <attack>" ->
-   attained/entitled ratio — the bench dump's "fairness" section and
-   the run registry's fairness entries come from here. *)
+   attained/entitled ratio — the "fairness" section of bench and
+   experiment run records comes from here. *)
 let fairness_entries (o : outcome) =
   let attack_of_x x =
     match int_of_float x with

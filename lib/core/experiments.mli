@@ -48,7 +48,7 @@ val nas_runtime :
 val fairness_entries : outcome -> (string * float) list
 (** Flatten the theft figure's outcome into
     [("<series label> <attack>", attained/entitled ratio)] cells —
-    the ["fairness"] section of bench dumps and registry records.
+    the ["fairness"] section of bench run records.
     (Meaningful on the [theft] outcome; other outcomes produce
     entries keyed by their own series labels.) *)
 

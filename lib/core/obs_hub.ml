@@ -66,14 +66,10 @@ let metrics_text entries =
   Buffer.contents buf
 
 let metrics_json entries =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf
-        (Printf.sprintf "\n\"%s\": %s" e.label
-           (Sim_obs.Metrics.to_json (Sim_obs.Metrics.snapshot e.metrics))))
-    entries;
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
+  Sim_obs.Json.to_string ~indent:true
+    (Sim_obs.Json.Obj
+       (List.map
+          (fun e ->
+            ( e.label,
+              Sim_obs.Metrics.to_json (Sim_obs.Metrics.snapshot e.metrics) ))
+          entries))

@@ -1,230 +1,304 @@
-(* Minimal JSON syntax validator — enough for tests and the CI trace
-   smoke job to check that exported traces/metrics parse, without
-   pulling in a JSON library. Validates structure only; numbers are
-   accepted liberally (any [-+0-9.eE]+ run that float_of_string
-   accepts). *)
+(* The repo's one JSON module: the value type, a printer, a strict
+   reader and accessors. No external dependency (the repo has none to
+   offer); integers and floats kept distinct so specs round-trip
+   exactly ([%.17g] is lossless for IEEE doubles). *)
 
-type state = { s : string; mutable pos : int }
+type t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | String of string
+  | List of t list
+  | Obj of (string * t) list
 
-exception Bad of int * string
+exception Parse_error of string
 
-let error st msg = raise (Bad (st.pos, msg))
+(* ----- printing ----- *)
 
-let peek st = if st.pos < String.length st.s then Some st.s.[st.pos] else None
+let escape b s =
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s
 
-let advance st = st.pos <- st.pos + 1
+let rec write b ~indent ~level v =
+  let pad n = if indent then Buffer.add_string b (String.make (2 * n) ' ') in
+  let nl () = if indent then Buffer.add_char b '\n' in
+  match v with
+  | Null -> Buffer.add_string b "null"
+  | Bool true -> Buffer.add_string b "true"
+  | Bool false -> Buffer.add_string b "false"
+  | Int i -> Buffer.add_string b (string_of_int i)
+  | Float f ->
+    if Float.is_integer f && Float.abs f < 1e15 then
+      Buffer.add_string b (Printf.sprintf "%.1f" f)
+    else Buffer.add_string b (Printf.sprintf "%.17g" f)
+  | String s ->
+    Buffer.add_char b '"';
+    escape b s;
+    Buffer.add_char b '"'
+  | List [] -> Buffer.add_string b "[]"
+  | List items ->
+    Buffer.add_char b '[';
+    nl ();
+    List.iteri
+      (fun i item ->
+        if i > 0 then begin
+          Buffer.add_char b ',';
+          nl ()
+        end;
+        pad (level + 1);
+        write b ~indent ~level:(level + 1) item)
+      items;
+    nl ();
+    pad level;
+    Buffer.add_char b ']'
+  | Obj [] -> Buffer.add_string b "{}"
+  | Obj fields ->
+    Buffer.add_char b '{';
+    nl ();
+    List.iteri
+      (fun i (k, item) ->
+        if i > 0 then begin
+          Buffer.add_char b ',';
+          nl ()
+        end;
+        pad (level + 1);
+        Buffer.add_char b '"';
+        escape b k;
+        Buffer.add_string b "\": ";
+        write b ~indent ~level:(level + 1) item)
+      fields;
+    nl ();
+    pad level;
+    Buffer.add_char b '}'
 
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance st;
-    skip_ws st
-  | _ -> ()
+let to_string ?(indent = false) v =
+  let b = Buffer.create 256 in
+  write b ~indent ~level:0 v;
+  if indent then Buffer.add_char b '\n';
+  Buffer.contents b
 
-let expect st c =
-  match peek st with
-  | Some c' when c' = c -> advance st
-  | Some c' -> error st (Printf.sprintf "expected %c, got %c" c c')
-  | None -> error st (Printf.sprintf "expected %c, got end of input" c)
+(* ----- parsing ----- *)
 
-let literal st word =
+type cursor = { s : string; mutable pos : int }
+
+let fail c msg =
+  raise (Parse_error (Printf.sprintf "%s at offset %d" msg c.pos))
+
+let peek c = if c.pos < String.length c.s then Some c.s.[c.pos] else None
+
+let skip_ws c =
+  while
+    c.pos < String.length c.s
+    && match c.s.[c.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+  do
+    c.pos <- c.pos + 1
+  done
+
+let expect c ch =
+  match peek c with
+  | Some x when x = ch -> c.pos <- c.pos + 1
+  | _ -> fail c (Printf.sprintf "expected '%c'" ch)
+
+let literal c word v =
   let n = String.length word in
-  if
-    st.pos + n <= String.length st.s
-    && String.sub st.s st.pos n = word
-  then st.pos <- st.pos + n
-  else error st (Printf.sprintf "expected %s" word)
+  if c.pos + n <= String.length c.s && String.sub c.s c.pos n = word then begin
+    c.pos <- c.pos + n;
+    v
+  end
+  else fail c (Printf.sprintf "expected %s" word)
 
-let string_lit st =
-  expect st '"';
+let parse_string c =
+  expect c '"';
+  let b = Buffer.create 16 in
   let rec go () =
-    match peek st with
-    | None -> error st "unterminated string"
-    | Some '"' -> advance st
-    | Some '\\' -> (
-      advance st;
-      match peek st with
-      | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') ->
-        advance st;
-        go ()
-      | Some 'u' ->
-        advance st;
-        for _ = 1 to 4 do
-          match peek st with
-          | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance st
-          | _ -> error st "bad \\u escape"
-        done;
-        go ()
-      | _ -> error st "bad escape")
-    | Some c when Char.code c < 0x20 -> error st "control char in string"
-    | Some _ ->
-      advance st;
+    if c.pos >= String.length c.s then fail c "unterminated string";
+    let ch = c.s.[c.pos] in
+    c.pos <- c.pos + 1;
+    match ch with
+    | '"' -> Buffer.contents b
+    | '\\' ->
+      (if c.pos >= String.length c.s then fail c "unterminated escape";
+       let e = c.s.[c.pos] in
+       c.pos <- c.pos + 1;
+       match e with
+       | '"' -> Buffer.add_char b '"'
+       | '\\' -> Buffer.add_char b '\\'
+       | '/' -> Buffer.add_char b '/'
+       | 'n' -> Buffer.add_char b '\n'
+       | 'r' -> Buffer.add_char b '\r'
+       | 't' -> Buffer.add_char b '\t'
+       | 'b' -> Buffer.add_char b '\b'
+       | 'f' -> Buffer.add_char b '\012'
+       | 'u' ->
+         if c.pos + 4 > String.length c.s then fail c "bad \\u escape";
+         let digit i =
+           match c.s.[c.pos + i] with
+           | '0' .. '9' as h -> Char.code h - Char.code '0'
+           | 'a' .. 'f' as h -> Char.code h - Char.code 'a' + 10
+           | 'A' .. 'F' as h -> Char.code h - Char.code 'A' + 10
+           | _ -> fail c "bad \\u escape"
+         in
+         let code =
+           (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4) lor digit 3
+         in
+         c.pos <- c.pos + 4;
+         (* Encode the BMP code point as UTF-8; surrogates are not paired. *)
+         if code < 0x80 then Buffer.add_char b (Char.chr code)
+         else if code < 0x800 then begin
+           Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
+           Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+         end
+         else begin
+           Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
+           Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+           Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+         end
+       | _ -> fail c "bad escape");
+      go ()
+    | ch when Char.code ch < 0x20 ->
+      c.pos <- c.pos - 1;
+      fail c "control character in string"
+    | ch ->
+      Buffer.add_char b ch;
       go ()
   in
   go ()
 
-let number st =
-  let start = st.pos in
-  let rec go () =
-    match peek st with
-    | Some ('0' .. '9' | '-' | '+' | '.' | 'e' | 'E') ->
-      advance st;
-      go ()
-    | _ -> ()
+let parse_number c =
+  let start = c.pos in
+  let is_num ch =
+    match ch with
+    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+    | _ -> false
   in
-  go ();
-  if st.pos = start then error st "expected a value";
-  let tok = String.sub st.s start (st.pos - start) in
-  if float_of_string_opt tok = None then
-    error st (Printf.sprintf "bad number %S" tok)
+  while c.pos < String.length c.s && is_num c.s.[c.pos] do
+    c.pos <- c.pos + 1
+  done;
+  let tok = String.sub c.s start (c.pos - start) in
+  if tok = "" then fail c "expected number";
+  if String.exists (fun ch -> ch = '.' || ch = 'e' || ch = 'E') tok then
+    match float_of_string_opt tok with
+    | Some f -> Float f
+    | None -> fail c "bad number"
+  else
+    match int_of_string_opt tok with
+    | Some i -> Int i
+    | None -> (
+      match float_of_string_opt tok with
+      | Some f -> Float f
+      | None -> fail c "bad number")
 
-let rec value st =
-  skip_ws st;
-  match peek st with
-  | Some '{' -> obj st
-  | Some '[' -> arr st
-  | Some '"' -> string_lit st
-  | Some 't' -> literal st "true"
-  | Some 'f' -> literal st "false"
-  | Some 'n' -> literal st "null"
-  | Some _ -> number st
-  | None -> error st "expected a value"
+let rec parse_value c =
+  skip_ws c;
+  match peek c with
+  | None -> fail c "unexpected end of input"
+  | Some '"' -> String (parse_string c)
+  | Some 't' -> literal c "true" (Bool true)
+  | Some 'f' -> literal c "false" (Bool false)
+  | Some 'n' -> literal c "null" Null
+  | Some '[' ->
+    c.pos <- c.pos + 1;
+    skip_ws c;
+    if peek c = Some ']' then begin
+      c.pos <- c.pos + 1;
+      List []
+    end
+    else begin
+      let items = ref [] in
+      let rec go () =
+        items := parse_value c :: !items;
+        skip_ws c;
+        match peek c with
+        | Some ',' ->
+          c.pos <- c.pos + 1;
+          go ()
+        | Some ']' -> c.pos <- c.pos + 1
+        | _ -> fail c "expected ',' or ']'"
+      in
+      go ();
+      List (List.rev !items)
+    end
+  | Some '{' ->
+    c.pos <- c.pos + 1;
+    skip_ws c;
+    if peek c = Some '}' then begin
+      c.pos <- c.pos + 1;
+      Obj []
+    end
+    else begin
+      let fields = ref [] in
+      let rec go () =
+        skip_ws c;
+        let k = parse_string c in
+        skip_ws c;
+        expect c ':';
+        let v = parse_value c in
+        fields := (k, v) :: !fields;
+        skip_ws c;
+        match peek c with
+        | Some ',' ->
+          c.pos <- c.pos + 1;
+          go ()
+        | Some '}' -> c.pos <- c.pos + 1
+        | _ -> fail c "expected ',' or '}'"
+      in
+      go ();
+      Obj (List.rev !fields)
+    end
+  | Some _ -> parse_number c
 
-and obj st =
-  expect st '{';
-  skip_ws st;
-  match peek st with
-  | Some '}' -> advance st
-  | _ ->
-    let rec members () =
-      skip_ws st;
-      string_lit st;
-      skip_ws st;
-      expect st ':';
-      value st;
-      skip_ws st;
-      match peek st with
-      | Some ',' ->
-        advance st;
-        members ()
-      | Some '}' -> advance st
-      | _ -> error st "expected , or } in object"
-    in
-    members ()
-
-and arr st =
-  expect st '[';
-  skip_ws st;
-  match peek st with
-  | Some ']' -> advance st
-  | _ ->
-    let rec elements () =
-      value st;
-      skip_ws st;
-      match peek st with
-      | Some ',' ->
-        advance st;
-        elements ()
-      | Some ']' -> advance st
-      | _ -> error st "expected , or ] in array"
-    in
-    elements ()
+let of_string s =
+  let c = { s; pos = 0 } in
+  let v = parse_value c in
+  skip_ws c;
+  if c.pos <> String.length s then fail c "trailing garbage";
+  v
 
 let validate s =
-  let st = { s; pos = 0 } in
-  match
-    value st;
-    skip_ws st;
-    peek st
-  with
-  | None -> Ok ()
-  | Some c -> Error (Printf.sprintf "trailing %c at offset %d" c st.pos)
-  | exception Bad (pos, msg) ->
-    Error (Printf.sprintf "%s at offset %d" msg pos)
+  match of_string s with
+  | _ -> Ok ()
+  | exception Parse_error msg -> Error msg
 
-(* ----- self-contained HTML checks ----- *)
+(* ----- accessors ----- *)
 
-(* The registry's HTML report must be a single self-contained file.
-   This is deliberately not an HTML parser: it tokenizes tags well
-   enough to (a) match open/close tags for non-void elements and
-   (b) reject anything that smells like an external reference. *)
+let member key = function
+  | Obj fields -> List.assoc_opt key fields
+  | _ -> None
 
-let void_tags =
-  [ "meta"; "br"; "hr"; "img"; "input"; "area"; "base"; "col"; "embed";
-    "source"; "track"; "wbr" ]
+let get key v ~of_ =
+  match member key v with
+  | Some x -> of_ x
+  | None -> raise (Parse_error (Printf.sprintf "missing field %S" key))
 
-let lowercase_contains ~needle hay =
-  let hay = String.lowercase_ascii hay in
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
+let to_int = function
+  | Int i -> i
+  | Float f when Float.is_integer f -> int_of_float f
+  | _ -> raise (Parse_error "expected int")
 
-let validate_html s =
-  let n = String.length s in
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  (* External-reference scan over the whole document. *)
-  let banned =
-    [ "http://"; "https://"; "file://"; "<link"; "@import"; " src=" ]
-  in
-  match List.find_opt (fun b -> lowercase_contains ~needle:b s) banned with
-  | Some b -> err "external reference: document contains %S" b
-  | None ->
-    (* Tag balancing. Skips comments; <script>/<style> bodies are
-       consumed verbatim up to their close tag. *)
-    let stack = ref [] in
-    let rec tag_name i acc =
-      if i < n then
-        match s.[i] with
-        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '!' | '-' ->
-          tag_name (i + 1) (acc ^ String.make 1 (Char.lowercase_ascii s.[i]))
-        | _ -> (acc, i)
-      else (acc, i)
-    in
-    let rec find_char i c = if i >= n then n else if s.[i] = c then i else find_char (i + 1) c in
-    let find_sub i sub =
-      let m = String.length sub in
-      let rec go i =
-        if i + m > n then n
-        else if String.lowercase_ascii (String.sub s i m) = sub then i
-        else go (i + 1)
-      in
-      go i
-    in
-    let rec scan i =
-      if i >= n then
-        match !stack with
-        | [] -> Ok ()
-        | t :: _ -> err "unclosed <%s>" t
-      else if s.[i] <> '<' then scan (i + 1)
-      else if i + 3 < n && String.sub s i 4 = "<!--" then
-        let close = find_sub (i + 4) "-->" in
-        if close = n then err "unterminated comment" else scan (close + 3)
-      else if i + 1 < n && s.[i + 1] = '/' then begin
-        let name, j = tag_name (i + 2) "" in
-        match !stack with
-        | top :: rest when top = name ->
-          stack := rest;
-          scan (find_char j '>' + 1)
-        | top :: _ -> err "</%s> closes <%s>" name top
-        | [] -> err "</%s> with nothing open" name
-      end
-      else begin
-        let name, j = tag_name (i + 1) "" in
-        let close = find_char j '>' in
-        if close = n then err "unterminated tag <%s" name
-        else if name = "" || name.[0] = '!' then scan (close + 1)
-        else if s.[close - 1] = '/' || List.mem name void_tags then
-          scan (close + 1)
-        else if name = "script" || name = "style" then begin
-          let endtag = "</" ^ name in
-          let stop = find_sub (close + 1) endtag in
-          if stop = n then err "unterminated <%s>" name
-          else scan (find_char (stop + String.length endtag) '>' + 1)
-        end
-        else begin
-          stack := name :: !stack;
-          scan (close + 1)
-        end
-      end
-    in
-    scan 0
+let to_float = function
+  | Float f -> f
+  | Int i -> float_of_int i
+  | _ -> raise (Parse_error "expected number")
+
+let to_string_v = function
+  | String s -> s
+  | _ -> raise (Parse_error "expected string")
+
+let to_bool = function
+  | Bool b -> b
+  | _ -> raise (Parse_error "expected bool")
+
+let to_list = function
+  | List l -> l
+  | _ -> raise (Parse_error "expected array")

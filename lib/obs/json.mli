@@ -1,14 +1,47 @@
-(** Minimal JSON syntax validator — lets tests and the CI trace smoke
-    job check that exported traces and metrics snapshots parse,
-    without a JSON library dependency. *)
+(** The repo's one JSON module: a value type, a printer and a strict
+    reader, shared by SimCheck case files, run-registry records, the
+    metrics and trace exports, and [asman validate-json].
+
+    Self-contained (the repo carries no JSON dependency). Integers
+    and floats are distinct constructors and floats print losslessly,
+    so a spec survives [of_string (to_string spec)] exactly. *)
+
+type t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | String of string
+  | List of t list
+  | Obj of (string * t) list
+
+exception Parse_error of string
+
+val escape : Buffer.t -> string -> unit
+(** Append [s] with JSON string escapes, without the quotes — for
+    streaming writers that cannot build a {!t} (the Chrome trace
+    export). *)
+
+val to_string : ?indent:bool -> t -> string
+(** [indent] pretty-prints with 2-space indentation (corpus files are
+    committed, so keep their diffs readable). *)
+
+val of_string : string -> t
+(** Raises {!Parse_error} on malformed input: anything outside the
+    JSON grammar, raw control characters inside strings, [\u] escapes
+    that are not four hex digits, trailing garbage. *)
 
 val validate : string -> (unit, string) result
-(** [Ok ()] iff the whole string is one well-formed JSON value
-    (ignoring surrounding whitespace). *)
+(** [Ok ()] iff {!of_string} accepts the whole string. *)
 
-val validate_html : string -> (unit, string) result
-(** Sanity checks for a self-contained HTML export (the registry's
-    trend report): non-void tags must balance, and the document must
-    carry no external references — no [http(s)://] or [file://]
-    URLs, no [<link>], no [src=] attributes, no [@import]. Not a
-    full HTML parser: it validates what the exporters emit. *)
+val member : string -> t -> t option
+
+val get : string -> t -> of_:(t -> 'a) -> 'a
+(** [get key obj ~of_] reads and converts a required field. Raises
+    {!Parse_error} if absent. *)
+
+val to_int : t -> int
+val to_float : t -> float
+val to_string_v : t -> string
+val to_bool : t -> bool
+val to_list : t -> t list

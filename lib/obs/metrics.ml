@@ -153,46 +153,27 @@ let to_text snap =
     snap;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json snap =
-  let sample_json s =
-    let vm_field =
-      match s.key.vm with
-      | None -> ""
-      | Some vm -> Printf.sprintf ",\"vm\":\"%s\"" (json_escape vm)
+  let sample s =
+    let vm =
+      match s.key.vm with None -> [] | Some vm -> [ ("vm", Json.String vm) ]
     in
-    match s.value with
-    | Int v ->
-      Printf.sprintf
-        "    {\"subsystem\":\"%s\",\"name\":\"%s\"%s,\"value\":%d}"
-        (json_escape s.key.subsystem)
-        (json_escape s.key.name) vm_field v
-    | Hist h ->
-      let nonzero =
-        Array.to_list h.buckets
-        |> List.mapi (fun i c -> (i, c))
-        |> List.filter (fun (_, c) -> c > 0)
-        |> List.map (fun (i, c) -> Printf.sprintf "\"%d\":%d" i c)
-        |> String.concat ","
-      in
-      Printf.sprintf
-        "    {\"subsystem\":\"%s\",\"name\":\"%s\"%s,\"count\":%d,\
-         \"sum\":%d,\"max\":%d,\"log2_buckets\":{%s}}"
-        (json_escape s.key.subsystem)
-        (json_escape s.key.name) vm_field h.count h.sum h.max nonzero
+    let value =
+      match s.value with
+      | Int v -> [ ("value", Json.Int v) ]
+      | Hist h ->
+        let nonzero =
+          Array.to_list h.buckets
+          |> List.mapi (fun i c -> (string_of_int i, c))
+          |> List.filter_map (fun (i, c) ->
+                 if c > 0 then Some (i, Json.Int c) else None)
+        in
+        [ ("count", Json.Int h.count); ("sum", Json.Int h.sum);
+          ("max", Json.Int h.max); ("log2_buckets", Json.Obj nonzero) ]
+    in
+    Json.Obj
+      ((("subsystem", Json.String s.key.subsystem)
+       :: ("name", Json.String s.key.name) :: vm)
+      @ value)
   in
-  Printf.sprintf "{\n  \"metrics\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.map sample_json snap))
+  Json.Obj [ ("metrics", Json.List (List.map sample snap)) ]

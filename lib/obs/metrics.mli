@@ -62,4 +62,6 @@ val get : snapshot -> subsystem:string -> ?vm:string -> name:string -> unit -> i
 
 val to_text : snapshot -> string
 
-val to_json : snapshot -> string
+val to_json : snapshot -> Json.t
+(** [{"metrics": [...]}]: one object per sample; histograms carry
+    their nonzero log2 buckets. *)

@@ -54,10 +54,3 @@ let to_text t =
            s.calls))
     (sections t);
   Buffer.contents buf
-
-let to_json_fragment t =
-  sections t
-  |> List.map (fun s ->
-         Printf.sprintf "{\"label\":\"%s\",\"total_sec\":%.6f,\"calls\":%d}"
-           s.label s.total_sec s.calls)
-  |> String.concat ","

@@ -25,7 +25,3 @@ val sections : t -> section list
 val reset : t -> unit
 
 val to_text : t -> string
-
-val to_json_fragment : t -> string
-(** Comma-separated JSON objects (no brackets) for embedding in
-    BENCH_*.json. *)

@@ -164,7 +164,7 @@ let event_name = function
   | Invariant_violation _ -> "invariant_violation"
   | Ple_exit _ -> "ple_exit"
 
-(* (field, value) pairs, stable order, for CSV/JSONL args. *)
+(* (field, value) pairs, stable order, for the Chrome export's args. *)
 let event_fields = function
   | Sched_switch { pcpu; vcpu; domain } ->
     [ ("pcpu", pcpu); ("vcpu", vcpu); ("domain", domain) ]
@@ -194,37 +194,6 @@ let event_fields = function
   | Invariant_violation { domain } -> [ ("domain", domain) ]
   | Ple_exit { vcpu; domain } -> [ ("vcpu", vcpu); ("domain", domain) ]
 
-(* ----- flat exporters ----- *)
-
-let to_csv t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "time,category,event,args\n";
-  Ring.iter t.ring (fun { at; ev } ->
-      let args =
-        event_fields ev
-        |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-        |> String.concat ";"
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%s,%s,%s\n" at
-           (cat_name (category_of ev))
-           (event_name ev) args));
-  Buffer.contents buf
-
-let to_jsonl t =
-  let buf = Buffer.create 4096 in
-  Ring.iter t.ring (fun { at; ev } ->
-      Buffer.add_string buf (Printf.sprintf "{\"t\":%d" at);
-      Buffer.add_string buf
-        (Printf.sprintf ",\"cat\":\"%s\",\"ev\":\"%s\""
-           (cat_name (category_of ev))
-           (event_name ev));
-      List.iter
-        (fun (k, v) -> Buffer.add_string buf (Printf.sprintf ",\"%s\":%d" k v))
-        (event_fields ev);
-      Buffer.add_string buf "}\n");
-  Buffer.contents buf
-
 (* ----- Chrome trace_event JSON -----
 
    One pid per scenario; tid = pcpu index for PCPU tracks and
@@ -238,26 +207,26 @@ let vm_tid_base = 100
 
 let us_of ~freq_hz cycles = float_of_int cycles /. float_of_int freq_hz *. 1e6
 
+(* Names (VM names, scenario labels) go through Json.escape; the
+   export streams into one buffer rather than building a Json.t, as a
+   scenario's trace holds up to 10^6 events. *)
 let buf_add_meta buf ~pid ~tid name =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\
-        \"args\":{\"name\":\"%s\"}}"
-       pid tid name)
+  Printf.bprintf buf
+    "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\
+     \"args\":{\"name\":\"%a\"}}"
+    pid tid Json.escape name
 
 let buf_add_complete buf ~pid ~tid ~name ~ts ~dur ~args =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\
-        \"dur\":%.3f%s}"
-       name pid tid ts dur args)
+  Printf.bprintf buf
+    "{\"name\":\"%a\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\
+     \"dur\":%.3f%s}"
+    Json.escape name pid tid ts dur args
 
 let buf_add_instant buf ~pid ~tid ~name ~ts ~args =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,\"tid\":%d,\
-        \"ts\":%.3f%s}"
-       name pid tid ts args)
+  Printf.bprintf buf
+    "{\"name\":\"%a\",\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,\"tid\":%d,\
+     \"ts\":%.3f%s}"
+    Json.escape name pid tid ts args
 
 let args_json fields =
   match fields with
@@ -278,11 +247,10 @@ let chrome_events_into buf ?(pid = 1) ?(process_name = "asman")
     if !first then first := false else Buffer.add_string buf ",\n"
   in
   sep ();
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\
-        \"%s\"}}"
-       pid process_name);
+  Printf.bprintf buf
+    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\
+     \"%a\"}}"
+    pid Json.escape process_name;
   for p = 0 to pcpus - 1 do
     sep ();
     buf_add_meta buf ~pid ~tid:p (Printf.sprintf "pcpu %d" p)
@@ -356,9 +324,3 @@ let chrome_events_into buf ?(pid = 1) ?(process_name = "asman")
   for p = 0 to pcpus - 1 do
     close_slice p ~until:!last_t
   done
-
-let to_chrome_json ?pid ?process_name ?vm_names ~freq_hz ~pcpus t =
-  let buf = Buffer.create 65536 in
-  chrome_events_into buf ?pid ?process_name ?vm_names ~freq_hz ~pcpus t;
-  let body = Buffer.contents buf in
-  Printf.sprintf "{\"traceEvents\":[\n%s\n],\"displayTimeUnit\":\"ms\"}\n" body

@@ -113,13 +113,6 @@ val clear : t -> unit
 
 (** {1 Exporters} *)
 
-val to_csv : t -> string
-(** [time,category,event,args] rows; args are [k=v] pairs joined
-    with [;]. *)
-
-val to_jsonl : t -> string
-(** One JSON object per line: [{"t":..,"cat":..,"ev":..,<fields>}]. *)
-
 val chrome_events_into :
   Buffer.t ->
   ?pid:int ->
@@ -134,14 +127,3 @@ val chrome_events_into :
     array, each under its own [pid]. Tracks: tid 0..pcpus-1 are PCPU
     gantt rows ("X" slices reconstructed from Sched_* events); tid
     100+domain are per-VM instant tracks. [ts] is microseconds. *)
-
-val to_chrome_json :
-  ?pid:int ->
-  ?process_name:string ->
-  ?vm_names:(int * string) list ->
-  freq_hz:int ->
-  pcpus:int ->
-  t ->
-  string
-(** Complete [{"traceEvents":[...]}] document for
-    [chrome://tracing] / Perfetto. *)

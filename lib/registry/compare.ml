@@ -4,6 +4,8 @@
    their meaning; the check section and strict-sections gating are
    the registry's additions. *)
 
+module Json = Sim_obs.Json
+
 type thresholds = {
   threshold : float;
   min_wall : float;
@@ -20,15 +22,15 @@ type result = { regressions : int; text : string }
 (* ----- section extraction ----- *)
 
 let entry_num key v =
-  match Cjson.member key v with
-  | Some (Cjson.Float f) -> Some f
-  | Some (Cjson.Int i) -> Some (float_of_int i)
+  match Json.member key v with
+  | Some (Json.Float f) -> Some f
+  | Some (Json.Int i) -> Some (float_of_int i)
   | Some _ | None -> None
 
 let entry_str key v =
-  match Cjson.member key v with Some (Cjson.String s) -> Some s | _ -> None
+  match Json.member key v with Some (Json.String s) -> Some s | _ -> None
 
-let items = function Some (Cjson.List l) -> l | Some _ | None -> []
+let items = function Some (Json.List l) -> l | Some _ | None -> []
 
 (* (id, wall_sec) per figure/ablation run. *)
 let runs_of r =
@@ -174,7 +176,7 @@ let describe (r : Record.t) =
 (* The axes two records must share for their numbers to be comparable.
    The queue backend is left out on purpose: wheel against heap is the
    differential the CI perf smoke runs across it. An empty value is a
-   dump that predates the stamp (topology) and matches anything. *)
+   record that predates the stamp (topology) and matches anything. *)
 let axes (r : Record.t) =
   [
     ("seed", Int64.to_string r.Record.seed);

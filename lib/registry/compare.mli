@@ -48,9 +48,8 @@ val axis_mismatches : Record.t -> Record.t -> string list
     wheel against heap is a deliberate differential. *)
 
 val records : thresholds -> Record.t -> Record.t -> result
-(** Compare old vs new. Works on any two records, including raw
-    [BENCH_*.json] dumps ingested via {!Registry.ingest_bench}; it does
-    not check {!axis_mismatches}. *)
+(** Compare old vs new. Works on any two records (a bench [--json]
+    file is one); it does not check {!axis_mismatches}. *)
 
 (** {2 Section extractors (shared with the HTML report and tests)} *)
 

@@ -298,3 +298,90 @@ let report records =
   Buffer.add_string buf script;
   Buffer.add_string buf "</script>\n</body>\n</html>\n";
   Buffer.contents buf
+
+(* ----- self-contained HTML checks ----- *)
+
+(* The registry's HTML report must be a single self-contained file.
+   This is deliberately not an HTML parser: it tokenizes tags well
+   enough to (a) match open/close tags for non-void elements and
+   (b) reject anything that smells like an external reference. *)
+
+let void_tags =
+  [ "meta"; "br"; "hr"; "img"; "input"; "area"; "base"; "col"; "embed";
+    "source"; "track"; "wbr" ]
+
+let lowercase_contains ~needle hay =
+  let hay = String.lowercase_ascii hay in
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let validate_html s =
+  let n = String.length s in
+  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  (* External-reference scan over the whole document. *)
+  let banned =
+    [ "http://"; "https://"; "file://"; "<link"; "@import"; " src=" ]
+  in
+  match List.find_opt (fun b -> lowercase_contains ~needle:b s) banned with
+  | Some b -> err "external reference: document contains %S" b
+  | None ->
+    (* Tag balancing. Skips comments; <script>/<style> bodies are
+       consumed verbatim up to their close tag. *)
+    let stack = ref [] in
+    let rec tag_name i acc =
+      if i < n then
+        match s.[i] with
+        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '!' | '-' ->
+          tag_name (i + 1) (acc ^ String.make 1 (Char.lowercase_ascii s.[i]))
+        | _ -> (acc, i)
+      else (acc, i)
+    in
+    let rec find_char i c = if i >= n then n else if s.[i] = c then i else find_char (i + 1) c in
+    let find_sub i sub =
+      let m = String.length sub in
+      let rec go i =
+        if i + m > n then n
+        else if String.lowercase_ascii (String.sub s i m) = sub then i
+        else go (i + 1)
+      in
+      go i
+    in
+    let rec scan i =
+      if i >= n then
+        match !stack with
+        | [] -> Ok ()
+        | t :: _ -> err "unclosed <%s>" t
+      else if s.[i] <> '<' then scan (i + 1)
+      else if i + 3 < n && String.sub s i 4 = "<!--" then
+        let close = find_sub (i + 4) "-->" in
+        if close = n then err "unterminated comment" else scan (close + 3)
+      else if i + 1 < n && s.[i + 1] = '/' then begin
+        let name, j = tag_name (i + 2) "" in
+        match !stack with
+        | top :: rest when top = name ->
+          stack := rest;
+          scan (find_char j '>' + 1)
+        | top :: _ -> err "</%s> closes <%s>" name top
+        | [] -> err "</%s> with nothing open" name
+      end
+      else begin
+        let name, j = tag_name (i + 1) "" in
+        let close = find_char j '>' in
+        if close = n then err "unterminated tag <%s" name
+        else if name = "" || name.[0] = '!' then scan (close + 1)
+        else if s.[close - 1] = '/' || List.mem name void_tags then
+          scan (close + 1)
+        else if name = "script" || name = "style" then begin
+          let endtag = "</" ^ name in
+          let stop = find_sub (close + 1) endtag in
+          if stop = n then err "unterminated <%s>" name
+          else scan (find_char (stop + String.length endtag) '>' + 1)
+        end
+        else begin
+          stack := name :: !stack;
+          scan (close + 1)
+        end
+      end
+    in
+    scan 0

@@ -14,3 +14,10 @@
 val report : Record.t list -> string
 (** Deterministic: the same records (in any order — they are sorted
     by date then id) produce byte-identical HTML. *)
+
+val validate_html : string -> (unit, string) result
+(** Sanity checks for a self-contained HTML export: non-void tags
+    must balance, and the document must carry no external references
+    — no [http(s)://] or [file://] URLs, no [<link>], no [src=]
+    attributes, no [@import]. Not a full HTML parser: it validates
+    what {!report} emits. *)

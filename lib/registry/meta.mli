@@ -15,4 +15,4 @@ val timestamp : unit -> string
 (** Local time as ["YYYY-MM-DDTHH:MM:SS"]. *)
 
 val date : unit -> string
-(** Local date as ["YYYY-MM-DD"] (the historical BENCH stamp). *)
+(** Local date as ["YYYY-MM-DD"] (the default [bench --json] file stamp). *)

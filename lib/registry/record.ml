@@ -3,6 +3,8 @@
    otherwise, so any int64 round-trips exactly; absent git info is
    "git_sha": null, distinct from a present-but-dirty sha. *)
 
+module Json = Sim_obs.Json
+
 type t = {
   id : string;
   kind : string;
@@ -22,32 +24,32 @@ type t = {
   spec_digest : string;
   wall_sec : float;
   busy_sec : float;
-  sections : Cjson.t;
+  sections : Json.t;
   metrics : (string * float) list;
   exports : string list;
 }
 
 (* ----- canonical digest ----- *)
 
-let rec canonicalize (v : Cjson.t) : Cjson.t =
+let rec canonicalize (v : Json.t) : Json.t =
   match v with
-  | Cjson.Obj fields ->
-    Cjson.Obj
+  | Json.Obj fields ->
+    Json.Obj
       (List.sort
          (fun (a, _) (b, _) -> compare a b)
          (List.map (fun (k, x) -> (k, canonicalize x)) fields))
-  | Cjson.List items -> Cjson.List (List.map canonicalize items)
+  | Json.List items -> Json.List (List.map canonicalize items)
   | v -> v
 
 let canonical_digest v =
-  Digest.to_hex (Digest.string (Cjson.to_string (canonicalize v)))
+  Digest.to_hex (Digest.string (Json.to_string (canonicalize v)))
 
 (* ----- construction ----- *)
 
 let make ~id ~kind ?date ?git ~seed ~scale ~queue ~workers ?(sim_jobs = 1)
     ?(topology = "") ?(numa = false) ?(accounting = "precise")
     ?(chaos = "none") ~label ~spec ~wall_sec ?(busy_sec = 0.)
-    ?(sections = Cjson.Obj []) ?(metrics = []) ?(exports = []) () =
+    ?(sections = Json.Obj []) ?(metrics = []) ?(exports = []) () =
   let date = match date with Some d -> d | None -> Meta.timestamp () in
   let git = match git with Some g -> g | None -> Meta.git_info () in
   let git_sha, git_dirty =
@@ -63,86 +65,85 @@ let make ~id ~kind ?date ?git ~seed ~scale ~queue ~workers ?(sim_jobs = 1)
 (* ----- JSON ----- *)
 
 let seed_json s =
-  if Int64.of_int (Int64.to_int s) = s then Cjson.Int (Int64.to_int s)
-  else Cjson.String (Int64.to_string s)
+  if Int64.of_int (Int64.to_int s) = s then Json.Int (Int64.to_int s)
+  else Json.String (Int64.to_string s)
 
 let seed_of_json = function
-  | Cjson.Int i -> Int64.of_int i
-  | Cjson.String s -> (
+  | Json.Int i -> Int64.of_int i
+  | Json.String s -> (
     match Int64.of_string_opt s with
     | Some v -> v
-    | None -> raise (Cjson.Parse_error "bad seed"))
-  | Cjson.Float f when Float.is_integer f -> Int64.of_float f
-  | _ -> raise (Cjson.Parse_error "bad seed")
+    | None -> raise (Json.Parse_error "bad seed"))
+  | Json.Float f when Float.is_integer f -> Int64.of_float f
+  | _ -> raise (Json.Parse_error "bad seed")
 
 let to_json r =
-  Cjson.Obj
+  Json.Obj
     [
-      ("record", Cjson.Int 1);
-      ("id", Cjson.String r.id);
-      ("kind", Cjson.String r.kind);
-      ("date", Cjson.String r.date);
+      ("record", Json.Int 1);
+      ("id", Json.String r.id);
+      ("kind", Json.String r.kind);
+      ("date", Json.String r.date);
       ( "git_sha",
-        match r.git_sha with Some s -> Cjson.String s | None -> Cjson.Null );
-      ("git_dirty", Cjson.Bool r.git_dirty);
+        match r.git_sha with Some s -> Json.String s | None -> Json.Null );
+      ("git_dirty", Json.Bool r.git_dirty);
       ("seed", seed_json r.seed);
-      ("scale", Cjson.Float r.scale);
-      ("queue", Cjson.String r.queue);
-      ("workers", Cjson.Int r.workers);
-      ("sim_jobs", Cjson.Int r.sim_jobs);
-      ("topology", Cjson.String r.topology);
-      ("numa", Cjson.Bool r.numa);
-      ("accounting", Cjson.String r.accounting);
-      ("chaos", Cjson.String r.chaos);
-      ("label", Cjson.String r.label);
-      ("spec_digest", Cjson.String r.spec_digest);
-      ("wall_sec", Cjson.Float r.wall_sec);
-      ("busy_sec", Cjson.Float r.busy_sec);
+      ("scale", Json.Float r.scale);
+      ("queue", Json.String r.queue);
+      ("workers", Json.Int r.workers);
+      ("sim_jobs", Json.Int r.sim_jobs);
+      ("topology", Json.String r.topology);
+      ("numa", Json.Bool r.numa);
+      ("accounting", Json.String r.accounting);
+      ("chaos", Json.String r.chaos);
+      ("label", Json.String r.label);
+      ("spec_digest", Json.String r.spec_digest);
+      ("wall_sec", Json.Float r.wall_sec);
+      ("busy_sec", Json.Float r.busy_sec);
       ("sections", r.sections);
       ( "metrics",
-        Cjson.Obj (List.map (fun (k, v) -> (k, Cjson.Float v)) r.metrics) );
-      ("exports", Cjson.List (List.map (fun p -> Cjson.String p) r.exports));
+        Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) r.metrics) );
+      ("exports", Json.List (List.map (fun p -> Json.String p) r.exports));
     ]
 
-let is_record v =
-  match Cjson.member "record" v with Some (Cjson.Int _) -> true | _ -> false
-
 let opt_string key v ~default =
-  match Cjson.member key v with
-  | Some (Cjson.String s) -> s
+  match Json.member key v with
+  | Some (Json.String s) -> s
   | Some _ | None -> default
 
 let opt_float key v ~default =
-  match Cjson.member key v with
-  | Some (Cjson.Float f) -> f
-  | Some (Cjson.Int i) -> float_of_int i
+  match Json.member key v with
+  | Some (Json.Float f) -> f
+  | Some (Json.Int i) -> float_of_int i
   | Some _ | None -> default
 
 let opt_int key v ~default =
-  match Cjson.member key v with
-  | Some (Cjson.Int i) -> i
+  match Json.member key v with
+  | Some (Json.Int i) -> i
   | Some _ | None -> default
 
 let opt_bool key v ~default =
-  match Cjson.member key v with
-  | Some (Cjson.Bool b) -> b
+  match Json.member key v with
+  | Some (Json.Bool b) -> b
   | Some _ | None -> default
 
 let of_json v =
-  if not (is_record v) then
-    raise (Cjson.Parse_error "not a registry record (no \"record\" field)");
-  let req key = Cjson.get key v ~of_:Cjson.to_string_v in
+  (match Json.member "record" v with
+  | Some (Json.Int _) -> ()
+  | Some _ | None ->
+    raise (Json.Parse_error "not a registry record (no \"record\" field)"));
+  let req key = Json.get key v ~of_:Json.to_string_v in
   {
     id = req "id";
     kind = req "kind";
     date = req "date";
     git_sha =
-      (match Cjson.member "git_sha" v with
-      | Some (Cjson.String s) -> Some s
-      | Some Cjson.Null | None -> None
-      | Some _ -> raise (Cjson.Parse_error "bad git_sha"));
+      (match Json.member "git_sha" v with
+      | Some (Json.String s) -> Some s
+      | Some Json.Null | None -> None
+      | Some _ -> raise (Json.Parse_error "bad git_sha"));
     git_dirty = opt_bool "git_dirty" v ~default:false;
-    seed = Cjson.get "seed" v ~of_:seed_of_json;
+    seed = Json.get "seed" v ~of_:seed_of_json;
     scale = opt_float "scale" v ~default:1.;
     queue = opt_string "queue" v ~default:"wheel";
     workers = opt_int "workers" v ~default:1;
@@ -156,18 +157,18 @@ let of_json v =
     wall_sec = opt_float "wall_sec" v ~default:0.;
     busy_sec = opt_float "busy_sec" v ~default:0.;
     sections =
-      (match Cjson.member "sections" v with
-      | Some (Cjson.Obj _ as s) -> s
-      | Some _ | None -> Cjson.Obj []);
+      (match Json.member "sections" v with
+      | Some (Json.Obj _ as s) -> s
+      | Some _ | None -> Json.Obj []);
     metrics =
-      (match Cjson.member "metrics" v with
-      | Some (Cjson.Obj fields) ->
-        List.map (fun (k, x) -> (k, Cjson.to_float x)) fields
+      (match Json.member "metrics" v with
+      | Some (Json.Obj fields) ->
+        List.map (fun (k, x) -> (k, Json.to_float x)) fields
       | Some _ | None -> []);
     exports =
-      (match Cjson.member "exports" v with
-      | Some (Cjson.List items) -> List.map Cjson.to_string_v items
+      (match Json.member "exports" v with
+      | Some (Json.List items) -> List.map Json.to_string_v items
       | Some _ | None -> []);
   }
 
-let section r name = Cjson.member name r.sections
+let section r name = Json.member name r.sections

@@ -4,11 +4,12 @@
     A record carries (a) the invocation's identity — git sha + dirty
     flag, seed, scale, queue backend, workers, [--sim-jobs],
     topology, accounting mode, chaos profile, and a canonical digest
-    of the invocation spec; (b) wall/busy timings; (c) bench-style
-    metric {e sections} ([runs]/[micro]/[fairness]/[check] — the same
-    shapes as a [BENCH_*.json] dump, so old files ingest losslessly);
-    (d) a flat key-metric snapshot; and (e) pointers to any Obs
-    exports written alongside the run.
+    of the invocation spec; (b) wall/busy timings; (c) metric
+    {e sections} — [runs]/[micro]/[fairness]/[profile] from the bench
+    harness (which writes this same record for [--json]), [check]
+    from SimCheck, [cluster] from cluster runs; (d) a flat key-metric
+    snapshot; and (e) pointers to any Obs exports written alongside
+    the run.
 
     Records survive [of_json (to_json r)] exactly, and
     {!canonical_digest} is invariant under object-field reordering
@@ -33,7 +34,7 @@ type t = {
   spec_digest : string;  (** {!canonical_digest} of the invocation spec *)
   wall_sec : float;
   busy_sec : float;
-  sections : Cjson.t;  (** [Obj] of bench-style metric sections *)
+  sections : Sim_obs.Json.t;  (** [Obj] of metric sections *)
   metrics : (string * float) list;  (** flat key-metric snapshot *)
   exports : string list;  (** paths of Obs trace/metrics exports *)
 }
@@ -53,10 +54,10 @@ val make :
   ?accounting:string ->
   ?chaos:string ->
   label:string ->
-  spec:Cjson.t ->
+  spec:Sim_obs.Json.t ->
   wall_sec:float ->
   ?busy_sec:float ->
-  ?sections:Cjson.t ->
+  ?sections:Sim_obs.Json.t ->
   ?metrics:(string * float) list ->
   ?exports:string list ->
   unit ->
@@ -64,17 +65,15 @@ val make :
 (** [date] defaults to {!Meta.timestamp}, [git] to {!Meta.git_info};
     [spec_digest] is computed from [spec]. *)
 
-val to_json : t -> Cjson.t
-val of_json : Cjson.t -> t
-(** Raises {!Cjson.Parse_error} on a malformed record. *)
+val to_json : t -> Sim_obs.Json.t
+val of_json : Sim_obs.Json.t -> t
+(** Raises {!Sim_obs.Json.Parse_error} on a malformed record or on
+    any value without the ["record"] marker field. *)
 
-val canonical_digest : Cjson.t -> string
+val canonical_digest : Sim_obs.Json.t -> string
 (** Hex MD5 of the value's canonical form: object fields sorted
     recursively, compact printing — stable across field reordering
     and whitespace. *)
 
-val section : t -> string -> Cjson.t option
-(** [section r "runs"] — one bench-style section, when present. *)
-
-val is_record : Cjson.t -> bool
-(** Distinguishes a registry record from a raw [BENCH_*.json] dump. *)
+val section : t -> string -> Sim_obs.Json.t option
+(** [section r "runs"] — one metric section, when present. *)

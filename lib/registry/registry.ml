@@ -1,6 +1,8 @@
 (* runs/ directory management. Records are pretty-printed JSON (they
    are occasionally committed or diffed by hand) named by their id. *)
 
+module Json = Sim_obs.Json
+
 let dir () =
   match Sys.getenv_opt "ASMAN_RUNS" with
   | Some "" -> None
@@ -30,6 +32,10 @@ let rec mkdir_p path =
 
 let ensure_dir = mkdir_p
 
+let write path r =
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Json.to_string ~indent:true (Record.to_json r)))
+
 let save ?dir:d (r : Record.t) =
   let d =
     match d with
@@ -41,11 +47,7 @@ let save ?dir:d (r : Record.t) =
   in
   mkdir_p d;
   let path = Filename.concat d (r.Record.id ^ ".json") in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Cjson.to_string ~indent:true (Record.to_json r)));
+  write path r;
   path
 
 let save_if_enabled r =
@@ -54,7 +56,7 @@ let save_if_enabled r =
 let read_file path =
   In_channel.with_open_bin path In_channel.input_all
 
-let load path = Record.of_json (Cjson.of_string (read_file path))
+let load path = Record.of_json (Json.of_string (read_file path))
 
 let list ?dir:d () =
   let d = match d with Some d -> d | None -> Option.value (dir ()) ~default:"runs" in
@@ -65,80 +67,21 @@ let list ?dir:d () =
     |> List.filter_map (fun f ->
            match load (Filename.concat d f) with
            | r -> Some r
-           | exception (Cjson.Parse_error _ | Sys_error _) -> None)
+           | exception (Json.Parse_error _ | Sys_error _) -> None)
   in
   List.sort
     (fun (a : Record.t) (b : Record.t) ->
       compare (a.Record.date, a.Record.id) (b.Record.date, b.Record.id))
     records
 
-(* ----- raw BENCH_*.json back-compat ----- *)
-
-let ingest_bench ?(id = "bench-ingest") v =
-  let str key default =
-    match Cjson.member key v with
-    | Some (Cjson.String s) -> s
-    | Some _ | None -> default
-  in
-  let num key default =
-    match Cjson.member key v with
-    | Some (Cjson.Float f) -> f
-    | Some (Cjson.Int i) -> float_of_int i
-    | Some _ | None -> default
-  in
-  let int key default = int_of_float (num key (float_of_int default)) in
-  let bool key default =
-    match Cjson.member key v with
-    | Some (Cjson.Bool b) -> b
-    | Some _ | None -> default
-  in
-  let sections =
-    Cjson.Obj
-      (List.filter_map
-         (fun name ->
-           match Cjson.member name v with
-           | Some s -> Some (name, s)
-           | None -> None)
-         [ "runs"; "micro"; "fairness"; "check" ])
-  in
-  let seed =
-    match Cjson.member "seed" v with
-    | Some (Cjson.Int i) -> Int64.of_int i
-    | Some (Cjson.Float f) -> Int64.of_float f
-    | Some (Cjson.String s) -> Option.value (Int64.of_string_opt s) ~default:0L
-    | Some _ | None -> 0L
-  in
-  Record.make ~id ~kind:"bench"
-    ~date:(str "date" "")
-    ~git:
-      (match Cjson.member "git_sha" v with
-      | Some (Cjson.String sha) -> Some (sha, bool "git_dirty" false)
-      | Some _ | None -> None)
-    ~seed ~scale:(num "scale" 1.)
-    ~queue:(str "queue" "wheel")
-    ~workers:(int "workers" 1) ~sim_jobs:(int "sim_jobs" 1)
-    ~topology:(str "topology" "") ~numa:(bool "numa" false)
-    ~accounting:(str "accounting" "precise")
-    ~label:("ingested " ^ id) ~spec:v
-    ~wall_sec:(num "total_wall_sec" 0.)
-    ~sections ()
-
 let resolve ?dir:d s =
-  let parse path =
-    let v = Cjson.of_string (read_file path) in
-    if Record.is_record v then Record.of_json v
-    else
-      ingest_bench
-        ~id:(Filename.remove_extension (Filename.basename path))
-        v
-  in
-  if Sys.file_exists s && not (Sys.is_directory s) then parse s
+  if Sys.file_exists s && not (Sys.is_directory s) then load s
   else begin
     let d =
       match d with Some d -> d | None -> Option.value (dir ()) ~default:"runs"
     in
     let candidate = Filename.concat d (s ^ ".json") in
-    if Sys.file_exists candidate then parse candidate
+    if Sys.file_exists candidate then load candidate
     else
       raise
         (Sys_error

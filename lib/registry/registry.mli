@@ -18,6 +18,9 @@ val fresh_id : kind:string -> string
 (** A unique record id: timestamp + kind + pid (+ a per-process
     counter when one process records twice in a second). *)
 
+val write : string -> Record.t -> unit
+(** Write the record, pretty-printed, to the given path. *)
+
 val save : ?dir:string -> Record.t -> string
 (** Write the record as [<dir>/<id>.json] (creating the directory)
     and return the path. [dir] defaults to {!dir} and raises
@@ -27,20 +30,14 @@ val save_if_enabled : Record.t -> string option
 (** {!save} into {!dir}, or [None] when disabled. *)
 
 val load : string -> Record.t
-(** Parse one record file. Raises {!Cjson.Parse_error} / [Sys_error]. *)
+(** Parse one record file. Raises {!Sim_obs.Json.Parse_error} / [Sys_error]. *)
 
 val list : ?dir:string -> unit -> Record.t list
 (** Every parseable record in the directory, sorted by (date, id).
     Non-record files (e.g. [cost_cache]) are skipped. An absent
     directory is an empty registry. *)
 
-val ingest_bench : ?id:string -> Cjson.t -> Record.t
-(** Convert a raw [BENCH_*.json] dump (bench/main.ml [--json]) into a
-    record, losslessly: its [runs]/[micro]/[fairness] sections are
-    kept verbatim, and the sha/accounting/sim-jobs/topology stamps
-    are read when the dump carries them (older dumps default). *)
-
 val resolve : ?dir:string -> string -> Record.t
-(** Accept a run id (looked up in the registry directory), a path to
-    a record file, or a path to a raw [BENCH_*.json] dump (ingested
-    for back-compat). Raises [Sys_error] when nothing matches. *)
+(** Accept a run id (looked up in the registry directory) or a path
+    to a record file. Raises [Sys_error] when nothing matches and
+    {!Sim_obs.Json.Parse_error} when the file is not a record. *)

@@ -517,7 +517,7 @@ let test_cluster_spec_json () =
      pre-cluster corpus file) parses to a single-host spec *)
   let single = Spec.to_string mutation_spec in
   Alcotest.(check bool) "no cluster key emitted for single-host specs" true
-    (Sim_registry.Cjson.member "cluster" (Sim_registry.Cjson.of_string single)
+    (Sim_obs.Json.member "cluster" (Sim_obs.Json.of_string single)
     = None);
   Alcotest.(check bool) "absent cluster key parses to None" true
     ((Spec.of_string single).Spec.cluster = None)

@@ -1,11 +1,12 @@
-(* Observability layer: ring semantics, trace masks, exporters,
-   metrics snapshot determinism across Pool worker counts, and the
-   LHP classifier on a hand-built scenario. *)
+(* Observability layer: ring semantics, trace masks, exporters, the
+   JSON reader's strictness, metrics snapshot determinism across Pool
+   worker counts, and the LHP classifier on a hand-built scenario. *)
 
 open Asman
 module Ring = Sim_obs.Ring
 module Trace = Sim_obs.Trace
 module Metrics = Sim_obs.Metrics
+module Json = Sim_obs.Json
 
 (* ----- ring buffer ----- *)
 
@@ -79,34 +80,46 @@ let sample_trace () =
   tr
 
 let test_chrome_json_well_formed () =
-  let tr = sample_trace () in
+  (* A label with a quote and a newline: names must be escaped. *)
   let doc =
-    Trace.to_chrome_json ~vm_names:[ (1, "V1") ] ~freq_hz:2_330_000_000
-      ~pcpus:2 tr
+    Obs_hub.chrome_json
+      [
+        {
+          Obs_hub.label = "asman \"V1\"\nseed 42";
+          freq_khz = 2_330_000;
+          pcpus = 2;
+          vm_names = [ (1, "V1") ];
+          trace = sample_trace ();
+          metrics = Metrics.create ();
+        };
+      ]
   in
-  (match Sim_obs.Json.validate doc with
+  (match Json.validate doc with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("chrome export: " ^ e));
-  let contains ~needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "has traceEvents" true
-    (contains ~needle:"traceEvents" doc)
+  match Json.member "traceEvents" (Json.of_string doc) with
+  | Some (Json.List (_ :: _)) -> ()
+  | _ -> Alcotest.fail "no traceEvents"
 
-let test_jsonl_and_csv () =
-  let tr = sample_trace () in
-  let csv = Trace.to_csv tr in
-  Alcotest.(check int) "csv rows = events + header" (Trace.length tr + 1)
-    (List.length
-       (List.filter (fun l -> l <> "") (String.split_on_char '\n' csv)));
-  String.split_on_char '\n' (Trace.to_jsonl tr)
-  |> List.filter (fun l -> l <> "")
-  |> List.iter (fun line ->
-         match Sim_obs.Json.validate line with
-         | Ok () -> ()
-         | Error e -> Alcotest.fail (Printf.sprintf "jsonl %S: %s" line e))
+(* ----- the JSON reader ----- *)
+
+let test_json_reader_strict () =
+  List.iter
+    (fun (what, doc) ->
+      (match Json.of_string doc with
+      | _ -> Alcotest.failf "of_string accepted %s: %S" what doc
+      | exception Json.Parse_error _ -> ());
+      Alcotest.(check bool) ("validate refuses " ^ what) true
+        (Result.is_error (Json.validate doc)))
+    [
+      ("a raw newline in a string", "\"a\nb\"");
+      ("a \\u escape with a non-hex digit", {|"\u00_1"|});
+      ("a trailing comma", "[1,]");
+      ("a missing colon", {|{"a" 1}|});
+      ("trailing garbage", "{} x");
+    ];
+  Alcotest.(check string) "\\u escapes decode to UTF-8" "A\xc3\x89"
+    (Json.to_string_v (Json.of_string {|"\u0041\u00C9"|}))
 
 (* ----- metrics snapshot determinism across worker counts ----- *)
 
@@ -226,9 +239,13 @@ let test_metrics_diff_and_lookup () =
     (Metrics.get d ~subsystem:"test" ~vm:"V1" ~name:"hits" ());
   Alcotest.(check int) "absent key is 0" 0
     (Metrics.get d ~subsystem:"test" ~name:"missing" ());
-  match Sim_obs.Json.validate (Metrics.to_json (Metrics.snapshot m)) with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail ("metrics json: " ^ e)
+  let snap = Metrics.snapshot m in
+  let doc = Json.to_string (Metrics.to_json snap) in
+  match Json.member "metrics" (Json.of_string doc) with
+  | Some (Json.List samples) ->
+    Alcotest.(check int) "one json object per sample" (List.length snap)
+      (List.length samples)
+  | _ -> Alcotest.fail ("metrics json: " ^ doc)
 
 let suite =
   [
@@ -240,7 +257,7 @@ let suite =
     Alcotest.test_case "category mask parsing" `Quick test_mask_of_string;
     Alcotest.test_case "chrome export is valid JSON" `Quick
       test_chrome_json_well_formed;
-    Alcotest.test_case "csv/jsonl exports" `Quick test_jsonl_and_csv;
+    Alcotest.test_case "json reader is strict" `Quick test_json_reader_strict;
     Alcotest.test_case "metrics snapshots identical at -j1 and -j4" `Slow
       test_snapshot_determinism_across_jobs;
     Alcotest.test_case "LHP golden classification" `Quick

@@ -1,11 +1,11 @@
 (* Run registry (lib/registry): record JSON round-trips, canonical
    digest stability under field reordering, the compare verdict
    engine's gates (regress / improve / neutral, strict sections),
-   BENCH_*.json ingestion, directory save/load/list/resolve, and the
-   self-contained HTML report. *)
+   directory save/load/list/resolve, and the self-contained HTML
+   report. *)
 
 open Asman
-module Cjson = Sim_registry.Cjson
+module Json = Sim_obs.Json
 module Record = Sim_registry.Record
 module Registry = Sim_registry.Registry
 module Compare = Sim_registry.Compare
@@ -14,22 +14,22 @@ module Html = Sim_registry.Html
 (* ----- builders ----- *)
 
 let run_row (rid, w) =
-  Cjson.Obj [ ("id", Cjson.String rid); ("wall_sec", Cjson.Float w) ]
+  Json.Obj [ ("id", Json.String rid); ("wall_sec", Json.Float w) ]
 
 let micro_row (bench, backend, pending, rate) =
-  Cjson.Obj
+  Json.Obj
     [
-      ("bench", Cjson.String bench);
-      ("backend", Cjson.String backend);
-      ("pending", Cjson.Float pending);
-      ("ops_per_sec", Cjson.Float rate);
+      ("bench", Json.String bench);
+      ("backend", Json.String backend);
+      ("pending", Json.Float pending);
+      ("ops_per_sec", Json.Float rate);
     ]
 
 let fairness_row (fid, ratio) =
-  Cjson.Obj [ ("id", Cjson.String fid); ("ratio", Cjson.Float ratio) ]
+  Json.Obj [ ("id", Json.String fid); ("ratio", Json.Float ratio) ]
 
 let check_row (cid, v) =
-  Cjson.Obj [ ("id", Cjson.String cid); ("value", Cjson.Float v) ]
+  Json.Obj [ ("id", Json.String cid); ("value", Json.Float v) ]
 
 let cluster_row = check_row
 
@@ -39,10 +39,10 @@ let mk ~id ?(date = "2026-08-07T00:00:00") ?(wall = 10.) ?(runs = [])
     ?(micro = []) ?(fairness = []) ?(check = []) ?(cluster = []) () =
   let sec name row = function
     | [] -> []
-    | entries -> [ (name, Cjson.List (List.map row entries)) ]
+    | entries -> [ (name, Json.List (List.map row entries)) ]
   in
   let sections =
-    Cjson.Obj
+    Json.Obj
       (sec "runs" run_row runs
       @ sec "micro" micro_row micro
       @ sec "fairness" fairness_row fairness
@@ -51,7 +51,7 @@ let mk ~id ?(date = "2026-08-07T00:00:00") ?(wall = 10.) ?(runs = [])
   in
   Record.make ~id ~kind:"bench" ~date ~git:(Some ("cafe01", false)) ~seed:42L
     ~scale:1. ~queue:"wheel" ~workers:2 ~label:id
-    ~spec:(Cjson.Obj [ ("id", Cjson.String id) ])
+    ~spec:(Json.Obj [ ("id", Json.String id) ])
     ~wall_sec:wall ~sections ()
 
 let compare_t ?(strict = false) old_r new_r =
@@ -66,18 +66,30 @@ let test_round_trip () =
       ~git:(Some ("abc123", true)) ~seed:123456789L ~scale:0.5 ~queue:"heap"
       ~workers:4 ~sim_jobs:2 ~topology:"8x16" ~numa:true ~accounting:"sampled"
       ~chaos:"ipi-loss-5" ~label:"bench theft"
-      ~spec:(Cjson.Obj [ ("ids", Cjson.List [ Cjson.String "theft" ]) ])
+      ~spec:(Json.Obj [ ("ids", Json.List [ Json.String "theft" ]) ])
       ~wall_sec:12.5 ~busy_sec:40.25
       ~sections:
-        (Cjson.Obj [ ("runs", Cjson.List [ run_row ("theft", 1.5) ]) ])
+        (Json.Obj
+           [
+             ( "runs",
+               Json.of_string
+                 {|[{"id":"theft","wall_sec":1.5,"busy_sec":3.0,"jobs":2,"workers":2,"speedup":2.0,"job_sec":[0.5,2.5]}]|}
+             );
+             ("micro", Json.List []);
+             ( "profile",
+               Json.of_string
+                 {|[{"label":"run.theft","total_sec":1.5,"calls":1}]|} );
+           ])
       ~metrics:[ ("events", 100.); ("vm.V1.rounds", 3.) ]
       ~exports:[ "trace.json"; "metrics.json" ]
       ()
   in
   let r' =
     Record.of_json
-      (Cjson.of_string (Cjson.to_string ~indent:true (Record.to_json r)))
+      (Json.of_string (Json.to_string ~indent:true (Record.to_json r)))
   in
+  (* Bench-shaped sections: the per-job seconds and the profile
+     survive alongside what compare reads. *)
   Alcotest.(check bool) "record round-trips exactly" true (r = r')
 
 let test_round_trip_wide_seed () =
@@ -86,9 +98,9 @@ let test_round_trip_wide_seed () =
   let r =
     Record.make ~id:"r2" ~kind:"run" ~date:"2026-08-07T10:00:00" ~git:None
       ~seed:Int64.max_int ~scale:1. ~queue:"wheel" ~workers:1 ~label:"x"
-      ~spec:Cjson.Null ~wall_sec:0.1 ()
+      ~spec:Json.Null ~wall_sec:0.1 ()
   in
-  let r' = Record.of_json (Cjson.of_string (Cjson.to_string (Record.to_json r))) in
+  let r' = Record.of_json (Json.of_string (Json.to_string (Record.to_json r))) in
   Alcotest.(check int64) "wide seed survives" Int64.max_int r'.Record.seed;
   Alcotest.(check bool) "no git info round-trips" true
     (r'.Record.git_sha = None)
@@ -96,12 +108,12 @@ let test_round_trip_wide_seed () =
 (* ----- canonical digest ----- *)
 
 let test_digest_reorder_stable () =
-  let a = Cjson.of_string {|{"b":1,"a":[{"y":2.5,"x":"s"}],"c":null}|} in
-  let b = Cjson.of_string {|{"c":null,"a":[{"x":"s","y":2.5}],"b":1}|} in
+  let a = Json.of_string {|{"b":1,"a":[{"y":2.5,"x":"s"}],"c":null}|} in
+  let b = Json.of_string {|{"c":null,"a":[{"x":"s","y":2.5}],"b":1}|} in
   Alcotest.(check string)
     "field order does not change the digest"
     (Record.canonical_digest a) (Record.canonical_digest b);
-  let c = Cjson.of_string {|{"c":null,"a":[{"x":"s","y":2.5}],"b":2}|} in
+  let c = Json.of_string {|{"c":null,"a":[{"x":"s","y":2.5}],"b":2}|} in
   Alcotest.(check bool)
     "a value change does" true
     (Record.canonical_digest a <> Record.canonical_digest c)
@@ -109,8 +121,8 @@ let test_digest_reorder_stable () =
 let test_digest_list_order_matters () =
   (* Lists are ordered data (e.g. VM lists): reordering them is a
      different spec, unlike object fields. *)
-  let a = Cjson.of_string {|{"vms":["a","b"]}|} in
-  let b = Cjson.of_string {|{"vms":["b","a"]}|} in
+  let a = Json.of_string {|{"vms":["a","b"]}|} in
+  let b = Json.of_string {|{"vms":["b","a"]}|} in
   Alcotest.(check bool) "list order is significant" true
     (Record.canonical_digest a <> Record.canonical_digest b)
 
@@ -307,39 +319,6 @@ let test_compare_axes () =
   Alcotest.(check (list string)) "an unstamped topology matches" []
     (Compare.axis_mismatches { base with Record.topology = "" } base)
 
-(* ----- BENCH_*.json ingestion ----- *)
-
-let bench_dump =
-  {|{
-  "date": "2026-08-06",
-  "scale": 1,
-  "seed": 42,
-  "workers": 3,
-  "queue": "wheel",
-  "total_wall_sec": 12.5,
-  "runs": [ {"id":"fig7","wall_sec":1.0,"busy_sec":2.0,"jobs":4,"workers":3,"speedup":2.0,"job_sec":[0.5,0.5]} ],
-  "micro": [ {"bench":"hold","backend":"wheel","pending":100000,"ops_per_sec":1000.5} ],
-  "profile": []
-}|}
-
-let test_ingest_bench () =
-  let r = Registry.ingest_bench ~id:"BENCH_X" (Cjson.of_string bench_dump) in
-  Alcotest.(check string) "kind" "bench" r.Record.kind;
-  Alcotest.(check string) "date" "2026-08-06" r.Record.date;
-  Alcotest.(check int) "workers" 3 r.Record.workers;
-  Alcotest.(check (float 1e-9)) "wall" 12.5 r.Record.wall_sec;
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "runs section survives verbatim"
-    [ ("fig7", 1.0) ]
-    (Compare.runs_of r);
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "micro keys carry backend and pending"
-    [ ("hold wheel 100000", 1000.5) ]
-    (Compare.micro_of r);
-  (* Old dumps have no stamps: everything defaults. *)
-  Alcotest.(check bool) "no git sha" true (r.Record.git_sha = None);
-  Alcotest.(check string) "accounting defaults" "precise" r.Record.accounting
-
 (* ----- save / load / list / resolve ----- *)
 
 let with_temp_dir f =
@@ -378,18 +357,18 @@ let test_save_load_list_resolve () =
         "list sorts by (date, id) and skips non-records"
         [ "b-one"; "a-two" ]
         (List.map (fun (r : Record.t) -> r.Record.id) listed);
-      (* Resolution: bare id, record path, raw dump path. *)
+      (* Resolution: bare id, record path; any other JSON is refused. *)
       let by_id = Registry.resolve ~dir "a-two" in
       Alcotest.(check bool) "resolve by id" true (by_id = r2);
       let by_path = Registry.resolve ~dir p1 in
       Alcotest.(check bool) "resolve by path" true (by_path = r1);
-      let dump = Filename.concat dir "BENCH_raw.json" in
-      let oc = open_out dump in
-      output_string oc bench_dump;
+      let other = Filename.concat dir "not-a-record.json" in
+      let oc = open_out other in
+      output_string oc {|{"date":"2026-08-06","runs":[]}|};
       close_out oc;
-      let ingested = Registry.resolve ~dir dump in
-      Alcotest.(check string) "raw dumps ingest on resolve" "BENCH_raw"
-        ingested.Record.id)
+      match Registry.resolve ~dir other with
+      | _ -> Alcotest.fail "a non-record JSON file resolved"
+      | exception Json.Parse_error _ -> ())
 
 (* ----- HTML report ----- *)
 
@@ -420,7 +399,7 @@ let contains h n =
 
 let test_html_well_formed_and_self_contained () =
   let html = Html.report (report_records ()) in
-  (match Sim_obs.Json.validate_html html with
+  (match Html.validate_html html with
   | Ok () -> ()
   | Error msg -> Alcotest.fail ("report not well-formed: " ^ msg));
   (* >= 3 metric families actually rendered for these records. *)
@@ -472,7 +451,6 @@ let suite =
     Alcotest.test_case "compare: one-sided entries" `Quick
       test_compare_one_sided_entries;
     Alcotest.test_case "compare: axes must match" `Quick test_compare_axes;
-    Alcotest.test_case "ingest BENCH dump" `Quick test_ingest_bench;
     Alcotest.test_case "save/load/list/resolve" `Quick
       test_save_load_list_resolve;
     Alcotest.test_case "html report: self-contained" `Quick
