@@ -1,5 +1,5 @@
-(* Event-queue micro-benchmark: wheel vs heap backend throughput at
-   large pending-set sizes.
+(* Event-queue micro-benchmark: wheel vs heap backend throughput from
+   the pending-set size a simulated host holds (10^2) up to 10^7.
 
    Two steady-state workloads, each run against both backends with the
    same RNG seed so the op streams are identical:
@@ -12,9 +12,10 @@
      cancelled far more often than they fire); measures the cancel
      path.
 
-   Delays are drawn from a mix of near (level-0), mid (level-1/2) and
-   far wheel distances. Throughput is reported in events per second
-   (one schedule+pop or schedule+cancel round = one event). *)
+   Delays are drawn from a mix of near (the cursor's open 2^16-cycle
+   slot and level 1), mid (level 1/2) and far wheel distances.
+   Throughput is reported in events per second (one schedule+pop or
+   schedule+cancel round = one event). *)
 
 open Sim_engine
 
@@ -82,7 +83,7 @@ let run_bench bench kind ~pending ~ops =
     ops_per_sec = (if sec > 0. then float_of_int ops /. sec else 0.);
   }
 
-let pendings = [ 100_000; 1_000_000; 10_000_000 ]
+let pendings = [ 100; 100_000; 1_000_000; 10_000_000 ]
 
 let ops_for pending = if pending >= 10_000_000 then 500_000 else 1_000_000
 

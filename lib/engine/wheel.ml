@@ -10,35 +10,36 @@
 
    Wheel geometry (cycle-granularity virtual time):
 
-     level 0: 256 slots x 2^8 cycles    (window 2^16 ~ 28 us @2.33GHz)
+     near heap: the cursor's open 2^16-cycle slot (~28 us @2.33GHz)
      level 1:  64 slots x 2^16 cycles   (window 2^22 ~ 1.8 ms)
      level 2:  64 slots x 2^22 cycles   (window 2^28 ~ 115 ms)
      level 3:  64 slots x 2^28 cycles   (window 2^34 ~ 7.4 s)
      beyond:  far-future slot-heap, pulled when the cursor enters
               its 2^34 window
 
-   The fine level-0 slot (2^8 cycles) keeps the near heap small even
-   when the pending set is dense: the near heap holds one slot's
-   events, and its size is what the wheel pays log() on.
+   The cursor counts level-1 slots: the slot it sits on is "open", and
+   every event in it, or behind it, lives in the "near" slot-heap,
+   which restores exact (time, seq) order; so zero-delay and
+   same-instant scheduling keep their FIFO semantics. A simulated host
+   holds a few dozen pending events spread over milliseconds, so the
+   near heap rarely holds more than a handful; there is no finer level
+   below it to order what it would order anyway.
 
-   Events land in the lowest level whose window contains them; when
-   the cursor crosses a level boundary the corresponding bucket
-   cascades down. A bucket reaching level 0 is dumped into the "near"
-   slot-heap, which restores exact (time, seq) order; insertions at or
-   behind the cursor go straight to the near heap, so zero-delay and
-   same-instant scheduling keep their FIFO semantics. Cancelled events
-   are unlinked from wheel buckets eagerly (O(1) via the intrusive
-   doubly-linked lists); only events already in a slot-heap are
-   tombstoned and dropped lazily at the top.
+   Later events land in the lowest level whose current window contains
+   them; when the cursor enters a bucket of a higher level, the bucket
+   cascades down, and a level-1 bucket cascades into the near heap.
+   Cancelled events are unlinked from wheel buckets eagerly (O(1) via
+   the intrusive doubly-linked lists); only events already in a
+   slot-heap are tombstoned and dropped lazily at the top.
 
    The cursor advance costs in proportion to occupied buckets, not to
    elapsed time. Each level keeps a one-bit-per-bucket occupancy
    bitmap, scanned a 32-bit word at a time with a de Bruijn
-   lowest-set-bit lookup. When level 0 runs dry, the cursor jumps
-   straight to the next occupied bucket of the lowest level that has
-   one (1, then 2, then 3), so the empty windows between two sparse
+   lowest-set-bit lookup. When the near heap runs dry, the cursor
+   jumps straight to the next occupied bucket of the lowest level that
+   has one (1, then 2, then 3), so the empty slots between two sparse
    events cost one scan per level rather than one step per 2^16-cycle
-   window. *)
+   slot. *)
 
 (* ----- pooled event store ----- *)
 
@@ -56,8 +57,8 @@ type pool = {
   mutable cap : int;
 }
 
-(* [loc] is the event's current container: a non-negative
-   [(level lsl 9) lor bucket] for wheel buckets, or one of: *)
+(* [loc] is the event's current container: a wheel bucket's
+   (non-negative) index, or one of: *)
 let loc_free = -1
 let loc_near = -2 (* in the near slot-heap *)
 let loc_far = -3 (* in the far-future slot-heap *)
@@ -214,16 +215,19 @@ end
 
 (* ----- wheel geometry ----- *)
 
-(* Bit position of each level's slot width. *)
-let shifts = [| 8; 16; 22; 28 |]
+(* Levels 1..3 have 64 buckets each, level l's slot spans
+   2^(10 + 6l) cycles, and its buckets sit at [(l - 1) * 64] in the
+   flat bucket arrays. The cursor counts level-1 slots, so level l's
+   index of the cursor is [(cur lsr (6 * (l - 1))) land 63]. *)
+let[@inline] slot_shift level = 10 + (6 * level)
 
-let level_sizes = [| 256; 64; 64; 64 |]
+let[@inline] bucket ~level idx = ((level - 1) lsl 6) lor idx
 
-let level_masks = [| 255; 63; 63; 63 |]
+let total_buckets = 192
 
-let bucket_offsets = [| 0; 256; 320; 384 |]
-
-let total_buckets = 448
+(* Bit position of the 2^34-cycle window that levels 1..3 cover; the
+   far heap holds the events past the cursor's one. *)
+let far_shift = 34
 
 type t = {
   p : pool;
@@ -234,10 +238,10 @@ type t = {
   near : Sheap.t;
   far : Sheap.t;
   mutable in_wheel : int;
-  (* Cursor in level-0 slot units: every level-0 bucket with absolute
-     index < cur0 has been dumped; events at or behind it go straight
-     to the near heap. *)
-  mutable cur0 : int;
+  (* Cursor in level-1 slot units: the slot it names, and every slot
+     before it, has been opened, so events whose [time lsr 16] is at
+     most [cur] go straight to the near heap. *)
+  mutable cur : int;
 }
 
 let create p =
@@ -245,11 +249,11 @@ let create p =
     p;
     heads = Array.make total_buckets (-1);
     tails = Array.make total_buckets (-1);
-    bits = Array.make ((total_buckets + 31) / 32) 0;
+    bits = Array.make (total_buckets / 32) 0;
     near = Sheap.create ();
     far = Sheap.create ();
     in_wheel = 0;
-    cur0 = 0;
+    cur = 0;
   }
 
 let bit_set w b = w.bits.(b lsr 5) <- w.bits.(b lsr 5) lor (1 lsl (b land 31))
@@ -271,23 +275,20 @@ let[@inline] lowest_set_bit x =
        ((((x land -x) * 0x077CB531) land 0xFFFFFFFF) lsr 27))
 
 (* Lowest set bucket of [level] whose in-level index is >= [from];
-   -1 when the rest of the level is empty. Every level starts on a
-   word boundary, so the scan masks off the bits below [from] in the
-   first word and then reads whole words. *)
+   -1 when the rest of the level is empty. A level is two whole
+   bitmap words, so the scan masks off the bits below [from] in the
+   first word it reads and reads the second whole. *)
 let next_occupied w ~level ~from =
-  let size = level_sizes.(level) in
-  if from >= size then -1
+  if from >= 64 then -1
   else begin
-    let base = bucket_offsets.(level) in
-    let b = base + from in
-    let last = (base + size - 1) lsr 5 in
-    let i = ref (b lsr 5) in
-    let word = ref (w.bits.(!i) land (-1 lsl (b land 31))) in
-    while !word = 0 && !i < last do
-      incr i;
-      word := w.bits.(!i)
-    done;
-    if !word = 0 then -1 else (!i lsl 5) + lowest_set_bit !word - base
+    let b = bucket ~level from in
+    let i = b lsr 5 in
+    let word = w.bits.(i) land (-1 lsl (b land 31)) in
+    if word <> 0 then (i lsl 5) + lowest_set_bit word - bucket ~level 0
+    else if from >= 32 then -1
+    else
+      let word = w.bits.(i + 1) in
+      if word = 0 then -1 else 32 + lowest_set_bit word
   end
 
 (* ----- bucket lists (intrusive, FIFO in insertion = seq order) ----- *)
@@ -331,38 +332,28 @@ let bucket_take w b =
 
 (* ----- insertion ----- *)
 
+(* File a slot by its time. The cursor's window at level l spans the
+   times sharing its [time lsr slot_shift (l + 1)] prefix. *)
 let insert w s =
   let p = w.p in
   let time = p.time.(s) in
-  if time lsr shifts.(0) < w.cur0 then begin
-    (* At or behind the cursor: the bucket was already dumped, so the
-       event joins the near heap directly (zero-delay / same-instant
-       scheduling lands here). *)
+  let c = w.cur in
+  if time lsr slot_shift 1 <= c then begin
+    (* In the open slot or behind it: that level-1 bucket was already
+       cascaded, so the event joins the near heap directly
+       (zero-delay / same-instant scheduling lands here). *)
     p.loc.(s) <- loc_near;
     Sheap.push p w.near s
   end
+  else if time lsr slot_shift 2 = c lsr 6 then
+    bucket_append w (bucket ~level:1 ((time lsr slot_shift 1) land 63)) s
+  else if time lsr slot_shift 3 = c lsr 12 then
+    bucket_append w (bucket ~level:2 ((time lsr slot_shift 2) land 63)) s
+  else if time lsr far_shift = c lsr 18 then
+    bucket_append w (bucket ~level:3 ((time lsr slot_shift 3) land 63)) s
   else begin
-    (* Lowest level whose current window contains the event. The
-       cursor's window at level l spans the times sharing its
-       [time lsr shifts.(l+1)] prefix. *)
-    let now0 = w.cur0 in
-    let level =
-      if time lsr shifts.(1) = now0 lsr (shifts.(1) - shifts.(0)) then 0
-      else if time lsr shifts.(2) = now0 lsr (shifts.(2) - shifts.(0)) then 1
-      else if time lsr shifts.(3) = now0 lsr (shifts.(3) - shifts.(0)) then 2
-      else if time lsr (shifts.(3) + 6) = now0 lsr (shifts.(3) + 6 - shifts.(0)) then 3
-      else -1
-    in
-    if level < 0 then begin
-      p.loc.(s) <- loc_far;
-      Sheap.push p w.far s
-    end
-    else
-      let b =
-        bucket_offsets.(level)
-        + ((time lsr shifts.(level)) land level_masks.(level))
-      in
-      bucket_append w b s
+    p.loc.(s) <- loc_far;
+    Sheap.push p w.far s
   end
 
 (* Eager removal of a cancelled event sitting in a wheel bucket
@@ -372,14 +363,12 @@ let remove w s = bucket_unlink w w.p.loc.(s) s
 
 (* ----- cursor advance and cascading ----- *)
 
-(* Re-distribute a higher-level bucket after the cursor entered its
-   window: every event lands at a strictly lower level (or the near
-   heap), preserving FIFO bucket order so re-insertion is stable. *)
+(* Re-distribute the cursor's bucket at [level] after the cursor
+   entered it: every event lands at a strictly lower level, or in the
+   near heap, preserving FIFO bucket order so re-insertion is
+   stable. *)
 let cascade w ~level =
-  let b =
-    bucket_offsets.(level)
-    + ((w.cur0 lsr (shifts.(level) - shifts.(0))) land level_masks.(level))
-  in
+  let b = bucket ~level ((w.cur lsr (6 * (level - 1))) land 63) in
   let s = ref (bucket_take w b) in
   let p = w.p in
   while !s >= 0 do
@@ -395,7 +384,7 @@ let cascade w ~level =
    Cancelled tombstones surfacing at the top are dropped here. *)
 let pull_far w =
   let p = w.p in
-  let window = w.cur0 lsr (shifts.(3) + 6 - shifts.(0)) in
+  let window = w.cur lsr (far_shift - slot_shift 1) in
   let continue = ref true in
   while !continue && not (Sheap.is_empty w.far) do
     let s = Sheap.top w.far in
@@ -403,29 +392,12 @@ let pull_far w =
       ignore (Sheap.pop p w.far);
       release p s
     end
-    else if p.time.(s) lsr (shifts.(3) + 6) = window then begin
+    else if p.time.(s) lsr far_shift = window then begin
       ignore (Sheap.pop p w.far);
       insert w s
     end
     else continue := false
   done
-
-(* Dump the level-0 bucket at absolute slot index [idx0] into the
-   near heap and move the cursor past it. *)
-let dump w idx0 =
-  let p = w.p in
-  let b = bucket_offsets.(0) + (idx0 land level_masks.(0)) in
-  let s = ref (bucket_take w b) in
-  while !s >= 0 do
-    let nx = p.link_next.(!s) in
-    p.link_next.(!s) <- -1;
-    p.link_prev.(!s) <- -1;
-    w.in_wheel <- w.in_wheel - 1;
-    p.loc.(!s) <- loc_near;
-    Sheap.push p w.near !s;
-    s := nx
-  done;
-  w.cur0 <- idx0 + 1
 
 (* Drop cancelled events that bubbled to the top of the near heap. *)
 let drop_dead_near w =
@@ -440,56 +412,56 @@ let drop_dead_near w =
     else continue := false
   done
 
-(* Process the level boundaries the cursor currently sits on: entering
-   a level-1 window cascades its bucket down to level 0; entering a
-   higher-level window cascades outermost-first so events settle one
-   level at a time (far -> 3 -> 2 -> 1). The cursor can land on a
-   boundary either by a [skip] or by [dump]ing the last slot of a
-   window, so this runs at the top of every advance step; it is
-   idempotent at a fixed cursor — an already-opened window's buckets
-   are simply empty. *)
+(* Open the level-1 slot the cursor has just moved to. Entering a
+   level-2 or level-3 window cascades outermost-first, so events settle
+   one level at a time (far -> 3 -> 2 -> 1), and the level-1 bucket
+   then cascades into the near heap. *)
 let open_boundaries w =
-  if w.cur0 land 255 = 0 then begin
-    if w.cur0 land ((1 lsl 14) - 1) = 0 then begin
-      if w.cur0 land ((1 lsl 26) - 1) = 0 then pull_far w;
-      if w.cur0 land ((1 lsl 20) - 1) = 0 then cascade w ~level:3;
-      cascade w ~level:2
+  let c = w.cur in
+  if c land 63 = 0 then begin
+    if c land ((1 lsl 12) - 1) = 0 then begin
+      if c land ((1 lsl 18) - 1) = 0 then pull_far w;
+      cascade w ~level:3
     end;
-    cascade w ~level:1
-  end
+    cascade w ~level:2
+  end;
+  cascade w ~level:1
 
-(* Level 0 is empty from the cursor to the end of its level-1 window:
-   move the cursor to the start of the next occupied level-1 bucket in
-   the current level-2 window, else of the next occupied level-2
-   bucket in the current level-3 window, else of the next occupied
-   level-3 bucket, else to the next level-3 window. Each level's
-   current bucket was cascaded when the cursor entered it and events
-   behind the cursor go to the near heap, so a level's occupied
-   buckets all lie after the cursor's index there and the scan never
-   wraps. The buckets jumped over are empty, so the next
-   [open_boundaries] runs exactly the cascades a one-window-at-a-time
-   walk would have run on non-empty buckets. *)
+(* The near heap is dry: move the cursor to the next occupied level-1
+   bucket in the current level-2 window, else to the start of the next
+   occupied level-2 bucket in the current level-3 window, else of the
+   next occupied level-3 bucket, else to the next level-3 window. Each
+   level's current bucket was cascaded when the cursor entered it and
+   events at or behind the cursor go to the near heap, so a level's
+   occupied buckets all lie after the cursor's index there and the scan
+   never wraps. The buckets jumped over are empty, so the
+   [open_boundaries] that must follow runs exactly the cascades a
+   one-slot-at-a-time walk would have run on non-empty buckets. *)
 let skip w =
-  let c = w.cur0 in
+  let c = w.cur in
+  (* The open slot's level-1 bucket was cascaded when it opened; an
+     occupied one means a skip ran without its [open_boundaries]. *)
+  assert (w.heads.(bucket ~level:1 (c land 63)) < 0);
   let next =
-    let i1 = next_occupied w ~level:1 ~from:(((c lsr 8) land 63) + 1) in
-    if i1 >= 0 then ((c lsr 14) lsl 14) lor (i1 lsl 8)
+    let i1 = next_occupied w ~level:1 ~from:((c land 63) + 1) in
+    if i1 >= 0 then ((c lsr 6) lsl 6) lor i1
     else
-      let i2 = next_occupied w ~level:2 ~from:(((c lsr 14) land 63) + 1) in
-      if i2 >= 0 then ((c lsr 20) lsl 20) lor (i2 lsl 14)
+      let i2 = next_occupied w ~level:2 ~from:(((c lsr 6) land 63) + 1) in
+      if i2 >= 0 then ((c lsr 12) lsl 12) lor (i2 lsl 6)
       else
-        let i3 = next_occupied w ~level:3 ~from:(((c lsr 20) land 63) + 1) in
-        if i3 >= 0 then ((c lsr 26) lsl 26) lor (i3 lsl 20)
-        else ((c lsr 26) + 1) lsl 26
+        let i3 = next_occupied w ~level:3 ~from:(((c lsr 12) land 63) + 1) in
+        if i3 >= 0 then ((c lsr 18) lsl 18) lor (i3 lsl 12)
+        else ((c lsr 18) + 1) lsl 18
   in
   (* A cursor moved backwards would re-file the buckets it opened and
      loop forever; fail loudly instead. *)
   assert (next > c);
-  w.cur0 <- next
+  w.cur <- next
 
 (* Advance the cursor until the near heap holds the global minimum
-   (time, seq) event, cascading buckets at level boundaries. Returns
-   false when no live event remains anywhere. *)
+   (time, seq) event: [skip] then [open_boundaries], until an opened
+   slot yields a live event. Returns false when no live event remains
+   anywhere. *)
 let ensure_near w =
   drop_dead_near w;
   let live = ref (not (Sheap.is_empty w.near)) in
@@ -510,25 +482,18 @@ let ensure_near w =
       done;
       if Sheap.is_empty w.far then exhausted := true
       else begin
-        let t_min = p.time.(Sheap.top w.far) in
-        w.cur0 <- max w.cur0 ((t_min lsr (shifts.(3) + 6)) lsl (shifts.(3) + 6 - shifts.(0)));
-        pull_far w
+        let window = p.time.(Sheap.top w.far) lsr far_shift in
+        w.cur <- max w.cur (window lsl (far_shift - slot_shift 1));
+        pull_far w;
+        (* Events in the window's first slot went straight to the
+           near heap; the rest wait in the wheel. *)
+        live := not (Sheap.is_empty w.near)
       end
     end
     else begin
+      skip w;
       open_boundaries w;
-      (* Next occupied level-0 bucket in the cursor's current level-1
-         window, if any; otherwise skip ahead to the next occupied
-         bucket further up (the next iteration opens it). *)
-      let idx = next_occupied w ~level:0 ~from:(w.cur0 land 255) in
-      if idx >= 0 then begin
-        (* The masked scan never wraps: buckets below cur0's masked
-           index belong to already-dumped slots, and next-window
-           events live at level >= 1 until their cascade. *)
-        dump w ((w.cur0 land lnot 255) lor idx);
-        live := true
-      end
-      else skip w
+      live := not (Sheap.is_empty w.near)
     end
   done;
   !live

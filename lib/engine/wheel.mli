@@ -4,10 +4,12 @@
     This is the engine's fast event-queue backend (Varghese–Lauck
     scheme 6: hashed hierarchical wheels). Events live in a
     struct-of-arrays slab ({!pool}) and are identified by integer
-    slots; the wheel files them into per-level buckets by fire time,
-    cascades buckets down as the cursor advances, and restores exact
-    [(time, seq)] order through a small "near" slot-heap. A far-future
-    slot-heap catches events beyond the top level's window.
+    slots. Events in the cursor's open 2^16-cycle slot live in a
+    "near" slot-heap, which gives exact [(time, seq)] order; later ones
+    are filed by fire time into three levels of 64 buckets (2^16, 2^22
+    and 2^28 cycles per bucket) that cascade down as the cursor
+    advances, and a far-future slot-heap catches events beyond the top
+    level's 2^34-cycle window.
 
     Users normally go through {!Equeue}, which multiplexes this wheel
     with the binary-heap oracle behind one interface. *)
@@ -91,9 +93,10 @@ type t
 val create : pool -> t
 
 val insert : t -> int -> unit
-(** File a slot by its [time]: into the near heap if at or behind the
-    cursor, into the lowest wheel level whose window contains it, or
-    into the far-future heap. Sets the slot's [loc]. *)
+(** File a slot by its [time]: into the near heap if it lies in the
+    cursor's open 2^16-cycle slot or behind it, else into the lowest
+    wheel level whose window contains it, else into the far-future
+    heap. Sets the slot's [loc]. *)
 
 val remove : t -> int -> unit
 (** Eagerly unlink a slot from its wheel bucket (only valid when
@@ -105,14 +108,14 @@ val lowest_set_bit : int -> int
     result is unspecified for [0]. *)
 
 val ensure_near : t -> bool
-(** Advance the cursor — dumping due buckets, cascading levels and
-    pulling far-future events — until the near heap's top is the
-    queue's live [(time, seq)] minimum. [false] iff no live event
-    remains. When level 0 is empty to the end of its window, the
-    cursor jumps to the start of the next occupied level-1, else
-    level-2, else level-3 bucket (else the next level-3 window)
-    instead of stepping one 2^16-cycle window at a time, so the cost
-    follows the occupied buckets, not the simulated time elapsed. *)
+(** Advance the cursor — cascading levels and pulling far-future
+    events — until the near heap's top is the queue's live
+    [(time, seq)] minimum. [false] iff no live event remains. While the
+    near heap is dry, the cursor jumps to the next occupied level-1
+    bucket, else the start of the next occupied level-2, else level-3
+    bucket (else the next level-3 window), and opens it, instead of
+    stepping one 2^16-cycle slot at a time, so the cost follows the
+    occupied buckets, not the simulated time elapsed. *)
 
 val near_top_time : t -> int
 (** Fire time of the near-heap top; call only after {!ensure_near}

@@ -71,8 +71,9 @@ let check_script ops =
   wheel = heap
 
 (* Delays that stress every region of the wheel: same-instant bursts
-   (0), level-0 (< 2^20), each higher level, and far-future beyond
-   the 2^38 window. *)
+   (0), delays inside or just past the cursor's open 2^16-cycle slot
+   (< 2^20), each wheel level (< 2^34), and the far-future heap beyond
+   the wheel's 2^34 window (up to 2^40). *)
 let delay_gen =
   QCheck.Gen.(
     frequency
@@ -160,7 +161,7 @@ let test_cancel_everywhere () =
 
 (* ----- the cursor skip -----
 
-   When level 0 runs dry the wheel jumps its cursor to the next
+   When the near heap runs dry the wheel jumps its cursor to the next
    occupied level-1, level-2 or level-3 bucket, found by a word-at-a-time
    bitmap scan. These scripts put events exactly on the edges that
    scan and jump must get right; each is checked against the heap
@@ -192,16 +193,52 @@ let test_skip_bucket_starts () =
     @ List.map (fun t -> Schedule t) [ l2 3; l2 7; l2 7 + l1 2; l1 9; l3 2 ]
     @ [ Pop; Schedule (l2 5); Pop; Schedule (l1 1); Pop; Pop ])
 
-(* Level-0 bucket indices on bitmap word edges (31 | 32, 63 | 64) and
-   the last bucket (255), in the first level-1 window and in a later
+(* The near heap holds the cursor's open 2^16-cycle level-1 slot.
+   Edges of that slot: its last cycle against the next slot's first,
+   with the cursor on either side; events scheduled into the slot after
+   the cursor opened it, which must join the near heap rather than the
+   slot's already-cascaded level-1 bucket; and cancels of near-heap
+   residents that lie ahead of the clock. *)
+let test_near_window () =
+  let l1 k = k lsl 16 in
+  check_skip "open slot's last cycle vs next slot's first"
+    [
+      Schedule (l1 1); Schedule (l1 1 - 1); Pop; Pop;
+      Schedule (l1 1); Schedule (l1 1 - 1); Schedule 0; Pop; Pop;
+      Schedule (l1 1 - 1); Pop; Pop; Pop;
+    ];
+  check_skip "scheduled into the opened slot"
+    [
+      Schedule 100; Schedule (l1 1); Pop;
+      Schedule 1000; Schedule (l1 1 - 101); Schedule 0; Pop; Pop; Pop;
+      Schedule (l1 5 + 10); Pop; Schedule 100; Schedule (l1 1); Pop;
+    ];
+  (* The open slot at a level-2 and a level-3 window start, reached by
+     a skip and by the far fast-forward. *)
+  check_skip "scheduled into a slot opened by a jump"
+    [
+      Schedule (1 lsl 22); Schedule ((1 lsl 22) + 7); Pop;
+      Schedule 50; Schedule (l1 1); Pop; Pop;
+      Schedule ((1 lsl 34) + 3); Pop; Schedule 9; Schedule (l1 1); Pop; Pop;
+    ];
+  (* [Cancel 0] is the newest handle. *)
+  check_skip "cancel a near resident ahead of the clock"
+    [
+      Schedule 100; Schedule 5000; Schedule 6000; Pop;
+      Cancel 1; Schedule (l1 1); Pop; Pop;
+      Schedule 10; Schedule 20; Pop; Cancel 0; Cancel 1; Schedule (l1 3); Pop;
+    ]
+
+(* Level-1 bucket indices on bitmap word edges (31 | 32, 63) and the
+   last cycle of bucket 63, in the first level-2 window and in a later
    one. *)
 let test_skip_word_edges () =
-  let l0 i = i lsl 8 in
-  let edges = [ l0 31; l0 32; l0 63; l0 255; l0 255 + 255; l0 31 + 1 ] in
-  check_skip "level-0 word edges" (List.map (fun t -> Schedule t) edges);
-  check_skip "level-0 word edges, later window"
-    (List.map (fun t -> Schedule ((5 lsl 16) + t)) edges);
-  check_skip "level-0 word edges, popped one by one"
+  let l1 i = i lsl 16 in
+  let edges = [ l1 31; l1 32; l1 63; l1 64 - 1; l1 31 + 1; l1 32 - 1 ] in
+  check_skip "level-1 word edges" (List.map (fun t -> Schedule t) edges);
+  check_skip "level-1 word edges, later window"
+    (List.map (fun t -> Schedule ((5 lsl 22) + t)) edges);
+  check_skip "level-1 word edges, popped one by one"
     (List.concat_map (fun t -> [ Schedule t; Pop ]) edges
     @ List.concat_map (fun t -> [ Schedule t; Schedule (t + 1) ]) edges);
   (* Level-1/2/3 bucket indices on the same word edges. *)
@@ -477,7 +514,7 @@ let suite =
       test_drain_cancel_seeded;
     Alcotest.test_case "skip: level-1/2/3 bucket starts" `Quick
       test_skip_bucket_starts;
-    Alcotest.test_case "skip: level-0 word edges" `Quick test_skip_word_edges;
+    Alcotest.test_case "skip: level-1 word edges" `Quick test_skip_word_edges;
     Alcotest.test_case "skip: window edges" `Quick test_skip_window_edges;
     Alcotest.test_case "skip: cancel in jumped-over buckets" `Quick
       test_skip_cancel_jumped;
@@ -485,6 +522,8 @@ let suite =
       test_skip_pop_until_gap;
     Alcotest.test_case "lowest set bit at all 32 positions" `Quick
       test_lowest_set_bit;
+    Alcotest.test_case "near heap: the open slot's edges" `Quick
+      test_near_window;
     Alcotest.test_case "periodic identical" `Quick test_engine_periodic_identical;
     QCheck_alcotest.to_alcotest prop_backends_agree;
     Alcotest.test_case "fig1a identical across backends" `Slow
