@@ -18,23 +18,26 @@ build:
 test: build
 	$(DUNE) runtest
 
+# Every figure and ablation study at the default scale, then the
+# event-queue micro and the PDES fabric sweep.
 bench: build
-	$(DUNE) exec bench/main.exe -- -j $(JOBS)
+	$(DUNE) exec bin/asman_cli.exe -- experiment all ablations -j $(JOBS)
+	$(DUNE) exec bench/main.exe
 
 # Differential perf check: a scaled-down figure subset with the heap
 # oracle vs the timing wheel, diffed by the registry's regression
 # engine (fails on regressions past the threshold). The CI perf-smoke
-# job runs this.
+# job runs the same commands.
 bench-compare: build
-	BENCH_SCALE=$(SCALE) BENCH_COST_CACHE= $(DUNE) exec bench/main.exe -- \
-	  -j $(JOBS) --engine-queue=heap --json bench_heap.json fig1a fig7 fig9
-	BENCH_SCALE=$(SCALE) BENCH_COST_CACHE= $(DUNE) exec bench/main.exe -- \
-	  -j $(JOBS) --engine-queue=wheel --json bench_wheel.json fig1a fig7 fig9
+	$(DUNE) exec bin/asman_cli.exe -- experiment fig1a fig7 fig9 \
+	  --scale $(SCALE) -j $(JOBS) --engine-queue heap --json bench_heap.json
+	$(DUNE) exec bin/asman_cli.exe -- experiment fig1a fig7 fig9 \
+	  --scale $(SCALE) -j $(JOBS) --engine-queue wheel --json bench_wheel.json
 	$(DUNE) exec bin/asman_cli.exe -- compare bench_heap.json \
 	  bench_wheel.json --threshold 75 --strict-sections
 
 # Diff any two runs taken on the same axes (seed, scale, workers, ...):
-# registry ids or record files (bench --json writes one).
+# registry ids or record files (experiment --json writes one).
 #   make bench-compare && make compare OLD=bench_heap.json NEW=bench_wheel.json
 compare: build
 	@test -n "$(OLD)" -a -n "$(NEW)" || \

@@ -174,7 +174,7 @@ let dg_mix time =
   let h = (time + 1) * 0x2545F4914F6CDD1 in
   (h lxor (h lsr 29)) land max_int
 
-let run_pdes_once ?(kind = Engine.default_queue ()) ~pcpus ~jobs () =
+let run_pdes_once ~kind ~pcpus ~jobs () =
   let member_of p = p * jobs / pcpus in
   let la = pdes_lookahead in
   let per_pcpu = if pcpus >= 256 then 1024 else 2048 in
@@ -266,12 +266,12 @@ let pdes_sweep =
 
 (* Returns the rows plus the digest verdict: within a host size, every
    member count must execute the identical event multiset. *)
-let run_pdes_all ?kind () =
+let run_pdes_all ~kind () =
   let best = Array.make (List.length pdes_sweep) None in
   for _ = 1 to pdes_reps do
     List.iteri
       (fun i (pcpus, jobs) ->
-        let r = run_pdes_once ?kind ~pcpus ~jobs () in
+        let r = run_pdes_once ~kind ~pcpus ~jobs () in
         match best.(i) with
         | None -> best.(i) <- Some r
         | Some b ->

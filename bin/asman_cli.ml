@@ -1,8 +1,10 @@
 (* Command-line driver for the ASMan reproduction.
 
    Subcommands:
-     list                      enumerate the figure experiments
-     experiment <id> [...]     regenerate one figure (or all)
+     list                      enumerate the figures and ablations
+     experiment <id>... [...]  regenerate figures and ablation studies
+                               ('all' = the paper's figures,
+                               'ablations' = every ablation study)
      run [...]                 run one ad-hoc scenario and print metrics
      trace [...]               dump a spinlock-wait trace as CSV (Fig 2/8 data)
      lhp [...]                 lock-holder-preemption diagnosis, Credit vs ASMan
@@ -19,11 +21,12 @@
    simulation results are byte-identical to a build without the
    observability layer.
 
-   run/experiment/check additionally drop a metadata-stamped record
-   into the run registry (runs/ by default; ASMAN_RUNS= disables, see
-   lib/registry). Recording is observation-only: it happens after the
-   simulation finished, the note goes to stderr, and stdout is
-   byte-identical with recording on or off. *)
+   run/experiment/cluster/check additionally drop a metadata-stamped
+   record into the run registry (runs/ by default; ASMAN_RUNS=
+   disables, see lib/registry); experiment --json FILE also writes it
+   to FILE. Recording is observation-only: it happens after the
+   simulation finished, the notes and host timings go to stderr, and
+   stdout is byte-identical with recording on or off. *)
 
 open Cmdliner
 open Asman
@@ -45,14 +48,32 @@ let positive_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let positive_float =
+let non_negative_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "%S is not a non-negative integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let finite_float ~zero_ok =
   let parse s =
     match float_of_string_opt s with
-    | Some x when x > 0. && Float.is_finite x -> Ok x
+    | Some x when Float.is_finite x && (x > 0. || (zero_ok && x = 0.)) -> Ok x
     | Some _ | None ->
-      Error (`Msg (Printf.sprintf "%S is not a positive number" s))
+      Error
+        (`Msg
+          (Printf.sprintf "%S is not a %s number" s
+             (if zero_ok then "finite non-negative" else "positive")))
   in
   Arg.conv (parse, Format.pp_print_float)
+
+let positive_float = finite_float ~zero_ok:false
+
+(* Thresholds and penalties: zero is meaningful, a negative or
+   non-finite value is not. *)
+let non_negative_float = finite_float ~zero_ok:true
 
 let scale_arg =
   let doc = "Workload scale factor (fraction of the full benchmark size)." in
@@ -94,8 +115,7 @@ let queue_arg =
     "Event-queue backend: $(b,wheel) (hierarchical timing wheel, the \
      default) or $(b,heap) (binary-heap oracle kept for differential \
      testing). Both fire events in identical order, so results are \
-     byte-identical; only speed differs. Also settable via \
-     $(b,ASMAN_ENGINE_QUEUE)."
+     byte-identical; only speed differs."
   in
   let parse s =
     match Sim_engine.Equeue.kind_of_name s with
@@ -105,12 +125,8 @@ let queue_arg =
   let print fmt k = Format.pp_print_string fmt (Sim_engine.Equeue.kind_name k) in
   Arg.(
     value
-    & opt (some (conv (parse, print))) None
+    & opt (conv (parse, print)) Config.default.Config.engine_queue
     & info [ "engine-queue" ] ~doc ~docv:"BACKEND")
-
-let set_queue = function
-  | Some k -> Sim_engine.Engine.set_default_queue k
-  | None -> ()
 
 let chaos_arg =
   let doc =
@@ -151,10 +167,6 @@ let invariants_arg =
     & opt (conv (parse, print)) Config.default.Config.invariants
     & info [ "invariants" ] ~doc ~docv:"MODE")
 
-let config_of ~scale ~seed ~chaos ~invariants =
-  let config = Config.with_seed (Config.with_scale Config.default scale) seed in
-  { config with Config.faults = chaos; invariants }
-
 (* ----- big-host / parallel-simulation flags (run/experiment/cluster) ----- *)
 
 let sim_jobs_arg =
@@ -191,7 +203,7 @@ let topology_arg =
   let print fmt t = Format.pp_print_string fmt (Sim_hw.Topology.to_string t) in
   Arg.(
     value
-    & opt (some (conv (parse, print))) None
+    & opt (conv (parse, print)) Config.default.Config.topology
     & info [ "topology" ] ~doc ~docv:"SxC")
 
 let numa_arg =
@@ -201,15 +213,33 @@ let numa_arg =
   in
   Arg.(value & flag & info [ "numa" ] ~doc)
 
-let apply_host config ~topology ~numa =
-  let config =
-    match topology with
-    | None -> config
-    | Some topology -> { config with Config.topology }
+(* One [Config.t] term for every simulating subcommand: scale and seed
+   always, and the invariant mode, the host flags (engine queue,
+   topology, NUMA) and the chaos profile on the subcommands that accept
+   them. A flag a subcommand does not accept keeps its
+   [Config.default] value. *)
+let config_term ~invariants ~host ~chaos =
+  let arg present term default = if present then term else Term.const default in
+  let d = Config.default in
+  let make scale seed invariants engine_queue topology numa faults =
+    {
+      (Config.with_seed (Config.with_scale d scale) seed) with
+      Config.invariants;
+      engine_queue;
+      topology;
+      numa;
+      faults;
+    }
   in
-  { config with Config.numa }
+  Term.(
+    const make $ scale_arg $ seed_arg
+    $ arg invariants invariants_arg d.Config.invariants
+    $ arg host queue_arg d.Config.engine_queue
+    $ arg host topology_arg d.Config.topology
+    $ arg host numa_arg d.Config.numa
+    $ arg chaos chaos_arg d.Config.faults)
 
-(* ----- observability flags (shared by run/experiment/ablation) ----- *)
+(* ----- observability flags (shared by run/experiment) ----- *)
 
 let trace_arg =
   let doc =
@@ -251,7 +281,7 @@ let write_file file s =
    call once the runs are done (scenarios register themselves in
    [Obs_hub] as they are built, including those constructed deep
    inside experiment jobs). *)
-let obs_setup ~trace ~trace_cats ~metrics ~profile =
+let obs_setup trace trace_cats metrics profile =
   let trace_mask =
     match trace with
     | None -> 0
@@ -301,6 +331,9 @@ let obs_setup ~trace ~trace_cats ~metrics ~profile =
   in
   (obs, export)
 
+let obs_term =
+  Term.(const obs_setup $ trace_arg $ trace_cats_arg $ metrics_arg $ profile_arg)
+
 (* ----- run-registry recording (lib/registry) ----- *)
 
 module Reg = Sim_registry
@@ -308,11 +341,12 @@ module Json = Sim_obs.Json
 
 (* One record per invocation, stamped with the config axes; exports
    written by obs_setup's hook are picked up as pointers. Failure to
-   record never fails the run — the record is an observation. [id]
-   lets a caller mint the record id up front (check stamps it into
-   repro provenance before recording). *)
+   record in the registry never fails the run — the record is an
+   observation; a [json] file the caller asked for must be written.
+   [id] lets a caller mint the record id up front (check stamps it
+   into repro provenance before recording). *)
 let record_invocation ~kind ?id ~config ?workers ~label ~spec ~wall_sec
-    ?busy_sec ?sections ?metrics () =
+    ?busy_sec ?sections ?metrics ?json () =
   let r =
     Reg.Record.make
       ~id:
@@ -320,7 +354,7 @@ let record_invocation ~kind ?id ~config ?workers ~label ~spec ~wall_sec
         | Some i -> i
         | None -> Reg.Registry.fresh_id ~kind)
       ~kind ~seed:config.Config.seed ~scale:config.Config.scale
-      ~queue:(Sim_engine.Equeue.kind_name (Sim_engine.Engine.default_queue ()))
+      ~queue:(Sim_engine.Equeue.kind_name config.Config.engine_queue)
       ~workers:(Option.value workers ~default:(Pool.jobs ()))
       ~sim_jobs:config.Config.sim_jobs
       ~topology:(Sim_hw.Topology.to_string config.Config.topology)
@@ -331,6 +365,11 @@ let record_invocation ~kind ?id ~config ?workers ~label ~spec ~wall_sec
       ~exports:(Obs_hub.drain_exports ())
       ()
   in
+  Option.iter
+    (fun path ->
+      Reg.Registry.write path r;
+      Printf.eprintf "run record written to %s\n%!" path)
+    json;
   match
     try Reg.Registry.save_if_enabled r
     with Sys_error msg ->
@@ -350,37 +389,51 @@ let kv_section entries =
 
 (* ----- list ----- *)
 
-(* The cluster experiment lives in [Sim_cluster.Figure] (the cluster
-   layer depends on the asman library, so Experiments.all cannot list
-   it); the CLI is where the two registries meet. [all] keeps its
-   paper-figures meaning — the cluster figure runs by explicit id. *)
-let all_experiments = Experiments.all @ [ Sim_cluster.Figure.experiment ]
-
-let find_experiment id =
-  List.find_opt (fun (e : Experiments.t) -> e.Experiments.id = id)
-    all_experiments
+(* Every id [experiment] accepts. The cluster experiment lives in
+   [Sim_cluster.Figure] (the cluster layer depends on the asman
+   library, so Experiments.all cannot list it); the CLI is where the
+   registries meet. *)
+let catalogue =
+  Experiments.all @ [ Sim_cluster.Figure.experiment ] @ Ablations.all
 
 let list_cmd =
   let run () =
     List.iter
       (fun (e : Experiments.t) ->
         Printf.printf "%-16s  %s\n" e.Experiments.id e.Experiments.title)
-      all_experiments;
-    List.iter
-      (fun (a : Ablations.t) ->
-        Printf.printf "%-16s  %s\n" a.Experiments.id a.Experiments.title)
-      Ablations.all;
+      catalogue;
     0
   in
-  Cmd.v (Cmd.info "list" ~doc:"List the figure experiments")
+  Cmd.v (Cmd.info "list" ~doc:"List the figure experiments and ablations")
     Term.(const run $ const ())
 
 (* ----- experiment ----- *)
 
+(* [all] keeps its paper-figures meaning (the cluster figure runs by
+   explicit id); [ablations] is every ablation study. Every id is
+   resolved before anything runs, so a typo exits 2 instead of
+   failing after the figures ahead of it. *)
+let resolve_ids ids =
+  let resolve = function
+    | "all" -> Experiments.all
+    | "ablations" -> Ablations.all
+    | id -> List.filter (fun (e : Experiments.t) -> e.Experiments.id = id) catalogue
+  in
+  match List.filter (fun id -> List.is_empty (resolve id)) ids with
+  | [] -> List.concat_map resolve ids
+  | unknown ->
+    raise
+      (Usage_error
+         (Printf.sprintf "unknown experiment %s; try 'list'"
+            (String.concat ", " (List.map (Printf.sprintf "%S") unknown))))
+
 let experiment_cmd =
-  let id_arg =
-    let doc = "Figure id (e.g. fig7), or 'all'." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
+  let ids_arg =
+    let doc =
+      "Figure or ablation id (e.g. fig7, ablate-oov), 'all' (the paper's \
+       figures) or 'ablations' (every ablation study); repeatable."
+    in
+    Arg.(non_empty & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
   let csv_arg =
     let doc = "Also print the measured series as CSV." in
@@ -395,130 +448,119 @@ let experiment_cmd =
     Arg.(
       value & opt (some string) None & info [ "cost-cache" ] ~doc ~docv:"FILE")
   in
-  let run id csv scale seed jobs queue cost_cache chaos invariants topology
-      numa trace trace_cats metrics profile =
+  let json_arg =
+    let doc =
+      "Also write the invocation's run record to $(docv) (`asman compare` \
+       reads it back)."
+    in
+    Arg.(value & opt (some string) None & info [ "json" ] ~doc ~docv:"FILE")
+  in
+  let run ids csv jobs cost_cache json config (obs, export) =
+    let experiments = resolve_ids ids in
     Pool.set_jobs jobs;
-    set_queue queue;
-    (match cost_cache with Some f -> Pool.load_cost_cache f | None -> ());
-    let obs, export = obs_setup ~trace ~trace_cats ~metrics ~profile in
-    let config = { (config_of ~scale ~seed ~chaos ~invariants) with Config.obs } in
-    let config = apply_host config ~topology ~numa in
-    let timings = ref [] and fairness = ref [] and cluster = ref [] in
+    Option.iter Pool.load_cost_cache cost_cache;
+    let config = { config with Config.obs } in
+    let fairness = ref [] and cluster = ref [] in
+    (* One figure, with its Pool accounting: host timings go to stderr
+       and the record, never to stdout. Tagging the jobs with the id
+       feeds the LPT cost cache. *)
     let run_one (e : Experiments.t) =
-      (match cost_cache with
-      | Some _ -> Pool.set_job_group (Some e.Experiments.id)
-      | None -> ());
+      let id = e.Experiments.id in
+      Pool.reset_accounting ();
+      Pool.set_job_group (Some id);
       let t0 = Unix.gettimeofday () in
       let outcome = e.Experiments.run config in
-      timings := (e.Experiments.id, Unix.gettimeofday () -. t0) :: !timings;
-      if e.Experiments.id = "theft" then
-        fairness := !fairness @ Experiments.fairness_entries outcome;
-      if e.Experiments.id = "cluster" then
-        cluster := !cluster @ Sim_cluster.Figure.registry_entries outcome;
+      let wall_sec = Unix.gettimeofday () -. t0 in
       Pool.set_job_group None;
+      let stats = Pool.accounting () in
+      if id = "theft" then
+        fairness := !fairness @ Experiments.fairness_entries outcome;
+      if id = "cluster" then
+        cluster := !cluster @ Sim_cluster.Figure.registry_entries outcome;
       print_string (Report.outcome e outcome);
       if csv then print_string (Report.series_csv outcome.Experiments.series);
-      print_newline ()
+      print_newline ();
+      let jobs = List.length stats.Pool.timings in
+      let speedup =
+        if wall_sec > 0. then stats.Pool.busy_sec /. wall_sec else 1.
+      in
+      Printf.eprintf
+        "(%s regenerated in %.1f s host wall: %d jobs over %d workers, busy \
+         %.1f s, speedup %.2fx)\n%!"
+        id wall_sec jobs stats.Pool.jobs_used stats.Pool.busy_sec speedup;
+      ( wall_sec,
+        stats.Pool.busy_sec,
+        Json.Obj
+          [
+            ("id", Json.String id);
+            ("wall_sec", Json.Float wall_sec);
+            ("busy_sec", Json.Float stats.Pool.busy_sec);
+            ("jobs", Json.Int jobs);
+            ("workers", Json.Int stats.Pool.jobs_used);
+            ("speedup", Json.Float speedup);
+            ( "job_sec",
+              Json.List
+                (List.map
+                   (fun (t : Pool.job_timing) -> Json.Float t.Pool.wall_sec)
+                   stats.Pool.timings) );
+          ] )
     in
-    if id = "all" then List.iter run_one Experiments.all
-    else begin
-      match find_experiment id with
-      | Some e -> run_one e
-      | None ->
-        raise
-          (Usage_error (Printf.sprintf "unknown experiment %S; try 'list'" id))
-    end;
-    (match cost_cache with Some f -> Pool.save_cost_cache f | None -> ());
+    let runs = List.map run_one experiments in
+    Option.iter Pool.save_cost_cache cost_cache;
     export ();
-    let timings = List.rev !timings in
-    let runs_section =
+    let total f = List.fold_left (fun acc r -> acc +. f r) 0. runs in
+    let fairness_json (fid, ratio) =
+      Json.Obj [ ("id", Json.String fid); ("ratio", Json.Float ratio) ]
+    in
+    let profile_json p =
       Json.List
         (List.map
-           (fun (fid, wall) ->
+           (fun (s : Sim_obs.Prof.section) ->
              Json.Obj
                [
-                 ("id", Json.String fid); ("wall_sec", Json.Float wall);
+                 ("label", Json.String s.Sim_obs.Prof.label);
+                 ("total_sec", Json.Float s.Sim_obs.Prof.total_sec);
+                 ("calls", Json.Int s.Sim_obs.Prof.calls);
                ])
-           timings)
+           (Sim_obs.Prof.sections p))
     in
     record_invocation
-      ~kind:(if id = "theft" then "theft" else "experiment")
+      ~kind:(if ids = [ "theft" ] then "theft" else "experiment")
       ~config
-      ~label:("experiment " ^ id)
+      ~label:("experiment " ^ String.concat " " ids)
       ~spec:
         (Json.Obj
            [
              ("subcommand", Json.String "experiment");
-             ("id", Json.String id);
+             ("ids", Json.List (List.map (fun id -> Json.String id) ids));
            ])
-      ~wall_sec:(List.fold_left (fun s (_, w) -> s +. w) 0. timings)
+      ~wall_sec:(total (fun (w, _, _) -> w))
+      ~busy_sec:(total (fun (_, b, _) -> b))
       ~sections:
         (Json.Obj
-           (("runs", runs_section)
-           ::
-           ((match !fairness with
-            | [] -> []
-            | f ->
+           (List.filter_map Fun.id
               [
-                ( "fairness",
-                  Json.List
-                    (List.map
-                       (fun (fid, ratio) ->
-                         Json.Obj
-                           [
-                             ("id", Json.String fid);
-                             ("ratio", Json.Float ratio);
-                           ])
-                       f) );
-              ])
-           @
-           match !cluster with
-           | [] -> []
-           | c -> [ ("cluster", kv_section c) ])))
-      ();
+                Some ("runs", Json.List (List.map (fun (_, _, j) -> j) runs));
+                (if !fairness = [] then None
+                 else
+                   Some
+                     ("fairness", Json.List (List.map fairness_json !fairness)));
+                (if !cluster = [] then None
+                 else Some ("cluster", kv_section !cluster));
+                Option.map
+                  (fun p -> ("profile", profile_json p))
+                  obs.Config.profile;
+              ]))
+      ?json ();
     0
   in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Regenerate a figure of the paper")
+    (Cmd.info "experiment"
+       ~doc:"Regenerate figures of the paper and run ablation studies")
     Term.(
-      const run $ id_arg $ csv_arg $ scale_arg $ seed_arg $ jobs_arg
-      $ queue_arg $ cost_cache_arg $ chaos_arg $ invariants_arg
-      $ topology_arg $ numa_arg $ trace_arg
-      $ trace_cats_arg $ metrics_arg $ profile_arg)
-
-(* ----- ablation ----- *)
-
-let ablation_cmd =
-  let id_arg =
-    let doc = "Ablation id (see 'asman_cli ablations'), or 'all'." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
-  in
-  let run id scale seed jobs queue =
-    Pool.set_jobs jobs;
-    set_queue queue;
-    let config =
-      config_of ~scale ~seed ~chaos:Sim_faults.Fault.none
-        ~invariants:Config.default.Config.invariants
-    in
-    let run_one (a : Ablations.t) =
-      print_string (Report.outcome a (a.Experiments.run config));
-      print_newline ()
-    in
-    if id = "all" then List.iter run_one Ablations.all
-    else begin
-      match Ablations.find id with
-      | Some a -> run_one a
-      | None ->
-        raise
-          (Usage_error
-             (Printf.sprintf "unknown ablation %S; known: %s" id
-                (String.concat ", " (Ablations.ids ()))))
-    end;
-    0
-  in
-  Cmd.v
-    (Cmd.info "ablation" ~doc:"Run an ablation study of a design choice")
-    Term.(const run $ id_arg $ scale_arg $ seed_arg $ jobs_arg $ queue_arg)
+      const run $ ids_arg $ csv_arg $ jobs_arg $ cost_cache_arg $ json_arg
+      $ config_term ~invariants:true ~host:true ~chaos:true
+      $ obs_term)
 
 (* ----- cluster ----- *)
 
@@ -576,21 +618,18 @@ let cluster_cmd =
   let penalty_arg =
     let doc = "Lifetime-aware scorer's load-spreading penalty (seconds of \
                drain extension per unit utilization)." in
-    Arg.(value & opt float 0.75 & info [ "penalty" ] ~doc ~docv:"SEC")
+    Arg.(
+      value & opt non_negative_float 0.75 & info [ "penalty" ] ~doc ~docv:"SEC")
   in
   let log_arg =
     let doc = "Print the controller's placement log." in
     Arg.(value & flag & info [ "log" ] ~doc)
   in
   let run hosts vms policy dist horizon overcommit no_rebalance penalty log
-      scale seed sched queue invariants workers topology numa =
-    set_queue queue;
-    let config =
-      config_of ~scale ~seed ~chaos:Sim_faults.Fault.none ~invariants
-    in
-    let config = apply_host config ~topology ~numa in
+      sched workers config =
     let trace =
-      Sim_cluster.Vtrace.generate ~max_vcpus:(Config.pcpus config) ~seed ~vms
+      Sim_cluster.Vtrace.generate ~max_vcpus:(Config.pcpus config)
+        ~seed:config.Config.seed ~vms
         ~dist ~horizon_sec:horizon ()
     in
     let t =
@@ -707,10 +746,9 @@ let cluster_cmd =
           self-checks the cluster-conservation oracle")
     Term.(
       const run $ hosts_arg $ vms_arg $ policy_arg $ dist_arg $ horizon_arg
-      $ overcommit_arg $ no_rebalance_arg $ penalty_arg $ log_arg $ scale_arg
-      $ seed_arg
-      $ sched_arg $ queue_arg $ invariants_arg $ workers_arg $ topology_arg
-      $ numa_arg)
+      $ overcommit_arg $ no_rebalance_arg $ penalty_arg $ log_arg $ sched_arg
+      $ workers_arg
+      $ config_term ~invariants:true ~host:true ~chaos:false)
 
 (* ----- run ----- *)
 
@@ -795,14 +833,9 @@ let run_cmd =
           None
       & info [ "attack" ] ~doc ~docv:"ATTACK")
   in
-  let run vms weight capped rounds max_sec sched scale seed queue chaos
-      invariants sim_jobs workers topology numa accounting attack trace
-      trace_cats metrics profile =
-    set_queue queue;
-    let obs, export = obs_setup ~trace ~trace_cats ~metrics ~profile in
-    let config = { (config_of ~scale ~seed ~chaos ~invariants) with Config.obs } in
-    let config = apply_host config ~topology ~numa in
-    let config = { config with Config.sim_jobs } in
+  let run vms weight capped rounds max_sec sched sim_jobs workers accounting
+      attack config (obs, export) =
+    let config = { config with Config.obs; sim_jobs } in
     let config = Config.with_work_conserving config (not capped) in
     let config =
       match Sim_vmm.Vmm.accounting_of_name accounting with
@@ -856,7 +889,7 @@ let run_cmd =
           (Usage_error
              "--sim-jobs >= 2 does not support --attack (fixed-window attack \
               runs need a single host)");
-      if not (Sim_faults.Fault.is_none chaos) then
+      if not (Sim_faults.Fault.is_none config.Config.faults) then
         raise
           (Usage_error
              "--sim-jobs >= 2 does not support --chaos (fault injection \
@@ -1000,11 +1033,9 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run an ad-hoc scenario")
     Term.(
       const run $ vms_arg $ weight_arg $ capped_arg $ rounds_arg $ max_sec_arg
-      $ sched_arg $ scale_arg $ seed_arg $ queue_arg $ chaos_arg
-      $ invariants_arg $ sim_jobs_arg $ workers_arg
-      $ topology_arg $ numa_arg
-      $ accounting_arg $ attack_arg $ trace_arg $ trace_cats_arg $ metrics_arg
-      $ profile_arg)
+      $ sched_arg $ sim_jobs_arg $ workers_arg $ accounting_arg $ attack_arg
+      $ config_term ~invariants:true ~host:true ~chaos:true
+      $ obs_term)
 
 (* ----- trace ----- *)
 
@@ -1017,16 +1048,16 @@ let trace_cmd =
     let doc = "NAS benchmark to trace." in
     Arg.(value & opt string "lu" & info [ "bench" ] ~doc)
   in
-  let run weight bench sched scale seed chaos invariants =
+  let run weight bench sched config =
     match Sim_workloads.Nas.of_name bench with
     | None ->
       raise (Usage_error (Printf.sprintf "unknown NAS benchmark %S" bench))
     | Some b ->
-      let config = config_of ~scale ~seed ~chaos ~invariants in
       let config = Config.with_work_conserving config false in
       let workload =
         Sim_workloads.Nas.workload
-          (Sim_workloads.Nas.params b ~freq:(Config.freq config) ~scale)
+          (Sim_workloads.Nas.params b ~freq:(Config.freq config)
+             ~scale:config.Config.scale)
       in
       let scenario =
         Scenario.build config ~sched
@@ -1046,8 +1077,8 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"Dump the spinlock waiting-time trace (Fig 2/8 raw data) as CSV")
     Term.(
-      const run $ weight_arg $ bench_arg $ sched_arg $ scale_arg $ seed_arg
-      $ chaos_arg $ invariants_arg)
+      const run $ weight_arg $ bench_arg $ sched_arg
+      $ config_term ~invariants:true ~host:false ~chaos:true)
 
 (* ----- lhp ----- *)
 
@@ -1104,8 +1135,7 @@ let lhp_cmd =
     in
     (Sim_obs.Lhp.classify ~timeline entries, vm_names)
   in
-  let run sec nvms scale seed =
-    let base = Config.with_seed (Config.with_scale Config.default scale) seed in
+  let run sec nvms base =
     let schedulers = [ Config.Credit; Config.Asman ] in
     let reports =
       List.map
@@ -1137,7 +1167,9 @@ let lhp_cmd =
        ~doc:
          "Diagnose lock-holder preemption: classify over-threshold spinlock \
           waits against the scheduling timeline, Credit vs ASMan")
-    Term.(const run $ sec_arg $ vms_count_arg $ scale_arg $ seed_arg)
+    Term.(
+      const run $ sec_arg $ vms_count_arg
+      $ config_term ~invariants:false ~host:false ~chaos:false)
 
 (* ----- validate-json ----- *)
 
@@ -1198,7 +1230,9 @@ let check_cmd =
   in
   let shrink_budget_arg =
     let doc = "Maximum simulations the shrinker may spend per failure." in
-    Arg.(value & opt int 200 & info [ "shrink-budget" ] ~doc ~docv:"N")
+    Arg.(
+      value & opt non_negative_int 200
+      & info [ "shrink-budget" ] ~doc ~docv:"N")
   in
   let repro_dir_arg =
     let doc = "Directory for shrunk repro case files." in
@@ -1363,7 +1397,9 @@ let runs_dir_arg =
 
 let compare_cmd =
   let old_arg =
-    let doc = "Baseline: a run id or a record file (bench --json writes one)." in
+    let doc =
+      "Baseline: a run id or a record file (experiment --json writes one)."
+    in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"OLD" ~doc)
   in
   let new_arg =
@@ -1374,21 +1410,21 @@ let compare_cmd =
     let doc = "Regression threshold in percent (wall time, micro throughput)." in
     Arg.(
       value
-      & opt float Reg.Compare.default.Reg.Compare.threshold
+      & opt non_negative_float Reg.Compare.default.Reg.Compare.threshold
       & info [ "threshold" ] ~doc ~docv:"PCT")
   in
   let min_wall_arg =
     let doc = "Runs with an old wall time under $(docv) seconds are not gated." in
     Arg.(
       value
-      & opt float Reg.Compare.default.Reg.Compare.min_wall
+      & opt non_negative_float Reg.Compare.default.Reg.Compare.min_wall
       & info [ "min-wall" ] ~doc ~docv:"SEC")
   in
   let fairness_threshold_arg =
     let doc = "Symmetric gate on fairness-ratio drift, in percent." in
     Arg.(
       value
-      & opt float Reg.Compare.default.Reg.Compare.fairness_threshold
+      & opt non_negative_float Reg.Compare.default.Reg.Compare.fairness_threshold
       & info [ "fairness-threshold" ] ~doc ~docv:"PCT")
   in
   let strict_sections_arg =
@@ -1472,7 +1508,7 @@ let main =
   let doc = "ASMan: dynamic adaptive scheduling for virtual machines (HPDC'11)" in
   Cmd.group (Cmd.info "asman_cli" ~doc)
     [
-      list_cmd; experiment_cmd; ablation_cmd; cluster_cmd; run_cmd; trace_cmd;
+      list_cmd; experiment_cmd; cluster_cmd; run_cmd; trace_cmd;
       lhp_cmd; validate_json_cmd; learn_cmd; check_cmd; repro_cmd; compare_cmd;
       report_cmd;
     ]

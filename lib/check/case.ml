@@ -29,7 +29,7 @@ let config_of_spec ?queue (spec : Spec.t) =
     faults = Spec.fault_profile spec;
     accounting = Spec.accounting_mode spec;
     invariants = Sim_vmm.Vmm.Record;
-    engine_queue = Some queue;
+    engine_queue = queue;
     sim_jobs = spec.Spec.sim_jobs;
     obs =
       {

@@ -3,7 +3,7 @@
     the paper's headline workload (LU at a 22.2% online rate, plus
     other rates where relevant).
 
-    Run them all with [dune exec bench/main.exe -- ablations] or one
+    Run them all with [asman_cli experiment ablations] or one
     by one through the CLI. Outcomes reuse the experiment report
     format. *)
 

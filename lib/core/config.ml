@@ -52,13 +52,10 @@ type t = {
   work_conserving : bool;
   credit_unit : int;
   guest_params : Sim_guest.Kernel.params option;
-  monitor_report : bool;
   scale : float;
   faults : Sim_faults.Fault.profile;
   invariants : Sim_vmm.Vmm.invariant_mode;
-  watchdog : bool option;  (** [None] = armed iff faults are enabled *)
-  engine_queue : Sim_engine.Engine.queue_kind option;
-      (** [None] = the process default ([--engine-queue]) *)
+  engine_queue : Sim_engine.Engine.queue_kind;
   sim_jobs : int;
   decouple : bool;
   numa : bool;
@@ -75,12 +72,10 @@ let default =
     work_conserving = true;
     credit_unit = Sim_vmm.Credit.default_credit_unit;
     guest_params = None;
-    monitor_report = true;
     scale = 0.25;
     faults = Sim_faults.Fault.none;
     invariants = Sim_vmm.Vmm.Record;
-    watchdog = None;
-    engine_queue = None;
+    engine_queue = Sim_engine.Engine.Wheel_queue;
     sim_jobs = 1;
     decouple = false;
     numa = false;
@@ -95,23 +90,12 @@ let with_seed t seed = { t with seed }
 let with_work_conserving t work_conserving = { t with work_conserving }
 let with_faults t faults = { t with faults }
 
-let watchdog_enabled t =
-  match t.watchdog with
-  | Some b -> b
-  | None -> not (Sim_faults.Fault.is_none t.faults)
+let watchdog_enabled t = not (Sim_faults.Fault.is_none t.faults)
 
 let guest_params t =
   match t.guest_params with
   | Some p -> p
-  | None ->
-    let p = Sim_guest.Kernel.default_params t.cpu in
-    if t.monitor_report then p
-    else
-      {
-        p with
-        Sim_guest.Kernel.monitor =
-          { p.Sim_guest.Kernel.monitor with Sim_guest.Monitor.report_vcrd = false };
-      }
+  | None -> Sim_guest.Kernel.default_params t.cpu
 
 let freq t = t.cpu.Sim_hw.Cpu_model.freq
 

@@ -42,22 +42,16 @@ type t = {
   work_conserving : bool;
   credit_unit : int;
   guest_params : Sim_guest.Kernel.params option;  (** [None] = defaults *)
-  monitor_report : bool;  (** guests issue VCRD hypercalls *)
   scale : float;  (** global workload scale factor *)
   faults : Sim_faults.Fault.profile;  (** chaos profile ([none] = clean run) *)
   invariants : Sim_vmm.Vmm.invariant_mode;
       (** runtime invariant checking (default [Record]: violations are
           counted but never change scheduling, so clean runs stay
           byte-identical to a checker-free build) *)
-  watchdog : bool option;
-      (** arm the gang coscheduling watchdog; [None] (default) arms it
-          exactly when [faults] is a real profile, so fault-free runs
-          carry no watchdog events *)
-  engine_queue : Sim_engine.Engine.queue_kind option;
-      (** event-queue backend for this scenario's engine; [None]
-          (default) uses the process-wide default (the
-          [--engine-queue] flag). SimCheck pins it per case so a
-          differential rerun needs no global state. *)
+  engine_queue : Sim_engine.Engine.queue_kind;
+      (** event-queue backend for every engine built from this config
+          ([--engine-queue]; default [Wheel_queue]). Both backends fire
+          events in the same order, so results are identical. *)
   sim_jobs : int;
       (** [--sim-jobs]: decoupled sub-host count. [1] (default) is
           one host on one sequential engine; {!Decouple.build} runs
@@ -92,7 +86,8 @@ val with_work_conserving : t -> bool -> t
 val with_faults : t -> Sim_faults.Fault.profile -> t
 
 val watchdog_enabled : t -> bool
-(** Resolve the [watchdog] option against the fault profile. *)
+(** The gang coscheduling watchdog is armed exactly when [faults] is a
+    real profile, so fault-free runs carry no watchdog events. *)
 
 val obs_wanted : t -> bool
 (** Tracing armed or metrics collection requested. *)

@@ -81,8 +81,7 @@ val accounting : unit -> stats
     and each job seeds its own simulation.
 
     The cache persists across processes via {!load_cost_cache} /
-    {!save_cost_cache} (the benchmark harness's [runs/cost_cache]
-    file). *)
+    {!save_cost_cache} ([asman_cli experiment --cost-cache FILE]). *)
 
 val set_job_group : string option -> unit
 (** [set_job_group (Some id)] tags subsequent jobs with [id] (the

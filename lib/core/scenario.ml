@@ -35,7 +35,7 @@ let build ?(domain_id_base = 0) ?(vcpu_id_base = 0) ?(launch = true) config
     vms;
   let engine =
     Sim_engine.Engine.create ~seed:config.Config.seed
-      ?queue:config.Config.engine_queue ()
+      ~queue:config.Config.engine_queue ()
   in
   (* Arm tracing before the machine exists so boot-time events (tick
      programming, first switches) land in the ring too. *)

@@ -1,22 +1,5 @@
 type queue_kind = Equeue.kind = Wheel_queue | Heap_queue
 
-(* Process-wide default backend: the timing wheel, unless overridden
-   by --engine-queue / ASMAN_ENGINE_QUEUE (the binary-heap oracle for
-   differential runs). Read once per Engine.create. *)
-let env_queue () =
-  match Sys.getenv_opt "ASMAN_ENGINE_QUEUE" with
-  | None -> None
-  | Some s -> Equeue.kind_of_name (String.trim s)
-
-let default_queue_ref : queue_kind option ref = ref None
-
-let set_default_queue k = default_queue_ref := Some k
-
-let default_queue () =
-  match !default_queue_ref with
-  | Some k -> k
-  | None -> ( match env_queue () with Some k -> k | None -> Wheel_queue)
-
 type t = {
   mutable clock : int;
   queue : Equeue.t;
@@ -32,11 +15,10 @@ type t = {
 
 type handle = Equeue.handle
 
-let create ?(seed = 1L) ?queue () =
-  let kind = match queue with Some k -> k | None -> default_queue () in
+let create ?(seed = 1L) ?(queue = Wheel_queue) () =
   {
     clock = 0;
-    queue = Equeue.create kind;
+    queue = Equeue.create queue;
     stop = false;
     fired_count = 0;
     stream_fp = 0;

@@ -23,18 +23,10 @@ type handle = Equeue.handle
 
 type queue_kind = Equeue.kind = Wheel_queue | Heap_queue
 
-val set_default_queue : queue_kind -> unit
-(** Set the backend used by {!create} when [?queue] is omitted (the
-    [--engine-queue] flag). *)
-
-val default_queue : unit -> queue_kind
-(** The last {!set_default_queue} value, else [ASMAN_ENGINE_QUEUE]
-    from the environment ([wheel]/[heap]), else [Wheel_queue]. *)
-
 val create : ?seed:int64 -> ?queue:queue_kind -> unit -> t
 (** [create ?seed ()] is an engine at time 0 with an empty queue and a
     root RNG seeded from [seed] (default [1L]). [queue] picks the
-    event-queue backend (default {!default_queue}). *)
+    event-queue backend (default [Wheel_queue]). *)
 
 val queue_kind : t -> queue_kind
 

@@ -13,6 +13,3 @@ val git_info : unit -> (string * bool) option
 
 val timestamp : unit -> string
 (** Local time as ["YYYY-MM-DDTHH:MM:SS"]. *)
-
-val date : unit -> string
-(** Local date as ["YYYY-MM-DD"] (the default [bench --json] file stamp). *)

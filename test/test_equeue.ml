@@ -490,11 +490,8 @@ let test_fig1a_identical_across_backends () =
     | None -> Alcotest.fail "fig1a not registered"
   in
   let run kind workers =
-    Engine.set_default_queue kind;
     Asman.Pool.set_jobs workers;
-    let r = exp.Asman.Experiments.run config in
-    Engine.set_default_queue Engine.Wheel_queue;
-    r
+    exp.Asman.Experiments.run { config with Asman.Config.engine_queue = kind }
   in
   let base = run Engine.Heap_queue 1 in
   let wheel1 = run Engine.Wheel_queue 1 in
