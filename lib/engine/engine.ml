@@ -15,6 +15,8 @@ type t = {
 
 type handle = Equeue.handle
 
+let no_handle = -1
+
 let create ?(seed = 1L) ?(queue = Wheel_queue) () =
   {
     clock = 0;
@@ -106,20 +108,20 @@ let next_time t = Equeue.next_time t.queue
    recursive schedule. *)
 let periodic t ~start ~period ?jitter action =
   if period <= 0 then invalid_arg "Engine.periodic: period must be positive";
+  (* One [fire] closure per chain, rescheduled as is: the pending
+     handle is an immediate held in a ref, so a tick allocates
+     nothing. *)
   let stopped = ref false in
-  let pending = ref None in
+  let pending = ref no_handle in
   let rec fire () =
     action ();
     if not !stopped then begin
-      let extra = match jitter with None -> 0 | Some j -> max 0 (j ()) in
-      pending := Some (schedule_after t ~delay:(period + extra) fire)
+      let extra = match jitter with None -> 0 | Some j -> Int.max 0 (j ()) in
+      pending := schedule_after t ~delay:(period + extra) fire
     end
   in
-  pending := Some (schedule_at t ~time:start fire);
+  pending := schedule_at t ~time:start fire;
   fun () ->
     stopped := true;
-    match !pending with
-    | Some h ->
-      cancel t h;
-      pending := None
-    | None -> ()
+    cancel t !pending;
+    pending := no_handle

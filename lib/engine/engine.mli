@@ -21,6 +21,12 @@ type handle = Equeue.handle
     cancelled, even if their pool slot has since been recycled — are
     detected by the generation stamp. *)
 
+val no_handle : handle
+(** A handle that is never pending: {!cancel} ignores it and
+    {!is_pending} is [false]. Holders of an optional event keep it in
+    a mutable [handle] field set to [no_handle] instead of boxing a
+    [handle option] on every schedule. *)
+
 type queue_kind = Equeue.kind = Wheel_queue | Heap_queue
 
 val create : ?seed:int64 -> ?queue:queue_kind -> unit -> t

@@ -33,10 +33,18 @@ let pow2 k =
   if k < 0 || k > 61 then invalid_arg "Units.pow2: exponent out of range";
   1 lsl k
 
+(* A fixed six-step binary search over the bit positions: it runs on
+   every [Histogram.add], so on every recorded spin wait. *)
 let log2_floor n =
   if n < 1 then invalid_arg "Units.log2_floor: argument must be >= 1";
-  let rec go k v = if v <= 1 then k else go (k + 1) (v lsr 1) in
-  go 0 n
+  let k = ref 0 and v = ref n in
+  if !v lsr 32 <> 0 then begin v := !v lsr 32; k := 32 end;
+  if !v lsr 16 <> 0 then begin v := !v lsr 16; k := !k + 16 end;
+  if !v lsr 8 <> 0 then begin v := !v lsr 8; k := !k + 8 end;
+  if !v lsr 4 <> 0 then begin v := !v lsr 4; k := !k + 4 end;
+  if !v lsr 2 <> 0 then begin v := !v lsr 2; k := !k + 2 end;
+  if !v lsr 1 <> 0 then k := !k + 1;
+  !k
 
 let pp_cycles f fmt c =
   let s = sec_of_cycles f c in

@@ -134,7 +134,8 @@ let handle_slot h = h land slot_mask
 
 let handle_live p h =
   let s = h land slot_mask in
-  s < p.cap
+  h >= 0
+  && s < p.cap
   && p.gen.(s) = h lsr slot_bits
   && p.loc.(s) <> loc_free
   && p.loc.(s) <> loc_dead

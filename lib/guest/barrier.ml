@@ -39,7 +39,7 @@ let arrive t ~now =
     t.count <- 0;
     t.generation <- t.generation + 1;
     t.crossings <- t.crossings + 1;
-    t.longest <- max t.longest (now - t.first_arrival);
+    t.longest <- Int.max t.longest (now - t.first_arrival);
     `Last
   end
   else `Wait t.generation

@@ -23,29 +23,49 @@ let active t = t.active
 
 let set_active t thread = t.active <- thread
 
-let pick t =
-  let executable = List.filter Thread.is_executable t.threads in
-  match executable with
+(* The scans below return the thread's prebuilt [some] and recurse
+   directly, so a pick allocates nothing. *)
+let rec first_executable = function
   | [] -> None
-  | first :: _ -> begin
+  | (th : Thread.t) :: rest ->
+    if Thread.is_executable th then th.Thread.some else first_executable rest
+
+(* First executable thread strictly after [cur] in list order. *)
+let rec executable_after cur = function
+  | [] -> None
+  | th :: rest ->
+    if th == cur then first_executable rest else executable_after cur rest
+
+(* First executable thread strictly before [cur] in list order. *)
+let rec executable_before cur = function
+  | [] -> None
+  | (th : Thread.t) :: rest ->
+    if th == cur then None
+    else if Thread.is_executable th then th.Thread.some
+    else executable_before cur rest
+
+let pick t =
+  match first_executable t.threads with
+  | None -> None
+  | Some _ as first -> begin
     match t.active with
-    | None -> Some first
+    | None -> first
     | Some cur -> begin
       (* Round-robin: first executable thread strictly after [cur] in
          list order, wrapping around. *)
-      let rec split before after = function
-        | [] -> (List.rev before, after)
-        | th :: rest ->
-          if th == cur then (List.rev before, rest)
-          else split (th :: before) after rest
-      in
-      let before, after = split [] [] t.threads in
-      let order = after @ before in
-      match List.find_opt Thread.is_executable order with
-      | Some th -> Some th
-      | None -> if Thread.is_executable cur then Some cur else Some first
+      match executable_after cur t.threads with
+      | Some _ as next -> next
+      | None -> begin
+        match executable_before cur t.threads with
+        | Some _ as next -> next
+        | None -> if Thread.is_executable cur then cur.Thread.some else first
+      end
     end
   end
 
-let executable_count t =
-  List.length (List.filter Thread.is_executable t.threads)
+let rec count_executable n = function
+  | [] -> n
+  | th :: rest ->
+    count_executable (if Thread.is_executable th then n + 1 else n) rest
+
+let executable_count t = count_executable 0 t.threads

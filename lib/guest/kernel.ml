@@ -23,12 +23,19 @@ let default_params (cpu : Sim_hw.Cpu_model.t) =
       Monitor.default_params ~slot_cycles:(Sim_hw.Cpu_model.slot_cycles cpu);
   }
 
+(* The two per-VCPU timers fire callbacks built once, at kernel
+   creation, and read what changes ([computing]) from this record, so
+   arming a timer allocates nothing. [Engine.no_handle] means "no
+   timer pending". *)
 type vcpu_ctx = {
   vcpu : Sim_vmm.Vcpu.t;
   gsched : Gsched.t;
   mutable online : bool;
-  mutable timer : Engine.handle option;  (** compute-completion event *)
-  mutable slice_timer : Engine.handle option;
+  mutable timer : Engine.handle;  (** compute-completion event *)
+  mutable computing : Thread.t option;  (** the thread [timer] completes *)
+  mutable compute_done : unit -> unit;  (** [timer]'s action *)
+  mutable slice_timer : Engine.handle;
+  mutable slice_end : unit -> unit;  (** [slice_timer]'s action *)
 }
 
 type t = {
@@ -39,9 +46,9 @@ type t = {
   hypercall : Sim_vmm.Hypercall.t;
   monitor : Monitor.t;
   rng : Rng.t;
-  locks : (int, Spinlock.t) Hashtbl.t;
-  sems : (int, Semaphore.t) Hashtbl.t;
-  barriers : (int, Barrier.t) Hashtbl.t;
+  locks : Spinlock.t Id_table.t;
+  sems : Semaphore.t Id_table.t;
+  barriers : Barrier.t Id_table.t;
   vcpus : vcpu_ctx array;
   mutable threads_rev : Thread.t list;
   mutable next_thread_id : int;
@@ -71,36 +78,42 @@ let now t = Engine.now t.engine
 
 (* ----- object lookup ----- *)
 
+(* [find] rather than [find_opt]: a hit, the common case on every
+   acquire, then boxes no option. *)
 let ensure_lock t id =
-  match Hashtbl.find_opt t.locks id with
-  | Some l -> l
-  | None ->
+  match Id_table.find t.locks id with
+  | l -> l
+  | exception Not_found ->
     let l = Spinlock.create ~id in
-    Hashtbl.replace t.locks id l;
+    Id_table.replace t.locks id l;
     l
 
 let get_sem t id =
-  match Hashtbl.find_opt t.sems id with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Kernel: undeclared semaphore %d" id)
+  match Id_table.find t.sems id with
+  | s -> s
+  | exception Not_found ->
+    invalid_arg (Printf.sprintf "Kernel: undeclared semaphore %d" id)
 
 let get_barrier t id =
-  match Hashtbl.find_opt t.barriers id with
-  | Some b -> b
-  | None -> invalid_arg (Printf.sprintf "Kernel: undeclared barrier %d" id)
+  match Id_table.find t.barriers id with
+  | b -> b
+  | exception Not_found ->
+    invalid_arg (Printf.sprintf "Kernel: undeclared barrier %d" id)
 
 let add_semaphore t ~id ~init =
-  if Hashtbl.mem t.sems id then invalid_arg "Kernel.add_semaphore: duplicate id";
-  Hashtbl.replace t.sems id (Semaphore.create ~id ~init)
+  if Id_table.mem t.sems id then
+    invalid_arg "Kernel.add_semaphore: duplicate id";
+  Id_table.replace t.sems id (Semaphore.create ~id ~init)
 
 let add_barrier t ~id ~parties =
-  if Hashtbl.mem t.barriers id then invalid_arg "Kernel.add_barrier: duplicate id";
-  Hashtbl.replace t.barriers id (Barrier.create ~id ~parties)
+  if Id_table.mem t.barriers id then
+    invalid_arg "Kernel.add_barrier: duplicate id";
+  Id_table.replace t.barriers id (Barrier.create ~id ~parties)
 
 let lock_stats t =
-  let user = Hashtbl.fold (fun id l acc -> (id, l) :: acc) t.locks [] in
+  let user = Id_table.fold (fun id l acc -> (id, l) :: acc) t.locks [] in
   let internal =
-    Hashtbl.fold
+    Id_table.fold
       (fun _ b acc ->
         let l = Barrier.lock b in
         (Spinlock.id l, l) :: acc)
@@ -111,7 +124,7 @@ let lock_stats t =
 let barrier_stats t =
   List.sort
     (fun (a, _) (b, _) -> compare a b)
-    (Hashtbl.fold (fun id b acc -> (id, b) :: acc) t.barriers [])
+    (Id_table.fold (fun id b acc -> (id, b) :: acc) t.barriers [])
 
 (* ----- thread/vcpu helpers ----- *)
 
@@ -134,18 +147,12 @@ let occupying t thread =
   | None -> false
 
 let cancel_timer t vc =
-  match vc.timer with
-  | Some h ->
-    Engine.cancel t.engine h;
-    vc.timer <- None
-  | None -> ()
+  Engine.cancel t.engine vc.timer;
+  vc.timer <- Engine.no_handle
 
 let cancel_slice t vc =
-  match vc.slice_timer with
-  | Some h ->
-    Engine.cancel t.engine h;
-    vc.slice_timer <- None
-  | None -> ()
+  Engine.cancel t.engine vc.slice_timer;
+  vc.slice_timer <- Engine.no_handle
 
 (* Pseudo lock id under which a barrier's flag-spin waits are reported
    (distinct from its arrival lock's id, which is [-(id + 1)]). *)
@@ -156,13 +163,14 @@ let flag_id barrier = -(1000 + Barrier.id barrier)
    PLE windows, spin-grace fallbacks — are counted while in flight:
    their events capture [t] and live on the current engine, so the
    decoupled-VMM quiescence gate ({!quiescent}) refuses to migrate a
-   domain whose kernel still has one pending. *)
+   domain whose kernel still has one pending. Every continuation
+   scheduled here calls {!untracked_fired} first; that saves wrapping
+   each one in a second closure. *)
 let schedule_untracked t ~delay k =
   t.pending_untracked <- t.pending_untracked + 1;
-  ignore
-    (Engine.schedule_after t.engine ~delay (fun () ->
-         t.pending_untracked <- t.pending_untracked - 1;
-         k ()))
+  ignore (Engine.schedule_after t.engine ~delay k)
+
+let untracked_fired t = t.pending_untracked <- t.pending_untracked - 1
 
 (* ----- execution machinery ----- *)
 
@@ -170,28 +178,36 @@ let rec continue_thread t vc (thread : Thread.t) =
   assert vc.online;
   if thread.Thread.pending_compute > 0 then begin
     thread.Thread.compute_started <- now t;
-    let h =
+    vc.computing <- thread.Thread.some;
+    vc.timer <-
       Engine.schedule_after t.engine ~delay:thread.Thread.pending_compute
-        (fun () ->
-          vc.timer <- None;
-          thread.Thread.pending_compute <- 0;
-          do_resume t vc thread)
-    in
-    vc.timer <- Some h
+        vc.compute_done
   end
   else do_resume t vc thread
 
+(* [vc.timer]'s action. The timer is cancelled whenever its thread
+   stops being the VCPU's running thread, so [computing] is current. *)
+and compute_done t vc () =
+  vc.timer <- Engine.no_handle;
+  match vc.computing with
+  | Some thread ->
+    thread.Thread.pending_compute <- 0;
+    do_resume t vc thread
+  | None -> ()
+
 and do_resume t vc (thread : Thread.t) =
+  let arg = thread.Thread.resume_arg in
   match thread.Thread.resume with
   | Thread.R_fetch -> fetch t vc thread
-  | Thread.R_sleep cycles ->
+  | Thread.R_sleep ->
     (* Timer sleep: release the VCPU and arm a wake at an exact
        instant. Self-validating like every kernel timer — only a
        thread still in [Blocked_sleep] is woken (a sleeping thread
        cannot be re-dispatched, so the status check suffices). *)
     thread.Thread.status <- Thread.Blocked_sleep;
     thread.Thread.resume <- Thread.R_fetch;
-    schedule_untracked t ~delay:cycles (fun () ->
+    schedule_untracked t ~delay:arg (fun () ->
+        untracked_fired t;
         match thread.Thread.status with
         | Thread.Blocked_sleep ->
           thread.Thread.status <- Thread.Runnable;
@@ -201,30 +217,30 @@ and do_resume t vc (thread : Thread.t) =
         | Thread.Finished ->
           ());
     rotate_or_halt t vc
-  | Thread.R_acquire lock_id ->
-    let lock = ensure_lock t lock_id in
-    acquire_lock t vc thread lock ~cs:0 ~next:Thread.R_fetch
-  | Thread.R_unlock lock_id ->
-    let lock = ensure_lock t lock_id in
+  | Thread.R_acquire ->
+    let lock = ensure_lock t arg in
+    acquire_lock t vc thread lock ~cs:0 ~next:Thread.R_fetch ~arg:0
+  | Thread.R_unlock ->
+    let lock = ensure_lock t arg in
     Spinlock.release lock thread;
     thread.Thread.locks_held <- thread.Thread.locks_held - 1;
     handoff_check t lock;
     thread.Thread.resume <- Thread.R_fetch;
     fetch t vc thread
-  | Thread.R_sem_wait sem_id ->
-    let sem = get_sem t sem_id in
+  | Thread.R_sem_wait ->
+    let sem = get_sem t arg in
     if Semaphore.try_wait sem then begin
       thread.Thread.resume <- Thread.R_fetch;
       fetch t vc thread
     end
     else begin
       Semaphore.enqueue_waiter sem thread ~now:(now t);
-      thread.Thread.status <- Thread.Blocked_sem sem_id;
+      thread.Thread.status <- Thread.Blocked_sem arg;
       thread.Thread.resume <- Thread.R_fetch;
       rotate_or_halt t vc
     end
-  | Thread.R_sem_post sem_id ->
-    let sem = get_sem t sem_id in
+  | Thread.R_sem_post ->
+    let sem = get_sem t arg in
     (match Semaphore.post sem with
     | None -> ()
     | Some (waiter, since) ->
@@ -233,11 +249,12 @@ and do_resume t vc (thread : Thread.t) =
       wake_thread t waiter);
     thread.Thread.resume <- Thread.R_fetch;
     fetch t vc thread
-  | Thread.R_barrier_arrive barrier_id ->
-    let barrier = get_barrier t barrier_id in
+  | Thread.R_barrier_arrive ->
+    let barrier = get_barrier t arg in
     acquire_lock t vc thread (Barrier.lock barrier) ~cs:t.params.instr_overhead
-      ~next:(Thread.R_barrier_locked barrier_id)
-  | Thread.R_barrier_locked barrier_id ->
+      ~next:Thread.R_barrier_locked ~arg
+  | Thread.R_barrier_locked ->
+    let barrier_id = arg in
     let barrier = get_barrier t barrier_id in
     let lock = Barrier.lock barrier in
     let outcome = Barrier.arrive barrier ~now:(now t) in
@@ -248,7 +265,8 @@ and do_resume t vc (thread : Thread.t) =
     (match outcome with
     | `Last ->
       (* The last arriver never spins on the flag: zero wait. *)
-      Monitor.record_spin_wait t.monitor ~lock_id:(flag_id barrier) ~wait:0;
+      Monitor.record_spin_wait t.monitor ~vcpu:(-1) ~holder:(-1)
+        ~lock_id:(flag_id barrier) ~wait:0;
       release_barrier t barrier;
       fetch t vc thread
     | `Wait gen ->
@@ -258,14 +276,14 @@ and do_resume t vc (thread : Thread.t) =
          within [spin_grace], fall back to a futex sleep. *)
       arm_spin_grace t thread barrier_id gen;
       arm_ple t thread)
-  | Thread.R_barrier_exit barrier_id ->
-    let barrier = get_barrier t barrier_id in
+  | Thread.R_barrier_exit ->
+    let barrier = get_barrier t arg in
     let wait = now t - thread.Thread.spin_request in
     thread.Thread.total_spin_cycles <- thread.Thread.total_spin_cycles + wait;
     (* Barrier flag spins have no lock holder: the classifier falls
        back to a sibling-descheduled heuristic for these. *)
     Monitor.record_spin_wait t.monitor ~vcpu:(vcpu_id_of t thread)
-      ~lock_id:(flag_id barrier) ~wait;
+      ~holder:(-1) ~lock_id:(flag_id barrier) ~wait;
     thread.Thread.resume <- Thread.R_fetch;
     fetch t vc thread
 
@@ -288,32 +306,39 @@ and fetch t vc (thread : Thread.t) =
     rotate_or_halt t vc
   end
   else
-  match Program.next thread.Thread.cursor ~rng:thread.Thread.rng with
-  | None -> round_complete t vc thread
-  | Some instr -> begin
-    let overhead = t.params.instr_overhead in
-    match instr with
-    | Program.I_compute n -> start_work t vc thread ~cycles:n ~next:Thread.R_fetch
-    | Program.I_lock l ->
-      start_work t vc thread ~cycles:overhead ~next:(Thread.R_acquire l)
-    | Program.I_unlock l ->
-      start_work t vc thread ~cycles:overhead ~next:(Thread.R_unlock l)
-    | Program.I_sem_wait s ->
-      start_work t vc thread ~cycles:overhead ~next:(Thread.R_sem_wait s)
-    | Program.I_sem_post s ->
-      start_work t vc thread ~cycles:overhead ~next:(Thread.R_sem_post s)
-    | Program.I_barrier b ->
-      start_work t vc thread ~cycles:overhead ~next:(Thread.R_barrier_arrive b)
-    | Program.I_mark ->
-      thread.Thread.marks <- thread.Thread.marks + 1;
-      start_work t vc thread ~cycles:1 ~next:Thread.R_fetch
-    | Program.I_sleep n ->
-      start_work t vc thread ~cycles:overhead ~next:(Thread.R_sleep n)
-  end
+  let cursor = thread.Thread.cursor in
+  let overhead = t.params.instr_overhead in
+  match Program.next cursor ~rng:thread.Thread.rng with
+  | Program.I_end -> round_complete t vc thread
+  | Program.I_compute ->
+    start_work t vc thread ~cycles:(Program.operand cursor)
+      ~next:Thread.R_fetch ~arg:0
+  | Program.I_lock ->
+    start_work t vc thread ~cycles:overhead ~next:Thread.R_acquire
+      ~arg:(Program.operand cursor)
+  | Program.I_unlock ->
+    start_work t vc thread ~cycles:overhead ~next:Thread.R_unlock
+      ~arg:(Program.operand cursor)
+  | Program.I_sem_wait ->
+    start_work t vc thread ~cycles:overhead ~next:Thread.R_sem_wait
+      ~arg:(Program.operand cursor)
+  | Program.I_sem_post ->
+    start_work t vc thread ~cycles:overhead ~next:Thread.R_sem_post
+      ~arg:(Program.operand cursor)
+  | Program.I_barrier ->
+    start_work t vc thread ~cycles:overhead ~next:Thread.R_barrier_arrive
+      ~arg:(Program.operand cursor)
+  | Program.I_mark ->
+    thread.Thread.marks <- thread.Thread.marks + 1;
+    start_work t vc thread ~cycles:1 ~next:Thread.R_fetch ~arg:0
+  | Program.I_sleep ->
+    start_work t vc thread ~cycles:overhead ~next:Thread.R_sleep
+      ~arg:(Program.operand cursor)
 
-and start_work t vc (thread : Thread.t) ~cycles ~next =
+and start_work t vc (thread : Thread.t) ~cycles ~next ~arg =
   thread.Thread.pending_compute <- cycles;
   thread.Thread.resume <- next;
+  thread.Thread.resume_arg <- arg;
   continue_thread t vc thread
 
 and round_complete t vc (thread : Thread.t) =
@@ -333,11 +358,12 @@ and round_complete t vc (thread : Thread.t) =
   end
 
 (* Acquire [lock]; on ownership, run [cs] cycles then [next]. *)
-and acquire_lock t vc (thread : Thread.t) lock ~cs ~next =
+and acquire_lock t vc (thread : Thread.t) lock ~cs ~next ~arg =
   if Spinlock.try_acquire lock thread ~now:(now t) then begin
     thread.Thread.locks_held <- thread.Thread.locks_held + 1;
-    Monitor.record_spin_wait t.monitor ~lock_id:(Spinlock.id lock) ~wait:0;
-    start_work t vc thread ~cycles:cs ~next
+    Monitor.record_spin_wait t.monitor ~vcpu:(-1) ~holder:(-1)
+      ~lock_id:(Spinlock.id lock) ~wait:0;
+    start_work t vc thread ~cycles:cs ~next ~arg
   end
   else begin
     (* Capture who holds the lock as the wait begins: with fixed
@@ -353,6 +379,7 @@ and acquire_lock t vc (thread : Thread.t) lock ~cs ~next =
     thread.Thread.spin_request <- now t;
     thread.Thread.pending_compute <- cs;
     thread.Thread.resume <- next;
+    thread.Thread.resume_arg <- arg;
     arm_ple t thread;
     (* The lock may be free but reserved, or held: either way we spin.
        If it is free and unreserved (released while we were enqueuing
@@ -361,8 +388,13 @@ and acquire_lock t vc (thread : Thread.t) lock ~cs ~next =
     handoff_check t lock
   end
 
-(* If the lock is free and some waiter is online, start a handoff. *)
+(* If the lock is free and some waiter is online, start a handoff. The
+   waiter predicate is built only when there is a waiter to test: an
+   uncontended release allocates nothing. *)
 and handoff_check t lock =
+  if Spinlock.waiter_count lock > 0 then handoff_scan t lock
+
+and handoff_scan t lock =
   let online (waiter : Thread.t) =
     (match waiter.Thread.status with
     | Thread.Spinning id -> id = Spinlock.id lock
@@ -377,6 +409,7 @@ and handoff_check t lock =
   | Some waiter ->
     Spinlock.reserve_for lock waiter;
     schedule_untracked t ~delay:t.params.handoff (fun () ->
+        untracked_fired t;
         grant t lock waiter)
 
 (* Complete (or abort) an in-flight handoff. Self-validating: the
@@ -417,11 +450,13 @@ and release_barrier t barrier =
         when bid = Barrier.id barrier && Barrier.passed barrier ~gen ->
         if occupying t thread then
           schedule_untracked t ~delay:t.params.flag_latency (fun () ->
+              untracked_fired t;
               barrier_proceed t barrier thread)
       | Thread.Blocked_barrier (bid, gen)
         when bid = Barrier.id barrier && Barrier.passed barrier ~gen ->
         thread.Thread.status <- Thread.Runnable;
-        thread.Thread.resume <- Thread.R_barrier_exit bid;
+        thread.Thread.resume <- Thread.R_barrier_exit;
+        thread.Thread.resume_arg <- bid;
         thread.Thread.pending_compute <-
           t.params.flag_latency + t.params.instr_overhead;
         wake_thread t thread
@@ -441,7 +476,8 @@ and barrier_proceed t barrier (thread : Thread.t) =
     when bid = Barrier.id barrier && Barrier.passed barrier ~gen
          && occupying t thread ->
     thread.Thread.status <- Thread.Runnable;
-    thread.Thread.resume <- Thread.R_barrier_exit bid;
+    thread.Thread.resume <- Thread.R_barrier_exit;
+    thread.Thread.resume_arg <- bid;
     thread.Thread.pending_compute <- 0;
     continue_thread t (vctx_of t thread) thread
   | Thread.Spin_barrier _ | Thread.Blocked_barrier _ | Thread.Runnable
@@ -458,6 +494,7 @@ and arm_ple t (thread : Thread.t) =
   if t.params.ple_window > 0 then begin
     let span = thread.Thread.spin_request in
     schedule_untracked t ~delay:t.params.ple_window (fun () ->
+        untracked_fired t;
         let still_spinning =
           match thread.Thread.status with
           | Thread.Spinning _ | Thread.Spin_barrier _ ->
@@ -478,6 +515,7 @@ and arm_ple t (thread : Thread.t) =
    budget expires, the thread futex-sleeps and frees its VCPU. *)
 and arm_spin_grace t (thread : Thread.t) barrier_id gen =
   schedule_untracked t ~delay:t.params.spin_grace (fun () ->
+      untracked_fired t;
       match thread.Thread.status with
       | Thread.Spin_barrier (bid, g)
         when bid = barrier_id && g = gen && occupying t thread ->
@@ -497,7 +535,7 @@ and wake_thread t (thread : Thread.t) =
   if vc.online then begin
     match Gsched.active vc.gsched with
     | None ->
-      Gsched.set_active vc.gsched (Some thread);
+      Gsched.set_active vc.gsched thread.Thread.some;
       resume_active t vc
     | Some _ -> () (* picked up at the next rotation/dispatch *)
   end
@@ -509,8 +547,8 @@ and rotate_or_halt t vc =
   cancel_timer t vc;
   Gsched.set_active vc.gsched None;
   match Gsched.pick vc.gsched with
-  | Some next ->
-    Gsched.set_active vc.gsched (Some next);
+  | Some _ as next ->
+    Gsched.set_active vc.gsched next;
     resume_active t vc
   | None -> halt_vcpu t vc
 
@@ -535,6 +573,7 @@ and resume_active t vc =
       let barrier = get_barrier t bid in
       if Barrier.passed barrier ~gen then
         schedule_untracked t ~delay:t.params.flag_latency (fun () ->
+            untracked_fired t;
             barrier_proceed t barrier thread)
       else begin
         arm_spin_grace t thread bid gen;
@@ -549,38 +588,44 @@ and resume_active t vc =
 
 let rec arm_slice t vc =
   cancel_slice t vc;
-  if Gsched.thread_count vc.gsched > 1 then begin
-    let h =
+  if Gsched.thread_count vc.gsched > 1 then
+    vc.slice_timer <-
       Engine.schedule_after t.engine ~delay:(Gsched.timeslice vc.gsched)
-        (fun () ->
-          vc.slice_timer <- None;
-          if vc.online then begin
-            (match Gsched.active vc.gsched with
-            | Some active
-              when Thread.is_preemptible_by_guest active
-                   && Gsched.executable_count vc.gsched > 1 -> begin
-              (* Save the active thread's progress and rotate. *)
-              cancel_timer t vc;
-              if thread_mid_compute active then
-                active.Thread.pending_compute <-
-                  max 0
-                    (active.Thread.pending_compute
-                    - (now t - active.Thread.compute_started));
-              match Gsched.pick vc.gsched with
-              | Some next when next != active ->
-                Gsched.set_active vc.gsched (Some next);
-                resume_active t vc
-              | Some _ | None -> resume_active t vc
-            end
-            | Some _ | None -> ());
-            arm_slice t vc
-          end)
-    in
-    vc.slice_timer <- Some h
+        vc.slice_end
+
+(* [vc.slice_timer]'s action. *)
+and slice_end t vc () =
+  vc.slice_timer <- Engine.no_handle;
+  if vc.online then begin
+    (match Gsched.active vc.gsched with
+    | Some active
+      when Thread.is_preemptible_by_guest active
+           && Gsched.executable_count vc.gsched > 1 -> begin
+      (* Save the active thread's progress and rotate. *)
+      cancel_timer t vc;
+      if thread_mid_compute active then
+        active.Thread.pending_compute <-
+          Int.max 0
+            (active.Thread.pending_compute
+            - (now t - active.Thread.compute_started));
+      match Gsched.pick vc.gsched with
+      | Some next as picked when next != active ->
+        Gsched.set_active vc.gsched picked;
+        resume_active t vc
+      | Some _ | None -> resume_active t vc
+    end
+    | Some _ | None -> ());
+    arm_slice t vc
   end
 
 and thread_mid_compute (thread : Thread.t) =
-  thread.Thread.status = Thread.Runnable && thread.Thread.pending_compute > 0
+  (match thread.Thread.status with
+  | Thread.Runnable -> true
+  | Thread.Spinning _ | Thread.Spin_barrier _ | Thread.Blocked_barrier _
+  | Thread.Blocked_sem _ | Thread.Blocked_sleep | Thread.Paused
+  | Thread.Finished ->
+    false)
+  && thread.Thread.pending_compute > 0
 
 (* ----- VCPU hooks ----- *)
 
@@ -590,8 +635,8 @@ let on_scheduled t vc () =
   | Some active when Thread.is_executable active -> resume_active t vc
   | Some _ | None -> begin
     match Gsched.pick vc.gsched with
-    | Some next ->
-      Gsched.set_active vc.gsched (Some next);
+    | Some _ as next ->
+      Gsched.set_active vc.gsched next;
       resume_active t vc
     | None -> halt_vcpu t vc
   end);
@@ -600,18 +645,16 @@ let on_scheduled t vc () =
 let on_preempted t vc () =
   vc.online <- false;
   cancel_slice t vc;
-  (match vc.timer with
-  | Some h ->
-    Engine.cancel t.engine h;
-    vc.timer <- None;
-    (match Gsched.active vc.gsched with
+  if vc.timer <> Engine.no_handle then begin
+    cancel_timer t vc;
+    match Gsched.active vc.gsched with
     | Some active when thread_mid_compute active ->
       active.Thread.pending_compute <-
-        max 0
+        Int.max 0
           (active.Thread.pending_compute
           - (now t - active.Thread.compute_started))
-    | Some _ | None -> ())
-  | None -> ())
+    | Some _ | None -> ()
+  end
 
 (* ----- construction ----- *)
 
@@ -636,9 +679,9 @@ let create ?params:params_opt vmm domain () =
       hypercall;
       monitor;
       rng;
-      locks = Hashtbl.create 16;
-      sems = Hashtbl.create 8;
-      barriers = Hashtbl.create 8;
+      locks = Id_table.create 16;
+      sems = Id_table.create 8;
+      barriers = Id_table.create 8;
       vcpus =
         Array.map
           (fun vcpu ->
@@ -646,8 +689,11 @@ let create ?params:params_opt vmm domain () =
               vcpu;
               gsched = Gsched.create ~timeslice:params.timeslice;
               online = false;
-              timer = None;
-              slice_timer = None;
+              timer = Engine.no_handle;
+              computing = None;
+              compute_done = ignore;
+              slice_timer = Engine.no_handle;
+              slice_end = ignore;
             })
           domain.Sim_vmm.Domain.vcpus;
       threads_rev = [];
@@ -662,6 +708,8 @@ let create ?params:params_opt vmm domain () =
   in
   Array.iter
     (fun vc ->
+      vc.compute_done <- compute_done t vc;
+      vc.slice_end <- slice_end t vc;
       Sim_vmm.Vcpu.set_hooks vc.vcpu
         {
           Sim_vmm.Vcpu.on_scheduled = on_scheduled t vc;
@@ -674,12 +722,12 @@ let add_thread t ?(restart = false) ~affinity program =
   if t.launched then failwith "Kernel.add_thread: kernel already launched";
   List.iter
     (fun id ->
-      if not (Hashtbl.mem t.sems id) then
+      if not (Id_table.mem t.sems id) then
         invalid_arg (Printf.sprintf "Kernel.add_thread: undeclared semaphore %d" id))
     (Program.semaphores_referenced program);
   List.iter
     (fun id ->
-      if not (Hashtbl.mem t.barriers id) then
+      if not (Id_table.mem t.barriers id) then
         invalid_arg (Printf.sprintf "Kernel.add_thread: undeclared barrier %d" id))
     (Program.barriers_referenced program);
   let id = t.next_thread_id in
@@ -702,7 +750,10 @@ let add_thread t ?(restart = false) ~affinity program =
 let quiescent t =
   t.pending_untracked = 0
   && Array.for_all
-       (fun vc -> (not vc.online) && vc.timer = None && vc.slice_timer = None)
+       (fun vc ->
+         (not vc.online)
+         && vc.timer = Engine.no_handle
+         && vc.slice_timer = Engine.no_handle)
        t.vcpus
 
 (* Domain migration is a two-phase handoff. [park] runs on the source
@@ -775,7 +826,7 @@ let min_rounds t =
   | [] -> 0
   | threads ->
     List.fold_left
-      (fun acc (th : Thread.t) -> min acc th.Thread.rounds)
+      (fun acc (th : Thread.t) -> Int.min acc th.Thread.rounds)
       max_int threads
 
 let total_marks t =

@@ -73,7 +73,7 @@ let domain_online t =
 let rec arm_window t =
   let vcpus = Sim_vmm.Domain.vcpu_count t.domain in
   let min_delay = Units.pow2 20 in
-  let delay = max min_delay (t.window_budget / vcpus) in
+  let delay = Int.max min_delay (t.window_budget / vcpus) in
   let handle =
     Engine.schedule_after t.engine ~delay (fun () ->
         let consumed = domain_online t - t.window_anchor in
@@ -131,7 +131,7 @@ let adjusting_event t =
   t.window_anchor <- domain_online t;
   arm_window t
 
-let record_spin_wait ?(vcpu = -1) ?(holder = -1) t ~lock_id ~wait =
+let record_spin_wait t ~vcpu ~holder ~lock_id ~wait =
   Sim_stats.Histogram.add t.spin_hist wait;
   (match t.on_traced with
   | Some f when wait >= Units.pow2 t.params.trace_exp ->

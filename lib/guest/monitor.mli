@@ -55,12 +55,13 @@ val threshold_cycles : t -> int
 (** [2^delta_exp]. *)
 
 val record_spin_wait :
-  ?vcpu:int -> ?holder:int -> t -> lock_id:int -> wait:int -> unit
+  t -> vcpu:int -> holder:int -> lock_id:int -> wait:int -> unit
 (** Called by the kernel at every spinlock acquisition with the
     measured wall-clock waiting time (0 for the uncontended fast
     path). May trigger an adjusting event. [vcpu] is the waiter's
     VCPU and [holder] the VCPU holding the lock when the wait began
-    (both -1 = unknown, e.g. barrier flag spins); over-threshold
+    (both -1 = unknown, e.g. barrier flag spins; plain labels, not
+    optional arguments, so a call boxes nothing); over-threshold
     waits are emitted as [Spin_overthreshold] trace events carrying
     them, the join key for LHP classification. *)
 

@@ -11,14 +11,15 @@ type op =
   | Repeat of int * op list
 
 type instr =
-  | I_compute of int
-  | I_lock of int
-  | I_unlock of int
-  | I_sem_wait of int
-  | I_sem_post of int
-  | I_barrier of int
+  | I_compute
+  | I_lock
+  | I_unlock
+  | I_sem_wait
+  | I_sem_post
+  | I_barrier
   | I_mark
-  | I_sleep of int
+  | I_sleep
+  | I_end
 
 type t = { ops : op list }
 
@@ -73,17 +74,33 @@ let total_compute_cycles t = compute_cycles t.ops
    level plus the iterations left for that level's loop body. *)
 type frame = { mutable rest : op list; body : op list; mutable iters_left : int }
 
-type cursor = { program : t; mutable stack : frame list }
+type cursor = {
+  program : t;
+  mutable stack : frame list;
+  mutable operand : int;  (** of the instruction [next] last returned *)
+}
 
 let cursor program =
-  { program; stack = [ { rest = program.ops; body = []; iters_left = 0 } ] }
+  {
+    program;
+    stack = [ { rest = program.ops; body = []; iters_left = 0 } ];
+    operand = 0;
+  }
 
 let reset c =
   c.stack <- [ { rest = c.program.ops; body = []; iters_left = 0 } ]
 
+let operand c = c.operand
+
+(* The opcode is a constant constructor and the operand goes to a
+   cursor field, so handing out an instruction allocates nothing. *)
+let[@inline] emit c instr operand =
+  c.operand <- operand;
+  instr
+
 let rec next c ~rng =
   match c.stack with
-  | [] -> None
+  | [] -> emit c I_end 0
   | frame :: parents -> begin
     match frame.rest with
     | [] ->
@@ -99,19 +116,19 @@ let rec next c ~rng =
     | op :: rest ->
       frame.rest <- rest;
       (match op with
-      | Compute n -> Some (I_compute n)
+      | Compute n -> emit c I_compute n
       | Compute_rand { mean; cv } ->
         let n =
           Sim_engine.Rng.lognormal_cv rng ~mean:(float_of_int mean) ~cv
         in
-        Some (I_compute (max 1 (int_of_float n)))
-      | Lock id -> Some (I_lock id)
-      | Unlock id -> Some (I_unlock id)
-      | Sem_wait id -> Some (I_sem_wait id)
-      | Sem_post id -> Some (I_sem_post id)
-      | Barrier id -> Some (I_barrier id)
-      | Mark -> Some I_mark
-      | Sleep n -> Some (I_sleep n)
+        emit c I_compute (Int.max 1 (int_of_float n))
+      | Lock id -> emit c I_lock id
+      | Unlock id -> emit c I_unlock id
+      | Sem_wait id -> emit c I_sem_wait id
+      | Sem_post id -> emit c I_sem_post id
+      | Barrier id -> emit c I_barrier id
+      | Mark -> emit c I_mark 0
+      | Sleep n -> emit c I_sleep n
       | Repeat (n, body) ->
         if n = 0 || body = [] then next c ~rng
         else begin

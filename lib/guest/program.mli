@@ -25,15 +25,17 @@ type op =
           scheduler-attack guests use to dodge the accounting tick. *)
   | Repeat of int * op list  (** [Repeat (n, body)] runs [body] n times *)
 
+(** An instruction's opcode; its operand is read with {!operand}. *)
 type instr =
-  | I_compute of int
-  | I_lock of int
-  | I_unlock of int
-  | I_sem_wait of int
-  | I_sem_post of int
-  | I_barrier of int
+  | I_compute  (** operand: cycles *)
+  | I_lock  (** operand: lock id *)
+  | I_unlock
+  | I_sem_wait  (** operand: semaphore id *)
+  | I_sem_post
+  | I_barrier  (** operand: barrier id *)
   | I_mark
-  | I_sleep of int
+  | I_sleep  (** operand: cycles *)
+  | I_end  (** the program has finished *)
 
 type t
 
@@ -58,9 +60,15 @@ val cursor : t -> cursor
 
 val reset : cursor -> unit
 
-val next : cursor -> rng:Sim_engine.Rng.t -> instr option
-(** Advance and return the next instruction; [None] when the program
-    has finished. [rng] materializes [Compute_rand] chunks. *)
+val next : cursor -> rng:Sim_engine.Rng.t -> instr
+(** Advance and return the next instruction's opcode; [I_end] when the
+    program has finished. [rng] materializes [Compute_rand] chunks.
+    Allocates nothing: the opcode is a constant and the operand is
+    left in the cursor. *)
+
+val operand : cursor -> int
+(** The operand of the instruction {!next} last returned (0 for
+    [I_mark] and [I_end]). *)
 
 val locks_referenced : t -> int list
 (** Sorted, distinct lock ids used by [Lock]/[Unlock]. *)

@@ -10,14 +10,14 @@ type status =
 
 type resume_point =
   | R_fetch
-  | R_sleep of int
-  | R_acquire of int
-  | R_unlock of int
-  | R_sem_wait of int
-  | R_sem_post of int
-  | R_barrier_arrive of int
-  | R_barrier_locked of int
-  | R_barrier_exit of int
+  | R_sleep
+  | R_acquire
+  | R_unlock
+  | R_sem_wait
+  | R_sem_post
+  | R_barrier_arrive
+  | R_barrier_locked
+  | R_barrier_exit
 
 type t = {
   id : int;
@@ -28,6 +28,7 @@ type t = {
   restart : bool;
   mutable status : status;
   mutable resume : resume_point;
+  mutable resume_arg : int;
   mutable pending_compute : int;
   mutable compute_started : int;
   mutable spin_request : int;
@@ -37,28 +38,35 @@ type t = {
   mutable round_started : int;
   mutable marks : int;
   mutable total_spin_cycles : int;
+  mutable some : t option;
 }
 
 let make ~id ~affinity ~restart ~rng program =
-  {
-    id;
-    affinity;
-    program;
-    cursor = Program.cursor program;
-    rng;
-    restart;
-    status = Runnable;
-    resume = R_fetch;
-    pending_compute = 0;
-    compute_started = 0;
-    spin_request = 0;
-    spin_holder = -1;
-    locks_held = 0;
-    rounds = 0;
-    round_started = 0;
-    marks = 0;
-    total_spin_cycles = 0;
-  }
+  let t =
+    {
+      id;
+      affinity;
+      program;
+      cursor = Program.cursor program;
+      rng;
+      restart;
+      status = Runnable;
+      resume = R_fetch;
+      resume_arg = 0;
+      pending_compute = 0;
+      compute_started = 0;
+      spin_request = 0;
+      spin_holder = -1;
+      locks_held = 0;
+      rounds = 0;
+      round_started = 0;
+      marks = 0;
+      total_spin_cycles = 0;
+      some = None;
+    }
+  in
+  t.some <- Some t;
+  t
 
 let is_executable t =
   match t.status with

@@ -23,17 +23,20 @@ type status =
           resumed verbatim by {!Kernel.thaw} on the destination host *)
   | Finished
 
-(** Where execution continues once [pending_compute] reaches zero. *)
+(** Where execution continues once [pending_compute] reaches zero.
+    The operand (cycles or object id) is the thread's [resume_arg]:
+    a constant constructor plus an int field means setting a resume
+    point allocates nothing. *)
 type resume_point =
   | R_fetch  (** fetch the next instruction *)
-  | R_sleep of int  (** begin a timer sleep of this many cycles *)
-  | R_acquire of int  (** attempt to take a user spinlock *)
-  | R_unlock of int
-  | R_sem_wait of int
-  | R_sem_post of int
-  | R_barrier_arrive of int  (** take the barrier's internal lock *)
-  | R_barrier_locked of int  (** inside the barrier's critical section *)
-  | R_barrier_exit of int
+  | R_sleep  (** begin a timer sleep of [resume_arg] cycles *)
+  | R_acquire  (** attempt to take user spinlock [resume_arg] *)
+  | R_unlock
+  | R_sem_wait
+  | R_sem_post
+  | R_barrier_arrive  (** take barrier [resume_arg]'s internal lock *)
+  | R_barrier_locked  (** inside the barrier's critical section *)
+  | R_barrier_exit
       (** just observed the generation bump; record the measured wait
           and carry on *)
 
@@ -46,6 +49,7 @@ type t = {
   restart : bool;  (** start a new round when the program ends *)
   mutable status : status;
   mutable resume : resume_point;
+  mutable resume_arg : int;  (** operand of [resume] *)
   mutable pending_compute : int;  (** cycles left before [resume] runs *)
   mutable compute_started : int;  (** engine time the open span began *)
   mutable spin_request : int;  (** timestamp of the outstanding lock request *)
@@ -57,6 +61,10 @@ type t = {
   mutable round_started : int;
   mutable marks : int;  (** [Mark] instructions executed (resettable) *)
   mutable total_spin_cycles : int;  (** wall time spent waiting on spinlocks *)
+  mutable some : t option;
+      (** [Some] of this thread, built once by [make] and never
+          reassigned: the guest scheduler's active slot and its picks
+          hand it out instead of boxing. *)
 }
 
 val make :

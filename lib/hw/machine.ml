@@ -152,6 +152,14 @@ let set_pcpu_online t ~pcpu online =
     | None -> ()
   end
 
+(* A top-level function, not a closure local to [send_ipi]: that one
+   would be allocated on every IPI sent. *)
+let emit_ipi_fault t ~dst kind info =
+  let tr = Engine.trace t.engine in
+  if Sim_obs.Trace.on tr Sim_obs.Trace.Fault then
+    Sim_obs.Trace.emit tr ~now:(Engine.now t.engine)
+      (Sim_obs.Trace.Fault_injected { kind; pcpu = dst; info })
+
 let send_ipi t ~src ~dst callback =
   if dst < 0 || dst >= pcpu_count t then invalid_arg "Machine.send_ipi: bad dst";
   if src < 0 || src >= pcpu_count t then invalid_arg "Machine.send_ipi: bad src";
@@ -173,22 +181,19 @@ let send_ipi t ~src ~dst callback =
   if Sim_obs.Trace.on tr Sim_obs.Trace.Ipi then
     Sim_obs.Trace.emit tr ~now:(Engine.now t.engine)
       (Sim_obs.Trace.Ipi_sent { src; dst; cross });
-  let emit_fault kind info =
-    if Sim_obs.Trace.on tr Sim_obs.Trace.Fault then
-      Sim_obs.Trace.emit tr ~now:(Engine.now t.engine)
-        (Sim_obs.Trace.Fault_injected { kind; pcpu = dst; info })
-  in
   match fate with
   | Drop ->
     t.ipis_dropped <- t.ipis_dropped + 1;
-    emit_fault Sim_obs.Trace.fault_ipi_dropped src
+    emit_ipi_fault t ~dst Sim_obs.Trace.fault_ipi_dropped src
   | Deliver ->
     ignore (Engine.schedule_after t.engine ~delay:latency callback)
   | Delay extra ->
     t.ipis_delayed <- t.ipis_delayed + 1;
-    emit_fault Sim_obs.Trace.fault_ipi_delayed (max 0 extra);
+    emit_ipi_fault t ~dst Sim_obs.Trace.fault_ipi_delayed (Int.max 0 extra);
     ignore
-      (Engine.schedule_after t.engine ~delay:(latency + max 0 extra) callback)
+      (Engine.schedule_after t.engine
+         ~delay:(latency + Int.max 0 extra)
+         callback)
 
 let ipis_sent t = t.ipis
 

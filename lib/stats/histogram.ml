@@ -13,7 +13,7 @@ let create () =
 
 let add t v =
   if v < 0 then invalid_arg "Histogram.add: negative sample";
-  let k = Sim_engine.Units.log2_floor (max v 1) in
+  let k = Sim_engine.Units.log2_floor (Int.max v 1) in
   t.buckets.(k) <- t.buckets.(k) + 1;
   t.count <- t.count + 1;
   t.sum <- t.sum + v;
@@ -47,8 +47,8 @@ let merge a b =
   done;
   out.count <- a.count + b.count;
   out.sum <- a.sum + b.sum;
-  out.min_v <- min a.min_v b.min_v;
-  out.max_v <- max a.max_v b.max_v;
+  out.min_v <- Int.min a.min_v b.min_v;
+  out.max_v <- Int.max a.max_v b.max_v;
   out
 
 let mean t = if t.count = 0 then nan else float_of_int t.sum /. float_of_int t.count

@@ -45,7 +45,7 @@ let percentile values p =
   else begin
     let rank = p *. float_of_int (n - 1) in
     let lo = int_of_float (floor rank) in
-    let hi = min (lo + 1) (n - 1) in
+    let hi = Int.min (lo + 1) (n - 1) in
     let frac = rank -. float_of_int lo in
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
   end

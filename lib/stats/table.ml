@@ -18,7 +18,8 @@ let render ~headers rows =
     (fun row ->
       List.iteri
         (fun i cell ->
-          if i < ncols then widths.(i) <- max widths.(i) (String.length cell))
+          if i < ncols then
+            widths.(i) <- Int.max widths.(i) (String.length cell))
         row)
     rows;
   let line sep =
@@ -66,7 +67,7 @@ let render_series series =
 let bar_chart ?(width = 40) entries =
   let max_v = List.fold_left (fun acc (_, v) -> max acc v) 0. entries in
   let max_label =
-    List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0 entries
+    List.fold_left (fun acc (l, _) -> Int.max acc (String.length l)) 0 entries
   in
   let buf = Buffer.create 256 in
   List.iter

@@ -23,7 +23,7 @@ let assign ~domains ~pcpus ~slots_per_period ~credit_unit ~work_conserving =
       let per_vcpu = inc / Domain.vcpu_count d in
       Array.iter
         (fun (v : Vcpu.t) ->
-          v.Vcpu.credit <- min cap_v (v.Vcpu.credit + per_vcpu);
+          v.Vcpu.credit <- Int.min cap_v (v.Vcpu.credit + per_vcpu);
           if not work_conserving then v.Vcpu.parked <- v.Vcpu.credit < 0)
         d.Domain.vcpus)
     domains

@@ -47,4 +47,6 @@ let active : t option ref = ref None
 
 let set m = active := m
 let get () = !active
-let enabled m = !active = Some m
+(* Compared by hand: [!active = Some m] would box [Some m] and call the
+   polymorphic compare on every hot-path query. *)
+let enabled m = match !active with Some a -> a == m | None -> false

@@ -27,39 +27,50 @@ let fold t ~init ~f =
   in
   go init t.first
 
-let exists t ~f =
-  let rec go = function
-    | None -> false
-    | Some n -> f n.v || go n.next
-  in
-  go t.first
+(* The scans below recurse over the nodes directly instead of going
+   through [fold] with a closure: they run on every scheduling
+   decision, and a predicate capturing its arguments would be
+   allocated on each call. *)
+let rec mem_from v = function
+  | None -> false
+  | Some n -> n.v == v || mem_from v n.next
 
-let mem t v = exists t ~f:(fun x -> x == v)
+let mem t v = mem_from v t.first
 
 let insert t v =
   if not (Vcpu.is_ready v) then
     invalid_arg "Runqueue.insert: vcpu is not Ready";
   if mem t v then invalid_arg "Runqueue.insert: vcpu already queued";
   v.Vcpu.home <- t.pcpu_id;
-  let n = { v; next = None } in
+  let n = Some { v; next = None } in
   (match t.last with
-  | None -> t.first <- Some n
-  | Some last -> last.next <- Some n);
-  t.last <- Some n;
+  | None -> t.first <- n
+  | Some last -> last.next <- n);
+  t.last <- n;
   t.len <- t.len + 1
 
-let remove t v =
-  let rec unlink prev = function
-    | None -> invalid_arg "Runqueue.remove: vcpu not in queue"
-    | Some n when n.v == v ->
-      (match prev with
-      | None -> t.first <- n.next
-      | Some p -> p.next <- n.next);
-      (match n.next with None -> t.last <- prev | Some _ -> ());
-      t.len <- t.len - 1
-    | Some n -> unlink (Some n) n.next
-  in
-  unlink None t.first
+(* [prev] is the option that points at [cur]'s node, passed on as is
+   rather than boxed afresh at each step. *)
+let rec unlink t v prev cur =
+  match cur with
+  | None -> invalid_arg "Runqueue.remove: vcpu not in queue"
+  | Some n when n.v == v ->
+    (match prev with
+    | None -> t.first <- n.next
+    | Some p -> p.next <- n.next);
+    (match n.next with None -> t.last <- prev | Some _ -> ());
+    t.len <- t.len - 1
+  | Some n -> unlink t v cur n.next
+
+let remove t v = unlink t v None t.first
+
+let rec iter_from f = function
+  | None -> ()
+  | Some n ->
+    f n.v;
+    iter_from f n.next
+
+let iter t ~f = iter_from f t.first
 
 let to_list t = List.rev (fold t ~init:[] ~f:(fun acc v -> v :: acc))
 
@@ -71,28 +82,49 @@ let better (a : Vcpu.t) (b : Vcpu.t) =
   | false, true -> false
   | true, true | false, false -> a.Vcpu.credit > b.Vcpu.credit
 
-let best ~f t =
-  fold t ~init:None ~f:(fun acc v ->
-      if not (f v) then acc
+let rec best_from ~under (best : Vcpu.t option) = function
+  | None -> best
+  | Some n ->
+    let v = n.v in
+    let best =
+      if not (Vcpu.eligible v && ((not under) || v.Vcpu.credit > 0)) then best
       else
-        match acc with
-        | None -> Some v
-        | Some cur -> if better v cur then Some v else acc)
+        match best with
+        | None -> v.Vcpu.some
+        | Some cur -> if better v cur then v.Vcpu.some else best
+    in
+    best_from ~under best n.next
 
-let head t = best ~f:Vcpu.eligible t
+let head t = best_from ~under:false None t.first
 
-let head_under t = best ~f:(fun v -> Vcpu.eligible v && v.Vcpu.credit > 0) t
+let head_under t = best_from ~under:true None t.first
 
-let best_by_credit t ~f =
-  fold t ~init:None ~f:(fun acc v ->
-      if not (f v) then acc
-      else
-        match acc with
-        | None -> Some v
-        | Some cur -> if v.Vcpu.credit > cur.Vcpu.credit then Some v else acc)
+let rec steal_from ~dst ~under_only ~allowed (best : Vcpu.t option) = function
+  | None -> best
+  | Some n ->
+    let v = n.v in
+    let best =
+      if
+        (not v.Vcpu.boosted) && (not v.Vcpu.parked)
+        && ((not under_only) || v.Vcpu.credit > 0)
+        && allowed v ~dst
+      then
+        match best with
+        | None -> v.Vcpu.some
+        | Some cur ->
+          if v.Vcpu.credit > cur.Vcpu.credit then v.Vcpu.some else best
+      else best
+    in
+    steal_from ~dst ~under_only ~allowed best n.next
 
-let has_domain t ~domain_id =
-  exists t ~f:(fun v -> v.Vcpu.domain_id = domain_id)
+let steal_candidate t ~dst ~under_only ~allowed best =
+  steal_from ~dst ~under_only ~allowed best t.first
+
+let rec has_domain_from domain_id = function
+  | None -> false
+  | Some n -> n.v.Vcpu.domain_id = domain_id || has_domain_from domain_id n.next
+
+let has_domain t ~domain_id = has_domain_from domain_id t.first
 
 (* Internal-consistency audit for the runtime invariant checker: the
    length counter, tail pointer and per-node state can silently rot if

@@ -26,6 +26,9 @@ val remove : t -> Vcpu.t -> unit
 
 val mem : t -> Vcpu.t -> bool
 
+val iter : t -> f:(Vcpu.t -> unit) -> unit
+(** Queue order (FIFO). *)
+
 val to_list : t -> Vcpu.t list
 (** Queue order (FIFO). *)
 
@@ -39,8 +42,19 @@ val head_under : t -> Vcpu.t option
 (** Like {!head} but restricted to VCPUs with positive credit
     (Xen's UNDER priority). *)
 
-val best_by_credit : t -> f:(Vcpu.t -> bool) -> Vcpu.t option
-(** Maximal-credit VCPU satisfying [f]. *)
+val steal_candidate :
+  t ->
+  dst:int ->
+  under_only:bool ->
+  allowed:(Vcpu.t -> dst:int -> bool) ->
+  Vcpu.t option ->
+  Vcpu.t option
+(** [steal_candidate t ~dst ~under_only ~allowed best] folds this
+    queue into the incumbent [best]: a VCPU that is neither boosted nor
+    parked, has positive credit when [under_only], and is [allowed]
+    onto [dst] replaces the incumbent only on strictly more credit, so
+    ties go to the earlier queue and the earlier position. Walks the
+    queue in place and allocates nothing. *)
 
 val has_domain : t -> domain_id:int -> bool
 (** Is any VCPU of the given domain queued here? *)

@@ -7,46 +7,46 @@ let requeue_current api ~pcpu =
 
 let allow_any _v ~dst:_ = true
 
+(* One pass over the run queues in index order, folding each into the
+   incumbent candidate; with the NUMA model, [local] selects the
+   same-socket queues or the remote ones. A top-level function rather
+   than a closure local to [steal], which would be allocated on every
+   steal. *)
+let rec scan_queues api ~dst ~under_only ~allowed ~local i candidate =
+  if i >= Array.length api.runqueues then candidate
+  else begin
+    let rq = api.runqueues.(i) in
+    let src = Runqueue.pcpu rq in
+    let candidate =
+      if
+        src <> dst
+        &&
+        match api.numa with
+        | None -> true
+        | Some { topo; _ } -> Sim_hw.Topology.same_socket topo src dst = local
+      then Runqueue.steal_candidate rq ~dst ~under_only ~allowed candidate
+      else candidate
+    in
+    scan_queues api ~dst ~under_only ~allowed ~local (i + 1) candidate
+  end
+
 let steal api ~dst ~under_only ~allowed =
-  let best pred =
-    let candidate = ref None in
-    Array.iter
-      (fun rq ->
-        let src = Runqueue.pcpu rq in
-        if src <> dst && pred src then
-          List.iter
-            (fun (v : Vcpu.t) ->
-              let eligible =
-                (not v.Vcpu.boosted) && (not v.Vcpu.parked)
-                && ((not under_only) || v.Vcpu.credit > 0)
-                && allowed v ~dst
-              in
-              if eligible then
-                match !candidate with
-                | None -> candidate := Some v
-                | Some cur ->
-                  if v.Vcpu.credit > cur.Vcpu.credit then candidate := Some v)
-            (Runqueue.to_list rq))
-      api.runqueues;
-    !candidate
-  in
+  (* Same-socket runqueues first: a local candidate wins even when a
+     remote one holds more credit (LLC locality beats strict credit
+     order). Falls back to the remote sockets. *)
   let candidate =
-    match api.numa with
-    | None -> best (fun _ -> true)
-    | Some { topo; _ } -> (
-      (* Same-socket runqueues first: a local candidate wins even when
-         a remote one holds more credit (LLC locality beats strict
-         credit order). Falls back to the remote sockets. *)
-      match best (fun src -> Sim_hw.Topology.same_socket topo src dst) with
-      | Some v -> Some v
-      | None ->
-        best (fun src -> not (Sim_hw.Topology.same_socket topo src dst)))
+    match
+      (scan_queues api ~dst ~under_only ~allowed ~local:true 0 None, api.numa)
+    with
+    | None, Some _ ->
+      scan_queues api ~dst ~under_only ~allowed ~local:false 0 None
+    | found, _ -> found
   in
   match candidate with
   | None -> None
   | Some v ->
     api.migrate v ~dst;
-    Some v
+    candidate
 
 let pick_baseline api ~pcpu ~allowed =
   let rq = api.runqueues.(pcpu) in
@@ -64,6 +64,17 @@ let pick_baseline api ~pcpu ~allowed =
       | None -> steal api ~dst:pcpu ~under_only:false ~allowed
     end
   end
+
+let is_idle api p =
+  api.pcpu_online p
+  && match api.current p with None -> true | Some _ -> false
+
+let rec first_idle api p =
+  if p >= Array.length api.runqueues then -1
+  else if is_idle api p then p
+  else first_idle api (p + 1)
+
+let idle_target api ~home = if is_idle api home then home else first_idle api 0
 
 let kick_idle api ~pick =
   let n = Array.length api.runqueues in

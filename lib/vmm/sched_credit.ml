@@ -25,19 +25,8 @@ let make (api : api) : t =
     (* Xen fast-tracks only UNDER wakeups (BOOST); an OVER VCPU waits
        for its queue turn. *)
     if Vcpu.eligible v && v.Vcpu.credit >= 0 then begin
-      let idle p =
-        api.pcpu_online p
-        && match api.current p with None -> true | Some _ -> false
-      in
-      let n = Array.length api.runqueues in
-      let target =
-        if idle home then Some home
-        else begin
-          let rec scan p = if p >= n then None else if idle p then Some p else scan (p + 1) in
-          scan 0
-        end
-      in
-      match target with Some p -> api.run_on ~pcpu:p v | None -> ()
+      let p = Sched_common.idle_target api ~home in
+      if p >= 0 then api.run_on ~pcpu:p v
     end
   in
   let on_block (v : Vcpu.t) =

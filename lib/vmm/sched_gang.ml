@@ -7,15 +7,31 @@ type oov_state = {
   mutable anchor : int;  (** domain online cycles at the last re-arm *)
 }
 
+(* Closure-free lookups for the per-decision paths: a predicate passed
+   to [List.find] or a local recursive scan would be allocated on every
+   call. *)
+let rec find_domain id = function
+  | [] -> raise Not_found
+  | (d : Domain.t) :: rest ->
+    if d.Domain.id = id then d else find_domain id rest
+
+(* The lowest-numbered online PCPU whose run queue holds no VCPU of
+   [domain_id]; [-1] when every one does. *)
+let rec first_free_of (api : api) ~domain_id p =
+  if p >= Array.length api.runqueues then -1
+  else if
+    api.pcpu_online p
+    && not (Runqueue.has_domain api.runqueues.(p) ~domain_id)
+  then p
+  else first_free_of api ~domain_id (p + 1)
+
 let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
     ?(continuity = true) ?(llc_aware = false) ~name ~should_cosched
     (api : api) : t =
-  let domain_of (v : Vcpu.t) =
-    List.find (fun d -> d.Domain.id = v.Vcpu.domain_id) (api.domains ())
-  in
+  let domain_of (v : Vcpu.t) = find_domain v.Vcpu.domain_id (api.domains ()) in
   (* Mutex of Algorithm 4: only one PCPU launches the coscheduling IPIs
      for a domain at any given instant. *)
-  let last_launch : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let last_launch : int Sim_engine.Id_table.t = Sim_engine.Id_table.create 8 in
   let engine = Sim_hw.Machine.engine api.machine in
   let trace = Sim_engine.Engine.trace engine in
   let emit_gang ev =
@@ -136,10 +152,18 @@ let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
   let rec launch_cosched ?(retry = false) ~pcpu (leader : Vcpu.t) =
     let dom = domain_of leader in
     let now = api.now () in
-    let already = Hashtbl.find_opt last_launch dom.Domain.id in
-    if ipi && (retry || already <> Some now) then begin
-      Hashtbl.replace last_launch dom.Domain.id now;
-      let st = Option.map (fun w -> Watchdog.dom_state w dom.Domain.id) wd in
+    let already =
+      match Sim_engine.Id_table.find last_launch dom.Domain.id with
+      | at -> at = now
+      | exception Not_found -> false
+    in
+    if ipi && (retry || not already) then begin
+      Sim_engine.Id_table.replace last_launch dom.Domain.id now;
+      let st =
+        match wd with
+        | Some w -> Some (Watchdog.dom_state w dom.Domain.id)
+        | None -> None
+      in
       let track =
         match st with
         | Some s -> retry || not s.Watchdog.check_pending
@@ -154,49 +178,49 @@ let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
       in
       let sent = ref 0 in
       let mutation_dropped = ref false in
-      Array.iter
-        (fun (sib : Vcpu.t) ->
-          if sib != leader && Vcpu.is_ready sib then begin
-            let dst = sib.Vcpu.home in
-            let dst =
-              if dst <> pcpu then dst
-              else begin
-                (* Sibling queued behind the leader: relocate first. *)
-                spread dom;
-                sib.Vcpu.home
-              end
-            in
-            if
-              dst <> pcpu
-              && not
-                   (Mutation.enabled Mutation.Drop_gang_sibling
-                   && not !mutation_dropped
-                   && (mutation_dropped := true;
-                       true))
-            then begin
-              incr sent;
-              Sim_hw.Machine.send_ipi api.machine ~src:pcpu ~dst (fun () ->
-                  (match (wd, st) with
-                  | Some w, Some s when track && s.Watchdog.gen = gen ->
-                    s.Watchdog.acks <- s.Watchdog.acks + 1;
-                    Watchdog.note_ack w;
-                    emit_gang
-                      (Sim_obs.Trace.Gang_ack
-                         { domain = dom.Domain.id; pcpu = dst })
-                  | _ -> ());
-                  if Vcpu.is_ready sib && cosched dom then begin
-                    sib.Vcpu.boosted <- true;
-                    match api.current dst with
-                    | None -> api.run_on ~pcpu:dst sib
-                    | Some cur ->
-                      if
-                        cur.Vcpu.domain_id <> sib.Vcpu.domain_id
-                        && not cur.Vcpu.boosted
-                      then api.run_on ~pcpu:dst sib
-                  end)
+      for i = 0 to Array.length dom.Domain.vcpus - 1 do
+        let sib = dom.Domain.vcpus.(i) in
+        if sib != leader && Vcpu.is_ready sib then begin
+          let dst = sib.Vcpu.home in
+          let dst =
+            if dst <> pcpu then dst
+            else begin
+              (* Sibling queued behind the leader: relocate first. *)
+              spread dom;
+              sib.Vcpu.home
             end
-          end)
-        dom.Domain.vcpus;
+          in
+          if
+            dst <> pcpu
+            && not
+                 (Mutation.enabled Mutation.Drop_gang_sibling
+                 && not !mutation_dropped
+                 && (mutation_dropped := true;
+                     true))
+          then begin
+            incr sent;
+            Sim_hw.Machine.send_ipi api.machine ~src:pcpu ~dst (fun () ->
+                (match (wd, st) with
+                | Some w, Some s when track && s.Watchdog.gen = gen ->
+                  s.Watchdog.acks <- s.Watchdog.acks + 1;
+                  Watchdog.note_ack w;
+                  emit_gang
+                    (Sim_obs.Trace.Gang_ack
+                       { domain = dom.Domain.id; pcpu = dst })
+                | _ -> ());
+                if Vcpu.is_ready sib && cosched dom then begin
+                  sib.Vcpu.boosted <- true;
+                  match api.current dst with
+                  | None -> api.run_on ~pcpu:dst sib
+                  | Some cur ->
+                    if
+                      cur.Vcpu.domain_id <> sib.Vcpu.domain_id
+                      && not cur.Vcpu.boosted
+                    then api.run_on ~pcpu:dst sib
+                end)
+          end
+        end
+      done;
       if !sent > 0 then
         emit_gang
           (Sim_obs.Trace.Gang_launch
@@ -356,18 +380,9 @@ let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
         && Runqueue.has_domain api.runqueues.(v.Vcpu.home)
              ~domain_id:dom.Domain.id
       then begin
-        let n = Array.length api.runqueues in
-        let rec scan p =
-          if p >= n then v.Vcpu.home
-          else if
-            api.pcpu_online p
-            && not
-                 (Runqueue.has_domain api.runqueues.(p)
-                    ~domain_id:dom.Domain.id)
-          then p
-          else scan (p + 1)
-        in
-        scan 0
+        match first_free_of api ~domain_id:dom.Domain.id 0 with
+        | -1 -> v.Vcpu.home
+        | p -> p
       end
       else v.Vcpu.home
     in
@@ -375,19 +390,8 @@ let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
     (* Xen fast-tracks only UNDER wakeups (BOOST); an OVER VCPU waits
        for its queue turn. *)
     if Vcpu.eligible v && v.Vcpu.credit >= 0 then begin
-      let idle p =
-        api.pcpu_online p
-        && match api.current p with None -> true | Some _ -> false
-      in
-      let n = Array.length api.runqueues in
-      let target =
-        if idle home then Some home
-        else begin
-          let rec scan p = if p >= n then None else if idle p then Some p else scan (p + 1) in
-          scan 0
-        end
-      in
-      match target with Some p -> run ~pcpu:p v | None -> ()
+      let p = Sched_common.idle_target api ~home in
+      if p >= 0 then run ~pcpu:p v
     end
   in
   let on_block (v : Vcpu.t) = decide ~pcpu:v.Vcpu.home in
@@ -437,7 +441,7 @@ let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
   in
   let rec arm_oov_window (dom : Domain.t) st =
     let vcpus = Domain.vcpu_count dom in
-    let delay = max (Sim_engine.Units.pow2 20) (st.budget / vcpus) in
+    let delay = Int.max (Sim_engine.Units.pow2 20) (st.budget / vcpus) in
     st.window <-
       Some
         (Sim_engine.Engine.schedule_after engine ~delay (fun () ->
@@ -496,7 +500,7 @@ let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
     && (match Hashtbl.find_opt oov_table dom.Domain.id with
        | Some st -> st.window = None
        | None -> true)
-    && (match Hashtbl.find_opt last_launch dom.Domain.id with
+    && (match Sim_engine.Id_table.find_opt last_launch dom.Domain.id with
        | Some at -> api.now () > at + ipi_horizon
        | None -> true)
   in

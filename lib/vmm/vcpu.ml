@@ -22,33 +22,40 @@ type t = {
      model); charged as extra consumed time at the next accounting and
      reset. Stays 0 when the NUMA model is off. *)
   mutable reloc_penalty : int;
+  mutable some : t option;
 }
 
 let make ~id ~domain_id ~index ~home =
-  {
-    id;
-    domain_id;
-    index;
-    credit = 0;
-    state = Blocked;
-    home;
-    boosted = false;
-    parked = false;
-    hooks = no_hooks;
-    online_cycles = 0;
-    last_dispatch = 0;
-    dispatches = 0;
-    migrations = 0;
-    reloc_penalty = 0;
-  }
+  let v =
+    {
+      id;
+      domain_id;
+      index;
+      credit = 0;
+      state = Blocked;
+      home;
+      boosted = false;
+      parked = false;
+      hooks = no_hooks;
+      online_cycles = 0;
+      last_dispatch = 0;
+      dispatches = 0;
+      migrations = 0;
+      reloc_penalty = 0;
+      some = None;
+    }
+  in
+  v.some <- Some v;
+  v
 
 let set_hooks t hooks = t.hooks <- hooks
 
 let is_running t = match t.state with Running _ -> true | Ready | Blocked -> false
 
-let is_ready t = t.state = Ready
+let is_ready t = match t.state with Ready -> true | Running _ | Blocked -> false
 
-let is_blocked t = t.state = Blocked
+let is_blocked t =
+  match t.state with Blocked -> true | Running _ | Ready -> false
 
 let eligible t = t.boosted || not t.parked
 

@@ -40,6 +40,11 @@ type t = {
       (** pending cold-cache cycles from a cross-socket relocation
           (NUMA model); charged and reset at the next accounting.
           Always 0 when the NUMA model is off. *)
+  mutable some : t option;
+      (** [Some] of this VCPU, built once by [make] and never
+          reassigned: the VMM's current-VCPU slots and the run-queue
+          scans hand it out instead of boxing a fresh option on every
+          dispatch or pick. *)
 }
 
 val make : id:int -> domain_id:int -> index:int -> home:int -> t

@@ -26,7 +26,8 @@ type t = {
   cpu_model : Cpu_model.t;
   runqueues : Runqueue.t array;
   current : Vcpu.t option array;
-  mutable domains_rev : Domain.t list;
+  running : Vcpu.state array;  (** [Running p] at index [p], built once *)
+  mutable domains : Domain.t list;  (** creation/attach order *)
   mutable sched : Sched_intf.t option;
   work_conserving : bool;
   credit_unit : int;
@@ -66,10 +67,10 @@ let sched_name t =
 
 let accounting t = t.accounting
 
-let domains t = List.rev t.domains_rev
+let domains t = t.domains
 
 let find_domain t id =
-  match List.find_opt (fun d -> d.Domain.id = id) t.domains_rev with
+  match List.find_opt (fun d -> d.Domain.id = id) t.domains with
   | Some d -> d
   | None -> invalid_arg (Printf.sprintf "Vmm.find_domain: no domain %d" id)
 
@@ -99,7 +100,7 @@ let charge ?(at_tick = false) t (v : Vcpu.t) =
      the NUMA model is armed. *)
   let penalty = v.Vcpu.reloc_penalty in
   if penalty > 0 then v.Vcpu.reloc_penalty <- 0;
-  let ran_capped = min (ran + penalty) (slot_cycles t) in
+  let ran_capped = Int.min (ran + penalty) (slot_cycles t) in
   let floor =
     -(t.credit_unit * t.cpu_model.Cpu_model.slots_per_period)
   in
@@ -119,7 +120,7 @@ let charge ?(at_tick = false) t (v : Vcpu.t) =
         else 0
     end
   in
-  v.Vcpu.credit <- max floor (v.Vcpu.credit - burned);
+  v.Vcpu.credit <- Int.max floor (v.Vcpu.credit - burned);
   v.Vcpu.online_cycles <- v.Vcpu.online_cycles + ran;
   let tr = Engine.trace t.engine in
   if Trace.on tr Trace.Credit then
@@ -177,10 +178,10 @@ let run_on t ~pcpu (v : Vcpu.t) =
     end;
     end_idle t pcpu;
     v.Vcpu.home <- pcpu;
-    v.Vcpu.state <- Vcpu.Running pcpu;
+    v.Vcpu.state <- t.running.(pcpu);
     v.Vcpu.last_dispatch <- now t;
     v.Vcpu.dispatches <- v.Vcpu.dispatches + 1;
-    t.current.(pcpu) <- Some v;
+    t.current.(pcpu) <- v.Vcpu.some;
     t.ctx_switches <- t.ctx_switches + 1;
     let tr = Engine.trace t.engine in
     if Trace.on tr Trace.Sched then
@@ -245,7 +246,8 @@ let entitled_cycles t dom =
 
 (* Cycles attained beyond entitlement — the theft a scheduler-attack
    guest extracts. Zero for any domain at or below its share. *)
-let theft_cycles t dom = max 0 (attained_cycles t dom - entitled_cycles t dom)
+let theft_cycles t dom =
+  Int.max 0 (attained_cycles t dom - entitled_cycles t dom)
 
 (* Register the standing gauges: closures over counters the
    subsystems already keep, evaluated only at snapshot time so the
@@ -285,7 +287,7 @@ let api t : Sched_intf.api =
   {
     Sched_intf.machine = t.machine;
     runqueues = t.runqueues;
-    domains = (fun () -> domains t);
+    domains = (fun () -> t.domains);
     work_conserving = t.work_conserving;
     credit_unit = t.credit_unit;
     now = (fun () -> now t);
@@ -311,7 +313,8 @@ let create ?(work_conserving = true) ?(credit_unit = Credit.default_credit_unit)
       cpu_model = Machine.cpu_model machine;
       runqueues = Array.init n (fun pcpu -> Runqueue.create ~pcpu);
       current = Array.make n None;
-      domains_rev = [];
+      running = Array.init n (fun pcpu -> Vcpu.Running pcpu);
+      domains = [];
       sched = None;
       work_conserving;
       credit_unit;
@@ -363,7 +366,7 @@ let create_domain t ?(concurrent_type = false) ~name ~weight ~vcpus () =
   let dom =
     Domain.make ~concurrent_type ~id:domain_id ~name ~weight ~vcpus:vcpu_array ()
   in
-  t.domains_rev <- dom :: t.domains_rev;
+  t.domains <- t.domains @ [ dom ];
   (* Fairness gauges: attained vs entitled share over the current
      accounting window, and the excess (theft). Evaluated only at
      snapshot time, like every gauge. *)
@@ -409,6 +412,37 @@ let charge_current t pcpu =
     charge ~at_tick:true t v;
     v.Vcpu.last_dispatch <- now t
 
+(* Queue membership per VCPU id, counted in one pass over the run
+   queues: how many distinct queues hold the VCPU, and whether its
+   home queue is one of them. *)
+type membership = {
+  mutable queues : int;
+  mutable last_rq : int;
+  mutable in_home : bool;
+}
+
+let queue_membership t =
+  let seen = Hashtbl.create 64 in
+  Array.iter
+    (fun rq ->
+      let p = Runqueue.pcpu rq in
+      Runqueue.iter rq ~f:(fun (v : Vcpu.t) ->
+          let m =
+            match Hashtbl.find seen v.Vcpu.id with
+            | m -> m
+            | exception Not_found ->
+              let m = { queues = 0; last_rq = -1; in_home = false } in
+              Hashtbl.replace seen v.Vcpu.id m;
+              m
+          in
+          if m.last_rq <> p then begin
+            m.queues <- m.queues + 1;
+            m.last_rq <- p
+          end;
+          if v.Vcpu.home = p then m.in_home <- true))
+    t.runqueues;
+  seen
+
 let check_invariants t =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
@@ -417,26 +451,29 @@ let check_invariants t =
     (fun pcpu cur ->
       match cur with
       | Some (v : Vcpu.t) ->
-        if v.Vcpu.state <> Vcpu.Running pcpu then
-          err "pcpu %d holds vcpu %d whose state disagrees" pcpu v.Vcpu.id;
+        (match v.Vcpu.state with
+        | Vcpu.Running p when p = pcpu -> ()
+        | Vcpu.Running _ | Vcpu.Ready | Vcpu.Blocked ->
+          err "pcpu %d holds vcpu %d whose state disagrees" pcpu v.Vcpu.id);
         if not (Machine.pcpu_online t.machine pcpu) then
           err "offline pcpu %d is running vcpu %d" pcpu v.Vcpu.id
       | None -> ())
     t.current;
+  let membership = queue_membership t in
   List.iter
     (fun dom ->
       Array.iter
         (fun (v : Vcpu.t) ->
-          let queued =
-            Array.fold_left
-              (fun acc rq -> acc + if Runqueue.mem rq v then 1 else 0)
-              0 t.runqueues
+          let queued, in_home =
+            match Hashtbl.find membership v.Vcpu.id with
+            | m -> (m.queues, m.in_home)
+            | exception Not_found -> (0, false)
           in
           match v.Vcpu.state with
           | Vcpu.Ready ->
             if queued <> 1 then
               err "ready vcpu %d is in %d queues" v.Vcpu.id queued
-            else if not (Runqueue.mem t.runqueues.(v.Vcpu.home) v) then
+            else if not in_home then
               err "ready vcpu %d not in its home queue" v.Vcpu.id
           | Vcpu.Running pcpu ->
             if queued <> 0 then err "running vcpu %d is queued" v.Vcpu.id;
@@ -446,7 +483,7 @@ let check_invariants t =
           | Vcpu.Blocked ->
             if queued <> 0 then err "blocked vcpu %d is queued" v.Vcpu.id)
         dom.Domain.vcpus)
-    t.domains_rev;
+    (List.rev t.domains);
   match !errors with
   | [] -> Ok ()
   | es -> Error (String.concat "; " es)
@@ -472,7 +509,7 @@ let record_violation ?(domain = -1) t msg =
       | None ->
         let vm =
           match
-            List.find_opt (fun d -> d.Domain.id = domain) t.domains_rev
+            List.find_opt (fun d -> d.Domain.id = domain) t.domains
           with
           | Some d -> d.Domain.name
           | None -> Printf.sprintf "dom%d" domain
@@ -501,7 +538,7 @@ let credit_sum t =
     (fun acc dom ->
       Array.fold_left (fun acc (v : Vcpu.t) -> acc + v.Vcpu.credit) acc
         dom.Domain.vcpus)
-    0 t.domains_rev
+    0 t.domains
 
 (* Fired every accounting period (after credit assignment) when the
    invariant mode is on. The conservation check is one-sided: credit
@@ -525,7 +562,7 @@ let run_invariant_checks t =
               (Printf.sprintf "[%d] credit bound: vcpu %d has %d not in [%d, %d]"
                  at v.Vcpu.id v.Vcpu.credit floor cap))
         dom.Domain.vcpus)
-    t.domains_rev;
+    (List.rev t.domains);
   let sum = credit_sum t in
   (match t.last_credit_sum with
   | Some prev ->
@@ -533,7 +570,7 @@ let run_invariant_checks t =
       Credit.total_per_period ~pcpus:(pcpu_count t) ~slots_per_period
         ~credit_unit:t.credit_unit
     in
-    let slack = List.length t.domains_rev in
+    let slack = List.length t.domains in
     if sum - prev > total + slack then
       record_violation t
         (Printf.sprintf
@@ -559,7 +596,10 @@ let start t =
       (* A busy PCPU reschedules at slice granularity (Xen's 30 ms
          allocation); an idle one re-polls every slot so runnable work
          is picked up within a tick. *)
-      if count mod slice = 0 || t.current.(pcpu) = None then
+      if
+        count mod slice = 0
+        || match t.current.(pcpu) with None -> true | Some _ -> false
+      then
         (sched t).Sched_intf.on_slot ~pcpu);
   Machine.set_period_handler t.machine (fun () ->
       (sched t).Sched_intf.on_period ();
@@ -652,11 +692,11 @@ let detach_domain t (dom : Domain.t) =
       | Vcpu.Ready -> Runqueue.remove t.runqueues.(v.Vcpu.home) v
       | Vcpu.Blocked -> ())
     dom.Domain.vcpus;
-  if not (List.memq dom t.domains_rev) then
+  if not (List.memq dom t.domains) then
     invalid_arg
       (Printf.sprintf "Vmm.detach_domain: domain %d not on this host"
          dom.Domain.id);
-  t.domains_rev <- List.filter (fun d -> d != dom) t.domains_rev;
+  t.domains <- List.filter (fun d -> d != dom) t.domains;
   (match t.last_credit_sum with
   | Some sum -> t.last_credit_sum <- Some (sum - domain_credit_sum dom)
   | None -> ());
@@ -684,7 +724,7 @@ let attach_domain t (dom : Domain.t) =
          else least_loaded_online t ());
       if Vcpu.is_ready v then Runqueue.insert t.runqueues.(v.Vcpu.home) v)
     dom.Domain.vcpus;
-  t.domains_rev <- dom :: t.domains_rev;
+  t.domains <- t.domains @ [ dom ];
   (match t.last_credit_sum with
   | Some sum -> t.last_credit_sum <- Some (sum + domain_credit_sum dom)
   | None -> ());
@@ -698,7 +738,7 @@ let reset_accounting t =
   Hashtbl.reset t.acct_online_base;
   List.iter
     (fun d -> Hashtbl.replace t.acct_online_base d.Domain.id (domain_online_now t d))
-    t.domains_rev;
+    t.domains;
   Array.iteri
     (fun p since ->
       t.idle_cycles.(p) <- 0;
@@ -720,7 +760,8 @@ let idle_fraction t =
     Array.iteri
       (fun p cycles ->
         let open_span =
-          if t.idle_since.(p) >= 0 then now t - max t.idle_since.(p) t.acct_start
+          if t.idle_since.(p) >= 0 then
+            now t - Int.max t.idle_since.(p) t.acct_start
           else 0
         in
         total := !total + cycles + open_span)

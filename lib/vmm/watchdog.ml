@@ -12,9 +12,9 @@ let default cpu =
   {
     (* Generous vs the ~2x worst-case cross-socket latency, tiny vs a
        slot: an ack window the fault-free simulator never misses. *)
-    ack_timeout = max (32 * ipi) (slot / 64);
+    ack_timeout = Int.max (32 * ipi) (slot / 64);
     max_retries = 3;
-    backoff_base = max (16 * ipi) (slot / 128);
+    backoff_base = Int.max (16 * ipi) (slot / 128);
     fail_threshold = 3;
     probation = 10 * slot;
   }

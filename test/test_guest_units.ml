@@ -7,12 +7,13 @@ let rng () = Sim_engine.Rng.create 1L
 
 (* ----- Program ----- *)
 
+(* The stream as (opcode, operand) pairs. *)
 let drain cursor =
   let r = rng () in
   let rec go acc =
     match Program.next cursor ~rng:r with
-    | None -> List.rev acc
-    | Some i -> go (i :: acc)
+    | Program.I_end -> List.rev acc
+    | i -> go ((i, Program.operand cursor) :: acc)
   in
   go []
 
@@ -29,8 +30,8 @@ let test_program_flattening () =
   Alcotest.(check int) "count" 6 (List.length instrs);
   Alcotest.(check int) "static count" 6 (Program.static_instr_count p);
   match instrs with
-  | [ Program.I_compute 10; Program.I_lock 0; Program.I_unlock 0;
-      Program.I_lock 0; Program.I_unlock 0; Program.I_mark ] ->
+  | [ (Program.I_compute, 10); (Program.I_lock, 0); (Program.I_unlock, 0);
+      (Program.I_lock, 0); (Program.I_unlock, 0); (Program.I_mark, 0) ] ->
     ()
   | _ -> Alcotest.fail "unexpected instruction stream"
 
@@ -56,8 +57,10 @@ let test_program_reset () =
 let test_program_compute_rand () =
   let p = Program.make [ Program.Compute_rand { mean = 1000; cv = 0.1 } ] in
   let r = rng () in
-  match Program.next (Program.cursor p) ~rng:r with
-  | Some (Program.I_compute n) ->
+  let c = Program.cursor p in
+  match Program.next c ~rng:r with
+  | Program.I_compute ->
+    let n = Program.operand c in
     Alcotest.(check bool) "near mean" true (n > 500 && n < 2000)
   | _ -> Alcotest.fail "expected compute"
 

@@ -27,6 +27,7 @@ let () =
       ("shard", Test_fabric.suite);
       ("hosts", Test_hosts.suite);
       ("decouple", Test_decouple.suite);
+      ("alloc", Test_alloc.suite);
       ("cluster", Test_cluster.suite);
       ("registry", Test_registry.suite);
     ]

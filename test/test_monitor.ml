@@ -35,12 +35,17 @@ let test_traced_wait_listener () =
   let engine, _, _, _, monitor = make_env () in
   let seen = ref [] in
   Sim_guest.Monitor.on_traced_wait monitor (fun e -> seen := e :: !seen);
-  Sim_guest.Monitor.record_spin_wait monitor ~lock_id:1 ~wait:0;
-  Sim_guest.Monitor.record_spin_wait monitor ~lock_id:1 ~wait:1_023;
-  Sim_guest.Monitor.record_spin_wait monitor ~lock_id:2 ~wait:1_024;
+  Sim_guest.Monitor.record_spin_wait monitor ~vcpu:(-1) ~holder:(-1)
+    ~lock_id:1 ~wait:0;
+  Sim_guest.Monitor.record_spin_wait monitor ~vcpu:(-1) ~holder:(-1)
+    ~lock_id:1 ~wait:1_023;
+  Sim_guest.Monitor.record_spin_wait monitor ~vcpu:(-1) ~holder:(-1)
+    ~lock_id:2 ~wait:1_024;
   ignore (Sim_engine.Engine.schedule_at engine ~time:1_000 (fun () ->
-      Sim_guest.Monitor.record_spin_wait monitor ~lock_id:3 ~wait:500;
-      Sim_guest.Monitor.record_spin_wait monitor ~lock_id:4 ~wait:6_000));
+      Sim_guest.Monitor.record_spin_wait monitor ~vcpu:(-1) ~holder:(-1)
+        ~lock_id:3 ~wait:500;
+      Sim_guest.Monitor.record_spin_wait monitor ~vcpu:(-1) ~holder:(-1)
+        ~lock_id:4 ~wait:6_000));
   Sim_engine.Engine.run engine;
   let h = Sim_guest.Monitor.spin_histogram monitor in
   Alcotest.(check int) "histogram sees every wait" 5
@@ -56,10 +61,12 @@ let test_traced_wait_listener () =
     (Sim_guest.Monitor.over_threshold_count monitor);
   (* Without a listener the monitor keeps nothing per wait. *)
   let _, _, _, _, bare = make_env () in
-  Sim_guest.Monitor.record_spin_wait bare ~lock_id:1 ~wait:2_000;
+  Sim_guest.Monitor.record_spin_wait bare ~vcpu:(-1) ~holder:(-1)
+    ~lock_id:1 ~wait:2_000;
   let words = Obj.reachable_words (Obj.repr bare) in
   for i = 1 to 1_000 do
-    Sim_guest.Monitor.record_spin_wait bare ~lock_id:i ~wait:(2_000 + i)
+    Sim_guest.Monitor.record_spin_wait bare ~vcpu:(-1) ~holder:(-1)
+      ~lock_id:i ~wait:(2_000 + i)
   done;
   Alcotest.(check int) "no entries kept" words
     (Obj.reachable_words (Obj.repr bare))
@@ -67,7 +74,8 @@ let test_traced_wait_listener () =
 let test_over_threshold_raises_vcrd () =
   let _, _, domain, hypercall, monitor = make_env () in
   Alcotest.(check bool) "low before" true (domain.Sim_vmm.Domain.vcrd = Sim_vmm.Domain.Low);
-  Sim_guest.Monitor.record_spin_wait monitor ~lock_id:7 ~wait:2_000_000;
+  Sim_guest.Monitor.record_spin_wait monitor ~vcpu:(-1) ~holder:(-1)
+    ~lock_id:7 ~wait:2_000_000;
   Alcotest.(check bool) "high after" true
     (domain.Sim_vmm.Domain.vcrd = Sim_vmm.Domain.High);
   Alcotest.(check int) "one adjusting event" 1
@@ -80,7 +88,8 @@ let test_window_closes_after_online_budget () =
   Sim_vmm.Vmm.start vmm;
   (* Give the domain runnable VCPUs so it consumes online time. *)
   Array.iter (fun v -> Sim_vmm.Vmm.vcpu_wake vmm v) domain.Sim_vmm.Domain.vcpus;
-  Sim_guest.Monitor.record_spin_wait monitor ~lock_id:7 ~wait:2_000_000;
+  Sim_guest.Monitor.record_spin_wait monitor ~vcpu:(-1) ~holder:(-1)
+    ~lock_id:7 ~wait:2_000_000;
   Alcotest.(check bool) "high" true (domain.Sim_vmm.Domain.vcrd = Sim_vmm.Domain.High);
   (* The longest candidate is 16 slots of online time per VCPU; with
      both VCPUs always online that is at most ~16 slots of wall time.
@@ -95,14 +104,16 @@ let test_retrigger_extends_window () =
   Sim_vmm.Vmm.start vmm;
   Array.iter (fun v -> Sim_vmm.Vmm.vcpu_wake vmm v) domain.Sim_vmm.Domain.vcpus;
   let slot = Sim_hw.Cpu_model.slot_cycles Config.default.Config.cpu in
-  Sim_guest.Monitor.record_spin_wait monitor ~lock_id:7 ~wait:2_000_000;
+  Sim_guest.Monitor.record_spin_wait monitor ~vcpu:(-1) ~holder:(-1)
+    ~lock_id:7 ~wait:2_000_000;
   (* Re-trigger well inside even the smallest window (slot/2 of wall
      time with both VCPUs online): VCRD must stay HIGH throughout. *)
   for i = 1 to 20 do
     Sim_engine.Engine.run ~until:(i * slot / 8) engine;
     Alcotest.(check bool) "still high" true
       (domain.Sim_vmm.Domain.vcrd = Sim_vmm.Domain.High);
-    Sim_guest.Monitor.record_spin_wait monitor ~lock_id:7 ~wait:2_000_000
+    Sim_guest.Monitor.record_spin_wait monitor ~vcpu:(-1) ~holder:(-1)
+      ~lock_id:7 ~wait:2_000_000
   done;
   Alcotest.(check int) "21 adjusting events" 21
     (Sim_guest.Monitor.adjusting_events monitor)
@@ -128,7 +139,8 @@ let test_report_disabled () =
     Sim_guest.Monitor.create params ~engine ~hypercall ~domain
       ~rng:(Sim_engine.Rng.create 3L)
   in
-  Sim_guest.Monitor.record_spin_wait monitor ~lock_id:7 ~wait:2_000_000;
+  Sim_guest.Monitor.record_spin_wait monitor ~vcpu:(-1) ~holder:(-1)
+    ~lock_id:7 ~wait:2_000_000;
   Alcotest.(check bool) "vcrd untouched" true
     (domain.Sim_vmm.Domain.vcrd = Sim_vmm.Domain.Low);
   Alcotest.(check int) "but still counted" 1
@@ -136,7 +148,8 @@ let test_report_disabled () =
 
 let test_reset_window () =
   let _, _, _, _, monitor = make_env () in
-  Sim_guest.Monitor.record_spin_wait monitor ~lock_id:1 ~wait:5_000;
+  Sim_guest.Monitor.record_spin_wait monitor ~vcpu:(-1) ~holder:(-1)
+    ~lock_id:1 ~wait:5_000;
   Sim_guest.Monitor.record_sem_wait monitor ~wait:100;
   Sim_guest.Monitor.reset_window monitor;
   Alcotest.(check int) "spin cleared" 0

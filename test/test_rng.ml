@@ -29,6 +29,46 @@ let test_copy () =
   Alcotest.(check int64) "copy continues identically" (Rng.next_int64 a)
     (Rng.next_int64 b)
 
+(* Known-answer vectors: the reference splitmix64 stream for seed 0,
+   and its continuations through [copy] and [split]. The state is
+   kept unboxed in bytes; these pin that it draws the same stream as
+   the textbook generator. *)
+let splitmix64_seed0 =
+  [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL ]
+
+let test_known_answer () =
+  let rng = Rng.create 0L in
+  List.iteri
+    (fun i expected ->
+      Alcotest.(check int64) (Printf.sprintf "draw %d" i) expected
+        (Rng.next_int64 rng))
+    splitmix64_seed0
+
+let test_known_answer_copy () =
+  let rng = Rng.create 0L in
+  ignore (Rng.next_int64 rng);
+  let copy = Rng.copy rng in
+  Alcotest.(check int64) "copy draws the original's 2nd" 0x6e789e6aa1b965f4L
+    (Rng.next_int64 copy);
+  Alcotest.(check int64) "copy draws the original's 3rd" 0x06c45d188009454fL
+    (Rng.next_int64 copy);
+  Alcotest.(check int64) "original unaffected by the copy" 0x6e789e6aa1b965f4L
+    (Rng.next_int64 rng)
+
+let test_known_answer_split () =
+  let parent = Rng.create 0L in
+  let child = Rng.split parent in
+  (* The child is seeded with the parent's first draw. *)
+  Alcotest.(check int64) "child 1st" 0xa706dd2f4d197e6fL (Rng.next_int64 child);
+  Alcotest.(check int64) "child 2nd" 0xb382a305f4414f5eL (Rng.next_int64 child);
+  Alcotest.(check int64) "parent continues at its 2nd" 0x6e789e6aa1b965f4L
+    (Rng.next_int64 parent);
+  (* uniform is the top 53 bits of the next draw. *)
+  Alcotest.(check (float 0.)) "uniform of the 3rd"
+    (Int64.to_float (Int64.shift_right_logical 0x06c45d188009454fL 11)
+    *. 0x1.0p-53)
+    (Rng.uniform parent)
+
 let test_int_bounds () =
   let rng = Rng.create 7L in
   for _ = 1 to 1000 do
@@ -136,6 +176,9 @@ let suite =
     Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
     Alcotest.test_case "split" `Quick test_split_independent;
     Alcotest.test_case "copy" `Quick test_copy;
+    Alcotest.test_case "known answer: seed 0" `Quick test_known_answer;
+    Alcotest.test_case "known answer: copy" `Quick test_known_answer_copy;
+    Alcotest.test_case "known answer: split" `Quick test_known_answer_split;
     Alcotest.test_case "int bounds" `Quick test_int_bounds;
     Alcotest.test_case "int invalid" `Quick test_int_invalid;
     Alcotest.test_case "int_in" `Quick test_int_in;

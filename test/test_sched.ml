@@ -196,9 +196,43 @@ let test_hypercall_stats () =
       (Sim_vmm.Hypercall.total_calls hc >= stats.Sim_vmm.Hypercall.to_high)
   | None -> Alcotest.fail "no kernel"
 
+(* The planted [Double_insert_reloc] mutation makes a relocation leave
+   the VCPU in its old run queue as well; the per-period structural
+   audit, which counts queue membership in one pass, must name it. *)
+let test_double_insert_reloc_reported () =
+  let open Sim_vmm in
+  let engine = Sim_engine.Engine.create () in
+  let machine =
+    Sim_hw.Machine.create engine Sim_hw.Cpu_model.default
+      (Sim_hw.Topology.make ~sockets:1 ~cores_per_socket:2)
+  in
+  let api = ref None in
+  let vmm =
+    Vmm.create machine ~sched:(fun a ->
+        api := Some a;
+        Sched_credit.make a)
+  in
+  let dom = Vmm.create_domain vmm ~name:"V" ~weight:256 ~vcpus:1 () in
+  let v = dom.Domain.vcpus.(0) in
+  (* Parked, so the wake leaves it queued on PCPU 0 instead of running. *)
+  v.Vcpu.parked <- true;
+  Vmm.vcpu_wake vmm v;
+  Alcotest.(check (result unit string)) "clean before the relocation"
+    (Ok ()) (Vmm.check_invariants vmm);
+  Fun.protect
+    ~finally:(fun () -> Mutation.set None)
+    (fun () ->
+      Mutation.set (Some Mutation.Double_insert_reloc);
+      (Option.get !api).Sched_intf.migrate v ~dst:1);
+  Alcotest.(check (result unit string)) "the double insert is reported"
+    (Error (Printf.sprintf "ready vcpu %d is in 2 queues" v.Vcpu.id))
+    (Vmm.check_invariants vmm)
+
 let suite =
   [
     Alcotest.test_case "work stealing" `Quick test_work_stealing_spreads_load;
+    Alcotest.test_case "double-insert-reloc is reported" `Quick
+      test_double_insert_reloc_reported;
     Alcotest.test_case "overcommit" `Quick test_more_vcpus_than_pcpus;
     Alcotest.test_case "cap enforced" `Slow test_cap_is_enforced_per_scheduler;
     Alcotest.test_case "ipis only from gangs" `Quick

@@ -47,6 +47,23 @@ let test_log2_floor () =
     (Invalid_argument "Units.log2_floor: argument must be >= 1") (fun () ->
       ignore (Units.log2_floor 0))
 
+(* The constant-time [log2_floor] against the shift loop it replaced,
+   at 2^k - 1, 2^k and 2^k + 1 for every k in 0..61. *)
+let log2_floor_loop n =
+  let rec go k v = if v <= 1 then k else go (k + 1) (v lsr 1) in
+  go 0 n
+
+let test_log2_floor_matches_loop () =
+  for k = 0 to 61 do
+    List.iter
+      (fun n ->
+        if n >= 1 then
+          Alcotest.(check int) (Printf.sprintf "log2_floor %d" n)
+            (log2_floor_loop n) (Units.log2_floor n))
+      [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ]
+  done;
+  Alcotest.(check int) "max_int" 61 (Units.log2_floor max_int)
+
 let test_pp_cycles () =
   let show c = Format.asprintf "%a" (Units.pp_cycles freq) c in
   Alcotest.(check string) "seconds" "2.000 s" (show (Units.cycles_of_sec freq 2));
@@ -75,6 +92,8 @@ let suite =
     Alcotest.test_case "roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "pow2" `Quick test_pow2;
     Alcotest.test_case "log2_floor" `Quick test_log2_floor;
+    Alcotest.test_case "log2_floor matches the loop" `Quick
+      test_log2_floor_matches_loop;
     Alcotest.test_case "pp_cycles" `Quick test_pp_cycles;
     QCheck_alcotest.to_alcotest prop_log2_floor_bounds;
     QCheck_alcotest.to_alcotest prop_ms_roundtrip;

@@ -151,16 +151,18 @@ let test_random_program_well_formed () =
     let c = Sim_guest.Program.cursor p in
     let rec walk () =
       match Sim_guest.Program.next c ~rng:r with
-      | None -> ()
-      | Some (Sim_guest.Program.I_lock l) ->
+      | Sim_guest.Program.I_end -> ()
+      | Sim_guest.Program.I_lock ->
+        let l = Sim_guest.Program.operand c in
         if Hashtbl.mem held l then Alcotest.fail "re-lock while held";
         Hashtbl.replace held l ();
         walk ()
-      | Some (Sim_guest.Program.I_unlock l) ->
+      | Sim_guest.Program.I_unlock ->
+        let l = Sim_guest.Program.operand c in
         if not (Hashtbl.mem held l) then Alcotest.fail "unlock without lock";
         Hashtbl.remove held l;
         walk ()
-      | Some _ -> walk ()
+      | _ -> walk ()
     in
     walk ();
     Alcotest.(check int) "all released" 0 (Hashtbl.length held)
