@@ -1,20 +1,22 @@
 (* Event-queue micro-benchmark: wheel vs heap backend throughput from
-   the pending-set size a simulated host holds (10^2) up to 10^7.
+   the pending-set size a simulated host holds (10^2) up to 10^7,
+   through the engine calls the simulator makes ([Engine.schedule_at],
+   [cancel], [step]).
 
    Two steady-state workloads, each run against both backends with the
    same RNG seed so the op streams are identical:
 
-   - "hold": classic timer-wheel hold pattern — pop the earliest
+   - "hold": classic timer-wheel hold pattern — fire the earliest
      event, schedule a replacement a random delay ahead. Pending count
      stays constant at N; measures the schedule+fire path.
-   - "churn": schedule two events, cancel the first, pop one —
+   - "churn": schedule two events, cancel the first, fire one —
      the timer-reset pattern (timeslice/PLE/grace timers are armed and
      cancelled far more often than they fire); measures the cancel
      path.
 
    Delays are drawn from a mix of near (the cursor's open 2^16-cycle
    slot and level 1), mid (level 1/2) and far wheel distances.
-   Throughput is reported in events per second (one schedule+pop or
+   Throughput is reported in events per second (one schedule+fire or
    schedule+cancel round = one event). *)
 
 open Sim_engine
@@ -42,41 +44,34 @@ let delay rng =
   | 12 | 13 | 14 | 15 | 16 -> 1 + Rng.int_in rng ~lo:0 ~hi:(1 lsl 28)
   | _ -> 1 + Rng.int_in rng ~lo:0 ~hi:(1 lsl 33)
 
-let preload q rng ~pending =
-  let now = 0 in
+let preload e rng ~pending =
   for _ = 1 to pending do
-    ignore (Equeue.schedule q ~time:(now + delay rng) nothing)
+    ignore (Engine.schedule_at e ~time:(delay rng) nothing)
   done
 
 let run_bench bench kind ~pending ~ops =
-  let q = Equeue.create kind in
+  let e = Engine.create ~queue:kind () in
   let rng = Rng.create 7L in
-  preload q rng ~pending;
-  let now = ref 0 in
+  preload e rng ~pending;
   let t0 = Unix.gettimeofday () in
   (match bench with
   | "hold" ->
     for _ = 1 to ops do
-      match Equeue.pop q with
-      | Equeue.Event (time, _) ->
-        now := time;
-        ignore (Equeue.schedule q ~time:(time + delay rng) nothing)
-      | Equeue.Beyond | Equeue.Empty -> ()
+      if Engine.step e then
+        ignore (Engine.schedule_at e ~time:(Engine.now e + delay rng) nothing)
     done
   | "churn" ->
     for _ = 1 to ops do
-      let h = Equeue.schedule q ~time:(!now + delay rng) nothing in
-      ignore (Equeue.schedule q ~time:(!now + delay rng) nothing);
-      ignore (Equeue.cancel q h);
-      match Equeue.pop q with
-      | Equeue.Event (time, _) -> now := time
-      | Equeue.Beyond | Equeue.Empty -> ()
+      let h = Engine.schedule_at e ~time:(Engine.now e + delay rng) nothing in
+      ignore (Engine.schedule_at e ~time:(Engine.now e + delay rng) nothing);
+      Engine.cancel e h;
+      ignore (Engine.step e)
     done
   | _ -> invalid_arg "Micro.run_bench");
   let sec = Unix.gettimeofday () -. t0 in
   {
     bench;
-    backend = Equeue.kind_name kind;
+    backend = Engine.kind_name kind;
     pending;
     ops;
     sec;
@@ -94,7 +89,7 @@ let run () =
         (fun pending ->
           List.map
             (fun kind -> run_bench bench kind ~pending ~ops:(ops_for pending))
-            [ Equeue.Wheel_queue; Equeue.Heap_queue ])
+            [ Engine.Wheel_queue; Engine.Heap_queue ])
         pendings)
     [ "hold"; "churn" ]
 
@@ -138,7 +133,7 @@ let to_json r =
    firing in 64 (chosen by hash bits) mails a cross-member one-shot at
    >= lookahead ahead — the relocation/IPI traffic the conservative
    window is sized for. sim-jobs = 1 is the single-member reference
-   (one engine whose windows degenerate to its own pop-with-limit
+   (one engine whose windows degenerate to its own run-until
    loop); sim-jobs = N runs the same event population over N member
    engines.
 
@@ -238,7 +233,7 @@ let run_pdes_once ~kind ~pcpus ~jobs () =
   let sec = Unix.gettimeofday () -. t0 in
   let events = Fabric.events_fired fab in
   {
-    p_backend = Equeue.kind_name kind;
+    p_backend = Engine.kind_name kind;
     p_pcpus = pcpus;
     p_jobs = jobs;
     p_workers = workers;

@@ -118,11 +118,11 @@ let queue_arg =
      byte-identical; only speed differs."
   in
   let parse s =
-    match Sim_engine.Equeue.kind_of_name s with
+    match Sim_engine.Engine.kind_of_name s with
     | Some k -> Ok k
     | None -> Error (`Msg (Printf.sprintf "unknown queue backend %S" s))
   in
-  let print fmt k = Format.pp_print_string fmt (Sim_engine.Equeue.kind_name k) in
+  let print fmt k = Format.pp_print_string fmt (Sim_engine.Engine.kind_name k) in
   Arg.(
     value
     & opt (conv (parse, print)) Config.default.Config.engine_queue
@@ -354,7 +354,7 @@ let record_invocation ~kind ?id ~config ?workers ~label ~spec ~wall_sec
         | Some i -> i
         | None -> Reg.Registry.fresh_id ~kind)
       ~kind ~seed:config.Config.seed ~scale:config.Config.scale
-      ~queue:(Sim_engine.Equeue.kind_name config.Config.engine_queue)
+      ~queue:(Sim_engine.Engine.kind_name config.Config.engine_queue)
       ~workers:(Option.value workers ~default:(Pool.jobs ()))
       ~sim_jobs:config.Config.sim_jobs
       ~topology:(Sim_hw.Topology.to_string config.Config.topology)

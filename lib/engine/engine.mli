@@ -2,19 +2,37 @@
 
     The engine owns a virtual clock (integer CPU cycles) and an event
     queue. Events are thunks scheduled for a future instant; they fire
-    in [(time, insertion-order)] order, so simulations are fully
-    deterministic.
+    in exact [(time, seq)] order, where [seq] counts schedule calls, so
+    same-instant events fire first-in first-out and simulations are
+    fully deterministic.
 
     The queue has two run-time selectable backends with identical
-    firing semantics: the hierarchical timing wheel (default; O(1)
-    schedule and eager cancellation) and the binary-heap oracle kept
-    for differential testing. Events live in a pooled slab and handles
-    are generation-stamped integers, so the schedule/fire/cancel hot
-    path allocates nothing. *)
+    firing semantics, both in this module:
+
+    - {b Timing wheel} ([Wheel_queue], the default; Varghese–Lauck
+      hashed hierarchical wheels). Events in the cursor's open
+      2^16-cycle slot live in a "near" slot-heap that gives the exact
+      order; later ones are filed by fire time into three levels of 64
+      buckets (2^16, 2^22 and 2^28 cycles per bucket) that cascade
+      down as the cursor advances, and a far-future slot-heap holds
+      events beyond the top level's 2^34-cycle window; when only those
+      remain, the cursor fast-forwards to the earliest one's window.
+      Each level keeps an occupancy bitmap, so when the near heap runs
+      dry the cursor jumps to the next occupied bucket instead of
+      stepping one slot at a time. Scheduling is O(1); a cancelled
+      bucket event is unlinked at once, while an event already in a
+      slot-heap is tombstoned and dropped when it surfaces.
+    - {b Binary-heap oracle} ([Heap_queue]): every event in one
+      slot-heap with lazy cancellation, kept for differential testing
+      ([--engine-queue=heap]).
+
+    Events live in a pooled struct-of-arrays slab recycled through a
+    free list, and handles are generation-stamped integers, so the
+    schedule/fire/cancel hot path allocates nothing. *)
 
 type t
 
-type handle = Equeue.handle
+type handle = int
 (** A scheduled event: a packed (generation, slot) immediate integer.
     Operations on a handle ({!cancel}, {!is_pending}, {!fire_time})
     need the owning engine; stale handles — events that fired or were
@@ -27,7 +45,12 @@ val no_handle : handle
     a mutable [handle] field set to [no_handle] instead of boxing a
     [handle option] on every schedule. *)
 
-type queue_kind = Equeue.kind = Wheel_queue | Heap_queue
+type queue_kind = Wheel_queue | Heap_queue
+
+val kind_name : queue_kind -> string
+
+val kind_of_name : string -> queue_kind option
+(** Recognises ["wheel"] and ["heap"] (case-insensitive). *)
 
 val create : ?seed:int64 -> ?queue:queue_kind -> unit -> t
 (** [create ?seed ()] is an engine at time 0 with an empty queue and a
@@ -119,3 +142,9 @@ val periodic :
     Returns a stop function that cancels the pending occurrence and
     ends the chain — the cancellation path used by fault windows. Raises
     [Invalid_argument] if [period <= 0]. *)
+
+val lowest_set_bit : int -> int
+(** Position (0..31) of the lowest set bit of a nonzero 32-bit word,
+    by the branch-free de Bruijn lookup the wheel's bitmap scans use.
+    The result is unspecified for [0]. Exposed for its exhaustive
+    test. *)

@@ -148,6 +148,49 @@ let prop_monotone_clock =
       Engine.run e;
       !ok)
 
+(* The engine's own share of an event is zero words: a closure built
+   once, rescheduling itself through [schedule_after] and, every fourth
+   fire, scheduling and cancelling a second event, allocates nothing per
+   fire once the slab and the slot heaps have grown. The chain's delays
+   walk the wheel's levels, and the cancelled events alternate between
+   a near-heap tombstone and an eager bucket unlink. The warm-up crosses
+   a 2^34-cycle window, so the far heap has grown too. *)
+let words_per_fire kind =
+  let e = Engine.create ~queue:kind () in
+  let fires = ref 0 in
+  let last = ref 0 in
+  let other () = () in
+  let rec tick () =
+    incr fires;
+    let n = !fires in
+    if n land 3 = 0 then
+      Engine.cancel e
+        (Engine.schedule_after e
+           ~delay:(if n land 4 = 0 then 50 else 1 lsl 23)
+           other);
+    if n < !last then
+      ignore (Engine.schedule_after e ~delay:(1 + ((n * 7919) land 0xFFFFF)) tick)
+  in
+  let chain n =
+    last := !fires + n;
+    ignore (Engine.schedule_after e ~delay:1 tick);
+    let events = Engine.events_fired e in
+    let before = Gc.minor_words () in
+    Engine.run e;
+    let words = Gc.minor_words () -. before in
+    words /. float_of_int (Engine.events_fired e - events)
+  in
+  ignore (chain 50_000);
+  chain 200_000
+
+let test_fire_allocates_nothing () =
+  List.iter
+    (fun kind ->
+      Alcotest.(check (float 0.))
+        (Engine.kind_name kind ^ ": minor words per fired event")
+        0. (words_per_fire kind))
+    [ Engine.Wheel_queue; Engine.Heap_queue ]
+
 let suite =
   [
     Alcotest.test_case "zero start" `Quick test_time_starts_at_zero;
@@ -164,4 +207,6 @@ let suite =
     Alcotest.test_case "recursive" `Quick test_recursive_scheduling;
     Alcotest.test_case "zero delay" `Quick test_zero_delay_fires_after_queued;
     QCheck_alcotest.to_alcotest prop_monotone_clock;
+    Alcotest.test_case "fire allocates nothing" `Quick
+      test_fire_allocates_nothing;
   ]

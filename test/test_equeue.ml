@@ -7,31 +7,30 @@ open Sim_engine
 
 (* ----- script interpreter -----
 
-   A script is a list of operations driven against one backend; we
-   record the (time, tag) sequence of fired events and compare across
-   backends. Operations reference previously returned handles by
-   index, so the same script is replayable on either backend. *)
+   A script is a list of operations driven through the Engine API
+   against one backend; we record what it observes (fired events,
+   cancel verdicts, peeks) and compare across backends. Operations
+   reference previously returned handles by index, so the same script
+   is replayable on either backend. *)
 
 type op =
   | Schedule of int (* delay from current time *)
   | Cancel of int (* cancel the [i mod live]-th outstanding handle *)
-  | Pop
-  | Pop_until of int (* pop with limit = now + delta *)
+  | Pop (* fire the next event: [Engine.step] *)
+  | Pop_until of int (* fire every event up to now + delta: [run ~until] *)
+  | Peek (* [next_time] and [pending_count] *)
+
+type obs =
+  | Fired of int * int (* fire time, schedule tag *)
+  | Cancelled of int option (* the fire time, if the event was pending *)
+  | Peeked of int option * int
 
 let run_script kind ops =
-  let q = Equeue.create kind in
+  let e = Engine.create ~queue:kind () in
   let handles = ref [] in
-  let fired = ref [] in
-  let now = ref 0 in
+  let seen = ref [] in
+  let note o = seen := o :: !seen in
   let tag = ref 0 in
-  let pop ?limit () =
-    match Equeue.pop ?limit q with
-    | Equeue.Event (time, action) ->
-      now := time;
-      action ()
-    | Equeue.Beyond -> (match limit with Some l -> now := max !now l | None -> ())
-    | Equeue.Empty -> ()
-  in
   List.iter
     (fun op ->
       match op with
@@ -39,8 +38,8 @@ let run_script kind ops =
         let id = !tag in
         incr tag;
         let h =
-          Equeue.schedule q ~time:(!now + delay) (fun () ->
-              fired := (!now, id) :: !fired)
+          Engine.schedule_at e ~time:(Engine.now e + delay) (fun () ->
+              note (Fired (Engine.now e, id)))
         in
         handles := h :: !handles
       | Cancel i -> begin
@@ -48,26 +47,23 @@ let run_script kind ops =
         | [] -> ()
         | hs ->
           let h = List.nth hs (i mod List.length hs) in
-          ignore (Equeue.cancel q h)
+          note
+            (Cancelled
+               (if Engine.is_pending e h then Some (Engine.fire_time e h)
+                else None));
+          Engine.cancel e h
       end
-      | Pop -> pop ()
-      | Pop_until delta -> pop ~limit:(!now + delta) ())
+      | Pop -> ignore (Engine.step e)
+      | Pop_until delta -> Engine.run e ~until:(Engine.now e + delta)
+      | Peek -> note (Peeked (Engine.next_time e, Engine.pending_count e)))
     ops;
   (* Drain the queue to the end. *)
-  let rec drain () =
-    match Equeue.pop q with
-    | Equeue.Event (time, action) ->
-      now := time;
-      action ();
-      drain ()
-    | Equeue.Beyond | Equeue.Empty -> ()
-  in
-  drain ();
-  List.rev !fired
+  Engine.run e;
+  List.rev !seen
 
 let check_script ops =
-  let wheel = run_script Equeue.Wheel_queue ops in
-  let heap = run_script Equeue.Heap_queue ops in
+  let wheel = run_script Engine.Wheel_queue ops in
+  let heap = run_script Engine.Heap_queue ops in
   wheel = heap
 
 (* Delays that stress every region of the wheel: same-instant bursts
@@ -95,13 +91,14 @@ let op_gen =
         (2, map (fun i -> Cancel i) (int_bound 1000));
         (3, return Pop);
         (2, map (fun d -> Pop_until d) delay_gen);
+        (1, return Peek);
       ])
 
 let shrink_op op =
   match op with
   | Schedule d -> QCheck.Iter.map (fun d -> Schedule d) (QCheck.Shrink.int d)
   | Cancel i -> QCheck.Iter.map (fun i -> Cancel i) (QCheck.Shrink.int i)
-  | Pop -> QCheck.Iter.empty
+  | Pop | Peek -> QCheck.Iter.empty
   | Pop_until d -> QCheck.Iter.map (fun d -> Pop_until d) (QCheck.Shrink.int d)
 
 let script_arb =
@@ -114,7 +111,8 @@ let script_arb =
              | Schedule d -> Printf.sprintf "S%d" d
              | Cancel i -> Printf.sprintf "C%d" i
              | Pop -> "P"
-             | Pop_until d -> Printf.sprintf "U%d" d)
+             | Pop_until d -> Printf.sprintf "U%d" d
+             | Peek -> "N")
            ops))
     QCheck.Gen.(list_size (int_range 1 200) op_gen)
 
@@ -305,8 +303,9 @@ let test_skip_cancel_jumped () =
 
 (* [Pop_until] limits that fall in the empty gap the cursor jumps:
    the descent moves the cursor past the limit to the next event,
-   which stays queued; events then scheduled inside the gap, behind
-   the cursor, must still fire first. *)
+   which stays queued ([Peek] sees it) while the clock parks at the
+   limit; events then scheduled inside the gap, behind the cursor,
+   must still fire first. *)
 let test_skip_pop_until_gap () =
   check_skip "Pop_until inside skipped gap"
     [
@@ -315,13 +314,16 @@ let test_skip_pop_until_gap () =
       Schedule ((1 lsl 28) + (2 lsl 22));
       Pop;
       Pop_until (10 lsl 22);
+      Peek;
       Schedule 100;
       Schedule (3 lsl 16);
       Schedule (1 lsl 22);
       Pop;
       Pop_until (1 lsl 16);
+      Peek;
       Pop;
       Pop_until ((1 lsl 28) - (1 lsl 22));
+      Peek;
       Schedule 0;
       Pop;
       Pop;
@@ -330,7 +332,9 @@ let test_skip_pop_until_gap () =
     [
       Schedule (7 lsl 28);
       Pop_until (3 lsl 28);
+      Peek;
       Pop_until (4 lsl 28);
+      Peek;
       Schedule 1;
       Pop;
       Pop_until 0;
@@ -340,24 +344,23 @@ let test_skip_pop_until_gap () =
 let test_lowest_set_bit () =
   for i = 0 to 31 do
     Alcotest.(check int) (Printf.sprintf "bit %d" i) i
-      (Wheel.lowest_set_bit (1 lsl i));
+      (Engine.lowest_set_bit (1 lsl i));
     (* higher bits set too, and the full word above bit i *)
     Alcotest.(check int) (Printf.sprintf "bits >= %d" i) i
-      (Wheel.lowest_set_bit (0xFFFFFFFF land (-1 lsl i)));
+      (Engine.lowest_set_bit (0xFFFFFFFF land (-1 lsl i)));
     Alcotest.(check int) (Printf.sprintf "bit %d and bit 31" i) i
-      (Wheel.lowest_set_bit ((1 lsl i) lor (1 lsl 31)))
+      (Engine.lowest_set_bit ((1 lsl i) lor (1 lsl 31)))
   done
 
 (* ----- the engine fire loop under cancellation -----
 
-   [Engine.run ~until] fires through [Equeue.ready]/[top_time]/[take]
-   without materialising [pop_result] blocks; cancelling events from
-   inside the run window — including events later in the *same*
+   [Engine.run ~until] fires through the queue's allocation-free
+   ready/top-time/take primitives; cancelling events from inside the
+   run window — including events later in the *same*
    window — must leave both backends with identical fire sequences and
    queue contents. *)
 
-(* [Equeue.cancel]'s verdict through the Engine API: whether the event
-   was still pending. *)
+(* A cancel's verdict: whether the event was still pending. *)
 let cancel e h =
   let pending = Engine.is_pending e h in
   Engine.cancel e h;
@@ -394,8 +397,8 @@ let drain_cancel_trace kind =
   (List.rev !fired, Engine.pending_count e)
 
 let test_drain_cancel_directed () =
-  let wheel = drain_cancel_trace Equeue.Wheel_queue in
-  let heap = drain_cancel_trace Equeue.Heap_queue in
+  let wheel = drain_cancel_trace Engine.Wheel_queue in
+  let heap = drain_cancel_trace Engine.Heap_queue in
   Alcotest.(check (pair (list int) int))
     "drain/cancel trace agrees with heap oracle" heap wheel;
   (* the cancellations actually bit: cancelled indices are absent *)
@@ -447,8 +450,8 @@ let drain_cancel_seeded seed kind =
 
 let test_drain_cancel_seeded () =
   for seed = 1 to 20 do
-    let wheel = drain_cancel_seeded seed Equeue.Wheel_queue in
-    let heap = drain_cancel_seeded seed Equeue.Heap_queue in
+    let wheel = drain_cancel_seeded seed Engine.Wheel_queue in
+    let heap = drain_cancel_seeded seed Engine.Heap_queue in
     if wheel <> heap then
       Alcotest.failf "drain/cancel seed %d: wheel and heap disagree" seed
   done
