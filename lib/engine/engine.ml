@@ -17,6 +17,15 @@
    a generation stamp that detects stale references to recycled
    slots.
 
+   Timers. A one-shot event stores its closure into the slab when it
+   is scheduled and [noop] over it when it fires or is cancelled: two
+   [caml_modify] stores per event. A timer is a slot that keeps its
+   action: [timer] binds the closure once, and [arm], [disarm] and the
+   fire loop then write only the int arrays. A fired timer stays bound
+   and idle, ready to be armed again. The recurring events (a VCPU's
+   compute and slice timers, periodic clocks, the monitor's window)
+   are timers; everything else is a one-shot.
+
    Wheel geometry (cycle-granularity virtual time):
 
      near heap: the cursor's open 2^16-cycle slot (~28 us @2.33GHz)
@@ -37,9 +46,13 @@
    Later events land in the lowest level whose current window contains
    them; when the cursor enters a bucket of a higher level, the bucket
    cascades down, and a level-1 bucket cascades into the near heap.
-   Cancelled events are unlinked from wheel buckets eagerly (O(1) via
-   the intrusive doubly-linked lists); only events already in a
-   slot-heap are tombstoned and dropped lazily at the top.
+   Cancelled events are removed eagerly wherever they sit: a wheel
+   bucket resident is unlinked in O(1) through the intrusive
+   doubly-linked lists, and a slot-heap resident is taken out through
+   the slab's per-slot heap position in O(log n). There are no
+   tombstones, so a disarmed timer can be armed again in the same
+   instant, and the firing order cannot depend on how a heap was
+   shaped: (time, seq) is a total order.
 
    The cursor advance costs in proportion to occupied buckets, not to
    elapsed time. Each level keeps a one-bit-per-bucket occupancy
@@ -51,10 +64,10 @@
    slot.
 
    Heap oracle. [Heap_queue] files every event into the near heap and
-   never moves the cursor: a plain binary heap with lazy cancellation,
-   the reference the wheel is differentially tested against. The two
-   backends differ only in [insert]; both fire in exact (time, seq)
-   order, so whole simulations are identical event for event. *)
+   never moves the cursor: a plain binary heap, the reference the
+   wheel is differentially tested against. The two backends differ
+   only in [insert]; both fire in exact (time, seq) order, so whole
+   simulations are identical event for event. *)
 
 type queue_kind = Wheel_queue | Heap_queue
 
@@ -68,7 +81,9 @@ let kind_of_name s =
 
 type handle = int
 
-let no_handle = -1
+type timer = int
+
+let no_timer = -1
 
 let noop () = ()
 
@@ -82,11 +97,14 @@ type t = {
   (* ----- event slab, one entry per slot ----- *)
   mutable time : int array;
   mutable seq : int array;
-  (* bumped on every release, so packed handles detect recycled slots *)
+  (* bumped on every release, so packed handles detect recycled
+     slots; stored complemented (negative) while the slot is a timer *)
   mutable gen : int array;
   (* the container holding the slot: a wheel bucket's (non-negative)
      index, or one of the [loc_*] tags below *)
   mutable loc : int array;
+  (* the slot's index in the near or far heap, while it sits in one *)
+  mutable pos : int array;
   (* intrusive bucket lists; [next] also threads the free list *)
   mutable next : int array;
   mutable prev : int array;
@@ -123,7 +141,7 @@ type t = {
 let loc_free = -1
 let loc_near = -2 (* in the near slot-heap *)
 let loc_far = -3 (* in the far-future slot-heap *)
-let loc_dead = -4 (* cancelled while in a slot-heap; dropped lazily *)
+let loc_idle = -4 (* a bound timer that is not armed *)
 
 (* Handles pack (gen lsl slot_bits) lor slot: 25 bits of slot index
    (33M concurrently pending events) and 37 bits of per-slot
@@ -155,6 +173,7 @@ let create ?(seed = 1L) ?(queue = Wheel_queue) () =
     seq = [||];
     gen = [||];
     loc = [||];
+    pos = [||];
     next = [||];
     prev = [||];
     act = [||];
@@ -190,6 +209,7 @@ let grow t =
   t.seq <- extend t.seq 0;
   t.gen <- extend t.gen 0;
   t.loc <- extend t.loc loc_free;
+  t.pos <- extend t.pos 0;
   t.next <- extend t.next (-1);
   t.prev <- extend t.prev (-1);
   t.act <- extend t.act noop;
@@ -201,20 +221,21 @@ let grow t =
   done;
   t.cap <- cap
 
-(* Claim a slot and stamp it with the next sequence number; the
-   caller files it. *)
-let[@inline] alloc t ~time action =
+let[@inline] claim t =
   if t.free < 0 then grow t;
   let s = t.free in
   t.free <- t.next.(s);
+  s
+
+(* Give a claimed slot its fire time and the next sequence number;
+   the caller files it. *)
+let[@inline] stamp t s ~time =
   t.time.(s) <- time;
   t.seq.(s) <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
-  t.act.(s) <- action;
   t.next.(s) <- -1;
   t.prev.(s) <- -1;
-  t.live <- t.live + 1;
-  s
+  t.live <- t.live + 1
 
 (* Bump the generation (invalidating outstanding handles), drop the
    action closure (so fired events are not pinned by the queue) and
@@ -234,7 +255,6 @@ let[@inline] handle_live t h =
   && s < t.cap
   && t.gen.(s) = h lsr slot_bits
   && t.loc.(s) <> loc_free
-  && t.loc.(s) <> loc_dead
 
 (* ----- slot heaps ----- *)
 
@@ -244,6 +264,46 @@ let[@inline] less t i j =
   let ti = t.time.(i) and tj = t.time.(j) in
   ti < tj || (ti = tj && t.seq.(i) < t.seq.(j))
 
+(* Heap moves keep [pos] current, so any resident can be removed. *)
+let[@inline] place t a i s =
+  a.(i) <- s;
+  t.pos.(s) <- i
+
+(* Fill the hole at [i] with [s], moving it towards the root. *)
+let sift_up t a i s =
+  let i = ref i in
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let p = a.(parent) in
+    if less t s p then begin
+      place t a !i p;
+      i := parent
+    end
+    else continue := false
+  done;
+  place t a !i s
+
+(* Fill the hole at [i] of an [n]-slot heap with [s], moving it
+   towards the leaves. *)
+let sift_down t a n i s =
+  let i = ref i in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    if l >= n then continue := false
+    else begin
+      let r = l + 1 in
+      let m = if r < n && less t a.(r) a.(l) then r else l in
+      if less t a.(m) s then begin
+        place t a !i a.(m);
+        i := m
+      end
+      else continue := false
+    end
+  done;
+  place t a !i s
+
 let push t h s =
   if h.n = Array.length h.a then begin
     let cap = if h.n = 0 then 64 else 2 * h.n in
@@ -251,19 +311,9 @@ let push t h s =
     Array.blit h.a 0 b 0 h.n;
     h.a <- b
   end;
-  let a = h.a in
-  let i = ref h.n in
-  h.n <- h.n + 1;
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if less t s a.(parent) then begin
-      a.(!i) <- a.(parent);
-      i := parent
-    end
-    else continue := false
-  done;
-  a.(!i) <- s
+  let i = h.n in
+  h.n <- i + 1;
+  sift_up t h.a i s
 
 (* Remove and return the minimum slot; the heap must be non-empty. *)
 let pop t h =
@@ -271,26 +321,20 @@ let pop t h =
   let res = a.(0) in
   let n = h.n - 1 in
   h.n <- n;
-  if n > 0 then begin
-    let s = a.(n) in
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 in
-      if l >= n then continue := false
-      else begin
-        let r = l + 1 in
-        let m = if r < n && less t a.(r) a.(l) then r else l in
-        if less t a.(m) s then begin
-          a.(!i) <- a.(m);
-          i := m
-        end
-        else continue := false
-      end
-    done;
-    a.(!i) <- s
-  end;
+  if n > 0 then sift_down t a n 0 a.(n);
   res
+
+(* Remove the resident at index [i]: the last slot fills the hole and
+   sifts whichever way restores the order around it. *)
+let remove t h i =
+  let n = h.n - 1 in
+  h.n <- n;
+  if i < n then begin
+    let a = h.a in
+    let s = a.(n) in
+    if i > 0 && less t s a.((i - 1) / 2) then sift_up t a i s
+    else sift_down t a n i s
+  end
 
 (* ----- occupancy bitmaps ----- *)
 
@@ -347,8 +391,9 @@ let[@inline] bucket_append t b s =
   t.loc.(s) <- b;
   t.in_wheel <- t.in_wheel + 1
 
-(* Eager removal of a cancelled event sitting in wheel bucket [b]:
-   O(1), no tombstone; the caller releases the slot. *)
+(* Eager removal of a cancelled event or disarmed timer sitting in
+   wheel bucket [b]: O(1); the caller releases the slot or idles the
+   timer. *)
 let bucket_unlink t b s =
   let nx = t.next.(s) in
   let pv = t.prev.(s) in
@@ -419,21 +464,11 @@ let cascade t ~level =
     s := nx
   done
 
-(* Drop cancelled tombstones off the top of the far heap. *)
-let drop_dead_far t =
-  let h = t.far in
-  while h.n > 0 && t.loc.(h.a.(0)) = loc_dead do
-    release t (pop t h)
-  done
-
-(* Pull far-future events whose 2^34 window the cursor has entered.
-   Cancelled tombstones surfacing at the top are dropped here. *)
+(* Pull far-future events whose 2^34 window the cursor has entered. *)
 let pull_far t =
   let window = t.cur lsr (far_shift - slot_shift 1) in
-  drop_dead_far t;
   while t.far.n > 0 && t.time.(t.far.a.(0)) lsr far_shift = window do
-    insert t (pop t t.far);
-    drop_dead_far t
+    insert t (pop t t.far)
   done
 
 (* Open the level-1 slot the cursor has just moved to. Entering a
@@ -484,9 +519,7 @@ let skip t =
 
 (* The near heap is empty: advance the cursor ([skip] then
    [open_boundaries]) until an opened slot yields an event, which is
-   then the global (time, seq) minimum. Everything that reaches the
-   near heap this way is live: bucket events are unlinked on cancel,
-   and [pull_far] drops tombstones. [false] when no event remains
+   then the global (time, seq) minimum. [false] when no event remains
    anywhere, which is at once the case under the heap oracle. *)
 let advance t =
   let live = ref false in
@@ -495,7 +528,6 @@ let advance t =
     if t.in_wheel = 0 then begin
       (* Only far-future events (if any) remain: fast-forward the
          cursor straight to the earliest one's window. *)
-      drop_dead_far t;
       if t.far.n = 0 then exhausted := true
       else begin
         let window = t.time.(t.far.a.(0)) lsr far_shift in
@@ -516,31 +548,23 @@ let advance t =
 
 (* ----- the fire path -----
 
-   Three primitives that allocate nothing: [ready] locates the live
-   minimum (dropping tombstones off the near heap, advancing the
-   cursor when it is dry), [top_time] reads its fire time and [take]
-   extracts its action. [step], [run] and [next_time] are built from
-   them. *)
+   Three primitives that allocate nothing: [ready] locates the
+   minimum (advancing the cursor when the near heap is dry),
+   [top_time] reads its fire time and [take] extracts its action.
+   [step], [run] and [next_time] are built from them. *)
 
-let[@inline] drop_dead_near t =
-  let h = t.near in
-  while h.n > 0 && t.loc.(h.a.(0)) = loc_dead do
-    release t (pop t h)
-  done
-
-let[@inline] ready t =
-  drop_dead_near t;
-  t.near.n > 0 || advance t
+let[@inline] ready t = t.near.n > 0 || advance t
 
 (* Valid only right after [ready] returned [true]. *)
 let[@inline] top_time t = t.time.(t.near.a.(0))
 
-(* Same validity rule as [top_time]. *)
+(* Same validity rule as [top_time]. A fired timer keeps its slot
+   and action and goes idle; a one-shot's slot is recycled. *)
 let[@inline] take t =
   let s = pop t t.near in
-  let action = t.act.(s) in
-  release t s;
   t.live <- t.live - 1;
+  let action = t.act.(s) in
+  if t.gen.(s) < 0 then t.loc.(s) <- loc_idle else release t s;
   action
 
 (* ----- public interface ----- *)
@@ -558,7 +582,9 @@ let schedule_at t ~time action =
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %d is before now %d" time
          t.clock);
-  let s = alloc t ~time action in
+  let s = claim t in
+  stamp t s ~time;
+  t.act.(s) <- action;
   insert t s;
   handle_of t s
 
@@ -566,21 +592,20 @@ let schedule_after t ~delay action =
   if delay < 0 then invalid_arg "Engine.schedule_after: negative delay";
   schedule_at t ~time:(t.clock + delay) action
 
-(* Wheel-bucket residents are unlinked and recycled on the spot;
-   slot-heap residents are tombstoned and dropped when they surface. *)
+(* Take a pending slot out of its container: a wheel bucket or a
+   slot heap. *)
+let[@inline] unfile t s =
+  let l = t.loc.(s) in
+  if l >= 0 then bucket_unlink t l s
+  else if l = loc_near then remove t t.near t.pos.(s)
+  else remove t t.far t.pos.(s);
+  t.live <- t.live - 1
+
 let cancel t h =
   if handle_live t h then begin
     let s = h land slot_mask in
-    let b = t.loc.(s) in
-    if b >= 0 then begin
-      bucket_unlink t b s;
-      release t s
-    end
-    else begin
-      t.loc.(s) <- loc_dead;
-      t.act.(s) <- noop
-    end;
-    t.live <- t.live - 1
+    unfile t s;
+    release t s
   end
 
 let is_pending t h = handle_live t h
@@ -591,6 +616,48 @@ let fire_time t h =
   else t.time.(h land slot_mask)
 
 let pending_count t = t.live
+
+(* ----- timers ----- *)
+
+(* A timer's generation is stored complemented: negative, it tells
+   [take] to keep the slot, and it never equals a handle's, so no
+   handle operation reaches a timer. *)
+let timer t action =
+  let s = claim t in
+  t.gen.(s) <- lnot t.gen.(s);
+  t.act.(s) <- action;
+  t.loc.(s) <- loc_idle;
+  s
+
+let[@inline] armed t tm =
+  tm >= 0
+  &&
+  let l = t.loc.(tm) in
+  l <> loc_idle && l <> loc_free
+
+let[@inline] arm_at t tm ~time =
+  if time < t.clock then
+    invalid_arg
+      (Printf.sprintf "Engine.arm: time %d is before now %d" time t.clock);
+  if t.loc.(tm) <> loc_idle then invalid_arg "Engine.arm: timer is not idle";
+  stamp t tm ~time;
+  insert t tm
+
+let arm t tm ~delay =
+  if delay < 0 then invalid_arg "Engine.arm: negative delay";
+  arm_at t tm ~time:(t.clock + delay)
+
+let disarm t tm =
+  if armed t tm then begin
+    unfile t tm;
+    t.loc.(tm) <- loc_idle
+  end
+
+let free_timer t tm =
+  disarm t tm;
+  if t.loc.(tm) <> loc_idle then invalid_arg "Engine.free_timer: not a timer";
+  t.gen.(tm) <- lnot t.gen.(tm);
+  release t tm
 
 let[@inline] fire t time action =
   t.clock <- time;
@@ -637,26 +704,27 @@ let next_time t = if ready t then Some (top_time t) else None
 
 (* Self-rescheduling event chains: the machine's slot/period clocks
    and the fault injector's recurring chaos windows. The action runs
-   first and the next occurrence is scheduled after it returns, so a
-   chain created with no jitter hook fires at exactly [start + k *
-   period] with the same queue insertion order as a hand-rolled
-   recursive schedule. *)
+   first and the next occurrence is armed after it returns, so a chain
+   created with no jitter hook fires at exactly [start + k * period]
+   with the same queue insertion order as a hand-rolled recursive
+   schedule. Each chain is one timer, so a tick allocates nothing and
+   stores no pointer. *)
 let periodic t ~start ~period ?jitter action =
   if period <= 0 then invalid_arg "Engine.periodic: period must be positive";
-  (* One [fire] closure per chain, rescheduled as is: the pending
-     handle is an immediate held in a ref, so a tick allocates
-     nothing. *)
   let stopped = ref false in
-  let pending = ref no_handle in
-  let rec fire () =
+  let self = ref no_timer in
+  let fire () =
     action ();
     if not !stopped then begin
       let extra = match jitter with None -> 0 | Some j -> Int.max 0 (j ()) in
-      pending := schedule_after t ~delay:(period + extra) fire
+      arm t !self ~delay:(period + extra)
     end
   in
-  pending := schedule_at t ~time:start fire;
+  let tm = timer t fire in
+  self := tm;
+  arm_at t tm ~time:start;
   fun () ->
-    stopped := true;
-    cancel t !pending;
-    pending := no_handle
+    if not !stopped then begin
+      stopped := true;
+      free_timer t tm
+    end

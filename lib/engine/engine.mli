@@ -19,16 +19,22 @@
       remain, the cursor fast-forwards to the earliest one's window.
       Each level keeps an occupancy bitmap, so when the near heap runs
       dry the cursor jumps to the next occupied bucket instead of
-      stepping one slot at a time. Scheduling is O(1); a cancelled
-      bucket event is unlinked at once, while an event already in a
-      slot-heap is tombstoned and dropped when it surfaces.
+      stepping one slot at a time. Scheduling is O(1). A cancelled
+      event is removed at once wherever it sits: unlinked from its
+      bucket, or taken out of its slot-heap through the slot's heap
+      position.
     - {b Binary-heap oracle} ([Heap_queue]): every event in one
-      slot-heap with lazy cancellation, kept for differential testing
-      ([--engine-queue=heap]).
+      slot-heap, kept for differential testing ([--engine-queue=heap]).
 
     Events live in a pooled struct-of-arrays slab recycled through a
     free list, and handles are generation-stamped integers, so the
-    schedule/fire/cancel hot path allocates nothing. *)
+    schedule/fire/cancel hot path allocates nothing.
+
+    Two kinds of event share the slab. A one-shot ({!schedule_at})
+    stores its closure when scheduled and drops it when it fires or is
+    cancelled. A {!timer} binds its closure to a slot once; arming,
+    disarming and firing it then write only integers, so a recurring
+    event pays neither allocation nor OCaml's write barrier. *)
 
 type t
 
@@ -38,12 +44,6 @@ type handle = int
     need the owning engine; stale handles — events that fired or were
     cancelled, even if their pool slot has since been recycled — are
     detected by the generation stamp. *)
-
-val no_handle : handle
-(** A handle that is never pending: {!cancel} ignores it and
-    {!is_pending} is [false]. Holders of an optional event keep it in
-    a mutable [handle] field set to [no_handle] instead of boxing a
-    [handle option] on every schedule. *)
 
 type queue_kind = Wheel_queue | Heap_queue
 
@@ -81,9 +81,8 @@ val schedule_after : t -> delay:int -> (unit -> unit) -> handle
 
 val cancel : t -> handle -> unit
 (** Cancelling a fired or already-cancelled event is a no-op. A
-    pending event in a wheel bucket is unlinked and its slot recycled
-    immediately (no tombstone); slot-heap residents are tombstoned
-    and dropped when they surface. *)
+    pending event is removed from the queue and its slot recycled at
+    once. *)
 
 val is_pending : t -> handle -> bool
 (** [is_pending t h] is [true] iff the event has neither fired nor
@@ -97,6 +96,37 @@ val pending_count : t -> int
 (** Number of live (non-cancelled) events in the queue. O(1): reads
     a counter maintained on schedule/fire/cancel rather than folding
     over the queue. *)
+
+type timer [@@immediate]
+(** A recurring event: a slab slot bound to one action for its whole
+    life. It is idle or armed; firing it leaves it idle and still
+    bound. Its operations need the engine that created it. *)
+
+val timer : t -> (unit -> unit) -> timer
+(** [timer t f] claims a slot and binds [f] to it: the one closure
+    store the timer ever makes. The timer starts idle. *)
+
+val no_timer : timer
+(** A placeholder for a timer field that is not bound yet (or whose
+    timer was freed). It is never {!armed}, and {!disarm} ignores it;
+    {!arm} and {!free_timer} raise [Invalid_argument] on it. *)
+
+val arm : t -> timer -> delay:int -> unit
+(** [arm t tm ~delay] queues an idle timer to fire [delay] cycles from
+    now. It takes the next sequence number exactly as
+    {!schedule_after} would, so a timer and a one-shot scheduled in
+    the same order fire in the same order. Raises [Invalid_argument]
+    on a negative delay or a timer that is not idle. *)
+
+val disarm : t -> timer -> unit
+(** Take an armed timer out of the queue at once; it is idle again and
+    may be re-armed in the same instant. A no-op on an idle timer. *)
+
+val armed : t -> timer -> bool
+
+val free_timer : t -> timer -> unit
+(** Disarm the timer and return its slot to the engine; the timer must
+    not be used again. *)
 
 val step : t -> bool
 (** [step t] fires the next event. [false] if the queue was empty. *)
@@ -139,9 +169,10 @@ val periodic :
     (jitter is clamped to be non-negative; default none). The action
     runs before the next occurrence is inserted, so two chains created
     in order keep their relative insertion order at shared instants.
-    Returns a stop function that cancels the pending occurrence and
-    ends the chain — the cancellation path used by fault windows. Raises
-    [Invalid_argument] if [period <= 0]. *)
+    The chain is one {!timer}. Returns a stop function that disarms
+    and frees it, ending the chain (a second call is a no-op) — the
+    cancellation path used by fault windows. Raises [Invalid_argument]
+    if [period <= 0]. *)
 
 val lowest_set_bit : int -> int
 (** Position (0..31) of the lowest set bit of a nonzero 32-bit word,

@@ -23,19 +23,18 @@ let default_params (cpu : Sim_hw.Cpu_model.t) =
       Monitor.default_params ~slot_cycles:(Sim_hw.Cpu_model.slot_cycles cpu);
   }
 
-(* The two per-VCPU timers fire callbacks built once, at kernel
-   creation, and read what changes ([computing]) from this record, so
-   arming a timer allocates nothing. [Engine.no_handle] means "no
-   timer pending". *)
+(* The two per-VCPU timers are bound on the kernel's engine with
+   callbacks built once (at creation, and again on each retarget),
+   which read what changes from this record and the guest scheduler,
+   so arming one allocates nothing and stores no pointer. The compute
+   timer completes the VCPU's active thread's chunk: it is disarmed
+   whenever that thread stops being active. *)
 type vcpu_ctx = {
   vcpu : Sim_vmm.Vcpu.t;
   gsched : Gsched.t;
   mutable online : bool;
-  mutable timer : Engine.handle;  (** compute-completion event *)
-  mutable computing : Thread.t option;  (** the thread [timer] completes *)
-  mutable compute_done : unit -> unit;  (** [timer]'s action *)
-  mutable slice_timer : Engine.handle;
-  mutable slice_end : unit -> unit;  (** [slice_timer]'s action *)
+  mutable compute : Engine.timer;  (** compute completion *)
+  mutable slice : Engine.timer;  (** timeslice rotation *)
 }
 
 type t = {
@@ -146,20 +145,12 @@ let occupying t thread =
   | Some active -> active == thread
   | None -> false
 
-let cancel_timer t vc =
-  Engine.cancel t.engine vc.timer;
-  vc.timer <- Engine.no_handle
-
-let cancel_slice t vc =
-  Engine.cancel t.engine vc.slice_timer;
-  vc.slice_timer <- Engine.no_handle
-
 (* Pseudo lock id under which a barrier's flag-spin waits are reported
    (distinct from its arrival lock's id, which is [-(id + 1)]). *)
 let flag_id barrier = -(1000 + Barrier.id barrier)
 
 (* Self-validating kernel timers that are not tracked through a
-   vcpu_ctx handle — sleep wakes, lock handoffs, barrier releases,
+   vcpu_ctx timer — sleep wakes, lock handoffs, barrier releases,
    PLE windows, spin-grace fallbacks — are counted while in flight:
    their events capture [t] and live on the current engine, so the
    decoupled-VMM quiescence gate ({!quiescent}) refuses to migrate a
@@ -177,19 +168,20 @@ let untracked_fired t = t.pending_untracked <- t.pending_untracked - 1
 let rec continue_thread t vc (thread : Thread.t) =
   assert vc.online;
   if thread.Thread.pending_compute > 0 then begin
+    assert (
+      match Gsched.active vc.gsched with
+      | Some active -> active == thread
+      | None -> false);
     thread.Thread.compute_started <- now t;
-    vc.computing <- thread.Thread.some;
-    vc.timer <-
-      Engine.schedule_after t.engine ~delay:thread.Thread.pending_compute
-        vc.compute_done
+    Engine.arm t.engine vc.compute ~delay:thread.Thread.pending_compute
   end
   else do_resume t vc thread
 
-(* [vc.timer]'s action. The timer is cancelled whenever its thread
-   stops being the VCPU's running thread, so [computing] is current. *)
+(* [vc.compute]'s action. The timer is disarmed whenever its thread
+   stops being the VCPU's active thread, so the active thread is the
+   one whose chunk completed. *)
 and compute_done t vc () =
-  vc.timer <- Engine.no_handle;
-  match vc.computing with
+  match Gsched.active vc.gsched with
   | Some thread ->
     thread.Thread.pending_compute <- 0;
     do_resume t vc thread
@@ -544,7 +536,7 @@ and wake_thread t (thread : Thread.t) =
 (* The active thread can no longer execute: pick another, or halt the
    VCPU if none can. *)
 and rotate_or_halt t vc =
-  cancel_timer t vc;
+  Engine.disarm t.engine vc.compute;
   Gsched.set_active vc.gsched None;
   match Gsched.pick vc.gsched with
   | Some _ as next ->
@@ -553,8 +545,8 @@ and rotate_or_halt t vc =
   | None -> halt_vcpu t vc
 
 and halt_vcpu t vc =
-  cancel_timer t vc;
-  cancel_slice t vc;
+  Engine.disarm t.engine vc.compute;
+  Engine.disarm t.engine vc.slice;
   vc.online <- false;
   (* The VMM does not call on_preempted for guest-initiated blocks. *)
   Sim_vmm.Vmm.vcpu_block t.vmm vc.vcpu
@@ -587,22 +579,19 @@ and resume_active t vc =
 (* ----- timeslice rotation ----- *)
 
 let rec arm_slice t vc =
-  cancel_slice t vc;
+  Engine.disarm t.engine vc.slice;
   if Gsched.thread_count vc.gsched > 1 then
-    vc.slice_timer <-
-      Engine.schedule_after t.engine ~delay:(Gsched.timeslice vc.gsched)
-        vc.slice_end
+    Engine.arm t.engine vc.slice ~delay:(Gsched.timeslice vc.gsched)
 
-(* [vc.slice_timer]'s action. *)
+(* [vc.slice]'s action. *)
 and slice_end t vc () =
-  vc.slice_timer <- Engine.no_handle;
   if vc.online then begin
     (match Gsched.active vc.gsched with
     | Some active
       when Thread.is_preemptible_by_guest active
            && Gsched.executable_count vc.gsched > 1 -> begin
       (* Save the active thread's progress and rotate. *)
-      cancel_timer t vc;
+      Engine.disarm t.engine vc.compute;
       if thread_mid_compute active then
         active.Thread.pending_compute <-
           Int.max 0
@@ -644,9 +633,9 @@ let on_scheduled t vc () =
 
 let on_preempted t vc () =
   vc.online <- false;
-  cancel_slice t vc;
-  if vc.timer <> Engine.no_handle then begin
-    cancel_timer t vc;
+  Engine.disarm t.engine vc.slice;
+  if Engine.armed t.engine vc.compute then begin
+    Engine.disarm t.engine vc.compute;
     match Gsched.active vc.gsched with
     | Some active when thread_mid_compute active ->
       active.Thread.pending_compute <-
@@ -657,6 +646,17 @@ let on_preempted t vc () =
   end
 
 (* ----- construction ----- *)
+
+(* Bind the VCPU's two timers on the kernel's current engine. *)
+let bind_timers t vc =
+  vc.compute <- Engine.timer t.engine (compute_done t vc);
+  vc.slice <- Engine.timer t.engine (slice_end t vc)
+
+let free_timers t vc =
+  Engine.free_timer t.engine vc.compute;
+  Engine.free_timer t.engine vc.slice;
+  vc.compute <- Engine.no_timer;
+  vc.slice <- Engine.no_timer
 
 let create ?params:params_opt vmm domain () =
   let cpu = Sim_vmm.Vmm.cpu_model vmm in
@@ -689,11 +689,8 @@ let create ?params:params_opt vmm domain () =
               vcpu;
               gsched = Gsched.create ~timeslice:params.timeslice;
               online = false;
-              timer = Engine.no_handle;
-              computing = None;
-              compute_done = ignore;
-              slice_timer = Engine.no_handle;
-              slice_end = ignore;
+              compute = Engine.no_timer;
+              slice = Engine.no_timer;
             })
           domain.Sim_vmm.Domain.vcpus;
       threads_rev = [];
@@ -708,8 +705,7 @@ let create ?params:params_opt vmm domain () =
   in
   Array.iter
     (fun vc ->
-      vc.compute_done <- compute_done t vc;
-      vc.slice_end <- slice_end t vc;
+      bind_timers t vc;
       Sim_vmm.Vcpu.set_hooks vc.vcpu
         {
           Sim_vmm.Vcpu.on_scheduled = on_scheduled t vc;
@@ -743,24 +739,25 @@ let add_thread t ?(restart = false) ~affinity program =
 (* ----- decoupled-VMM domain migration ----- *)
 
 (* The kernel-side quiescence gate: no VCPU online (every per-VCPU
-   compute/slice timer is cancelled on preemption and halt, so a
-   fully-offline domain holds none) and no untracked timer in flight.
-   Only then does the kernel own zero events on the current engine
-   and the domain may leave this host. *)
+   compute/slice timer is disarmed on preemption and halt, so a
+   fully-offline domain holds none armed) and no untracked timer in
+   flight. Only then does the kernel own zero events on the current
+   engine and the domain may leave this host. *)
 let quiescent t =
   t.pending_untracked = 0
   && Array.for_all
        (fun vc ->
          (not vc.online)
-         && vc.timer = Engine.no_handle
-         && vc.slice_timer = Engine.no_handle)
+         && (not (Engine.armed t.engine vc.compute))
+         && not (Engine.armed t.engine vc.slice))
        t.vcpus
 
 (* Domain migration is a two-phase handoff. [park] runs on the source
-   host (inside the grant decision): it verifies quiescence and
-   cancels the monitor's pending window event — a source-engine queue
-   mutation only the source side may perform. [retarget] runs on the
-   destination host one fabric window later: every closure the kernel
+   host (inside the grant decision): it verifies quiescence and frees
+   the VCPU timers and the monitor's window timer — source-engine
+   slab mutations only the source side may perform. [retarget] runs
+   on the destination host one fabric window later: it binds fresh
+   timers on the destination engine, and every closure the kernel
    will schedule from here on reads [t.engine]/[t.vmm] through [t],
    so the swap is complete and the VCPU hooks installed at creation
    remain valid. *)
@@ -795,12 +792,14 @@ let thaw t =
 
 let park t =
   if not (quiescent t) then failwith "Kernel.park: kernel not quiescent";
+  Array.iter (free_timers t) t.vcpus;
   Monitor.park t.monitor
 
 let retarget t ~vmm =
-  if not (quiescent t) then failwith "Kernel.retarget: kernel not quiescent";
   t.vmm <- vmm;
   t.engine <- Sim_vmm.Vmm.engine vmm;
+  Array.iter (bind_timers t) t.vcpus;
+  if not (quiescent t) then failwith "Kernel.retarget: kernel not quiescent";
   Sim_vmm.Hypercall.retarget t.hypercall ~vmm;
   Monitor.retarget t.monitor ~engine:t.engine
 

@@ -126,13 +126,13 @@ val thaw : t -> unit
 
 val park : t -> unit
 (** Source-side half of a migration: verify {!quiescent} (fails
-    otherwise) and cancel the monitor's pending window event on the
-    source engine. Call before {!Sim_vmm.Vmm.detach_domain}. *)
+    otherwise) and free the VCPU timers and the monitor's window timer
+    on the source engine. Call before {!Sim_vmm.Vmm.detach_domain}. *)
 
 val retarget : t -> vmm:Sim_vmm.Vmm.t -> unit
 (** Destination-side half: re-point the kernel, its monitor and its
-    hypercall channel at the domain's new host. Fails unless
-    {!quiescent}. The caller pairs {!park}/[detach_domain] on the
+    hypercall channel at the domain's new host, binding fresh timers
+    on its engine. Fails unless {!quiescent} there. The caller pairs {!park}/[detach_domain] on the
     source with [retarget]/{!Sim_vmm.Vmm.attach_domain} on the
     destination. *)
 

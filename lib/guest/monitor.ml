@@ -28,29 +28,11 @@ type t = {
   mutable on_traced : (trace_entry -> unit) option;
   mutable over_threshold : int;
   mutable adjusting_events : int;
-  mutable window_end : Engine.handle option;
+  mutable window : Engine.timer;  (** the HIGH window's end check *)
   mutable window_budget : int;  (** online cycles left in the HIGH window *)
   mutable window_anchor : int;  (** domain online cycles at the last re-arm *)
   mutable parked : bool;  (** a HIGH window was cancelled by {!park} *)
 }
-
-let create params ~engine ~hypercall ~domain ~rng =
-  {
-    params;
-    engine;
-    hypercall;
-    domain;
-    estimator = Sim_learn.Estimator.create params.estimator rng;
-    spin_hist = Sim_stats.Histogram.create ();
-    sem_hist = Sim_stats.Histogram.create ();
-    on_traced = None;
-    over_threshold = 0;
-    adjusting_events = 0;
-    window_end = None;
-    window_budget = 0;
-    window_anchor = 0;
-    parked = false;
-  }
 
 let params t = t.params
 
@@ -74,41 +56,59 @@ let rec arm_window t =
   let vcpus = Sim_vmm.Domain.vcpu_count t.domain in
   let min_delay = Units.pow2 20 in
   let delay = Int.max min_delay (t.window_budget / vcpus) in
-  let handle =
-    Engine.schedule_after t.engine ~delay (fun () ->
-        let consumed = domain_online t - t.window_anchor in
-        if consumed >= t.window_budget then begin
-          t.window_end <- None;
-          set_vcrd t Sim_vmm.Domain.Low
-        end
-        else begin
-          t.window_anchor <- t.window_anchor + consumed;
-          t.window_budget <- t.window_budget - consumed;
-          arm_window t
-        end)
+  Engine.arm t.engine t.window ~delay
+
+(* [t.window]'s action. *)
+and window_check t () =
+  let consumed = domain_online t - t.window_anchor in
+  if consumed >= t.window_budget then set_vcrd t Sim_vmm.Domain.Low
+  else begin
+    t.window_anchor <- t.window_anchor + consumed;
+    t.window_budget <- t.window_budget - consumed;
+    arm_window t
+  end
+
+let create params ~engine ~hypercall ~domain ~rng =
+  let t =
+    {
+      params;
+      engine;
+      hypercall;
+      domain;
+      estimator = Sim_learn.Estimator.create params.estimator rng;
+      spin_hist = Sim_stats.Histogram.create ();
+      sem_hist = Sim_stats.Histogram.create ();
+      on_traced = None;
+      over_threshold = 0;
+      adjusting_events = 0;
+      window = Engine.no_timer;
+      window_budget = 0;
+      window_anchor = 0;
+      parked = false;
+    }
   in
-  t.window_end <- Some handle
+  t.window <- Engine.timer engine (window_check t);
+  t
 
 (* Domain migration is a two-phase handoff because the two engines
    run in different fabric windows, possibly on different OS threads:
-   [park] executes on the source host (cancelling [window_end], the
-   monitor's only engine event, is a queue mutation only the source
-   side may perform), [retarget] on the destination one window later.
+   [park] executes on the source host (freeing [window], the
+   monitor's only engine event, is a queue and slab mutation only the
+   source side may perform), [retarget] on the destination one window
+   later, where it binds a fresh timer.
    The budget and anchor are metered in guest online cycles, which
    are continuous across hosts, so a HIGH window survives the move
    intact (modulo the re-check landing [delay] after the attach
    instant instead of the original arm instant, part of the modeled
    stop-and-copy latency). *)
 let park t =
-  match t.window_end with
-  | Some h ->
-    Engine.cancel t.engine h;
-    t.window_end <- None;
-    t.parked <- true
-  | None -> ()
+  t.parked <- Engine.armed t.engine t.window;
+  Engine.free_timer t.engine t.window;
+  t.window <- Engine.no_timer
 
 let retarget t ~engine =
   t.engine <- engine;
+  t.window <- Engine.timer engine (window_check t);
   if t.parked then begin
     t.parked <- false;
     arm_window t
@@ -123,9 +123,7 @@ let adjusting_event t =
   t.adjusting_events <- t.adjusting_events + 1;
   let online_now = domain_online t / Sim_vmm.Domain.vcpu_count t.domain in
   let x = Sim_learn.Estimator.on_adjusting_event t.estimator ~now:online_now in
-  (match t.window_end with
-  | Some h -> Engine.cancel t.engine h
-  | None -> ());
+  Engine.disarm t.engine t.window;
   set_vcrd t Sim_vmm.Domain.High;
   t.window_budget <- x * Sim_vmm.Domain.vcpu_count t.domain;
   t.window_anchor <- domain_online t;

@@ -40,14 +40,15 @@ val create :
 val params : t -> params
 
 val park : t -> unit
-(** Source-side half of a decoupled-VMM domain migration: cancel the
-    monitor's single pending event (the HIGH-window end check) on the
-    current engine. Must run on the source host — cancelling mutates
-    that engine's queue. A no-op when no window is armed. *)
+(** Source-side half of a decoupled-VMM domain migration: disarm and
+    free the monitor's one timer (the HIGH-window end check) on the
+    current engine. Must run on the source host — it mutates that
+    engine's queue and slab. *)
 
 val retarget : t -> engine:Sim_engine.Engine.t -> unit
-(** Destination-side half: swap engines and, if {!park} interrupted
-    an open HIGH window, re-arm it on the new engine. The window
+(** Destination-side half: swap engines, bind the window timer on the
+    new one and, if {!park} interrupted an open HIGH window, re-arm
+    it. The window
     budget is metered in guest online cycles, continuous across
     hosts, so the window survives the move. *)
 

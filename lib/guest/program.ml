@@ -21,7 +21,38 @@ type instr =
   | I_sleep
   | I_end
 
-type t = { ops : op list }
+(* The op tree compiled once into flat code: one entry per
+   instruction, plus a [C_loop]/[C_back] pair around each [Repeat]
+   body. A loop that would emit nothing ([Repeat (0, _)], an empty
+   body, or a body of such loops) compiles to no code at all: it draws
+   nothing from the RNG either, so skipping it changes no stream. *)
+type code =
+  | C_compute  (** arg: cycles *)
+  | C_compute_rand  (** arg: its index in [chunks] *)
+  | C_lock
+  | C_unlock
+  | C_sem_wait
+  | C_sem_post
+  | C_barrier
+  | C_mark
+  | C_sleep
+  | C_loop  (** arg: loop index, arg2: iteration count *)
+  | C_back  (** arg: loop index, arg2: the body's first pc *)
+  | C_end
+
+(* A [Compute_rand] chunk. The record mixes an int and a float, so
+   its [cv] stays boxed and a draw hands the existing box to the RNG,
+   where a flat [float array] would box a fresh copy every time. *)
+type chunk = { mean : int; cv : float }
+
+type t = {
+  ops : op list;
+  code : code array;
+  arg : int array;
+  arg2 : int array;
+  chunks : chunk array;
+  loops : int;  (** loop counters a cursor needs *)
+}
 
 let rec validate ops =
   List.iter
@@ -38,9 +69,73 @@ let rec validate ops =
       | Lock _ | Unlock _ | Sem_wait _ | Sem_post _ | Barrier _ | Mark -> ())
     ops
 
+(* Code entries [ops] compiles to. *)
+let rec code_size ops =
+  List.fold_left
+    (fun acc op ->
+      match op with
+      | Repeat (n, body) ->
+        let body = if n = 0 then 0 else code_size body in
+        if body = 0 then acc else acc + body + 2
+      | Compute _ | Compute_rand _ | Lock _ | Unlock _ | Sem_wait _ | Sem_post _
+      | Barrier _ | Mark | Sleep _ ->
+        acc + 1)
+    0 ops
+
+let compile ops =
+  let size = code_size ops + 1 in
+  let code = Array.make size C_end in
+  let arg = Array.make size 0 in
+  let arg2 = Array.make size 0 in
+  let chunks = ref [] and nchunks = ref 0 in
+  let pc = ref 0 and loops = ref 0 in
+  let emit c a =
+    code.(!pc) <- c;
+    arg.(!pc) <- a;
+    incr pc
+  in
+  let rec go ops =
+    List.iter
+      (fun op ->
+        match op with
+        | Compute n -> emit C_compute n
+        | Compute_rand { mean; cv } ->
+          chunks := { mean; cv } :: !chunks;
+          emit C_compute_rand !nchunks;
+          incr nchunks
+        | Lock id -> emit C_lock id
+        | Unlock id -> emit C_unlock id
+        | Sem_wait id -> emit C_sem_wait id
+        | Sem_post id -> emit C_sem_post id
+        | Barrier id -> emit C_barrier id
+        | Mark -> emit C_mark 0
+        | Sleep n -> emit C_sleep n
+        | Repeat (n, body) ->
+          if n > 0 && code_size body > 0 then begin
+            let k = !loops in
+            incr loops;
+            arg2.(!pc) <- n;
+            emit C_loop k;
+            let start = !pc in
+            go body;
+            arg2.(!pc) <- start;
+            emit C_back k
+          end)
+      ops
+  in
+  go ops;
+  {
+    ops;
+    code;
+    arg;
+    arg2;
+    chunks = Array.of_list (List.rev !chunks);
+    loops = !loops;
+  }
+
 let make ops =
   validate ops;
-  { ops }
+  compile ops
 
 let ops t = t.ops
 
@@ -70,72 +165,65 @@ let rec compute_cycles ops =
 
 let total_compute_cycles t = compute_cycles t.ops
 
-(* The cursor is a stack of frames: the ops remaining at each nesting
-   level plus the iterations left for that level's loop body. *)
-type frame = { mutable rest : op list; body : op list; mutable iters_left : int }
-
+(* A cursor is a position in the shared code plus one iteration
+   counter per loop: the iterations left after the current one. *)
 type cursor = {
   program : t;
-  mutable stack : frame list;
+  mutable pc : int;
+  counters : int array;
   mutable operand : int;  (** of the instruction [next] last returned *)
 }
 
 let cursor program =
-  {
-    program;
-    stack = [ { rest = program.ops; body = []; iters_left = 0 } ];
-    operand = 0;
-  }
+  { program; pc = 0; counters = Array.make program.loops 0; operand = 0 }
 
-let reset c =
-  c.stack <- [ { rest = c.program.ops; body = []; iters_left = 0 } ]
+let reset c = c.pc <- 0
 
 let operand c = c.operand
 
 (* The opcode is a constant constructor and the operand goes to a
    cursor field, so handing out an instruction allocates nothing. *)
-let[@inline] emit c instr operand =
+let[@inline] emit c pc instr operand =
+  c.pc <- pc + 1;
   c.operand <- operand;
   instr
 
 let rec next c ~rng =
-  match c.stack with
-  | [] -> emit c I_end 0
-  | frame :: parents -> begin
-    match frame.rest with
-    | [] ->
-      if frame.iters_left > 0 then begin
-        frame.iters_left <- frame.iters_left - 1;
-        frame.rest <- frame.body;
-        next c ~rng
-      end
-      else begin
-        c.stack <- parents;
-        next c ~rng
-      end
-    | op :: rest ->
-      frame.rest <- rest;
-      (match op with
-      | Compute n -> emit c I_compute n
-      | Compute_rand { mean; cv } ->
-        let n =
-          Sim_engine.Rng.lognormal_cv rng ~mean:(float_of_int mean) ~cv
-        in
-        emit c I_compute (Int.max 1 (int_of_float n))
-      | Lock id -> emit c I_lock id
-      | Unlock id -> emit c I_unlock id
-      | Sem_wait id -> emit c I_sem_wait id
-      | Sem_post id -> emit c I_sem_post id
-      | Barrier id -> emit c I_barrier id
-      | Mark -> emit c I_mark 0
-      | Sleep n -> emit c I_sleep n
-      | Repeat (n, body) ->
-        if n = 0 || body = [] then next c ~rng
-        else begin
-          c.stack <- { rest = body; body; iters_left = n - 1 } :: c.stack;
-          next c ~rng
-        end)
-  end
+  let p = c.program in
+  let pc = c.pc in
+  let arg = p.arg.(pc) in
+  match p.code.(pc) with
+  | C_compute -> emit c pc I_compute arg
+  | C_compute_rand ->
+    let chunk = p.chunks.(arg) in
+    let n =
+      Sim_engine.Rng.lognormal_cv rng
+        ~mean:(float_of_int chunk.mean)
+        ~cv:chunk.cv
+    in
+    emit c pc I_compute (Int.max 1 (int_of_float n))
+  | C_lock -> emit c pc I_lock arg
+  | C_unlock -> emit c pc I_unlock arg
+  | C_sem_wait -> emit c pc I_sem_wait arg
+  | C_sem_post -> emit c pc I_sem_post arg
+  | C_barrier -> emit c pc I_barrier arg
+  | C_mark -> emit c pc I_mark 0
+  | C_sleep -> emit c pc I_sleep arg
+  | C_loop ->
+    c.counters.(arg) <- p.arg2.(pc) - 1;
+    c.pc <- pc + 1;
+    next c ~rng
+  | C_back ->
+    let left = c.counters.(arg) in
+    if left > 0 then begin
+      c.counters.(arg) <- left - 1;
+      c.pc <- p.arg2.(pc)
+    end
+    else c.pc <- pc + 1;
+    next c ~rng
+  | C_end ->
+    c.operand <- 0;
+    I_end
 
 let referenced ~f t =
   let rec collect acc ops =

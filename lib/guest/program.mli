@@ -2,10 +2,11 @@
 
     A program is the op-level model of a benchmark thread: compute
     chunks interleaved with kernel synchronization (spinlocks,
-    semaphores, busy-wait barriers). A {!cursor} flattens the program
-    into a resumable instruction stream — the guest kernel executes one
-    instruction at a time and can be preempted between (or inside)
-    instructions without losing position. *)
+    semaphores, busy-wait barriers). {!make} compiles the op tree once
+    into flat code, and a {!cursor} walks it as a resumable instruction
+    stream — the guest kernel executes one instruction at a time and
+    can be preempted between (or inside) instructions without losing
+    position. *)
 
 type op =
   | Compute of int  (** deterministic compute, in cycles *)
@@ -54,6 +55,9 @@ val total_compute_cycles : t -> int
     single-run CPU demand of the program. *)
 
 type cursor
+(** A position in the program's shared code: an integer program
+    counter plus one integer iteration counter per loop. Advancing it
+    writes only integers. *)
 
 val cursor : t -> cursor
 (** A fresh cursor at the start of the program. *)

@@ -153,8 +153,8 @@ let prop_monotone_clock =
    fire, scheduling and cancelling a second event, allocates nothing per
    fire once the slab and the slot heaps have grown. The chain's delays
    walk the wheel's levels, and the cancelled events alternate between
-   a near-heap tombstone and an eager bucket unlink. The warm-up crosses
-   a 2^34-cycle window, so the far heap has grown too. *)
+   a removal from the near heap and a bucket unlink. The warm-up
+   crosses a 2^34-cycle window, so the far heap has grown too. *)
 let words_per_fire kind =
   let e = Engine.create ~queue:kind () in
   let fires = ref 0 in
@@ -191,6 +191,77 @@ let test_fire_allocates_nothing () =
         0. (words_per_fire kind))
     [ Engine.Wheel_queue; Engine.Heap_queue ]
 
+(* The same chain driven by timers: one re-arms itself, and every
+   fourth fire arms and disarms a second one, alternating between the
+   near heap and a wheel bucket. Timers keep their slots, so this pins
+   the arm/disarm/fire path at zero words too. *)
+let timer_words_per_fire kind =
+  let e = Engine.create ~queue:kind () in
+  let fires = ref 0 in
+  let last = ref 0 in
+  let other = Engine.timer e (fun () -> ()) in
+  let self = ref Engine.no_timer in
+  let tick () =
+    incr fires;
+    let n = !fires in
+    if n land 3 = 0 then begin
+      Engine.arm e other ~delay:(if n land 4 = 0 then 50 else 1 lsl 23);
+      Engine.disarm e other
+    end;
+    if n < !last then Engine.arm e !self ~delay:(1 + ((n * 7919) land 0xFFFFF))
+  in
+  self := Engine.timer e tick;
+  let chain n =
+    last := !fires + n;
+    Engine.arm e !self ~delay:1;
+    let events = Engine.events_fired e in
+    let before = Gc.minor_words () in
+    Engine.run e;
+    let words = Gc.minor_words () -. before in
+    words /. float_of_int (Engine.events_fired e - events)
+  in
+  ignore (chain 50_000);
+  chain 200_000
+
+let test_timer_fire_allocates_nothing () =
+  List.iter
+    (fun kind ->
+      Alcotest.(check (float 0.))
+        (Engine.kind_name kind ^ ": minor words per timer fire")
+        0. (timer_words_per_fire kind))
+    [ Engine.Wheel_queue; Engine.Heap_queue ]
+
+(* A timer is idle after it fires, keeps its action, and can be
+   disarmed and re-armed at any point, in the same instant too. *)
+let test_timer_lifecycle () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let tm = Engine.timer e (fun () -> log := Engine.now e :: !log) in
+  Alcotest.(check bool) "idle when bound" false (Engine.armed e tm);
+  Engine.arm e tm ~delay:10;
+  Alcotest.(check bool) "armed" true (Engine.armed e tm);
+  Alcotest.(check int) "pending" 1 (Engine.pending_count e);
+  Alcotest.check_raises "arming an armed timer"
+    (Invalid_argument "Engine.arm: timer is not idle") (fun () ->
+      Engine.arm e tm ~delay:5);
+  Engine.disarm e tm;
+  Engine.arm e tm ~delay:20;
+  Engine.run e;
+  Alcotest.(check (list int)) "fired once, at the re-armed time" [ 20 ] !log;
+  Alcotest.(check bool) "idle after firing" false (Engine.armed e tm);
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending_count e);
+  Engine.arm e tm ~delay:0;
+  Engine.run e;
+  Alcotest.(check (list int)) "the action stays bound" [ 20; 20 ] !log;
+  Engine.arm e tm ~delay:7;
+  Engine.free_timer e tm;
+  Alcotest.(check int) "free disarms" 0 (Engine.pending_count e);
+  Engine.run e;
+  Alcotest.(check (list int)) "a freed timer never fires" [ 20; 20 ] !log;
+  Alcotest.(check bool) "no_timer is never armed" false
+    (Engine.armed e Engine.no_timer);
+  Engine.disarm e Engine.no_timer
+
 let suite =
   [
     Alcotest.test_case "zero start" `Quick test_time_starts_at_zero;
@@ -209,4 +280,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_monotone_clock;
     Alcotest.test_case "fire allocates nothing" `Quick
       test_fire_allocates_nothing;
+    Alcotest.test_case "timer fire allocates nothing" `Quick
+      test_timer_fire_allocates_nothing;
+    Alcotest.test_case "timer lifecycle" `Quick test_timer_lifecycle;
   ]

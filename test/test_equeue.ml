@@ -1,7 +1,7 @@
 (* Differential tests: the timing-wheel event queue against the
    binary-heap oracle. Both backends must produce the exact same
-   (time, seq) pop sequence for any schedule/cancel script, and whole
-   simulations must be bit-identical across backends. *)
+   (time, seq) pop sequence for any schedule/cancel/arm/disarm script,
+   and whole simulations must be bit-identical across backends. *)
 
 open Sim_engine
 
@@ -10,20 +10,26 @@ open Sim_engine
    A script is a list of operations driven through the Engine API
    against one backend; we record what it observes (fired events,
    cancel verdicts, peeks) and compare across backends. Operations
-   reference previously returned handles by index, so the same script
-   is replayable on either backend. *)
+   reference previously returned handles by index, and timers by their
+   index in a small pool bound at the start, so the same script is
+   replayable on either backend. *)
 
 type op =
   | Schedule of int (* delay from current time *)
   | Cancel of int (* cancel the [i mod live]-th outstanding handle *)
   | Pop (* fire the next event: [Engine.step] *)
   | Pop_until of int (* fire every event up to now + delta: [run ~until] *)
-  | Peek (* [next_time] and [pending_count] *)
+  | Peek (* [next_time], [pending_count] and every timer's [armed] *)
+  | Arm of int * int (* timer [i mod pool], delay; disarmed first if armed *)
+  | Disarm of int
 
 type obs =
-  | Fired of int * int (* fire time, schedule tag *)
+  | Fired of int * int (* fire time, schedule tag; timer i fires as -1 - i *)
   | Cancelled of int option (* the fire time, if the event was pending *)
-  | Peeked of int option * int
+  | Peeked of int option * int * bool list
+  | Was_armed of bool (* a timer's state before [Arm] or [Disarm] *)
+
+let timer_pool = 4
 
 let run_script kind ops =
   let e = Engine.create ~queue:kind () in
@@ -31,6 +37,11 @@ let run_script kind ops =
   let seen = ref [] in
   let note o = seen := o :: !seen in
   let tag = ref 0 in
+  let timers =
+    Array.init timer_pool (fun i ->
+        Engine.timer e (fun () -> note (Fired (Engine.now e, -1 - i))))
+  in
+  let armed () = Array.to_list (Array.map (Engine.armed e) timers) in
   List.iter
     (fun op ->
       match op with
@@ -55,7 +66,17 @@ let run_script kind ops =
       end
       | Pop -> ignore (Engine.step e)
       | Pop_until delta -> Engine.run e ~until:(Engine.now e + delta)
-      | Peek -> note (Peeked (Engine.next_time e, Engine.pending_count e)))
+      | Peek ->
+        note (Peeked (Engine.next_time e, Engine.pending_count e, armed ()))
+      | Arm (i, delay) ->
+        let tm = timers.(i mod timer_pool) in
+        note (Was_armed (Engine.armed e tm));
+        Engine.disarm e tm;
+        Engine.arm e tm ~delay
+      | Disarm i ->
+        let tm = timers.(i mod timer_pool) in
+        note (Was_armed (Engine.armed e tm));
+        Engine.disarm e tm)
     ops;
   (* Drain the queue to the end. *)
   Engine.run e;
@@ -92,6 +113,8 @@ let op_gen =
         (3, return Pop);
         (2, map (fun d -> Pop_until d) delay_gen);
         (1, return Peek);
+        (3, map2 (fun i d -> Arm (i, d)) (int_bound 7) delay_gen);
+        (2, map (fun i -> Disarm i) (int_bound 7));
       ])
 
 let shrink_op op =
@@ -100,6 +123,8 @@ let shrink_op op =
   | Cancel i -> QCheck.Iter.map (fun i -> Cancel i) (QCheck.Shrink.int i)
   | Pop | Peek -> QCheck.Iter.empty
   | Pop_until d -> QCheck.Iter.map (fun d -> Pop_until d) (QCheck.Shrink.int d)
+  | Arm (i, d) -> QCheck.Iter.map (fun d -> Arm (i, d)) (QCheck.Shrink.int d)
+  | Disarm _ -> QCheck.Iter.empty
 
 let script_arb =
   QCheck.make
@@ -112,7 +137,9 @@ let script_arb =
              | Cancel i -> Printf.sprintf "C%d" i
              | Pop -> "P"
              | Pop_until d -> Printf.sprintf "U%d" d
-             | Peek -> "N")
+             | Peek -> "N"
+             | Arm (i, d) -> Printf.sprintf "A%d:%d" i d
+             | Disarm i -> Printf.sprintf "D%d" i)
            ops))
     QCheck.Gen.(list_size (int_range 1 200) op_gen)
 
@@ -156,6 +183,87 @@ let test_cancel_everywhere () =
     ]
   in
   Alcotest.(check bool) "cancel everywhere" true (check_script ops)
+
+(* ----- timers and eager heap removal -----
+
+   A disarm or cancel takes its slot out of the near or far heap at
+   once, through the slot's heap position; these scripts aim at the
+   heap cases the random script reaches only rarely. *)
+
+(* The events the script fired, in order: (time, tag). *)
+let fired_of obs =
+  List.filter_map (function Fired (t, tag) -> Some (t, tag) | _ -> None) obs
+
+let check_timers name ops =
+  Alcotest.(check bool) name true (check_script ops)
+
+(* A timer in the near heap, disarmed and re-armed in the same
+   instant: it must fire once, at its new time, after the events that
+   were queued for that time before the re-arm. *)
+let test_timer_near_rearm () =
+  let ops =
+    [
+      Schedule 100; Arm (0, 100); Schedule 100; Disarm 0; Arm (0, 100);
+      Peek; Arm (1, 50); Disarm 1; Arm (1, 50); Pop; Peek;
+      Disarm 0; Arm (0, 50); Disarm 0; Arm (0, 50); Peek;
+    ]
+  in
+  check_timers "near heap: disarm and re-arm in one instant" ops;
+  Alcotest.(check (list (pair int int)))
+    "fire order" [ (50, -2); (100, 0); (100, 1); (100, -1) ]
+    (fired_of (run_script Engine.Wheel_queue ops))
+
+(* A timer in the far heap (past the wheel's 2^34-cycle window),
+   disarmed: it must never surface, neither in [next_time] nor through
+   the cursor's fast-forward; re-armed, it fires at its new time. *)
+let test_timer_far_disarm () =
+  let far = 1 lsl 39 in
+  let ops =
+    [
+      Arm (0, far); Arm (1, far + 5); Schedule (far + 1); Peek; Disarm 0;
+      Peek; Pop; Peek; Disarm 1; Peek; Arm (0, far); Arm (2, 3); Disarm 2;
+      Peek;
+    ]
+  in
+  check_timers "far heap: disarm" ops;
+  Alcotest.(check (list (pair int int)))
+    "fire order" [ (far + 1, 0); (2 * far + 1, -1) ]
+    (fired_of (run_script Engine.Wheel_queue ops))
+
+(* One-shots removed from the middle of a slot heap, not its top: the
+   hole is filled by the heap's last slot. Pushed in the first order,
+   the heap's array is [40; 150; 50; 230; 200; 120; 110]; removing 230
+   (index 3) moves 110 under 150, where it must sift up. In the second
+   it is [100; 130; 180; 160; 260; 270]; removing 130 (index 1) moves
+   270 above 160 and 260, where it must sift down. Either step left
+   out fires the survivors out of order. Under the wheel the events
+   sit in the near heap (one 2^16-cycle slot) and, shifted past 2^34,
+   in the far heap. Handles index from the newest. *)
+let test_cancel_mid_heap () =
+  let cases =
+    [
+      ("sift up", [ 150; 120; 110; 230; 200; 40; 50 ], Cancel 3);
+      ("sift down", [ 160; 130; 270; 100; 260; 180 ], Cancel 4);
+    ]
+  in
+  List.iter
+    (fun (heap, base) ->
+      List.iter
+        (fun (sift, times, cancel) ->
+          let name = Printf.sprintf "%s heap, %s" heap sift in
+          let ops =
+            List.map (fun t -> Schedule (base + t)) times @ [ cancel; Peek ]
+          in
+          check_timers name ops;
+          let fired =
+            List.map fst (fired_of (run_script Engine.Wheel_queue ops))
+          in
+          Alcotest.(check int) (name ^ ": survivors")
+            (List.length times - 1) (List.length fired);
+          Alcotest.(check bool) (name ^ ": in time order") true
+            (fired = List.sort compare fired))
+        cases)
+    [ ("near", 0); ("far", 1 lsl 36) ]
 
 (* ----- the cursor skip -----
 
@@ -525,6 +633,11 @@ let suite =
     Alcotest.test_case "near heap: the open slot's edges" `Quick
       test_near_window;
     Alcotest.test_case "periodic identical" `Quick test_engine_periodic_identical;
+    Alcotest.test_case "timer: near-heap re-arm in one instant" `Quick
+      test_timer_near_rearm;
+    Alcotest.test_case "timer: far-heap disarm" `Quick test_timer_far_disarm;
+    Alcotest.test_case "cancel mid-heap: sift up and down" `Quick
+      test_cancel_mid_heap;
     QCheck_alcotest.to_alcotest prop_backends_agree;
     Alcotest.test_case "fig1a identical across backends" `Slow
       test_fig1a_identical_across_backends;

@@ -107,6 +107,163 @@ let prop_static_count_matches_stream =
       let p = Program.make ops in
       Program.static_instr_count p = List.length (drain (Program.cursor p)))
 
+(* ----- The compiled cursor against a list-walking reference -----
+
+   [Reference] is the interpreter [Program] used before programs were
+   compiled: a stack of frames over the op lists. The compiled cursor
+   must emit the same (instr, operand) stream and draw the same RNG
+   values, resets included. *)
+module Reference = struct
+  type frame = {
+    mutable rest : Program.op list;
+    body : Program.op list;
+    mutable iters_left : int;
+  }
+
+  type t = { ops : Program.op list; mutable stack : frame list }
+
+  let top ops = [ { rest = ops; body = []; iters_left = 0 } ]
+  let cursor p = { ops = Program.ops p; stack = top (Program.ops p) }
+  let reset c = c.stack <- top c.ops
+
+  let rec next c ~rng =
+    match c.stack with
+    | [] -> (Program.I_end, 0)
+    | frame :: parents -> begin
+      match frame.rest with
+      | [] ->
+        if frame.iters_left > 0 then begin
+          frame.iters_left <- frame.iters_left - 1;
+          frame.rest <- frame.body
+        end
+        else c.stack <- parents;
+        next c ~rng
+      | op :: rest -> begin
+        frame.rest <- rest;
+        match op with
+        | Program.Compute n -> (Program.I_compute, n)
+        | Program.Compute_rand { mean; cv } ->
+          let n =
+            Sim_engine.Rng.lognormal_cv rng ~mean:(float_of_int mean) ~cv
+          in
+          (Program.I_compute, Int.max 1 (int_of_float n))
+        | Program.Lock id -> (Program.I_lock, id)
+        | Program.Unlock id -> (Program.I_unlock, id)
+        | Program.Sem_wait id -> (Program.I_sem_wait, id)
+        | Program.Sem_post id -> (Program.I_sem_post, id)
+        | Program.Barrier id -> (Program.I_barrier, id)
+        | Program.Mark -> (Program.I_mark, 0)
+        | Program.Sleep n -> (Program.I_sleep, n)
+        | Program.Repeat (n, body) ->
+          if n > 0 && body <> [] then
+            c.stack <- { rest = body; body; iters_left = n - 1 } :: c.stack;
+          next c ~rng
+      end
+    end
+end
+
+(* Both cursors from the same seed: [steps] instructions, a reset, then
+   the whole stream; the streams and the RNG state after them must be
+   equal. *)
+let streams ?(steps = 0) ops =
+  let p = Program.make ops in
+  let run next reset =
+    let rng = Sim_engine.Rng.create 11L in
+    let rec go acc k =
+      match next rng with
+      | (Program.I_end, _) as i -> List.rev (i :: acc)
+      | i ->
+        if k = steps then begin
+          reset ();
+          go ((Program.I_end, -1) :: i :: acc) (k + 1)
+        end
+        else go (i :: acc) (k + 1)
+    in
+    let stream = go [] 1 in
+    (stream, Sim_engine.Rng.next_int64 rng)
+  in
+  let c = Program.cursor p in
+  let compiled =
+    run
+      (fun rng ->
+        let i = Program.next c ~rng in
+        (i, Program.operand c))
+      (fun () -> Program.reset c)
+  in
+  let r = Reference.cursor p in
+  let reference = run (fun rng -> Reference.next r ~rng) (fun () -> Reference.reset r) in
+  (compiled, reference)
+
+let same_stream ?steps ops =
+  let compiled, reference = streams ?steps ops in
+  compiled = reference
+
+let op_gen =
+  QCheck.Gen.(
+    sized_size (int_range 0 3)
+    @@ fix (fun self depth ->
+           let leaf =
+             frequency
+               [
+                 (3, map (fun n -> Program.Compute n) (int_range 0 50));
+                 ( 2,
+                   map2
+                     (fun mean cv -> Program.Compute_rand { mean; cv })
+                     (int_range 1 1000) (float_range 0. 1.) );
+                 (1, map (fun i -> Program.Lock i) (int_bound 3));
+                 (1, map (fun i -> Program.Unlock i) (int_bound 3));
+                 (1, map (fun i -> Program.Sem_wait i) (int_bound 3));
+                 (1, map (fun i -> Program.Sem_post i) (int_bound 3));
+                 (1, map (fun i -> Program.Barrier i) (int_bound 3));
+                 (1, return Program.Mark);
+                 (1, map (fun n -> Program.Sleep n) (int_range 1 50));
+               ]
+           in
+           if depth = 0 then leaf
+           else
+             frequency
+               [
+                 (4, leaf);
+                 ( 1,
+                   map2
+                     (fun n body -> Program.Repeat (n, body))
+                     (int_range 0 3)
+                     (list_size (int_range 0 4) (self (depth - 1))) );
+               ]))
+
+let prop_cursor_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"compiled cursor = list-walking reference (stream and RNG)"
+    QCheck.(
+      make
+        ~print:(fun (ops, steps) ->
+          Printf.sprintf "%d ops, reset after %d" (List.length ops) steps)
+        Gen.(pair (list_size (int_range 0 6) op_gen) (int_range 0 40)))
+    (fun (ops, steps) -> same_stream ~steps ops)
+
+let test_cursor_edge_loops () =
+  let c1 = Program.Compute 1 and m = Program.Mark in
+  let check name ?steps ops expected =
+    let (stream, _), _ = streams ?steps ops in
+    Alcotest.(check bool) (name ^ ": matches the reference") true
+      (same_stream ?steps ops);
+    Alcotest.(check int) (name ^ ": instructions") expected
+      (List.length (List.filter (fun (i, _) -> i <> Program.I_end) stream))
+  in
+  check "Repeat (0, _)" [ m; Program.Repeat (0, [ c1; m ]); m ] 2;
+  check "Repeat (n, [])" [ m; Program.Repeat (4, []); m ] 2;
+  check "Repeat (n, [Repeat (0, _)])"
+    [ m; Program.Repeat (5, [ Program.Repeat (0, [ c1 ]) ]); m ]
+    2;
+  check "nested empty loops inside a live one"
+    [ Program.Repeat (3, [ Program.Repeat (2, []); c1 ]) ]
+    3;
+  (* reset inside the inner loop's second pass (after c1 c1 c1 m c1),
+     then a full stream: 5 + 12 instructions *)
+  check "reset in the middle of a loop" ~steps:5
+    [ Program.Repeat (3, [ Program.Repeat (3, [ c1 ]); m ]) ]
+    17
+
 (* ----- Thread helpers ----- *)
 
 let mk_thread ?(affinity = 0) id =
@@ -303,6 +460,9 @@ let suite =
     Alcotest.test_case "referenced ids" `Quick test_program_referenced;
     Alcotest.test_case "program validation" `Quick test_program_validation;
     QCheck_alcotest.to_alcotest prop_static_count_matches_stream;
+    QCheck_alcotest.to_alcotest prop_cursor_matches_reference;
+    Alcotest.test_case "cursor: empty and zero loops, mid-loop reset" `Quick
+      test_cursor_edge_loops;
     Alcotest.test_case "spinlock fast path" `Quick test_spinlock_fast_path;
     Alcotest.test_case "spinlock release check" `Quick test_spinlock_release_validation;
     Alcotest.test_case "spinlock handoff" `Quick test_spinlock_handoff;

@@ -124,6 +124,77 @@ let test_busy_worker_invariant () =
   Alcotest.(check int) "downtime" b1.b_downtime b2.b_downtime;
   Alcotest.(check int) "rounds" b1.b_rounds_at_end b2.b_rounds_at_end
 
+(* A running guest moves A -> B -> A. Each move frees the kernel's
+   timers (VCPU compute and slice, monitor window) on the source and
+   binds new ones on the destination: right after each park, the
+   source engine holds only its own machine's events, as many as the
+   guest-free member 1 held before anything moved. *)
+type round_trip = {
+  r_background : int;
+  r_after_park : int list;
+  r_rounds : int list;  (** at each arrival, at the second departure, at the end *)
+  r_member : int;
+  r_digest : int;
+}
+
+let round_trip ~workers =
+  let h, vm =
+    two_hosts (Scenario.vm ~name:"guest" ~vcpus:2 (wl (Scenario.W_speccpu "gcc")))
+  in
+  let kernel = vm.Hosts.kernel in
+  let background = ref (-1) and after_park = ref [] and rounds = ref [] in
+  let note_rounds () = rounds := Sim_guest.Kernel.min_rounds kernel :: !rounds in
+  let move ~src ~dst ~arrived =
+    Hosts.migrate h vm ~dst
+      ~shipped:(fun ~downtime:_ ->
+        after_park :=
+          Sim_engine.Engine.pending_count (Hosts.engine h src) :: !after_park)
+      ~nacked:(fun () -> Alcotest.fail "the freeze drain never landed")
+      ~arrived:(fun () ->
+        note_rounds ();
+        arrived ())
+  in
+  at h 1 (cycles 0.04) (fun () ->
+      background := Sim_engine.Engine.pending_count (Hosts.engine h 1));
+  at h 0 (cycles 0.05) (fun () ->
+      move ~src:0 ~dst:1 ~arrived:(fun () ->
+          ignore
+            (Sim_engine.Engine.schedule_after (Hosts.engine h 1)
+               ~delay:(cycles 0.6) (fun () ->
+                 note_rounds ();
+                 move ~src:1 ~dst:0 ~arrived:ignore))));
+  let (_ : Hosts.run) = Hosts.run ~workers ~until:(cycles 2.0) h in
+  note_rounds ();
+  {
+    r_background = !background;
+    r_after_park = List.rev !after_park;
+    r_rounds = List.rev !rounds;
+    r_member = vm.Hosts.member;
+    r_digest = Sim_engine.Fabric.digest (Hosts.fabric h);
+  }
+
+let test_round_trip_rebinds_timers () =
+  let r = round_trip ~workers:1 in
+  Alcotest.(check int) "back on A" 0 r.r_member;
+  Alcotest.(check bool) "member 1 had events of its own" true
+    (r.r_background > 0);
+  Alcotest.(check (list int)) "source holds only its own events after each park"
+    [ r.r_background; r.r_background ]
+    r.r_after_park;
+  (match r.r_rounds with
+  | [ on_b; leaving_b; on_a; at_end ] ->
+    Alcotest.(check bool)
+      (Printf.sprintf "rounds on B (%d -> %d)" on_b leaving_b)
+      true (leaving_b > on_b);
+    Alcotest.(check bool) "no rounds in transit" true (on_a = leaving_b);
+    Alcotest.(check bool)
+      (Printf.sprintf "rounds back on A (%d -> %d)" on_a at_end)
+      true (at_end > on_a)
+  | _ -> Alcotest.fail "expected two arrivals");
+  let r2 = round_trip ~workers:2 in
+  Alcotest.(check int) "digest at workers 1 and 2" r.r_digest r2.r_digest;
+  Alcotest.(check (list int)) "rounds at workers 1 and 2" r.r_rounds r2.r_rounds
+
 (* One 2 s compute instruction keeps the VCPU online far past the
    poll bound: the guest is thawed where it is and the move nacks. *)
 let test_exhausted_poll_thaws_in_place () =
@@ -163,6 +234,8 @@ let suite =
       test_busy_freezes_and_resumes;
     Alcotest.test_case "busy migration is worker-invariant" `Quick
       test_busy_worker_invariant;
+    Alcotest.test_case "round trip A -> B -> A re-binds timers" `Quick
+      test_round_trip_rebinds_timers;
     Alcotest.test_case "exhausted poll thaws in place and nacks" `Quick
       test_exhausted_poll_thaws_in_place;
   ]

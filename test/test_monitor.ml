@@ -157,6 +157,34 @@ let test_reset_window () =
   Alcotest.(check int) "sem cleared" 0
     (Sim_stats.Histogram.count (Sim_guest.Monitor.sem_histogram monitor))
 
+(* Migration halves: [park] frees the armed window timer on the source
+   engine, and [retarget] binds a new one on the destination and
+   re-arms the interrupted window there. *)
+let test_park_moves_window () =
+  let engine, _, domain, _, monitor = make_env () in
+  let before = Sim_engine.Engine.pending_count engine in
+  Sim_guest.Monitor.record_spin_wait monitor ~vcpu:(-1) ~holder:(-1)
+    ~lock_id:7 ~wait:2_000_000;
+  Alcotest.(check int) "window armed" (before + 1)
+    (Sim_engine.Engine.pending_count engine);
+  Sim_guest.Monitor.park monitor;
+  Alcotest.(check int) "park frees it on the source" before
+    (Sim_engine.Engine.pending_count engine);
+  let dst = Sim_engine.Engine.create () in
+  Sim_guest.Monitor.retarget monitor ~engine:dst;
+  Alcotest.(check int) "re-armed on the destination" 1
+    (Sim_engine.Engine.pending_count dst);
+  Alcotest.(check bool) "still high" true
+    (domain.Sim_vmm.Domain.vcrd = Sim_vmm.Domain.High);
+  Alcotest.(check bool) "the window check fires there" true
+    (Sim_engine.Engine.step dst);
+  Sim_guest.Monitor.park monitor;
+  Sim_guest.Monitor.retarget monitor ~engine;
+  Alcotest.(check int) "and moves back" (before + 1)
+    (Sim_engine.Engine.pending_count engine);
+  Alcotest.(check int) "leaving nothing behind" 0
+    (Sim_engine.Engine.pending_count dst)
+
 let suite =
   [
     Alcotest.test_case "threshold" `Quick test_default_threshold;
@@ -167,4 +195,6 @@ let suite =
     Alcotest.test_case "retrigger extends" `Quick test_retrigger_extends_window;
     Alcotest.test_case "report disabled" `Quick test_report_disabled;
     Alcotest.test_case "reset window" `Quick test_reset_window;
+    Alcotest.test_case "park and retarget move the window" `Quick
+      test_park_moves_window;
   ]
