@@ -177,5 +177,6 @@ val periodic :
 val lowest_set_bit : int -> int
 (** Position (0..31) of the lowest set bit of a nonzero 32-bit word,
     by the branch-free de Bruijn lookup the wheel's bitmap scans use.
-    The result is unspecified for [0]. Exposed for its exhaustive
-    test. *)
+    The result is unspecified for [0]. Also used by the run queues'
+    occupancy scan ([Sim_vmm.Runqueue.next_occupied]) and tested
+    exhaustively. *)

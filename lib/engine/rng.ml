@@ -42,8 +42,11 @@ let int_in t ~lo ~hi =
   if hi < lo then invalid_arg "Rng.int_in: hi < lo";
   lo + int t (hi - lo + 1)
 
+(* The 53-bit value converts exactly through an int: [Int64.to_float]
+   is a C call, [Float.of_int] one instruction. *)
 let[@inline] uniform t =
-  Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1.0p-53
+  Float.of_int (Int64.to_int (Int64.shift_right_logical (next t) 11))
+  *. 0x1.0p-53
 
 let float t bound = uniform t *. bound
 
@@ -65,13 +68,17 @@ let[@inline] gaussian t ~mu ~sigma =
 
 let exponential t ~mean = -.mean *. log (nonzero_uniform t)
 
-let lognormal_cv t ~mean ~cv =
-  if cv <= 0. then mean
-  else begin
-    let sigma2 = log (1. +. (cv *. cv)) in
-    let mu = log mean -. (sigma2 /. 2.) in
-    exp (gaussian t ~mu ~sigma:(sqrt sigma2))
-  end
+(* All-float, so the fields are stored flat and a draw reads them
+   without unboxing or boxing anything. *)
+type lognormal = { mean : float; cv : float; mu : float; sigma : float }
+
+let lognormal_params ~mean ~cv =
+  let sigma2 = log (1. +. (cv *. cv)) in
+  { mean; cv; mu = log mean -. (sigma2 /. 2.); sigma = sqrt sigma2 }
+
+let lognormal_int t p =
+  if p.cv <= 0. then Int.max 1 (int_of_float p.mean)
+  else Int.max 1 (int_of_float (exp (gaussian t ~mu:p.mu ~sigma:p.sigma)))
 
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";

@@ -45,10 +45,20 @@ val gaussian : t -> mu:float -> sigma:float -> float
 val exponential : t -> mean:float -> float
 (** Exponential deviate with the given mean. *)
 
-val lognormal_cv : t -> mean:float -> cv:float -> float
-(** [lognormal_cv t ~mean ~cv] draws a log-normal deviate with the
-    given arithmetic mean and coefficient of variation. A [cv] of 0
-    returns [mean] exactly. *)
+type lognormal
+(** The parameters of a log-normal deviate, computed once by
+    {!lognormal_params} and reused by every {!lognormal_int} draw. *)
+
+val lognormal_params : mean:float -> cv:float -> lognormal
+(** A log-normal with the given arithmetic mean and coefficient of
+    variation: [sigma = sqrt (log (1 + cv^2))] and
+    [mu = log mean - sigma^2 / 2]. *)
+
+val lognormal_int : t -> lognormal -> int
+(** [lognormal_int t p] draws [x = exp (mu + sigma * z)] with [z] a
+    standard normal deviate (Box–Muller) and returns
+    [Int.max 1 (int_of_float x)]. A [cv <= 0] takes [x = mean]
+    exactly, without drawing. *)
 
 val pick : t -> 'a array -> 'a
 (** [pick t arr] is a uniformly chosen element. Raises

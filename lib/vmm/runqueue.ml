@@ -1,7 +1,13 @@
 (* Singly-linked FIFO with a tail pointer and a length counter:
    insert (append) and length are O(1) — they sit on the VMM's
    wake/preempt hot path — while removal and the priority scans stay
-   O(n) over queues bounded by the total VCPU count. *)
+   O(n) over queues bounded by the total VCPU count.
+
+   The queues of one VMM share an occupancy bitmap: bit [p] (word
+   [p lsr 5], 32 bits per word for [Engine.lowest_set_bit]) is set
+   exactly while PCPU [p]'s queue is non-empty. [insert] and [remove]
+   flip it on the empty/non-empty transitions, so a steal scan visits
+   only queues that hold work. *)
 
 type node = { v : Vcpu.t; mutable next : node option }
 
@@ -10,9 +16,41 @@ type t = {
   mutable first : node option; (* FIFO: first = oldest *)
   mutable last : node option;
   mutable len : int;
+  occupied : int array;  (** the bitmap shared by the queue's set *)
 }
 
-let create ~pcpu = { pcpu_id = pcpu; first = None; last = None; len = 0 }
+let bitmap n = Array.make ((n + 31) lsr 5) 0
+
+let make occupied pcpu =
+  { pcpu_id = pcpu; first = None; last = None; len = 0; occupied }
+
+let create ~pcpu = make (bitmap (pcpu + 1)) pcpu
+
+let create_set n =
+  let occupied = bitmap n in
+  Array.init n (make occupied)
+
+let[@inline] set_bit t =
+  let w = t.pcpu_id lsr 5 in
+  t.occupied.(w) <- t.occupied.(w) lor (1 lsl (t.pcpu_id land 31))
+
+let[@inline] clear_bit t =
+  let w = t.pcpu_id lsr 5 in
+  t.occupied.(w) <- t.occupied.(w) land lnot (1 lsl (t.pcpu_id land 31))
+
+let occupied t =
+  (t.occupied.(t.pcpu_id lsr 5) lsr (t.pcpu_id land 31)) land 1 = 1
+
+(* Lowest set bit at or after word [w], with [mask] applied to word
+   [w] only. *)
+let rec scan bits w mask =
+  if w >= Array.length bits then -1
+  else
+    let x = bits.(w) land mask in
+    if x = 0 then scan bits (w + 1) (-1)
+    else (w lsl 5) + Sim_engine.Engine.lowest_set_bit x
+
+let next_occupied t p = scan t.occupied (p lsr 5) (-1 lsl (p land 31))
 
 let pcpu t = t.pcpu_id
 
@@ -47,6 +85,7 @@ let insert t v =
   | None -> t.first <- n
   | Some last -> last.next <- n);
   t.last <- n;
+  if t.len = 0 then set_bit t;
   t.len <- t.len + 1
 
 (* [prev] is the option that points at [cur]'s node, passed on as is
@@ -59,7 +98,8 @@ let rec unlink t v prev cur =
     | None -> t.first <- n.next
     | Some p -> p.next <- n.next);
     (match n.next with None -> t.last <- prev | Some _ -> ());
-    t.len <- t.len - 1
+    t.len <- t.len - 1;
+    if t.len = 0 then clear_bit t
   | Some n -> unlink t v cur n.next
 
 let remove t v = unlink t v None t.first
@@ -145,6 +185,10 @@ let check t =
         Error
           (Printf.sprintf "rq %d len %d but %d nodes linked" t.pcpu_id t.len
              count)
+      else if occupied t <> (count > 0) then
+        Error
+          (Printf.sprintf "rq %d occupancy bit %b but %d nodes linked"
+             t.pcpu_id (occupied t) count)
       else begin
         match (t.last, prev) with
         | None, None -> Ok ()

@@ -10,6 +10,21 @@
 type t
 
 val create : pcpu:int -> t
+(** A queue in a set of its own. *)
+
+val create_set : int -> t array
+(** [create_set n] is the queues of PCPUs [0 .. n-1] (index = PCPU),
+    sharing one occupancy bitmap. *)
+
+val occupied : t -> bool
+(** The queue's occupancy bit: set by {!insert} on the empty to
+    non-empty transition and cleared by {!remove} on the reverse, so
+    it always equals [length t > 0]. *)
+
+val next_occupied : t -> int -> int
+(** [next_occupied t p] is the lowest PCPU [>= p] whose queue in
+    [t]'s set is non-empty, or [-1] if there is none. Reads the
+    bitmap a word at a time and allocates nothing. *)
 
 val pcpu : t -> int
 
@@ -63,6 +78,7 @@ val find_domain : t -> domain_id:int -> Vcpu.t list
 
 val check : t -> (unit, string) result
 (** Audit internal consistency: the node count matches {!length}, the
-    tail pointer is the last node, and every queued VCPU is [Ready]
-    with this queue as its home. Used by the runtime invariant
+    tail pointer is the last node, the occupancy bit is set exactly
+    when a node is linked, and every queued VCPU is [Ready] with this
+    queue as its home. Used by the runtime invariant
     checker. *)

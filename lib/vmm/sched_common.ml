@@ -7,16 +7,16 @@ let requeue_current api ~pcpu =
 
 let allow_any _v ~dst:_ = true
 
-(* One pass over the run queues in index order, folding each into the
-   incumbent candidate; with the NUMA model, [local] selects the
-   same-socket queues or the remote ones. A top-level function rather
-   than a closure local to [steal], which would be allocated on every
-   steal. *)
-let rec scan_queues api ~dst ~under_only ~allowed ~local i candidate =
-  if i >= Array.length api.runqueues then candidate
+(* One pass over the non-empty run queues in PCPU order, folding each
+   into the incumbent candidate; with the NUMA model, [local] selects
+   the same-socket queues or the remote ones. An empty queue holds no
+   candidate, so the walk follows the occupancy bitmap from [p] and
+   never visits one. A top-level function rather than a closure local
+   to [steal], which would be allocated on every steal. *)
+let rec scan_queues api ~dst ~under_only ~allowed ~local p candidate =
+  let src = Runqueue.next_occupied api.runqueues.(dst) p in
+  if src < 0 then candidate
   else begin
-    let rq = api.runqueues.(i) in
-    let src = Runqueue.pcpu rq in
     let candidate =
       if
         src <> dst
@@ -24,10 +24,12 @@ let rec scan_queues api ~dst ~under_only ~allowed ~local i candidate =
         match api.numa with
         | None -> true
         | Some { topo; _ } -> Sim_hw.Topology.same_socket topo src dst = local
-      then Runqueue.steal_candidate rq ~dst ~under_only ~allowed candidate
+      then
+        Runqueue.steal_candidate api.runqueues.(src) ~dst ~under_only ~allowed
+          candidate
       else candidate
     in
-    scan_queues api ~dst ~under_only ~allowed ~local (i + 1) candidate
+    scan_queues api ~dst ~under_only ~allowed ~local (src + 1) candidate
   end
 
 let steal api ~dst ~under_only ~allowed =

@@ -18,7 +18,9 @@ type numa = {
 
 type api = {
   machine : Sim_hw.Machine.t;
-  runqueues : Runqueue.t array;  (** index = PCPU id *)
+  runqueues : Runqueue.t array;
+      (** index = PCPU id; built by {!Runqueue.create_set}, so the
+          queues share one occupancy bitmap *)
   domains : unit -> Domain.t list;  (** creation order *)
   work_conserving : bool;
       (** [false]: a VM's CPU time is strictly capped by its weight

@@ -311,7 +311,7 @@ let create ?(work_conserving = true) ?(credit_unit = Credit.default_credit_unit)
       engine = Machine.engine machine;
       machine;
       cpu_model = Machine.cpu_model machine;
-      runqueues = Array.init n (fun pcpu -> Runqueue.create ~pcpu);
+      runqueues = Runqueue.create_set n;
       current = Array.make n None;
       running = Array.init n (fun pcpu -> Vcpu.Running pcpu);
       domains = [];
@@ -484,6 +484,12 @@ let check_invariants t =
             if queued <> 0 then err "blocked vcpu %d is queued" v.Vcpu.id)
         dom.Domain.vcpus)
     (List.rev t.domains);
+  Array.iter
+    (fun rq ->
+      if Runqueue.occupied rq <> (Runqueue.length rq > 0) then
+        err "rq %d occupancy bit %b but length %d" (Runqueue.pcpu rq)
+          (Runqueue.occupied rq) (Runqueue.length rq))
+    t.runqueues;
   match !errors with
   | [] -> Ok ()
   | es -> Error (String.concat "; " es)

@@ -110,7 +110,8 @@ let prop_static_count_matches_stream =
 (* ----- The compiled cursor against a list-walking reference -----
 
    [Reference] is the interpreter [Program] used before programs were
-   compiled: a stack of frames over the op lists. The compiled cursor
+   compiled: a stack of frames over the op lists, drawing each
+   [Compute_rand] chunk with the log-normal formula evaluated per draw. The compiled cursor
    must emit the same (instr, operand) stream and draw the same RNG
    values, resets included. *)
 module Reference = struct
@@ -144,7 +145,13 @@ module Reference = struct
         | Program.Compute n -> (Program.I_compute, n)
         | Program.Compute_rand { mean; cv } ->
           let n =
-            Sim_engine.Rng.lognormal_cv rng ~mean:(float_of_int mean) ~cv
+            let mean = float_of_int mean in
+            if cv <= 0. then mean
+            else begin
+              let sigma2 = log (1. +. (cv *. cv)) in
+              let mu = log mean -. (sigma2 /. 2.) in
+              exp (Sim_engine.Rng.gaussian rng ~mu ~sigma:(sqrt sigma2))
+            end
           in
           (Program.I_compute, Int.max 1 (int_of_float n))
         | Program.Lock id -> (Program.I_lock, id)

@@ -132,16 +132,56 @@ let test_exponential_mean () =
 
 let test_lognormal () =
   let rng = Rng.create 88L in
-  Alcotest.(check (float 0.)) "cv=0 is exact" 100.
-    (Rng.lognormal_cv rng ~mean:100. ~cv:0.);
+  Alcotest.(check int) "cv=0 is exact" 100
+    (Rng.lognormal_int rng (Rng.lognormal_params ~mean:100. ~cv:0.));
+  let p = Rng.lognormal_params ~mean:100. ~cv:0.3 in
   let n = 20_000 in
-  let sum = ref 0. in
+  let sum = ref 0 in
   for _ = 1 to n do
-    sum := !sum +. Rng.lognormal_cv rng ~mean:100. ~cv:0.3
+    sum := !sum + Rng.lognormal_int rng p
   done;
-  let mean = !sum /. float_of_int n in
+  let mean = float_of_int !sum /. float_of_int n in
   Alcotest.(check bool) "arithmetic mean preserved" true
     (abs_float (mean -. 100.) < 3.)
+
+(* The per-draw formula [lognormal_int] replaced, written out from the
+   raw stream: every parameter recomputed on each draw, the uniform
+   converted by [Int64.to_float]. *)
+let old_lognormal rng ~mean ~cv =
+  let uniform () =
+    Int64.to_float (Int64.shift_right_logical (Rng.next_int64 rng) 11)
+    *. 0x1.0p-53
+  in
+  let x =
+    if cv <= 0. then mean
+    else begin
+      let sigma2 = log (1. +. (cv *. cv)) in
+      let mu = log mean -. (sigma2 /. 2.) in
+      let u1 = ref (uniform ()) in
+      while !u1 <= 0. do
+        u1 := uniform ()
+      done;
+      let u2 = uniform () in
+      let r = sqrt (-2. *. log !u1) in
+      exp (mu +. (sqrt sigma2 *. r *. cos (2. *. Float.pi *. u2)))
+    end
+  in
+  Int.max 1 (int_of_float x)
+
+let prop_lognormal_matches_old_formula =
+  QCheck.Test.make ~count:500
+    ~name:"lognormal_int = per-draw formula, bit for bit"
+    QCheck.(
+      triple int64 (int_range 1 100_000_000)
+        (oneof [ float_range 0. 3.; always 0.; float_range (-1.) 0. ]))
+    (fun (seed, mean, cv) ->
+      let mean = float_of_int mean in
+      let a = Rng.create seed and b = Rng.create seed in
+      let p = Rng.lognormal_params ~mean ~cv in
+      List.for_all Fun.id
+        (List.init 20 (fun _ ->
+             Rng.lognormal_int a p = old_lognormal b ~mean ~cv))
+      && Rng.next_int64 a = Rng.next_int64 b)
 
 let test_shuffle_is_permutation () =
   let rng = Rng.create 99L in
@@ -190,4 +230,5 @@ let suite =
     Alcotest.test_case "shuffle" `Quick test_shuffle_is_permutation;
     Alcotest.test_case "pick" `Quick test_pick;
     QCheck_alcotest.to_alcotest prop_int_in_range;
+    QCheck_alcotest.to_alcotest prop_lognormal_matches_old_formula;
   ]

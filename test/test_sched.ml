@@ -228,8 +228,128 @@ let test_double_insert_reloc_reported () =
     (Error (Printf.sprintf "ready vcpu %d is in 2 queues" v.Vcpu.id))
     (Vmm.check_invariants vmm)
 
+(* ----- the steal scan against a full scan -----
+
+   [Sched_common.steal] follows the run queues' occupancy bitmap and
+   visits only non-empty queues. [full_scan] is the reference: every
+   queue in PCPU order, the same-socket pass first under the
+   NUMA model, strictly more credit to displace the incumbent. Random
+   scripts of inserts, removals and steals over 8 to 128 PCPUs (one
+   to four bitmap words) must pick the same VCPU every time and keep
+   the structural audit, occupancy bits included, clean. *)
+let full_scan (api : Sim_vmm.Sched_intf.api) ~dst ~under_only ~allowed =
+  let open Sim_vmm in
+  let pass local =
+    Array.fold_left
+      (fun best rq ->
+        let src = Runqueue.pcpu rq in
+        let considered =
+          src <> dst
+          &&
+          match api.Sched_intf.numa with
+          | None -> true
+          | Some { Sched_intf.topo; _ } ->
+            Sim_hw.Topology.same_socket topo src dst = local
+        in
+        if not considered then best
+        else
+          List.fold_left
+            (fun best (v : Vcpu.t) ->
+              if
+                v.Vcpu.boosted || v.Vcpu.parked
+                || (under_only && v.Vcpu.credit <= 0)
+                || not (allowed v ~dst)
+              then best
+              else
+                match best with
+                | Some (b : Vcpu.t) when v.Vcpu.credit <= b.Vcpu.credit -> best
+                | Some _ | None -> Some v)
+            best (Runqueue.to_list rq))
+      None api.Sched_intf.runqueues
+  in
+  match (pass true, api.Sched_intf.numa) with
+  | None, Some _ -> pass false
+  | found, _ -> found
+
+let steal_script ~seed ~pcpus ~numa =
+  let open Sim_vmm in
+  let rng = Sim_engine.Rng.create seed in
+  let sockets = if pcpus <= 32 then 2 else 4 in
+  let topo = Sim_hw.Topology.make ~sockets ~cores_per_socket:(pcpus / sockets) in
+  let machine =
+    Sim_hw.Machine.create (Sim_engine.Engine.create ()) Sim_hw.Cpu_model.default
+      topo
+  in
+  let numa =
+    if numa then Some { Sched_intf.topo; reloc_penalty_cycles = 0 } else None
+  in
+  let api = ref None in
+  let vmm =
+    Vmm.create ?numa machine ~sched:(fun a ->
+        api := Some a;
+        Sched_credit.make a)
+  in
+  let api = Option.get !api in
+  let vcpus =
+    Array.concat
+      (List.init 3 (fun i ->
+           (Vmm.create_domain vmm ~name:(Printf.sprintf "V%d" i) ~weight:256
+              ~vcpus:8 ())
+             .Domain.vcpus))
+  in
+  let pick_where f =
+    match List.filter f (Array.to_list vcpus) with
+    | [] -> None
+    | l -> Some (List.nth l (Sim_engine.Rng.int rng (List.length l)))
+  in
+  let allowed_some (v : Vcpu.t) ~dst = (v.Vcpu.id + dst) mod 3 <> 0 in
+  let ok = ref true in
+  for _ = 1 to 300 do
+    match Sim_engine.Rng.int rng 10 with
+    | 0 | 1 | 2 | 3 -> (
+      match pick_where Vcpu.is_blocked with
+      | None -> ()
+      | Some v ->
+        v.Vcpu.credit <- Sim_engine.Rng.int_in rng ~lo:(-50) ~hi:50;
+        v.Vcpu.boosted <- Sim_engine.Rng.int rng 8 = 0;
+        v.Vcpu.parked <- Sim_engine.Rng.int rng 8 = 0;
+        v.Vcpu.state <- Vcpu.Ready;
+        Runqueue.insert api.Sched_intf.runqueues.(Sim_engine.Rng.int rng pcpus) v)
+    | 4 | 5 -> (
+      match pick_where Vcpu.is_ready with
+      | None -> ()
+      | Some v ->
+        Runqueue.remove api.Sched_intf.runqueues.(v.Vcpu.home) v;
+        v.Vcpu.state <- Vcpu.Blocked)
+    | _ ->
+      let dst = Sim_engine.Rng.int rng pcpus in
+      let under_only = Sim_engine.Rng.bool rng in
+      let allowed =
+        if Sim_engine.Rng.bool rng then Sched_common.allow_any else allowed_some
+      in
+      let expected = full_scan api ~dst ~under_only ~allowed in
+      let got = Sched_common.steal api ~dst ~under_only ~allowed in
+      let same =
+        match (expected, got) with
+        | None, None -> true
+        | Some a, Some b -> a == b && b.Vcpu.home = dst
+        | Some _, None | None, Some _ -> false
+      in
+      if not same then ok := false;
+      (match Vmm.check_invariants vmm with
+      | Ok () -> ()
+      | Error e -> QCheck.Test.fail_report e)
+  done;
+  !ok
+
+let prop_steal_matches_full_scan =
+  QCheck.Test.make ~count:200 ~name:"steal over occupied queues = full scan"
+    QCheck.(triple int64 (oneofl [ 8; 32; 64; 128 ]) bool)
+    (fun (seed, pcpus, numa) -> steal_script ~seed ~pcpus ~numa)
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest prop_steal_matches_full_scan;
     Alcotest.test_case "work stealing" `Quick test_work_stealing_spreads_load;
     Alcotest.test_case "double-insert-reloc is reported" `Quick
       test_double_insert_reloc_reported;
