@@ -1,6 +1,7 @@
 (* One compilation unit for the guest, submodules in dependency order;
    sim_guest.mli seals each one. Kernel reaches into Spinlock's waiter
-   list directly (see [Kernel.online_waiter]). *)
+   list directly (see [Kernel.online_waiter]), and into Program's code
+   and cursor (see [Kernel.operands_of]). *)
 
 module Program = struct
   type op =
@@ -283,6 +284,8 @@ module Thread = struct
     mutable marks : int;
     mutable total_spin_cycles : int;
     mutable some : t option;
+    mutable operands : int array;
+    mutable wait_index : int;
   }
 
   let make ~id ~affinity ~restart ~rng program =
@@ -307,6 +310,8 @@ module Thread = struct
         marks = 0;
         total_spin_cycles = 0;
         some = None;
+        operands = [||];
+        wait_index = 0;
       }
     in
     t.some <- Some t;
@@ -849,6 +854,27 @@ module Kernel = struct
     mutable slice : Engine.timer;  (** timeslice rotation *)
   }
 
+  (* An untracked kernel continuation: what a pooled timer does when it
+     fires. Each names the thread it acts on; [K_grant] also names a
+     lock, [K_proceed] and [K_grace] a barrier. *)
+  type cont_kind =
+    | K_wake  (** a timer sleep ends *)
+    | K_grant  (** a lock handoff lands *)
+    | K_proceed  (** a spinner observes its barrier's release *)
+    | K_ple  (** a pause-loop window closes *)
+    | K_grace  (** a barrier spin's grace budget runs out *)
+
+  (* A pool entry: a timer bound once to {!cont_fired} plus the
+     continuation it carries, all of it ints, so arming one stores no
+     pointer and allocates nothing. *)
+  type cont = {
+    timer : Engine.timer;
+    mutable kind : cont_kind;
+    mutable thread : int;  (** thread id *)
+    mutable obj : int;  (** lock or barrier index *)
+    mutable arg : int;  (** PLE span start or barrier generation *)
+  }
+
   type t = {
     mutable vmm : Sim_vmm.Vmm.t;
     domain : Sim_vmm.Domain.t;
@@ -857,12 +883,19 @@ module Kernel = struct
     hypercall : Sim_vmm.Hypercall.t;
     monitor : Monitor.t;
     rng : Rng.t;
-    locks : Spinlock.t Id_table.t;
-    sems : Semaphore.t Id_table.t;
-    barriers : Barrier.t Id_table.t;
+    (* Synchronization objects by kernel index, the form threads name
+       them in (see {!add_thread}); the id tables are read only while
+       threads are added. *)
+    mutable locks : Spinlock.t array;  (** user locks *)
+    mutable sems : Semaphore.t array;
+    mutable barriers : Barrier.t array;
+    lock_index : int Id_table.t;
+    sem_index : int Id_table.t;
+    barrier_index : int Id_table.t;
+    mutable resolved : (Program.t * int array) list;
+        (** each added program's operands, resolved once *)
     vcpus : vcpu_ctx array;
-    mutable threads_rev : Thread.t list;
-    mutable next_thread_id : int;
+    mutable threads : Thread.t array;  (** by thread id *)
     mutable round_hook : Thread.t -> round:int -> duration:int -> unit;
     mutable finished_hook : Thread.t -> unit;
     mutable launched : bool;
@@ -873,9 +906,14 @@ module Kernel = struct
         (** a freeze was requested (stop-and-copy migration): threads
             pause at their next instruction boundary and resume verbatim
             when {!thaw} runs on the destination host *)
+    mutable conts : cont array;
+        (** the continuation pool, bound on [engine]; grown one entry
+            at a time, so it holds the most ever in flight at once *)
+    mutable free_conts : int array;  (** a stack of idle entries' indices *)
+    mutable n_free : int;
     mutable pending_untracked : int;
-        (** in-flight kernel timers not tracked through a vcpu_ctx
-            handle; must be 0 before the domain may migrate *)
+        (** pool entries in flight; must be 0 before the domain may
+            migrate *)
   }
 
   let vmm t = t.vmm
@@ -883,59 +921,61 @@ module Kernel = struct
   let monitor t = t.monitor
   let hypercall t = t.hypercall
   let params t = t.params
-  let threads t = List.rev t.threads_rev
+  let threads t = Array.to_list t.threads
 
   let now t = Engine.now t.engine
 
-  (* ----- object lookup ----- *)
+  (* ----- synchronization objects ----- *)
 
-  (* [find] rather than [find_opt]: a hit, the common case on every
-     acquire, then boxes no option. *)
-  let ensure_lock t id =
-    match Id_table.find t.locks id with
-    | l -> l
-    | exception Not_found ->
-      let l = Spinlock.create ~id in
-      Id_table.replace t.locks id l;
-      l
+  (* A lock's kernel index: user locks count up from 0 in [t.locks];
+     barrier [b]'s arrival lock is [-(b + 1)], as its id mirrors its
+     barrier's. *)
+  let[@inline] arrival_lock b = -b - 1
 
-  let get_sem t id =
-    match Id_table.find t.sems id with
-    | s -> s
-    | exception Not_found ->
-      invalid_arg (Printf.sprintf "Kernel: undeclared semaphore %d" id)
-
-  let get_barrier t id =
-    match Id_table.find t.barriers id with
-    | b -> b
-    | exception Not_found ->
-      invalid_arg (Printf.sprintf "Kernel: undeclared barrier %d" id)
+  let[@inline] lock_at t i =
+    if i >= 0 then t.locks.(i) else Barrier.lock t.barriers.(-i - 1)
 
   let add_semaphore t ~id ~init =
-    if Id_table.mem t.sems id then
+    if Id_table.mem t.sem_index id then
       invalid_arg "Kernel.add_semaphore: duplicate id";
-    Id_table.replace t.sems id (Semaphore.create ~id ~init)
+    let sem = Semaphore.create ~id ~init in
+    Id_table.replace t.sem_index id (Array.length t.sems);
+    t.sems <- Array.append t.sems [| sem |]
 
   let add_barrier t ~id ~parties =
-    if Id_table.mem t.barriers id then
+    if Id_table.mem t.barrier_index id then
       invalid_arg "Kernel.add_barrier: duplicate id";
-    Id_table.replace t.barriers id (Barrier.create ~id ~parties)
+    let barrier = Barrier.create ~id ~parties in
+    Id_table.replace t.barrier_index id (Array.length t.barriers);
+    t.barriers <- Array.append t.barriers [| barrier |]
 
+  (* User locks come into being when a program naming them is added,
+     but only those some thread has tried to take are listed: a lock
+     that was never requested has neither an acquisition nor a
+     waiter. *)
   let lock_stats t =
-    let user = Id_table.fold (fun id l acc -> (id, l) :: acc) t.locks [] in
-    let internal =
+    let user =
       Id_table.fold
-        (fun _ b acc ->
+        (fun id i acc ->
+          let l = t.locks.(i) in
+          if Spinlock.acquisitions l > 0 || l.Spinlock.waiters <> [] then
+            (id, l) :: acc
+          else acc)
+        t.lock_index []
+    in
+    let internal =
+      Array.fold_left
+        (fun acc b ->
           let l = Barrier.lock b in
           (Spinlock.id l, l) :: acc)
-        t.barriers []
+        [] t.barriers
     in
     List.sort (fun (a, _) (b, _) -> compare a b) (user @ internal)
 
   let barrier_stats t =
     List.sort
       (fun (a, _) (b, _) -> compare a b)
-      (Id_table.fold (fun id b acc -> (id, b) :: acc) t.barriers [])
+      (Array.fold_left (fun acc b -> (Barrier.id b, b) :: acc) [] t.barriers)
 
   (* ----- thread/vcpu helpers ----- *)
 
@@ -979,19 +1019,10 @@ module Kernel = struct
      (distinct from its arrival lock's id, which is [-(id + 1)]). *)
   let flag_id barrier = -(1000 + Barrier.id barrier)
 
-  (* Self-validating kernel timers that are not tracked through a
-     vcpu_ctx timer — sleep wakes, lock handoffs, barrier releases,
-     PLE windows, spin-grace fallbacks — are counted while in flight:
-     their events capture [t] and live on the current engine, so the
-     decoupled-VMM quiescence gate ({!quiescent}) refuses to migrate a
-     domain whose kernel still has one pending. Every continuation
-     scheduled here calls {!untracked_fired} first; that saves wrapping
-     each one in a second closure. *)
-  let schedule_untracked t ~delay k =
-    t.pending_untracked <- t.pending_untracked + 1;
-    ignore (Engine.schedule_after t.engine ~delay k)
-
-  let untracked_fired t = t.pending_untracked <- t.pending_untracked - 1
+  (* The kernel index the operand of the instruction [Program.next]
+     last returned resolves to. *)
+  let[@inline] resolved_operand (thread : Thread.t) =
+    thread.Thread.operands.(thread.Thread.cursor.Program.pc - 1)
 
   (* ----- execution machinery ----- *)
 
@@ -1023,47 +1054,33 @@ module Kernel = struct
     | Thread.R_fetch -> fetch t vc thread
     | Thread.R_sleep ->
       (* Timer sleep: release the VCPU and arm a wake at an exact
-         instant. Self-validating like every kernel timer — only a
-         thread still in [Blocked_sleep] is woken (a sleeping thread
-         cannot be re-dispatched, so the status check suffices). *)
+         instant. *)
       thread.Thread.status <- Thread.Blocked_sleep;
       thread.Thread.resume <- Thread.R_fetch;
-      schedule_untracked t ~delay:arg (fun () ->
-          untracked_fired t;
-          match thread.Thread.status with
-          | Thread.Blocked_sleep ->
-            thread.Thread.status <- Thread.Runnable;
-            wake_thread t thread
-          | Thread.Runnable | Thread.Spinning _ | Thread.Spin_barrier _
-          | Thread.Blocked_barrier _ | Thread.Blocked_sem _ | Thread.Paused
-          | Thread.Finished ->
-            ());
+      arm_cont t K_wake ~delay:arg thread ~obj:0 ~arg:0;
       rotate_or_halt t vc
     | Thread.R_acquire ->
-      let lock = ensure_lock t arg in
-      acquire_lock t vc thread lock ~cs:0 ~next:Thread.R_fetch ~arg:0
+      acquire_lock t vc thread arg ~cs:0 ~next:Thread.R_fetch ~arg:0
     | Thread.R_unlock ->
-      let lock = ensure_lock t arg in
-      Spinlock.release lock thread;
+      Spinlock.release t.locks.(arg) thread;
       thread.Thread.locks_held <- thread.Thread.locks_held - 1;
-      handoff_check t lock;
+      handoff_check t arg;
       thread.Thread.resume <- Thread.R_fetch;
       fetch t vc thread
     | Thread.R_sem_wait ->
-      let sem = get_sem t arg in
+      let sem = t.sems.(arg) in
       if Semaphore.try_wait sem then begin
         thread.Thread.resume <- Thread.R_fetch;
         fetch t vc thread
       end
       else begin
         Semaphore.enqueue_waiter sem thread ~now:(now t);
-        thread.Thread.status <- Thread.Blocked_sem arg;
+        thread.Thread.status <- Thread.Blocked_sem (Semaphore.id sem);
         thread.Thread.resume <- Thread.R_fetch;
         rotate_or_halt t vc
       end
     | Thread.R_sem_post ->
-      let sem = get_sem t arg in
-      (match Semaphore.post sem with
+      (match Semaphore.post t.sems.(arg) with
       | None -> ()
       | Some (waiter, since) ->
         Monitor.record_sem_wait t.monitor ~wait:(now t - since);
@@ -1072,34 +1089,32 @@ module Kernel = struct
       thread.Thread.resume <- Thread.R_fetch;
       fetch t vc thread
     | Thread.R_barrier_arrive ->
-      let barrier = get_barrier t arg in
-      acquire_lock t vc thread (Barrier.lock barrier) ~cs:t.params.instr_overhead
+      acquire_lock t vc thread (arrival_lock arg) ~cs:t.params.instr_overhead
         ~next:Thread.R_barrier_locked ~arg
     | Thread.R_barrier_locked ->
-      let barrier_id = arg in
-      let barrier = get_barrier t barrier_id in
-      let lock = Barrier.lock barrier in
+      let barrier = t.barriers.(arg) in
       let outcome = Barrier.arrive barrier ~now:(now t) in
-      Spinlock.release lock thread;
+      Spinlock.release (Barrier.lock barrier) thread;
       thread.Thread.locks_held <- thread.Thread.locks_held - 1;
-      handoff_check t lock;
+      handoff_check t (arrival_lock arg);
       thread.Thread.resume <- Thread.R_fetch;
       (match outcome with
       | `Last ->
         (* The last arriver never spins on the flag: zero wait. *)
         Monitor.record_spin_wait t.monitor ~vcpu:(-1) ~holder:(-1)
           ~lock_id:(flag_id barrier) ~wait:0;
-        release_barrier t barrier;
+        release_barrier t arg;
         fetch t vc thread
       | `Wait gen ->
-        thread.Thread.status <- Thread.Spin_barrier (barrier_id, gen);
+        thread.Thread.status <- Thread.Spin_barrier (Barrier.id barrier, gen);
+        thread.Thread.wait_index <- arg;
         thread.Thread.spin_request <- now t;
         (* Busy-wait with a grace budget: if the flag does not flip
            within [spin_grace], fall back to a futex sleep. *)
-        arm_spin_grace t thread barrier_id gen;
+        arm_spin_grace t thread arg gen;
         arm_ple t thread)
     | Thread.R_barrier_exit ->
-      let barrier = get_barrier t arg in
+      let barrier = t.barriers.(arg) in
       let wait = now t - thread.Thread.spin_request in
       thread.Thread.total_spin_cycles <- thread.Thread.total_spin_cycles + wait;
       (* Barrier flag spins have no lock holder: the classifier falls
@@ -1137,19 +1152,19 @@ module Kernel = struct
         ~next:Thread.R_fetch ~arg:0
     | Program.I_lock ->
       start_work t vc thread ~cycles:overhead ~next:Thread.R_acquire
-        ~arg:(Program.operand cursor)
+        ~arg:(resolved_operand thread)
     | Program.I_unlock ->
       start_work t vc thread ~cycles:overhead ~next:Thread.R_unlock
-        ~arg:(Program.operand cursor)
+        ~arg:(resolved_operand thread)
     | Program.I_sem_wait ->
       start_work t vc thread ~cycles:overhead ~next:Thread.R_sem_wait
-        ~arg:(Program.operand cursor)
+        ~arg:(resolved_operand thread)
     | Program.I_sem_post ->
       start_work t vc thread ~cycles:overhead ~next:Thread.R_sem_post
-        ~arg:(Program.operand cursor)
+        ~arg:(resolved_operand thread)
     | Program.I_barrier ->
       start_work t vc thread ~cycles:overhead ~next:Thread.R_barrier_arrive
-        ~arg:(Program.operand cursor)
+        ~arg:(resolved_operand thread)
     | Program.I_mark ->
       thread.Thread.marks <- thread.Thread.marks + 1;
       start_work t vc thread ~cycles:1 ~next:Thread.R_fetch ~arg:0
@@ -1179,8 +1194,10 @@ module Kernel = struct
       rotate_or_halt t vc
     end
 
-  (* Acquire [lock]; on ownership, run [cs] cycles then [next]. *)
-  and acquire_lock t vc (thread : Thread.t) lock ~cs ~next ~arg =
+  (* Acquire the lock at kernel index [li]; on ownership, run [cs]
+     cycles then [next]. *)
+  and acquire_lock t vc (thread : Thread.t) li ~cs ~next ~arg =
+    let lock = lock_at t li in
     if Spinlock.try_acquire lock thread ~now:(now t) then begin
       thread.Thread.locks_held <- thread.Thread.locks_held + 1;
       Monitor.record_spin_wait t.monitor ~vcpu:(-1) ~holder:(-1)
@@ -1198,6 +1215,7 @@ module Kernel = struct
         | None -> -1);
       Spinlock.enqueue_waiter lock thread ~now:(now t);
       thread.Thread.status <- Thread.Spinning (Spinlock.id lock);
+      thread.Thread.wait_index <- li;
       thread.Thread.spin_request <- now t;
       thread.Thread.pending_compute <- cs;
       thread.Thread.resume <- next;
@@ -1207,24 +1225,24 @@ module Kernel = struct
          If it is free and unreserved (released while we were enqueuing
          is impossible in one engine instant, but a free lock with only
          offline waiters is), start a handoff now. *)
-      handoff_check t lock
+      handoff_check t li
     end
 
-  (* If the lock is free and unreserved and some waiter is online, start
-     a handoff. *)
-  and handoff_check t lock =
+  (* If the lock at kernel index [li] is free and unreserved and some
+     waiter is online, start a handoff. *)
+  and handoff_check t li =
+    let lock = lock_at t li in
     if Spinlock.grantable lock then
       match online_waiter t lock.Spinlock.lock_id lock.Spinlock.waiters with
       | None -> ()
       | Some waiter ->
         Spinlock.reserve_for lock waiter;
-        schedule_untracked t ~delay:t.params.handoff (fun () ->
-            untracked_fired t;
-            grant t lock waiter)
+        arm_cont t K_grant ~delay:t.params.handoff waiter ~obj:li ~arg:0
 
   (* Complete (or abort) an in-flight handoff. Self-validating: the
      grantee may have been preempted during the handoff latency. *)
-  and grant t lock (waiter : Thread.t) =
+  and grant t li (waiter : Thread.t) =
+    let lock = lock_at t li in
     let still_spinning =
       match waiter.Thread.status with
       | Thread.Spinning id -> id = Spinlock.id lock
@@ -1245,49 +1263,50 @@ module Kernel = struct
     end
     else begin
       Spinlock.abort_grant lock waiter;
-      handoff_check t lock
+      handoff_check t li
     end
 
-  (* The last arrival bumped the generation: release online spinners
-     after the flag-observation latency; sleeping (futex-blocked)
-     waiters are woken through the kernel wake path; offline spinners
-     will notice when their VCPU is next scheduled. *)
-  and release_barrier t barrier =
-    List.iter
-      (fun (thread : Thread.t) ->
-        match thread.Thread.status with
-        | Thread.Spin_barrier (bid, gen)
-          when bid = Barrier.id barrier && Barrier.passed barrier ~gen ->
-          if occupying t thread then
-            schedule_untracked t ~delay:t.params.flag_latency (fun () ->
-                untracked_fired t;
-                barrier_proceed t barrier thread)
-        | Thread.Blocked_barrier (bid, gen)
-          when bid = Barrier.id barrier && Barrier.passed barrier ~gen ->
-          thread.Thread.status <- Thread.Runnable;
-          thread.Thread.resume <- Thread.R_barrier_exit;
-          thread.Thread.resume_arg <- bid;
-          thread.Thread.pending_compute <-
-            t.params.flag_latency + t.params.instr_overhead;
-          wake_thread t thread
-        | Thread.Spin_barrier _ | Thread.Blocked_barrier _ | Thread.Runnable
-        | Thread.Spinning _ | Thread.Blocked_sem _ | Thread.Blocked_sleep | Thread.Paused
-        | Thread.Finished ->
-          ())
-      t.threads_rev
+  (* The last arrival bumped barrier [b]'s generation: release online
+     spinners after the flag-observation latency; sleeping
+     (futex-blocked) waiters are woken through the kernel wake path;
+     offline spinners will notice when their VCPU is next scheduled.
+     Threads are visited newest first. *)
+  and release_barrier t b =
+    let barrier = t.barriers.(b) in
+    for i = Array.length t.threads - 1 downto 0 do
+      let thread = t.threads.(i) in
+      match thread.Thread.status with
+      | Thread.Spin_barrier (bid, gen)
+        when bid = Barrier.id barrier && Barrier.passed barrier ~gen ->
+        if occupying t thread then
+          arm_cont t K_proceed ~delay:t.params.flag_latency thread ~obj:b ~arg:0
+      | Thread.Blocked_barrier (bid, gen)
+        when bid = Barrier.id barrier && Barrier.passed barrier ~gen ->
+        thread.Thread.status <- Thread.Runnable;
+        thread.Thread.resume <- Thread.R_barrier_exit;
+        thread.Thread.resume_arg <- b;
+        thread.Thread.pending_compute <-
+          t.params.flag_latency + t.params.instr_overhead;
+        wake_thread t thread
+      | Thread.Spin_barrier _ | Thread.Blocked_barrier _ | Thread.Runnable
+      | Thread.Spinning _ | Thread.Blocked_sem _ | Thread.Blocked_sleep | Thread.Paused
+      | Thread.Finished ->
+        ()
+    done
 
   (* Self-validating barrier-exit event for online spinners. The wait
      itself is measured and reported at [R_barrier_exit]: barrier waits
      are busy-wait kernel synchronization wall time, the dominant source
      of over-threshold waits once sibling VCPUs are de-synchronized. *)
-  and barrier_proceed t barrier (thread : Thread.t) =
+  and barrier_proceed t b (thread : Thread.t) =
+    let barrier = t.barriers.(b) in
     match thread.Thread.status with
     | Thread.Spin_barrier (bid, gen)
       when bid = Barrier.id barrier && Barrier.passed barrier ~gen
            && occupying t thread ->
       thread.Thread.status <- Thread.Runnable;
       thread.Thread.resume <- Thread.R_barrier_exit;
-      thread.Thread.resume_arg <- bid;
+      thread.Thread.resume_arg <- b;
       thread.Thread.pending_compute <- 0;
       continue_thread t (vctx_of t thread) thread
     | Thread.Spin_barrier _ | Thread.Blocked_barrier _ | Thread.Runnable
@@ -1301,43 +1320,107 @@ module Kernel = struct
      variant consumes. Self-validating and re-arming: one exit per
      window for as long as the same spin span persists. *)
   and arm_ple t (thread : Thread.t) =
-    if t.params.ple_window > 0 then begin
-      let span = thread.Thread.spin_request in
-      schedule_untracked t ~delay:t.params.ple_window (fun () ->
-          untracked_fired t;
-          let still_spinning =
-            match thread.Thread.status with
-            | Thread.Spinning _ | Thread.Spin_barrier _ ->
-              thread.Thread.spin_request = span
-            | Thread.Runnable | Thread.Blocked_barrier _
-            | Thread.Blocked_sem _ | Thread.Blocked_sleep | Thread.Paused
-            | Thread.Finished ->
-              false
-          in
-          if still_spinning && occupying t thread then begin
-            let vc = vctx_of t thread in
-            Sim_vmm.Vmm.pause_loop_exit t.vmm vc.vcpu;
-            arm_ple t thread
-          end)
+    if t.params.ple_window > 0 then
+      arm_cont t K_ple ~delay:t.params.ple_window thread ~obj:0
+        ~arg:thread.Thread.spin_request
+
+  and ple_window_closed t (thread : Thread.t) ~span =
+    let still_spinning =
+      match thread.Thread.status with
+      | Thread.Spinning _ | Thread.Spin_barrier _ ->
+        thread.Thread.spin_request = span
+      | Thread.Runnable | Thread.Blocked_barrier _ | Thread.Blocked_sem _
+      | Thread.Blocked_sleep | Thread.Paused | Thread.Finished ->
+        false
+    in
+    if still_spinning && occupying t thread then begin
+      let vc = vctx_of t thread in
+      Sim_vmm.Vmm.pause_loop_exit t.vmm vc.vcpu;
+      arm_ple t thread
     end
 
   (* Spin-then-block: if the barrier flag has not flipped when the grace
      budget expires, the thread futex-sleeps and frees its VCPU. *)
-  and arm_spin_grace t (thread : Thread.t) barrier_id gen =
-    schedule_untracked t ~delay:t.params.spin_grace (fun () ->
-        untracked_fired t;
-        match thread.Thread.status with
-        | Thread.Spin_barrier (bid, g)
-          when bid = barrier_id && g = gen && occupying t thread ->
-          let barrier = get_barrier t bid in
-          if not (Barrier.passed barrier ~gen:g) then begin
-            thread.Thread.status <- Thread.Blocked_barrier (bid, g);
-            rotate_or_halt t (vctx_of t thread)
-          end
-        | Thread.Spin_barrier _ | Thread.Blocked_barrier _ | Thread.Runnable
-        | Thread.Spinning _ | Thread.Blocked_sem _ | Thread.Blocked_sleep | Thread.Paused
-        | Thread.Finished ->
-          ())
+  and arm_spin_grace t (thread : Thread.t) b gen =
+    arm_cont t K_grace ~delay:t.params.spin_grace thread ~obj:b ~arg:gen
+
+  and spin_grace_expired t (thread : Thread.t) b ~gen =
+    let barrier = t.barriers.(b) in
+    match thread.Thread.status with
+    | Thread.Spin_barrier (bid, g)
+      when bid = Barrier.id barrier && g = gen && occupying t thread ->
+      if not (Barrier.passed barrier ~gen:g) then begin
+        thread.Thread.status <- Thread.Blocked_barrier (bid, g);
+        rotate_or_halt t (vctx_of t thread)
+      end
+    | Thread.Spin_barrier _ | Thread.Blocked_barrier _ | Thread.Runnable
+    | Thread.Spinning _ | Thread.Blocked_sem _ | Thread.Blocked_sleep | Thread.Paused
+    | Thread.Finished ->
+      ()
+
+  (* Self-validating like every kernel timer: only a thread still in
+     [Blocked_sleep] is woken (a sleeping thread cannot be
+     re-dispatched, so the status check suffices). *)
+  and sleep_ended t (thread : Thread.t) =
+    match thread.Thread.status with
+    | Thread.Blocked_sleep ->
+      thread.Thread.status <- Thread.Runnable;
+      wake_thread t thread
+    | Thread.Runnable | Thread.Spinning _ | Thread.Spin_barrier _
+    | Thread.Blocked_barrier _ | Thread.Blocked_sem _ | Thread.Paused
+    | Thread.Finished ->
+      ()
+
+  (* Sleep wakes, lock handoffs, barrier releases, PLE windows and
+     spin-grace fallbacks are kernel timers not tracked through a
+     vcpu_ctx: each is a pool entry, counted while in flight, so the
+     decoupled-VMM quiescence gate ({!quiescent}) refuses to migrate a
+     domain whose kernel still has one pending. [Engine.arm] stamps the
+     next sequence number as [Engine.schedule_after] would, so an entry
+     fires exactly where a one-shot scheduled here would. *)
+  and arm_cont t kind ~delay (thread : Thread.t) ~obj ~arg =
+    if t.n_free = 0 then grow_pool t;
+    t.n_free <- t.n_free - 1;
+    let c = t.conts.(t.free_conts.(t.n_free)) in
+    c.kind <- kind;
+    c.thread <- thread.Thread.id;
+    c.obj <- obj;
+    c.arg <- arg;
+    t.pending_untracked <- t.pending_untracked + 1;
+    Engine.arm t.engine c.timer ~delay
+
+  (* Only an empty free stack grows the pool, so the new, longer stack
+     holds just the new entry. *)
+  and grow_pool t =
+    let i = Array.length t.conts in
+    let c =
+      {
+        timer = Engine.timer t.engine (cont_fired t i);
+        kind = K_wake;
+        thread = 0;
+        obj = 0;
+        arg = 0;
+      }
+    in
+    t.conts <- Array.append t.conts [| c |];
+    t.free_conts <- Array.make (i + 1) i;
+    t.n_free <- 1
+
+  (* Entry [i]'s timer action. The entry is idle again before its
+     continuation runs, so the continuation may arm it anew. *)
+  and cont_fired t i () =
+    let c = t.conts.(i) in
+    let kind = c.kind and thread = t.threads.(c.thread) in
+    let obj = c.obj and arg = c.arg in
+    t.free_conts.(t.n_free) <- i;
+    t.n_free <- t.n_free + 1;
+    t.pending_untracked <- t.pending_untracked - 1;
+    match kind with
+    | K_wake -> sleep_ended t thread
+    | K_grant -> grant t obj thread
+    | K_proceed -> barrier_proceed t obj thread
+    | K_ple -> ple_window_closed t thread ~span:arg
+    | K_grace -> spin_grace_expired t thread obj ~gen:arg
 
   (* A blocked thread became runnable (semaphore token or launch). *)
   and wake_thread t (thread : Thread.t) =
@@ -1376,17 +1459,16 @@ module Kernel = struct
     | Some thread -> begin
       match thread.Thread.status with
       | Thread.Runnable -> continue_thread t vc thread
-      | Thread.Spinning lock_id ->
+      | Thread.Spinning _ ->
         arm_ple t thread;
-        handoff_check t (ensure_lock t lock_id)
-      | Thread.Spin_barrier (bid, gen) ->
-        let barrier = get_barrier t bid in
-        if Barrier.passed barrier ~gen then
-          schedule_untracked t ~delay:t.params.flag_latency (fun () ->
-              untracked_fired t;
-              barrier_proceed t barrier thread)
+        handoff_check t thread.Thread.wait_index
+      | Thread.Spin_barrier (_, gen) ->
+        let b = thread.Thread.wait_index in
+        if Barrier.passed t.barriers.(b) ~gen then
+          arm_cont t K_proceed ~delay:t.params.flag_latency thread ~obj:b
+            ~arg:0
         else begin
-          arm_spin_grace t thread bid gen;
+          arm_spin_grace t thread b gen;
           arm_ple t thread
         end
       | Thread.Blocked_barrier _ | Thread.Blocked_sem _ | Thread.Blocked_sleep | Thread.Paused
@@ -1497,9 +1579,13 @@ module Kernel = struct
         hypercall;
         monitor;
         rng;
-        locks = Id_table.create 16;
-        sems = Id_table.create 8;
-        barriers = Id_table.create 8;
+        locks = [||];
+        sems = [||];
+        barriers = [||];
+        lock_index = Id_table.create 16;
+        sem_index = Id_table.create 8;
+        barrier_index = Id_table.create 8;
+        resolved = [];
         vcpus =
           Array.map
             (fun vcpu ->
@@ -1511,13 +1597,15 @@ module Kernel = struct
                 slice = Engine.no_timer;
               })
             domain.Sim_vmm.Domain.vcpus;
-        threads_rev = [];
-        next_thread_id = 0;
+        threads = [||];
         round_hook = (fun _ ~round:_ ~duration:_ -> ());
         finished_hook = (fun _ -> ());
         launched = false;
         halted = false;
         frozen = false;
+        conts = [||];
+        free_conts = [||];
+        n_free = 0;
         pending_untracked = 0;
       }
     in
@@ -1532,25 +1620,59 @@ module Kernel = struct
       t.vcpus;
     t
 
+  let user_lock t id =
+    match Id_table.find_opt t.lock_index id with
+    | Some i -> i
+    | None ->
+      let i = Array.length t.locks in
+      Id_table.replace t.lock_index id i;
+      t.locks <- Array.append t.locks [| Spinlock.create ~id |];
+      i
+
+  (* The program's operands as kernel indices, per code position: one
+     pass over its code the first time the kernel sees it. Ids are
+     fixed from here on, so the instruction path only indexes arrays. *)
+  let operands_of t (program : Program.t) =
+    match List.assq_opt program t.resolved with
+    | Some operands -> operands
+    | None ->
+      List.iter
+        (fun id ->
+          if not (Id_table.mem t.sem_index id) then
+            invalid_arg (Printf.sprintf "Kernel.add_thread: undeclared semaphore %d" id))
+        (Program.semaphores_referenced program);
+      List.iter
+        (fun id ->
+          if not (Id_table.mem t.barrier_index id) then
+            invalid_arg (Printf.sprintf "Kernel.add_thread: undeclared barrier %d" id))
+        (Program.barriers_referenced program);
+      let code = program.Program.code and arg = program.Program.arg in
+      let operands =
+        Array.mapi
+          (fun pc (c : Program.code) ->
+            match c with
+            | Program.C_lock | Program.C_unlock -> user_lock t arg.(pc)
+            | Program.C_sem_wait | Program.C_sem_post ->
+              Id_table.find t.sem_index arg.(pc)
+            | Program.C_barrier -> Id_table.find t.barrier_index arg.(pc)
+            | Program.C_compute | Program.C_compute_rand | Program.C_mark
+            | Program.C_sleep | Program.C_loop | Program.C_back | Program.C_end ->
+              0)
+          code
+      in
+      t.resolved <- (program, operands) :: t.resolved;
+      operands
+
   let add_thread t ?(restart = false) ~affinity program =
     if t.launched then failwith "Kernel.add_thread: kernel already launched";
-    List.iter
-      (fun id ->
-        if not (Id_table.mem t.sems id) then
-          invalid_arg (Printf.sprintf "Kernel.add_thread: undeclared semaphore %d" id))
-      (Program.semaphores_referenced program);
-    List.iter
-      (fun id ->
-        if not (Id_table.mem t.barriers id) then
-          invalid_arg (Printf.sprintf "Kernel.add_thread: undeclared barrier %d" id))
-      (Program.barriers_referenced program);
-    let id = t.next_thread_id in
-    t.next_thread_id <- t.next_thread_id + 1;
+    let operands = operands_of t program in
+    let id = Array.length t.threads in
     let affinity = affinity mod Array.length t.vcpus in
     let thread =
       Thread.make ~id ~affinity ~restart ~rng:(Rng.split t.rng) program
     in
-    t.threads_rev <- thread :: t.threads_rev;
+    thread.Thread.operands <- operands;
+    t.threads <- Array.append t.threads [| thread |];
     Gsched.add t.vcpus.(affinity).gsched thread;
     thread
 
@@ -1558,7 +1680,7 @@ module Kernel = struct
 
   (* The kernel-side quiescence gate: no VCPU online (every per-VCPU
      compute/slice timer is disarmed on preemption and halt, so a
-     fully-offline domain holds none armed) and no untracked timer in
+     fully-offline domain holds none armed) and no pool entry in
      flight. Only then does the kernel own zero events on the current
      engine and the domain may leave this host. *)
   let quiescent t =
@@ -1572,17 +1694,18 @@ module Kernel = struct
 
   (* Domain migration is a two-phase handoff. [park] runs on the source
      host (inside the grant decision): it verifies quiescence and frees
-     the VCPU timers and the monitor's window timer — source-engine
-     slab mutations only the source side may perform. [retarget] runs
-     on the destination host one fabric window later: it binds fresh
-     timers on the destination engine, and every closure the kernel
-     will schedule from here on reads [t.engine]/[t.vmm] through [t],
-     so the swap is complete and the VCPU hooks installed at creation
-     remain valid. *)
+     the VCPU timers, the continuation pool's timers and the monitor's
+     window timer — source-engine slab mutations only the source side
+     may perform. [retarget] runs on the destination host one fabric
+     window later: it binds fresh VCPU timers on the destination
+     engine, where the pool is built again as entries are needed, and
+     every timer action reads [t.engine]/[t.vmm] through [t], so the
+     swap is complete and the VCPU hooks installed at creation remain
+     valid. *)
   (* Ask the guest to drain: every thread retires at its next
      instruction boundary (lock holders first unwind their critical
      sections, spinners fall back to futex sleeps via the usual grace
-     path), after which all VCPUs halt and the pending untracked timers
+     path), after which all VCPUs halt and the pool entries in flight
      fire out — the domain converges to {!quiescent} without outside
      help.  Idempotent; callers poll [quiescent] to learn when the
      drain has landed. *)
@@ -1600,18 +1723,25 @@ module Kernel = struct
 
   let thaw t =
     t.frozen <- false;
-    List.iter
+    Array.iter
       (fun (th : Thread.t) ->
         if th.Thread.status = Thread.Paused then begin
           th.Thread.status <- Thread.Runnable;
           wake_thread t th
         end)
-      (List.rev t.threads_rev)
+      t.threads
 
+  (* Quiescence leaves every pool entry idle. *)
   let park t =
     if not (quiescent t) then failwith "Kernel.park: kernel not quiescent";
     Array.iter (free_timers t) t.vcpus;
+    Array.iter (fun c -> Engine.free_timer t.engine c.timer) t.conts;
+    t.conts <- [||];
+    t.free_conts <- [||];
+    t.n_free <- 0;
     Monitor.park t.monitor
+
+  let pooled_continuations t = Array.length t.conts
 
   let retarget t ~vmm =
     t.vmm <- vmm;
@@ -1631,7 +1761,7 @@ module Kernel = struct
     if t.launched then failwith "Kernel.launch: already launched";
     t.launched <- true;
     let start = now t in
-    List.iter (fun (th : Thread.t) -> th.Thread.round_started <- start) t.threads_rev;
+    Array.iter (fun (th : Thread.t) -> th.Thread.round_started <- start) t.threads;
     Array.iter
       (fun vc ->
         if Gsched.executable_count vc.gsched > 0 then
@@ -1639,27 +1769,26 @@ module Kernel = struct
       t.vcpus
 
   let min_rounds t =
-    match t.threads_rev with
-    | [] -> 0
-    | threads ->
-      List.fold_left
+    if Array.length t.threads = 0 then 0
+    else
+      Array.fold_left
         (fun acc (th : Thread.t) -> Int.min acc th.Thread.rounds)
-        max_int threads
+        max_int t.threads
 
   let total_marks t =
-    List.fold_left (fun acc (th : Thread.t) -> acc + th.Thread.marks) 0 t.threads_rev
+    Array.fold_left (fun acc (th : Thread.t) -> acc + th.Thread.marks) 0 t.threads
 
   let reset_marks t =
-    List.iter (fun (th : Thread.t) -> th.Thread.marks <- 0) t.threads_rev
+    Array.iter (fun (th : Thread.t) -> th.Thread.marks <- 0) t.threads
 
   let all_finished t =
-    t.threads_rev <> []
-    && List.for_all
+    Array.length t.threads > 0
+    && Array.for_all
          (fun (th : Thread.t) -> th.Thread.status = Thread.Finished)
-         t.threads_rev
+         t.threads
 
   let total_spin_cycles t =
-    List.fold_left
+    Array.fold_left
       (fun acc (th : Thread.t) -> acc + th.Thread.total_spin_cycles)
-      0 t.threads_rev
+      0 t.threads
 end

@@ -121,17 +121,20 @@ module Thread : sig
     | Finished
 
   (** Where execution continues once [pending_compute] reaches zero.
-      The operand (cycles or object id) is the thread's [resume_arg]:
-      a constant constructor plus an int field means setting a resume
-      point allocates nothing. *)
+      The operand (cycles, or the object's kernel index) is the
+      thread's [resume_arg]: a constant constructor plus an int field
+      means setting a resume point allocates nothing. *)
   type resume_point =
     | R_fetch  (** fetch the next instruction *)
     | R_sleep  (** begin a timer sleep of [resume_arg] cycles *)
-    | R_acquire  (** attempt to take user spinlock [resume_arg] *)
+    | R_acquire  (** attempt to take the user spinlock at kernel index
+                     [resume_arg] *)
     | R_unlock
     | R_sem_wait
     | R_sem_post
-    | R_barrier_arrive  (** take barrier [resume_arg]'s internal lock *)
+    | R_barrier_arrive
+        (** take the internal lock of the barrier at kernel index
+            [resume_arg] *)
     | R_barrier_locked  (** inside the barrier's critical section *)
     | R_barrier_exit
         (** just observed the generation bump; record the measured wait
@@ -162,6 +165,13 @@ module Thread : sig
         (** [Some] of this thread, built once by [make] and never
             reassigned: the guest scheduler's active slot and its picks
             hand it out instead of boxing. *)
+    mutable operands : int array;
+        (** per code position of [program], the kernel index of the
+            lock, semaphore or barrier the instruction there names; set
+            once by {!Kernel.add_thread} (empty before) *)
+    mutable wait_index : int;
+        (** kernel index of the lock ([Spinning]) or barrier
+            ([Spin_barrier], [Blocked_barrier]) the thread waits on *)
   }
 
   val make :
@@ -581,8 +591,17 @@ module Kernel : sig
 
   val park : t -> unit
   (** Source-side half of a migration: verify {!quiescent} (fails
-      otherwise) and free the VCPU timers and the monitor's window timer
-      on the source engine. Call before {!Sim_vmm.Vmm.detach_domain}. *)
+      otherwise) and free the VCPU timers, the continuation pool's
+      timers and the monitor's window timer on the source engine. Call
+      before {!Sim_vmm.Vmm.detach_domain}. *)
+
+  val pooled_continuations : t -> int
+  (** Entries of the kernel's continuation pool, each an engine timer
+      bound on its current engine that carries one untracked kernel
+      timer (sleep wake, lock handoff, barrier release, PLE window or
+      spin-grace fallback). The pool grows only when every entry is in
+      flight, so this is the most ever in flight at once since the
+      pool was built; {!park} empties it. *)
 
   val retarget : t -> vmm:Sim_vmm.Vmm.t -> unit
   (** Destination-side half: re-point the kernel, its monitor and its

@@ -38,6 +38,7 @@ type t = {
   params : params;
   learner : Roth_erev.t;
   rng : Sim_engine.Rng.t;
+  longest : int;  (** the longest candidate *)
   mutable events : int;
   mutable last_time : int;  (** time of the previous adjusting event *)
   mutable last_index : int;  (** candidate chosen at the previous event *)
@@ -65,6 +66,7 @@ let create params rng =
     params;
     learner = Roth_erev.create params.learner ~candidates;
     rng;
+    longest = Array.fold_left Int.max min_int params.candidates_cycles;
     events = 0;
     last_time = 0;
     last_index = -1;
@@ -98,15 +100,14 @@ let reinforcement t ~slack ~prev_slack j =
        otherwise every propensity decays to the floor and selection
        snaps back to the shortest candidate. *)
     let x_i = p.candidates_cycles.(t.last_index) in
-    let longest = Array.fold_left max min_int p.candidates_cycles in
     if
       p.candidates_cycles.(j) > x_i
-      || (j = t.last_index && x_i = longest)
+      || (j = t.last_index && x_i = t.longest)
     then 1. -. e
     else spread
   end
   else if j = t.last_index then begin
-    let denom = float_of_int (max 1 prev_slack) in
+    let denom = float_of_int (Int.max 1 prev_slack) in
     let ratio = float_of_int slack /. denom in
     let ratio = Float.min p.ratio_cap (Float.max 0. ratio) in
     ratio *. (1. -. e)

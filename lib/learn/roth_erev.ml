@@ -63,9 +63,13 @@ let select_probabilistic t rng =
 
 let update t ~reinforcement =
   let r = t.params.recency in
+  let floor = t.params.floor in
   (* Reinforcements must all be computed against the pre-update
      propensities, so evaluate them before mutating. *)
   let u = Array.init (Array.length t.q) reinforcement in
   Array.iteri
-    (fun j uj -> t.q.(j) <- max t.params.floor (((1. -. r) *. t.q.(j)) +. uj))
+    (fun j uj ->
+      let q = ((1. -. r) *. t.q.(j)) +. uj in
+      (* [Stdlib.max floor q] without its polymorphic compare. *)
+      t.q.(j) <- (if floor >= q then floor else q))
     u

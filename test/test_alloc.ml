@@ -1,9 +1,10 @@
 (* Allocation pins for the event path. Event bodies reuse callbacks
-   built once per VCPU, PCPU and chain, scan run queues in place and
-   keep the RNG state unboxed, so a fired event allocates only a few
-   words on average. Two fixed runs pin that: a single-host ASMan
-   scenario (5.4 words per event measured) and a two-shard decoupled
-   one (4.4). Each bound sits about 20% above the measured value; a
+   built once per VCPU, PCPU and chain, carry the guest kernel's
+   one-off continuations on pooled timers, scan run queues in place
+   and keep the RNG state unboxed, so a fired event allocates only a
+   few words on average. Two fixed runs pin that: a single-host ASMan
+   scenario (2.72 words per event measured) and a two-shard decoupled
+   one (2.32). Each bound sits about 20% above the measured value; a
    compute-completion callback allocated per event again (a closure
    of six words or more, on two events in three) breaks it. *)
 
@@ -54,7 +55,7 @@ let test_single_host () =
         ignore (Runner.run_rounds s ~rounds:4 ~max_sec:60.);
         Sim_engine.Engine.events_fired engine - fired)
   in
-  check_bound "single-host ASMan" ~bound:6.5 words
+  check_bound "single-host ASMan" ~bound:3.3 words
 
 let test_decoupled () =
   let config = { config with Config.sim_jobs = 2 } in
@@ -64,7 +65,7 @@ let test_decoupled () =
         let r = Decouple.run ~workers:1 d ~rounds:4 ~max_sec:60. in
         r.Decouple.rp_events)
   in
-  check_bound "2-shard decoupled" ~bound:5.3 words
+  check_bound "2-shard decoupled" ~bound:2.8 words
 
 let suite =
   [

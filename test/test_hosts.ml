@@ -195,6 +195,50 @@ let test_round_trip_rebinds_timers () =
   Alcotest.(check int) "digest at workers 1 and 2" r.r_digest r2.r_digest;
   Alcotest.(check (list int)) "rounds at workers 1 and 2" r.r_rounds r2.r_rounds
 
+(* A guest that sleeps between short computes moves A -> B. Park
+   empties its continuation pool on A, so each sleep wake after the
+   move is a pool entry bound on B's engine, and those wakes are what
+   keep its marks coming. *)
+let test_sleep_wakes_on_destination () =
+  let us n = Sim_engine.Units.cycles_of_us freq n in
+  let program =
+    Sim_guest.Program.make
+      [
+        Sim_guest.Program.Compute (us 200);
+        Sim_guest.Program.Sleep (us 500);
+        Sim_guest.Program.Mark;
+      ]
+  in
+  let workload =
+    {
+      Sim_workloads.Workload.name = "napper";
+      kind = Sim_workloads.Workload.Throughput;
+      threads = [ { Sim_workloads.Workload.affinity = 0; program; restart = true } ];
+      barriers = [];
+      semaphores = [];
+    }
+  in
+  let h, vm = two_hosts (Scenario.vm ~name:"guest" ~vcpus:1 workload) in
+  let kernel = vm.Hosts.kernel in
+  let pool_at_park = ref (-1) and marks_at_arrival = ref (-1) in
+  at h 0 (cycles 0.05) (fun () ->
+      Hosts.migrate h vm ~dst:1
+        ~shipped:(fun ~downtime:_ ->
+          pool_at_park := Sim_guest.Kernel.pooled_continuations kernel)
+        ~nacked:(fun () -> Alcotest.fail "the freeze drain never landed")
+        ~arrived:(fun () ->
+          marks_at_arrival := Sim_guest.Kernel.total_marks kernel));
+  let (_ : Hosts.run) = Hosts.run ~workers:1 ~until:(cycles 0.5) h in
+  Alcotest.(check int) "moved to B" 1 vm.Hosts.member;
+  Alcotest.(check int) "park emptied the pool" 0 !pool_at_park;
+  Alcotest.(check int) "one sleeper, one entry on B" 1
+    (Sim_guest.Kernel.pooled_continuations kernel);
+  let marks = Sim_guest.Kernel.total_marks kernel in
+  Alcotest.(check bool)
+    (Printf.sprintf "woken on B (marks %d -> %d)" !marks_at_arrival marks)
+    true
+    (!marks_at_arrival >= 0 && marks > !marks_at_arrival + 100)
+
 (* One 2 s compute instruction keeps the VCPU online far past the
    poll bound: the guest is thawed where it is and the move nacks. *)
 let test_exhausted_poll_thaws_in_place () =
@@ -236,6 +280,8 @@ let suite =
       test_busy_worker_invariant;
     Alcotest.test_case "round trip A -> B -> A re-binds timers" `Quick
       test_round_trip_rebinds_timers;
+    Alcotest.test_case "sleep wakes fire on the destination" `Quick
+      test_sleep_wakes_on_destination;
     Alcotest.test_case "exhausted poll thaws in place and nacks" `Quick
       test_exhausted_poll_thaws_in_place;
   ]

@@ -264,6 +264,148 @@ let test_restart_rounds_progress () =
   Alcotest.(check bool) "many rounds" true
     (Sim_guest.Kernel.min_rounds (kernel_of s) >= 5)
 
+(* A kernel on a VMM that is never started, so nothing else runs on
+   the engine: the test plays the scheduler, taking VCPUs online and
+   offline through their hooks. *)
+let hooks_env ~vcpus =
+  let engine = Sim_engine.Engine.create ~seed:2L () in
+  let machine =
+    Sim_hw.Machine.create engine config.Config.cpu config.Config.topology
+  in
+  let vmm = Sim_vmm.Vmm.create machine ~sched:Sim_vmm.Sched_credit.make in
+  let domain = Sim_vmm.Vmm.create_domain vmm ~name:"V" ~weight:256 ~vcpus () in
+  (engine, domain, Sim_guest.Kernel.create vmm domain ())
+
+let dispatch engine (domain : Sim_vmm.Domain.t) i =
+  let v = domain.Sim_vmm.Domain.vcpus.(i) in
+  v.Sim_vmm.Vcpu.state <- Sim_vmm.Vcpu.Running i;
+  v.Sim_vmm.Vcpu.last_dispatch <- Sim_engine.Engine.now engine;
+  v.Sim_vmm.Vcpu.hooks.Sim_vmm.Vcpu.on_scheduled ()
+
+let preempt (domain : Sim_vmm.Domain.t) i =
+  let v = domain.Sim_vmm.Domain.vcpus.(i) in
+  v.Sim_vmm.Vcpu.state <- Sim_vmm.Vcpu.Ready;
+  v.Sim_vmm.Vcpu.hooks.Sim_vmm.Vcpu.on_preempted ()
+
+(* A thread that spins on a barrier's arrival lock while its VCPU is
+   preempted misses the release; when the VCPU comes back, the lock it
+   resumes spinning on must be that barrier's own, which is then handed
+   to it. *)
+let test_barrier_arrival_lock_resumes () =
+  let engine, domain, k = hooks_env ~vcpus:2 in
+  let gp = Sim_guest.Kernel.params k in
+  let ov = gp.Sim_guest.Kernel.instr_overhead in
+  Sim_guest.Kernel.add_barrier k ~id:0 ~parties:3;
+  let holder =
+    Sim_guest.Kernel.add_thread k ~affinity:0
+      (Sim_guest.Program.make [ Sim_guest.Program.Barrier 0 ])
+  in
+  let waiter =
+    Sim_guest.Kernel.add_thread k ~affinity:1
+      (Sim_guest.Program.make
+         [ Sim_guest.Program.Compute (ov / 2); Sim_guest.Program.Barrier 0 ])
+  in
+  let at time f = ignore (Sim_engine.Engine.schedule_at engine ~time f) in
+  (* [holder] owns the arrival lock over [ov, 2 ov); [waiter] requests it
+     at 1.5 ov and is offline when it is released. *)
+  dispatch engine domain 0;
+  dispatch engine domain 1;
+  at (ov + (ov / 2) + (ov / 4)) (fun () -> preempt domain 1);
+  at (3 * ov) (fun () -> dispatch engine domain 1);
+  Sim_engine.Engine.run
+    ~until:((5 * ov) + gp.Sim_guest.Kernel.handoff)
+    engine;
+  let lock =
+    match Sim_guest.Kernel.barrier_stats k with
+    | [ (0, b) ] -> Sim_guest.Barrier.lock b
+    | _ -> Alcotest.fail "expected barrier 0 alone"
+  in
+  Alcotest.(check int) "both arrivals took the arrival lock" 2
+    (Sim_guest.Spinlock.acquisitions lock);
+  Alcotest.(check int) "no waiter left" 0 (Sim_guest.Spinlock.waiter_count lock);
+  List.iter
+    (fun (name, (th : Sim_guest.Thread.t)) ->
+      Alcotest.(check bool) (name ^ " spins on the flag") true
+        (match th.Sim_guest.Thread.status with
+        | Sim_guest.Thread.Spin_barrier (0, 0) -> true
+        | _ -> false))
+    [ ("holder", holder); ("waiter", waiter) ];
+  let ids = List.map fst (Sim_guest.Kernel.lock_stats k) in
+  Alcotest.(check (list int)) "each lock listed once" [ -1 ] ids
+
+(* A sleeping thread's wake is a pooled entry in flight: the kernel is
+   not quiescent, and parking refuses. Once the wake has fired, park
+   frees the pool and leaves the engine as it found it. *)
+let test_park_waits_for_pooled_entries () =
+  let engine, domain, k = hooks_env ~vcpus:1 in
+  let ov = (Sim_guest.Kernel.params k).Sim_guest.Kernel.instr_overhead in
+  let nap = 50 * ov in
+  let _ =
+    Sim_guest.Kernel.add_thread k ~affinity:0
+      (Sim_guest.Program.make [ Sim_guest.Program.Sleep nap ])
+  in
+  let before = Sim_engine.Engine.pending_count engine in
+  dispatch engine domain 0;
+  Sim_engine.Engine.run ~until:(2 * ov) engine;
+  Alcotest.(check int) "one entry, the wake" 1
+    (Sim_guest.Kernel.pooled_continuations k);
+  Alcotest.(check bool) "not quiescent while it sleeps" false
+    (Sim_guest.Kernel.quiescent k);
+  Alcotest.check_raises "park refuses an armed entry"
+    (Failure "Kernel.park: kernel not quiescent") (fun () ->
+      Sim_guest.Kernel.park k);
+  Sim_engine.Engine.run ~until:(nap + (10 * ov)) engine;
+  Alcotest.(check bool) "woke and finished" true
+    (Sim_guest.Kernel.all_finished k);
+  Alcotest.(check bool) "quiescent once it fired" true
+    (Sim_guest.Kernel.quiescent k);
+  Sim_guest.Kernel.park k;
+  Alcotest.(check int) "park empties the pool" 0
+    (Sim_guest.Kernel.pooled_continuations k);
+  Alcotest.(check int) "pending events as before" before
+    (Sim_engine.Engine.pending_count engine)
+
+(* Two threads on two VCPUs sleep and wake 200 times each: the pool
+   grows to the two wakes in flight at once and no further. *)
+let test_pool_holds_peak_in_flight () =
+  let program =
+    Sim_guest.Program.make
+      [
+        Sim_guest.Program.Repeat
+          ( 200,
+            [
+              Sim_guest.Program.Compute (us 100);
+              Sim_guest.Program.Sleep (us 300);
+              Sim_guest.Program.Mark;
+            ] );
+      ]
+  in
+  let workload =
+    {
+      Sim_workloads.Workload.name = "sleepers";
+      kind = Sim_workloads.Workload.Concurrent;
+      threads =
+        List.init 2 (fun affinity ->
+            { Sim_workloads.Workload.affinity; program; restart = false });
+      barriers = [];
+      semaphores = [];
+    }
+  in
+  let s = build ~vcpus:2 workload in
+  let k = kernel_of s in
+  let peak = ref 0 in
+  let rec watch () =
+    peak := Int.max !peak (Sim_guest.Kernel.pooled_continuations k);
+    ignore (Sim_engine.Engine.schedule_after s.Scenario.engine ~delay:(us 50) watch)
+  in
+  watch ();
+  let m = Runner.run_rounds s ~rounds:1 ~max_sec:5. in
+  Alcotest.(check int) "completed" 1 (Runner.vm_metrics m ~vm:"V").Runner.rounds;
+  Alcotest.(check int) "every wake fired" 400 (Sim_guest.Kernel.total_marks k);
+  Alcotest.(check int) "pool at the peak in flight" 2
+    (Sim_guest.Kernel.pooled_continuations k);
+  Alcotest.(check int) "never larger" 2 !peak
+
 let suite =
   [
     Alcotest.test_case "preemption-exact compute" `Quick test_preemption_exact_compute;
@@ -277,4 +419,10 @@ let suite =
     Alcotest.test_case "spin accounting" `Quick test_total_spin_accounting;
     Alcotest.test_case "semaphore pipeline" `Quick test_semaphore_pipeline_order;
     Alcotest.test_case "restart rounds" `Quick test_restart_rounds_progress;
+    Alcotest.test_case "barrier arrival lock resumes" `Quick
+      test_barrier_arrival_lock_resumes;
+    Alcotest.test_case "park waits for pooled entries" `Quick
+      test_park_waits_for_pooled_entries;
+    Alcotest.test_case "pool holds the peak in flight" `Quick
+      test_pool_holds_peak_in_flight;
   ]

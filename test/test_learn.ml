@@ -127,6 +127,40 @@ let test_under_coscheduling_grows_estimate () =
   Alcotest.(check int) "converged to longest candidate"
     cands.(Array.length cands - 1) !last
 
+(* Propensities over a fixed event sequence, pinned bit for bit: gaps
+   past the estimate by 0 to 40 slots reach both of Algorithm 2's
+   branches, and a floor of 0.02 clamps the losing candidates. *)
+let test_pinned_propensities () =
+  let params = Estimator.default_params ~slot_cycles:slot in
+  let params =
+    {
+      params with
+      Estimator.learner = { params.Estimator.learner with Roth_erev.floor = 0.02 };
+    }
+  in
+  let t = Estimator.create params (Rng.create 5L) in
+  let time = ref 0 and x = ref 0 and picks = ref [] in
+  for i = 1 to 40 do
+    time := !time + !x + ([| 0; 20; 3; 40; 1; 9; 30 |].(i mod 7) * slot);
+    x := Estimator.on_adjusting_event t ~now:!time;
+    picks := (!x / (slot / 2)) :: !picks
+  done;
+  Alcotest.(check (list int))
+    "estimates, in half slots"
+    (4 :: List.init 39 (fun _ -> 16))
+    (List.rev !picks);
+  Alcotest.(check (array (float 0.)))
+    "propensities"
+    [|
+      0x1.47ae147ae147bp-6;
+      0x1.47ae147ae147bp-6;
+      0x1.47ae147ae147bp-6;
+      0x1.47ae147ae147bp-6;
+      0x1.9cead874ed518p+2;
+      0x1.10747f80d8da4p+2;
+    |]
+    (Estimator.propensities t)
+
 let test_normalized_propensities () =
   let t = make_estimator () in
   let time = ref 0 in
@@ -252,6 +286,7 @@ let suite =
     Alcotest.test_case "monotone time" `Quick test_monotone_time_required;
     Alcotest.test_case "under-coscheduling grows x" `Quick
       test_under_coscheduling_grows_estimate;
+    Alcotest.test_case "pinned propensities" `Quick test_pinned_propensities;
     Alcotest.test_case "normalized propensities" `Quick test_normalized_propensities;
     Alcotest.test_case "last estimate" `Quick test_last_estimate;
     Alcotest.test_case "estimator validation" `Quick test_estimator_validation;
