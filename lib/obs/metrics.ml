@@ -9,11 +9,20 @@
 
 type key = { subsystem : string; name : string; vm : string option }
 
+(* [None] sorts before any [Some]: the text and JSON exports list
+   samples in this order. *)
 let key_compare a b =
-  match compare a.subsystem b.subsystem with
+  match String.compare a.subsystem b.subsystem with
   | 0 -> (
-    match compare a.name b.name with 0 -> compare a.vm b.vm | c -> c)
+    match String.compare a.name b.name with
+    | 0 -> Option.compare String.compare a.vm b.vm
+    | c -> c)
   | c -> c
+
+let key_equal a b =
+  String.equal a.subsystem b.subsystem
+  && String.equal a.name b.name
+  && Option.equal String.equal a.vm b.vm
 
 let key_to_string k =
   match k.vm with
@@ -55,13 +64,23 @@ type instrument =
   | Gauge of (unit -> int)
   | Histogram of histogram
 
-type t = { mutable items : (key * instrument) list }
+(* Keyed table: registration is O(1) and only [snapshot] sorts. A
+   host registers hundreds of instruments while it is built (a
+   cluster's incubator member one set per trace VM), so set-up must
+   not scan or copy the registry per registration. *)
+module Table = Hashtbl.Make (struct
+  type t = key
 
-let create () = { items = [] }
+  let equal = key_equal
+  let hash = Hashtbl.hash
+end)
 
-let register t key inst =
-  (* Last registration wins; keeps re-arming idempotent. *)
-  t.items <- (key, inst) :: List.remove_assoc key t.items
+type t = instrument Table.t
+
+let create () = Table.create 64
+
+(* Last registration wins; keeps re-arming idempotent. *)
+let register t key inst = Table.replace t key inst
 
 let counter t ~subsystem ?vm ~name () =
   let c = { count = 0 } in
@@ -87,48 +106,49 @@ type sample = { key : key; value : value }
 type snapshot = sample list
 
 let snapshot t : snapshot =
-  t.items
-  |> List.map (fun (key, inst) ->
-         let value =
-           match inst with
-           | Counter c -> Int c.count
-           | Gauge f -> Int (f ())
-           | Histogram h ->
-             Hist
-               { count = h.h_count; sum = h.h_sum; max = h.h_max;
-                 buckets = Array.copy h.buckets }
-         in
-         { key; value })
+  Table.fold
+    (fun key inst acc ->
+      let value =
+        match inst with
+        | Counter c -> Int c.count
+        | Gauge f -> Int (f ())
+        | Histogram h ->
+          Hist
+            { count = h.h_count; sum = h.h_sum; max = h.h_max;
+              buckets = Array.copy h.buckets }
+      in
+      { key; value } :: acc)
+    t []
   |> List.sort (fun a b -> key_compare a.key b.key)
 
 (* Subtract [base] from [snap] pointwise; keys absent from base pass
    through. Histograms don't diff (windowed histograms reset instead),
-   so they pass through too. *)
+   so they pass through too. Both snapshots are sorted by key, so one
+   merge walk pairs them. *)
 let diff ~base snap =
-  let base_int key =
-    List.find_map
-      (fun s ->
-        if key_compare s.key key = 0 then
-          match s.value with Int v -> Some v | Hist _ -> None
-        else None)
-      base
+  let rec go base snap acc =
+    match (snap, base) with
+    | [], _ -> List.rev acc
+    | _ :: _, [] -> List.rev_append acc snap
+    | s :: snap', b :: base' ->
+      let c = key_compare s.key b.key in
+      if c > 0 then go base' snap acc
+      else if c < 0 then go base snap' (s :: acc)
+      else
+        let s =
+          match (s.value, b.value) with
+          | Int v, Int bv -> { s with value = Int (v - bv) }
+          | (Int _ | Hist _), _ -> s
+        in
+        go base' snap' (s :: acc)
   in
-  List.map
-    (fun s ->
-      match s.value with
-      | Int v -> (
-        match base_int s.key with
-        | Some b -> { s with value = Int (v - b) }
-        | None -> s)
-      | Hist _ -> s)
-    snap
+  go base snap []
 
 let find snap ~subsystem ?vm ~name () =
+  let key = { subsystem; name; vm } in
   List.find_map
     (fun s ->
-      if
-        s.key.subsystem = subsystem && s.key.name = name && s.key.vm = vm
-      then
+      if key_equal s.key key then
         match s.value with Int v -> Some v | Hist _ -> None
       else None)
     snap

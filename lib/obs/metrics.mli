@@ -53,7 +53,9 @@ val snapshot : t -> snapshot
 
 val diff : base:snapshot -> snapshot -> snapshot
 (** Pointwise [snap - base] on Int samples (keys missing from [base]
-    pass through); histograms pass through unchanged. *)
+    pass through); histograms pass through unchanged. Both arguments
+    must be sorted by key, as {!snapshot} returns them: one merge
+    walk pairs their samples. *)
 
 val find : snapshot -> subsystem:string -> ?vm:string -> name:string -> unit -> int option
 

@@ -238,6 +238,35 @@ let test_workers_invariant () =
   Alcotest.(check int) "migrations agree" r1.Cluster.cr_migrations
     r2.Cluster.cr_migrations
 
+(* ----- set-up cost ----- *)
+
+(* Building 64 default (2x4) hosts for a 200-VM trace allocates 0.61M
+   minor words: each host's VMM registers its instruments into a keyed
+   table. A registry that copies itself on every registration made
+   this 4.62M, quadratic in the instruments per member (the incubator
+   member registers every trace VM's). *)
+let test_build_alloc () =
+  let c =
+    {
+      (Config.with_seed Config.default 42L) with
+      Config.obs = { Config.default.Config.obs with Config.hub = false };
+    }
+  in
+  let trace =
+    Vtrace.generate ~max_vcpus:(Config.pcpus c) ~seed:42L ~vms:200
+      ~dist:Vtrace.Bimodal ~horizon_sec:1.0 ()
+  in
+  let before = Gc.minor_words () in
+  let (_ : Cluster.t) =
+    Cluster.build c ~sched:Config.Asman ~policy:Placement.Lifetime_aware
+      ~hosts:64 ~trace
+  in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "Cluster.build 64 hosts / 200 VMs: %.2fM minor words \
+                     (bound 1.5M)" (words /. 1e6))
+    true (words < 1.5e6)
+
 let suite =
   [
     Alcotest.test_case "trace generation is deterministic with the prefix \
@@ -254,4 +283,6 @@ let suite =
       `Slow test_policies_diverge_full_run;
     Alcotest.test_case "placement log and digest are worker-count invariant"
       `Slow test_workers_invariant;
+    Alcotest.test_case "building 64 hosts allocates linearly" `Quick
+      test_build_alloc;
   ]

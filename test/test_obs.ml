@@ -247,6 +247,126 @@ let test_metrics_diff_and_lookup () =
       (List.length samples)
   | _ -> Alcotest.fail ("metrics json: " ^ doc)
 
+(* ----- metrics registry: keyed table ----- *)
+
+(* Re-registering a key replaces its instrument, so re-arming an
+   owner is idempotent: one sample per key, read from the last
+   instrument. *)
+let test_metrics_reregister_last_wins () =
+  let m = Metrics.create () in
+  let first = Metrics.counter m ~subsystem:"faults" ~name:"drops" () in
+  let last = Metrics.counter m ~subsystem:"faults" ~name:"drops" () in
+  Metrics.incr first ~by:3;
+  Metrics.incr last ~by:5;
+  Metrics.gauge m ~subsystem:"faults" ~vm:"V1" ~name:"stalls" (fun () -> 1);
+  Metrics.gauge m ~subsystem:"faults" ~vm:"V1" ~name:"stalls" (fun () -> 2);
+  let snap = Metrics.snapshot m in
+  Alcotest.(check int) "one sample per key" 2 (List.length snap);
+  Alcotest.(check int) "counter: the last instrument" 5
+    (Metrics.get snap ~subsystem:"faults" ~name:"drops" ());
+  Alcotest.(check int) "gauge: the last instrument" 2
+    (Metrics.get snap ~subsystem:"faults" ~vm:"V1" ~name:"stalls" ())
+
+(* (subsystem, name, vm) triples with shared prefixes and both vm
+   forms, so every level of the key order is exercised. *)
+let registry_keys =
+  List.concat_map
+    (fun subsystem ->
+      List.concat_map
+        (fun name -> [ (subsystem, name, None); (subsystem, name, Some "V2");
+                       (subsystem, name, Some "V10") ])
+        [ "b"; "a"; "ab" ])
+    [ "vmm"; "guest"; "engine" ]
+
+let shuffled seed l =
+  let st = Random.State.make [| seed |] in
+  List.map (fun x -> (Random.State.bits st, x)) l
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
+
+let test_metrics_snapshot_order_free () =
+  (* Each key's gauge value is a function of the key, not of the
+     registration order, so all snapshots must agree. *)
+  let snap_of keys =
+    let m = Metrics.create () in
+    List.iter
+      (fun ((subsystem, name, vm) as k) ->
+        let v = Hashtbl.hash k in
+        Metrics.gauge m ~subsystem ?vm ~name (fun () -> v))
+      keys;
+    Metrics.to_text (Metrics.snapshot m)
+  in
+  let expected = snap_of registry_keys in
+  List.iter
+    (fun seed ->
+      Alcotest.(check string)
+        (Printf.sprintf "shuffle %d gives the same snapshot" seed)
+        expected (snap_of (shuffled seed registry_keys)))
+    [ 1; 2; 3 ];
+  Alcotest.(check string) "reversed gives the same snapshot" expected
+    (snap_of (List.rev registry_keys));
+  let names =
+    List.map
+      (fun line -> List.hd (String.split_on_char ' ' line))
+      (String.split_on_char '\n' expected)
+  in
+  Alcotest.(check (list string)) "vm-less key first, then by vm"
+    [ "engine/a"; "engine/a{vm=V10}"; "engine/a{vm=V2}" ]
+    (List.filteri (fun i _ -> i < 3) names)
+
+let test_metrics_diff_merge () =
+  (* [base] lacks some of [snap]'s keys and holds some [snap] lacks;
+     the merge must agree with a per-sample lookup. *)
+  let keys = shuffled 7 registry_keys in
+  let base_m = Metrics.create () and snap_m = Metrics.create () in
+  List.iteri
+    (fun i (subsystem, name, vm) ->
+      if i mod 3 <> 0 then
+        Metrics.gauge base_m ~subsystem ?vm ~name (fun () -> i);
+      if i mod 4 <> 1 then
+        Metrics.gauge snap_m ~subsystem ?vm ~name (fun () -> 100 * i))
+    keys;
+  let base = Metrics.snapshot base_m and snap = Metrics.snapshot snap_m in
+  let d = Metrics.diff ~base snap in
+  Alcotest.(check int) "one sample per snap sample" (List.length snap)
+    (List.length d);
+  List.iter2
+    (fun (s : Metrics.sample) (ds : Metrics.sample) ->
+      let k = s.Metrics.key in
+      let subsystem = k.Metrics.subsystem and name = k.Metrics.name in
+      let vm = k.Metrics.vm in
+      let v = Metrics.get [ s ] ~subsystem ?vm ~name () in
+      let expected =
+        match Metrics.find base ~subsystem ?vm ~name () with
+        | Some b -> v - b
+        | None -> v
+      in
+      Alcotest.(check string) "same key" (Metrics.key_to_string k)
+        (Metrics.key_to_string ds.Metrics.key);
+      Alcotest.(check int) (Metrics.key_to_string k) expected
+        (Metrics.get [ ds ] ~subsystem ?vm ~name ()))
+    snap d
+
+(* The keyed table takes 12.2 minor words per registration (the
+   counter, its key, the instrument and the table's bucket cell). A
+   registry that copies an association list on every registration
+   takes about 6,000 words per key at this size, so the bound of 200
+   fails on a return to quadratic registration. *)
+let test_metrics_register_alloc () =
+  let n = 4000 in
+  let names = Array.init n (fun i -> Printf.sprintf "c%d" i) in
+  let m = Metrics.create () in
+  let before = Gc.minor_words () in
+  Array.iter
+    (fun name -> ignore (Metrics.counter m ~subsystem:"alloc" ~name ()))
+    names;
+  let per_key = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per registration (bound 200)" per_key)
+    true (per_key < 200.);
+  Alcotest.(check int) "all registered" n
+    (List.length (Metrics.snapshot m))
+
 let suite =
   [
     Alcotest.test_case "ring wrap and drop accounting" `Quick
@@ -266,4 +386,12 @@ let suite =
       test_lhp_unknown_holder_uses_sibling;
     Alcotest.test_case "metrics diff and lookup" `Quick
       test_metrics_diff_and_lookup;
+    Alcotest.test_case "metrics re-registration keeps the last" `Quick
+      test_metrics_reregister_last_wins;
+    Alcotest.test_case "metrics snapshot ignores registration order" `Quick
+      test_metrics_snapshot_order_free;
+    Alcotest.test_case "metrics diff merges sorted snapshots" `Quick
+      test_metrics_diff_merge;
+    Alcotest.test_case "metrics registration allocation" `Quick
+      test_metrics_register_alloc;
   ]

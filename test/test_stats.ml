@@ -1,4 +1,4 @@
-(* Tests for histograms, summaries, series, tables and CSV. *)
+(* Tests for histograms, series, tables and CSV. *)
 
 open Sim_stats
 
@@ -56,39 +56,6 @@ let prop_hist_total =
         total := !total + Histogram.bucket h k
       done;
       !total = List.length samples)
-
-(* ----- Summary ----- *)
-
-let test_summary_basics () =
-  let s = Summary.create () in
-  List.iter (Summary.add s) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
-  Alcotest.(check int) "count" 8 (Summary.count s);
-  Alcotest.(check (float 1e-9)) "mean" 5. (Summary.mean s);
-  Alcotest.(check (float 1e-6)) "stddev (sample)" 2.13809 (Summary.stddev s);
-  Alcotest.(check (float 1e-9)) "min" 2. (Summary.min_value s);
-  Alcotest.(check (float 1e-9)) "max" 9. (Summary.max_value s)
-
-let test_summary_empty () =
-  let s = Summary.create () in
-  Alcotest.(check bool) "mean nan" true (Float.is_nan (Summary.mean s));
-  Alcotest.(check bool) "variance nan" true (Float.is_nan (Summary.variance s))
-
-let test_percentile () =
-  let values = [| 1.; 2.; 3.; 4. |] in
-  Alcotest.(check (float 1e-9)) "p0" 1. (Summary.percentile values 0.);
-  Alcotest.(check (float 1e-9)) "p100" 4. (Summary.percentile values 1.);
-  Alcotest.(check (float 1e-9)) "p50" 2.5 (Summary.percentile values 0.5);
-  Alcotest.check_raises "empty"
-    (Invalid_argument "Summary.percentile: empty array") (fun () ->
-      ignore (Summary.percentile [||] 0.5))
-
-let prop_mean_within_bounds =
-  QCheck.Test.make ~name:"mean lies within [min, max]"
-    QCheck.(list_of_size (Gen.int_range 1 50) (float_bound_exclusive 1000.))
-    (fun values ->
-      let s = Summary.of_array (Array.of_list values) in
-      Summary.mean s >= Summary.min_value s -. 1e-9
-      && Summary.mean s <= Summary.max_value s +. 1e-9)
 
 (* ----- Series ----- *)
 
@@ -157,10 +124,6 @@ let suite =
     Alcotest.test_case "hist merge" `Quick test_hist_merge;
     Alcotest.test_case "hist negative" `Quick test_hist_negative;
     QCheck_alcotest.to_alcotest prop_hist_total;
-    Alcotest.test_case "summary basics" `Quick test_summary_basics;
-    Alcotest.test_case "summary empty" `Quick test_summary_empty;
-    Alcotest.test_case "percentile" `Quick test_percentile;
-    QCheck_alcotest.to_alcotest prop_mean_within_bounds;
     Alcotest.test_case "series access" `Quick test_series_access;
     Alcotest.test_case "series map/ratio" `Quick test_series_map_ratio;
     Alcotest.test_case "table render" `Quick test_table_render;
