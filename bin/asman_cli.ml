@@ -5,16 +5,27 @@
      experiment <id>... [...]  regenerate figures and ablation studies
                                ('all' = the paper's figures,
                                'ablations' = every ablation study)
+     cluster [...]             simulate a datacenter of hosts with
+                               placement and live migration
      run [...]                 run one ad-hoc scenario and print metrics
      trace [...]               dump a spinlock-wait trace as CSV (Fig 2/8 data)
      lhp [...]                 lock-holder-preemption diagnosis, Credit vs ASMan
      validate-json <file>      check an exported trace/metrics file parses
      learn                     demonstrate the Roth-Erev estimator on a
                                synthetic locality trace
+     check / repro <file>      fuzz the scheduler against the SimCheck
+                               oracles / replay one shrunk case
      compare OLD NEW           diff two runs (registry ids or record
                                files); exit 1 on regression
      report [--out FILE]       render the registry as a self-contained
                                HTML trend page
+
+   The library renders what a run prints (Report.run, Decouple.render,
+   Cluster.render); this file parses flags, calls the library, and
+   writes exports and run records. run --attack prints the usual
+   per-VM table: attained, entitled and theft cycles per VM reach only
+   the run record (vm.<name>.attained_cycles / entitled_cycles /
+   theft_cycles).
 
    run/experiment accept --trace[=FILE] --trace-cats CATS
    --metrics[=FILE] --profile; all default off, and with them off the
@@ -365,19 +376,7 @@ let record_invocation ~kind ?id ~config ?workers ~label ~spec ~wall_sec
       ~exports:(Obs_hub.drain_exports ())
       ()
   in
-  Option.iter
-    (fun path ->
-      Reg.Registry.write path r;
-      Printf.eprintf "run record written to %s\n%!" path)
-    json;
-  match
-    try Reg.Registry.save_if_enabled r
-    with Sys_error msg ->
-      Printf.eprintf "registry: %s\n%!" msg;
-      None
-  with
-  | Some path -> Printf.eprintf "run recorded: %s\n%!" path
-  | None -> ()
+  Reg.Registry.publish ?json r
 
 let kv_section entries =
   Json.List
@@ -639,61 +638,10 @@ let cluster_cmd =
     (* Members are always hosts+1; outcomes are worker-count
        invariant. *)
     let workers = Option.value workers ~default:1 in
-    let wall0 = Unix.gettimeofday () in
     let r = Sim_cluster.Cluster.run ~workers t ~horizon_sec:horizon in
-    let wall = Unix.gettimeofday () -. wall0 in
     let errors = Sim_cluster.Cluster.conservation_errors t in
-    Printf.printf
-      "cluster: %d hosts (%s each), %d VMs (%s lifetimes), policy %s, sched \
-       %s, %d workers\n"
-      r.Sim_cluster.Cluster.cr_hosts
-      (Sim_hw.Topology.to_string config.Config.topology)
-      vms
-      (Sim_cluster.Vtrace.dist_name dist)
-      r.Sim_cluster.Cluster.cr_policy
-      (Config.sched_name sched) r.Sim_cluster.Cluster.cr_workers;
-    List.iter
-      (fun (k, v) -> Printf.printf "  %-24s %s\n" k v)
-      [
-        ("density (VMs/host)",
-         Printf.sprintf "%.3f" r.Sim_cluster.Cluster.cr_density);
-        ("p99 stall (ms)",
-         Printf.sprintf "%.3f" r.Sim_cluster.Cluster.cr_p99_stall_ms);
-        ("mean stall (ms)",
-         Printf.sprintf "%.4f" r.Sim_cluster.Cluster.cr_mean_stall_ms);
-        ("stall samples",
-         string_of_int r.Sim_cluster.Cluster.cr_stall_samples);
-        ("stall tail",
-         String.concat " "
-           (List.map
-              (fun (k, c) -> Printf.sprintf ">=2^%d:%d" k c)
-              r.Sim_cluster.Cluster.cr_stall_tail));
-        ("placements", string_of_int r.Sim_cluster.Cluster.cr_placements);
-        ("deferrals", string_of_int r.Sim_cluster.Cluster.cr_deferrals);
-        ("evictions", string_of_int r.Sim_cluster.Cluster.cr_evictions);
-        ("migrations", string_of_int r.Sim_cluster.Cluster.cr_migrations);
-        ("nacks", string_of_int r.Sim_cluster.Cluster.cr_nacks);
-        ("departures", string_of_int r.Sim_cluster.Cluster.cr_departures);
-        ("repredictions",
-         string_of_int r.Sim_cluster.Cluster.cr_repredictions);
-        ("sim sec", Printf.sprintf "%.3f" r.Sim_cluster.Cluster.cr_sim_sec);
-        ("events", string_of_int r.Sim_cluster.Cluster.cr_events);
-        ("windows", string_of_int r.Sim_cluster.Cluster.cr_windows);
-        ("cross posts", string_of_int r.Sim_cluster.Cluster.cr_cross_posts);
-        ("wall sec", Printf.sprintf "%.2f" wall);
-        ("digest",
-         Printf.sprintf "%08x" (r.Sim_cluster.Cluster.cr_digest land 0xffffffff));
-      ];
-    List.iter
-      (fun (h : Sim_cluster.Cluster.host_report) ->
-        Printf.printf "  host %d: peak %d slots, final [%s]\n"
-          h.Sim_cluster.Cluster.h_host h.Sim_cluster.Cluster.h_peak_used
-          (String.concat " " h.Sim_cluster.Cluster.h_physical))
-      r.Sim_cluster.Cluster.cr_host_reports;
-    if log then
-      List.iter
-        (fun (time, s) -> Printf.printf "  @%-12d %s\n" time s)
-        r.Sim_cluster.Cluster.cr_log;
+    print_string
+      (Sim_cluster.Cluster.render ~log config ~sched ~dist r);
     List.iter (fun e -> Printf.printf "CONSERVATION: %s\n" e) errors;
     record_invocation ~kind:"cluster" ~config ~workers
       ~label:
@@ -710,29 +658,11 @@ let cluster_cmd =
              ("horizon_sec", Json.Float horizon);
              ("sched", Json.String (Config.sched_name sched));
            ])
-      ~wall_sec:wall
+      ~wall_sec:r.Sim_cluster.Cluster.cr_wall_sec
       ~sections:
         (Json.Obj
            [
-             ( "cluster",
-               kv_section
-                 [
-                   ("density", r.Sim_cluster.Cluster.cr_density);
-                   ("p99_stall_ms", r.Sim_cluster.Cluster.cr_p99_stall_ms);
-                   ("mean_stall_ms", r.Sim_cluster.Cluster.cr_mean_stall_ms);
-                   ("migrations",
-                    float_of_int r.Sim_cluster.Cluster.cr_migrations);
-                   ("evictions",
-                    float_of_int r.Sim_cluster.Cluster.cr_evictions);
-                   ("deferrals",
-                    float_of_int r.Sim_cluster.Cluster.cr_deferrals);
-                   ("departures",
-                    float_of_int r.Sim_cluster.Cluster.cr_departures);
-                   ("placements",
-                    float_of_int r.Sim_cluster.Cluster.cr_placements);
-                   ("repredictions",
-                    float_of_int r.Sim_cluster.Cluster.cr_repredictions);
-                 ] );
+             ("cluster", kv_section (Sim_cluster.Cluster.report_metrics r));
            ])
       ();
     if errors = [] then 0 else 1
@@ -780,8 +710,6 @@ let workload_conv =
   in
   Arg.conv (parse, print)
 
-let build_workload config w = Scenario.workload_of_desc config w
-
 let run_cmd =
   let vms_arg =
     let doc = "Workload per VM (repeatable): each VM gets 4 VCPUs." in
@@ -823,8 +751,11 @@ let run_cmd =
        $(b,steal) (low-rate cycle stealing) or $(b,launder) (a coordinated \
        phase-offset pair). Attack programs never finish a round, so the run \
        measures a fixed window of $(b,--max-sec) simulated seconds and \
-       reports attained vs entitled cycles per VM. Try with \
-       $(b,--accounting sampled) vs the precise default."
+       prints each VM's online rate against its expected share. Attained, \
+       entitled and theft cycles per VM go to the run record only \
+       ($(b,vm.)$(i,NAME)$(b,.attained_cycles), $(b,.entitled_cycles), \
+       $(b,.theft_cycles)). Try with $(b,--accounting sampled) vs the \
+       precise default."
     in
     Arg.(
       value
@@ -842,34 +773,25 @@ let run_cmd =
       | Some a -> { config with Config.accounting = a }
       | None -> assert false (* Arg.enum already validated *)
     in
-    let attackers =
+    let attack_specs =
       match attack with
       | None -> []
-      | Some "dodge" -> [ ("A1:attack-dodge", Scenario.W_attack_dodge { threads = 1 }) ]
-      | Some "steal" -> [ ("A1:attack-steal", Scenario.W_attack_steal { threads = 1 }) ]
-      | Some "launder" ->
-        [
-          ("A1:attack-launder", Scenario.W_attack_launder { threads = 1; phased = false });
-          ("A2:attack-launder", Scenario.W_attack_launder { threads = 1; phased = true });
-        ]
-      | Some _ -> assert false (* Arg.enum already validated *)
-    in
-    let attack_specs =
-      List.map
-        (fun (name, desc) ->
-          {
-            Scenario.vm_name = name;
-            weight = 128;
-            vcpus = 1;
-            workload = Some (Scenario.workload_of_desc config desc);
-          })
-        attackers
+      | Some a ->
+        List.map
+          (fun (n, desc) ->
+            {
+              Scenario.vm_name = n ^ ":attack-" ^ a;
+              weight = 128;
+              vcpus = 1;
+              workload = Some (Scenario.workload_of_desc config desc);
+            })
+          (Experiments.theft_attackers a)
     in
     let specs =
       attack_specs
       @ List.mapi
           (fun i w ->
-            let workload = build_workload config w in
+            let workload = Scenario.workload_of_desc config w in
             {
               Scenario.vm_name =
                 Printf.sprintf "V%d:%s" (i + 1)
@@ -898,39 +820,8 @@ let run_cmd =
         try Decouple.build config ~sched ~vms:specs
         with Invalid_argument msg -> raise (Usage_error msg)
       in
-      let host_t0 = Unix.gettimeofday () in
       let r = Decouple.run ?workers d ~rounds ~max_sec in
-      let host_wall = Unix.gettimeofday () -. host_t0 in
-      Printf.printf
-        "scheduler: %s   decoupled: %d shards x %d workers   simulated: %.3f \
-         s   events: %d\n\n"
-        (Config.sched_name sched) r.Decouple.rp_shards r.Decouple.rp_workers
-        r.Decouple.rp_sim_sec r.Decouple.rp_events;
-      let headers = [ "VM"; "rounds"; "migrations"; "final shard" ] in
-      let rows =
-        List.map
-          (fun (v : Decouple.vm_report) ->
-            [
-              v.Decouple.r_vm;
-              string_of_int v.Decouple.r_rounds;
-              string_of_int v.Decouple.r_migrations;
-              string_of_int v.Decouple.r_final_shard;
-            ])
-          r.Decouple.rp_vms
-      in
-      print_string (Sim_stats.Table.render ~headers rows);
-      print_newline ();
-      Printf.printf
-        "fabric: %d windows, %d cross-shard posts (max %d per window), \
-         lookahead %d cycles\n"
-        r.Decouple.rp_windows r.Decouple.rp_cross_posts
-        r.Decouple.rp_max_window_mail (Decouple.lookahead d);
-      Printf.printf
-        "steals: %d requests, %d grants, %d nacks, mean latency %.0f cycles\n"
-        r.Decouple.rp_steal_reqs r.Decouple.rp_grants r.Decouple.rp_nacks
-        r.Decouple.rp_mean_steal_latency_cycles;
-      Printf.printf "decoupled digest: %08x\n"
-        (r.Decouple.rp_digest land 0xffffffff);
+      print_string (Decouple.render ~sched d r);
       export ();
       record_invocation ~kind:"run" ~config ~workers:r.Decouple.rp_workers
         ~label:
@@ -949,7 +840,7 @@ let run_cmd =
                ("rounds", Json.Int rounds);
                ("max_sec", Json.Float max_sec);
              ])
-        ~wall_sec:host_wall
+        ~wall_sec:r.Decouple.rp_wall_sec
         ~metrics:(Decouple.report_metrics r) ();
       0
     end
@@ -963,45 +854,7 @@ let run_cmd =
       else Runner.run_rounds scenario ~rounds ~max_sec
     in
     let host_wall = Unix.gettimeofday () -. host_t0 in
-    Printf.printf "scheduler: %s   simulated: %.3f s   events: %d   ipis: %d\n\n"
-      (Config.sched_name sched) metrics.Runner.wall_sec
-      metrics.Runner.events_fired metrics.Runner.ipis;
-    let headers =
-      [
-        "VM"; "rounds"; "mean round (s)"; "online"; "expected"; "over-thr";
-        "vcrd flips";
-      ]
-    in
-    let rows =
-      List.map
-        (fun (vm : Runner.vm_metrics) ->
-          let mean =
-            match vm.Runner.round_sec with
-            | [] -> nan
-            | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
-          in
-          [
-            vm.Runner.vm_name;
-            string_of_int vm.Runner.rounds;
-            Sim_stats.Table.fixed ~decimals:3 mean;
-            Sim_stats.Table.fixed ~decimals:3 vm.Runner.online_rate;
-            Sim_stats.Table.fixed ~decimals:3 vm.Runner.expected_online;
-            string_of_int vm.Runner.spin_over_threshold;
-            string_of_int vm.Runner.vcrd_transitions;
-          ])
-        metrics.Runner.vms
-    in
-    print_string (Sim_stats.Table.render ~headers rows);
-    print_newline ();
-    print_string (Report.health_summary metrics);
-    let violations = Sim_vmm.Vmm.invariant_violations scenario.Scenario.vmm in
-    List.iteri
-      (fun i msg -> if i < 5 then Printf.printf "  violation: %s\n" msg)
-      violations;
-    (match violations with
-    | _ :: _ :: _ :: _ :: _ :: _ :: _ ->
-      Printf.printf "  ... and %d more\n" (List.length violations - 5)
-    | _ -> ());
+    print_string (Report.run ~sched scenario metrics);
     export ();
     record_invocation ~kind:"run" ~config
       ~label:
@@ -1053,16 +906,9 @@ let trace_cmd =
     | None ->
       raise (Usage_error (Printf.sprintf "unknown NAS benchmark %S" bench))
     | Some b ->
-      let config = Config.with_work_conserving config false in
-      let workload =
-        Sim_workloads.Nas.workload
-          (Sim_workloads.Nas.params b ~freq:(Config.freq config)
-             ~scale:config.Config.scale)
-      in
       let scenario =
-        Scenario.build config ~sched
-          ~vms:
-            [ { Scenario.vm_name = "V1"; weight; vcpus = 4; workload = Some workload } ]
+        Experiments.single_vm_scenario config ~sched ~weight
+          ~workload:(Experiments.nas_workload config b)
       in
       let rows = ref [] in
       Sim_guest.Monitor.on_traced_wait (Runner.monitor_of scenario ~vm:"V1")
@@ -1106,16 +952,12 @@ let lhp_cmd =
     in
     let specs =
       List.init nvms (fun i ->
-          let workload =
-            Sim_workloads.Nas.workload
-              (Sim_workloads.Nas.params Sim_workloads.Nas.LU
-                 ~freq:(Config.freq config) ~scale:config.Config.scale)
-          in
           {
             Scenario.vm_name = Printf.sprintf "V%d:lu" (i + 1);
             weight = 256;
             vcpus = 4;
-            workload = Some workload;
+            workload =
+              Some (Experiments.nas_workload config Sim_workloads.Nas.LU);
           })
     in
     let scenario = Scenario.build config ~sched ~vms:specs in

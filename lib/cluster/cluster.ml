@@ -627,6 +627,73 @@ let run ?workers t ~horizon_sec =
           });
   }
 
+(* Every summary row of a report, in printed order: the label, the
+   run record's ["cluster"] entry (key, value) when the row is
+   recorded, and the printed form. *)
+let report_rows r =
+  let int ?key label v =
+    (label, Option.map (fun k -> (k, float_of_int v)) key, string_of_int v)
+  in
+  let flt ?key fmt label v =
+    (label, Option.map (fun k -> (k, v)) key, Printf.sprintf fmt v)
+  in
+  [
+    flt ~key:"density" "%.3f" "density (VMs/host)" r.cr_density;
+    flt ~key:"p99_stall_ms" "%.3f" "p99 stall (ms)" r.cr_p99_stall_ms;
+    flt ~key:"mean_stall_ms" "%.4f" "mean stall (ms)" r.cr_mean_stall_ms;
+    int "stall samples" r.cr_stall_samples;
+    ( "stall tail",
+      None,
+      String.concat " "
+        (List.map (fun (k, c) -> Printf.sprintf ">=2^%d:%d" k c) r.cr_stall_tail)
+    );
+    int ~key:"placements" "placements" r.cr_placements;
+    int ~key:"deferrals" "deferrals" r.cr_deferrals;
+    int ~key:"evictions" "evictions" r.cr_evictions;
+    int ~key:"migrations" "migrations" r.cr_migrations;
+    int "nacks" r.cr_nacks;
+    int ~key:"departures" "departures" r.cr_departures;
+    int ~key:"repredictions" "repredictions" r.cr_repredictions;
+    flt "%.3f" "sim sec" r.cr_sim_sec;
+    int "events" r.cr_events;
+    int "windows" r.cr_windows;
+    int "cross posts" r.cr_cross_posts;
+    flt "%.2f" "wall sec" r.cr_wall_sec;
+    ("digest", None, Printf.sprintf "%08x" (r.cr_digest land 0xffffffff));
+  ]
+
+(* The record section keeps the entry order it has always had, so a
+   record compares entry for entry with older ones. *)
+let report_metrics r =
+  let recorded = List.filter_map (fun (_, e, _) -> e) (report_rows r) in
+  List.map
+    (fun k -> (k, List.assoc k recorded))
+    [
+      "density"; "p99_stall_ms"; "mean_stall_ms"; "migrations"; "evictions";
+      "deferrals"; "departures"; "placements"; "repredictions";
+    ]
+
+let render ?(log = false) config ~sched ~dist r =
+  let buf = Buffer.create 4096 in
+  let line fmt = Printf.bprintf buf fmt in
+  line
+    "cluster: %d hosts (%s each), %d VMs (%s lifetimes), policy %s, sched \
+     %s, %d workers\n"
+    r.cr_hosts
+    (Sim_hw.Topology.to_string config.Asman.Config.topology)
+    (List.length r.cr_vms) (Vtrace.dist_name dist) r.cr_policy
+    (Asman.Config.sched_name sched) r.cr_workers;
+  List.iter
+    (fun (label, _, shown) -> line "  %-24s %s\n" label shown)
+    (report_rows r);
+  List.iter
+    (fun h ->
+      line "  host %d: peak %d slots, final [%s]\n" h.h_host h.h_peak_used
+        (String.concat " " h.h_physical))
+    r.cr_host_reports;
+  if log then List.iter (fun (time, s) -> line "  @%-12d %s\n" time s) r.cr_log;
+  Buffer.contents buf
+
 (* ----- cluster-conservation oracle ----- *)
 
 (* Slack granted to in-flight drains when judging "this VM should

@@ -101,6 +101,22 @@ val run : ?workers:int -> t -> horizon_sec:float -> report
 (** Drive the fabric to the horizon (or until every trace VM has
     departed). The report is identical at any [workers]. *)
 
+val report_rows : report -> (string * (string * float) option * string) list
+(** Every summary field, in printed order: label, run-record entry
+    [(key, value)] if it is recorded, printed form. *)
+
+val report_metrics : report -> (string * float) list
+(** The recorded entries of {!report_rows}, as the run record's
+    ["cluster"] section lists them: [density] first, [repredictions]
+    last. *)
+
+val render :
+  ?log:bool -> Asman.Config.t -> sched:Asman.Config.sched_kind ->
+  dist:Vtrace.dist -> report -> string
+(** The stdout of [asman_cli cluster]: a header, the {!report_rows},
+    each host's peak and final residents, and with [log] (default
+    off) the placement log. *)
+
 val placement_log : t -> (int * string) list
 (** The controller's event log (time, event), oldest first; the
     placement-determinism oracle compares it across worker counts. *)

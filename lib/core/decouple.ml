@@ -320,4 +320,33 @@ let report_metrics r =
     (fun (k, v, _) -> Option.map (fun v -> (k, v)) v)
     (report_rows r)
 
-let report_kv r = List.map (fun (k, _, s) -> (k, s)) (report_rows r)
+let render ~sched t r =
+  let shown =
+    let rows = List.map (fun (k, _, s) -> (k, s)) (report_rows r) in
+    fun k -> List.assoc k rows
+  in
+  let vm v k = shown (Printf.sprintf "vm.%s.%s" v.r_vm k) in
+  let buf = Buffer.create 1024 in
+  let line fmt = Printf.bprintf buf fmt in
+  line "scheduler: %s   decoupled: %s shards x %s workers   simulated: %s s   \
+        events: %s\n\n"
+    (Config.sched_name sched) (shown "shards") (shown "workers")
+    (shown "sim_sec") (shown "events");
+  Buffer.add_string buf
+    (Sim_stats.Table.render
+       ~headers:[ "VM"; "rounds"; "migrations"; "final shard" ]
+       (List.map
+          (fun v ->
+            [ v.r_vm; vm v "rounds"; vm v "migrations"; vm v "final_shard" ])
+          r.rp_vms));
+  Buffer.add_char buf '\n';
+  line
+    "fabric: %s windows, %s cross-shard posts (max %s per window), lookahead \
+     %d cycles\n"
+    (shown "windows") (shown "cross_posts") (shown "max_window_mail")
+    (lookahead t);
+  line "steals: %s requests, %s grants, %s nacks, mean latency %s cycles\n"
+    (shown "steal_reqs") (shown "grants") (shown "nacks")
+    (shown "mean_steal_latency_cycles");
+  line "decoupled digest: %s\n" (shown "digest");
+  Buffer.contents buf

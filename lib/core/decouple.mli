@@ -85,9 +85,11 @@ val run : ?workers:int -> t -> rounds:int -> max_sec:float -> report
     recommended domain count, clamped to the shard count. A [t] is
     single-shot: run it once. *)
 
-val report_kv : report -> (string * string) list
-(** Flat key/value view of a report for printing and benchmarks
-    (per-VM rows are prefixed [vm.<name>.]). *)
-
 val report_metrics : report -> (string * float) list
-(** Numeric view of the same keys for run-registry snapshots. *)
+(** The report's numeric fields for the run record (per-VM keys are
+    prefixed [vm.<name>.]). *)
+
+val render : sched:Config.sched_kind -> t -> report -> string
+(** The stdout of a decoupled [asman_cli run]: a header, the per-VM
+    table (rounds, migrations, final shard), then the [fabric:],
+    [steals:] and [decoupled digest:] lines. *)

@@ -36,6 +36,17 @@ val online_rate_points : (int * float) list
     8-VCPU weight-256 Dom0: 256 -> 100, 128 -> 66.7, 64 -> 40,
     32 -> 22.2 (Equations 1-2). *)
 
+val single_vm_scenario :
+  Config.t -> sched:Config.sched_kind -> weight:int ->
+  workload:Sim_workloads.Workload.t -> Scenario.t
+(** A 4-VCPU VM ["V1"] next to Dom0, non-work-conserving (§5.2). *)
+
+val nas_workload : Config.t -> Sim_workloads.Nas.bench -> Sim_workloads.Workload.t
+
+val theft_attackers : string -> (string * Scenario.workload_desc) list
+(** An attack's VMs ([dodge], [steal], [launder]) as [(name, workload)]:
+    [A1], plus [A2] for the laundering pair. *)
+
 val nas_runtime :
   Config.t ->
   sched:Config.sched_kind ->

@@ -20,36 +20,60 @@ let outcome (e : Experiments.t) (o : Experiments.outcome) =
     o.Experiments.notes;
   Buffer.contents buf
 
-let summary_line (e : Experiments.t) (o : Experiments.outcome) =
-  Printf.sprintf "%-7s %-55s %d series, %d notes" e.Experiments.id
-    e.Experiments.title
-    (List.length o.Experiments.series)
-    (List.length o.Experiments.notes)
+(* A VM's mean round time; nan (printed "-") when it completed none. *)
+let mean_round (vm : Runner.vm_metrics) =
+  match vm.Runner.round_sec with
+  | [] -> nan
+  | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
 
-let health_summary (m : Runner.metrics) =
-  let buf = Buffer.create 256 in
+let run ~sched (s : Scenario.t) (m : Runner.metrics) =
+  let buf = Buffer.create 1024 in
+  let line fmt = Printf.bprintf buf fmt in
+  line "scheduler: %s   simulated: %.3f s   events: %d   ipis: %d\n\n"
+    (Config.sched_name sched) m.Runner.wall_sec m.Runner.events_fired
+    m.Runner.ipis;
+  Buffer.add_string buf
+    (Table.render
+       ~headers:
+         [
+           "VM"; "rounds"; "mean round (s)"; "online"; "expected"; "over-thr";
+           "vcrd flips";
+         ]
+       (List.map
+          (fun (vm : Runner.vm_metrics) ->
+            [
+              vm.Runner.vm_name;
+              string_of_int vm.Runner.rounds;
+              Table.fixed ~decimals:3 (mean_round vm);
+              Table.fixed ~decimals:3 vm.Runner.online_rate;
+              Table.fixed ~decimals:3 vm.Runner.expected_online;
+              string_of_int vm.Runner.spin_over_threshold;
+              string_of_int vm.Runner.vcrd_transitions;
+            ])
+          m.Runner.vms));
+  Buffer.add_char buf '\n';
   let section title l =
     if l <> [] then begin
-      Buffer.add_string buf (title ^ ":\n");
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_string buf (Printf.sprintf "  %-24s %d\n" k v))
-        l
+      line "%s:\n" title;
+      List.iter (fun (k, v) -> line "  %-24s %d\n" k v) l
     end
   in
   section "scheduler health" m.Runner.sched_counters;
   section "fault injection" m.Runner.fault_stats;
-  Buffer.add_string buf
-    (Printf.sprintf "invariant violations: %d\n" m.Runner.invariant_violations);
+  line "invariant violations: %d\n" m.Runner.invariant_violations;
   List.iter
     (fun (v : Runner.vm_metrics) ->
       if v.Runner.watchdog_demotions > 0 || v.Runner.invariant_violations > 0
       then
-        Buffer.add_string buf
-          (Printf.sprintf "  %-24s demotions=%d violations=%d\n"
-             v.Runner.vm_name v.Runner.watchdog_demotions
-             v.Runner.invariant_violations))
+        line "  %-24s demotions=%d violations=%d\n" v.Runner.vm_name
+          v.Runner.watchdog_demotions v.Runner.invariant_violations)
     m.Runner.vms;
+  let violations = Sim_vmm.Vmm.invariant_violations s.Scenario.vmm in
+  List.iteri
+    (fun i msg -> if i < 5 then line "  violation: %s\n" msg)
+    violations;
+  if List.length violations > 5 then
+    line "  ... and %d more\n" (List.length violations - 5);
   Buffer.contents buf
 
 let series_csv series = Csv.to_string (Csv.of_series series)

@@ -3,14 +3,13 @@
 val outcome : Experiments.t -> Experiments.outcome -> string
 (** Title, measured-series table, paper-series table (if any), notes. *)
 
-val summary_line : Experiments.t -> Experiments.outcome -> string
-(** One line: id, title, series count. *)
-
-val health_summary : Runner.metrics -> string
-(** Watchdog counters, fault-injector tallies and the invariant
-    violation count of one run (as printed by [asman_cli run]),
-    with a per-VM demotion/violation breakdown for any VM the
-    watchdog demoted or the invariant checker flagged. *)
+val run : sched:Config.sched_kind -> Scenario.t -> Runner.metrics -> string
+(** The stdout of [asman_cli run] on one host: a header, the per-VM
+    table (rounds, mean round time, online vs expected rate,
+    over-threshold waits, VCRD flips), watchdog and fault-injector
+    counters, the invariant violation count with a line per VM the
+    watchdog demoted or the checker flagged, then the first five
+    recorded violations. *)
 
 val series_csv : Sim_stats.Series.t list -> string
 

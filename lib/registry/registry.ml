@@ -30,8 +30,6 @@ let rec mkdir_p path =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let ensure_dir = mkdir_p
-
 let write path r =
   Out_channel.with_open_bin path (fun oc ->
       output_string oc (Json.to_string ~indent:true (Record.to_json r)))
@@ -52,6 +50,17 @@ let save ?dir:d (r : Record.t) =
 
 let save_if_enabled r =
   match dir () with None -> None | Some d -> Some (save ~dir:d r)
+
+let publish ?json r =
+  Option.iter
+    (fun path ->
+      write path r;
+      Printf.eprintf "run record written to %s\n%!" path)
+    json;
+  match save_if_enabled r with
+  | Some path -> Printf.eprintf "run recorded: %s\n%!" path
+  | None -> ()
+  | exception Sys_error msg -> Printf.eprintf "registry: %s\n%!" msg
 
 let read_file path =
   In_channel.with_open_bin path In_channel.input_all

@@ -10,10 +10,6 @@ val dir : unit -> string option
 (** Resolved registry directory, or [None] when recording is
     disabled ([ASMAN_RUNS=""]). *)
 
-val ensure_dir : string -> unit
-(** [mkdir -p], for callers that park other run state (e.g. the
-    bench cost cache) next to the records. *)
-
 val fresh_id : kind:string -> string
 (** A unique record id: timestamp + kind + pid (+ a per-process
     counter when one process records twice in a second). *)
@@ -26,8 +22,12 @@ val save : ?dir:string -> Record.t -> string
     and return the path. [dir] defaults to {!dir} and raises
     [Invalid_argument] when recording is disabled. *)
 
-val save_if_enabled : Record.t -> string option
-(** {!save} into {!dir}, or [None] when disabled. *)
+val publish : ?json:string -> Record.t -> unit
+(** Write the record to [json] when given (a failure raises: the
+    caller asked for that file), then {!save} it into {!dir} unless
+    recording is disabled, noting each path on stderr. A [Sys_error]
+    from the registry save is printed to stderr and swallowed:
+    recording never fails the run. *)
 
 val load : string -> Record.t
 (** Parse one record file. Raises {!Sim_obs.Json.Parse_error} / [Sys_error]. *)

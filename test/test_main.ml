@@ -30,4 +30,5 @@ let () =
       ("alloc", Test_alloc.suite);
       ("cluster", Test_cluster.suite);
       ("registry", Test_registry.suite);
+      ("render", Test_render.suite);
     ]

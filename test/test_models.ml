@@ -171,17 +171,6 @@ let test_trace_csv () =
   Alcotest.(check string) "row" "100,2048,11,3" (List.nth lines 1);
   Alcotest.(check string) "zero wait row" "200,0,0,-1001" (List.nth lines 2)
 
-let test_summary_line () =
-  match Asman.Experiments.find "fig7" with
-  | None -> Alcotest.fail "fig7 missing"
-  | Some e ->
-    let outcome =
-      { Asman.Experiments.series = []; expected = []; notes = [ "n" ] }
-    in
-    let line = Asman.Report.summary_line e outcome in
-    Alcotest.(check bool) "mentions id" true
-      (String.length line > 4 && String.sub line 0 4 = "fig7")
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_spinlock_model;
@@ -190,5 +179,4 @@ let suite =
     Alcotest.test_case "estimator coverage" `Quick
       test_estimator_covers_persistent_locality;
     Alcotest.test_case "trace csv" `Quick test_trace_csv;
-    Alcotest.test_case "summary line" `Quick test_summary_line;
   ]
