@@ -438,15 +438,6 @@ let experiment_cmd =
     let doc = "Also print the measured series as CSV." in
     Arg.(value & flag & info [ "csv" ] ~doc)
   in
-  let cost_cache_arg =
-    let doc =
-      "Persist per-job wall times to $(docv) and use them to order each \
-       figure's jobs longest-first on later runs (LPT; shortens the \
-       parallel straggler tail, never changes results)."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "cost-cache" ] ~doc ~docv:"FILE")
-  in
   let json_arg =
     let doc =
       "Also write the invocation's run record to $(docv) (`asman compare` \
@@ -454,23 +445,19 @@ let experiment_cmd =
     in
     Arg.(value & opt (some string) None & info [ "json" ] ~doc ~docv:"FILE")
   in
-  let run ids csv jobs cost_cache json config (obs, export) =
+  let run ids csv jobs json config (obs, export) =
     let experiments = resolve_ids ids in
     Pool.set_jobs jobs;
-    Option.iter Pool.load_cost_cache cost_cache;
     let config = { config with Config.obs } in
     let fairness = ref [] and cluster = ref [] in
     (* One figure, with its Pool accounting: host timings go to stderr
-       and the record, never to stdout. Tagging the jobs with the id
-       feeds the LPT cost cache. *)
+       and the record, never to stdout. *)
     let run_one (e : Experiments.t) =
       let id = e.Experiments.id in
       Pool.reset_accounting ();
-      Pool.set_job_group (Some id);
       let t0 = Unix.gettimeofday () in
       let outcome = e.Experiments.run config in
       let wall_sec = Unix.gettimeofday () -. t0 in
-      Pool.set_job_group None;
       let stats = Pool.accounting () in
       if id = "theft" then
         fairness := !fairness @ Experiments.fairness_entries outcome;
@@ -505,7 +492,6 @@ let experiment_cmd =
           ] )
     in
     let runs = List.map run_one experiments in
-    Option.iter Pool.save_cost_cache cost_cache;
     export ();
     let total f = List.fold_left (fun acc r -> acc +. f r) 0. runs in
     let fairness_json (fid, ratio) =
@@ -557,7 +543,7 @@ let experiment_cmd =
     (Cmd.info "experiment"
        ~doc:"Regenerate figures of the paper and run ablation studies")
     Term.(
-      const run $ ids_arg $ csv_arg $ jobs_arg $ cost_cache_arg $ json_arg
+      const run $ ids_arg $ csv_arg $ jobs_arg $ json_arg
       $ config_term ~invariants:true ~host:true ~chaos:true
       $ obs_term)
 

@@ -112,7 +112,6 @@ let run_once ?queue (spec : Spec.t) =
       Oracle.pcpus = Config.pcpus config;
       slot_cycles = Sim_hw.Cpu_model.slot_cycles config.Config.cpu;
       slots_per_period = config.Config.cpu.Sim_hw.Cpu_model.slots_per_period;
-      credit_unit = config.Config.credit_unit;
       work_conserving = spec.Spec.work_conserving;
       clean = Sim_faults.Fault.is_none config.Config.faults;
       sched = spec.Spec.sched;

@@ -13,11 +13,12 @@ type vm_obs = {
   o_attacker : bool;
 }
 
+let credit_unit = Sim_vmm.Credit.default_credit_unit
+
 type input = {
   pcpus : int;
   slot_cycles : int;
   slots_per_period : int;
-  credit_unit : int;
   work_conserving : bool;
   clean : bool;
   sched : string;
@@ -104,9 +105,9 @@ let credit_bounds =
     name = "credit-bounds";
     check =
       (fun input ->
-        let floor = -(input.credit_unit * input.slots_per_period) in
+        let floor = -(credit_unit * input.slots_per_period) in
         let cap =
-          Sim_vmm.Credit.cap ~credit_unit:input.credit_unit
+          Sim_vmm.Credit.cap ~credit_unit
             ~slots_per_period:input.slots_per_period
         in
         let bad = ref None in
@@ -162,14 +163,14 @@ let credit_burn =
           let expected =
             int_of_float
               (float_of_int online /. float_of_int input.slot_cycles
-              *. float_of_int input.credit_unit)
+              *. float_of_int credit_unit)
           in
-          if expected < 20 * input.credit_unit then
+          if expected < 20 * credit_unit then
             Skip "too little guest run time to judge"
           else if 2 * billed < expected then
             failf "billed %d credit for ~%d expected (online %d cycles)"
               billed expected online
-          else if billed > (2 * expected) + input.credit_unit then
+          else if billed > (2 * expected) + credit_unit then
             failf "billed %d credit for ~%d expected (over-burn)" billed
               expected
           else Pass

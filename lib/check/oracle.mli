@@ -29,7 +29,6 @@ type input = {
   pcpus : int;
   slot_cycles : int;
   slots_per_period : int;
-  credit_unit : int;
   work_conserving : bool;
   clean : bool;  (** no fault profile *)
   sched : string;

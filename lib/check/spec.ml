@@ -375,14 +375,6 @@ let cluster_dist t =
     | None -> invalid_arg (Printf.sprintf "Spec.cluster_dist: %S" c.cl_dist))
   | None -> invalid_arg "Spec.cluster_dist: not a cluster spec"
 
-let is_attack_vm v =
-  match v.v_workload with
-  | Some (Scenario.W_attack_dodge _)
-  | Some (Scenario.W_attack_steal _)
-  | Some (Scenario.W_attack_launder _) ->
-    true
-  | Some _ | None -> false
-
 let vm_descs t =
   List.map
     (fun v ->

@@ -104,7 +104,3 @@ val accounting_mode : t -> Sim_vmm.Vmm.accounting
 val vm_descs : t -> Asman.Scenario.vm_desc list
 val cluster_policy : t -> Sim_cluster.Placement.policy
 val cluster_dist : t -> Sim_cluster.Vtrace.dist
-
-val is_attack_vm : vm -> bool
-(** The VM's workload descriptor is one of the [W_attack_*] shapes —
-    the entitlement oracle's attacker/victim split. *)

@@ -50,7 +50,6 @@ type t = {
   topology : Sim_hw.Topology.t;
   stagger : bool;
   work_conserving : bool;
-  credit_unit : int;
   guest_params : Sim_guest.Kernel.params option;
   scale : float;
   faults : Sim_faults.Fault.profile;
@@ -70,7 +69,6 @@ let default =
     topology = Sim_hw.Topology.default;
     stagger = true;
     work_conserving = true;
-    credit_unit = Sim_vmm.Credit.default_credit_unit;
     guest_params = None;
     scale = 0.25;
     faults = Sim_faults.Fault.none;

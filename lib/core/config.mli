@@ -40,7 +40,6 @@ type t = {
   topology : Sim_hw.Topology.t;
   stagger : bool;  (** per-PCPU slot phase skew (realistic: on) *)
   work_conserving : bool;
-  credit_unit : int;
   guest_params : Sim_guest.Kernel.params option;  (** [None] = defaults *)
   scale : float;  (** global workload scale factor *)
   faults : Sim_faults.Fault.profile;  (** chaos profile ([none] = clean run) *)

@@ -1,10 +1,11 @@
-(* Jobs close over immutable inputs and fan out through a
-   Mutex/Condition work queue; each result lands in the array slot of
-   its input index, so [map] preserves order no matter which worker
-   finishes first. Worker exceptions are captured per slot and the
-   first one (in input order) is re-raised after every domain joins.
-   The first failure also aborts the queue: jobs not yet started are
-   drained and never run (in-flight jobs finish normally). *)
+(* Jobs close over immutable inputs and run as the tasks of one
+   [Sim_engine.Team] window, the worker runtime under [Fabric.run]
+   too; each result lands in the array slot of its input index, so
+   [map] preserves order no matter which worker finishes first.
+   Worker exceptions are captured per slot and the first one (in
+   input order) is re-raised after the team joins. The first failure
+   also sets a stop flag: jobs not yet started are skipped (in-flight
+   jobs finish normally). *)
 
 exception
   Job_timeout of { index : int; elapsed_sec : float; limit_sec : float }
@@ -80,132 +81,6 @@ let accounting () =
         busy_sec = List.fold_left (fun s t -> s +. t.wall_sec) 0. timings;
       })
 
-(* ----- cost-aware job ordering (LPT) -----
-
-   Per-job wall times are remembered across runs keyed by
-   ["group#index"], where the group is the enclosing figure/ablation
-   id ({!set_job_group}) and the index is the job's position in its
-   [map] input. [run_parallel] hands jobs out longest-expected-first
-   (classic LPT list scheduling), which shortens the tail where one
-   late-started long job leaves the other workers idle. Ordering only
-   affects which worker starts what first — results are slot-indexed
-   and simulations seeded per job — so outputs are unchanged.
-
-   Jobs with no recorded cost sort as +infinity (ties keep input
-   order): a first run executes in input order exactly like the
-   cache-less code. *)
-
-let cost_mutex = Mutex.create ()
-
-let cost_table : (string, float) Hashtbl.t = Hashtbl.create 64
-
-let current_group : string option ref = ref None
-
-let set_job_group g = Mutex.protect cost_mutex (fun () -> current_group := g)
-
-let job_key group i = group ^ "#" ^ string_of_int i
-
-let record_cost i wall_sec =
-  Mutex.protect cost_mutex (fun () ->
-      match !current_group with
-      | Some g -> Hashtbl.replace cost_table (job_key g i) wall_sec
-      | None -> ())
-
-(* Descending expected cost, unknown first, stable on input index. *)
-let lpt_order n =
-  let costs =
-    Mutex.protect cost_mutex (fun () ->
-        match !current_group with
-        | None -> None
-        | Some g ->
-          Some
-            (Array.init n (fun i ->
-                 match Hashtbl.find_opt cost_table (job_key g i) with
-                 | Some c -> c
-                 | None -> infinity)))
-  in
-  let order = Array.init n Fun.id in
-  (match costs with
-  | Some costs ->
-    Array.stable_sort (fun a b -> compare costs.(b) costs.(a)) order
-  | None -> ());
-  order
-
-let load_cost_cache path =
-  match open_in path with
-  | exception Sys_error _ -> ()
-  | ic ->
-    Mutex.protect cost_mutex (fun () ->
-        try
-          while true do
-            let line = input_line ic in
-            match String.index_opt line ' ' with
-            | Some sp -> (
-              let key = String.sub line 0 sp in
-              let v =
-                String.sub line (sp + 1) (String.length line - sp - 1)
-              in
-              match float_of_string_opt v with
-              | Some c when c >= 0. -> Hashtbl.replace cost_table key c
-              | Some _ | None -> ())
-            | None -> ()
-          done
-        with End_of_file -> close_in ic)
-
-let save_cost_cache path =
-  let entries =
-    Mutex.protect cost_mutex (fun () ->
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) cost_table [])
-  in
-  let entries = List.sort compare entries in
-  let oc = open_out path in
-  List.iter (fun (k, v) -> Printf.fprintf oc "%s %.6f\n" k v) entries;
-  close_out oc
-
-(* ----- blocking FIFO of pending jobs ----- *)
-
-module Jobq = struct
-  type 'a t = {
-    q : 'a Queue.t;
-    m : Mutex.t;
-    nonempty : Condition.t;
-    mutable closed : bool;
-  }
-
-  let create () =
-    {
-      q = Queue.create ();
-      m = Mutex.create ();
-      nonempty = Condition.create ();
-      closed = false;
-    }
-
-  let push t x =
-    Mutex.protect t.m (fun () ->
-        Queue.push x t.q;
-        Condition.signal t.nonempty)
-
-  let close t =
-    Mutex.protect t.m (fun () ->
-        t.closed <- true;
-        Condition.broadcast t.nonempty)
-
-  (* Drop every job not yet started and wake all waiters. *)
-  let abort t =
-    Mutex.protect t.m (fun () ->
-        Queue.clear t.q;
-        t.closed <- true;
-        Condition.broadcast t.nonempty)
-
-  (* Blocks until a job is available; [None] once closed and drained. *)
-  let pop t =
-    Mutex.protect t.m (fun () ->
-        while Queue.is_empty t.q && not t.closed do
-          Condition.wait t.nonempty t.m
-        done;
-        if Queue.is_empty t.q then None else Some (Queue.pop t.q))
-end
-
 (* ----- parallel map ----- *)
 
 let now () = Unix.gettimeofday ()
@@ -231,28 +106,7 @@ let run_job ?timeout_sec ~on_error f results i x =
   in
   results.(i) <- Some r;
   record_timing i elapsed;
-  record_cost i elapsed;
   match r with Error _ -> on_error () | Ok _ -> ()
-
-let run_parallel ?timeout_sec ~workers f input results =
-  let q = Jobq.create () in
-  let order = lpt_order (Array.length input) in
-  Array.iter (fun i -> Jobq.push q (i, input.(i))) order;
-  Jobq.close q;
-  let worker () =
-    let rec loop () =
-      match Jobq.pop q with
-      | None -> ()
-      | Some (i, x) ->
-        run_job ?timeout_sec ~on_error:(fun () -> Jobq.abort q) f results i x;
-        loop ()
-    in
-    loop ()
-  in
-  (* The calling domain is worker number [workers]. *)
-  let helpers = Array.init (workers - 1) (fun _ -> Domain.spawn worker) in
-  worker ();
-  Array.iter Domain.join helpers
 
 let map ?jobs:requested ?timeout_sec f xs =
   match xs with
@@ -266,16 +120,16 @@ let map ?jobs:requested ?timeout_sec f xs =
     note_jobs_used k;
     let input = Array.of_list xs in
     let results = Array.make n None in
-    if k = 1 then begin
-      let stop = ref false in
-      Array.iteri
-        (fun i x ->
-          if not !stop then
-            run_job ?timeout_sec ~on_error:(fun () -> stop := true) f results
-              i x)
-        input
-    end
-    else run_parallel ?timeout_sec ~workers:k f input results;
+    let stop = Atomic.make false in
+    let work i ~limit:_ =
+      if not (Atomic.get stop) then
+        run_job ?timeout_sec
+          ~on_error:(fun () -> Atomic.set stop true)
+          f results i input.(i)
+    in
+    let team = Sim_engine.Team.create ~workers:k ~tasks:n ~work in
+    Sim_engine.Team.window team ~limit:0;
+    Sim_engine.Team.shutdown team;
     Array.iter
       (function
         | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt

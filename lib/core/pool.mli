@@ -8,8 +8,9 @@
     per-scenario engines and fixed seeds, results are byte-identical
     at any worker count.
 
-    Built on [Domain.spawn] and stdlib [Mutex]/[Condition] job
-    queues; no external dependencies. *)
+    Each [map] call runs its jobs as the tasks of one
+    {!Sim_engine.Team} window, the same worker runtime that drains
+    the PDES fabric's members. *)
 
 val default_jobs : unit -> int
 (** The [ASMAN_JOBS] environment variable if it parses as a positive
@@ -36,12 +37,13 @@ val map : ?jobs:int -> ?timeout_sec:float -> ('a -> 'b) -> 'a list -> 'b list
     most [jobs] domains (default {!jobs}[ ()], never more than
     [List.length xs]) and returns the results in input order.
 
-    Jobs are drawn from a shared Mutex/Condition FIFO; the calling
-    domain participates as a worker, so [jobs = 1] spawns no domain
-    at all. The first failing job aborts the queue: jobs not yet
-    started are dropped, in-flight jobs finish, and the first
-    exception in {e input} order is re-raised (with its backtrace)
-    after every worker has joined. [timeout_sec] converts any job
+    Workers take job indices in input order from the team's grab
+    counter; the calling domain participates as a worker, so
+    [jobs = 1] spawns no domain and runs the jobs in input order.
+    The first failing job stops the map: jobs not yet started are
+    skipped, in-flight jobs finish, and the first exception in
+    {e input} order is re-raised (with its backtrace) after every
+    worker has joined. [timeout_sec] converts any job
     whose wall time exceeds the limit into a {!Job_timeout} failure
     (post-hoc — see {!Job_timeout}). Each job's wall time is
     recorded in the global accounting (see {!accounting}). *)
@@ -67,34 +69,3 @@ type stats = {
 val reset_accounting : unit -> unit
 
 val accounting : unit -> stats
-
-(** {2 Cost-aware job ordering}
-
-    [map] normally hands jobs to workers in input order. When a job
-    group is set, previously recorded per-job wall times (keyed
-    ["group#index"]) order the queue longest-expected-first instead —
-    classic LPT list scheduling, which shortens the straggler tail of
-    a parallel figure regeneration. Jobs without a recorded cost sort
-    first (as +infinity) with input order preserved among them, so a
-    cache-less first run is identical to the unordered code. Ordering
-    never changes results: each result lands in its input-index slot
-    and each job seeds its own simulation.
-
-    The cache persists across processes via {!load_cost_cache} /
-    {!save_cost_cache} ([asman_cli experiment --cost-cache FILE]). *)
-
-val set_job_group : string option -> unit
-(** [set_job_group (Some id)] tags subsequent jobs with [id] (the
-    figure/ablation being regenerated): their wall times are recorded
-    under ["id#index"] and used to LPT-order later runs of the same
-    group. [None] stops tagging; untagged jobs run in input order and
-    are not recorded. *)
-
-val load_cost_cache : string -> unit
-(** Merge a cost-cache file (lines of [key wall_sec]) into the
-    in-memory table. Missing or malformed files and lines are
-    ignored. *)
-
-val save_cost_cache : string -> unit
-(** Write the in-memory cost table to a file, one sorted
-    [key wall_sec] line per job. *)

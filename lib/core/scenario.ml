@@ -67,7 +67,6 @@ let build ?(domain_id_base = 0) ?(vcpu_id_base = 0) ?(launch = true) config
   let vmm =
     Sim_vmm.Vmm.create ~domain_id_base ~vcpu_id_base
       ~work_conserving:config.Config.work_conserving
-      ~credit_unit:config.Config.credit_unit
       ~accounting:config.Config.accounting ?watchdog ?numa machine
       ~sched:(Config.sched_maker sched)
   in

@@ -93,8 +93,8 @@ type workload_desc =
   | W_attack_steal of { threads : int }
       (** {!Sim_workloads.Attack.cycle_steal}: sub-tick bursts *)
   | W_attack_launder of { threads : int; phased : bool }
-      (** one half of {!Sim_workloads.Attack.launder_pair}; put the
-          [phased] half in a second colocated VM *)
+      (** one half of a {!Sim_workloads.Attack.launder_half} pair;
+          put the [phased] half in a second colocated VM *)
 
 val workload_of_desc : Config.t -> workload_desc -> Sim_workloads.Workload.t
 (** Deterministic in (config, desc). Raises [Invalid_argument] on an

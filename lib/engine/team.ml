@@ -1,8 +1,10 @@
 (* Persistent worker-domain team with a generation barrier.
 
-   The execution engine under Fabric.run: [tasks] drainable units
-   (member engines), a [work i ~limit] closure that drains unit [i] up to [limit], and a
-   team of [workers - 1] spawned domains plus the calling coordinator.
+   The one worker runtime of the program, under Fabric.run and
+   Pool.map: [tasks] drainable units (member engines, or one map's
+   jobs), a [work i ~limit] closure that drains unit [i] up to
+   [limit], and a team of [workers - 1] spawned domains plus the
+   calling coordinator.
 
    Each window the coordinator publishes (limit, gen+1) under the
    mutex; workers grab unit indices from an atomic counter, drain

@@ -1,5 +1,8 @@
 (** Persistent worker-domain team with a per-window generation
-    barrier — the execution engine under {!Fabric.run}.
+    barrier — the one worker runtime of the program: {!Fabric.run}
+    drains its members here window by window, and [Asman.Pool.map]
+    runs each call's jobs as the tasks of a single window (ignoring
+    [~limit]).
 
     [tasks] numbered drainable units share one [work i ~limit]
     closure; each {!window} distributes the unit indices over the

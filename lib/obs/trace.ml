@@ -90,29 +90,6 @@ let fault_pcpu_stall = 5
 let fault_pcpu_offline = 6
 let fault_pcpu_restore = 7
 
-let fault_kind_name = function
-  | 0 -> "ipi_dropped"
-  | 1 -> "ipi_delayed"
-  | 2 -> "tick_suppressed"
-  | 3 -> "vcrd_dropped"
-  | 4 -> "vcrd_corrupted"
-  | 5 -> "pcpu_stall"
-  | 6 -> "pcpu_offline"
-  | 7 -> "pcpu_restore"
-  | _ -> "fault"
-
-let category_of = function
-  | Sched_switch _ | Sched_idle _ | Sched_block _ -> Sched
-  | Credit_account _ -> Credit
-  | Vcrd_change _ -> Vcrd
-  | Gang_launch _ | Gang_ack _ | Gang_timeout _ | Gang_retry _ | Gang_demote _
-    ->
-    Gang
-  | Ipi_sent _ -> Ipi
-  | Spin_overthreshold _ | Ple_exit _ -> Spin
-  | Fault_injected _ -> Fault
-  | Invariant_violation _ -> Invariant
-
 type entry = { at : int; ev : event }
 
 type t = { mutable mask : int; mutable ring : entry Ring.t }

@@ -69,9 +69,7 @@ val fault_vcrd_corrupted : int
 val fault_pcpu_stall : int
 val fault_pcpu_offline : int
 val fault_pcpu_restore : int
-val fault_kind_name : int -> string
 
-val category_of : event -> category
 val event_name : event -> string
 
 val event_fields : event -> (string * int) list

@@ -34,7 +34,7 @@ val load : string -> Record.t
 
 val list : ?dir:string -> unit -> Record.t list
 (** Every parseable record in the directory, sorted by (date, id).
-    Non-record files (e.g. [cost_cache]) are skipped. An absent
+    Non-record files (e.g. a [notes.txt]) are skipped. An absent
     directory is an empty registry. *)
 
 val resolve : ?dir:string -> string -> Record.t

@@ -78,26 +78,14 @@ let rec first_idle api p =
 
 let idle_target api ~home = if is_idle api home then home else first_idle api 0
 
-let kick_idle api ~pick =
-  let n = Array.length api.runqueues in
-  for pcpu = 0 to n - 1 do
-    match api.current pcpu with
-    | None when not (api.pcpu_online pcpu) -> ()
-    | None -> begin
-      match pick ~pcpu with
-      | Some v -> api.run_on ~pcpu v
-      | None -> ()
-    end
-    | Some _ -> ()
-  done
-
 let assign_credit api =
   Credit.assign
     ~domains:(api.domains ())
     ~pcpus:(Array.length api.runqueues)
     ~slots_per_period:
       (Sim_hw.Machine.cpu_model api.machine).Sim_hw.Cpu_model.slots_per_period
-    ~credit_unit:api.credit_unit ~work_conserving:api.work_conserving
+    ~credit_unit:Credit.default_credit_unit
+    ~work_conserving:api.work_conserving
 
 let preempt_parked api ~refill =
   Array.iteri

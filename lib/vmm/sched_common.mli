@@ -31,10 +31,6 @@ val idle_target : Sched_intf.api -> home:int -> int
 (** Where an UNDER wakeup runs at once: [home] if that PCPU is online
     and idle, else the lowest-numbered online idle PCPU, else [-1]. *)
 
-val kick_idle : Sched_intf.api -> pick:(pcpu:int -> Vcpu.t option) -> unit
-(** Give every idle PCPU a chance to pick up work (used right after a
-    credit-assignment event so capped VCPUs restart promptly). *)
-
 val assign_credit : Sched_intf.api -> unit
 (** Run the Algorithm 3 credit assignment (and parking update) for
     all domains. *)

@@ -13,7 +13,6 @@ type api = {
   runqueues : Runqueue.t array;
   domains : unit -> Domain.t list;
   work_conserving : bool;
-  credit_unit : int;
   now : unit -> int;
   current : int -> Vcpu.t option;
   run_on : pcpu:int -> Vcpu.t -> unit;

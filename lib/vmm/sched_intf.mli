@@ -26,7 +26,6 @@ type api = {
       (** [false]: a VM's CPU time is strictly capped by its weight
           (Xen's non work-conserving mode, used in §5.2);
           [true]: VMs may consume slack (used in §5.3) *)
-  credit_unit : int;
   now : unit -> int;
   current : int -> Vcpu.t option;  (** VCPU online on a PCPU *)
   run_on : pcpu:int -> Vcpu.t -> unit;

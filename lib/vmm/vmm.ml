@@ -20,6 +20,8 @@ exception Invariant_violation of string
 (* Keep at most this many violation messages; the count keeps going. *)
 let max_recorded_violations = 1000
 
+let credit_unit = Credit.default_credit_unit
+
 type t = {
   engine : Engine.t;
   machine : Machine.t;
@@ -27,10 +29,13 @@ type t = {
   runqueues : Runqueue.t array;
   current : Vcpu.t option array;
   running : Vcpu.state array;  (** [Running p] at index [p], built once *)
-  mutable domains : Domain.t list;  (** creation/attach order *)
+  mutable domains_rev : Domain.t list;  (** newest first; O(1) to extend *)
+  mutable domains : Domain.t list;
+      (** creation/attach order: [List.rev domains_rev], rebuilt by
+          [domains] when [domains_stale] *)
+  mutable domains_stale : bool;
   mutable sched : Sched_intf.t option;
   work_conserving : bool;
-  credit_unit : int;
   accounting : accounting;
   numa : Sched_intf.numa option;
   mutable numa_remote_relocs : int;
@@ -67,10 +72,23 @@ let sched_name t =
 
 let accounting t = t.accounting
 
-let domains t = t.domains
+(* Creating or attaching a domain only conses onto [domains_rev]; the
+   creation-order list is rebuilt at the next read (and at [start]),
+   so building a member of n domains is linear, and a read after
+   [start] is a field read until the next attach or detach. *)
+let domains t =
+  if t.domains_stale then begin
+    t.domains <- List.rev t.domains_rev;
+    t.domains_stale <- false
+  end;
+  t.domains
+
+let add_domain t dom =
+  t.domains_rev <- dom :: t.domains_rev;
+  t.domains_stale <- true
 
 let find_domain t id =
-  match List.find_opt (fun d -> d.Domain.id = id) t.domains with
+  match List.find_opt (fun d -> d.Domain.id = id) t.domains_rev with
   | Some d -> d
   | None -> invalid_arg (Printf.sprintf "Vmm.find_domain: no domain %d" id)
 
@@ -101,9 +119,7 @@ let charge ?(at_tick = false) t (v : Vcpu.t) =
   let penalty = v.Vcpu.reloc_penalty in
   if penalty > 0 then v.Vcpu.reloc_penalty <- 0;
   let ran_capped = Int.min (ran + penalty) (slot_cycles t) in
-  let floor =
-    -(t.credit_unit * t.cpu_model.Cpu_model.slots_per_period)
-  in
+  let floor = -(credit_unit * t.cpu_model.Cpu_model.slots_per_period) in
   let burned =
     if Mutation.enabled Mutation.Skip_credit_burn then 0
     else begin
@@ -111,11 +127,11 @@ let charge ?(at_tick = false) t (v : Vcpu.t) =
       | Precise ->
         if Mutation.enabled Mutation.Sampled_accounting && not at_tick then 0
         else
-          Credit.burn ~credit_unit:t.credit_unit ~slot_cycles:(slot_cycles t)
+          Credit.burn ~credit_unit ~slot_cycles:(slot_cycles t)
             ~run_cycles:ran_capped
       | Sampled ->
         if at_tick then
-          Credit.burn ~credit_unit:t.credit_unit ~slot_cycles:(slot_cycles t)
+          Credit.burn ~credit_unit ~slot_cycles:(slot_cycles t)
             ~run_cycles:(slot_cycles t)
         else 0
     end
@@ -287,9 +303,8 @@ let api t : Sched_intf.api =
   {
     Sched_intf.machine = t.machine;
     runqueues = t.runqueues;
-    domains = (fun () -> t.domains);
+    domains = (fun () -> domains t);
     work_conserving = t.work_conserving;
-    credit_unit = t.credit_unit;
     now = (fun () -> now t);
     current = (fun pcpu -> t.current.(pcpu));
     run_on = (fun ~pcpu v -> run_on t ~pcpu v);
@@ -302,9 +317,8 @@ let api t : Sched_intf.api =
     numa = t.numa;
   }
 
-let create ?(work_conserving = true) ?(credit_unit = Credit.default_credit_unit)
-    ?(accounting = Precise) ?watchdog ?numa ?(domain_id_base = 0)
-    ?(vcpu_id_base = 0) machine ~sched =
+let create ?(work_conserving = true) ?(accounting = Precise) ?watchdog ?numa
+    ?(domain_id_base = 0) ?(vcpu_id_base = 0) machine ~sched =
   let n = Machine.pcpu_count machine in
   let t =
     {
@@ -314,10 +328,11 @@ let create ?(work_conserving = true) ?(credit_unit = Credit.default_credit_unit)
       runqueues = Runqueue.create_set n;
       current = Array.make n None;
       running = Array.init n (fun pcpu -> Vcpu.Running pcpu);
+      domains_rev = [];
       domains = [];
+      domains_stale = false;
       sched = None;
       work_conserving;
-      credit_unit;
       accounting;
       numa;
       numa_remote_relocs = 0;
@@ -366,7 +381,7 @@ let create_domain t ?(concurrent_type = false) ~name ~weight ~vcpus () =
   let dom =
     Domain.make ~concurrent_type ~id:domain_id ~name ~weight ~vcpus:vcpu_array ()
   in
-  t.domains <- t.domains @ [ dom ];
+  add_domain t dom;
   (* Fairness gauges: attained vs entitled share over the current
      accounting window, and the excess (theft). Evaluated only at
      snapshot time, like every gauge. *)
@@ -483,7 +498,7 @@ let check_invariants t =
           | Vcpu.Blocked ->
             if queued <> 0 then err "blocked vcpu %d is queued" v.Vcpu.id)
         dom.Domain.vcpus)
-    (List.rev t.domains);
+    t.domains_rev;
   Array.iter
     (fun rq ->
       if Runqueue.occupied rq <> (Runqueue.length rq > 0) then
@@ -515,7 +530,7 @@ let record_violation ?(domain = -1) t msg =
       | None ->
         let vm =
           match
-            List.find_opt (fun d -> d.Domain.id = domain) t.domains
+            List.find_opt (fun d -> d.Domain.id = domain) t.domains_rev
           with
           | Some d -> d.Domain.name
           | None -> Printf.sprintf "dom%d" domain
@@ -534,17 +549,12 @@ let record_violation ?(domain = -1) t msg =
     Trace.emit tr ~now:(now t) (Trace.Invariant_violation { domain });
   if t.invariant_mode = Raise then raise (Invariant_violation msg)
 
-let domain_violation_count t dom =
-  match Hashtbl.find_opt t.viol_by_domain dom.Domain.id with
-  | Some c -> Metrics.value c
-  | None -> 0
-
 let credit_sum t =
   List.fold_left
     (fun acc dom ->
       Array.fold_left (fun acc (v : Vcpu.t) -> acc + v.Vcpu.credit) acc
         dom.Domain.vcpus)
-    0 t.domains
+    0 t.domains_rev
 
 (* Fired every accounting period (after credit assignment) when the
    invariant mode is on. The conservation check is one-sided: credit
@@ -557,8 +567,8 @@ let run_invariant_checks t =
   | Ok () -> ()
   | Error e -> record_violation t (Printf.sprintf "[%d] structural: %s" at e));
   let slots_per_period = t.cpu_model.Cpu_model.slots_per_period in
-  let floor = -(t.credit_unit * slots_per_period) in
-  let cap = Credit.cap ~credit_unit:t.credit_unit ~slots_per_period in
+  let floor = -(credit_unit * slots_per_period) in
+  let cap = Credit.cap ~credit_unit ~slots_per_period in
   List.iter
     (fun dom ->
       Array.iter
@@ -568,15 +578,15 @@ let run_invariant_checks t =
               (Printf.sprintf "[%d] credit bound: vcpu %d has %d not in [%d, %d]"
                  at v.Vcpu.id v.Vcpu.credit floor cap))
         dom.Domain.vcpus)
-    (List.rev t.domains);
+    t.domains_rev;
   let sum = credit_sum t in
   (match t.last_credit_sum with
   | Some prev ->
     let total =
       Credit.total_per_period ~pcpus:(pcpu_count t) ~slots_per_period
-        ~credit_unit:t.credit_unit
+        ~credit_unit
     in
-    let slack = List.length t.domains in
+    let slack = List.length t.domains_rev in
     if sum - prev > total + slack then
       record_violation t
         (Printf.sprintf
@@ -594,6 +604,7 @@ let run_invariant_checks t =
 let start t =
   if t.started then failwith "Vmm.start: already started";
   t.started <- true;
+  ignore (domains t : Domain.t list);
   let slice = t.cpu_model.Cpu_model.slots_per_slice in
   Machine.set_slot_handler t.machine (fun pcpu ->
       charge_current t pcpu;
@@ -698,11 +709,12 @@ let detach_domain t (dom : Domain.t) =
       | Vcpu.Ready -> Runqueue.remove t.runqueues.(v.Vcpu.home) v
       | Vcpu.Blocked -> ())
     dom.Domain.vcpus;
-  if not (List.memq dom t.domains) then
+  if not (List.memq dom t.domains_rev) then
     invalid_arg
       (Printf.sprintf "Vmm.detach_domain: domain %d not on this host"
          dom.Domain.id);
-  t.domains <- List.filter (fun d -> d != dom) t.domains;
+  t.domains_rev <- List.filter (fun d -> d != dom) t.domains_rev;
+  t.domains_stale <- true;
   (match t.last_credit_sum with
   | Some sum -> t.last_credit_sum <- Some (sum - domain_credit_sum dom)
   | None -> ());
@@ -730,7 +742,7 @@ let attach_domain t (dom : Domain.t) =
          else least_loaded_online t ());
       if Vcpu.is_ready v then Runqueue.insert t.runqueues.(v.Vcpu.home) v)
     dom.Domain.vcpus;
-  t.domains <- t.domains @ [ dom ];
+  add_domain t dom;
   (match t.last_credit_sum with
   | Some sum -> t.last_credit_sum <- Some (sum + domain_credit_sum dom)
   | None -> ());
@@ -744,7 +756,7 @@ let reset_accounting t =
   Hashtbl.reset t.acct_online_base;
   List.iter
     (fun d -> Hashtbl.replace t.acct_online_base d.Domain.id (domain_online_now t d))
-    t.domains;
+    (domains t);
   Array.iteri
     (fun p since ->
       t.idle_cycles.(p) <- 0;
@@ -784,5 +796,3 @@ let invariant_violation_count t = t.violations_count
 let invariant_violations t = List.rev t.violations_rev
 
 let sched_counters t = (sched t).Sched_intf.counters ()
-
-let watchdog_params t = t.watchdog

@@ -33,7 +33,6 @@ exception Invariant_violation of string
 
 val create :
   ?work_conserving:bool ->
-  ?credit_unit:int ->
   ?accounting:accounting ->
   ?watchdog:Watchdog.params ->
   ?numa:Sched_intf.numa ->
@@ -42,8 +41,7 @@ val create :
   Sim_hw.Machine.t ->
   sched:Sched_intf.maker ->
   t
-(** [work_conserving] defaults to [true]; [credit_unit] to
-    {!Credit.default_credit_unit}; [accounting] to [Precise]
+(** [work_conserving] defaults to [true]; [accounting] to [Precise]
     (byte-identical to builds without the accounting knob).
     [watchdog] (default off) arms the gang scheduler's coscheduling
     watchdog — see {!Watchdog}. [numa] (default off) arms the NUMA
@@ -84,7 +82,9 @@ val create_domain :
     round-robin across PCPUs. Must be called before {!start}. *)
 
 val domains : t -> Domain.t list
-(** In creation order. *)
+(** In creation/attach order. After {!start} this is a field read,
+    except that the first read after an {!attach_domain} or
+    {!detach_domain} rebuilds the list once. *)
 
 val find_domain : t -> int -> Domain.t
 
@@ -197,10 +197,6 @@ val invariant_mode : t -> invariant_mode
 
 val invariant_violation_count : t -> int
 
-val domain_violation_count : t -> Domain.t -> int
-(** Violations attributed to one domain (credit-bound checks); the
-    aggregate count also includes unattributed structural ones. *)
-
 val invariant_violations : t -> string list
 (** Recorded violation messages, oldest first (bounded to the first
     1000; the count keeps going). *)
@@ -213,5 +209,3 @@ val set_vcrd_filter : t -> (Domain.t -> Domain.vcrd -> Domain.vcrd option) -> un
 val sched_counters : t -> (string * int) list
 (** The active scheduler's health counters (the gang watchdog's
     launches/timeouts/demotions); [[]] for schedulers without any. *)
-
-val watchdog_params : t -> Watchdog.params option

@@ -110,11 +110,6 @@ let note_demotion t ~vm =
 
 let demotions t = Sim_obs.Metrics.value t.demotions_c
 
-let demotions_of t ~vm =
-  match Hashtbl.find_opt t.per_vm_demotions vm with
-  | Some c -> Sim_obs.Metrics.value c
-  | None -> 0
-
 let counter_list t =
   [
     ("cosched_launches", Sim_obs.Metrics.value t.launches);

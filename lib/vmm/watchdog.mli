@@ -66,8 +66,6 @@ val note_demotion : t -> vm:string -> unit
 val demotions : t -> int
 (** Thin read of the registry counter. *)
 
-val demotions_of : t -> vm:string -> int
-
 val counter_list : t -> (string * int) list
 (** Counters under stable names ([cosched_launches], [ipi_acks],
     [watchdog_timeouts], [watchdog_retries], [watchdog_demotions]);

@@ -103,10 +103,6 @@ let launder_half ?(threads = 1) ~slot_cycles ~phased () =
     ~threads
     ~ops:[ Program.Sleep first_sleep; Program.Repeat (steady_rounds, body) ]
 
-let launder_pair ?(threads = 1) ~slot_cycles () =
-  ( launder_half ~threads ~slot_cycles ~phased:false (),
-    launder_half ~threads ~slot_cycles ~phased:true () )
-
 let is_attack (w : Workload.t) =
   match w.Workload.name with
   | "attack-dodge" | "attack-steal" | "attack-launder-a" | "attack-launder-b" ->

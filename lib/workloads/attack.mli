@@ -29,18 +29,13 @@ val cycle_steal : ?threads:int -> slot_cycles:int -> unit -> Workload.t
 
 val launder_half :
   ?threads:int -> slot_cycles:int -> phased:bool -> unit -> Workload.t
-(** One side of the laundering pair; [phased] shifts the start by half
-    a slot. Exposed separately so declarative scenario descriptors can
-    place each half in its own VM. *)
-
-val launder_pair :
-  ?threads:int -> slot_cycles:int -> unit -> Workload.t * Workload.t
-(** Coordinated laundering across two colocated VMs: complementary
-    compute/sleep phases (the second workload starts half a slot
-    later) so the pair hands the PCPU back and forth around each
-    tick. Each VM's own attainment looks modest; the theft only shows
-    when the pair is accounted together. Install the two workloads in
-    two different VMs on the same host. *)
+(** One side of a laundering pair: coordinated laundering across two
+    colocated VMs, with complementary compute/sleep phases ([phased]
+    shifts the start by half a slot) so the pair hands the PCPU back
+    and forth around each tick. Each VM's own attainment looks modest;
+    the theft only shows when the pair is accounted together. Install
+    the [phased:false] and [phased:true] halves in two different VMs
+    on the same host. *)
 
 val is_attack : Workload.t -> bool
 (** True for workloads produced by this module (recognised by name). *)

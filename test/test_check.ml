@@ -77,7 +77,6 @@ let input ?(pcpus = 2) ?(sched = "asman") ?(check_fairness = false)
     Oracle.pcpus;
     slot_cycles = 10_000_000;
     slots_per_period = 3;
-    credit_unit = 1000;
     work_conserving = true;
     clean = true;
     sched;

@@ -101,6 +101,37 @@ let test_accounting () =
     (List.sort compare
        (List.map (fun (t : Pool.job_timing) -> t.Pool.index) s.Pool.timings))
 
+(* Results alone would pass if a job ran twice: count each index's
+   runs, and check the accounting lists exactly [n] timings. *)
+let test_each_job_once () =
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun n ->
+          let hits = Array.init n (fun _ -> Atomic.make 0) in
+          Pool.reset_accounting ();
+          let ids = List.init n Fun.id in
+          let out =
+            Pool.map ~jobs
+              (fun i ->
+                Atomic.incr hits.(i);
+                i)
+              ids
+          in
+          let what = Printf.sprintf "jobs=%d n=%d" jobs n in
+          Alcotest.(check (list int)) (what ^ " results") ids out;
+          Array.iteri
+            (fun i h ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s job %d runs" what i)
+                1 (Atomic.get h))
+            hits;
+          Alcotest.(check int)
+            (what ^ " timings") n
+            (List.length (Pool.accounting ()).Pool.timings))
+        [ 1; 3; 4; 40 ])
+    [ 1; 2; 4; 13 ]
+
 (* Determinism of the experiment fan-out: per-job engines built from a
    fixed seed mean fig1a's full rendered report is byte-identical no
    matter how many worker domains run it. *)
@@ -130,6 +161,7 @@ let suite =
     Alcotest.test_case "seq/par equivalence" `Quick test_seq_par_equivalence;
     Alcotest.test_case "jobs knob" `Quick test_jobs_knob;
     Alcotest.test_case "accounting" `Quick test_accounting;
+    Alcotest.test_case "each job runs once" `Quick test_each_job_once;
     Alcotest.test_case "fig1a deterministic across workers" `Slow
       test_fig1a_deterministic;
   ]

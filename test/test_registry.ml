@@ -349,8 +349,8 @@ let test_save_load_list_resolve () =
       let r1' = Registry.load p1 in
       Alcotest.(check bool) "load round-trips" true (r1 = r1');
       (* A non-record file in the directory must be skipped, not fatal. *)
-      let oc = open_out (Filename.concat dir "cost_cache") in
-      output_string oc "fig7:0 1.5\n";
+      let oc = open_out (Filename.concat dir "notes.txt") in
+      output_string oc "fig7 rerun at -j 4\n";
       close_out oc;
       let listed = Registry.list ~dir () in
       Alcotest.(check (list string))
