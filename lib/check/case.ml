@@ -17,7 +17,7 @@ let probe_every_sec = 0.005
 let max_probe_errors = 5
 
 let config_of_spec ?queue (spec : Spec.t) =
-  let queue = Option.value queue ~default:(Spec.queue_kind spec) in
+  let queue = Option.value queue ~default:spec.Spec.queue in
   {
     Config.default with
     Config.seed = spec.Spec.seed;
@@ -26,8 +26,8 @@ let config_of_spec ?queue (spec : Spec.t) =
         ~cores_per_socket:spec.Spec.cores_per_socket;
     scale = spec.Spec.scale;
     work_conserving = spec.Spec.work_conserving;
-    faults = Spec.fault_profile spec;
-    accounting = Spec.accounting_mode spec;
+    faults = spec.Spec.faults;
+    accounting = spec.Spec.accounting;
     invariants = Sim_vmm.Vmm.Record;
     engine_queue = queue;
     sim_jobs = spec.Spec.sim_jobs;
@@ -62,9 +62,7 @@ let fingerprint_to_string fp =
 
 let run_once ?queue (spec : Spec.t) =
   let config = config_of_spec ?queue spec in
-  let s =
-    Scenario.of_descs config ~sched:(Spec.sched_kind spec) (Spec.vm_descs spec)
-  in
+  let s = Scenario.of_descs config ~sched:spec.Spec.sched spec.Spec.vms in
   let probe_errors = ref [] in
   let probe =
     ( probe_every_sec,
@@ -155,169 +153,119 @@ let flip = function
   | Sim_engine.Engine.Wheel_queue -> Sim_engine.Engine.Heap_queue
   | Sim_engine.Engine.Heap_queue -> Sim_engine.Engine.Wheel_queue
 
-(* ----- decoupled cases ----- *)
+(* ----- judgement ----- *)
+
+let failure oracle message = [ { Oracle.oracle; message } ]
+
+(* The one determinism check every case shape shares: run the case
+   ([first]), judge that run ([judge]: its oracles' failures), and
+   only when it is clean run it a second way ([second]) and compare
+   the two outcomes ([diverge]: [Some message] on a mismatch). A crash
+   of the first run is a ["no-crash"] failure; a crash of the rerun,
+   or a divergence, is a failure of [oracle]. *)
+let run_and_rerun ~oracle ~rerun_label ~first ~judge ~second ~diverge =
+  match first () with
+  | exception e -> failure "no-crash" (Printexc.to_string e)
+  | a -> (
+    match judge a with
+    | _ :: _ as failures -> failures
+    | [] -> (
+      match second () with
+      | exception e ->
+        failure oracle
+          (Printf.sprintf "%s crashed: %s" rerun_label (Printexc.to_string e))
+      | b -> (
+        match diverge a b with None -> [] | Some m -> failure oracle m)))
+
+let rerun_with_2_workers = "rerun with 2 workers"
 
 (* A modest round target: enough simulated work for cross-shard
    steals to happen, bounded by the spec's horizon either way. *)
 let decouple_rounds = 2
-
-let run_decoupled_once ~workers (spec : Spec.t) =
-  let config = config_of_spec spec in
-  let vms =
-    List.map
-      (fun (d : Scenario.vm_desc) ->
-        {
-          Scenario.vm_name = d.Scenario.vd_name;
-          weight = d.Scenario.vd_weight;
-          vcpus = d.Scenario.vd_vcpus;
-          workload =
-            Option.map (Scenario.workload_of_desc config) d.Scenario.vd_workload;
-        })
-      (Spec.vm_descs spec)
-  in
-  let d = Decouple.build config ~sched:(Spec.sched_kind spec) ~vms in
-  let r =
-    Decouple.run ~workers d ~rounds:decouple_rounds
-      ~max_sec:spec.Spec.horizon_sec
-  in
-  (r.Decouple.rp_digest, r.Decouple.rp_events, r.Decouple.rp_fingerprint)
 
 (* A decoupled case's contract is worker-count invariance: the same
    scenario run on one worker and on two must produce byte-identical
    fabric digests. The coupled trace oracles don't apply — each
    sub-host runs dark (no trace), and the interesting state (steals,
    relocations) lives in the fabric, which the digest covers. *)
-let run_decoupled (spec : Spec.t) : Oracle.failure list =
-  match run_decoupled_once ~workers:1 spec with
-  | exception e ->
-    [ { Oracle.oracle = "no-crash"; message = Printexc.to_string e } ]
-  | d1, ev1, fp1 -> (
-    match run_decoupled_once ~workers:2 spec with
-    | exception e ->
-      [
-        {
-          Oracle.oracle = "decouple-workers";
-          message =
-            Printf.sprintf "rerun with 2 workers crashed: %s"
-              (Printexc.to_string e);
-        };
-      ]
-    | d2, ev2, fp2 ->
-      if d1 = d2 && ev1 = ev2 then []
+let run_decoupled (spec : Spec.t) =
+  let once ~workers () =
+    let config = config_of_spec spec in
+    let vms = List.map (Scenario.vm_of_desc config) spec.Spec.vms in
+    Decouple.run ~workers
+      (Decouple.build config ~sched:spec.Spec.sched ~vms)
+      ~rounds:decouple_rounds ~max_sec:spec.Spec.horizon_sec
+  in
+  run_and_rerun ~oracle:"decouple-workers" ~rerun_label:rerun_with_2_workers
+    ~first:(once ~workers:1) ~judge:(fun _ -> []) ~second:(once ~workers:2)
+    ~diverge:(fun (r1 : Decouple.report) (r2 : Decouple.report) ->
+      if r1.rp_digest = r2.rp_digest && r1.rp_events = r2.rp_events then None
       else
-        [
-          {
-            Oracle.oracle = "decouple-workers";
-            message =
-              Printf.sprintf
-                "1-vs-2 worker divergence: digest %x/%x events %d/%d\n\
-                 w1: %s\nw2: %s" d1 d2 ev1 ev2 fp1 fp2;
-          };
-        ])
-
-(* ----- cluster cases ----- *)
-
-let run_cluster_once ~workers (spec : Spec.t) =
-  let config = config_of_spec spec in
-  let c = Option.get spec.Spec.cluster in
-  let trace =
-    Sim_cluster.Vtrace.generate
-      ~max_vcpus:(Config.pcpus config)
-      ~seed:c.Spec.cl_trace_seed ~vms:c.Spec.cl_vms
-      ~dist:(Spec.cluster_dist spec) ~horizon_sec:spec.Spec.horizon_sec ()
-  in
-  let t =
-    Sim_cluster.Cluster.build config ~sched:(Spec.sched_kind spec)
-      ~policy:(Spec.cluster_policy spec) ~hosts:c.Spec.cl_hosts ~trace
-  in
-  let r = Sim_cluster.Cluster.run ~workers t ~horizon_sec:spec.Spec.horizon_sec in
-  (r, Sim_cluster.Cluster.conservation_errors t)
+        Some
+          (Printf.sprintf
+             "1-vs-2 worker divergence: digest %x/%x events %d/%d\n\
+              w1: %s\nw2: %s" r1.rp_digest r2.rp_digest r1.rp_events
+             r2.rp_events r1.rp_fingerprint r2.rp_fingerprint))
 
 (* A cluster case's contract is twofold: the conservation oracle (no
    VM lost, duplicated or double-booked; capacity and departures
    consistent) on the single-worker run, then placement determinism —
    the same datacenter on two fabric workers must produce the
    identical placement log and digest. *)
-let run_cluster (spec : Spec.t) : Oracle.failure list =
-  match run_cluster_once ~workers:1 spec with
-  | exception e ->
-    [ { Oracle.oracle = "no-crash"; message = Printexc.to_string e } ]
-  | r1, errs1 -> (
-    if errs1 <> [] then
-      [
-        {
-          Oracle.oracle = "cluster-conservation";
-          message = String.concat "; " errs1;
-        };
-      ]
-    else
-      match run_cluster_once ~workers:2 spec with
-      | exception e ->
-        [
-          {
-            Oracle.oracle = "placement-determinism";
-            message =
-              Printf.sprintf "rerun with 2 workers crashed: %s"
-                (Printexc.to_string e);
-          };
-        ]
-      | r2, _ ->
-        if
-          r1.Sim_cluster.Cluster.cr_digest = r2.Sim_cluster.Cluster.cr_digest
-          && r1.Sim_cluster.Cluster.cr_log = r2.Sim_cluster.Cluster.cr_log
-        then []
-        else
-          [
-            {
-              Oracle.oracle = "placement-determinism";
-              message =
-                Printf.sprintf
-                  "1-vs-2 worker divergence: digest %x/%x log %d/%d entries\n\
-                   w1: %s\nw2: %s"
-                  r1.Sim_cluster.Cluster.cr_digest
-                  r2.Sim_cluster.Cluster.cr_digest
-                  (List.length r1.Sim_cluster.Cluster.cr_log)
-                  (List.length r2.Sim_cluster.Cluster.cr_log)
-                  r1.Sim_cluster.Cluster.cr_fingerprint
-                  r2.Sim_cluster.Cluster.cr_fingerprint;
-            };
-          ])
+let run_cluster (spec : Spec.t) (c : Spec.cluster) =
+  let open Sim_cluster in
+  let once ~workers () =
+    let config = config_of_spec spec in
+    let trace =
+      Vtrace.generate
+        ~max_vcpus:(Config.pcpus config)
+        ~seed:c.Spec.cl_trace_seed ~vms:c.Spec.cl_vms ~dist:c.Spec.cl_dist
+        ~horizon_sec:spec.Spec.horizon_sec ()
+    in
+    let t =
+      Cluster.build config ~sched:spec.Spec.sched ~policy:c.Spec.cl_policy
+        ~hosts:c.Spec.cl_hosts ~trace
+    in
+    let r = Cluster.run ~workers t ~horizon_sec:spec.Spec.horizon_sec in
+    (r, Cluster.conservation_errors t)
+  in
+  run_and_rerun ~oracle:"placement-determinism"
+    ~rerun_label:rerun_with_2_workers ~first:(once ~workers:1)
+    ~judge:(function
+      | _, [] -> []
+      | _, errs -> failure "cluster-conservation" (String.concat "; " errs))
+    ~second:(once ~workers:2)
+    ~diverge:(fun ((r1 : Cluster.report), _) ((r2 : Cluster.report), _) ->
+      if r1.cr_digest = r2.cr_digest && r1.cr_log = r2.cr_log then None
+      else
+        Some
+          (Printf.sprintf
+             "1-vs-2 worker divergence: digest %x/%x log %d/%d entries\n\
+              w1: %s\nw2: %s" r1.cr_digest r2.cr_digest
+             (List.length r1.cr_log) (List.length r2.cr_log)
+             r1.cr_fingerprint r2.cr_fingerprint))
+
+(* A single-host case runs the oracle catalogue; a clean primary run
+   is rerun on the other queue backend and its observable outcomes
+   diffed. (Per-case isolation — own engine, own registry — is what
+   makes [-j 1] vs [-j 4] equality hold by construction; the backend
+   flip is the part that needs an actual rerun.) *)
+let run_single spec =
+  run_and_rerun ~oracle:"determinism"
+    ~rerun_label:"rerun on flipped queue backend"
+    ~first:(fun () -> run_once spec)
+    ~judge:snd
+    ~second:(fun () -> run_once ~queue:(flip spec.Spec.queue) spec)
+    ~diverge:(fun (fp, _) (fp', _) ->
+      if fp = fp' then None
+      else
+        Some
+          (Printf.sprintf "wheel/heap divergence: %s vs %s"
+             (fingerprint_to_string fp) (fingerprint_to_string fp')))
 
 let run (spec : Spec.t) : Oracle.failure list =
-  match Spec.validate spec with
-  | Error e -> [ { Oracle.oracle = "spec"; message = e } ]
-  | Ok () when spec.Spec.cluster <> None -> run_cluster spec
-  | Ok () when spec.Spec.sim_jobs >= 2 -> run_decoupled spec
-  | Ok () -> (
-    match run_once spec with
-    | exception e ->
-      [ { Oracle.oracle = "no-crash"; message = Printexc.to_string e } ]
-    | _, (_ :: _ as failures) -> failures
-    | fp, [] -> (
-      (* Primary run clean: the determinism oracle reruns the exact
-         case on the other queue backend and diffs observable
-         outcomes. (Per-case isolation — own engine, own registry —
-         is what makes [-j 1] vs [-j 4] equality hold by
-         construction; the backend flip is the part that needs an
-         actual rerun.) *)
-      match run_once ~queue:(flip (Spec.queue_kind spec)) spec with
-      | exception e ->
-        [
-          {
-            Oracle.oracle = "determinism";
-            message =
-              Printf.sprintf "rerun on flipped queue backend crashed: %s"
-                (Printexc.to_string e);
-          };
-        ]
-      | fp', _ when fp <> fp' ->
-        [
-          {
-            Oracle.oracle = "determinism";
-            message =
-              Printf.sprintf "wheel/heap divergence: %s vs %s"
-                (fingerprint_to_string fp)
-                (fingerprint_to_string fp');
-          };
-        ]
-      | _ -> []))
+  match (Spec.validate spec, spec.Spec.cluster) with
+  | Error e, _ -> failure "spec" e
+  | Ok (), Some c -> run_cluster spec c
+  | Ok (), None when spec.Spec.sim_jobs >= 2 -> run_decoupled spec
+  | Ok (), None -> run_single spec

@@ -1,47 +1,26 @@
 (** Execute one spec and judge it.
 
-    A case run builds the full stack from the spec ([Record]-mode
-    runtime invariants, oracle trace categories armed, export hub
-    off, queue backend pinned), drives it one measurement window with
-    a structural-invariant probe firing every 5 simulated ms, then
-    assembles the {!Oracle.input} and runs the catalogue. A clean
-    primary run is rerun on the flipped queue backend and compared by
-    fingerprint (the determinism oracle). Exceptions anywhere become
-    a ["no-crash"] failure — a fuzz case must never kill the run. *)
+    A case runs the shape its spec names: a single host, decoupled
+    sub-hosts on the PDES fabric ([sim_jobs >= 2]), or a simulated
+    datacenter ([cluster = Some _]). A single-host run builds the full
+    stack ([Record]-mode runtime invariants, oracle trace categories
+    armed, export hub off, queue backend pinned), drives it one
+    measurement window with a structural-invariant probe firing every
+    5 simulated ms, then assembles the {!Oracle.input} and runs the
+    catalogue. A cluster run is judged by the cluster-conservation
+    oracle; a decoupled run has no first-run oracle.
 
-type fingerprint = {
-  fp_now : int;
-  fp_events : int;
-  fp_ctx_switches : int;
-  fp_ipis : int;
-  fp_vms : (string * int * int * int) list;
-      (** (name, marks, rounds, vcrd transitions) in VM order *)
-}
-
-val fingerprint_to_string : fingerprint -> string
-
-val config_of_spec :
-  ?queue:Sim_engine.Engine.queue_kind -> Spec.t -> Asman.Config.t
-(** The exact config a case runs under ([queue] overrides the spec's
-    backend — the determinism rerun). [sim_jobs] passes through: at 2
-    or more, {!run} builds the case as decoupled sub-hosts. *)
-
-val run_once :
-  ?queue:Sim_engine.Engine.queue_kind ->
-  Spec.t ->
-  fingerprint * Oracle.failure list
-(** One simulation, no determinism rerun, exceptions propagate. *)
-
-val run_cluster_once :
-  workers:int -> Spec.t -> Sim_cluster.Cluster.report * string list
-(** One datacenter simulation of a cluster spec at the given fabric
-    worker count, paired with its conservation-oracle verdict.
-    Exceptions propagate. *)
+    Every shape then shares one determinism check: a clean first run
+    is rerun a second way and the two outcomes compared — the single
+    host on the flipped queue backend (oracle ["determinism"],
+    fingerprint of time, events, switches, IPIs and per-VM progress),
+    decoupled and cluster cases on two fabric workers instead of one
+    (["decouple-workers"], fabric digest and event count;
+    ["placement-determinism"], placement log and digest). Exceptions
+    in the first run become a ["no-crash"] failure, in the rerun a
+    failure of that shape's determinism oracle — a fuzz case must
+    never kill the run. *)
 
 val run : Spec.t -> Oracle.failure list
-(** The full judgement: validate, run, oracles, then on clean runs the
-    determinism rerun (flipped queue backend). Decoupled specs
-    ([sim_jobs >= 2]) are judged instead by a 1-vs-2-worker fabric
-    digest rerun, and cluster specs by the cluster-conservation
-    oracle and a 1-vs-2-worker placement-determinism rerun. [[]] means
-    the case passed everything. *)
+(** The full judgement: validate, run, oracles, then the determinism
+    rerun on clean runs. [[]] means the case passed everything. *)

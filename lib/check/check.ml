@@ -76,7 +76,7 @@ let failure_summary fr =
     fr.fr_index fr.fr_seed (head fr.fr_failures)
     (List.length fr.fr_shrunk.Spec.vms)
     (List.fold_left
-       (fun m (v : Spec.vm) -> max m v.Spec.v_vcpus)
+       (fun m (v : Scenario.vm_desc) -> max m v.vd_vcpus)
        0 fr.fr_shrunk.Spec.vms)
     fr.fr_shrunk.Spec.horizon_sec
     (head fr.fr_shrunk_failures)

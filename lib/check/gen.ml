@@ -1,5 +1,8 @@
 open Asman
 module Rng = Sim_engine.Rng
+module Fault = Sim_faults.Fault
+module Placement = Sim_cluster.Placement
+module Vtrace = Sim_cluster.Vtrace
 
 (* Every draw comes from one splitmix64 stream seeded by the case
    seed, so a case is reproducible from the seed alone and shrunk
@@ -75,6 +78,9 @@ let any_workload rng =
 
 let vm_name i = Printf.sprintf "vm%d" i
 
+(* ASMan twice: mixed cases draw the paper's scheduler two times in five *)
+let base_scheds = [| Config.Credit; Asman; Asman; Cosched_static; Asman_oov |]
+
 let base_spec rng =
   (* Mostly paper-testbed-sized hosts; one case in 16 is a big-host
      NUMA-ish box (64/128 PCPUs) so the big-topology paths stay
@@ -86,17 +92,19 @@ let base_spec rng =
   in
   {
     Spec.seed = Rng.next_int64 rng;
-    sched = [| "credit"; "asman"; "asman"; "con"; "asman-oov" |].(Rng.int rng 5);
+    sched = base_scheds.(Rng.int rng 5);
     scale = 0.05;
     work_conserving = Rng.int rng 4 <> 0;
-    faults = "none";
-    queue = (if Rng.bool rng then "wheel" else "heap");
+    faults = Fault.none;
+    queue =
+      (if Rng.bool rng then Sim_engine.Engine.Wheel_queue
+       else Sim_engine.Engine.Heap_queue);
     sim_jobs = 1;
     sockets;
     cores_per_socket;
     horizon_sec = 0.06 +. (0.02 *. float_of_int (Rng.int rng 8));
     check_fairness = false;
-    accounting = "precise";
+    accounting = Sim_vmm.Vmm.Precise;
     check_entitlement = false;
     vms = [];
     cluster = None;
@@ -116,13 +124,13 @@ let fairness_shape rng spec =
   let vms =
     List.init nvms (fun i ->
         {
-          Spec.v_name = vm_name i;
-          v_weight = ws.(i);
-          v_vcpus = [| 2; 4 |].(Rng.int rng 2);
+          Scenario.vd_name = vm_name i;
+          vd_weight = ws.(i);
+          vd_vcpus = [| 2; 4 |].(Rng.int rng 2);
           (* pure compute only: jbb's think time makes demand
              unprovable, and the proportionality oracle is only sound
              when every VM provably wants the whole machine *)
-          v_workload =
+          vd_workload =
             Some (Scenario.W_speccpu (if Rng.bool rng then "gcc" else "bzip2"));
         })
   in
@@ -131,9 +139,9 @@ let fairness_shape rng spec =
     (* always-coschedule trades fairness for gang alignment by
        design; proportionality is only a theorem for credit-family
        schedulers *)
-    Spec.sched = (if Rng.bool rng then "credit" else "asman");
+    Spec.sched = (if Rng.bool rng then Config.Credit else Asman);
     work_conserving = false;
-    faults = "none";
+    faults = Fault.none;
     check_fairness = true;
     horizon_sec = 0.3;
     vms;
@@ -146,10 +154,10 @@ let storm_shape rng spec =
   let vms =
     List.init nvms (fun i ->
         {
-          Spec.v_name = vm_name i;
-          v_weight = Rng.pick rng weights;
-          v_vcpus = Rng.int_in rng ~lo:2 ~hi:4;
-          v_workload =
+          Scenario.vd_name = vm_name i;
+          vd_weight = Rng.pick rng weights;
+          vd_vcpus = Rng.int_in rng ~lo:2 ~hi:4;
+          vd_workload =
             Some
               (Scenario.W_lock_storm
                  {
@@ -160,7 +168,7 @@ let storm_shape rng spec =
                  });
         })
   in
-  { spec with Spec.sched = "asman"; faults = "none"; vms }
+  { spec with Spec.sched = Config.Asman; faults = Fault.none; vms }
 
 (* The dedicated attack shape: the only generated shape where the
    entitlement oracle's attacker-vs-victim comparison is sound.
@@ -173,27 +181,27 @@ let attack_shape rng spec =
     if Rng.int rng 3 = 0 then
       [
         {
-          Spec.v_name = "attacker-a";
-          v_weight = 64;
-          v_vcpus = 1;
-          v_workload =
+          Scenario.vd_name = "attacker-a";
+          vd_weight = 64;
+          vd_vcpus = 1;
+          vd_workload =
             Some (Scenario.W_attack_launder { threads = 1; phased = false });
         };
         {
-          Spec.v_name = "attacker-b";
-          v_weight = 64;
-          v_vcpus = 1;
-          v_workload =
+          Scenario.vd_name = "attacker-b";
+          vd_weight = 64;
+          vd_vcpus = 1;
+          vd_workload =
             Some (Scenario.W_attack_launder { threads = 1; phased = true });
         };
       ]
     else
       [
         {
-          Spec.v_name = "attacker";
-          v_weight = 64;
-          v_vcpus = 1;
-          v_workload =
+          Scenario.vd_name = "attacker";
+          vd_weight = 64;
+          vd_vcpus = 1;
+          vd_workload =
             Some
               (if Rng.bool rng then Scenario.W_attack_dodge { threads = 1 }
                else Scenario.W_attack_steal { threads = 1 });
@@ -210,21 +218,21 @@ let attack_shape rng spec =
   let victims =
     List.init 2 (fun i ->
         {
-          Spec.v_name = Printf.sprintf "victim%d" i;
-          v_weight = 512;
-          v_vcpus = cores;
-          v_workload =
+          Scenario.vd_name = Printf.sprintf "victim%d" i;
+          vd_weight = 512;
+          vd_vcpus = cores;
+          vd_workload =
             Some (Scenario.W_speccpu (if Rng.bool rng then "gcc" else "bzip2"));
         })
   in
   {
     spec with
     (* credit-family only: entitlement is an Eq. (2) statement *)
-    Spec.sched = (if Rng.bool rng then "credit" else "asman");
+    Spec.sched = (if Rng.bool rng then Config.Credit else Asman);
     sockets = 1;
     cores_per_socket = cores;
-    faults = "none";
-    accounting = "precise";
+    faults = Fault.none;
+    accounting = Sim_vmm.Vmm.Precise;
     check_entitlement = true;
     horizon_sec = 1.0;
     vms = attackers @ victims;
@@ -241,16 +249,16 @@ let decoupled_shape rng spec =
   let vms =
     List.init nvms (fun i ->
         {
-          Spec.v_name = vm_name i;
-          v_weight = Rng.pick rng weights;
-          v_vcpus = [| 1; 2; 2; 4 |].(Rng.int rng 4);
-          v_workload = Some (any_workload rng);
+          Scenario.vd_name = vm_name i;
+          vd_weight = Rng.pick rng weights;
+          vd_vcpus = [| 1; 2; 2; 4 |].(Rng.int rng 4);
+          vd_workload = Some (any_workload rng);
         })
   in
   {
     spec with
-    Spec.sched = [| "credit"; "asman"; "con" |].(Rng.int rng 3);
-    faults = "none";
+    Spec.sched = [| Config.Credit; Asman; Cosched_static |].(Rng.int rng 3);
+    faults = Fault.none;
     sim_jobs = shards;
     sockets = shards * (if Rng.bool rng then 1 else 2);
     cores_per_socket = [| 2; 4 |].(Rng.int rng 2);
@@ -267,8 +275,8 @@ let decoupled_shape rng spec =
 let cluster_shape rng spec =
   {
     spec with
-    Spec.sched = [| "credit"; "asman"; "con" |].(Rng.int rng 3);
-    faults = "none";
+    Spec.sched = [| Config.Credit; Asman; Cosched_static |].(Rng.int rng 3);
+    faults = Fault.none;
     sim_jobs = 1;
     sockets = 1;
     cores_per_socket = [| 2; 2; 4 |].(Rng.int rng 3);
@@ -279,15 +287,18 @@ let cluster_shape rng spec =
         {
           Spec.cl_hosts = Rng.int_in rng ~lo:2 ~hi:4;
           cl_trace_seed = Rng.next_int64 rng;
-          cl_policy = [| "first-fit"; "best-fit"; "lifetime" |].(Rng.int rng 3);
-          cl_dist = [| "uniform"; "bimodal"; "heavy" |].(Rng.int rng 3);
+          cl_policy =
+            [| Placement.First_fit; Best_fit; Lifetime_aware |].(Rng.int rng 3);
+          cl_dist = [| Vtrace.Uniform; Bimodal; Heavy |].(Rng.int rng 3);
           cl_vms = Rng.int_in rng ~lo:3 ~hi:8;
         };
   }
 
 let fault_profiles =
-  [| "chaos-mild"; "chaos-heavy"; "jitter"; "stall"; "hotplug";
-     "ipi-loss-10"; "ipi-delay-20"; "vcrd-loss-20" |]
+  Array.map
+    (fun name -> Option.get (Fault.of_name name))
+    [| "chaos-mild"; "chaos-heavy"; "jitter"; "stall"; "hotplug";
+       "ipi-loss-10"; "ipi-delay-20"; "vcrd-loss-20" |]
 
 let chaos_shape rng spec =
   { spec with Spec.faults = Rng.pick rng fault_profiles }
@@ -297,10 +308,10 @@ let mixed_shape rng spec =
   let vms =
     List.init nvms (fun i ->
         {
-          Spec.v_name = vm_name i;
-          v_weight = Rng.pick rng weights;
-          v_vcpus = [| 1; 2; 2; 4 |].(Rng.int rng 4);
-          v_workload =
+          Scenario.vd_name = vm_name i;
+          vd_weight = Rng.pick rng weights;
+          vd_vcpus = [| 1; 2; 2; 4 |].(Rng.int rng 4);
+          vd_workload =
             (* an occasional idle VM exercises the no-workload path *)
             (if Rng.int rng 10 = 0 then None else Some (any_workload rng));
         })
@@ -310,7 +321,8 @@ let mixed_shape rng spec =
     (* occasional sampled-accounting case: fuzzes the tick-debit paths
        for crashes and determinism (the entitlement oracle stays off —
        theft under sampled accounting is modeled behaviour) *)
-    Spec.accounting = (if Rng.int rng 8 = 0 then "sampled" else "precise");
+    Spec.accounting =
+      (if Rng.int rng 8 = 0 then Sim_vmm.Vmm.Sampled else Precise);
     vms;
   }
 

@@ -21,9 +21,9 @@ type input = {
   slots_per_period : int;
   work_conserving : bool;
   clean : bool;
-  sched : string;
+  sched : Asman.Config.sched_kind;
   check_fairness : bool;
-  accounting : string;
+  accounting : Sim_vmm.Vmm.accounting;
   check_entitlement : bool;
   started : int;
   finished : int;
@@ -75,6 +75,13 @@ let window_run_cycles input tl ~vcpu =
       if b > a then acc + (b - a) else acc)
     0
     (Timeline.running_intervals tl ~vcpu)
+
+(* The scheduler families oracles gate on; [Asman_oov] is neither. *)
+let is_asman input =
+  match input.sched with Asman.Config.Asman -> true | _ -> false
+
+let is_con input =
+  match input.sched with Asman.Config.Cosched_static -> true | _ -> false
 
 (* ----- oracles ----- *)
 
@@ -192,7 +199,7 @@ let proportionality =
       (fun input ->
         if not input.check_fairness then Skip "not a fairness-shape case"
         else if not input.clean then Skip "faulty run"
-        else if input.sched = "con" then
+        else if is_con input then
           Skip "always-coschedule trades fairness for gang alignment"
         else begin
           let bad = ref None in
@@ -233,7 +240,7 @@ let entitlement =
     check =
       (fun input ->
         if not input.check_entitlement then Skip "not an attack-shape case"
-        else if input.accounting <> "precise" then
+        else if input.accounting <> Sim_vmm.Vmm.Precise then
           Skip "sampled accounting: theft is modeled behaviour, not a bug"
         else if not input.clean then Skip "faulty run"
         else begin
@@ -279,9 +286,10 @@ let gang_atomicity =
       (fun input ->
         if not input.clean then Skip "faulty run"
         else if input.trace_dropped > 0 then Skip "trace ring overflowed"
-        else if input.sched <> "asman" && input.sched <> "con" then
+        else if not (is_asman input || is_con input) then
           Skip "scheduler has no traced gang protocol"
         else begin
+          let asman = is_asman input in
           let vm_by_domain = Hashtbl.create 8 in
           List.iter
             (fun vm -> Hashtbl.replace vm_by_domain vm.o_domain vm)
@@ -361,18 +369,17 @@ let gang_atomicity =
                 | Some vm ->
                   let t = e.Trace.at in
                   let single_gang =
-                    match input.sched with
-                    | "asman" ->
+                    if asman then
                       Hashtbl.length high = 1 && Hashtbl.mem high domain
-                    | _ -> (
+                    else
                       match concurrent_vms with
                       | [ only ] -> only.o_domain = domain
-                      | _ -> false)
+                      | _ -> false
                   in
                   let fits = Array.length vm.o_vcpus <= input.pcpus in
                   let in_window = t + w <= input.finished in
                   let stays_high =
-                    input.sched <> "asman"
+                    (not asman)
                     || not (drops_low domain ~from_:t ~until:(t + w))
                   in
                   if

@@ -31,9 +31,9 @@ type input = {
   slots_per_period : int;
   work_conserving : bool;
   clean : bool;  (** no fault profile *)
-  sched : string;
+  sched : Asman.Config.sched_kind;
   check_fairness : bool;  (** generator-certified fairness shape *)
-  accounting : string;  (** ["precise"] or ["sampled"] *)
+  accounting : Sim_vmm.Vmm.accounting;
   check_entitlement : bool;  (** generator-certified attack shape *)
   started : int;  (** window start, cycles *)
   finished : int;  (** window end, cycles *)

@@ -157,8 +157,8 @@ let candidates (spec : Spec.t) : Spec.t list =
     else
       List.concat
       (List.mapi
-         (fun i (vm : Spec.vm) ->
-           match vm.Spec.v_workload with
+         (fun i (vm : Scenario.vm_desc) ->
+           match vm.vd_workload with
            | None -> []
            | Some w ->
              List.map
@@ -166,7 +166,7 @@ let candidates (spec : Spec.t) : Spec.t list =
                  {
                    spec with
                    Spec.vms =
-                     replace_nth vms i { vm with Spec.v_workload = Some w' };
+                     replace_nth vms i { vm with vd_workload = Some w' };
                  })
                (shrink_workload w))
          vms)
@@ -179,14 +179,14 @@ let candidates (spec : Spec.t) : Spec.t list =
     else
       List.concat
       (List.mapi
-         (fun i (vm : Spec.vm) ->
-           if vm.Spec.v_vcpus > 1 then
+         (fun i (vm : Scenario.vm_desc) ->
+           if vm.vd_vcpus > 1 then
              [
                {
                  spec with
                  Spec.vms =
                    replace_nth vms i
-                     { vm with Spec.v_vcpus = half vm.Spec.v_vcpus };
+                     { vm with vd_vcpus = half vm.vd_vcpus };
                };
              ]
            else [])
@@ -194,8 +194,8 @@ let candidates (spec : Spec.t) : Spec.t list =
   in
   (* 4. drop the fault profile *)
   let drop_faults =
-    if spec.Spec.faults <> "none" then [ { spec with Spec.faults = "none" } ]
-    else []
+    if Sim_faults.Fault.is_none spec.Spec.faults then []
+    else [ { spec with Spec.faults = Sim_faults.Fault.none } ]
   in
   (* 5. halve the horizon *)
   let shrink_horizon =

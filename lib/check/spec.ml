@@ -1,12 +1,8 @@
 open Asman
 module Json = Sim_obs.Json
-
-type vm = {
-  v_name : string;
-  v_weight : int;
-  v_vcpus : int;
-  v_workload : Scenario.workload_desc option;
-}
+module Fault = Sim_faults.Fault
+module Placement = Sim_cluster.Placement
+module Vtrace = Sim_cluster.Vtrace
 
 type provenance = {
   pv_record : string option;
@@ -17,18 +13,18 @@ type provenance = {
 type cluster = {
   cl_hosts : int;
   cl_trace_seed : int64;  (** seeds {!Sim_cluster.Vtrace.generate} *)
-  cl_policy : string;  (** placement policy name *)
-  cl_dist : string;  (** lifetime distribution name *)
+  cl_policy : Placement.policy;
+  cl_dist : Vtrace.dist;  (** lifetime distribution *)
   cl_vms : int;  (** trace length *)
 }
 
 type t = {
   seed : int64;  (** the scenario engine's seed *)
-  sched : string;
+  sched : Config.sched_kind;
   scale : float;
   work_conserving : bool;
-  faults : string;  (** profile name, ["none"] for clean runs *)
-  queue : string;  (** ["wheel"] or ["heap"] *)
+  faults : Fault.profile;  (** {!Sim_faults.Fault.none} for clean runs *)
+  queue : Sim_engine.Engine.queue_kind;
   sim_jobs : int;
       (** --sim-jobs; >= 2 runs the scenario as that many decoupled
           sub-hosts on the PDES fabric, judged by the
@@ -40,13 +36,13 @@ type t = {
       (** generator-certified fairness shape: capped mode, restarting
           CPU-bound workloads, distinct weights — the only shape where
           the proportionality oracle's Eq. (2) prediction is exact *)
-  accounting : string;  (** ["precise"] (default) or ["sampled"] *)
+  accounting : Sim_vmm.Vmm.accounting;  (** [Precise] by default *)
   check_entitlement : bool;
       (** generator-certified attack shape: attacker VMs (recognisable
           from their workload descriptors) plus sustained CPU-bound
           victims — the only shape where the entitlement oracle's
           attacker-vs-victim comparison is sound *)
-  vms : vm list;
+  vms : Scenario.vm_desc list;
   cluster : cluster option;
       (** [Some _]: the case is a whole simulated datacenter — hosts
           on the PDES fabric driven by a seeded arrival/departure
@@ -59,8 +55,6 @@ type t = {
           seed produced this spec. [None] on freshly generated cases;
           stamped onto shrunk repros by {!Check.write_repros}. *)
 }
-
-let pcpus t = t.sockets * t.cores_per_socket
 
 (* ----- JSON ----- *)
 
@@ -126,45 +120,59 @@ let workload_of_json j : Scenario.workload_desc =
         phased = Json.get "phased" j ~of_:Json.to_bool }
   | k -> raise (Json.Parse_error (Printf.sprintf "unknown workload kind %S" k))
 
-let vm_to_json v =
+let vm_to_json (v : Scenario.vm_desc) =
   Json.Obj
     [
-      ("name", Json.String v.v_name);
-      ("weight", Json.Int v.v_weight);
-      ("vcpus", Json.Int v.v_vcpus);
+      ("name", Json.String v.vd_name);
+      ("weight", Json.Int v.vd_weight);
+      ("vcpus", Json.Int v.vd_vcpus);
       ( "workload",
-        match v.v_workload with
+        match v.vd_workload with
         | None -> Json.Null
         | Some w -> workload_to_json w );
     ]
 
-let vm_of_json j =
+let vm_of_json j : Scenario.vm_desc =
   {
-    v_name = Json.get "name" j ~of_:Json.to_string_v;
-    v_weight = Json.get "weight" j ~of_:Json.to_int;
-    v_vcpus = Json.get "vcpus" j ~of_:Json.to_int;
-    v_workload =
+    vd_name = Json.get "name" j ~of_:Json.to_string_v;
+    vd_weight = Json.get "weight" j ~of_:Json.to_int;
+    vd_vcpus = Json.get "vcpus" j ~of_:Json.to_int;
+    vd_workload =
       (match Json.member "workload" j with
       | None | Some Json.Null -> None
       | Some w -> Some (workload_of_json w));
   }
+
+(* String-valued fields are parsed here, once: an unknown name (or a
+   bad int64) is a malformed spec, not a case to run. *)
+let parsed what of_string s =
+  match of_string s with
+  | Some v -> v
+  | None -> raise (Json.Parse_error (Printf.sprintf "%s %S" what s))
+
+let get_parsed what of_string key j =
+  parsed what of_string (Json.get key j ~of_:Json.to_string_v)
+
+(* int64 values exceed JSON's exact-integer range: stored as strings *)
+let get_int64 key j = get_parsed ("bad " ^ key) Int64.of_string_opt key j
 
 let to_json t =
   Json.Obj
     ([
       (* int64 seeds exceed JSON's exact-integer range: as a string *)
       ("seed", Json.String (Int64.to_string t.seed));
-      ("sched", Json.String t.sched);
+      ("sched", Json.String (Config.sched_name t.sched));
       ("scale", Json.Float t.scale);
       ("work_conserving", Json.Bool t.work_conserving);
-      ("faults", Json.String t.faults);
-      ("queue", Json.String t.queue);
+      ("faults", Json.String t.faults.Fault.pname);
+      ("queue", Json.String (Sim_engine.Engine.kind_name t.queue));
       ("sim_jobs", Json.Int t.sim_jobs);
       ("sockets", Json.Int t.sockets);
       ("cores_per_socket", Json.Int t.cores_per_socket);
       ("horizon_sec", Json.Float t.horizon_sec);
       ("check_fairness", Json.Bool t.check_fairness);
-      ("accounting", Json.String t.accounting);
+      ( "accounting",
+        Json.String (Sim_vmm.Vmm.accounting_name t.accounting) );
       ("check_entitlement", Json.Bool t.check_entitlement);
       ("vms", Json.List (List.map vm_to_json t.vms));
     ]
@@ -181,8 +189,8 @@ let to_json t =
               ("hosts", Json.Int c.cl_hosts);
               (* int64, same exact-range concern as the spec seed *)
               ("trace_seed", Json.String (Int64.to_string c.cl_trace_seed));
-              ("policy", Json.String c.cl_policy);
-              ("dist", Json.String c.cl_dist);
+              ("policy", Json.String (Placement.policy_name c.cl_policy));
+              ("dist", Json.String (Vtrace.dist_name c.cl_dist));
               ("vms", Json.Int c.cl_vms);
             ] );
       ])
@@ -199,16 +207,14 @@ let to_json t =
 
 let of_json j =
   {
-    seed =
-      (let s = Json.get "seed" j ~of_:Json.to_string_v in
-       match Int64.of_string_opt s with
-       | Some v -> v
-       | None -> raise (Json.Parse_error (Printf.sprintf "bad seed %S" s)));
-    sched = Json.get "sched" j ~of_:Json.to_string_v;
+    seed = get_int64 "seed" j;
+    sched = get_parsed "unknown scheduler" Config.sched_of_name "sched" j;
     scale = Json.get "scale" j ~of_:Json.to_float;
     work_conserving = Json.get "work_conserving" j ~of_:Json.to_bool;
-    faults = Json.get "faults" j ~of_:Json.to_string_v;
-    queue = Json.get "queue" j ~of_:Json.to_string_v;
+    faults = get_parsed "unknown fault profile" Fault.of_name "faults" j;
+    queue =
+      get_parsed "unknown queue backend" Sim_engine.Engine.kind_of_name
+        "queue" j;
     (* absent in pre-sim-jobs corpus files: one host *)
     sim_jobs =
       (match Json.member "sim_jobs" j with
@@ -222,8 +228,10 @@ let of_json j =
        oracle ungated — the committed corpus replays unchanged *)
     accounting =
       (match Json.member "accounting" j with
-      | None -> "precise"
-      | Some v -> Json.to_string_v v);
+      | None -> Sim_vmm.Vmm.Precise
+      | Some v ->
+        parsed "unknown accounting discipline" Sim_vmm.Vmm.accounting_of_name
+          (Json.to_string_v v));
     check_entitlement =
       (match Json.member "check_entitlement" j with
       | None -> false
@@ -234,35 +242,25 @@ let of_json j =
       (match Json.member "cluster" j with
       | None | Some Json.Null -> None
       | Some c ->
-        let s = Json.get "trace_seed" c ~of_:Json.to_string_v in
-        let cl_trace_seed =
-          match Int64.of_string_opt s with
-          | Some v -> v
-          | None ->
-            raise (Json.Parse_error (Printf.sprintf "bad trace_seed %S" s))
-        in
         Some
           {
             cl_hosts = Json.get "hosts" c ~of_:Json.to_int;
-            cl_trace_seed;
-            cl_policy = Json.get "policy" c ~of_:Json.to_string_v;
-            cl_dist = Json.get "dist" c ~of_:Json.to_string_v;
+            cl_trace_seed = get_int64 "trace_seed" c;
+            cl_policy =
+              get_parsed "unknown placement policy" Placement.policy_of_name
+                "policy" c;
+            cl_dist =
+              get_parsed "unknown lifetime distribution" Vtrace.dist_of_name
+                "dist" c;
             cl_vms = Json.get "vms" c ~of_:Json.to_int;
           });
     provenance =
       (match Json.member "found_seed" j with
       | None -> None
-      | Some v ->
-        let s = Json.to_string_v v in
-        let pv_seed =
-          match Int64.of_string_opt s with
-          | Some sv -> sv
-          | None ->
-            raise (Json.Parse_error (Printf.sprintf "bad found_seed %S" s))
-        in
+      | Some _ ->
         Some
           {
-            pv_seed;
+            pv_seed = get_int64 "found_seed" j;
             pv_record =
               (match Json.member "found_record" j with
               | None | Some Json.Null -> None
@@ -288,7 +286,7 @@ let save t file =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string t))
 
-(* ----- validation / realisation ----- *)
+(* ----- validation ----- *)
 
 let validate t =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -296,17 +294,11 @@ let validate t =
   else if t.horizon_sec <= 0. then err "non-positive horizon"
   else if t.scale <= 0. then err "non-positive scale"
   else if t.vms = [] && t.cluster = None then err "no VMs"
-  else if Config.sched_of_name t.sched = None then
-    err "unknown scheduler %S" t.sched
-  else if Sim_faults.Fault.of_name t.faults = None then
-    err "unknown fault profile %S" t.faults
-  else if t.queue <> "wheel" && t.queue <> "heap" then
-    err "unknown queue backend %S" t.queue
   else if t.sim_jobs < 1 then err "non-positive sim_jobs"
-  else if Sim_vmm.Vmm.accounting_of_name t.accounting = None then
-    err "unknown accounting discipline %S" t.accounting
   else if
-    List.exists (fun v -> v.v_weight <= 0 || v.v_vcpus <= 0) t.vms
+    List.exists
+      (fun (v : Scenario.vm_desc) -> v.vd_weight <= 0 || v.vd_vcpus <= 0)
+      t.vms
   then err "non-positive VM weight or vcpus"
   else
     match t.cluster with
@@ -315,73 +307,26 @@ let validate t =
          cluster case (or a shrink candidate derived from one) fails
          validation instead of crashing the builder *)
       if t.sim_jobs > 1 then err "cluster excludes sim_jobs > 1"
-      else if t.faults <> "none" then err "cluster excludes fault injection"
+      else if not (Fault.is_none t.faults) then
+        err "cluster excludes fault injection"
       else if t.vms <> [] then
         err "cluster cases draw their VMs from the trace, not [vms]"
       else if c.cl_hosts < 1 then err "cluster needs at least one host"
       else if c.cl_vms < 1 then err "empty cluster trace"
-      else if Sim_cluster.Placement.policy_of_name c.cl_policy = None then
-        err "unknown placement policy %S" c.cl_policy
-      else if Sim_cluster.Vtrace.dist_of_name c.cl_dist = None then
-        err "unknown lifetime distribution %S" c.cl_dist
       else Ok ()
     | None ->
       if t.sim_jobs < 2 then Ok ()
       (* mirror Decouple.build's preconditions so a decoupled case (or
          a shrink candidate derived from one) fails validation instead
          of crashing the builder *)
-      else if t.faults <> "none" then err "decouple excludes fault injection"
+      else if not (Fault.is_none t.faults) then
+        err "decouple excludes fault injection"
       else if t.sockets mod t.sim_jobs <> 0 then
         err "%d sockets cannot split into %d shards" t.sockets t.sim_jobs
       else if List.length t.vms < t.sim_jobs then
         err "decouple needs at least one VM per shard"
-      else if List.for_all (fun v -> v.v_workload = None) t.vms then
+      else if
+        List.for_all (fun (v : Scenario.vm_desc) -> v.vd_workload = None) t.vms
+      then
         err "decouple needs a workload VM"
       else Ok ()
-
-let sched_kind t =
-  match Config.sched_of_name t.sched with
-  | Some k -> k
-  | None -> invalid_arg (Printf.sprintf "Spec.sched_kind: %S" t.sched)
-
-let queue_kind t =
-  match t.queue with
-  | "heap" -> Sim_engine.Engine.Heap_queue
-  | _ -> Sim_engine.Engine.Wheel_queue
-
-let fault_profile t =
-  match Sim_faults.Fault.of_name t.faults with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "Spec.fault_profile: %S" t.faults)
-
-let accounting_mode t =
-  match Sim_vmm.Vmm.accounting_of_name t.accounting with
-  | Some a -> a
-  | None -> invalid_arg (Printf.sprintf "Spec.accounting_mode: %S" t.accounting)
-
-let cluster_policy t =
-  match t.cluster with
-  | Some c -> (
-    match Sim_cluster.Placement.policy_of_name c.cl_policy with
-    | Some p -> p
-    | None -> invalid_arg (Printf.sprintf "Spec.cluster_policy: %S" c.cl_policy))
-  | None -> invalid_arg "Spec.cluster_policy: not a cluster spec"
-
-let cluster_dist t =
-  match t.cluster with
-  | Some c -> (
-    match Sim_cluster.Vtrace.dist_of_name c.cl_dist with
-    | Some d -> d
-    | None -> invalid_arg (Printf.sprintf "Spec.cluster_dist: %S" c.cl_dist))
-  | None -> invalid_arg "Spec.cluster_dist: not a cluster spec"
-
-let vm_descs t =
-  List.map
-    (fun v ->
-      {
-        Scenario.vd_name = v.v_name;
-        vd_weight = v.v_weight;
-        vd_vcpus = v.v_vcpus;
-        vd_workload = v.v_workload;
-      })
-    t.vms

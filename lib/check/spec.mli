@@ -5,14 +5,13 @@
     from a case seed, the shrinker rewrites it, [asman repro] and the
     committed [test/corpus/] replay it from JSON. Everything the run
     depends on is in here; rebuilding a spec under the same binary is
-    bit-for-bit deterministic. *)
+    bit-for-bit deterministic.
 
-type vm = {
-  v_name : string;
-  v_weight : int;
-  v_vcpus : int;
-  v_workload : Asman.Scenario.workload_desc option;  (** [None] = idle VM *)
-}
+    Every enumerated field (scheduler, fault profile, queue backend,
+    accounting discipline, placement policy, lifetime distribution)
+    holds its typed value: names are parsed once, at the JSON boundary
+    ({!of_json} rejects an unknown one), and printed back with their
+    modules' canonical names. *)
 
 type provenance = {
   pv_record : string option;
@@ -29,8 +28,8 @@ type cluster = {
   cl_trace_seed : int64;
       (** seeds {!Sim_cluster.Vtrace.generate}; independent of the
           spec seed so shrinking one never perturbs the other *)
-  cl_policy : string;  (** name, as {!Sim_cluster.Placement.policy_of_name} *)
-  cl_dist : string;  (** name, as {!Sim_cluster.Vtrace.dist_of_name} *)
+  cl_policy : Sim_cluster.Placement.policy;
+  cl_dist : Sim_cluster.Vtrace.dist;  (** lifetime distribution *)
   cl_vms : int;  (** trace length (arriving VMs) *)
 }
 (** The cluster axis: the case is a whole simulated datacenter driven
@@ -38,11 +37,11 @@ type cluster = {
 
 type t = {
   seed : int64;  (** the scenario engine's seed *)
-  sched : string;  (** scheduler name, as {!Asman.Config.sched_of_name} *)
+  sched : Asman.Config.sched_kind;
   scale : float;
   work_conserving : bool;
-  faults : string;  (** fault profile name; ["none"] = clean *)
-  queue : string;  (** event-queue backend: ["wheel"] or ["heap"] *)
+  faults : Sim_faults.Fault.profile;  (** {!Sim_faults.Fault.none} = clean *)
+  queue : Sim_engine.Engine.queue_kind;  (** event-queue backend *)
   sim_jobs : int;
       (** [--sim-jobs]: [1] (the default when absent from older
           corpus JSON) runs one host on one engine. [N >= 2] runs the
@@ -58,15 +57,17 @@ type t = {
       (** set only by the generator's dedicated fairness shape (capped
           mode, restarting CPU-bound workloads, distinct weights); the
           proportionality oracle runs only on such cases *)
-  accounting : string;
-      (** credit-accounting discipline: ["precise"] (default when
-          absent from older corpus JSON) or ["sampled"] *)
+  accounting : Sim_vmm.Vmm.accounting;
+      (** credit-accounting discipline: [Precise] when absent from
+          older corpus JSON *)
   check_entitlement : bool;
       (** set only by the generator's dedicated attack shape (attacker
           VMs plus sustained CPU-bound victims; false when absent from
           older corpus JSON); the entitlement oracle runs only on such
           cases, where attacker-vs-victim attainment is meaningful *)
-  vms : vm list;  (** empty on cluster cases: the trace is the VM list *)
+  vms : Asman.Scenario.vm_desc list;
+      (** empty on cluster cases: the trace is the VM list; a
+          [vd_workload] of [None] is an idle VM *)
   cluster : cluster option;
       (** [Some _]: judge with the cluster-conservation and
           placement-determinism oracles instead of the coupled trace
@@ -77,30 +78,24 @@ type t = {
           generated cases and pre-provenance corpus files *)
 }
 
-val pcpus : t -> int
-
 val to_json : t -> Sim_obs.Json.t
+
 val of_json : Sim_obs.Json.t -> t
+(** Raises {!Sim_obs.Json.Parse_error} on a missing or mistyped key
+    and on an unknown scheduler, fault profile, queue backend,
+    accounting discipline, placement policy or lifetime distribution
+    name. *)
 
 val to_string : t -> string
 (** Indented JSON (corpus files are committed; keep diffs readable). *)
 
 val of_string : string -> t
-(** Raises {!Sim_obs.Json.Parse_error} on malformed input. *)
+(** Raises {!Sim_obs.Json.Parse_error} on malformed input, as {!of_json}. *)
 
 val load : string -> t
 val save : t -> string -> unit
 
 val validate : t -> (unit, string) result
-(** Structural sanity before attempting to build the scenario. *)
-
-(** {2 Realisation} — resolve names to live configuration. All raise
-    [Invalid_argument] on names {!validate} would have rejected. *)
-
-val sched_kind : t -> Asman.Config.sched_kind
-val queue_kind : t -> Sim_engine.Engine.queue_kind
-val fault_profile : t -> Sim_faults.Fault.profile
-val accounting_mode : t -> Sim_vmm.Vmm.accounting
-val vm_descs : t -> Asman.Scenario.vm_desc list
-val cluster_policy : t -> Sim_cluster.Placement.policy
-val cluster_dist : t -> Sim_cluster.Vtrace.dist
+(** Structural sanity before attempting to build the scenario:
+    topology, horizon, scale, VM sizes, and the decoupled and cluster
+    builders' preconditions. *)

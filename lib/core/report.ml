@@ -30,7 +30,7 @@ let run ~sched (s : Scenario.t) (m : Runner.metrics) =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.bprintf buf fmt in
   line "scheduler: %s   simulated: %.3f s   events: %d   ipis: %d\n\n"
-    (Config.sched_name sched) m.Runner.wall_sec m.Runner.events_fired
+    (Config.sched_name sched) m.Runner.sim_sec m.Runner.events_fired
     m.Runner.ipis;
   Buffer.add_string buf
     (Table.render

@@ -22,7 +22,7 @@ type vm_metrics = {
 type metrics = {
   vms : vm_metrics list;
   by_name : (string, vm_metrics) Hashtbl.t;
-  wall_sec : float;
+  sim_sec : float;
   events_fired : int;
   ipis : int;
   ctx_switches : int;
@@ -92,7 +92,7 @@ let collect (s : Scenario.t) ~round_times ~started ~base =
   {
     vms;
     by_name;
-    wall_sec = Units.sec_of_cycles f (now - started);
+    sim_sec = Units.sec_of_cycles f (now - started);
     events_fired = Metrics.get d ~subsystem:"engine" ~name:"events_fired" ();
     ipis = Metrics.get d ~subsystem:"hw" ~name:"ipis_sent" ();
     ctx_switches = Metrics.get d ~subsystem:"vmm" ~name:"ctx_switches" ();
@@ -233,7 +233,7 @@ let monitor_of (s : Scenario.t) ~vm =
 let metrics_kv (m : metrics) =
   let global =
     [
-      ("wall_sec", m.wall_sec);
+      ("sim_sec", m.sim_sec);
       ("events_fired", float_of_int m.events_fired);
       ("ipis", float_of_int m.ipis);
       ("ctx_switches", float_of_int m.ctx_switches);

@@ -42,7 +42,7 @@ type metrics = {
   vms : vm_metrics list;
   by_name : (string, vm_metrics) Hashtbl.t;
       (** index of [vms] by VM name, for O(1) {!vm_metrics} lookups *)
-  wall_sec : float;  (** simulated time elapsed during the measurement *)
+  sim_sec : float;  (** simulated time elapsed during the measurement *)
   events_fired : int;  (** engine events during the measurement *)
   ipis : int;  (** IPIs sent during the measurement *)
   ctx_switches : int;  (** context switches during the measurement *)

@@ -275,16 +275,13 @@ type vm_desc = {
   vd_workload : workload_desc option;
 }
 
+let vm_of_desc config d =
+  {
+    vm_name = d.vd_name;
+    weight = d.vd_weight;
+    vcpus = d.vd_vcpus;
+    workload = Option.map (workload_of_desc config) d.vd_workload;
+  }
+
 let of_descs config ~sched descs =
-  let vms =
-    List.map
-      (fun d ->
-        {
-          vm_name = d.vd_name;
-          weight = d.vd_weight;
-          vcpus = d.vd_vcpus;
-          workload = Option.map (workload_of_desc config) d.vd_workload;
-        })
-      descs
-  in
-  build config ~sched ~vms
+  build config ~sched ~vms:(List.map (vm_of_desc config) descs)

@@ -107,5 +107,8 @@ type vm_desc = {
   vd_workload : workload_desc option;
 }
 
+val vm_of_desc : Config.t -> vm_desc -> vm_spec
+(** The descriptor's VM, its workload built by {!workload_of_desc}. *)
+
 val of_descs : Config.t -> sched:Config.sched_kind -> vm_desc list -> t
 (** {!build} over descriptor-built workloads. *)

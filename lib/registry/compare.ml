@@ -74,24 +74,16 @@ let fairness_of r =
       | _ -> None)
     (items (Record.section r "fairness"))
 
-(* (counter, value) per SimCheck health counter. *)
-let check_of r =
+(* (id, value) per entry of a key/value section: the SimCheck health
+   counters ("check"), the cluster-run consolidation metrics
+   ("cluster": density, p99 stall, migration counters). *)
+let values_of name r =
   List.filter_map
     (fun m ->
       match (entry_str "id" m, entry_num "value" m) with
       | Some id, Some v -> Some (id, v)
       | _ -> None)
-    (items (Record.section r "check"))
-
-(* (metric, value) per cluster-run consolidation metric (density,
-   p99 stall, migration counters). *)
-let cluster_of r =
-  List.filter_map
-    (fun m ->
-      match (entry_str "id" m, entry_num "value" m) with
-      | Some id, Some v -> Some (id, v)
-      | _ -> None)
-    (items (Record.section r "cluster"))
+    (items (Record.section r name))
 
 (* ----- comparison ----- *)
 
@@ -238,7 +230,7 @@ let records t old_r new_r =
     section ~label:"simcheck health" ~unit:"count" ~name:"check"
       ~regressed:(fun ~id old_v new_v ->
         (id = "failures" || id = "timeouts") && new_v > old_v)
-      check_of
+      (values_of "check")
   in
   (* Cluster runs are seeded and deterministic like the fairness
      figure: consolidation density or tail-stall drift in either
@@ -249,7 +241,7 @@ let records t old_r new_r =
         (String.starts_with ~prefix:"density" id
         || String.starts_with ~prefix:"p99" id)
         && Float.abs (pct old_v new_v) > t.fairness_threshold)
-      cluster_of
+      (values_of "cluster")
   in
   if old_r.Record.wall_sec > 0. && new_r.Record.wall_sec > 0. then
     Buffer.add_string buf

@@ -62,8 +62,7 @@ val micro_of : Record.t -> (string * float) list
 val fairness_of : Record.t -> (string * float) list
 (** (theft cell id, attained/entitled ratio). *)
 
-val check_of : Record.t -> (string * float) list
-(** (SimCheck counter, value). *)
-
-val cluster_of : Record.t -> (string * float) list
-(** (cluster consolidation metric, value). *)
+val values_of : string -> Record.t -> (string * float) list
+(** [values_of name] is (entry id, value) per entry of the key/value
+    section [name]: ["check"] (SimCheck counters) or ["cluster"]
+    (cluster consolidation metrics). *)

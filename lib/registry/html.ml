@@ -66,13 +66,13 @@ let families =
       f_title = "SimCheck health";
       f_unit = "count";
       f_log = false;
-      f_extract = Compare.check_of;
+      f_extract = Compare.values_of "check";
     };
     {
       f_title = "Cluster consolidation";
       f_unit = "value";
       f_log = false;
-      f_extract = Compare.cluster_of;
+      f_extract = Compare.values_of "cluster";
     };
   ]
 

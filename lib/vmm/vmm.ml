@@ -87,11 +87,6 @@ let add_domain t dom =
   t.domains_rev <- dom :: t.domains_rev;
   t.domains_stale <- true
 
-let find_domain t id =
-  match List.find_opt (fun d -> d.Domain.id = id) t.domains_rev with
-  | Some d -> d
-  | None -> invalid_arg (Printf.sprintf "Vmm.find_domain: no domain %d" id)
-
 let now t = Engine.now t.engine
 
 let metrics t = t.metrics

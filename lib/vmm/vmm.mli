@@ -86,8 +86,6 @@ val domains : t -> Domain.t list
     except that the first read after an {!attach_domain} or
     {!detach_domain} rebuilds the list once. *)
 
-val find_domain : t -> int -> Domain.t
-
 val start : t -> unit
 (** Install machine handlers and begin the slot/period event streams.
     Call after all domains exist; the simulation then advances by

@@ -12,6 +12,13 @@ module Shrink = Sim_check.Shrink
 module Case = Sim_check.Case
 module Check = Sim_check.Check
 
+(* [dune runtest] runs the binary in the test directory, where
+   [corpus/] sits; run by hand from the repository root, the binary
+   finds it under [test/]. *)
+let corpus_dir =
+  List.find_opt Sys.file_exists [ "corpus"; Filename.concat "test" "corpus" ]
+  |> Option.value ~default:"corpus"
+
 (* ----- generator ----- *)
 
 let test_gen_deterministic () =
@@ -69,8 +76,8 @@ let vm_obs ?(domain = 1) ?(vcpus = [| 2; 3 |]) ?(weight = 256)
 
 (* pcpus 2, slot 10 M cycles, 3 slots/period, unit 1000: floor -3000,
    cap 6000, gang window slot/4 = 2.5 M. *)
-let input ?(pcpus = 2) ?(sched = "asman") ?(check_fairness = false)
-    ?(accounting = "precise") ?(check_entitlement = false)
+let input ?(pcpus = 2) ?(sched = Config.Asman) ?(check_fairness = false)
+    ?(accounting = Sim_vmm.Vmm.Precise) ?(check_entitlement = false)
     ?(finished = 100_000_000) ?(entries = []) ?(runtime_violations = 0)
     ?(structural = Ok ()) ?(probe_errors = []) ?(vms = [ vm_obs "vm0" ]) () =
   {
@@ -212,7 +219,7 @@ let test_oracle_credit_burn () =
 
 let test_oracle_proportionality () =
   let fairness rate =
-    input ~check_fairness:true ~sched:"credit"
+    input ~check_fairness:true ~sched:Config.Credit
       ~vms:[ vm_obs ~rate ~expected:0.5 "vm0" ]
       ()
   in
@@ -247,7 +254,9 @@ let test_oracle_gang_atomicity () =
     "pass"
     (input ~entries:(gang_entries ~rescued:true) ());
   check_verdict "credit scheduler skips" Oracle.gang_atomicity "skip"
-    (input ~sched:"credit" ~entries:(gang_entries ~rescued:false) ())
+    (input ~sched:Config.Credit ~entries:(gang_entries ~rescued:false) ());
+  check_verdict "asman-oov skips" Oracle.gang_atomicity "skip"
+    (input ~sched:Config.Asman_oov ~entries:(gang_entries ~rescued:false) ())
 
 let test_run_all_reports_failures () =
   let bad = input ~vms:[ vm_obs ~credits:[| 6001; 0 |] "vm0" ] () in
@@ -263,25 +272,25 @@ let test_run_all_reports_failures () =
 let big_spec =
   {
     Spec.seed = 1L;
-    sched = "asman";
+    sched = Config.Asman;
     scale = 0.05;
     work_conserving = true;
-    faults = "chaos-mild";
-    queue = "wheel";
+    faults = Sim_faults.Fault.chaos_mild;
+    queue = Sim_engine.Engine.Wheel_queue;
     sim_jobs = 1;
     sockets = 2;
     cores_per_socket = 4;
     horizon_sec = 0.4;
     check_fairness = false;
-    accounting = "precise";
+    accounting = Sim_vmm.Vmm.Precise;
     check_entitlement = false;
     vms =
       List.init 4 (fun i ->
           {
-            Spec.v_name = Printf.sprintf "vm%d" i;
-            v_weight = 256;
-            v_vcpus = 8;
-            v_workload =
+            Scenario.vd_name = Printf.sprintf "vm%d" i;
+            vd_weight = 256;
+            vd_vcpus = 8;
+            vd_workload =
               Some
                 (Scenario.W_compute { threads = 4; chunks = 100; chunk_us = 500 });
           });
@@ -295,7 +304,8 @@ let test_shrink_converges () =
   (* the planted bug needs one VM with >= 2 VCPUs; everything else
      must shrink away *)
   let fails (s : Spec.t) =
-    if List.exists (fun (v : Spec.vm) -> v.Spec.v_vcpus >= 2) s.Spec.vms then
+    if List.exists (fun (v : Scenario.vm_desc) -> v.vd_vcpus >= 2) s.Spec.vms
+    then
       planted
     else []
   in
@@ -305,9 +315,10 @@ let test_shrink_converges () =
   Alcotest.(check bool) "still failing" true (failures <> []);
   Alcotest.(check int) "one VM left" 1 (List.length shrunk.Spec.vms);
   Alcotest.(check int) "vcpus at the failure threshold" 2
-    (List.fold_left (fun m (v : Spec.vm) -> max m v.Spec.v_vcpus) 0
+    (List.fold_left (fun m (v : Scenario.vm_desc) -> max m v.vd_vcpus) 0
        shrunk.Spec.vms);
-  Alcotest.(check string) "faults dropped" "none" shrunk.Spec.faults;
+  Alcotest.(check string) "faults dropped" "none"
+    shrunk.Spec.faults.Sim_faults.Fault.pname;
   Alcotest.(check bool) "horizon shrunk to the floor" true
     (shrunk.Spec.horizon_sec <= 0.05 +. 1e-9)
 
@@ -344,7 +355,7 @@ let test_oracle_entitlement () =
     (input ~vms:[ attacker; victim ] ());
   check_verdict "sampled accounting skips (theft is modeled behaviour)"
     Oracle.entitlement "skip"
-    (input ~accounting:"sampled" ~check_entitlement:true
+    (input ~accounting:Sim_vmm.Vmm.Sampled ~check_entitlement:true
        ~vms:[ attacker; victim ] ());
   check_verdict "faulty run skips" Oracle.entitlement "skip"
     {
@@ -388,25 +399,25 @@ let test_oracle_entitlement () =
 let mutation_spec =
   {
     Spec.seed = 6693850188908107858L;
-    sched = "con";
+    sched = Config.Cosched_static;
     scale = 0.05;
     work_conserving = false;
-    faults = "none";
-    queue = "wheel";
+    faults = Sim_faults.Fault.none;
+    queue = Sim_engine.Engine.Wheel_queue;
     sim_jobs = 1;
     sockets = 2;
     cores_per_socket = 2;
     horizon_sec = 0.14;
     check_fairness = false;
-    accounting = "precise";
+    accounting = Sim_vmm.Vmm.Precise;
     check_entitlement = false;
     vms =
       [
         {
-          Spec.v_name = "vm0";
-          v_weight = 1024;
-          v_vcpus = 2;
-          v_workload = Some (Scenario.W_nas "CG");
+          Scenario.vd_name = "vm0";
+          vd_weight = 1024;
+          vd_vcpus = 2;
+          vd_workload = Some (Scenario.W_nas "CG");
         };
       ];
     cluster = None;
@@ -435,31 +446,31 @@ let test_mutation_skip_credit_burn_caught () =
 let sampled_mutation_spec =
   {
     Spec.seed = -4619933354561587056L;
-    sched = "asman";
+    sched = Config.Asman;
     scale = 0.05;
     work_conserving = false;
-    faults = "none";
-    queue = "heap";
+    faults = Sim_faults.Fault.none;
+    queue = Sim_engine.Engine.Heap_queue;
     sim_jobs = 1;
     sockets = 1;
     cores_per_socket = 1;
     horizon_sec = 0.125;
     check_fairness = false;
-    accounting = "precise";
+    accounting = Sim_vmm.Vmm.Precise;
     check_entitlement = true;
     vms =
       [
         {
-          Spec.v_name = "attacker";
-          v_weight = 64;
-          v_vcpus = 1;
-          v_workload = Some (Scenario.W_attack_dodge { threads = 1 });
+          Scenario.vd_name = "attacker";
+          vd_weight = 64;
+          vd_vcpus = 1;
+          vd_workload = Some (Scenario.W_attack_dodge { threads = 1 });
         };
         {
-          Spec.v_name = "victim1";
-          v_weight = 512;
-          v_vcpus = 1;
-          v_workload = Some (Scenario.W_speccpu "bzip2");
+          Scenario.vd_name = "victim1";
+          vd_weight = 512;
+          vd_vcpus = 1;
+          vd_workload = Some (Scenario.W_speccpu "bzip2");
         };
       ];
     cluster = None;
@@ -479,22 +490,41 @@ let test_mutation_sampled_accounting_caught () =
         "entitlement oracle catches the planted bug" true
         (List.exists (fun f -> f.Oracle.oracle = "entitlement") failures))
 
+(* The shrunk repro the fuzzer wrote for this mutation
+   ([check --cases 200 --seed 1 --mutate drop-gang-sibling], case 35:
+   two lock-storm VMs under ASMan), committed to the corpus: it
+   replays clean, and the gang-atomicity oracle must convict it once
+   [Drop_gang_sibling] makes gang launches skip a ready sibling. *)
+let test_mutation_drop_gang_sibling_caught () =
+  let spec = Spec.load (Filename.concat corpus_dir "gang-drop-sibling.json") in
+  Fun.protect
+    ~finally:(fun () -> Sim_vmm.Mutation.set None)
+    (fun () ->
+      Alcotest.(check (list string))
+        "gang spec passes unmutated" []
+        (List.map (fun f -> f.Oracle.oracle) (Case.run spec));
+      Sim_vmm.Mutation.set (Some Sim_vmm.Mutation.Drop_gang_sibling);
+      let failures = Case.run spec in
+      Alcotest.(check bool)
+        "gang-atomicity oracle catches the planted bug" true
+        (List.exists (fun f -> f.Oracle.oracle = "gang-atomicity") failures))
+
 (* ----- the cluster axis ----- *)
 
 let cluster_spec =
   {
     Spec.seed = 11L;
-    sched = "credit";
+    sched = Config.Credit;
     scale = 0.05;
     work_conserving = true;
-    faults = "none";
-    queue = "wheel";
+    faults = Sim_faults.Fault.none;
+    queue = Sim_engine.Engine.Wheel_queue;
     sim_jobs = 1;
     sockets = 1;
     cores_per_socket = 2;
     horizon_sec = 0.3;
     check_fairness = false;
-    accounting = "precise";
+    accounting = Sim_vmm.Vmm.Precise;
     check_entitlement = false;
     vms = [];
     cluster =
@@ -502,8 +532,8 @@ let cluster_spec =
         {
           Spec.cl_hosts = 4;
           cl_trace_seed = 7L;
-          cl_policy = "first-fit";
-          cl_dist = "bimodal";
+          cl_policy = Sim_cluster.Placement.First_fit;
+          cl_dist = Sim_cluster.Vtrace.Bimodal;
           cl_vms = 6;
         };
     provenance = None;
@@ -536,14 +566,30 @@ let test_cluster_spec_validation () =
     (rejected (with_cluster (fun c -> { c with Spec.cl_hosts = 0 })));
   Alcotest.(check bool) "empty trace rejected" true
     (rejected (with_cluster (fun c -> { c with Spec.cl_vms = 0 })));
-  Alcotest.(check bool) "unknown policy rejected" true
-    (rejected (with_cluster (fun c -> { c with Spec.cl_policy = "psychic" })));
-  Alcotest.(check bool) "unknown distribution rejected" true
-    (rejected (with_cluster (fun c -> { c with Spec.cl_dist = "cauchy" })));
   Alcotest.(check bool) "cluster excludes fault injection" true
-    (rejected { cluster_spec with Spec.faults = "chaos-mild" });
+    (rejected { cluster_spec with Spec.faults = Sim_faults.Fault.chaos_mild });
   Alcotest.(check bool) "cluster excludes a decoupled host" true
     (rejected { cluster_spec with Spec.sim_jobs = 2 })
+
+(* Enumerated names are parsed once, in [Spec.of_json]: an unknown
+   name is a malformed spec, refused at load time. *)
+let test_spec_rejects_unknown_names () =
+  let rec set key v = function
+    | Sim_obs.Json.Obj kvs ->
+      Sim_obs.Json.Obj
+        (List.map (fun (k, x) -> (k, if k = key then v else set key v x)) kvs)
+    | j -> j
+  in
+  List.iter
+    (fun (key, bad) ->
+      let j = set key (Sim_obs.Json.String bad) (Spec.to_json cluster_spec) in
+      match Spec.of_json j with
+      | _ -> Alcotest.failf "%s %S accepted" key bad
+      | exception Sim_obs.Json.Parse_error _ -> ())
+    [
+      ("sched", "fifo"); ("faults", "gamma-rays"); ("queue", "stack");
+      ("accounting", "lazy"); ("policy", "psychic"); ("dist", "cauchy");
+    ]
 
 (* The planted double-place mutation end to end: the pinned cluster
    spec replays clean, the armed mutation books arriving VMs on two
@@ -596,7 +642,7 @@ let test_timeout_reported_with_seed () =
 (* ----- the committed corpus replays clean ----- *)
 
 let corpus_files () =
-  Sys.readdir "corpus" |> Array.to_list
+  Sys.readdir corpus_dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".json")
   |> List.sort compare
 
@@ -605,7 +651,7 @@ let test_corpus_replays () =
   Alcotest.(check bool) "corpus is not empty" true (List.length files >= 3);
   List.iter
     (fun f ->
-      let spec = Spec.load (Filename.concat "corpus" f) in
+      let spec = Spec.load (Filename.concat corpus_dir f) in
       match Case.run spec with
       | [] -> ()
       | fs ->
@@ -647,10 +693,14 @@ let suite =
       test_mutation_skip_credit_burn_caught;
     Alcotest.test_case "planted sampled-accounting is caught" `Slow
       test_mutation_sampled_accounting_caught;
+    Alcotest.test_case "planted drop-gang-sibling is caught" `Slow
+      test_mutation_drop_gang_sibling_caught;
     Alcotest.test_case "cluster spec JSON round-trips with back-compat"
       `Quick test_cluster_spec_json;
     Alcotest.test_case "cluster spec validation" `Quick
       test_cluster_spec_validation;
+    Alcotest.test_case "spec parsing rejects unknown names" `Quick
+      test_spec_rejects_unknown_names;
     Alcotest.test_case "planted double-place is caught and shrunk" `Slow
       test_mutation_double_place_caught;
     Alcotest.test_case "timed-out case reported with its seed" `Quick

@@ -209,7 +209,7 @@ let test_compare_cluster_drift () =
       ()
   in
   let extract r =
-    mk ~id:"x" ~cluster:r () |> fun rec_ -> Compare.cluster_of rec_
+    mk ~id:"x" ~cluster:r () |> fun rec_ -> Compare.values_of "cluster" rec_
   in
   Alcotest.(check (list (pair string (float 1e-9))))
     "cluster section round-trips through the extractor"

@@ -141,7 +141,13 @@ let test_run_window_duration () =
                workload = Some (tiny_workload ()) } ]
   in
   let m = Runner.run_window s ~sec:0.25 in
-  Alcotest.(check (float 1e-6)) "window length" 0.25 m.Runner.wall_sec
+  Alcotest.(check (float 1e-6)) "window length" 0.25 m.Runner.sim_sec;
+  (* the registry snapshot keeps simulated time apart from the
+     record's own host wall time *)
+  let kv = Runner.metrics_kv m in
+  Alcotest.(check (option (float 1e-6))) "recorded as sim_sec" (Some 0.25)
+    (List.assoc_opt "sim_sec" kv);
+  Alcotest.(check bool) "no wall_sec key" false (List.mem_assoc "wall_sec" kv)
 
 let test_run_window_marks () =
   let workload =
