@@ -46,8 +46,6 @@ val summary_kv : report -> (string * float) list
 
 val failure_summary : failure_report -> string
 
-val repro_filename : failure_report -> string
-
 val write_repros : ?dir:string -> ?record_id:string -> report -> string list
 (** Write each failure's shrunk spec as a JSON case file (CI uploads
     these as artifacts); returns the paths. Each file is stamped with

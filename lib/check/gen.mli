@@ -20,6 +20,3 @@ val finite_workload : Sim_engine.Rng.t -> Asman.Scenario.workload_desc
     random lock/compute programs — used by the ported
     [test_properties] generator. *)
 
-val sustained_workload : Sim_engine.Rng.t -> Asman.Scenario.workload_desc
-(** A workload that keeps demand up for a whole measurement window
-    (restarting or effectively unbounded). *)

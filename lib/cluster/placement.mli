@@ -46,16 +46,7 @@ val release : host_view -> vcpus:int -> unit
     copy, stop-and-copy migration), so an arrival landing mid-copy
     sees the true future occupancy. *)
 
-val drain_end : host_view -> now_sec:float -> float
 val utilization : host_view -> float
-
-val la_score :
-  host_view ->
-  now_sec:float ->
-  predicted_end_sec:float ->
-  penalty_sec:float ->
-  float
-(** Lower is better. *)
 
 val choose :
   policy ->

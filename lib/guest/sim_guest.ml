@@ -480,11 +480,6 @@ module Spinlock = struct
     | [] -> raise Not_found
     | (w, since) :: rest -> if w == thread then since else since_in thread rest
 
-  let waiting_since t thread =
-    match since_in thread t.waiters with
-    | since -> Some since
-    | exception Not_found -> None
-
   (* Waiters are distinct ({!enqueue_waiter} refuses a second entry), so
      dropping the first match drops every match. *)
   let rec remove_waiter thread = function
@@ -668,114 +663,56 @@ module Monitor = struct
   type t = {
     params : params;
     mutable engine : Engine.t;
-    hypercall : Sim_vmm.Hypercall.t;
     domain : Sim_vmm.Domain.t;
-    estimator : Sim_learn.Estimator.t;
+    window : Sim_learn.Window.t;
     mutable spin_hist : Sim_stats.Histogram.t;
     mutable sem_hist : Sim_stats.Histogram.t;
     mutable on_traced : (trace_entry -> unit) option;
     mutable over_threshold : int;
     mutable adjusting_events : int;
-    mutable window : Engine.timer;  (** the HIGH window's end check *)
-    mutable window_budget : int;  (** online cycles left in the HIGH window *)
-    mutable window_anchor : int;  (** domain online cycles at the last re-arm *)
-    mutable parked : bool;  (** a HIGH window was cancelled by {!park} *)
   }
 
   let params t = t.params
 
   let threshold_cycles t = Units.pow2 t.params.delta_exp
 
-  let set_vcrd t v =
-    if t.params.report_vcrd then Sim_vmm.Hypercall.do_vcrd_op t.hypercall t.domain v
-
-  let domain_online t =
-    Sim_vmm.Vmm.domain_online_cycles
-      (Sim_vmm.Hypercall.vmm t.hypercall)
-      t.domain
-
-  (* The HIGH window is metered in guest-consumed CPU time, not wall
-     time: a capped VM may be entirely offline for long stretches during
-     which no synchronization can occur, and a wall-clock window would
-     silently expire there. The budget is [x * |C(V)|] online cycles —
-     equivalent to [x] wall cycles when the whole gang is coscheduled.
-     The timer re-arms until the budget is consumed. *)
-  let rec arm_window t =
-    let vcpus = Sim_vmm.Domain.vcpu_count t.domain in
-    let min_delay = Units.pow2 20 in
-    let delay = Int.max min_delay (t.window_budget / vcpus) in
-    Engine.arm t.engine t.window ~delay
-
-  (* [t.window]'s action. *)
-  and window_check t () =
-    let consumed = domain_online t - t.window_anchor in
-    if consumed >= t.window_budget then set_vcrd t Sim_vmm.Domain.Low
-    else begin
-      t.window_anchor <- t.window_anchor + consumed;
-      t.window_budget <- t.window_budget - consumed;
-      arm_window t
-    end
-
   let create params ~engine ~hypercall ~domain ~rng =
-    let t =
-      {
-        params;
-        engine;
-        hypercall;
-        domain;
-        estimator = Sim_learn.Estimator.create params.estimator rng;
-        spin_hist = Sim_stats.Histogram.create ();
-        sem_hist = Sim_stats.Histogram.create ();
-        on_traced = None;
-        over_threshold = 0;
-        adjusting_events = 0;
-        window = Engine.no_timer;
-        window_budget = 0;
-        window_anchor = 0;
-        parked = false;
-      }
+    let high () = Sim_vmm.Hypercall.do_vcrd_op hypercall domain Sim_vmm.Domain.High
+    and low () = Sim_vmm.Hypercall.do_vcrd_op hypercall domain Sim_vmm.Domain.Low in
+    let online () =
+      Sim_vmm.Vmm.domain_online_cycles (Sim_vmm.Hypercall.vmm hypercall) domain
     in
-    t.window <- Engine.timer engine (window_check t);
-    t
+    {
+      params;
+      engine;
+      domain;
+      window =
+        Sim_learn.Window.create params.estimator rng ~engine
+          ~vcpus:(Sim_vmm.Domain.vcpu_count domain) ~online
+          ~high:(if params.report_vcrd then high else ignore)
+          ~low:(if params.report_vcrd then low else ignore);
+      spin_hist = Sim_stats.Histogram.create ();
+      sem_hist = Sim_stats.Histogram.create ();
+      on_traced = None;
+      over_threshold = 0;
+      adjusting_events = 0;
+    }
 
   (* Domain migration is a two-phase handoff because the two engines
      run in different fabric windows, possibly on different OS threads:
-     [park] executes on the source host (freeing [window], the
-     monitor's only engine event, is a queue and slab mutation only the
-     source side may perform), [retarget] on the destination one window
-     later, where it binds a fresh timer.
-     The budget and anchor are metered in guest online cycles, which
-     are continuous across hosts, so a HIGH window survives the move
-     intact (modulo the re-check landing [delay] after the attach
-     instant instead of the original arm instant, part of the modeled
-     stop-and-copy latency). *)
-  let park t =
-    t.parked <- Engine.armed t.engine t.window;
-    Engine.free_timer t.engine t.window;
-    t.window <- Engine.no_timer
+     [park] executes on the source host, [retarget] on the destination
+     one window later. The HIGH window's timer is the monitor's only
+     engine event. *)
+  let park t = Sim_learn.Window.park t.window
 
   let retarget t ~engine =
     t.engine <- engine;
-    t.window <- Engine.timer engine (window_check t);
-    if t.parked then begin
-      t.parked <- false;
-      arm_window t
-    end
+    Sim_learn.Window.retarget t.window ~engine
 
-  (* Algorithm 1: an over-threshold spinlock is an adjusting event.
-     The estimator's clock is per-VCPU guest online time, not wall time:
-     localities of synchronization are a property of the program, which
-     makes progress only while the VM is online. Estimates and window
-     budgets are therefore all in online cycles. *)
+  (* Algorithm 1: an over-threshold spinlock is an adjusting event. *)
   let adjusting_event t =
     t.adjusting_events <- t.adjusting_events + 1;
-    let online_now = domain_online t / Sim_vmm.Domain.vcpu_count t.domain in
-    let x = Sim_learn.Estimator.on_adjusting_event t.estimator ~now:online_now in
-    Engine.disarm t.engine t.window;
-    set_vcrd t Sim_vmm.Domain.High;
-    t.window_budget <- x * Sim_vmm.Domain.vcpu_count t.domain;
-    t.window_anchor <- domain_online t;
-    arm_window t
+    Sim_learn.Window.adjusting_event t.window
 
   let record_spin_wait t ~vcpu ~holder ~lock_id ~wait =
     Sim_stats.Histogram.add t.spin_hist wait;
@@ -806,7 +743,7 @@ module Monitor = struct
 
   let adjusting_events t = t.adjusting_events
 
-  let estimator t = t.estimator
+  let estimator t = Sim_learn.Window.estimator t.window
 
   let reset_window t =
     t.spin_hist <- Sim_stats.Histogram.create ();

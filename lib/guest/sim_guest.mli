@@ -182,13 +182,6 @@ module Thread : sig
     Program.t ->
     t
 
-  val is_executable : t -> bool
-  (** Runnable, spinning or barrier-spinning: occupies a VCPU when
-      selected. *)
-
-  val is_preemptible_by_guest : t -> bool
-  (** The guest scheduler may timeslice it away: pure compute, no locks
-      held, not spinning (kernel spinlock semantics). *)
 
   val pp : Format.formatter -> t -> unit
 end
@@ -261,8 +254,6 @@ module Spinlock : sig
   (** Register a contending thread (it should transition to
       [Spinning]). Raises [Invalid_argument] if it already waits or owns
       the lock. *)
-
-  val waiting_since : t -> Thread.t -> int option
 
   val release : t -> Thread.t -> unit
   (** Raises [Invalid_argument] unless the thread is the owner. The

@@ -27,10 +27,6 @@ type params = {
   ratio_cap : float;  (** clamp for the slack ratio reinforcement *)
 }
 
-val default_candidates : slot_cycles:int -> int array
-(** Geometric grid from slot/2 to 16*slot (N = 6): coscheduling bursts
-    between half a slot and a handful of accounting periods. *)
-
 val default_params : slot_cycles:int -> params
 (** [delta_cycles] = 2 slots (an over-threshold spinlock within two
     slots of the window closing means the locality outlived the

@@ -24,7 +24,6 @@ type category =
   | Invariant  (** runtime invariant violations *)
 
 val cat_bit : category -> int
-val cat_name : category -> string
 val categories : category list
 
 val all_mask : int
@@ -69,11 +68,6 @@ val fault_vcrd_corrupted : int
 val fault_pcpu_stall : int
 val fault_pcpu_offline : int
 val fault_pcpu_restore : int
-
-val event_name : event -> string
-
-val event_fields : event -> (string * int) list
-(** Payload as (field, value) pairs in a stable order. *)
 
 type entry = { at : int; ev : event }
 

@@ -1,29 +1,19 @@
-type stats = { mutable to_high : int; mutable to_low : int }
+type stats = { to_high : int; to_low : int }
 
-type t = { mutable vmm : Vmm.t; per_domain : (int, stats) Hashtbl.t }
+type t = { mutable vmm : Vmm.t; mutable to_high : int; mutable to_low : int }
 
-let create vmm = { vmm; per_domain = Hashtbl.create 8 }
+let create vmm = { vmm; to_high = 0; to_low = 0 }
 
 let vmm t = t.vmm
 
 (* Domain migration re-points the guest's hypercall channel at its new
-   host; per-domain call tallies travel with the channel. *)
+   host; the call tallies travel with the channel. *)
 let retarget t ~vmm = t.vmm <- vmm
 
-let stats_for t (dom : Domain.t) =
-  match Hashtbl.find_opt t.per_domain dom.Domain.id with
-  | Some s -> s
-  | None ->
-    let s = { to_high = 0; to_low = 0 } in
-    Hashtbl.replace t.per_domain dom.Domain.id s;
-    s
-
 let do_vcrd_op t dom vcrd =
-  let s = stats_for t dom in
   (match vcrd with
-  | Domain.High -> s.to_high <- s.to_high + 1
-  | Domain.Low -> s.to_low <- s.to_low + 1);
+  | Domain.High -> t.to_high <- t.to_high + 1
+  | Domain.Low -> t.to_low <- t.to_low + 1);
   Vmm.do_vcrd_op t.vmm dom vcrd
 
-let total_calls t =
-  Hashtbl.fold (fun _ s acc -> acc + s.to_high + s.to_low) t.per_domain 0
+let stats (t : t) = { to_high = t.to_high; to_low = t.to_low }

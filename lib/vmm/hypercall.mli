@@ -2,10 +2,11 @@
 
     The paper adds a single hypercall, [do_vcrd_op], through which the
     guest Monitoring Module reports VCRD changes. This module wraps it
-    with per-domain call statistics, mirroring how the prototype
-    instruments the Xen hypercall path. *)
+    with call statistics, mirroring how the prototype instruments the
+    Xen hypercall path. Each guest kernel owns one channel, for its
+    own domain. *)
 
-type stats = { mutable to_high : int; mutable to_low : int }
+type stats = { to_high : int; to_low : int }
 
 type t
 
@@ -15,12 +16,10 @@ val vmm : t -> Vmm.t
 
 val retarget : t -> vmm:Vmm.t -> unit
 (** Re-point the channel at the domain's new host after a
-    decoupled-VMM migration; per-domain tallies travel with it. *)
+    decoupled-VMM migration; the call tallies travel with it. *)
 
 val do_vcrd_op : t -> Domain.t -> Domain.vcrd -> unit
 (** Forwards to {!Vmm.do_vcrd_op} and counts the call. *)
 
-val stats_for : t -> Domain.t -> stats
-(** Cumulative hypercall counts for a domain (zeros if never called). *)
-
-val total_calls : t -> int
+val stats : t -> stats
+(** Cumulative calls through this channel. *)

@@ -1,19 +1,19 @@
 open Sched_intf
 
-type oov_state = {
-  estimator : Sim_learn.Estimator.t;
-  mutable window : Sim_engine.Engine.handle option;
-  mutable budget : int;  (** online cycles left in the HIGH window *)
-  mutable anchor : int;  (** domain online cycles at the last re-arm *)
+(* Per-domain gang state on this host, built at the domain's first
+   lookup: the coscheduling mutex stamp, the watchdog bookkeeping and
+   the out-of-VM VCRD window (from the domain's first PLE). *)
+type gang = {
+  dom : Domain.t;
+  mutable last_launch : int;  (** cycle of the latest launch *)
+  watch : Watchdog.dom_state;
+  mutable oov : Sim_learn.Window.t option;
 }
 
-(* Closure-free lookups for the per-decision paths: a predicate passed
-   to [List.find] or a local recursive scan would be allocated on every
-   call. *)
-let rec find_domain id = function
-  | [] -> raise Not_found
-  | (d : Domain.t) :: rest ->
-    if d.Domain.id = id then d else find_domain id rest
+(* [last_launch] of a domain never launched: far enough in the past
+   that the per-instant mutex and [migratable]'s IPI horizon both pass
+   at time 0, and [never + horizon] does not overflow. *)
+let never = min_int
 
 (* The lowest-numbered online PCPU whose run queue holds no VCPU of
    [domain_id]; [-1] when every one does. *)
@@ -28,10 +28,35 @@ let rec first_free_of (api : api) ~domain_id p =
 let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
     ?(continuity = true) ?(llc_aware = false) ~name ~should_cosched
     (api : api) : t =
-  let domain_of (v : Vcpu.t) = find_domain v.Vcpu.domain_id (api.domains ()) in
-  (* Mutex of Algorithm 4: only one PCPU launches the coscheduling IPIs
-     for a domain at any given instant. *)
-  let last_launch : int Sim_engine.Id_table.t = Sim_engine.Id_table.create 8 in
+  let gangs : gang Sim_engine.Id_table.t = Sim_engine.Id_table.create 8 in
+  (* Self-healing: when a watchdog is armed, a domain whose
+     coscheduling launches repeatedly stall (IPIs lost to faults) is
+     demoted — [cosched] goes false and every gang mechanism below
+     falls back to plain Credit behavior until probation expires.
+     Without one nothing writes a domain's watchdog state, so every
+     domain shares one never-launched state. *)
+  let wd =
+    Option.map (fun p -> Watchdog.create ~metrics:api.metrics p) api.watchdog
+  in
+  let unwatched = Watchdog.fresh () in
+  let gang_of (dom : Domain.t) =
+    match Sim_engine.Id_table.find gangs dom.Domain.id with
+    | g -> g
+    | exception Not_found ->
+      let watch = if Option.is_some wd then Watchdog.fresh () else unwatched in
+      let g = { dom; last_launch = never; watch; oov = None } in
+      Sim_engine.Id_table.replace gangs dom.Domain.id g;
+      g
+  in
+  let gang_of_vcpu (v : Vcpu.t) =
+    match Sim_engine.Id_table.find gangs v.Vcpu.domain_id with
+    | g -> g
+    | exception Not_found ->
+      gang_of
+        (List.find
+           (fun (d : Domain.t) -> d.Domain.id = v.Vcpu.domain_id)
+           (api.domains ()))
+  in
   let engine = Sim_hw.Machine.engine api.machine in
   let trace = Sim_engine.Engine.trace engine in
   let emit_gang ev =
@@ -39,26 +64,14 @@ let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
       Sim_obs.Trace.emit trace ~now:(api.now ()) ev
   in
 
-  (* Self-healing: when a watchdog is armed, a domain whose
-     coscheduling launches repeatedly stall (IPIs lost to faults) is
-     demoted — [cosched] goes false and every gang mechanism below
-     falls back to plain Credit behavior until probation expires. *)
-  let wd =
-    Option.map (fun p -> Watchdog.create ~metrics:api.metrics p) api.watchdog
-  in
-  let demoted (dom : Domain.t) =
-    match wd with
-    | None -> false
-    | Some w -> Watchdog.is_demoted w ~now:(api.now ()) dom.Domain.id
-  in
-  let cosched dom = should_cosched dom && not (demoted dom) in
+  let demoted g = Watchdog.demoted g.watch ~now:(api.now ()) in
+  let cosched g = should_cosched g.dom && not (demoted g) in
 
   (* A VCPU of a coscheduled domain must not be migrated onto a PCPU
      whose run queue already holds a sibling (Algorithm 4, line 3). *)
   let allowed (v : Vcpu.t) ~dst =
-    let dom = domain_of v in
-    (not (cosched dom))
-    || not (Runqueue.has_domain api.runqueues.(dst) ~domain_id:dom.Domain.id)
+    (not (cosched (gang_of_vcpu v)))
+    || not (Runqueue.has_domain api.runqueues.(dst) ~domain_id:v.Vcpu.domain_id)
   in
 
   (* Algorithm 3, lines 8-15: relocate a domain's Ready VCPUs so each
@@ -141,40 +154,29 @@ let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
       None dom.Domain.vcpus
   in
 
-  (* Coschedule the siblings of [leader] (Algorithm 4, lines 5-7):
+  (* Coschedule the siblings of [leader], a VCPU of [g]'s domain
+     (Algorithm 4, lines 5-7):
      IPI every PCPU holding a Ready sibling; the handler boosts the
      sibling and preempts the victim unless it is itself part of a
      coscheduled gang. With a watchdog armed, each launch (at most one
      tracked per domain at a time) counts its IPIs and is audited
      [ack_timeout] later by [arm_check]; IPI delivery doubles as the
-     ack. [retry] relaunches bypass the per-instant mutex and keep the
-     in-flight retry budget instead of resetting it. *)
-  let rec launch_cosched ?(retry = false) ~pcpu (leader : Vcpu.t) =
-    let dom = domain_of leader in
+     ack. [last_launch] is Algorithm 4's mutex: only one PCPU launches
+     a domain's coscheduling IPIs at any given instant. [retry]
+     relaunches bypass it and keep the in-flight retry budget instead
+     of resetting it. *)
+  let rec launch_cosched ?(retry = false) ~pcpu g (leader : Vcpu.t) =
+    let dom = g.dom and s = g.watch in
     let now = api.now () in
-    let already =
-      match Sim_engine.Id_table.find last_launch dom.Domain.id with
-      | at -> at = now
-      | exception Not_found -> false
-    in
-    if ipi && (retry || not already) then begin
-      Sim_engine.Id_table.replace last_launch dom.Domain.id now;
-      let st =
-        match wd with
-        | Some w -> Some (Watchdog.dom_state w dom.Domain.id)
-        | None -> None
-      in
-      let track =
-        match st with
-        | Some s -> retry || not s.Watchdog.check_pending
-        | None -> false
-      in
+    if ipi && (retry || g.last_launch <> now) then begin
+      g.last_launch <- now;
+      let track = Option.is_some wd && (retry || not s.Watchdog.check_pending) in
       let gen =
-        match st with
-        | Some s when track ->
+        if track then begin
           s.Watchdog.gen <- s.Watchdog.gen + 1;
           s.Watchdog.gen
-        | Some _ | None -> 0
+        end
+        else 0
       in
       let sent = ref 0 in
       let mutation_dropped = ref false in
@@ -200,15 +202,15 @@ let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
           then begin
             incr sent;
             Sim_hw.Machine.send_ipi api.machine ~src:pcpu ~dst (fun () ->
-                (match (wd, st) with
-                | Some w, Some s when track && s.Watchdog.gen = gen ->
+                (match wd with
+                | Some w when track && s.Watchdog.gen = gen ->
                   s.Watchdog.acks <- s.Watchdog.acks + 1;
                   Watchdog.note_ack w;
                   emit_gang
                     (Sim_obs.Trace.Gang_ack
                        { domain = dom.Domain.id; pcpu = dst })
                 | _ -> ());
-                if Vcpu.is_ready sib && cosched dom then begin
+                if Vcpu.is_ready sib && cosched g then begin
                   sib.Vcpu.boosted <- true;
                   match api.current dst with
                   | None -> api.run_on ~pcpu:dst sib
@@ -225,8 +227,8 @@ let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
         emit_gang
           (Sim_obs.Trace.Gang_launch
              { domain = dom.Domain.id; pcpu; ipis = !sent; retry });
-      match (wd, st) with
-      | Some w, Some s when track && !sent > 0 ->
+      match wd with
+      | Some w when track && !sent > 0 ->
         (* IPI latency is strictly positive, so no ack can land before
            these counters are (re)armed. *)
         s.Watchdog.expected <- !sent;
@@ -237,12 +239,13 @@ let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
         end;
         s.Watchdog.check_pending <- true;
         Watchdog.note_launch w;
-        arm_check w s dom
+        arm_check w g
       | _ -> ()
     end
 
-  and arm_check w (s : Watchdog.dom_state) (dom : Domain.t) =
+  and arm_check w g =
     let p = Watchdog.params w in
+    let dom = g.dom and s = g.watch in
     ignore
       (Sim_engine.Engine.schedule_after engine ~delay:p.Watchdog.ack_timeout
          (fun () ->
@@ -283,9 +286,9 @@ let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
                     { domain = dom.Domain.id; delay });
                ignore
                  (Sim_engine.Engine.schedule_after engine ~delay (fun () ->
-                      if cosched dom then begin
+                      if cosched g then begin
                         match running_leader dom with
-                        | Some (p, v) -> launch_cosched ~retry:true ~pcpu:p v
+                        | Some (p, v) -> launch_cosched ~retry:true ~pcpu:p g v
                         | None -> s.Watchdog.check_pending <- false
                       end
                       else s.Watchdog.check_pending <- false))
@@ -296,7 +299,8 @@ let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
 
   let run ~pcpu (v : Vcpu.t) =
     api.run_on ~pcpu v;
-    if cosched (domain_of v) then launch_cosched ~pcpu v
+    let g = gang_of_vcpu v in
+    if cosched g then launch_cosched ~pcpu g v
   in
 
   (* Gang solidarity: while any sibling still holds entitled credit,
@@ -329,8 +333,8 @@ let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
       let solidarity =
         head.Vcpu.credit < 0
         &&
-        let dom = domain_of head in
-        cosched dom && gang_anchor dom
+        let g = gang_of_vcpu head in
+        cosched g && gang_anchor g.dom
       in
       if head.Vcpu.credit >= 0 || head.Vcpu.boosted || solidarity then
         run ~pcpu head
@@ -353,9 +357,9 @@ let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
       &&
       match api.current pcpu with
       | Some cur ->
-        let dom = domain_of cur in
-        if cosched dom && gang_anchor dom then begin
-          launch_cosched ~pcpu cur;
+        let g = gang_of_vcpu cur in
+        if cosched g && gang_anchor g.dom then begin
+          launch_cosched ~pcpu g cur;
           true
         end
         else false
@@ -368,19 +372,18 @@ let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
   in
   let on_period () =
     Sched_common.assign_credit api;
-    List.iter (fun d -> if cosched d then spread d) (api.domains ());
+    List.iter (fun d -> if cosched (gang_of d) then spread d) (api.domains ());
     Sched_common.preempt_parked api ~refill:(fun ~pcpu -> decide ~pcpu)
   in
   let on_wake (v : Vcpu.t) =
-    let dom = domain_of v in
     (* Respect the distinct-PCPU invariant for coscheduled domains. *)
     let home =
       if
-        cosched dom
+        cosched (gang_of_vcpu v)
         && Runqueue.has_domain api.runqueues.(v.Vcpu.home)
-             ~domain_id:dom.Domain.id
+             ~domain_id:v.Vcpu.domain_id
       then begin
-        match first_free_of api ~domain_id:dom.Domain.id 0 with
+        match first_free_of api ~domain_id:v.Vcpu.domain_id 0 with
         | -1 -> v.Vcpu.home
         | p -> p
       end
@@ -398,11 +401,12 @@ let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
   let on_vcrd_change (dom : Domain.t) =
     match dom.Domain.vcrd with
     | Domain.High ->
-      if not (demoted dom) then spread dom;
+      let g = gang_of dom in
+      if not (demoted g) then spread dom;
       (* Start coscheduling right away from the PCPU running one of
          the domain's VCPUs (or at the next boundary otherwise). *)
       (match running_leader dom with
-      | Some (p, v) -> if cosched dom then launch_cosched ~pcpu:p v
+      | Some (p, v) -> if cosched g then launch_cosched ~pcpu:p g v
       | None -> ())
     | Domain.Low ->
       Array.iter (fun (v : Vcpu.t) -> v.Vcpu.boosted <- false) dom.Domain.vcpus
@@ -410,68 +414,42 @@ let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
   (* Out-of-VM VCRD detection (the paper's stated future work): the
      hardware pause-loop-exit signal tells the VMM that a VCPU burned
      a full PLE window busy-spinning — no guest modification needed.
-     Each PLE is treated exactly like a Monitoring-Module adjusting
-     event: a per-domain Roth-Erev estimator (clocked in guest online
-     time, like the in-VM monitor) picks the coscheduling duration and
-     the scheduler drives the domain's VCRD itself. *)
+     Each PLE is an adjusting event for the same coscheduling window
+     the in-VM Monitoring Module runs, with its own per-domain
+     estimator; the scheduler drives the domain's VCRD itself, so the
+     changes bypass the guest channel (and its fault filter) but are
+     traced like the guest's reports. *)
   let slot_cycles =
     Sim_hw.Cpu_model.slot_cycles (Sim_hw.Machine.cpu_model api.machine)
   in
-  let oov_table : (int, oov_state) Hashtbl.t = Hashtbl.create 8 in
-  let oov_state_of (dom : Domain.t) =
-    match Hashtbl.find_opt oov_table dom.Domain.id with
-    | Some st -> st
+  let set_vcrd (dom : Domain.t) v () =
+    let now = api.now () in
+    if Domain.set_vcrd dom ~now v then begin
+      if Sim_obs.Trace.on trace Sim_obs.Trace.Vcrd then
+        Sim_obs.Trace.emit trace ~now
+          (Sim_obs.Trace.Vcrd_change
+             { domain = dom.Domain.id; high = dom.Domain.vcrd = Domain.High });
+      on_vcrd_change dom
+    end
+  in
+  let oov_window g =
+    match g.oov with
+    | Some w -> w
     | None ->
-      let st =
-        {
-          estimator =
-            Sim_learn.Estimator.create
-              (Sim_learn.Estimator.default_params ~slot_cycles)
-              (Sim_engine.Rng.split (Sim_engine.Engine.rng engine));
-          window = None;
-          budget = 0;
-          anchor = 0;
-        }
+      let dom = g.dom in
+      let rng = Sim_engine.Rng.split (Sim_engine.Engine.rng engine) in
+      let w =
+        Sim_learn.Window.create
+          (Sim_learn.Estimator.default_params ~slot_cycles)
+          rng ~engine ~vcpus:(Domain.vcpu_count dom)
+          ~online:(fun () -> api.domain_online dom)
+          ~high:(set_vcrd dom Domain.High) ~low:(set_vcrd dom Domain.Low)
       in
-      Hashtbl.replace oov_table dom.Domain.id st;
-      st
-  in
-  let set_vcrd (dom : Domain.t) v =
-    if Domain.set_vcrd dom ~now:(api.now ()) v then on_vcrd_change dom
-  in
-  let rec arm_oov_window (dom : Domain.t) st =
-    let vcpus = Domain.vcpu_count dom in
-    let delay = Int.max (Sim_engine.Units.pow2 20) (st.budget / vcpus) in
-    st.window <-
-      Some
-        (Sim_engine.Engine.schedule_after engine ~delay (fun () ->
-             let consumed = api.domain_online dom - st.anchor in
-             if consumed >= st.budget then begin
-               st.window <- None;
-               set_vcrd dom Domain.Low
-             end
-             else begin
-               st.anchor <- st.anchor + consumed;
-               st.budget <- st.budget - consumed;
-               arm_oov_window dom st
-             end))
+      g.oov <- Some w;
+      w
   in
   let on_ple (v : Vcpu.t) =
-    if oov then begin
-      let dom = domain_of v in
-      let st = oov_state_of dom in
-      let online_now = api.domain_online dom / Domain.vcpu_count dom in
-      let x =
-        Sim_learn.Estimator.on_adjusting_event st.estimator ~now:online_now
-      in
-      (match st.window with
-      | Some h -> Sim_engine.Engine.cancel engine h
-      | None -> ());
-      set_vcrd dom Domain.High;
-      st.budget <- x * Domain.vcpu_count dom;
-      st.anchor <- api.domain_online dom;
-      arm_oov_window dom st
-    end
+    if oov then Sim_learn.Window.adjusting_event (oov_window (gang_of_vcpu v))
   in
   let counters () =
     match wd with Some w -> Watchdog.counter_list w | None -> []
@@ -492,17 +470,13 @@ let make ?(oov = false) ?(ipi = true) ?(solidarity = true)
     2 * (Sim_hw.Machine.cpu_model api.machine).Sim_hw.Cpu_model
         .ipi_latency_cycles
   in
-  let migratable (dom : Domain.t) =
-    (match wd with
-    | None -> true
-    | Some w ->
-      not (Watchdog.dom_state w dom.Domain.id).Watchdog.check_pending)
-    && (match Hashtbl.find_opt oov_table dom.Domain.id with
-       | Some st -> st.window = None
+  let migratable dom =
+    let g = gang_of dom in
+    (not g.watch.Watchdog.check_pending)
+    && (match g.oov with
+       | Some w -> not (Sim_learn.Window.armed w)
        | None -> true)
-    && (match Sim_engine.Id_table.find_opt last_launch dom.Domain.id with
-       | Some at -> api.now () > at + ipi_horizon
-       | None -> true)
+    && api.now () > g.last_launch + ipi_horizon
   in
   { name; on_slot; on_period; on_wake; on_block; on_vcrd_change; on_ple;
     migratable; counters }

@@ -16,8 +16,6 @@ type hooks = {
   on_preempted : unit -> unit;  (** VCPU just went offline *)
 }
 
-val no_hooks : hooks
-
 type t = {
   id : int;  (** globally unique *)
   domain_id : int;

@@ -22,6 +22,17 @@ let max_recorded_violations = 1000
 
 let credit_unit = Credit.default_credit_unit
 
+(* Queue membership of one VCPU at an audit of the run queues: how
+   many distinct queues hold it, and whether its home queue is one of
+   them. The records outlive the audit that counted them, so an audit
+   allocates only for VCPUs it sees for the first time. *)
+type membership = {
+  mutable audit : int;  (** the audit these counts belong to *)
+  mutable queues : int;
+  mutable last_rq : int;
+  mutable in_home : bool;
+}
+
 type t = {
   engine : Engine.t;
   machine : Machine.t;
@@ -57,6 +68,8 @@ type t = {
   mutable violations_rev : string list;  (** bounded; newest first *)
   mutable violations_count : int;
   mutable last_credit_sum : int option;  (** at the previous period check *)
+  membership : membership Id_table.t;  (** VCPU id -> queue membership *)
+  mutable audits : int;
   (* observability *)
   metrics : Metrics.t;
   viol_by_domain : (int, Metrics.counter) Hashtbl.t;
@@ -349,6 +362,8 @@ let create ?(work_conserving = true) ?(accounting = Precise) ?watchdog ?numa
       last_credit_sum = None;
       metrics = Metrics.create ();
       viol_by_domain = Hashtbl.create 8;
+      membership = Id_table.create 1;
+      audits = 0;
     }
   in
   register_gauges t;
@@ -422,36 +437,39 @@ let charge_current t pcpu =
     charge ~at_tick:true t v;
     v.Vcpu.last_dispatch <- now t
 
-(* Queue membership per VCPU id, counted in one pass over the run
-   queues: how many distinct queues hold the VCPU, and whether its
-   home queue is one of them. *)
-type membership = {
-  mutable queues : int;
-  mutable last_rq : int;
-  mutable in_home : bool;
-}
+(* [v]'s membership record for the current audit, zeroed if an
+   earlier audit counted it. *)
+let membership t (v : Vcpu.t) =
+  let m =
+    match Id_table.find t.membership v.Vcpu.id with
+    | m -> m
+    | exception Not_found ->
+      let m = { audit = t.audits; queues = 0; last_rq = -1; in_home = false } in
+      Id_table.add t.membership v.Vcpu.id m;
+      m
+  in
+  if m.audit <> t.audits then begin
+    m.audit <- t.audits;
+    m.queues <- 0;
+    m.last_rq <- -1;
+    m.in_home <- false
+  end;
+  m
 
-let queue_membership t =
-  let seen = Hashtbl.create 64 in
+(* One pass over the run queues opens a new audit. *)
+let count_membership t =
+  t.audits <- t.audits + 1;
   Array.iter
     (fun rq ->
       let p = Runqueue.pcpu rq in
       Runqueue.iter rq ~f:(fun (v : Vcpu.t) ->
-          let m =
-            match Hashtbl.find seen v.Vcpu.id with
-            | m -> m
-            | exception Not_found ->
-              let m = { queues = 0; last_rq = -1; in_home = false } in
-              Hashtbl.replace seen v.Vcpu.id m;
-              m
-          in
+          let m = membership t v in
           if m.last_rq <> p then begin
             m.queues <- m.queues + 1;
             m.last_rq <- p
           end;
           if v.Vcpu.home = p then m.in_home <- true))
-    t.runqueues;
-  seen
+    t.runqueues
 
 let check_invariants t =
   let errors = ref [] in
@@ -469,21 +487,18 @@ let check_invariants t =
           err "offline pcpu %d is running vcpu %d" pcpu v.Vcpu.id
       | None -> ())
     t.current;
-  let membership = queue_membership t in
+  count_membership t;
   List.iter
     (fun dom ->
       Array.iter
         (fun (v : Vcpu.t) ->
-          let queued, in_home =
-            match Hashtbl.find membership v.Vcpu.id with
-            | m -> (m.queues, m.in_home)
-            | exception Not_found -> (0, false)
-          in
+          let m = membership t v in
+          let queued = m.queues in
           match v.Vcpu.state with
           | Vcpu.Ready ->
             if queued <> 1 then
               err "ready vcpu %d is in %d queues" v.Vcpu.id queued
-            else if not in_home then
+            else if not m.in_home then
               err "ready vcpu %d not in its home queue" v.Vcpu.id
           | Vcpu.Running pcpu ->
             if queued <> 0 then err "running vcpu %d is queued" v.Vcpu.id;

@@ -36,7 +36,6 @@ type dom_state = {
 type t = {
   params : params;
   metrics : Sim_obs.Metrics.t;
-  states : (int, dom_state) Hashtbl.t;  (** domain id -> state *)
   launches : Sim_obs.Metrics.counter;
   acks_total : Sim_obs.Metrics.counter;
   timeouts : Sim_obs.Metrics.counter;
@@ -50,7 +49,6 @@ let create ~metrics params =
   {
     params;
     metrics;
-    states = Hashtbl.create 8;
     launches = c "cosched_launches";
     acks_total = c "ipi_acks";
     timeouts = c "watchdog_timeouts";
@@ -61,29 +59,19 @@ let create ~metrics params =
 
 let params t = t.params
 
-let dom_state t dom_id =
-  match Hashtbl.find_opt t.states dom_id with
-  | Some s -> s
-  | None ->
-    let s =
-      {
-        expected = 0;
-        acks = 0;
-        gen = 0;
-        retries_left = 0;
-        backoff = 0;
-        check_pending = false;
-        strikes = 0;
-        demoted_until = -1;
-      }
-    in
-    Hashtbl.replace t.states dom_id s;
-    s
+let fresh () =
+  {
+    expected = 0;
+    acks = 0;
+    gen = 0;
+    retries_left = 0;
+    backoff = 0;
+    check_pending = false;
+    strikes = 0;
+    demoted_until = -1;
+  }
 
-let is_demoted t ~now dom_id =
-  match Hashtbl.find_opt t.states dom_id with
-  | None -> false
-  | Some s -> now < s.demoted_until
+let demoted s ~now = now < s.demoted_until
 
 let note_launch t = Sim_obs.Metrics.incr t.launches
 

@@ -10,9 +10,9 @@
     after which coscheduling is re-attempted with a clean slate. A
     fault-free run acks every launch and accrues no strikes; sustained
     IPI loss of any rate eventually trips the threshold. This module only keeps the bookkeeping
-    (per-domain state; the tallies live in the simulation's
-    {!Sim_obs.Metrics} registry under subsystem ["watchdog"]); the
-    policy lives in {!Sched_gang}. *)
+    (the per-domain state, held by the gang scheduler; the tallies
+    live in the simulation's {!Sim_obs.Metrics} registry under
+    subsystem ["watchdog"]); the policy lives in {!Sched_gang}. *)
 
 type params = {
   ack_timeout : int;  (** cycles to wait for all IPI acks of a launch *)
@@ -49,10 +49,12 @@ val create : metrics:Sim_obs.Metrics.t -> params -> t
 
 val params : t -> params
 
-val dom_state : t -> int -> dom_state
-(** Per-domain state, created on first use. *)
+val fresh : unit -> dom_state
+(** The state of a domain never launched: nothing tracked, no
+    strikes, never demoted. The gang scheduler keeps one per domain. *)
 
-val is_demoted : t -> now:int -> int -> bool
+val demoted : dom_state -> now:int -> bool
+(** The domain is on probation at cycle [now]. *)
 
 val note_launch : t -> unit
 val note_ack : t -> unit

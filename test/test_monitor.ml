@@ -81,7 +81,7 @@ let test_over_threshold_raises_vcrd () =
   Alcotest.(check int) "one adjusting event" 1
     (Sim_guest.Monitor.adjusting_events monitor);
   Alcotest.(check int) "hypercall counted" 1
-    (Sim_vmm.Hypercall.stats_for hypercall domain).Sim_vmm.Hypercall.to_high
+    (Sim_vmm.Hypercall.stats hypercall).Sim_vmm.Hypercall.to_high
 
 let test_window_closes_after_online_budget () =
   let engine, vmm, domain, _, monitor = make_env () in

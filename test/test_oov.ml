@@ -80,6 +80,101 @@ let test_oov_matches_invm_asman () =
     true
     (oov < 0.85 *. credit && abs_float (oov -. invm) /. invm < 0.25)
 
+(* A bare VMM under ASMan-OOV with one always-runnable 2-VCPU domain
+   and no guest kernel: pause-loop exits are delivered by hand. *)
+let oov_env () =
+  let engine = Sim_engine.Engine.create ~seed:2L () in
+  let machine =
+    Sim_hw.Machine.create engine Config.default.Config.cpu
+      Config.default.Config.topology
+  in
+  let vmm = Sim_vmm.Vmm.create machine ~sched:Sim_vmm.Sched_gang.make_oov in
+  let domain = Sim_vmm.Vmm.create_domain vmm ~name:"V" ~weight:256 ~vcpus:2 () in
+  Sim_vmm.Vmm.start vmm;
+  Array.iter (fun v -> Sim_vmm.Vmm.vcpu_wake vmm v) domain.Sim_vmm.Domain.vcpus;
+  let ple () = Sim_vmm.Vmm.pause_loop_exit vmm domain.Sim_vmm.Domain.vcpus.(0) in
+  let high () = domain.Sim_vmm.Domain.vcrd = Sim_vmm.Domain.High in
+  (engine, vmm, ple, high)
+
+let slot = Sim_hw.Cpu_model.slot_cycles Config.default.Config.cpu
+
+let test_oov_window_closes () =
+  let engine, _, ple, high = oov_env () in
+  ple ();
+  Alcotest.(check bool) "high" true (high ());
+  (* The longest candidate is 16 slots of online time per VCPU, about
+     16 slots of wall time with both VCPUs always online. *)
+  Sim_engine.Engine.run ~until:(40 * slot) engine;
+  Alcotest.(check bool) "low after window" false (high ())
+
+let test_oov_retrigger_extends () =
+  let engine, vmm, ple, high = oov_env () in
+  ple ();
+  (* Re-trigger inside even the smallest window (slot/2) for longer
+     than the longest one: VCRD must stay HIGH throughout. *)
+  for i = 1 to 80 do
+    Sim_engine.Engine.run ~until:(i * slot / 4) engine;
+    Alcotest.(check bool) "still high" true (high ());
+    ple ()
+  done;
+  Alcotest.(check int) "81 exits" 81 (Sim_vmm.Vmm.ple_exits vmm)
+
+(* The out-of-VM detector's VCRD flips are traced like the guest's
+   reports: with the Monitoring Module silenced, every Low->High
+   transition of the run appears as a [Vcrd_change]. *)
+let test_oov_flips_traced () =
+  let gp = Config.guest_params config in
+  let gp =
+    {
+      gp with
+      Sim_guest.Kernel.monitor =
+        { gp.Sim_guest.Kernel.monitor with Sim_guest.Monitor.report_vcrd = false };
+    }
+  in
+  let obs =
+    {
+      Config.obs_off with
+      Config.trace_mask = Sim_obs.Trace.cat_bit Sim_obs.Trace.Vcrd;
+      trace_cap = 1 lsl 16;
+      hub = false;
+    }
+  in
+  let s =
+    Scenario.build
+      { (Config.with_work_conserving config false) with
+        Config.guest_params = Some gp; obs }
+      ~sched:Config.Asman_oov
+      ~vms:
+        [
+          {
+            Scenario.vm_name = "V1";
+            weight = 32;
+            vcpus = 4;
+            workload =
+              Some
+                (Sim_workloads.Nas.workload
+                   (Sim_workloads.Nas.params Sim_workloads.Nas.LU ~freq
+                      ~scale:0.05));
+          };
+        ]
+  in
+  let _ = Runner.run_rounds s ~rounds:1 ~max_sec:60. in
+  let dom = (Scenario.find_vm s "V1").Scenario.domain in
+  let raises =
+    List.length
+      (List.filter
+         (fun (e : Sim_obs.Trace.entry) ->
+           match e.Sim_obs.Trace.ev with
+           | Sim_obs.Trace.Vcrd_change { domain; high } ->
+             high && domain = dom.Sim_vmm.Domain.id
+           | _ -> false)
+         (Sim_obs.Trace.entries (Sim_engine.Engine.trace s.Scenario.engine)))
+  in
+  Alcotest.(check bool) "the detector raised VCRD" true
+    (dom.Sim_vmm.Domain.vcrd_transitions > 0);
+  Alcotest.(check int) "one traced raise per transition"
+    dom.Sim_vmm.Domain.vcrd_transitions raises
+
 let test_sched_names () =
   Alcotest.(check string) "name" "asman-oov" (Config.sched_name Config.Asman_oov);
   Alcotest.(check bool) "parse" true
@@ -169,6 +264,9 @@ let suite =
     Alcotest.test_case "oov needs no guest reports" `Quick
       test_oov_coschedules_without_guest_reports;
     Alcotest.test_case "oov matches in-vm" `Slow test_oov_matches_invm_asman;
+    Alcotest.test_case "oov window closes" `Quick test_oov_window_closes;
+    Alcotest.test_case "oov retrigger extends" `Quick test_oov_retrigger_extends;
+    Alcotest.test_case "oov flips traced" `Quick test_oov_flips_traced;
     Alcotest.test_case "sched names" `Quick test_sched_names;
     Alcotest.test_case "gang knobs" `Slow test_gang_knobs_compile_and_run;
     Alcotest.test_case "llc-aware relocation" `Slow

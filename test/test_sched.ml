@@ -190,10 +190,11 @@ let test_hypercall_stats () =
   match inst.Scenario.kernel with
   | Some k ->
     let hc = Sim_guest.Kernel.hypercall k in
-    let stats = Sim_vmm.Hypercall.stats_for hc inst.Scenario.domain in
+    let stats = Sim_vmm.Hypercall.stats hc in
     Alcotest.(check bool) "to_high counted" true (stats.Sim_vmm.Hypercall.to_high > 0);
-    Alcotest.(check bool) "total >= to_high" true
-      (Sim_vmm.Hypercall.total_calls hc >= stats.Sim_vmm.Hypercall.to_high)
+    (* Every lowering closes a window that a raise opened. *)
+    Alcotest.(check bool) "to_low <= to_high" true
+      (stats.Sim_vmm.Hypercall.to_low <= stats.Sim_vmm.Hypercall.to_high)
   | None -> Alcotest.fail "no kernel"
 
 (* The planted [Double_insert_reloc] mutation makes a relocation leave
@@ -347,6 +348,73 @@ let prop_steal_matches_full_scan =
     QCheck.(triple int64 (oneofl [ 8; 32; 64; 128 ]) bool)
     (fun (seed, pcpus, numa) -> steal_script ~seed ~pcpus ~numa)
 
+(* The gang scheduler's quiescence gate for whole-domain migration
+   ([Vmm.sched_migratable]): false while a launch's IPIs may be in
+   flight, while a watchdog audit is pending and while an out-of-VM
+   VCRD window is open; true otherwise, from time 0 on. Driven by
+   hand on a bare VMM: domain A's seven VCPUs fill the other PCPUs of
+   the 8-PCPU host, so B's second VCPU waits Ready and B's launch
+   must IPI it. *)
+let test_gang_migratable_gate () =
+  let cpu = Config.default.Config.cpu in
+  let engine = Sim_engine.Engine.create ~seed:5L () in
+  let machine = Sim_hw.Machine.create engine cpu Config.default.Config.topology in
+  let wd = Sim_vmm.Watchdog.default cpu in
+  let vmm =
+    Sim_vmm.Vmm.create ~watchdog:wd machine ~sched:Sim_vmm.Sched_gang.make_oov
+  in
+  let a = Sim_vmm.Vmm.create_domain vmm ~name:"A" ~weight:256 ~vcpus:7 () in
+  let b = Sim_vmm.Vmm.create_domain vmm ~name:"B" ~weight:256 ~vcpus:2 () in
+  Sim_vmm.Vmm.start vmm;
+  let gate what expected =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s (t=%d)" what (Sim_engine.Engine.now engine))
+      expected (Sim_vmm.Vmm.sched_migratable vmm b)
+  in
+  let run_for d =
+    Sim_engine.Engine.run ~until:(Sim_engine.Engine.now engine + d) engine
+  in
+  let horizon = 2 * cpu.Sim_hw.Cpu_model.ipi_latency_cycles in
+  let audit = wd.Sim_vmm.Watchdog.ack_timeout in
+  let vcpu i = b.Sim_vmm.Domain.vcpus.(i) in
+  Sim_vmm.Vmm.vcpu_wake vmm (vcpu 0);
+  Array.iter (Sim_vmm.Vmm.vcpu_wake vmm) a.Sim_vmm.Domain.vcpus;
+  Sim_vmm.Vmm.vcpu_wake vmm (vcpu 1);
+  Alcotest.(check bool) "B's second VCPU waits" true
+    (Sim_vmm.Vcpu.is_ready (vcpu 1));
+  gate "never launched, at time 0" true;
+  (* Raising VCRD launches from the running VCPU and IPIs the other. *)
+  Sim_vmm.Vmm.do_vcrd_op vmm b Sim_vmm.Domain.High;
+  gate "launch just sent" false;
+  run_for (horizon + 1);
+  Alcotest.(check bool) "the IPI has landed" true
+    (Sim_vmm.Vcpu.is_running (vcpu 1));
+  gate "IPIs drained, audit pending" false;
+  run_for audit;
+  gate "audit passed" true;
+  (* A launch with every sibling already online sends no IPI and opens
+     no audit, but stamps the launch instant. *)
+  Sim_vmm.Vmm.do_vcrd_op vmm b Sim_vmm.Domain.Low;
+  Sim_vmm.Vmm.do_vcrd_op vmm b Sim_vmm.Domain.High;
+  gate "within the IPI horizon" false;
+  run_for (horizon + 1);
+  gate "past the IPI horizon" true;
+  (* A pause-loop exit opens the out-of-VM window; VCRD is already
+     HIGH, so nothing is launched. *)
+  Sim_vmm.Vmm.pause_loop_exit vmm (vcpu 0);
+  gate "out-of-VM window open" false;
+  let rec until_low n =
+    if n > 0 && b.Sim_vmm.Domain.vcrd = Sim_vmm.Domain.High then begin
+      ignore (Sim_engine.Engine.step engine : bool);
+      until_low (n - 1)
+    end
+  in
+  until_low 1_000_000;
+  Alcotest.(check bool) "the window closed" true
+    (b.Sim_vmm.Domain.vcrd = Sim_vmm.Domain.Low);
+  run_for audit;
+  gate "window closed and launches drained" true
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_steal_matches_full_scan;
@@ -363,4 +431,5 @@ let suite =
     Alcotest.test_case "gang beats credit on barriers" `Slow
       test_gang_improves_barrier_workload;
     Alcotest.test_case "hypercall stats" `Quick test_hypercall_stats;
+    Alcotest.test_case "gang migratable gate" `Quick test_gang_migratable_gate;
   ]
