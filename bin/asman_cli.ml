@@ -765,29 +765,11 @@ let run_cmd =
       | Some a ->
         List.map
           (fun (n, desc) ->
-            {
-              Scenario.vm_name = n ^ ":attack-" ^ a;
-              weight = 128;
-              vcpus = 1;
-              workload = Some (Scenario.workload_of_desc config desc);
-            })
+            Scenario.vm ~weight:128 ~vcpus:1 ~name:(n ^ ":attack-" ^ a)
+              (Scenario.workload_of_desc config desc))
           (Experiments.theft_attackers a)
     in
-    let specs =
-      attack_specs
-      @ List.mapi
-          (fun i w ->
-            let workload = Scenario.workload_of_desc config w in
-            {
-              Scenario.vm_name =
-                Printf.sprintf "V%d:%s" (i + 1)
-                  workload.Sim_workloads.Workload.name;
-              weight;
-              vcpus = 4;
-              workload = Some workload;
-            })
-          vms
-    in
+    let specs = attack_specs @ Scenario.numbered_vms config ~weight vms in
     let vm_names =
       List.map (fun (s : Scenario.vm_spec) -> s.Scenario.vm_name) specs
     in
@@ -938,13 +920,8 @@ let lhp_cmd =
     in
     let specs =
       List.init nvms (fun i ->
-          {
-            Scenario.vm_name = Printf.sprintf "V%d:lu" (i + 1);
-            weight = 256;
-            vcpus = 4;
-            workload =
-              Some (Experiments.nas_workload config Sim_workloads.Nas.LU);
-          })
+          Scenario.vm ~name:(Printf.sprintf "V%d:lu" (i + 1))
+            (Experiments.nas_workload config Sim_workloads.Nas.LU))
     in
     let scenario = Scenario.build config ~sched ~vms:specs in
     let (_ : Runner.metrics) = Runner.run_window scenario ~sec in

@@ -81,30 +81,24 @@ let run config =
       Asman.Config.topology = Sim_hw.Topology.make ~sockets:2 ~cores_per_socket:2;
     }
   in
-  let points =
-    List.concat_map
-      (fun (sname, sched) ->
-        List.concat_map
-          (fun (pname, policy) ->
-            List.concat_map
-              (fun vms ->
-                List.init replicas (fun r -> (sname, sched, pname, policy, vms, r)))
-              loads)
-          policies)
-      scheds
-  in
-  let reports =
-    Asman.Pool.map
-      (fun (sname, sched, pname, policy, vms, r) ->
-        ((sname, pname, vms), run_point config ~sched ~policy ~vms ~replica:r))
-      points
+  let report =
+    Asman.Experiments.sweep
+      (fun (sname, pname, vms, replica) ->
+        run_point config ~sched:(List.assoc sname scheds)
+          ~policy:(List.assoc pname policies) ~vms ~replica)
+      (List.concat_map
+         (fun (sname, _) ->
+           List.concat_map
+             (fun (pname, _) ->
+               List.concat_map
+                 (fun vms ->
+                   List.init replicas (fun r -> (sname, pname, vms, r)))
+                 loads)
+             policies)
+         scheds)
   in
   let summary_of sname pname vms =
-    summarize
-      (List.filter_map
-         (fun ((s, p, v), r) ->
-           if s = sname && p = pname && v = vms then Some r else None)
-         reports)
+    summarize (List.init replicas (fun r -> report (sname, pname, vms, r)))
   in
   let series =
     List.map

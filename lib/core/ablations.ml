@@ -2,37 +2,46 @@ open Sim_stats
 
 type t = Experiments.t
 
-let note fmt = Printf.ksprintf (fun s -> s) fmt
-
 (* All ablations measure LU on a single capped VM — the paper's
    headline scenario — unless stated otherwise. *)
 let lu_runtime config ~sched ~weight =
   Experiments.nas_runtime config ~sched ~bench:Sim_workloads.Nas.LU ~weight
 
-let lu_baseline config = lu_runtime config ~sched:Config.Credit ~weight:256
+(* LU at 22.2% online under each keyed (config, scheduler) variant
+   and the 100%-online Credit baseline under [config], as one sweep
+   with the baseline first; returns [(key, slowdown against the
+   baseline)] in variant order. *)
+let variant_slowdowns config variants =
+  let time =
+    Experiments.sweep
+      (function
+        | None -> lu_runtime config ~sched:Config.Credit ~weight:256
+        | Some key ->
+          let config, sched = List.assoc key variants in
+          lu_runtime config ~sched ~weight:32)
+      (None :: List.map (fun (key, _) -> Some key) variants)
+  in
+  List.map (fun (key, _) -> (key, time (Some key) /. time None)) variants
 
-(* Fan a list of named runs out over Pool worker domains: every thunk
-   builds its own scenario from an immutable Config, so runs are
-   independent jobs whose results fold back in input order. *)
-let par_runs runs =
-  List.combine (List.map fst runs)
-    (Pool.map (fun thunk -> thunk ()) (List.map snd runs))
-
-(* Prepend the 100%-online Credit baseline to the fan-out so it runs
-   as one more parallel job, then hand [k] the base and the variants. *)
-let with_baseline config runs k =
-  match par_runs (("baseline", fun () -> lu_baseline config) :: runs) with
-  | (_, base) :: variants -> k base variants
-  | [] -> assert false
-
-let slowdown_series ~base ~label runs =
-  Series.make ~label ~x_name:"variant index" ~y_name:"slowdown vs 100%"
-    (List.mapi (fun i (_, t) -> (float_of_int i, t /. base)) runs)
-
-let variant_note runs =
-  note "variants: %s"
-    (String.concat ", "
-       (List.mapi (fun i (name, _) -> Printf.sprintf "%d=%s" i name) runs))
+(* The outcome of a study over named variants: each one's slowdown at
+   its index, a note naming the indices, then [why]. *)
+let variant_outcome runs ~why =
+  {
+    Experiments.series =
+      [
+        Series.make ~label:"LU @22.2%" ~x_name:"variant index"
+          ~y_name:"slowdown vs 100%"
+          (List.mapi (fun i (_, s) -> (float_of_int i, s)) runs);
+      ];
+    expected = [];
+    notes =
+      [
+        Printf.sprintf "variants: %s"
+          (String.concat ", "
+             (List.mapi (fun i (name, _) -> Printf.sprintf "%d=%s" i name) runs));
+        why;
+      ];
+  }
 
 (* ----- gang mechanisms ----- *)
 
@@ -45,8 +54,7 @@ let gang_variant ?ipi ?solidarity ?continuity name =
 let ablate_gang config =
   let variants =
     List.map
-      (fun (name, sched) ->
-        (name, fun () -> lu_runtime config ~sched ~weight:32))
+      (fun (name, sched) -> (name, (config, sched)))
       [
         ("credit", Config.Credit);
         ("asman (all on)", Config.Asman);
@@ -55,45 +63,45 @@ let ablate_gang config =
         ("no continuity", gang_variant ~continuity:false "asman-nocont");
       ]
   in
-  with_baseline config variants @@ fun base runs ->
-  {
-    Experiments.series = [ slowdown_series ~base ~label:"LU @22.2%" runs ];
-    expected = [];
-    notes =
-      [
-        variant_note runs;
-        "each gang mechanism (IPI dispatch, credit solidarity, slice \
-         continuity) should contribute; removing any moves ASMan back \
-         toward the Credit baseline";
-      ];
-  }
+  variant_outcome (variant_slowdowns config variants)
+    ~why:
+      "each gang mechanism (IPI dispatch, credit solidarity, slice \
+       continuity) should contribute; removing any moves ASMan back \
+       toward the Credit baseline"
 
 (* ----- per-PCPU phase stagger ----- *)
 
 let ablate_stagger config =
-  let run ~stagger ~sched () =
-    lu_runtime { config with Config.stagger } ~sched ~weight:32
-  in
   let variants =
-    [
-      ("credit, staggered", run ~stagger:true ~sched:Config.Credit);
-      ("credit, aligned", run ~stagger:false ~sched:Config.Credit);
-      ("asman, staggered", run ~stagger:true ~sched:Config.Asman);
-      ("asman, aligned", run ~stagger:false ~sched:Config.Asman);
-    ]
+    List.concat_map
+      (fun sched ->
+        List.map
+          (fun (stagger, how) ->
+            ( Printf.sprintf "%s, %s" (Config.sched_name sched) how,
+              ({ config with Config.stagger }, sched) ))
+          [ (true, "staggered"); (false, "aligned") ])
+      [ Config.Credit; Config.Asman ]
   in
-  with_baseline config variants @@ fun base runs ->
-  {
-    Experiments.series = [ slowdown_series ~base ~label:"LU @22.2%" runs ];
-    expected = [];
-    notes =
-      [
-        variant_note runs;
-        "per-PCPU timer skew is a root cause of sibling-VCPU \
-         de-synchronization: aligning all slot clocks should soften the \
-         Credit degradation while barely moving ASMan";
-      ];
-  }
+  variant_outcome (variant_slowdowns config variants)
+    ~why:
+      "per-PCPU timer skew is a root cause of sibling-VCPU \
+       de-synchronization: aligning all slot clocks should soften the \
+       Credit degradation while barely moving ASMan"
+
+(* Credit and ASMan at 22.2% online and the 100%-online Credit
+   baseline, all under [config_of p], for each swept value [p]: one
+   sweep of three jobs per value, keyed by (value, scheduler name,
+   weight). Returns the slowdown of the named scheduler at [p]. *)
+let per_value_slowdown config_of values =
+  let time =
+    Experiments.sweep
+      (fun (p, name, weight) ->
+        lu_runtime (config_of p) ~sched:(Experiments.sched_named name) ~weight)
+      (List.concat_map
+         (fun p -> [ (p, "credit", 32); (p, "asman", 32); (p, "credit", 256) ])
+         values)
+  in
+  fun name p -> time (p, name, 32) /. time (p, "credit", 256)
 
 (* ----- guest spin grace ----- *)
 
@@ -107,36 +115,14 @@ let ablate_grace config =
     { config with Config.guest_params = Some gp }
   in
   let graces = [ 1; 5; 10; 20; 50 ] in
-  (* Three jobs per grace value: Credit@22.2%, ASMan@22.2% and the
-     100% baseline (all under that grace), 15 jobs in one fan-out. *)
-  let times =
-    Pool.map
-      (fun thunk -> thunk ())
-      (List.concat_map
-         (fun g ->
-           let c = config_for g in
-           [
-             (fun () -> lu_runtime c ~sched:Config.Credit ~weight:32);
-             (fun () -> lu_runtime c ~sched:Config.Asman ~weight:32);
-             (fun () -> lu_baseline c);
-           ])
-         graces)
-  in
-  let rec fold_triples gs ts =
-    match (gs, ts) with
-    | g :: gs', credit :: asman :: base :: ts' ->
-      (g, (credit /. base, asman /. base)) :: fold_triples gs' ts'
-    | [], [] -> []
-    | _ -> assert false
-  in
-  let points = fold_triples graces times in
-  let series label pick =
+  let slowdown = per_value_slowdown config_for graces in
+  let series label name =
     Series.make ~label ~x_name:"spin grace (ms)" ~y_name:"slowdown vs 100%"
-      (List.map (fun (g, pair) -> (float_of_int g, pick pair)) points)
+      (List.map (fun g -> (float_of_int g, slowdown name g)) graces)
   in
   {
     Experiments.series =
-      [ series "Credit LU @22.2%" fst; series "ASMan LU @22.2%" snd ];
+      [ series "Credit LU @22.2%" "credit"; series "ASMan LU @22.2%" "asman" ];
     expected = [];
     notes =
       [
@@ -162,62 +148,41 @@ let with_candidates config cycles_list =
 let ablate_learning config =
   let slot = Sim_hw.Cpu_model.slot_cycles config.Config.cpu in
   let variants =
-    [
-      ( "learned (6 candidates)",
-        fun () -> lu_runtime config ~sched:Config.Asman ~weight:32 );
-      ( "fixed x = slot/2",
-        fun () ->
-          lu_runtime (with_candidates config [ slot / 2 ]) ~sched:Config.Asman ~weight:32 );
-      ( "fixed x = 4 slots",
-        fun () ->
-          lu_runtime (with_candidates config [ 4 * slot ]) ~sched:Config.Asman ~weight:32 );
-      ( "fixed x = 16 slots",
-        fun () ->
-          lu_runtime (with_candidates config [ 16 * slot ]) ~sched:Config.Asman ~weight:32 );
-    ]
-  in
-  with_baseline config variants @@ fun base runs ->
-  {
-    Experiments.series = [ slowdown_series ~base ~label:"LU @22.2%" runs ];
-    expected = [];
-    notes =
+    List.map
+      (fun (name, config) -> (name, (config, Config.Asman)))
       [
-        variant_note runs;
-        "a single-candidate estimator degenerates to a fixed coscheduling \
-         duration; too short a window under-coschedules (the paper's \
-         Figure 6 left case) while the learner should match the best \
-         fixed choice without knowing it in advance";
-      ];
-  }
+        ("learned (6 candidates)", config);
+        ("fixed x = slot/2", with_candidates config [ slot / 2 ]);
+        ("fixed x = 4 slots", with_candidates config [ 4 * slot ]);
+        ("fixed x = 16 slots", with_candidates config [ 16 * slot ]);
+      ]
+  in
+  variant_outcome (variant_slowdowns config variants)
+    ~why:
+      "a single-candidate estimator degenerates to a fixed coscheduling \
+       duration; too short a window under-coschedules (the paper's \
+       Figure 6 left case) while the learner should match the best \
+       fixed choice without knowing it in advance"
 
 (* ----- detection threshold ----- *)
 
 let ablate_threshold config =
-  let run delta_exp =
+  let with_delta delta_exp =
     let gp = Config.guest_params config in
     let monitor = { gp.Sim_guest.Kernel.monitor with Sim_guest.Monitor.delta_exp } in
-    let config =
-      { config with Config.guest_params = Some { gp with Sim_guest.Kernel.monitor = monitor } }
-    in
-    lu_runtime config ~sched:Config.Asman ~weight:32
+    { config with Config.guest_params = Some { gp with Sim_guest.Kernel.monitor = monitor } }
   in
   let deltas = [ 16; 18; 20; 22; 24 ] in
-  let base, points =
-    match
-      Pool.map
-        (fun thunk -> thunk ())
-        ((fun () -> lu_baseline config)
-         :: List.map (fun d () -> run d) deltas)
-    with
-    | base :: times -> (base, List.combine deltas times)
-    | [] -> assert false
+  let runs =
+    variant_slowdowns config
+      (List.map (fun d -> (d, (with_delta d, Config.Asman))) deltas)
   in
   {
     Experiments.series =
       [
         Series.make ~label:"ASMan LU @22.2%" ~x_name:"delta (log2 cycles)"
           ~y_name:"slowdown vs 100%"
-          (List.map (fun (d, t) -> (float_of_int d, t /. base)) points);
+          (List.map (fun (d, s) -> (float_of_int d, s)) runs);
       ];
     expected = [];
     notes =
@@ -236,150 +201,110 @@ let ablate_slice config =
     { config with Config.cpu = { config.Config.cpu with Sim_hw.Cpu_model.slots_per_slice = n } }
   in
   let slices = [ 1; 3 ] in
-  (* Per slice length: Credit, ASMan and that length's own baseline. *)
-  let times =
-    Pool.map
-      (fun thunk -> thunk ())
-      (List.concat_map
-         (fun n ->
-           let c = with_slice n in
-           [
-             (fun () -> lu_runtime c ~sched:Config.Credit ~weight:32);
-             (fun () -> lu_runtime c ~sched:Config.Asman ~weight:32);
-             (fun () -> lu_baseline c);
-           ])
-         slices)
+  let slowdown = per_value_slowdown with_slice slices in
+  let runs =
+    List.concat_map
+      (fun n ->
+        List.map
+          (fun name ->
+            (Printf.sprintf "%s, %d0 ms slices" name n, slowdown name n))
+          [ "credit"; "asman" ])
+      slices
   in
-  let rec fold_triples ns ts =
-    match (ns, ts) with
-    | n :: ns', credit :: asman :: base :: ts' ->
-      (Printf.sprintf "credit, %d0 ms slices" n, credit /. base)
-      :: (Printf.sprintf "asman, %d0 ms slices" n, asman /. base)
-      :: fold_triples ns' ts'
-    | [], [] -> []
-    | _ -> assert false
-  in
-  let runs = fold_triples slices times in
-  {
-    Experiments.series =
-      [
-        Series.make ~label:"LU @22.2%" ~x_name:"variant index"
-          ~y_name:"slowdown vs 100%"
-          (List.mapi (fun i (_, v) -> (float_of_int i, v)) runs);
-      ];
-    expected = [];
-    notes =
-      [
-        variant_note (List.map (fun (n, v) -> (n, v)) runs);
-        "Xen allocates PCPUs in 30 ms slices (3 slots); shorter slices \
-         change both the baseline degradation and the gangs' burst \
-         coherence";
-      ];
-  }
+  variant_outcome runs
+    ~why:
+      "Xen allocates PCPUs in 30 ms slices (3 slots); shorter slices \
+       change both the baseline degradation and the gangs' burst \
+       coherence"
 
 (* ----- in-VM vs out-of-VM detection ----- *)
 
 let ablate_oov config =
-  (* 3 schedulers x 4 online rates = 12 independent jobs. *)
-  let specs =
-    List.concat_map
-      (fun sched ->
-        List.map (fun (w, r) -> (sched, w, r)) Experiments.online_rate_points)
+  (* 3 schedulers x 4 online rates = 12 jobs. *)
+  let time =
+    Experiments.lu_by_rate config
       [ Config.Credit; Config.Asman; Config.Asman_oov ]
   in
-  let times =
-    Pool.map (fun (sched, w, _r) -> lu_runtime config ~sched ~weight:w) specs
+  let series name label =
+    Experiments.rate_series ~label ~y_name:"run time (s)" (fun w ->
+        time (name, w))
   in
-  let points =
-    List.map2 (fun (sched, _w, r) t -> (Config.sched_name sched, r, t)) specs times
-  in
-  let series sched label =
-    Series.make ~label ~x_name:"online rate (%)" ~y_name:"run time (s)"
-      (List.filter_map
-         (fun (n, r, t) ->
-           if n = Config.sched_name sched then Some (r, t) else None)
-         points)
-  in
-  let credit = series Config.Credit "Credit" in
-  let asman = series Config.Asman "ASMan (in-VM monitor)" in
-  let oov = series Config.Asman_oov "ASMan-OOV (PLE, no guest changes)" in
-  let gap =
-    match (Series.y_at asman 22.2, Series.y_at oov 22.2) with
-    | Some a, Some o when a > 0. -> 100. *. (o -. a) /. a
-    | _ -> nan
-  in
+  let asman = time ("asman", 32) and oov = time ("asman-oov", 32) in
   {
-    Experiments.series = [ credit; asman; oov ];
+    Experiments.series =
+      [
+        series "credit" "Credit";
+        series "asman" "ASMan (in-VM monitor)";
+        series "asman-oov" "ASMan-OOV (PLE, no guest changes)";
+      ];
     expected = [];
     notes =
       [
-        note
+        Printf.sprintf
           "the paper's §7 future work: VCRD detection from outside the VM. \
            The PLE-driven variant needs no guest modification and is within \
-           %.1f%% of the in-VM Monitoring Module at 22.2%%" gap;
+           %.1f%% of the in-VM Monitoring Module at 22.2%%"
+          (100. *. (oov -. asman) /. asman);
       ];
   }
 
 (* ----- LLC-aware relocation ----- *)
 
 let ablate_llc config =
-  let llc_sched =
-    Config.Custom
+  let scheds =
+    [
+      ("asman", Config.Asman);
       ( "asman-llc",
-        Sim_vmm.Sched_gang.make ~llc_aware:true ~name:"asman-llc"
-          ~should_cosched:(fun d -> d.Sim_vmm.Domain.vcrd = Sim_vmm.Domain.High) )
+        Config.Custom
+          ( "asman-llc",
+            Sim_vmm.Sched_gang.make ~llc_aware:true ~name:"asman-llc"
+              ~should_cosched:(fun d ->
+                d.Sim_vmm.Domain.vcrd = Sim_vmm.Domain.High) ) );
+    ]
   in
   (* Four concurrent VMs (the Fig 11b consolidation): gangs scatter
      across sockets, so relocation policy actually matters. *)
-  let run sched =
-    let nas b =
-      Sim_workloads.Nas.workload
-        (Sim_workloads.Nas.params b ~freq:(Config.freq config)
-           ~scale:config.Config.scale)
-    in
-    let s =
-      Scenario.build config ~sched
-        ~vms:
-          (List.mapi
-             (fun i b ->
-               {
-                 Scenario.vm_name = Printf.sprintf "V%d" (i + 1);
-                 weight = 256;
-                 vcpus = 4;
-                 workload = Some (nas b);
-               })
-             [ Sim_workloads.Nas.LU; Sim_workloads.Nas.LU;
-               Sim_workloads.Nas.SP; Sim_workloads.Nas.SP ])
-    in
-    let m = Runner.run_rounds s ~rounds:2 ~max_sec:300. in
-    let cross = Sim_hw.Machine.ipis_cross_socket s.Scenario.machine in
-    (Runner.mean_round_sec m ~vm:"V1", m.Runner.ipis, cross)
+  let run =
+    Experiments.sweep
+      (fun name ->
+        let s =
+          Scenario.build config ~sched:(List.assoc name scheds)
+            ~vms:
+              (List.mapi
+                 (fun i b ->
+                   Scenario.vm ~name:(Printf.sprintf "V%d" (i + 1))
+                     (Experiments.nas_workload config b))
+                 [ Sim_workloads.Nas.LU; Sim_workloads.Nas.LU;
+                   Sim_workloads.Nas.SP; Sim_workloads.Nas.SP ])
+        in
+        let m = Runner.run_rounds s ~rounds:2 ~max_sec:300. in
+        (m, Sim_hw.Machine.ipis_cross_socket s.Scenario.machine))
+      (List.map fst scheds)
   in
-  let (t_plain, ipis_plain, cross_plain), (t_llc, ipis_llc, cross_llc) =
-    match Pool.map run [ Config.Asman; llc_sched ] with
-    | [ plain; llc ] -> (plain, llc)
-    | _ -> assert false
+  let cross_pct name =
+    let m, cross = run name in
+    if m.Runner.ipis = 0 then 0.
+    else 100. *. float_of_int cross /. float_of_int m.Runner.ipis
   in
-  let pct ipis cross =
-    if ipis = 0 then 0. else 100. *. float_of_int cross /. float_of_int ipis
+  let per_variant ~label ~y_name f =
+    Series.make ~label ~x_name:"variant index" ~y_name
+      (List.mapi (fun i (name, _) -> (float_of_int i, f name)) scheds)
   in
   {
     Experiments.series =
       [
-        Series.make ~label:"LU mean round (s), 4-VM consolidation"
-          ~x_name:"variant index" ~y_name:"seconds"
-          [ (0., t_plain); (1., t_llc) ];
-        Series.make ~label:"cross-socket IPI share (%)" ~x_name:"variant index"
-          ~y_name:"%"
-          [ (0., pct ipis_plain cross_plain); (1., pct ipis_llc cross_llc) ];
+        per_variant ~label:"LU mean round (s), 4-VM consolidation"
+          ~y_name:"seconds" (fun name ->
+            Runner.mean_round_sec (fst (run name)) ~vm:"V1");
+        per_variant ~label:"cross-socket IPI share (%)" ~y_name:"%" cross_pct;
       ];
     expected = [];
     notes =
       [
         "variants: 0=asman (topology-blind relocation), 1=asman-llc (relocation prefers the gang's socket)";
-        note
+        Printf.sprintf
           "LLC-aware relocation cuts the cross-socket IPI share from %.0f%% to %.0f%% (cross-socket IPIs pay double latency); run time is nearly unchanged since IPI latency is microseconds against 10 ms slots"
-          (pct ipis_plain cross_plain) (pct ipis_llc cross_llc);
+          (cross_pct "asman") (cross_pct "asman-llc");
       ];
   }
 

@@ -1,7 +1,8 @@
 (** The per-figure experiment registry.
 
     One entry per figure of the paper's evaluation (Figures 1, 2 and
-    7–12). Each entry regenerates the figure's data as
+    7–12), plus the theft figure after Zhou et al. and the resilience
+    figure. Each entry regenerates the figure's data as
     {!Sim_stats.Series.t} values and carries the paper's own numbers
     (digitized from the published figures) for side-by-side
     comparison. Absolute run times are simulator-scale; the
@@ -23,13 +24,25 @@ type t = {
 
 val all : t list
 (** In paper order: fig1a fig1b fig2 fig7 fig8 fig9 fig10 fig11a
-    fig11b fig12a fig12b. *)
+    fig11b fig12a fig12b, then theft and resilience. *)
 
 val find : string -> t option
 
 val ids : unit -> string list
 
 (** {2 Shared building blocks (exposed for the CLI and tests)} *)
+
+val sweep : ('k -> 'r) -> 'k list -> 'k -> 'r
+(** [sweep f keys] runs [f] on each key as one job of a single
+    {!Pool.map} call, in key order, and returns the lookup from key to
+    result (raising [Not_found] on a key not in [keys]). Every
+    catalogue entry declares its runs this way. Keys are compared
+    structurally, so a key names a scheduler by {!Config.sched_name},
+    never holds a {!Config.sched_kind}: a [Custom] one carries a
+    closure, on which structural equality raises. *)
+
+val sched_named : string -> Config.sched_kind
+(** The built-in scheduler a sweep key names ({!Config.sched_of_name}). *)
 
 val online_rate_points : (int * float) list
 (** (weight, expected online rate %) for V1 with 4 VCPUs next to an
@@ -46,6 +59,18 @@ val nas_workload : Config.t -> Sim_workloads.Nas.bench -> Sim_workloads.Workload
 val theft_attackers : string -> (string * Scenario.workload_desc) list
 (** An attack's VMs ([dodge], [steal], [launder]) as [(name, workload)]:
     [A1], plus [A2] for the laundering pair. *)
+
+val lu_by_rate :
+  Config.t -> Config.sched_kind list -> string * int -> float
+(** [lu_by_rate config scheds] sweeps LU's run time ({!nas_runtime})
+    under each scheduler, in order, at each weight of
+    {!online_rate_points}; the lookup is keyed by (scheduler name,
+    weight). Figs 1a and 7 and the out-of-VM ablation read it. *)
+
+val rate_series :
+  label:string -> y_name:string -> (int -> float) -> Sim_stats.Series.t
+(** One point per {!online_rate_points} entry: x is the online rate,
+    y is the function applied to its weight. *)
 
 val nas_runtime :
   Config.t ->

@@ -20,12 +20,6 @@ let outcome (e : Experiments.t) (o : Experiments.outcome) =
     o.Experiments.notes;
   Buffer.contents buf
 
-(* A VM's mean round time; nan (printed "-") when it completed none. *)
-let mean_round (vm : Runner.vm_metrics) =
-  match vm.Runner.round_sec with
-  | [] -> nan
-  | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
-
 let run ~sched (s : Scenario.t) (m : Runner.metrics) =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.bprintf buf fmt in
@@ -44,7 +38,7 @@ let run ~sched (s : Scenario.t) (m : Runner.metrics) =
             [
               vm.Runner.vm_name;
               string_of_int vm.Runner.rounds;
-              Table.fixed ~decimals:3 (mean_round vm);
+              Table.fixed ~decimals:3 (Runner.mean_round vm);
               Table.fixed ~decimals:3 vm.Runner.online_rate;
               Table.fixed ~decimals:3 vm.Runner.expected_online;
               string_of_int vm.Runner.spin_over_threshold;

@@ -217,11 +217,16 @@ let first_round_sec m ~vm =
   | first :: _ -> first
   | [] -> failwith (Printf.sprintf "Runner: VM %s completed no round" vm)
 
+let mean_round v =
+  match v.round_sec with
+  | [] -> nan
+  | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
+
 let mean_round_sec m ~vm =
-  match (vm_metrics m ~vm).round_sec with
-  | [] -> failwith (Printf.sprintf "Runner: VM %s completed no round" vm)
-  | durations ->
-    List.fold_left ( +. ) 0. durations /. float_of_int (List.length durations)
+  let v = vm_metrics m ~vm in
+  if v.round_sec = [] then
+    failwith (Printf.sprintf "Runner: VM %s completed no round" vm);
+  mean_round v
 
 let monitor_of (s : Scenario.t) ~vm =
   let inst = Scenario.find_vm s vm in

@@ -79,7 +79,13 @@ val first_round_sec : metrics -> vm:string -> float
 (** Duration of the VM's first round. Raises [Failure] if it never
     completed one (increase [max_sec]). *)
 
+val mean_round : vm_metrics -> float
+(** The VM's mean round time; [nan] (printed "-" in tables) when it
+    completed none. *)
+
 val mean_round_sec : metrics -> vm:string -> float
+(** {!mean_round} of the named VM. Raises [Failure] if it completed
+    no round. *)
 
 val vm_metrics : metrics -> vm:string -> vm_metrics
 

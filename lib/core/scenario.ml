@@ -268,6 +268,16 @@ let workload_of_desc config desc =
   | W_attack_launder { threads; phased } ->
     Sim_workloads.Attack.launder_half ~threads ~slot_cycles ~phased ()
 
+let numbered_vms config ~weight descs =
+  List.mapi
+    (fun i desc ->
+      let workload = workload_of_desc config desc in
+      vm ~weight
+        ~name:
+          (Printf.sprintf "V%d:%s" (i + 1) workload.Sim_workloads.Workload.name)
+        workload)
+    descs
+
 type vm_desc = {
   vd_name : string;
   vd_weight : int;

@@ -100,6 +100,11 @@ val workload_of_desc : Config.t -> workload_desc -> Sim_workloads.Workload.t
 (** Deterministic in (config, desc). Raises [Invalid_argument] on an
     unknown benchmark name. *)
 
+val numbered_vms : Config.t -> weight:int -> workload_desc list -> vm_spec list
+(** One 4-VCPU VM of [weight] per descriptor, named [V<i>:<workload
+    name>] from [V1] on: the guests of [asman_cli run] and of Figs
+    11–12. *)
+
 type vm_desc = {
   vd_name : string;
   vd_weight : int;

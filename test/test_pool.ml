@@ -1,6 +1,6 @@
 (* The domain worker pool: order preservation, exception propagation,
    sequential/parallel equivalence, and the determinism argument for
-   the experiment fan-out — one representative figure must render a
+   the experiment fan-out — the whole catalogue must render a
    byte-identical report sequentially and with 4 workers. *)
 
 open Asman
@@ -132,24 +132,78 @@ let test_each_job_once () =
         [ 1; 3; 4; 40 ])
     [ 1; 2; 4; 13 ]
 
-(* Determinism of the experiment fan-out: per-job engines built from a
-   fixed seed mean fig1a's full rendered report is byte-identical no
-   matter how many worker domains run it. *)
+(* The experiment catalogue pinned: every figure (fig10 aside, which
+   CI diffs instead) and every ablation at seed 5, scale 0.02 must
+   render the same report at 1 and 4 workers, submit the same number
+   of Pool jobs, and hash to the digest pinned below. The digest
+   covers the report and every series point printed with %h, so a
+   change below the table's 2 decimals shows too. *)
 let tiny = Config.with_scale (Config.with_seed Config.default 5L) 0.02
 
-let render_fig1a () =
-  match Experiments.find "fig1a" with
-  | Some e -> Report.outcome e (e.Experiments.run tiny)
-  | None -> Alcotest.fail "fig1a missing"
+let pinned =
+  [
+    ("fig1a", 4, "ef63e28db7af19ddf72ce1f1a16182e6");
+    ("fig1b", 4, "08dfb8354567fc52644c5a750cc15731");
+    ("fig2", 4, "e9f94f327b8b1bf8dc7869cf1945ce37");
+    ("fig7", 8, "0b20c5f966f6da423c6fb9b67bc95379");
+    ("fig8", 4, "ec7850e7172c4d14492764e93388ae93");
+    ("fig9", 49, "a33174aff1efd8dff9bb37eef4f02dd8");
+    ("fig11a", 3, "f634c9c55f78f79de9305e5fcf18e55c");
+    ("fig11b", 3, "b76072af929a86cd1ba699e7430a400b");
+    ("fig12a", 3, "57b73d29acaefe01851c3fd4c624764d");
+    ("fig12b", 3, "d96b6b88e80687dc9863fa54024a8801");
+    ("theft", 12, "736ea806fbc098e89693d8d9e939eeab");
+    ("resilience", 10, "faba6cb6693335a66d35eb96b559a8f2");
+    ("ablate-gang", 6, "9d9b4989e85a778336f3b51b22d43d18");
+    ("ablate-stagger", 5, "0dc99958baeb766c582ccc75e66df0ea");
+    ("ablate-grace", 15, "16e3ca6e007de5ae9f1faba221f17eb7");
+    ("ablate-learning", 5, "70a639bdfc68a1da3a048aa22cee758f");
+    ("ablate-threshold", 6, "7837d7f7d67c433197cdd68c719cfd6b");
+    ("ablate-slice", 6, "f1f8837b5758874862d46aa4fbd69887");
+    ("ablate-llc", 2, "5e21bf4082c4510842c8f2f54a1ee31b");
+    ("ablate-oov", 12, "fc658ccc7e572f042923f731a84444d8");
+  ]
 
-let test_fig1a_deterministic () =
+let fingerprint (e : Experiments.t) =
+  Pool.reset_accounting ();
+  let o = e.Experiments.run tiny in
+  let jobs = List.length (Pool.accounting ()).Pool.timings in
+  let text = Report.outcome e o in
+  let points =
+    List.concat_map
+      (fun s ->
+        List.map
+          (fun (x, y) -> Printf.sprintf "%h %h" x y)
+          (Sim_stats.Series.points s))
+      (o.Experiments.series @ o.Experiments.expected)
+  in
+  let digest = Digest.string (String.concat "\n" (text :: points)) in
+  (text, jobs, Digest.to_hex digest)
+
+let test_catalogue_pinned () =
+  let entries =
+    List.filter (fun (e : Experiments.t) -> e.Experiments.id <> "fig10")
+      Experiments.all
+    @ Ablations.all
+  in
+  Alcotest.(check (list string))
+    "pinned ids"
+    (List.map (fun (id, _, _) -> id) pinned)
+    (List.map (fun (e : Experiments.t) -> e.Experiments.id) entries);
   let saved = Pool.jobs () in
-  Pool.set_jobs 1;
-  let sequential = render_fig1a () in
-  Pool.set_jobs 4;
-  let parallel = render_fig1a () in
-  Pool.set_jobs saved;
-  Alcotest.(check string) "byte-identical report" sequential parallel
+  Fun.protect ~finally:(fun () -> Pool.set_jobs saved) @@ fun () ->
+  List.iter2
+    (fun (e : Experiments.t) (id, jobs, digest) ->
+      Pool.set_jobs 1;
+      let text1, jobs1, digest1 = fingerprint e in
+      Pool.set_jobs 4;
+      let text4, jobs4, digest4 = fingerprint e in
+      Alcotest.(check string) (id ^ ": same report at 4 workers") text1 text4;
+      Alcotest.(check (list int))
+        (id ^ ": Pool jobs") [ jobs; jobs ] [ jobs1; jobs4 ];
+      Alcotest.(check (list string))
+        (id ^ ": digest") [ digest; digest ] [ digest1; digest4 ])
+    entries pinned
 
 let suite =
   [
@@ -162,6 +216,6 @@ let suite =
     Alcotest.test_case "jobs knob" `Quick test_jobs_knob;
     Alcotest.test_case "accounting" `Quick test_accounting;
     Alcotest.test_case "each job runs once" `Quick test_each_job_once;
-    Alcotest.test_case "fig1a deterministic across workers" `Slow
-      test_fig1a_deterministic;
+    Alcotest.test_case "catalogue pinned across workers" `Slow
+      test_catalogue_pinned;
   ]

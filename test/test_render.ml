@@ -12,20 +12,6 @@ let check_text name expected actual =
     (String.split_on_char '\n' expected)
     (String.split_on_char '\n' actual)
 
-(* The VMs [asman_cli run] builds from its [--vm] workloads. *)
-let run_vms config descs =
-  List.mapi
-    (fun i desc ->
-      let workload = Scenario.workload_of_desc config desc in
-      {
-        Scenario.vm_name =
-          Printf.sprintf "V%d:%s" (i + 1) workload.Sim_workloads.Workload.name;
-        weight = 256;
-        vcpus = 4;
-        workload = Some workload;
-      })
-    descs
-
 (* asman_cli run --vm lu --vm gcc --sched asman --rounds 2 --scale 0.02 *)
 let single_host =
   {|scheduler: asman   simulated: 0.121 s   events: 3715   ipis: 0
@@ -43,7 +29,10 @@ let test_single_host () =
   let config =
     Config.with_work_conserving (Config.with_scale Config.default 0.02) true
   in
-  let vms = run_vms config [ Scenario.W_nas "LU"; Scenario.W_speccpu "gcc" ] in
+  let vms =
+    Scenario.numbered_vms config ~weight:256
+      [ Scenario.W_nas "LU"; Scenario.W_speccpu "gcc" ]
+  in
   let s = Scenario.build config ~sched:Config.Asman ~vms in
   let m = Runner.run_rounds s ~rounds:2 ~max_sec:120. in
   check_text "run printout" single_host (Report.run ~sched:Config.Asman s m)
@@ -79,7 +68,7 @@ let test_decoupled () =
     }
   in
   let vms =
-    run_vms config
+    Scenario.numbered_vms config ~weight:256
       Scenario.
         [
           W_speccpu "gcc"; W_nas "EP"; W_speccpu "gcc"; W_nas "EP";
