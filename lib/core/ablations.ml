@@ -7,21 +7,31 @@ type t = Experiments.t
 let lu_runtime config ~sched ~weight =
   Experiments.nas_runtime config ~sched ~bench:Sim_workloads.Nas.LU ~weight
 
-(* LU at 22.2% online under each keyed (config, scheduler) variant
-   and the 100%-online Credit baseline under [config], as one sweep
-   with the baseline first; returns [(key, slowdown against the
-   baseline)] in variant order. *)
+(* LU at 22.2% online under each keyed (config, scheduler) variant,
+   as slowdowns against the 100%-online Credit baseline under
+   [config], in variant order. The baseline and every variant on
+   [config] itself with a built-in scheduler are the figures' shared
+   points ({!Experiments.nas_points}); the rest run as one sweep. *)
 let variant_slowdowns config variants =
-  let time =
-    Experiments.sweep
-      (function
-        | None -> lu_runtime config ~sched:Config.Credit ~weight:256
-        | Some key ->
-          let config, sched = List.assoc key variants in
-          lu_runtime config ~sched ~weight:32)
-      (None :: List.map (fun (key, _) -> Some key) variants)
+  let shared (_, (c, sched)) =
+    c == config && match sched with Config.Custom _ -> false | _ -> true
   in
-  List.map (fun (key, _) -> (key, time (Some key) /. time None)) variants
+  let on_points, others = List.partition shared variants in
+  let lu_32 (_, (_, sched)) = (Config.sched_name sched, Sim_workloads.Nas.LU, 32) in
+  let base = ("credit", Sim_workloads.Nas.LU, 256) in
+  let point = Experiments.nas_points config (base :: List.map lu_32 on_points) in
+  let own =
+    Experiments.sweep
+      (fun key ->
+        let config, sched = List.assoc key others in
+        lu_runtime config ~sched ~weight:32)
+      (List.map fst others)
+  in
+  let runtime key = (point key).Experiments.runtime in
+  List.map
+    (fun ((key, _) as v) ->
+      (key, (if shared v then runtime (lu_32 v) else own key) /. runtime base))
+    variants
 
 (* The outcome of a study over named variants: each one's slowdown at
    its index, a note naming the indices, then [why]. *)
@@ -71,6 +81,8 @@ let ablate_gang config =
 
 (* ----- per-PCPU phase stagger ----- *)
 
+(* The variant that keeps [config]'s own stagger runs on [config]
+   itself, so its points are the figures' shared ones. *)
 let ablate_stagger config =
   let variants =
     List.concat_map
@@ -78,7 +90,9 @@ let ablate_stagger config =
         List.map
           (fun (stagger, how) ->
             ( Printf.sprintf "%s, %s" (Config.sched_name sched) how,
-              ({ config with Config.stagger }, sched) ))
+              ( (if stagger = config.Config.stagger then config
+                 else { config with Config.stagger }),
+                sched ) ))
           [ (true, "staggered"); (false, "aligned") ])
       [ Config.Credit; Config.Asman ]
   in
@@ -220,11 +234,13 @@ let ablate_slice config =
 (* ----- in-VM vs out-of-VM detection ----- *)
 
 let ablate_oov config =
-  (* 3 schedulers x 4 online rates = 12 jobs. *)
-  let time =
+  (* 3 schedulers x 4 online rates = 12 points, Credit's and ASMan's
+     shared with figs 1a and 7. *)
+  let point =
     Experiments.lu_by_rate config
       [ Config.Credit; Config.Asman; Config.Asman_oov ]
   in
+  let time key = (point key).Experiments.runtime in
   let series name label =
     Experiments.rate_series ~label ~y_name:"run time (s)" (fun w ->
         time (name, w))

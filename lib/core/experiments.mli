@@ -36,7 +36,8 @@ val sweep : ('k -> 'r) -> 'k list -> 'k -> 'r
 (** [sweep f keys] runs [f] on each key as one job of a single
     {!Pool.map} call, in key order, and returns the lookup from key to
     result (raising [Not_found] on a key not in [keys]). Every
-    catalogue entry declares its runs this way. Keys are compared
+    catalogue entry declares its runs this way, but for the single-VM
+    NAS points several entries share ({!nas_points}). Keys are compared
     structurally, so a key names a scheduler by {!Config.sched_name},
     never holds a {!Config.sched_kind}: a [Custom] one carries a
     closure, on which structural equality raises. *)
@@ -60,12 +61,35 @@ val theft_attackers : string -> (string * Scenario.workload_desc) list
 (** An attack's VMs ([dodge], [steal], [launder]) as [(name, workload)]:
     [A1], plus [A2] for the laundering pair. *)
 
+type nas_point = {
+  runtime : float;  (** V1's first-round run time, simulated seconds *)
+  spins : Sim_stats.Histogram.t;  (** the monitor's spin-wait histogram *)
+  locality : float;
+      (** fraction of >=2^20 traced waits preceded by another (nan if
+          none): Fig 2's locality of synchronization *)
+}
+(** What the single-host figures read of one single-VM NAS run. *)
+
+val nas_points :
+  Config.t -> (string * Sim_workloads.Nas.bench * int) list ->
+  string * Sim_workloads.Nas.bench * int -> nas_point
+(** [nas_points config keys] returns the lookup over the points
+    [(built-in scheduler name, benchmark, weight)] of [keys] (distinct),
+    each run as {!nas_runtime} runs it. Points are shared per config
+    {e value}: one slot, keyed by the physical identity of [config],
+    keeps every point computed on it, and only the keys it lacks run,
+    as one {!Pool.map} in key order; another config value replaces
+    the slot. A structurally equal but distinct config recomputes, so
+    a benchmark that builds a fresh config per rep times simulations,
+    not a cache. Call it outside {!Pool} jobs. *)
+
 val lu_by_rate :
-  Config.t -> Config.sched_kind list -> string * int -> float
-(** [lu_by_rate config scheds] sweeps LU's run time ({!nas_runtime})
-    under each scheduler, in order, at each weight of
-    {!online_rate_points}; the lookup is keyed by (scheduler name,
-    weight). Figs 1a and 7 and the out-of-VM ablation read it. *)
+  Config.t -> Config.sched_kind list -> string * int -> nas_point
+(** [lu_by_rate config scheds] is LU's {!nas_points} under each
+    built-in scheduler, in order, at each weight of
+    {!online_rate_points}, keyed by (scheduler name, weight); a
+    [Custom] scheduler raises [Invalid_argument]. Figs 1a, 1b, 2, 7
+    and 8 and the out-of-VM ablation read it. *)
 
 val rate_series :
   label:string -> y_name:string -> (int -> float) -> Sim_stats.Series.t
@@ -88,7 +112,7 @@ val fairness_entries : outcome -> (string * float) list
     (Meaningful on the [theft] outcome; other outcomes produce
     entries keyed by their own series labels.) *)
 
-val wait_bucket_counts :
-  Sim_guest.Monitor.t -> (string * int) list
-(** Counts of monitored waits in the paper's bands: [>=2^10],
+val wait_bucket_counts : Sim_stats.Histogram.t -> (string * int) list
+(** Counts of a monitor's spin waits ({!Sim_guest.Monitor.spin_histogram})
+    in the paper's bands: [>=2^10],
     [>=2^15], [>=2^20] (over-threshold), [>=2^25]. *)

@@ -76,7 +76,10 @@ let test_wait_bucket_counts () =
         ]
   in
   let _ = Runner.run_rounds s ~rounds:1 ~max_sec:30. in
-  let counts = Experiments.wait_bucket_counts (Runner.monitor_of s ~vm:"V1") in
+  let counts =
+    Experiments.wait_bucket_counts
+      (Sim_guest.Monitor.spin_histogram (Runner.monitor_of s ~vm:"V1"))
+  in
   Alcotest.(check (list string)) "bands"
     [ ">=2^10"; ">=2^15"; ">=2^20"; ">=2^25" ]
     (List.map fst counts);

@@ -164,9 +164,16 @@ let pinned =
     ("ablate-oov", 12, "fc658ccc7e572f042923f731a84444d8");
   ]
 
+(* A config value equal to [tiny] but not [tiny] itself: single-VM
+   points are shared per value (Experiments.nas_points), so each run
+   that must simulate them gets its own. *)
+let fresh () = { tiny with Config.seed = tiny.Config.seed }
+
+(* On its own value, so the pass at 4 workers simulates every point
+   again instead of reading the pass at 1 worker. *)
 let fingerprint (e : Experiments.t) =
   Pool.reset_accounting ();
-  let o = e.Experiments.run tiny in
+  let o = e.Experiments.run (fresh ()) in
   let jobs = List.length (Pool.accounting ()).Pool.timings in
   let text = Report.outcome e o in
   let points =
@@ -205,6 +212,46 @@ let test_catalogue_pinned () =
         (id ^ ": digest") [ digest; digest ] [ digest1; digest4 ])
     entries pinned
 
+(* Single-VM points are shared per config value, keyed by identity:
+   after fig1a and fig7 on one value, fig1b, fig2 and fig8 run no job
+   and the ablations only their own variants, each rendering what a
+   fresh value renders; a fresh, structurally equal value runs its
+   points again, so a benchmark building a new config per rep never
+   reads an earlier rep's results. *)
+let test_points_shared () =
+  let run config id =
+    let e =
+      List.find
+        (fun (e : Experiments.t) -> e.Experiments.id = id)
+        (Experiments.all @ Ablations.all)
+    in
+    Pool.reset_accounting ();
+    let text = Report.outcome e (e.Experiments.run config) in
+    (text, List.length (Pool.accounting ()).Pool.timings)
+  in
+  let shared = fresh () in
+  let expected =
+    [ ("fig1a", 4); ("fig7", 4); ("fig1b", 0); ("fig2", 0); ("fig8", 0);
+      ("ablate-gang", 3); ("ablate-stagger", 2); ("ablate-oov", 4) ]
+  in
+  let texts =
+    List.map
+      (fun (id, jobs) ->
+        let text, n = run shared id in
+        Alcotest.(check int) (id ^ ": Pool jobs on the shared value") jobs n;
+        text)
+      expected
+  in
+  Alcotest.(check int)
+    "fig1b on a structurally equal value" 4
+    (snd (run (fresh ()) "fig1b"));
+  List.iter2
+    (fun (id, _) text ->
+      Alcotest.(check string)
+        (id ^ ": same report as on a fresh value")
+        (fst (run (fresh ()) id)) text)
+    expected texts
+
 let suite =
   [
     Alcotest.test_case "order preserved" `Quick test_order_preserved;
@@ -218,4 +265,6 @@ let suite =
     Alcotest.test_case "each job runs once" `Quick test_each_job_once;
     Alcotest.test_case "catalogue pinned across workers" `Slow
       test_catalogue_pinned;
+    Alcotest.test_case "single-VM points shared per config value" `Slow
+      test_points_shared;
   ]
