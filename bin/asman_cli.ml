@@ -289,9 +289,10 @@ let write_file file s =
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
 (* Resolve the obs flags into a [Config.obs] plus an export hook to
-   call once the runs are done (scenarios register themselves in
-   [Obs_hub] as they are built, including those constructed deep
-   inside experiment jobs). *)
+   call once the runs are done. [--trace] or [--metrics] turns
+   [metrics] on, so every scenario publishes itself in [Obs_hub] as it
+   is built, including those constructed deep inside experiment jobs.
+   The hook returns the paths it wrote, for the run record. *)
 let obs_setup trace trace_cats metrics profile =
   let trace_mask =
     match trace with
@@ -309,9 +310,8 @@ let obs_setup trace trace_cats metrics profile =
     {
       Config.trace_mask;
       trace_cap = Sim_obs.Trace.default_cap;
-      metrics = metrics <> None;
+      metrics = trace <> None || metrics <> None;
       profile = prof;
-      hub = true;
     }
   in
   let export () =
@@ -320,7 +320,6 @@ let obs_setup trace trace_cats metrics profile =
     | None -> ()
     | Some file ->
       write_file file (Obs_hub.chrome_json entries);
-      Obs_hub.note_export file;
       let events =
         List.fold_left
           (fun n (e : Obs_hub.entry) -> n + Sim_obs.Trace.length e.Obs_hub.trace)
@@ -331,14 +330,13 @@ let obs_setup trace trace_cats metrics profile =
     (match metrics with
     | None -> ()
     | Some "-" -> print_string (Obs_hub.metrics_text entries)
-    | Some file ->
-      write_file file (Obs_hub.metrics_json entries);
-      Obs_hub.note_export file);
-    match prof with
+    | Some file -> write_file file (Obs_hub.metrics_json entries));
+    (match prof with
     | None -> ()
     | Some p ->
       print_string "self-profile:\n";
-      print_string (Sim_obs.Prof.to_text p)
+      print_string (Sim_obs.Prof.to_text p));
+    Option.to_list trace @ List.filter (( <> ) "-") (Option.to_list metrics)
   in
   (obs, export)
 
@@ -350,14 +348,15 @@ let obs_term =
 module Reg = Sim_registry
 module Json = Sim_obs.Json
 
-(* One record per invocation, stamped with the config axes; exports
-   written by obs_setup's hook are picked up as pointers. Failure to
+(* One record per invocation, stamped with the config axes; [exports]
+   are the paths of the files the invocation wrote (obs_setup's hook,
+   check's repros), recorded as pointers. Failure to
    record in the registry never fails the run — the record is an
    observation; a [json] file the caller asked for must be written.
    [id] lets a caller mint the record id up front (check stamps it
    into repro provenance before recording). *)
 let record_invocation ~kind ?id ~config ?workers ~label ~spec ~wall_sec
-    ?busy_sec ?sections ?metrics ?json () =
+    ?busy_sec ?sections ?metrics ?(exports = []) ?json () =
   let r =
     Reg.Record.make
       ~id:
@@ -373,7 +372,7 @@ let record_invocation ~kind ?id ~config ?workers ~label ~spec ~wall_sec
       ~accounting:(Sim_vmm.Vmm.accounting_name config.Config.accounting)
       ~chaos:config.Config.faults.Sim_faults.Fault.pname ~label ~spec ~wall_sec
       ?busy_sec ?sections ?metrics
-      ~exports:(Obs_hub.drain_exports ())
+      ~exports
       ()
   in
   Reg.Registry.publish ?json r
@@ -467,32 +466,34 @@ let experiment_cmd =
       if csv then print_string (Report.series_csv outcome.Experiments.series);
       print_newline ();
       let jobs = List.length stats.Pool.timings in
-      let speedup =
-        if wall_sec > 0. then stats.Pool.busy_sec /. wall_sec else 1.
-      in
-      Printf.eprintf
-        "(%s regenerated in %.1f s host wall: %d jobs over %d workers, busy \
-         %.1f s, speedup %.2fx)\n%!"
-        id wall_sec jobs stats.Pool.jobs_used stats.Pool.busy_sec speedup;
+      let speedup = Pool.speedup stats ~wall_sec in
+      Printf.eprintf "(%s regenerated in %.1f s host wall: %s)\n%!" id wall_sec
+        (match speedup with
+        | Some x ->
+          Printf.sprintf "%d jobs over %d workers, busy %.1f s, speedup %.2fx"
+            jobs stats.Pool.jobs_used stats.Pool.busy_sec x
+        | None -> "0 jobs, its points were shared with an earlier figure");
       ( wall_sec,
         stats.Pool.busy_sec,
         Json.Obj
-          [
-            ("id", Json.String id);
-            ("wall_sec", Json.Float wall_sec);
-            ("busy_sec", Json.Float stats.Pool.busy_sec);
-            ("jobs", Json.Int jobs);
-            ("workers", Json.Int stats.Pool.jobs_used);
-            ("speedup", Json.Float speedup);
-            ( "job_sec",
-              Json.List
-                (List.map
-                   (fun (t : Pool.job_timing) -> Json.Float t.Pool.wall_sec)
-                   stats.Pool.timings) );
-          ] )
+          (List.filter_map Fun.id
+             [
+               Some ("id", Json.String id);
+               Some ("wall_sec", Json.Float wall_sec);
+               Some ("busy_sec", Json.Float stats.Pool.busy_sec);
+               Some ("jobs", Json.Int jobs);
+               Some ("workers", Json.Int stats.Pool.jobs_used);
+               Option.map (fun x -> ("speedup", Json.Float x)) speedup;
+               Some
+                 ( "job_sec",
+                   Json.List
+                     (List.map
+                        (fun (t : Pool.job_timing) -> Json.Float t.Pool.wall_sec)
+                        stats.Pool.timings) );
+             ]) )
     in
     let runs = List.map run_one experiments in
-    export ();
+    let exports = export () in
     let total f = List.fold_left (fun acc r -> acc +. f r) 0. runs in
     let fairness_json (fid, ratio) =
       Json.Obj [ ("id", Json.String fid); ("ratio", Json.Float ratio) ]
@@ -511,7 +512,7 @@ let experiment_cmd =
     in
     record_invocation
       ~kind:(if ids = [ "theft" ] then "theft" else "experiment")
-      ~config
+      ~config ~exports
       ~label:("experiment " ^ String.concat " " ids)
       ~spec:
         (Json.Obj
@@ -790,8 +791,8 @@ let run_cmd =
       in
       let r = Decouple.run ?workers d ~rounds ~max_sec in
       print_string (Decouple.render ~sched d r);
-      export ();
-      record_invocation ~kind:"run" ~config ~workers:r.Decouple.rp_workers
+      let exports = export () in
+      record_invocation ~kind:"run" ~config ~workers:r.Decouple.rp_workers ~exports
         ~label:
           (Printf.sprintf "run-decoupled %s %s" (Config.sched_name sched)
              (String.concat "," vm_names))
@@ -823,8 +824,8 @@ let run_cmd =
     in
     let host_wall = Unix.gettimeofday () -. host_t0 in
     print_string (Report.run ~sched scenario metrics);
-    export ();
-    record_invocation ~kind:"run" ~config
+    let exports = export () in
+    record_invocation ~kind:"run" ~config ~exports
       ~label:
         (Printf.sprintf "run %s %s" (Config.sched_name sched)
            (String.concat "," vm_names))
@@ -949,7 +950,6 @@ let lhp_cmd =
           (sched, report, vm_names))
         schedulers
     in
-    Obs_hub.clear ();
     List.iter
       (fun (sched, report, vm_names) ->
         Printf.printf "== %s ==\n%s\n" (Config.sched_name sched)
@@ -1073,8 +1073,7 @@ let check_cmd =
       Sim_check.Check.write_repros ~dir:repro_dir ?record_id report
     in
     List.iter (Printf.printf "repro written: %s\n") repros;
-    List.iter Obs_hub.note_export repros;
-    record_invocation ~kind:"check" ?id:record_id
+    record_invocation ~kind:"check" ?id:record_id ~exports:repros
       ~config:(Config.with_seed Config.default seed)
       ~workers:jobs ~label:(Printf.sprintf "check %d cases" cases)
       ~spec:

@@ -37,9 +37,6 @@ let config_of_spec ?queue (spec : Spec.t) =
         trace_cap;
         metrics = false;
         profile = None;
-        (* thousands of scenarios per fuzz run: stay out of the
-           global export hub *)
-        hub = false;
       };
   }
 

@@ -4,11 +4,12 @@
     sub-hosts on the PDES fabric ([sim_jobs >= 2]), or a simulated
     datacenter ([cluster = Some _]). A single-host run builds the full
     stack ([Record]-mode runtime invariants, oracle trace categories
-    armed, export hub off, queue backend pinned), drives it one
-    measurement window with a structural-invariant probe firing every
-    5 simulated ms, then assembles the {!Oracle.input} and runs the
-    catalogue. A cluster run is judged by the cluster-conservation
-    oracle; a decoupled run has no first-run oracle.
+    armed but nothing published for export, queue backend pinned),
+    drives it one measurement window with a structural-invariant probe
+    firing every 5 simulated ms, then assembles the {!Oracle.input}
+    and runs the catalogue. A cluster run is judged by the
+    cluster-conservation oracle; a decoupled run has no first-run
+    oracle.
 
     Every shape then shares one determinism check: a clean first run
     is rerun a second way and the two outcomes compared — the single

@@ -85,8 +85,6 @@ val vcpu_conservation : t
 val monotonic_time : t
 val trace_wellformed : t
 
-val catalogue : t list
-
 type failure = { oracle : string; message : string }
 
 val run_all : input -> failure list

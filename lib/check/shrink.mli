@@ -8,9 +8,6 @@
     candidate becomes the new current spec and the search restarts
     from it. *)
 
-val candidates : Spec.t -> Spec.t list
-(** Strictly-smaller rewrites of the spec, in shrink-priority order. *)
-
 val minimize :
   ?budget:int ->
   fails:(Spec.t -> Oracle.failure list) ->

@@ -121,9 +121,6 @@ val placement_log : t -> (int * string) list
 (** The controller's event log (time, event), oldest first; the
     placement-determinism oracle compares it across worker counts. *)
 
-val digest : t -> int
-(** Fabric digest folded with the placement log. *)
-
 val conservation_errors : t -> string list
 (** The cluster-conservation oracle, evaluated after {!run}: no VM
     lost, duplicated, or on two hosts (physically or in the

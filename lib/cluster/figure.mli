@@ -4,10 +4,6 @@
     depended on by it); the CLI appends {!experiment} to
     [Experiments.all]. *)
 
-val hosts : int
-val horizon_sec : float
-val loads : int list
-
 val experiment : Asman.Experiments.t
 (** id ["cluster"]: VMs-per-host vs p99 LHP stall, Credit/ASMan/CON x
     first-fit/lifetime-aware, one point per offered load. *)

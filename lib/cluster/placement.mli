@@ -46,8 +46,6 @@ val release : host_view -> vcpus:int -> unit
     copy, stop-and-copy migration), so an arrival landing mid-copy
     sees the true future occupancy. *)
 
-val utilization : host_view -> float
-
 val choose :
   policy ->
   host_view array ->

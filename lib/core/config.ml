@@ -32,7 +32,6 @@ type obs = {
   trace_cap : int;
   metrics : bool;
   profile : Sim_obs.Prof.t option;
-  hub : bool;
 }
 
 let obs_off =
@@ -41,7 +40,6 @@ let obs_off =
     trace_cap = Sim_obs.Trace.default_cap;
     metrics = false;
     profile = None;
-    hub = true;
   }
 
 type t = {
@@ -80,8 +78,6 @@ let default =
     accounting = Sim_vmm.Vmm.Precise;
     obs = obs_off;
   }
-
-let obs_wanted t = t.obs.trace_mask <> 0 || t.obs.metrics
 
 let with_scale t scale = { t with scale }
 let with_seed t seed = { t with seed }

@@ -21,13 +21,13 @@ type obs = {
           engine trace; 0 = tracing off (the default; no events are
           allocated, figure outputs stay byte-identical) *)
   trace_cap : int;  (** trace ring capacity when armed *)
-  metrics : bool;  (** collect/export a metrics snapshot after runs *)
+  metrics : bool;
+      (** publish the scenario, its trace and its metrics registry, in
+          {!Obs_hub} for export: the one publish decision. A trace
+          armed without it stays private to its scenario (SimCheck's
+          oracles read their own). *)
   profile : Sim_obs.Prof.t option;
       (** wall-clock self-profiler charged by {!Runner} sections *)
-  hub : bool;
-      (** register the scenario in {!Obs_hub} for export when
-          {!obs_wanted} (default). SimCheck builds thousands of traced
-          scenarios per run and turns this off. *)
 }
 
 val obs_off : obs
@@ -87,9 +87,6 @@ val with_faults : t -> Sim_faults.Fault.profile -> t
 val watchdog_enabled : t -> bool
 (** The gang coscheduling watchdog is armed exactly when [faults] is a
     real profile, so fault-free runs carry no watchdog events. *)
-
-val obs_wanted : t -> bool
-(** Tracing armed or metrics collection requested. *)
 
 val guest_params : t -> Sim_guest.Kernel.params
 (** The explicit guest params, or defaults derived from [cpu]. *)

@@ -44,11 +44,6 @@ val shards : t -> int
 val scenario : t -> int -> Scenario.t
 (** The sub-host behind shard [i] (engine, machine, VMM, VMs). *)
 
-val fabric : t -> Sim_engine.Fabric.t
-
-val lookahead : t -> int
-(** Cross-shard latency floor: one scheduler slot, in cycles. *)
-
 (** {2 Running} *)
 
 type vm_report = {

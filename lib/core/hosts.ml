@@ -45,7 +45,7 @@ let create config ~sched members =
             seed = mix_seed config.Config.seed k;
             sim_jobs = 1;
             obs =
-              { config.Config.obs with Config.trace_mask = 0; hub = false };
+              { config.Config.obs with Config.trace_mask = 0; metrics = false };
           }
         in
         Scenario.build

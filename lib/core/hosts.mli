@@ -4,13 +4,14 @@
     and [Sim_cluster.Cluster] (datacenter placement) are policies on
     top; DESIGN.md describes the migrate state machine.
 
-    Members are built dark (tracing and the obs hub are process-shared
-    surfaces the member engines would race on), with decorrelated
-    seeds and id-counter bases that keep domain and VCPU ids globally
-    unique. The lookahead is one scheduler slot. Member state, the
-    attached-VM lists included, changes only from that member's own
-    events, so runs are worker-count invariant as long as policies
-    cross members only through {!send}. *)
+    Members are built dark: no trace is armed and nothing is
+    published in {!Obs_hub} ([trace_mask = 0], [metrics = false]), so
+    a multi-host run exports no per-member fragments. They get
+    decorrelated seeds and id-counter bases that keep domain and VCPU
+    ids globally unique. The lookahead is one scheduler slot. Member
+    state, the attached-VM lists included, changes only from that
+    member's own events, so runs are worker-count invariant as long as
+    policies cross members only through {!send}. *)
 
 type t
 

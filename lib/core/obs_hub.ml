@@ -1,8 +1,11 @@
-(* Scenarios built with observability on register themselves here so
-   the CLI can export traces/metrics after a run that constructed its
-   scenarios deep inside an experiment. Drain order is by label, not
-   registration order: parallel Pool jobs register from several
-   domains, and sorting keeps exports deterministic at any -j. *)
+(* Scenarios built with [Config.obs.metrics] on publish themselves here
+   so the CLI can export traces/metrics after a run that constructed
+   its scenarios deep inside an experiment. Parallel Pool jobs publish
+   from several domains, so nothing here depends on publication order:
+   entries are sorted by label, and entries that share a label (an
+   ablation's variants differ only in their config) are ordered by
+   their content and numbered [#2], [#3]. Exports are therefore
+   byte-identical at any -j. *)
 
 type entry = {
   label : string;
@@ -18,32 +21,41 @@ let store : entry list ref = ref []
 
 let register e = Mutex.protect mutex (fun () -> store := e :: !store)
 
-let sorted l = List.stable_sort (fun a b -> compare a.label b.label) l
+let snapshot_json e =
+  Sim_obs.Metrics.to_json (Sim_obs.Metrics.snapshot e.metrics)
 
-let entries () = Mutex.protect mutex (fun () -> sorted !store)
+(* Deterministic order among entries sharing a label: the metrics
+   snapshot, then the trace itself (both plain data). Computed only
+   for such groups. *)
+let content_key e =
+  (Sim_obs.Metrics.snapshot e.metrics, Sim_obs.Trace.entries e.trace)
+
+let number = function
+  | [ e ] -> [ e ]
+  | group ->
+    List.map (fun e -> (content_key e, e)) group
+    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+    |> List.mapi (fun i (_, e) ->
+           if i = 0 then e
+           else { e with label = Printf.sprintf "%s#%d" e.label (i + 1) })
+
+(* Runs of equal labels in a label-sorted list. *)
+let rec groups = function
+  | [] -> []
+  | e :: rest -> (
+    match groups rest with
+    | (x :: _ as g) :: gs when x.label = e.label -> (e :: g) :: gs
+    | gs -> [ e ] :: gs)
 
 let drain () =
-  Mutex.protect mutex (fun () ->
-      let l = !store in
-      store := [];
-      sorted l)
-
-let clear () = Mutex.protect mutex (fun () -> store := [])
-
-(* Paths of written exports, newest first; registry records drain
-   them to carry pointers at the artifacts of their invocation. *)
-let export_store : string list ref = ref []
-
-let note_export p =
-  Mutex.protect mutex (fun () -> export_store := p :: !export_store)
-
-let exports () = Mutex.protect mutex (fun () -> List.rev !export_store)
-
-let drain_exports () =
-  Mutex.protect mutex (fun () ->
-      let l = !export_store in
-      export_store := [];
-      List.rev l)
+  let l =
+    Mutex.protect mutex (fun () ->
+        let l = !store in
+        store := [];
+        l)
+  in
+  List.sort (fun a b -> compare a.label b.label) l
+  |> groups |> List.concat_map number
 
 let chrome_json entries =
   let events = Buffer.create 65536 in
@@ -67,9 +79,4 @@ let metrics_text entries =
 
 let metrics_json entries =
   Sim_obs.Json.to_string ~indent:true
-    (Sim_obs.Json.Obj
-       (List.map
-          (fun e ->
-            ( e.label,
-              Sim_obs.Metrics.to_json (Sim_obs.Metrics.snapshot e.metrics) ))
-          entries))
+    (Sim_obs.Json.Obj (List.map (fun e -> (e.label, snapshot_json e)) entries))

@@ -1,15 +1,17 @@
 (** Cross-scenario observability registry.
 
     Experiment figures construct scenarios deep inside their job
-    functions; when a scenario is built with observability enabled
-    ({!Config.obs_wanted}), {!Scenario.build} registers its trace and
-    metrics registry here, labelled, so the CLI can export everything
-    after the run. Mutex-protected: parallel {!Pool} jobs register
-    from their own domains. Listing order is sorted by label, keeping
-    exports deterministic at any worker count. *)
+    functions; {!Scenario.build} publishes each scenario built with
+    [Config.obs.metrics] on here (its trace and metrics registry,
+    labelled), so the CLI can export everything after the run.
+    Mutex-protected: parallel {!Pool} jobs publish from their own
+    domains. *)
 
 type entry = {
-  label : string;  (** scheduler, VM list and seed of the scenario *)
+  label : string;
+      (** [<sched>/<vm>(<workload>,w<weight>)+.../seed<N>]: the
+          scheduler, each VM's name, workload and weight, and the
+          seed; {!drain} makes it unique *)
   freq_khz : int;
   pcpus : int;
   vm_names : (int * string) list;  (** domain id -> VM name *)
@@ -19,13 +21,13 @@ type entry = {
 
 val register : entry -> unit
 
-val entries : unit -> entry list
-(** Registered entries, sorted by label (does not clear). *)
-
 val drain : unit -> entry list
-(** Like {!entries} but also empties the registry. *)
-
-val clear : unit -> unit
+(** The published entries, emptying the registry. Sorted by label;
+    entries whose labels are equal are ordered by their metrics
+    snapshot, then their trace, and all but the first get a [#2],
+    [#3], ... suffix. Labels come out unique and the order does not
+    depend on publication order, so exports are identical at any
+    worker count. *)
 
 (** {1 Combined exporters} *)
 
@@ -37,17 +39,3 @@ val metrics_text : entry list -> string
 
 val metrics_json : entry list -> string
 (** [{"label": {...}, ...}] — one metrics snapshot object per entry. *)
-
-(** {1 Export pointers}
-
-    When the CLI writes an Obs export (trace/metrics file), it notes
-    the path here so the run-registry record of the invocation can
-    point at it. *)
-
-val note_export : string -> unit
-
-val exports : unit -> string list
-(** Noted paths in write order (does not clear). *)
-
-val drain_exports : unit -> string list
-(** Like {!exports} but also empties the list. *)

@@ -81,6 +81,10 @@ let accounting () =
         busy_sec = List.fold_left (fun s t -> s +. t.wall_sec) 0. timings;
       })
 
+let speedup s ~wall_sec =
+  if s.timings = [] then None
+  else Some (if wall_sec > 0. then s.busy_sec /. wall_sec else 1.)
+
 (* ----- parallel map ----- *)
 
 let now () = Unix.gettimeofday ()

@@ -69,3 +69,9 @@ type stats = {
 val reset_accounting : unit -> unit
 
 val accounting : unit -> stats
+
+val speedup : stats -> wall_sec:float -> float option
+(** The parallel speedup [busy_sec / wall_sec] of the jobs in [stats]
+    over the [wall_sec] that ran them ([1.] when no wall time
+    elapsed); [None] when no job ran, since a speedup of nothing
+    measures nothing. *)

@@ -144,12 +144,23 @@ let build ?(domain_id_base = 0) ?(vcpu_id_base = 0) ?(launch = true) config
           { spec; domain; kernel = Some kernel; threads })
       vms
   in
-  if Config.obs_wanted config && config.Config.obs.Config.hub then
+  if config.Config.obs.Config.metrics then
     Obs_hub.register
       {
         Obs_hub.label =
           Printf.sprintf "%s/%s/seed%Ld" (Config.sched_name sched)
-            (String.concat "+" (List.map (fun s -> s.vm_name) vms))
+            (String.concat "+"
+               (List.map
+                  (fun s ->
+                    String.concat ""
+                      [
+                        s.vm_name; "(";
+                        (match s.workload with
+                        | Some w -> w.Sim_workloads.Workload.name
+                        | None -> "idle");
+                        ",w"; string_of_int s.weight; ")";
+                      ])
+                  vms))
             config.Config.seed;
         freq_khz = Sim_engine.Units.freq_to_khz (Config.freq config);
         pcpus = Config.pcpus config;

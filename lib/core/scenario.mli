@@ -62,8 +62,9 @@ val build :
     Observability: per-VM guest gauges always join the VMM's metrics
     registry (snapshot-time closures, no run-time cost); when
     [config.obs] asks for tracing the engine trace is armed before
-    the machine boots, and when {!Config.obs_wanted} the scenario
-    registers its trace + registry in {!Obs_hub} for export. *)
+    the machine boots, and when [config.obs.metrics] is on the
+    scenario publishes its trace + registry in {!Obs_hub} for
+    export. *)
 
 val expected_online_rate : t -> vm_instance -> float
 (** Equation (2) for the instance's domain. *)

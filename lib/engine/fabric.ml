@@ -55,7 +55,6 @@ let create ~lookahead members =
 
 let members t = Array.length t.members
 let member t i = t.members.(i)
-let lookahead t = t.lookahead
 
 let post t ~src ~dst ~time action =
   let now = Engine.now t.members.(src) in

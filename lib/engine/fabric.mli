@@ -20,7 +20,6 @@ val create : lookahead:int -> Engine.t array -> t
 
 val members : t -> int
 val member : t -> int -> Engine.t
-val lookahead : t -> int
 
 val post : t -> src:int -> dst:int -> time:int -> (unit -> unit) -> unit
 (** Mail an event from member [src] to member [dst]. The conservative

@@ -61,8 +61,6 @@ let post t ~time ~src ~seq action =
   t.len <- i + 1;
   Mutex.unlock t.lock
 
-let length t = t.len
-
 (* In-place insertion sort of the parallel arrays by (time, src, seq).
    Strictly-greater comparisons keep the sort stable, though stability
    is moot: (time, src, seq) triples are unique by construction. *)

@@ -22,9 +22,6 @@ val post : t -> time:int -> src:int -> seq:int -> (unit -> unit) -> unit
     among equal-time posts from one source; the caller owns the
     counters and the lookahead contract. *)
 
-val length : t -> int
-(** Pending messages. Coordinator-only (racy under concurrent posts). *)
-
 val flush : t -> (time:int -> (unit -> unit) -> unit) -> int
 (** [flush t sink] delivers every pending message to [sink] in
     [(time, src, seq)] order, clears the mailbox, and returns the

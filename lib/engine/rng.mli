@@ -21,9 +21,6 @@ val split : t -> t
 val next_int64 : t -> int64
 (** Raw 64-bit output. *)
 
-val bits : t -> int
-(** [bits t] is a non-negative 62-bit integer. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Raises
     [Invalid_argument] if [bound <= 0]. *)

@@ -28,8 +28,6 @@ type t = {
   mutable domains : unit Domain.t array;
 }
 
-let workers t = t.workers
-
 (* Drain tasks off the grab counter until it runs out; record (don't
    propagate) the first exception so the barrier still completes. *)
 let grab t =

@@ -18,9 +18,6 @@ val create : workers:int -> tasks:int -> work:(int -> limit:int -> unit) -> t
     sequentially on the caller. The team persists until {!shutdown} —
     spawn cost is paid once, not per window. *)
 
-val workers : t -> int
-(** The clamped worker count actually in use. *)
-
 val window : t -> limit:int -> unit
 (** Run one window: every unit gets [work i ~limit] exactly once,
     then barrier. The first exception a unit raised is re-raised

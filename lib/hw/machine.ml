@@ -116,8 +116,6 @@ let start t =
     ()
   done
 
-let started t = t.started
-
 (* ----- fault-injection surface ----- *)
 
 let set_ipi_filter t f = t.ipi_filter <- Some f

@@ -43,8 +43,6 @@ val start : t -> unit
     Raises [Failure] if no slot handler is installed or if called
     twice. *)
 
-val started : t -> bool
-
 val phase : t -> int -> int
 (** [phase t pcpu] is the offset of [pcpu]'s first slot boundary. *)
 

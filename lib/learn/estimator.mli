@@ -32,8 +32,6 @@ val default_params : slot_cycles:int -> params
     slots of the window closing means the locality outlived the
     estimate), [ratio_cap] = 4. *)
 
-val validate_params : params -> (unit, string) result
-
 type t
 
 val create : params -> Sim_engine.Rng.t -> t

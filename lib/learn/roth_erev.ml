@@ -30,8 +30,6 @@ let create params ~candidates =
 
 let params t = t.params
 
-let candidates t = Array.copy t.candidates
-
 let n t = Array.length t.candidates
 
 let propensity t j = t.q.(j)

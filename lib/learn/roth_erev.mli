@@ -30,9 +30,6 @@ val create : params -> candidates:float array -> t
 
 val params : t -> params
 
-val candidates : t -> float array
-(** A copy. *)
-
 val n : t -> int
 
 val propensity : t -> int -> float

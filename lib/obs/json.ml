@@ -1,7 +1,8 @@
 (* The repo's one JSON module: the value type, a printer, a strict
    reader and accessors. No external dependency (the repo has none to
    offer); integers and floats kept distinct so specs round-trip
-   exactly ([%.17g] is lossless for IEEE doubles). *)
+   exactly (floats print in the shortest form that reads back as the
+   same double). *)
 
 type t =
   | Null
@@ -30,6 +31,18 @@ let escape b s =
       | c -> Buffer.add_char b c)
     s
 
+(* The shortest of %.15g, %.16g and %.17g that parses back to [f]
+   (%.17g always does), so 0.05 prints as 0.05; a bare integer gets
+   ".0" so the reader keeps it a float. *)
+let float_repr f =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || float_of_string s = f then s else go (p + 1)
+  in
+  let s = go 15 in
+  let bare = String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) s in
+  if bare then s ^ ".0" else s
+
 let rec write b ~indent ~level v =
   let pad n = if indent then Buffer.add_string b (String.make (2 * n) ' ') in
   let nl () = if indent then Buffer.add_char b '\n' in
@@ -38,10 +51,7 @@ let rec write b ~indent ~level v =
   | Bool true -> Buffer.add_string b "true"
   | Bool false -> Buffer.add_string b "false"
   | Int i -> Buffer.add_string b (string_of_int i)
-  | Float f ->
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Buffer.add_string b (Printf.sprintf "%.1f" f)
-    else Buffer.add_string b (Printf.sprintf "%.17g" f)
+  | Float f -> Buffer.add_string b (float_repr f)
   | String s ->
     Buffer.add_char b '"';
     escape b s;

@@ -3,8 +3,10 @@
     metrics and trace exports, and [asman validate-json].
 
     Self-contained (the repo carries no JSON dependency). Integers
-    and floats are distinct constructors and floats print losslessly,
-    so a spec survives [of_string (to_string spec)] exactly. *)
+    and floats are distinct constructors and a finite float prints as
+    the shortest of [%.15g], [%.16g] and [%.17g] that reads back as
+    the same double ([0.05], not [0.050000000000000003]), so a spec
+    survives [of_string (to_string spec)] exactly. *)
 
 type t =
   | Null

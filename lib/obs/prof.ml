@@ -39,11 +39,6 @@ let sections t =
   Mutex.unlock t.mu;
   List.sort (fun a b -> compare a.label b.label) out
 
-let reset t =
-  Mutex.lock t.mu;
-  Hashtbl.reset t.tbl;
-  Mutex.unlock t.mu
-
 let to_text t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "profile (wall-clock per section):\n";

@@ -16,12 +16,7 @@ val time : t -> string -> (unit -> 'a) -> 'a
 (** Run the thunk, charging its wall time to the section — even on
     exceptions. *)
 
-val add : t -> string -> float -> unit
-(** Charge [sec] seconds to a section directly. *)
-
 val sections : t -> section list
 (** Sorted by label. *)
-
-val reset : t -> unit
 
 val to_text : t -> string

@@ -20,8 +20,6 @@ let length t = t.len
 
 let dropped t = t.dropped
 
-let is_empty t = t.len = 0
-
 let push t x =
   if t.cap = 0 then t.dropped <- t.dropped + 1
   else begin

@@ -18,8 +18,6 @@ val dropped : 'a t -> int
 (** Elements overwritten (or refused by a zero-capacity ring) over the
     ring's lifetime; {!clear} does not reset it. *)
 
-val is_empty : 'a t -> bool
-
 val push : 'a t -> 'a -> unit
 
 val iter : 'a t -> ('a -> unit) -> unit

@@ -66,22 +66,3 @@ let descheduled_in t ~vcpu ~from_ ~until =
         (running_intervals t ~vcpu)
     in
     max 0 (until - from_ - on_cpu)
-
-let to_text ?vm_names t =
-  let vm_name d =
-    match Option.bind vm_names (List.assoc_opt d) with
-    | Some n -> n
-    | None -> Printf.sprintf "dom%d" d
-  in
-  let buf = Buffer.create 1024 in
-  Array.iteri
-    (fun p segs ->
-      Buffer.add_string buf (Printf.sprintf "pcpu %d:\n" p);
-      List.iter
-        (fun s ->
-          Buffer.add_string buf
-            (Printf.sprintf "  [%12d, %12d) %s/v%d (%d cycles)\n" s.start
-               s.stop (vm_name s.domain) s.vcpu (s.stop - s.start)))
-        segs)
-    t.rows;
-  Buffer.contents buf

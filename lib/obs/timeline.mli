@@ -25,5 +25,3 @@ val running_intervals : t -> vcpu:int -> (int * int) list
 val descheduled_in : t -> vcpu:int -> from_:int -> until:int -> int
 (** Cycles within [[from_, until]] during which [vcpu] was not
     running on any PCPU. *)
-
-val to_text : ?vm_names:(int * string) list -> t -> string

@@ -102,10 +102,6 @@ let enable ?(cap = default_cap) t ~mask =
   t.mask <- mask land all_mask;
   if Ring.capacity t.ring <> cap then t.ring <- Ring.create ~cap
 
-let disable t = t.mask <- 0
-
-let mask t = t.mask
-
 (* The hot-path guard: call sites do
      if Trace.on tr Cat then Trace.emit tr ~now ev
    so with tracing off the cost is one load + mask + branch and the
@@ -119,8 +115,6 @@ let entries t = Ring.to_list t.ring
 let length t = Ring.length t.ring
 
 let dropped t = Ring.dropped t.ring
-
-let clear t = Ring.clear t.ring
 
 (* ----- rendering helpers shared by the exporters ----- *)
 

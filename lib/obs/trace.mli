@@ -84,9 +84,6 @@ val enable : ?cap:int -> t -> mask:int -> unit
 (** Set the category mask and (re)allocate the ring to [cap]
     (default {!default_cap}) if the capacity changes. *)
 
-val disable : t -> unit
-val mask : t -> int
-
 val on : t -> category -> bool
 (** The one-branch hot-path guard. *)
 
@@ -100,8 +97,6 @@ val length : t -> int
 
 val dropped : t -> int
 (** Events lost to ring overflow. *)
-
-val clear : t -> unit
 
 (** {1 Exporters} *)
 

@@ -94,8 +94,7 @@ let pct old fresh =
 
 (* [regressed ~id old new] decides the verdict for one entry; [gate]
    exempts entries (e.g. runs too short to time reliably). *)
-let compare_section buf ~label ~unit ~regressed ?(gate = fun _ -> true)
-    old_entries new_entries =
+let compare_section buf ~label ~unit ~regressed ~gate old_entries new_entries =
   let regressions = ref 0 in
   let shown = ref false in
   let header () =
@@ -187,68 +186,122 @@ let axis_mismatches old_r new_r =
       else Some (Printf.sprintf "%s %s vs %s" name o n))
     (List.combine (axes old_r) (axes new_r))
 
+(* ----- the record sections -----
+
+   One row per record section, read by [records] below and by the
+   HTML report's trend charts. A new section is one new row. *)
+
+type section = {
+  name : string;
+  label : string;
+  title : string;
+  unit : string;
+  chart_unit : string;
+  log : bool;
+  extract : Record.t -> (string * float) list;
+  regressed : thresholds -> id:string -> float -> float -> bool;
+  gate : thresholds -> float -> bool;
+}
+
+let always _ _ = true
+
+let sections =
+  [
+    {
+      name = "runs";
+      label = "figure/ablation wall time";
+      title = "Figure / ablation wall time";
+      unit = "sec";
+      chart_unit = "seconds";
+      log = false;
+      extract = runs_of;
+      regressed = (fun t ~id:_ old_v new_v -> pct old_v new_v > t.threshold);
+      gate = (fun t old_v -> old_v >= t.min_wall);
+    };
+    {
+      name = "micro";
+      label = "event-queue micro throughput";
+      title = "Micro throughput (event queue + PDES)";
+      unit = "events/sec";
+      chart_unit = "events/sec";
+      log = true;
+      extract = micro_of;
+      regressed = (fun t ~id:_ old_v new_v -> -.pct old_v new_v > t.threshold);
+      gate = always;
+    };
+    (* Deterministic outputs: drift in either direction is a behaviour
+       change, not noise, hence the tight symmetric gate. *)
+    {
+      name = "fairness";
+      label = "fairness (attained/entitled)";
+      title = "Fairness: attained / entitled";
+      unit = "ratio";
+      chart_unit = "ratio";
+      log = false;
+      extract = fairness_of;
+      regressed =
+        (fun t ~id:_ old_v new_v ->
+          Float.abs (pct old_v new_v) > t.fairness_threshold);
+      gate = always;
+    };
+    (* Fuzzer health: counts, not percentages — one new failure or
+       timeout is a regression no matter how many cases ran. *)
+    {
+      name = "check";
+      label = "simcheck health";
+      title = "SimCheck health";
+      unit = "count";
+      chart_unit = "count";
+      log = false;
+      extract = values_of "check";
+      regressed =
+        (fun _ ~id old_v new_v ->
+          (id = "failures" || id = "timeouts") && new_v > old_v);
+      gate = always;
+    };
+    (* Cluster runs are seeded and deterministic like the fairness
+       figure: consolidation density or tail-stall drift in either
+       direction means placement or migration behaviour changed. *)
+    {
+      name = "cluster";
+      label = "cluster consolidation";
+      title = "Cluster consolidation";
+      unit = "value";
+      chart_unit = "value";
+      log = false;
+      extract = values_of "cluster";
+      regressed =
+        (fun t ~id old_v new_v ->
+          (String.starts_with ~prefix:"density" id
+          || String.starts_with ~prefix:"p99" id)
+          && Float.abs (pct old_v new_v) > t.fairness_threshold);
+      gate = always;
+    };
+  ]
+
 let records t old_r new_r =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf "compare: %s -> %s (threshold %.0f%%)\n\n"
        (describe old_r) (describe new_r) t.threshold);
   let strict = t.strict_sections in
-  let section ~label ~unit ~name ~regressed ?gate extract =
+  let section s =
     let present, missing =
-      section_presence buf ~strict ~label name old_r new_r
+      section_presence buf ~strict ~label:s.label s.name old_r new_r
     in
     missing
     + if present then
-        compare_section buf ~label ~unit ~regressed ?gate (extract old_r)
-          (extract new_r)
+        compare_section buf ~label:s.label ~unit:s.unit
+          ~regressed:(s.regressed t) ~gate:(s.gate t) (s.extract old_r)
+          (s.extract new_r)
       else 0
   in
-  let r1 =
-    section ~label:"figure/ablation wall time" ~unit:"sec" ~name:"runs"
-      ~regressed:(fun ~id:_ old_v new_v -> pct old_v new_v > t.threshold)
-      ~gate:(fun old_v -> old_v >= t.min_wall)
-      runs_of
-  in
-  let r2 =
-    section ~label:"event-queue micro throughput" ~unit:"events/sec"
-      ~name:"micro"
-      ~regressed:(fun ~id:_ old_v new_v -> -.pct old_v new_v > t.threshold)
-      micro_of
-  in
-  (* Deterministic outputs: drift in either direction is a behaviour
-     change, not noise, hence the tight symmetric gate. *)
-  let r3 =
-    section ~label:"fairness (attained/entitled)" ~unit:"ratio"
-      ~name:"fairness"
-      ~regressed:(fun ~id:_ old_v new_v ->
-        Float.abs (pct old_v new_v) > t.fairness_threshold)
-      fairness_of
-  in
-  (* Fuzzer health: counts, not percentages — one new failure or
-     timeout is a regression no matter how many cases ran. *)
-  let r4 =
-    section ~label:"simcheck health" ~unit:"count" ~name:"check"
-      ~regressed:(fun ~id old_v new_v ->
-        (id = "failures" || id = "timeouts") && new_v > old_v)
-      (values_of "check")
-  in
-  (* Cluster runs are seeded and deterministic like the fairness
-     figure: consolidation density or tail-stall drift in either
-     direction means placement or migration behaviour changed. *)
-  let r5 =
-    section ~label:"cluster consolidation" ~unit:"value" ~name:"cluster"
-      ~regressed:(fun ~id old_v new_v ->
-        (String.starts_with ~prefix:"density" id
-        || String.starts_with ~prefix:"p99" id)
-        && Float.abs (pct old_v new_v) > t.fairness_threshold)
-      (values_of "cluster")
-  in
+  let regressions = List.fold_left (fun n s -> n + section s) 0 sections in
   if old_r.Record.wall_sec > 0. && new_r.Record.wall_sec > 0. then
     Buffer.add_string buf
       (Printf.sprintf "total wall: %.3f s -> %.3f s (%+.1f%%)\n"
          old_r.Record.wall_sec new_r.Record.wall_sec
          (pct old_r.Record.wall_sec new_r.Record.wall_sec));
-  let regressions = r1 + r2 + r3 + r4 + r5 in
   Buffer.add_string buf
     (if regressions > 0 then
        Printf.sprintf "\n%d regression(s) beyond threshold\n" regressions

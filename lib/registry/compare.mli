@@ -51,16 +51,29 @@ val records : thresholds -> Record.t -> Record.t -> result
 (** Compare old vs new. Works on any two records (a bench [--json]
     file is one); it does not check {!axis_mismatches}. *)
 
-(** {2 Section extractors (shared with the HTML report and tests)} *)
+(** {2 The record sections}
 
-val runs_of : Record.t -> (string * float) list
-(** (figure id, wall seconds). *)
+    One row per section a record may carry. {!records} compares them
+    in this order, and the HTML report draws one trend chart per row;
+    adding a section to both is adding one row. *)
 
-val micro_of : Record.t -> (string * float) list
-(** (["bench backend [pN jN] pending"], events/sec). *)
+type section = {
+  name : string;  (** the record's section key, e.g. ["runs"] *)
+  label : string;  (** the {!records} table heading *)
+  title : string;  (** the HTML chart title *)
+  unit : string;  (** the {!records} table unit *)
+  chart_unit : string;  (** the HTML chart's axis unit *)
+  log : bool;  (** log10 chart axis (throughput spans decades) *)
+  extract : Record.t -> (string * float) list;  (** (entry id, value) *)
+  regressed : thresholds -> id:string -> float -> float -> bool;
+      (** the verdict on one entry's old and new value *)
+  gate : thresholds -> float -> bool;
+      (** whether a regressed entry counts, from its old value (runs
+          shorter than [min_wall] are reported but not gated) *)
+}
 
-val fairness_of : Record.t -> (string * float) list
-(** (theft cell id, attained/entitled ratio). *)
+val sections : section list
+(** [runs], [micro], [fairness], [check], [cluster]. *)
 
 val values_of : string -> Record.t -> (string * float) list
 (** [values_of name] is (entry id, value) per entry of the key/value

@@ -35,47 +35,6 @@ let short_sha (r : Record.t) =
 
 (* ----- one trend chart ----- *)
 
-type family = {
-  f_title : string;
-  f_unit : string;
-  f_log : bool;  (** log10 y-axis (throughput spans decades) *)
-  f_extract : Record.t -> (string * float) list;
-}
-
-let families =
-  [
-    {
-      f_title = "Figure / ablation wall time";
-      f_unit = "seconds";
-      f_log = false;
-      f_extract = Compare.runs_of;
-    };
-    {
-      f_title = "Micro throughput (event queue + PDES)";
-      f_unit = "events/sec";
-      f_log = true;
-      f_extract = Compare.micro_of;
-    };
-    {
-      f_title = "Fairness: attained / entitled";
-      f_unit = "ratio";
-      f_log = false;
-      f_extract = Compare.fairness_of;
-    };
-    {
-      f_title = "SimCheck health";
-      f_unit = "count";
-      f_log = false;
-      f_extract = Compare.values_of "check";
-    };
-    {
-      f_title = "Cluster consolidation";
-      f_unit = "value";
-      f_log = false;
-      f_extract = Compare.values_of "cluster";
-    };
-  ]
-
 let width = 760.
 let height = 240.
 let ml = 64.
@@ -90,15 +49,15 @@ let fnum v =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.3f" v
 
-let chart buf fam_index fam (records : Record.t list) =
+let chart buf fam_index (fam : Compare.section) (records : Record.t list) =
   (* Only runs that carry this family participate; x is the position
      among those, in registry (date, id) order. *)
   let participating =
-    List.filter (fun r -> fam.f_extract r <> []) records
+    List.filter (fun r -> fam.extract r <> []) records
   in
   Buffer.add_string buf
     (Printf.sprintf "<section class=\"family\"><h2>%s</h2>\n"
-       (esc fam.f_title));
+       (esc fam.title));
   if participating = [] then
     Buffer.add_string buf
       "<p class=\"empty\">no runs carry this metric family yet</p>\n</section>\n"
@@ -106,7 +65,7 @@ let chart buf fam_index fam (records : Record.t list) =
     let n = List.length participating in
     let keys =
       List.sort_uniq compare
-        (List.concat_map (fun r -> List.map fst (fam.f_extract r)) participating)
+        (List.concat_map (fun r -> List.map fst (fam.extract r)) participating)
     in
     let series =
       List.map
@@ -115,7 +74,7 @@ let chart buf fam_index fam (records : Record.t list) =
             List.concat
               (List.mapi
                  (fun i r ->
-                   match List.assoc_opt key (fam.f_extract r) with
+                   match List.assoc_opt key (fam.extract r) with
                    | Some v -> [ (i, v) ]
                    | None -> [])
                  participating) ))
@@ -126,12 +85,12 @@ let chart buf fam_index fam (records : Record.t list) =
     let vmin = List.fold_left Float.min infinity values in
     let y_of v =
       let lo, hi =
-        if fam.f_log then
+        if fam.log then
           let safe x = Float.log10 (Float.max x 1e-9) in
           (safe vmin -. 0.05, safe vmax +. 0.05)
         else (0., Float.max (vmax *. 1.05) 1e-9)
       in
-      let v = if fam.f_log then Float.log10 (Float.max v 1e-9) else v in
+      let v = if fam.log then Float.log10 (Float.max v 1e-9) else v in
       let frac = if hi = lo then 0.5 else (v -. lo) /. (hi -. lo) in
       mt +. ((height -. mt -. mb) *. (1. -. frac))
     in
@@ -143,7 +102,7 @@ let chart buf fam_index fam (records : Record.t list) =
       (Printf.sprintf
          "<svg viewBox=\"0 0 %.0f %.0f\" width=\"%.0f\" height=\"%.0f\" \
           role=\"img\" aria-label=\"%s\">\n"
-         width height width height (esc fam.f_title));
+         width height width height (esc fam.title));
     (* Frame and y labels (min / max, plus unit). *)
     Buffer.add_string buf
       (Printf.sprintf
@@ -164,7 +123,7 @@ let chart buf fam_index fam (records : Record.t list) =
     Buffer.add_string buf
       (Printf.sprintf
          "<text x=\"%.1f\" y=\"%.1f\" class=\"unit\">%s</text>\n" 4.
-         (mt +. 10.) (esc fam.f_unit));
+         (mt +. 10.) (esc fam.chart_unit));
     (* x ticks: run positions. *)
     List.iteri
       (fun i (r : Record.t) ->
@@ -196,7 +155,7 @@ let chart buf fam_index fam (records : Record.t list) =
                  "<circle class=\"dot %s\" style=\"fill:%s\" cx=\"%.1f\" \
                   cy=\"%.1f\" r=\"2.5\"><title>%s\nrun %d: %s %s</title></circle>\n"
                  cls (color si) (x_of i) (y_of v) (esc key) (i + 1)
-                 (esc (fnum v)) (esc fam.f_unit)))
+                 (esc (fnum v)) (esc fam.chart_unit)))
           pts)
       series;
     Buffer.add_string buf "</svg>\n<ul class=\"legend\">\n";
@@ -293,7 +252,7 @@ let report records =
            (esc r.Record.accounting) (esc r.Record.chaos) r.Record.wall_sec))
     records;
   Buffer.add_string buf "</table>\n";
-  List.iteri (fun fi fam -> chart buf fi fam records) families;
+  List.iteri (fun fi fam -> chart buf fi fam records) Compare.sections;
   Buffer.add_string buf "<script>";
   Buffer.add_string buf script;
   Buffer.add_string buf "</script>\n</body>\n</html>\n";

@@ -29,20 +29,43 @@ type t = {
   exports : string list;
 }
 
-(* ----- canonical digest ----- *)
+(* ----- canonical digest -----
 
-let rec canonicalize (v : Json.t) : Json.t =
+   A digest names a spec across releases, so this module fixes the
+   text it hashes: compact JSON, object fields sorted by key, and
+   non-integral floats in [%.17g], the form digests were first taken
+   in, whatever shorter form the JSON printer now gives them. *)
+
+let rec canonical b (v : Json.t) =
+  let seq items f =
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char b ',';
+        f x)
+      items
+  in
   match v with
-  | Json.Obj fields ->
-    Json.Obj
-      (List.sort
-         (fun (a, _) (b, _) -> compare a b)
-         (List.map (fun (k, x) -> (k, canonicalize x)) fields))
-  | Json.List items -> Json.List (List.map canonicalize items)
-  | v -> v
+  | Json.Float f when not (Float.is_integer f && Float.abs f < 1e15) ->
+    Buffer.add_string b (Printf.sprintf "%.17g" f)
+  | Json.List (_ :: _ as items) ->
+    Buffer.add_char b '[';
+    seq items (canonical b);
+    Buffer.add_char b ']'
+  | Json.Obj (_ :: _ as fields) ->
+    Buffer.add_char b '{';
+    seq
+      (List.sort (fun (k, _) (k', _) -> compare k k') fields)
+      (fun (k, x) ->
+        Buffer.add_string b (Json.to_string (Json.String k));
+        Buffer.add_string b ": ";
+        canonical b x);
+    Buffer.add_char b '}'
+  | v -> Buffer.add_string b (Json.to_string v)
 
 let canonical_digest v =
-  Digest.to_hex (Digest.string (Json.to_string (canonicalize v)))
+  let b = Buffer.create 256 in
+  canonical b v;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* ----- construction ----- *)
 

@@ -72,8 +72,9 @@ val of_json : Sim_obs.Json.t -> t
 
 val canonical_digest : Sim_obs.Json.t -> string
 (** Hex MD5 of the value's canonical form: object fields sorted
-    recursively, compact printing — stable across field reordering
-    and whitespace. *)
+    recursively, compact printing, non-integral floats in [%.17g] —
+    stable across field reordering, whitespace and the JSON printer's
+    float form. *)
 
 val section : t -> string -> Sim_obs.Json.t option
 (** [section r "runs"] — one metric section, when present. *)

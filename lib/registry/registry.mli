@@ -14,9 +14,6 @@ val fresh_id : kind:string -> string
 (** A unique record id: timestamp + kind + pid (+ a per-process
     counter when one process records twice in a second). *)
 
-val write : string -> Record.t -> unit
-(** Write the record, pretty-printed, to the given path. *)
-
 val save : ?dir:string -> Record.t -> string
 (** Write the record as [<dir>/<id>.json] (creating the directory)
     and return the path. [dir] defaults to {!dir} and raises

@@ -18,8 +18,6 @@ let row_to_string row = String.concat "," (List.map escape row)
 
 let to_string rows = String.concat "\n" (List.map row_to_string rows) ^ "\n"
 
-let write oc rows = output_string oc (to_string rows)
-
 let of_series series =
   match series with
   | [] -> []

@@ -3,8 +3,6 @@
 val escape : string -> string
 (** Quote a field if it contains commas, quotes or newlines. *)
 
-val write : out_channel -> string list list -> unit
-
 val to_string : string list list -> string
 
 val of_series : Series.t list -> string list list

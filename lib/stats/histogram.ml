@@ -52,10 +52,3 @@ let merge a b =
   out
 
 let mean t = if t.count = 0 then nan else float_of_int t.sum /. float_of_int t.count
-
-let pp fmt t =
-  Format.fprintf fmt "histogram (%d samples)@." t.count;
-  for k = 0 to nbuckets - 1 do
-    if t.buckets.(k) > 0 then
-      Format.fprintf fmt "  [2^%-2d, 2^%-2d): %d@." k (k + 1) t.buckets.(k)
-  done

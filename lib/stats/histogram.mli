@@ -35,6 +35,3 @@ val merge : t -> t -> t
 
 val mean : t -> float
 (** Mean of exact sample values ([nan] when empty). *)
-
-val pp : Format.formatter -> t -> unit
-(** One line per non-empty bucket. *)

@@ -7,8 +7,6 @@ let make ~label ~x_name ~y_name pts =
 
 let points s = List.map (fun p -> (p.x, p.y)) s.points
 
-let ys s = List.map (fun p -> p.y) s.points
-
 let xs s = List.map (fun p -> p.x) s.points
 
 let y_at s x =

@@ -12,7 +12,6 @@ val make : label:string -> x_name:string -> y_name:string -> (float * float) lis
 
 val points : t -> (float * float) list
 
-val ys : t -> float list
 val xs : t -> float list
 
 val y_at : t -> float -> float option

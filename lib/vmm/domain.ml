@@ -59,8 +59,3 @@ let expected_online_rate t ~all ~pcpus =
 
 let online_cycles t =
   Array.fold_left (fun acc (v : Vcpu.t) -> acc + v.Vcpu.online_cycles) 0 t.vcpus
-
-let pp fmt t =
-  Format.fprintf fmt "dom%d(%s w=%d vcpus=%d vcrd=%s)" t.id t.name t.weight
-    (vcpu_count t)
-    (match t.vcrd with Low -> "LOW" | High -> "HIGH")

@@ -50,5 +50,3 @@ val expected_online_rate : t -> all:t list -> pcpus:int -> float
 val online_cycles : t -> int
 (** Sum of the VCPUs' accumulated online time (excludes any open
     online span). *)
-
-val pp : Format.formatter -> t -> unit

@@ -46,7 +46,6 @@ let of_name s =
 let active : t option ref = ref None
 
 let set m = active := m
-let get () = !active
 (* Compared by hand: [!active = Some m] would box [Some m] and call the
    polymorphic compare on every hot-path query. *)
 let enabled m = match !active with Some a -> a == m | None -> false

@@ -38,7 +38,5 @@ val set : t option -> unit
     afterwards in this process. Not domain-safe: arm only in
     single-threaded harness code (the CLI, directed tests). *)
 
-val get : unit -> t option
-
 val enabled : t -> bool
 (** One global read; the hot-path cost when disarmed. *)

@@ -60,14 +60,3 @@ let is_blocked t =
 let eligible t = t.boosted || not t.parked
 
 let running_on t = match t.state with Running p -> Some p | Ready | Blocked -> None
-
-let pp fmt t =
-  let state =
-    match t.state with
-    | Running p -> Printf.sprintf "running@%d" p
-    | Ready -> "ready"
-    | Blocked -> "blocked"
-  in
-  Format.fprintf fmt "vcpu%d(dom%d.%d %s credit=%d%s)" t.id t.domain_id t.index
-    state t.credit
-    (if t.boosted then " boost" else "")

@@ -58,5 +58,3 @@ val eligible : t -> bool
 (** May be dispatched: not parked, or boost-overridden. *)
 
 val running_on : t -> int option
-
-val pp : Format.formatter -> t -> unit

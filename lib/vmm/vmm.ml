@@ -76,12 +76,8 @@ type t = {
 }
 
 let engine t = t.engine
-let machine t = t.machine
 let cpu_model t = t.cpu_model
 let pcpu_count t = Machine.pcpu_count t.machine
-
-let sched_name t =
-  match t.sched with Some s -> s.Sched_intf.name | None -> "(none)"
 
 let accounting t = t.accounting
 
@@ -240,8 +236,6 @@ let domain_online_cycles t dom =
       | Vcpu.Ready | Vcpu.Blocked -> acc)
     base dom.Domain.vcpus
 
-let domain_online_now = domain_online_cycles
-
 (* ----- attained vs entitled (theft accounting) ----- *)
 
 (* Online cycles attained by the domain over the current measurement
@@ -252,7 +246,7 @@ let attained_cycles t dom =
     | Some b -> b
     | None -> 0
   in
-  domain_online_now t dom - base
+  domain_online_cycles t dom - base
 
 (* The domain's proportional-share entitlement over the same window:
    Eq.(2)'s per-VCPU expected online rate times elapsed wall time and
@@ -756,7 +750,7 @@ let attach_domain t (dom : Domain.t) =
   (match t.last_credit_sum with
   | Some sum -> t.last_credit_sum <- Some (sum + domain_credit_sum dom)
   | None -> ());
-  Hashtbl.replace t.acct_online_base dom.Domain.id (domain_online_now t dom)
+  Hashtbl.replace t.acct_online_base dom.Domain.id (domain_online_cycles t dom)
 
 (* ----- accounting ----- *)
 
@@ -765,7 +759,8 @@ let reset_accounting t =
   t.acct_start <- now t;
   Hashtbl.reset t.acct_online_base;
   List.iter
-    (fun d -> Hashtbl.replace t.acct_online_base d.Domain.id (domain_online_now t d))
+    (fun d ->
+      Hashtbl.replace t.acct_online_base d.Domain.id (domain_online_cycles t d))
     (domains t);
   Array.iteri
     (fun p since ->

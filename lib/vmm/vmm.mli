@@ -56,8 +56,6 @@ val accounting : t -> accounting
 
 val engine : t -> Sim_engine.Engine.t
 
-val machine : t -> Sim_hw.Machine.t
-
 val metrics : t -> Sim_obs.Metrics.t
 (** The simulation's metrics registry. Created per-Vmm (never
     global) with standing gauges over the engine ([events_fired],
@@ -68,7 +66,6 @@ val metrics : t -> Sim_obs.Metrics.t
 
 val cpu_model : t -> Sim_hw.Cpu_model.t
 val pcpu_count : t -> int
-val sched_name : t -> string
 
 val create_domain :
   t ->

@@ -96,8 +96,6 @@ let note_demotion t ~vm =
   in
   Sim_obs.Metrics.incr per_vm
 
-let demotions t = Sim_obs.Metrics.value t.demotions_c
-
 let counter_list t =
   [
     ("cosched_launches", Sim_obs.Metrics.value t.launches);

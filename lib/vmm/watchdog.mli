@@ -65,9 +65,6 @@ val note_demotion : t -> vm:string -> unit
 (** Also bumps the per-VM [watchdog/demotions{vm=...}] counter so
     health reports can attribute demotions to domains. *)
 
-val demotions : t -> int
-(** Thin read of the registry counter. *)
-
 val counter_list : t -> (string * int) list
 (** Counters under stable names ([cosched_launches], [ipi_acks],
     [watchdog_timeouts], [watchdog_retries], [watchdog_demotions]);

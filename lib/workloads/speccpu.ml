@@ -47,7 +47,3 @@ let workload ?(copies = 4) p =
     barriers = [];
     semaphores = [];
   }
-
-let ideal_runtime_sec bench ~freq ~scale =
-  let p = params bench ~freq ~scale in
-  Units.sec_of_cycles freq (p.chunks * p.chunk_compute)

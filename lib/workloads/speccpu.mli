@@ -8,8 +8,6 @@
 
 type benchmark = Gcc | Bzip2
 
-val name : benchmark -> string
-
 type params = {
   bench_name : string;
   chunks : int;  (** work chunks per copy *)
@@ -26,6 +24,3 @@ val workload : ?copies:int -> params -> Workload.t
 (** [copies] defaults to 4 (the paper's SPEC-rate configuration);
     copy [i] is pinned to VCPU [i]. Threads restart (rate protocol:
     benchmarks repeat in a batch loop). *)
-
-val ideal_runtime_sec :
-  benchmark -> freq:Sim_engine.Units.freq -> scale:float -> float

@@ -18,7 +18,6 @@ let config =
     Config.topology = Sim_hw.Topology.make ~sockets:2 ~cores_per_socket:4;
     scale = 0.25;
     seed = 11L;
-    obs = { Config.default.Config.obs with Config.hub = false };
   }
 
 let vms config =

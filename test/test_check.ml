@@ -659,6 +659,30 @@ let test_corpus_replays () =
           (List.hd fs).Oracle.oracle (List.hd fs).Oracle.message)
     files
 
+(* Every committed case is stored in the form [Spec.save] writes, so
+   a load and a save give back its own bytes. Keys older files lack
+   still load as their defaults. *)
+let test_corpus_round_trips () =
+  List.iter
+    (fun f ->
+      let path = Filename.concat corpus_dir f in
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check string) (f ^ " re-saves to its own bytes") bytes
+        (Spec.to_string (Spec.of_string bytes)))
+    (corpus_files ());
+  let path = Filename.concat corpus_dir "legacy-random-asman.json" in
+  let stripped =
+    match Sim_obs.Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
+    | Sim_obs.Json.Obj kv ->
+      Sim_obs.Json.Obj
+        (List.filter
+           (fun (k, _) -> not (List.mem k [ "sim_jobs"; "accounting"; "check_entitlement" ]))
+           kv)
+    | _ -> Alcotest.fail "corpus case is not an object"
+  in
+  Alcotest.(check bool) "absent optional keys load as defaults" true
+    (Spec.of_string (Sim_obs.Json.to_string stripped) = Spec.load path)
+
 let suite =
   [
     Alcotest.test_case "generator is seed-deterministic" `Quick
@@ -707,4 +731,6 @@ let suite =
       test_timeout_reported_with_seed;
     Alcotest.test_case "committed corpus replays clean" `Slow
       test_corpus_replays;
+    Alcotest.test_case "committed corpus re-saves byte-identical" `Quick
+      test_corpus_round_trips;
   ]

@@ -15,7 +15,6 @@ let config seed =
     Config.default with
     Config.seed;
     topology = Sim_hw.Topology.make ~sockets:2 ~cores_per_socket:2;
-    obs = { Config.default.Config.obs with Config.hub = false };
   }
 
 (* ----- trace generation ----- *)
@@ -246,12 +245,7 @@ let test_workers_invariant () =
    this 4.62M, quadratic in the instruments per member (the incubator
    member registers every trace VM's). *)
 let test_build_alloc () =
-  let c =
-    {
-      (Config.with_seed Config.default 42L) with
-      Config.obs = { Config.default.Config.obs with Config.hub = false };
-    }
-  in
+  let c = Config.with_seed Config.default 42L in
   let trace =
     Vtrace.generate ~max_vcpus:(Config.pcpus c) ~seed:42L ~vms:200
       ~dist:Vtrace.Bimodal ~horizon_sec:1.0 ()

@@ -189,7 +189,6 @@ let dec_config ~sockets ~cores =
     scale = 0.05;
     seed = 11L;
     sim_jobs = 2;
-    obs = { Config.default.Config.obs with Config.hub = false };
   }
 
 let heavy name = Scenario.vm ~name ~vcpus:2 ~weight:256
@@ -298,7 +297,6 @@ let test_park_requires_quiescence () =
       Config.topology = Sim_hw.Topology.make ~sockets:1 ~cores_per_socket:2;
       scale = 0.05;
       seed = 3L;
-      obs = { Config.default.Config.obs with Config.hub = false };
     }
   in
   let wl = Scenario.workload_of_desc config (Scenario.W_speccpu "gcc") in

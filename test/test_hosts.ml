@@ -13,7 +13,6 @@ let config =
     Config.topology = Sim_hw.Topology.make ~sockets:1 ~cores_per_socket:2;
     scale = 0.05;
     seed = 7L;
-    obs = { Config.default.Config.obs with Config.hub = false };
   }
 
 let freq = Config.freq config

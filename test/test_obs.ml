@@ -121,6 +121,132 @@ let test_json_reader_strict () =
   Alcotest.(check string) "\\u escapes decode to UTF-8" "A\xc3\x89"
     (Json.to_string_v (Json.of_string {|"\u0041\u00C9"|}))
 
+(* ----- JSON floats: shortest form, exact round-trip ----- *)
+
+let test_json_float_short () =
+  List.iter
+    (fun (f, s) ->
+      Alcotest.(check string) (Printf.sprintf "%h prints" f) s
+        (Json.to_string (Json.Float f)))
+    [
+      (0.05, "0.05"); (0.2, "0.2"); (3., "3.0"); (-0., "-0.0"); (1e300, "1e+300");
+      (0.1 +. 0.2, "0.30000000000000004");
+      (* integral beyond 1e15: still a float when read back *)
+      (9007199254740992., "9007199254740992.0");
+    ]
+
+let bits_after_round_trip f =
+  match Json.of_string (Json.to_string (Json.Float f)) with
+  | Json.Float g -> Some (Int64.bits_of_float g)
+  | _ -> None
+
+let prop_json_float_round_trip =
+  QCheck.Test.make ~count:2000 ~name:"random finite doubles round-trip exactly"
+    QCheck.int64
+    (fun bits ->
+      let f = Int64.float_of_bits bits in
+      QCheck.assume (Float.is_finite f);
+      bits_after_round_trip f = Some (Int64.bits_of_float f))
+
+(* ----- Obs_hub: the publish decision, unique labels, stable order ----- *)
+
+let hub_entry label value =
+  let metrics = Metrics.create () in
+  Metrics.gauge metrics ~subsystem:"test" ~name:"value" (fun () -> value);
+  { Obs_hub.label; freq_khz = 1; pcpus = 1; vm_names = []; trace = Trace.create ();
+    metrics }
+
+let test_hub_drain_order_free () =
+  ignore (Obs_hub.drain ());
+  let drained order =
+    List.iter (fun (l, v) -> Obs_hub.register (hub_entry l v)) order;
+    Obs_hub.drain ()
+  in
+  let order = [ ("b", 3); ("a", 9); ("b", 1); ("b", 2) ] in
+  let es = drained order in
+  Alcotest.(check (list (pair string int)))
+    "equal labels numbered in content order"
+    [ ("a", 9); ("b", 1); ("b#2", 2); ("b#3", 3) ]
+    (List.map
+       (fun (e : Obs_hub.entry) ->
+         ( e.Obs_hub.label,
+           Metrics.get (Metrics.snapshot e.Obs_hub.metrics) ~subsystem:"test"
+             ~name:"value" () ))
+       es);
+  List.iter
+    (fun o ->
+      Alcotest.(check string) "same export in any publication order"
+        (Obs_hub.metrics_json es) (Obs_hub.metrics_json (drained o)))
+    [ List.rev order; [ ("b", 2); ("b", 1); ("a", 9); ("b", 3) ] ]
+
+(* A trace armed without [metrics] stays private to its scenario (the
+   SimCheck oracles read their own); [metrics] alone publishes, under
+   a label naming the scheduler, each VM's workload and weight, and
+   the seed. *)
+let test_hub_publishes_on_metrics_only () =
+  ignore (Obs_hub.drain ());
+  let build obs =
+    let config =
+      { (Config.with_seed (Config.with_scale Config.default 0.02) 5L) with
+        Config.obs }
+    in
+    ignore
+      (Experiments.single_vm_scenario config ~sched:Config.Credit ~weight:32
+         ~workload:(Experiments.nas_workload config Sim_workloads.Nas.LU))
+  in
+  build { Config.obs_off with Config.trace_mask = Trace.all_mask; trace_cap = 64 };
+  Alcotest.(check int) "traced, metrics off: not published" 0
+    (List.length (Obs_hub.drain ()));
+  build { Config.obs_off with Config.metrics = true };
+  Alcotest.(check (list string)) "metrics on: published"
+    [ "credit/V1(LU,w32)/seed5" ]
+    (List.map (fun (e : Obs_hub.entry) -> e.Obs_hub.label) (Obs_hub.drain ()))
+
+(* fig1a and ablate-stagger publish every run they simulate; each pass
+   gets its own config value so the second simulates its points again
+   rather than reading the first's (Experiments shares them per
+   value). *)
+let published ~jobs =
+  ignore (Obs_hub.drain ());
+  let saved = Pool.jobs () in
+  Pool.set_jobs jobs;
+  Fun.protect ~finally:(fun () -> Pool.set_jobs saved) @@ fun () ->
+  let config =
+    {
+      (Config.with_seed (Config.with_scale Config.default 0.02) 5L) with
+      Config.obs =
+        {
+          Config.obs_off with
+          Config.metrics = true;
+          trace_mask = Trace.cat_bit Trace.Sched;
+          trace_cap = 4096;
+        };
+    }
+  in
+  List.iter
+    (fun (e : Experiments.t) ->
+      if List.mem e.Experiments.id [ "fig1a"; "ablate-stagger" ] then
+        ignore (e.Experiments.run config))
+    (Experiments.all @ Ablations.all);
+  Obs_hub.drain ()
+
+let test_hub_exports_across_workers () =
+  let at1 = published ~jobs:1 and at4 = published ~jobs:4 in
+  let labels = List.map (fun (e : Obs_hub.entry) -> e.Obs_hub.label) at1 in
+  Alcotest.(check int) "labels unique" (List.length labels)
+    (List.length (List.sort_uniq compare labels));
+  List.iter
+    (fun w ->
+      Alcotest.(check bool) (w ^ " names its weight") true
+        (List.mem (Printf.sprintf "credit/V1(LU,w%s)/seed5" w) labels))
+    [ "32"; "64"; "128"; "256" ];
+  Alcotest.(check bool) "a variant of ablate-stagger numbered" true
+    (List.exists (fun l -> String.ends_with ~suffix:"#2" l) labels);
+  Alcotest.(check string) "metrics export at -j1 and -j4"
+    (Obs_hub.metrics_json at1) (Obs_hub.metrics_json at4);
+  Alcotest.(check string) "trace export at -j1 and -j4"
+    (Obs_hub.chrome_json at1) (Obs_hub.chrome_json at4)
+
 (* ----- metrics snapshot determinism across worker counts ----- *)
 
 let snapshot_of_seed seed =
@@ -378,6 +504,13 @@ let suite =
     Alcotest.test_case "chrome export is valid JSON" `Quick
       test_chrome_json_well_formed;
     Alcotest.test_case "json reader is strict" `Quick test_json_reader_strict;
+    Alcotest.test_case "json floats print short" `Quick test_json_float_short;
+    QCheck_alcotest.to_alcotest prop_json_float_round_trip;
+    Alcotest.test_case "hub drain is order-free" `Quick test_hub_drain_order_free;
+    Alcotest.test_case "hub publishes on metrics only" `Quick
+      test_hub_publishes_on_metrics_only;
+    Alcotest.test_case "hub exports identical at -j1 and -j4" `Slow
+      test_hub_exports_across_workers;
     Alcotest.test_case "metrics snapshots identical at -j1 and -j4" `Slow
       test_snapshot_determinism_across_jobs;
     Alcotest.test_case "LHP golden classification" `Quick

@@ -136,7 +136,6 @@ let test_oov_flips_traced () =
       Config.obs_off with
       Config.trace_mask = Sim_obs.Trace.cat_bit Sim_obs.Trace.Vcrd;
       trace_cap = 1 lsl 16;
-      hub = false;
     }
   in
   let s =

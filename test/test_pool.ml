@@ -252,6 +252,34 @@ let test_points_shared () =
         (fst (run (fresh ()) id)) text)
     expected texts
 
+(* A speedup is job time over wall time: an entry that ran no job
+   (its points shared with an earlier figure) has none, not 0x. *)
+let test_speedup_absent_without_jobs () =
+  Pool.reset_accounting ();
+  Alcotest.(check (option (float 0.)))
+    "no job ran" None
+    (Pool.speedup (Pool.accounting ()) ~wall_sec:0.25);
+  ignore (Pool.map ~jobs:2 square [ 1; 2; 3 ]);
+  let s = Pool.accounting () in
+  Alcotest.(check (option (float 1e-12)))
+    "busy over wall" (Some (s.Pool.busy_sec /. 0.5))
+    (Pool.speedup s ~wall_sec:0.5);
+  Alcotest.(check (option (float 0.)))
+    "no wall elapsed reads 1x" (Some 1.)
+    (Pool.speedup s ~wall_sec:0.);
+  let config = fresh () in
+  let speedup_of id =
+    let e =
+      List.find (fun (e : Experiments.t) -> e.Experiments.id = id) Experiments.all
+    in
+    Pool.reset_accounting ();
+    ignore (e.Experiments.run config);
+    Pool.speedup (Pool.accounting ()) ~wall_sec:1.
+  in
+  Alcotest.(check bool) "fig1a runs its points" true (speedup_of "fig1a" <> None);
+  Alcotest.(check (option (float 0.)))
+    "fig1b after fig1a on one value" None (speedup_of "fig1b")
+
 let suite =
   [
     Alcotest.test_case "order preserved" `Quick test_order_preserved;
@@ -263,6 +291,8 @@ let suite =
     Alcotest.test_case "jobs knob" `Quick test_jobs_knob;
     Alcotest.test_case "accounting" `Quick test_accounting;
     Alcotest.test_case "each job runs once" `Quick test_each_job_once;
+    Alcotest.test_case "no speedup without jobs" `Quick
+      test_speedup_absent_without_jobs;
     Alcotest.test_case "catalogue pinned across workers" `Slow
       test_catalogue_pinned;
     Alcotest.test_case "single-VM points shared per config value" `Slow

@@ -116,7 +116,15 @@ let test_digest_reorder_stable () =
   let c = Json.of_string {|{"c":null,"a":[{"x":"s","y":2.5}],"b":2}|} in
   Alcotest.(check bool)
     "a value change does" true
-    (Record.canonical_digest a <> Record.canonical_digest c)
+    (Record.canonical_digest a <> Record.canonical_digest c);
+  (* The JSON printer writes 0.2 short; the digest still hashes the
+     %.17g text specs were first digested in. *)
+  Alcotest.(check string)
+    "floats digest in their %.17g form" "880ed6cdb7ed7dbe38606245d5821169"
+    (Record.canonical_digest
+       (Json.Obj
+          [ ("scale", Json.Float 1.); ("rounds", Json.Int 2);
+            ("max_sec", Json.Float 0.2) ]))
 
 let test_digest_list_order_matters () =
   (* Lists are ordered data (e.g. VM lists): reordering them is a
