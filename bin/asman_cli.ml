@@ -186,7 +186,9 @@ let sim_jobs_arg =
      sub-hosts and runs them in parallel on the windowed PDES fabric, with \
      work-stealing VM migration between them. Deterministic and \
      worker-count invariant; requires a clean run (no $(b,--chaos) or \
-     $(b,--attack)) and a socket count divisible by N. 1 (the default) \
+     $(b,--attack)), no observability export ($(b,--trace), \
+     $(b,--metrics) or $(b,--profile): the sub-hosts run dark) and a \
+     socket count divisible by N. 1 (the default) \
      runs one host on one sequential engine."
   in
   Arg.(value & opt positive_int 1 & info [ "sim-jobs" ] ~doc ~docv:"N")
@@ -785,6 +787,23 @@ let run_cmd =
           (Usage_error
              "--sim-jobs >= 2 does not support --chaos (fault injection \
               targets a single host)");
+      (* Hosts.create builds every member dark: a decoupled run would
+         write an empty trace, no metrics and an empty profile. --trace
+         also turns [metrics] on, so it is checked first. *)
+      List.iter
+        (fun (given, flag) ->
+          if given then
+            raise
+              (Usage_error
+                 (Printf.sprintf
+                    "--sim-jobs >= 2 does not support %s (the decoupled \
+                     sub-hosts export no trace, metrics or profile)"
+                    flag)))
+        [
+          (obs.Config.trace_mask <> 0, "--trace");
+          (obs.Config.metrics, "--metrics");
+          (obs.Config.profile <> None, "--profile");
+        ];
       let d =
         try Decouple.build config ~sched ~vms:specs
         with Invalid_argument msg -> raise (Usage_error msg)

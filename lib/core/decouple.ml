@@ -1,14 +1,5 @@
 open Sim_engine
 
-(* A workload VM, wherever it currently lives. Mutated only from
-   events on the member hosting it; ownership transfer rides the
-   fabric's window barrier, which gives the happens-before edge. *)
-type unit_state = {
-  u_vm : Hosts.vm;  (** [id] indexes [units] and the done array *)
-  mutable u_round_times : int list;  (** newest first *)
-  mutable u_migrations : int;
-}
-
 (* Per-shard balancer state and counters: single-writer (the shard's
    own events), aggregated only after the run completes. *)
 type shard = {
@@ -17,7 +8,6 @@ type shard = {
   mutable s_steal_req_at : int;
   mutable s_steal_reqs : int;
   mutable s_nacks : int;
-  mutable s_steals_in : int;  (** grants received as thief *)
   mutable s_steal_latency : int;  (** cycles, summed over steals in *)
 }
 
@@ -25,15 +15,19 @@ type t = {
   config : Config.t;
   hosts : Hosts.t;
   shards : shard array;
-  units : unit_state array;
-  vm_done : bool array;
+  vms : Hosts.vm list;  (** the workload VMs, in Hosts id order *)
+  migrations : int array;
+      (** steals of each VM, by Hosts id: written only on the member
+          the VM arrives at; the fabric's window barrier orders the
+          writes of different members *)
+  mutable target : int;  (** the run's round target *)
 }
 
 (* A VM still contributes load while it has rounds left to its target
    (throughput workloads restart forever, so thread completion alone
    is not an idleness signal — the run's round target is). *)
 let pending t (vm : Hosts.vm) =
-  (not t.vm_done.(vm.Hosts.id))
+  Sim_guest.Kernel.min_rounds vm.Hosts.kernel < t.target
   && not (Sim_guest.Kernel.all_finished vm.Hosts.kernel)
 
 let shard_load t k =
@@ -72,9 +66,7 @@ let handle_steal_req t ~thief ~victim =
   | vm :: _ ->
     Hosts.migrate t.hosts vm ~dst:thief ~nacked:nack
       ~arrived:(fun () ->
-        let u = t.units.(vm.Hosts.id) in
-        u.u_migrations <- u.u_migrations + 1;
-        th.s_steals_in <- th.s_steals_in + 1;
+        t.migrations.(vm.Hosts.id) <- t.migrations.(vm.Hosts.id) + 1;
         th.s_steal_latency <-
           th.s_steal_latency + (Hosts.now t.hosts thief - th.s_steal_req_at);
         th.s_stealing <- false)
@@ -141,20 +133,17 @@ let build config ~sched ~vms =
            }))
   in
   (* VM i starts on shard i mod N; adopting in list order makes a
-     unit's Hosts id its index in [units]. *)
-  let units =
+     VM's Hosts id its index in [vms] and [migrations]. *)
+  let adopted =
     List.mapi
       (fun i _ ->
         let k = i mod nshards in
         (k, List.nth (Hosts.scenario hosts k).Scenario.vms (i / nshards)))
       vms
     |> List.filter (fun (_, inst) -> inst.Scenario.kernel <> None)
-    |> List.map (fun (k, inst) ->
-           let u_vm = Hosts.adopt hosts ~member:k inst in
-           { u_vm; u_round_times = []; u_migrations = 0 })
-    |> Array.of_list
+    |> List.map (fun (k, inst) -> Hosts.adopt hosts ~member:k inst)
   in
-  if Array.length units = 0 then
+  if adopted = [] then
     invalid_arg "Decouple.build: no workload VMs";
   let t =
     {
@@ -168,11 +157,11 @@ let build config ~sched ~vms =
               s_steal_req_at = 0;
               s_steal_reqs = 0;
               s_nacks = 0;
-              s_steals_in = 0;
               s_steal_latency = 0;
             });
-      units;
-      vm_done = Array.make (Array.length units) false;
+      vms = adopted;
+      migrations = Array.make (List.length adopted) 0;
+      target = max_int;
     }
   in
   (* Identical chains armed at the same start on every member fire at
@@ -190,16 +179,6 @@ let build config ~sched ~vms =
 
 let shards t = Array.length t.shards
 let scenario t i = Hosts.scenario t.hosts i
-let fabric t = Hosts.fabric t.hosts
-let lookahead t = Hosts.lookahead t.hosts
-
-type vm_report = {
-  r_vm : string;
-  r_rounds : int;
-  r_marks : int;
-  r_migrations : int;
-  r_final_shard : int;
-}
 
 type report = {
   rp_shards : int;
@@ -214,45 +193,45 @@ type report = {
   rp_grants : int;
   rp_nacks : int;
   rp_mean_steal_latency_cycles : float;
-  rp_vms : vm_report list;
+  rp_vms : (Runner.vm_metrics * int * int) list;
   rp_digest : int;
   rp_fingerprint : string;
 }
 
-(* Round completion, mirroring Runner.install_round_tracking: the
-   hook reads the kernel's *current* engine for timestamps (correct
-   across migrations) and flips the VM's done slot, which only the
-   coordinator reads, between windows. *)
-let install_round_tracking t ~target =
-  Array.iter
-    (fun u ->
-      let kernel = u.u_vm.Hosts.kernel in
-      Sim_guest.Kernel.set_round_hook kernel
-        (fun _thread ~round:_ ~duration:_ ->
-          let completed = Sim_guest.Kernel.min_rounds kernel in
-          let have = List.length u.u_round_times in
-          if completed > have then begin
-            let now = Sim_vmm.Vmm.now (Sim_guest.Kernel.vmm kernel) in
-            for _ = have + 1 to completed do
-              u.u_round_times <- now :: u.u_round_times
-            done
-          end;
-          if completed >= target && not t.vm_done.(u.u_vm.Hosts.id) then
-            t.vm_done.(u.u_vm.Hosts.id) <- true))
-    t.units
-
 let run ?workers t ~rounds ~max_sec =
-  install_round_tracking t ~target:rounds;
+  t.target <- rounds;
+  let all_done = Atomic.make false in
+  let clocks =
+    Runner.track_rounds ~target:rounds
+      ~on_all_done:(fun () -> Atomic.set all_done true)
+      (List.map (fun (vm : Hosts.vm) -> vm.Hosts.kernel) t.vms)
+  in
   let freq = Config.freq t.config in
   let r =
     Hosts.run ?workers
       ~until:(Units.cycles_of_sec_f freq max_sec)
-      ~stop:(fun () -> Array.for_all Fun.id t.vm_done)
+      ~stop:(fun () -> Atomic.get all_done)
       t.hosts
   in
-  let fabric = fabric t in
+  (* The measurement began at the build, at cycle 0, where every
+     counter was zero: each member's end snapshot is its window. *)
+  let snaps =
+    List.init (shards t) (fun k ->
+        Sim_obs.Metrics.snapshot
+          (Sim_vmm.Vmm.metrics (scenario t k).Scenario.vmm))
+  in
+  let outcome (vm : Hosts.vm) clock =
+    let migrations = t.migrations.(vm.Hosts.id) in
+    ( Runner.vm_outcome ~freq ~absolute:snaps ~window:snaps ~started:0
+        ~rounds:clock
+        ~vmm:(Sim_guest.Kernel.vmm vm.Hosts.kernel)
+        ~moved:(migrations > 0) vm.Hosts.domain,
+      migrations,
+      vm.Hosts.member )
+  in
+  let fabric = Hosts.fabric t.hosts in
   let sum f = Array.fold_left (fun acc s -> acc + f s) 0 t.shards in
-  let grants = sum (fun s -> s.s_steals_in) in
+  let grants = Array.fold_left ( + ) 0 t.migrations in
   let latency = sum (fun s -> s.s_steal_latency) in
   {
     rp_shards = Array.length t.shards;
@@ -268,27 +247,16 @@ let run ?workers t ~rounds ~max_sec =
     rp_nacks = sum (fun s -> s.s_nacks);
     rp_mean_steal_latency_cycles =
       (if grants = 0 then 0. else float_of_int latency /. float_of_int grants);
-    rp_vms =
-      Array.to_list
-        (Array.map
-           (fun u ->
-             {
-               r_vm = u.u_vm.Hosts.name;
-               r_rounds = List.length u.u_round_times;
-               r_marks = Sim_guest.Kernel.total_marks u.u_vm.Hosts.kernel;
-               r_migrations = u.u_migrations;
-               r_final_shard = u.u_vm.Hosts.member;
-             })
-           t.units);
+    rp_vms = List.map2 outcome t.vms clocks;
     rp_digest = Fabric.digest fabric;
     rp_fingerprint = Fabric.fingerprint fabric;
   }
 
-(* Every report key with its registry value and its printed form (a
-   VM's final shard is printed only). *)
+(* Every run-wide report key with its registry value and its printed
+   form. *)
 let report_rows r =
-  let int k v = (k, Some (float_of_int v), string_of_int v) in
-  let flt fmt k v = (k, Some v, Printf.sprintf fmt v) in
+  let int k v = (k, float_of_int v, string_of_int v) in
+  let flt fmt k v = (k, v, Printf.sprintf fmt v) in
   let digest = r.rp_digest land 0xffffffff in
   [
     int "shards" r.rp_shards;
@@ -303,29 +271,22 @@ let report_rows r =
     int "grants" r.rp_grants;
     int "nacks" r.rp_nacks;
     flt "%.0f" "mean_steal_latency_cycles" r.rp_mean_steal_latency_cycles;
-    ("digest", Some (float_of_int digest), Printf.sprintf "%08x" digest);
+    ("digest", float_of_int digest, Printf.sprintf "%08x" digest);
   ]
-  @ List.concat_map
-      (fun v ->
-        let key s = Printf.sprintf "vm.%s.%s" v.r_vm s in
-        [
-          int (key "rounds") v.r_rounds;
-          int (key "migrations") v.r_migrations;
-          (key "final_shard", None, string_of_int v.r_final_shard);
-        ])
-      r.rp_vms
 
 let report_metrics r =
-  List.filter_map
-    (fun (k, v, _) -> Option.map (fun v -> (k, v)) v)
-    (report_rows r)
+  List.map (fun (k, v, _) -> (k, v)) (report_rows r)
+  @ List.concat_map
+      (fun ((v : Runner.vm_metrics), migrations, _) ->
+        let key = Printf.sprintf "vm.%s.migrations" v.Runner.vm_name in
+        Runner.vm_kv v @ [ (key, float_of_int migrations) ])
+      r.rp_vms
 
 let render ~sched t r =
   let shown =
     let rows = List.map (fun (k, _, s) -> (k, s)) (report_rows r) in
     fun k -> List.assoc k rows
   in
-  let vm v k = shown (Printf.sprintf "vm.%s.%s" v.r_vm k) in
   let buf = Buffer.create 1024 in
   let line fmt = Printf.bprintf buf fmt in
   line "scheduler: %s   decoupled: %s shards x %s workers   simulated: %s s   \
@@ -333,18 +294,18 @@ let render ~sched t r =
     (Config.sched_name sched) (shown "shards") (shown "workers")
     (shown "sim_sec") (shown "events");
   Buffer.add_string buf
-    (Sim_stats.Table.render
-       ~headers:[ "VM"; "rounds"; "migrations"; "final shard" ]
+    (Report.vm_table
+       ~extra:[ "migrations"; "final shard" ]
        (List.map
-          (fun v ->
-            [ v.r_vm; vm v "rounds"; vm v "migrations"; vm v "final_shard" ])
+          (fun (v, migrations, shard) ->
+            (v, [ string_of_int migrations; string_of_int shard ]))
           r.rp_vms));
   Buffer.add_char buf '\n';
   line
     "fabric: %s windows, %s cross-shard posts (max %s per window), lookahead \
      %d cycles\n"
     (shown "windows") (shown "cross_posts") (shown "max_window_mail")
-    (lookahead t);
+    (Hosts.lookahead t.hosts);
   line "steals: %s requests, %s grants, %s nacks, mean latency %s cycles\n"
     (shown "steal_reqs") (shown "grants") (shown "nacks")
     (shown "mean_steal_latency_cycles");

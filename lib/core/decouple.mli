@@ -46,14 +46,6 @@ val scenario : t -> int -> Scenario.t
 
 (** {2 Running} *)
 
-type vm_report = {
-  r_vm : string;
-  r_rounds : int;  (** completed whole-VM rounds *)
-  r_marks : int;
-  r_migrations : int;  (** times this VM was stolen across shards *)
-  r_final_shard : int;
-}
-
 type report = {
   rp_shards : int;
   rp_workers : int;  (** worker domains actually used *)
@@ -68,23 +60,27 @@ type report = {
   rp_nacks : int;
   rp_mean_steal_latency_cycles : float;
       (** mean request-to-arrival latency over completed steals *)
-  rp_vms : vm_report list;
+  rp_vms : (Runner.vm_metrics * int * int) list;
+      (** per workload VM, in list order: its outcome, the times it
+          was stolen across shards, and its final shard *)
   rp_digest : int;  (** {!Sim_engine.Fabric.digest} at exit *)
   rp_fingerprint : string;
 }
 
 val run : ?workers:int -> t -> rounds:int -> max_sec:float -> report
 (** Drive the fabric until every workload VM completes [rounds]
-    rounds (checked between windows via per-VM done flags) or the
-    simulated horizon [max_sec] passes. [workers] defaults to the
-    recommended domain count, clamped to the shard count. A [t] is
-    single-shot: run it once. *)
+    rounds ({!Runner.track_rounds}' [on_all_done], checked between
+    windows) or the simulated horizon [max_sec] passes, then measure
+    each VM with {!Runner.vm_outcome} over the members it ran on.
+    [workers] defaults to the recommended domain count, clamped to
+    the shard count. A [t] is single-shot: run it once. *)
 
 val report_metrics : report -> (string * float) list
-(** The report's numeric fields for the run record (per-VM keys are
-    prefixed [vm.<name>.]). *)
+(** The report's numeric fields for the run record: the run-wide
+    keys, then per VM {!Runner.vm_kv} and [vm.<name>.migrations]. *)
 
 val render : sched:Config.sched_kind -> t -> report -> string
-(** The stdout of a decoupled [asman_cli run]: a header, the per-VM
-    table (rounds, migrations, final shard), then the [fabric:],
-    [steals:] and [decoupled digest:] lines. *)
+(** The stdout of a decoupled [asman_cli run]: a header, the
+    single-host {!Report.vm_table} with migrations and final shard
+    appended, then the [fabric:], [steals:] and [decoupled digest:]
+    lines. *)

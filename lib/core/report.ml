@@ -20,31 +20,35 @@ let outcome (e : Experiments.t) (o : Experiments.outcome) =
     o.Experiments.notes;
   Buffer.contents buf
 
+let vm_table ?(extra = []) rows =
+  Table.render
+    ~headers:
+      ([
+         "VM"; "rounds"; "mean round (s)"; "online"; "expected"; "over-thr";
+         "vcrd flips";
+       ]
+      @ extra)
+    (List.map
+       (fun ((vm : Runner.vm_metrics), cells) ->
+         [
+           vm.Runner.vm_name;
+           string_of_int vm.Runner.rounds;
+           Table.fixed ~decimals:3 (Runner.mean_round vm);
+           Table.fixed ~decimals:3 vm.Runner.online_rate;
+           Table.fixed ~decimals:3 vm.Runner.expected_online;
+           string_of_int vm.Runner.spin_over_threshold;
+           string_of_int vm.Runner.vcrd_transitions;
+         ]
+         @ cells)
+       rows)
+
 let run ~sched (s : Scenario.t) (m : Runner.metrics) =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.bprintf buf fmt in
   line "scheduler: %s   simulated: %.3f s   events: %d   ipis: %d\n\n"
     (Config.sched_name sched) m.Runner.sim_sec m.Runner.events_fired
     m.Runner.ipis;
-  Buffer.add_string buf
-    (Table.render
-       ~headers:
-         [
-           "VM"; "rounds"; "mean round (s)"; "online"; "expected"; "over-thr";
-           "vcrd flips";
-         ]
-       (List.map
-          (fun (vm : Runner.vm_metrics) ->
-            [
-              vm.Runner.vm_name;
-              string_of_int vm.Runner.rounds;
-              Table.fixed ~decimals:3 (Runner.mean_round vm);
-              Table.fixed ~decimals:3 vm.Runner.online_rate;
-              Table.fixed ~decimals:3 vm.Runner.expected_online;
-              string_of_int vm.Runner.spin_over_threshold;
-              string_of_int vm.Runner.vcrd_transitions;
-            ])
-          m.Runner.vms));
+  Buffer.add_string buf (vm_table (List.map (fun v -> (v, [])) m.Runner.vms));
   Buffer.add_char buf '\n';
   let section title l =
     if l <> [] then begin

@@ -33,13 +33,98 @@ type metrics = {
 
 let freq (s : Scenario.t) = Config.freq s.Scenario.config
 
-(* Everything countable now flows through the VMM's metrics registry:
-   the measurement baseline is one snapshot, and window values are a
-   pointwise diff — no per-counter side tables. Cumulative-by-design
+(* One VM's round clock. VM round k completes when the slowest thread
+   finishes its k-th pass, at the time of the VMM the kernel is
+   attached to then: after a move between hosts, the destination's
+   clock. Written only from the VM's own events; [online0] is the
+   domain's online cycles when tracking began. *)
+type rounds = {
+  kernel : Sim_guest.Kernel.t;
+  online0 : int;
+  mutable times : int list;  (* newest first *)
+}
+
+(* The countdown is atomic because the kernels of a decoupled run
+   complete their rounds on different worker domains. *)
+let track_rounds ~target ~on_all_done kernels =
+  let left = Atomic.make (List.length kernels) in
+  List.map
+    (fun k ->
+      let online0 =
+        Sim_vmm.Vmm.domain_online_cycles (Sim_guest.Kernel.vmm k)
+          (Sim_guest.Kernel.domain k)
+      in
+      let r = { kernel = k; online0; times = [] } in
+      Sim_guest.Kernel.set_round_hook k (fun _ ~round:_ ~duration:_ ->
+          let completed = Sim_guest.Kernel.min_rounds k in
+          let recorded = List.length r.times in
+          if completed > recorded then begin
+            let now = Sim_vmm.Vmm.now (Sim_guest.Kernel.vmm k) in
+            for _ = recorded + 1 to completed do
+              r.times <- now :: r.times
+            done;
+            if recorded < target && completed >= target
+               && Atomic.fetch_and_add left (-1) = 1
+            then on_all_done ()
+          end);
+      r)
+    kernels
+
+(* Everything countable flows through the VMMs' metrics registries: a
+   window value is a snapshot diff, and cumulative-by-design
    quantities (over-threshold detections, adjusting events, VCRD
-   transitions, spin time) read the absolute snapshot, matching the
-   pre-registry semantics exactly. *)
-let collect (s : Scenario.t) ~round_times ~started ~base =
+   transitions, spin time) read the absolute snapshot. A per-VM value
+   is summed over the hosts: a guest gauge lives on the VM's birth
+   host, a counter on each host that bumped it. *)
+let vm_outcome ~freq ~absolute ~window ~started ?rounds ~vmm ~moved
+    (domain : Sim_vmm.Domain.t) =
+  let name = domain.Sim_vmm.Domain.name in
+  let get snaps ~subsystem n =
+    List.fold_left
+      (fun acc s -> acc + Metrics.get s ~subsystem ~vm:name ~name:n ())
+      0 snaps
+  in
+  let times = match rounds with Some r -> List.rev r.times | None -> [] in
+  let rec durations prev = function
+    | [] -> []
+    | t :: rest -> Units.sec_of_cycles freq (t - prev) :: durations t rest
+  in
+  let attained, online_rate =
+    match rounds with
+    | Some r when moved ->
+      let a = Sim_vmm.Vmm.domain_online_cycles vmm domain - r.online0 in
+      let span = Sim_vmm.Vmm.now vmm - started in
+      let vcpus = Sim_vmm.Domain.vcpu_count domain in
+      (a, float_of_int a /. float_of_int (span * vcpus))
+    | _ ->
+      ( Sim_vmm.Vmm.attained_cycles vmm domain,
+        Sim_vmm.Vmm.online_rate vmm domain )
+  in
+  let entitled = Sim_vmm.Vmm.entitled_cycles vmm domain in
+  {
+    vm_name = name;
+    rounds = List.length times;
+    round_sec = durations started times;
+    marks = get window ~subsystem:"guest" "marks";
+    online_rate;
+    expected_online =
+      Sim_vmm.Domain.expected_online_rate domain
+        ~all:(Sim_vmm.Vmm.domains vmm)
+        ~pcpus:(Sim_vmm.Vmm.pcpu_count vmm);
+    attained_cycles = attained;
+    entitled_cycles = entitled;
+    theft_cycles = Int.max 0 (attained - entitled);
+    spin_over_threshold = get absolute ~subsystem:"guest" "over_threshold";
+    adjusting_events = get absolute ~subsystem:"guest" "adjusting_events";
+    vcrd_transitions = get absolute ~subsystem:"vmm" "vcrd_transitions";
+    total_spin_sec =
+      Units.sec_of_cycles freq
+        (get absolute ~subsystem:"guest" "total_spin_cycles");
+    watchdog_demotions = get window ~subsystem:"watchdog" "demotions";
+    invariant_violations = get window ~subsystem:"vmm" "invariant_violations";
+  }
+
+let collect (s : Scenario.t) ~rounds ~started ~base =
   let f = freq s in
   let now = Engine.now s.Scenario.engine in
   let snap = Metrics.snapshot (Sim_vmm.Vmm.metrics s.Scenario.vmm) in
@@ -47,44 +132,13 @@ let collect (s : Scenario.t) ~round_times ~started ~base =
   let vms =
     List.map
       (fun (inst : Scenario.vm_instance) ->
-        let name = inst.Scenario.spec.Scenario.vm_name in
-        let times =
-          match Hashtbl.find_opt round_times name with
-          | Some l -> List.rev !l
-          | None -> []
+        let rounds =
+          match inst.Scenario.kernel with
+          | Some k -> List.find_opt (fun r -> r.kernel == k) rounds
+          | None -> None
         in
-        let round_sec =
-          let rec durations prev = function
-            | [] -> []
-            | t :: rest ->
-              Units.sec_of_cycles f (t - prev) :: durations t rest
-          in
-          durations started times
-        in
-        let guest of_ n = Metrics.get of_ ~subsystem:"guest" ~vm:name ~name:n () in
-        {
-          vm_name = name;
-          rounds = List.length times;
-          round_sec;
-          marks = guest d "marks";
-          online_rate = Sim_vmm.Vmm.online_rate s.Scenario.vmm inst.Scenario.domain;
-          expected_online = Scenario.expected_online_rate s inst;
-          attained_cycles =
-            Sim_vmm.Vmm.attained_cycles s.Scenario.vmm inst.Scenario.domain;
-          entitled_cycles =
-            Sim_vmm.Vmm.entitled_cycles s.Scenario.vmm inst.Scenario.domain;
-          theft_cycles =
-            Sim_vmm.Vmm.theft_cycles s.Scenario.vmm inst.Scenario.domain;
-          spin_over_threshold = guest snap "over_threshold";
-          adjusting_events = guest snap "adjusting_events";
-          vcrd_transitions =
-            Metrics.get snap ~subsystem:"vmm" ~vm:name ~name:"vcrd_transitions" ();
-          total_spin_sec = Units.sec_of_cycles f (guest snap "total_spin_cycles");
-          watchdog_demotions =
-            Metrics.get d ~subsystem:"watchdog" ~vm:name ~name:"demotions" ();
-          invariant_violations =
-            Metrics.get d ~subsystem:"vmm" ~vm:name ~name:"invariant_violations" ();
-        })
+        vm_outcome ~freq:f ~absolute:[ snap ] ~window:[ d ] ~started ?rounds
+          ~vmm:s.Scenario.vmm ~moved:false inst.Scenario.domain)
       s.Scenario.vms
   in
   let by_name = Hashtbl.create (List.length vms) in
@@ -105,44 +159,8 @@ let collect (s : Scenario.t) ~round_times ~started ~base =
       | None -> []);
   }
 
-(* Track VM-round completion times via the kernels' round hooks: VM
-   round k completes when the slowest thread finishes its k-th pass. *)
-let install_round_tracking (s : Scenario.t) ~on_all_done ~target =
-  let round_times = Hashtbl.create (List.length s.Scenario.vms) in
-  List.iter
-    (fun (inst : Scenario.vm_instance) ->
-      Hashtbl.replace round_times inst.Scenario.spec.Scenario.vm_name (ref []))
-    s.Scenario.vms;
-  let workload_vms =
-    List.filter (fun (i : Scenario.vm_instance) -> i.Scenario.kernel <> None) s.Scenario.vms
-  in
-  let done_vms = Hashtbl.create 8 in
-  List.iter
-    (fun (inst : Scenario.vm_instance) ->
-      match inst.Scenario.kernel with
-      | None -> ()
-      | Some k ->
-        let name = inst.Scenario.spec.Scenario.vm_name in
-        let times = Hashtbl.find round_times name in
-        Sim_guest.Kernel.set_round_hook k (fun _ ~round:_ ~duration:_ ->
-            let completed = Sim_guest.Kernel.min_rounds k in
-            let recorded = List.length !times in
-            if completed > recorded then begin
-              let now = Engine.now s.Scenario.engine in
-              for _ = recorded + 1 to completed do
-                times := now :: !times
-              done;
-              if completed >= target && not (Hashtbl.mem done_vms name) then begin
-                Hashtbl.replace done_vms name ();
-                if Hashtbl.length done_vms = List.length workload_vms then
-                  on_all_done ()
-              end
-            end))
-    s.Scenario.vms;
-  round_times
-
-let baseline (s : Scenario.t) =
-  Metrics.snapshot (Sim_vmm.Vmm.metrics s.Scenario.vmm)
+let kernels (s : Scenario.t) =
+  List.filter_map (fun i -> i.Scenario.kernel) s.Scenario.vms
 
 (* Charge the run's phases to the configured self-profiler, when one
    is installed; a no-op wrapper otherwise. *)
@@ -170,42 +188,33 @@ let with_probe (s : Scenario.t) probe run =
     in
     Fun.protect ~finally:stop run
 
-let run_rounds ?probe (s : Scenario.t) ~rounds ~max_sec =
-  if rounds <= 0 then invalid_arg "Runner.run_rounds: rounds must be positive";
-  let started = Engine.now s.Scenario.engine in
-  let base = baseline s in
-  let round_times =
-    install_round_tracking s ~target:rounds ~on_all_done:(fun () ->
-        Engine.halt s.Scenario.engine)
-  in
-  let limit = started + Units.cycles_of_sec_f (freq s) max_sec in
-  timed s "engine.run" (fun () ->
-      with_probe s probe (fun () -> Engine.run ~until:limit s.Scenario.engine));
-  timed s "collect" (fun () -> collect s ~round_times ~started ~base)
-
-let reset_measurements (s : Scenario.t) =
-  Sim_vmm.Vmm.reset_accounting s.Scenario.vmm;
-  List.iter
-    (fun (inst : Scenario.vm_instance) ->
-      match inst.Scenario.kernel with
-      | None -> ()
-      | Some k ->
-        Sim_guest.Kernel.reset_marks k;
-        Sim_guest.Monitor.reset_window (Sim_guest.Kernel.monitor k))
-    s.Scenario.vms
-
-let run_window ?probe (s : Scenario.t) ~sec =
-  if sec <= 0. then invalid_arg "Runner.run_window: sec must be positive";
-  reset_measurements s;
-  let started = Engine.now s.Scenario.engine in
-  let base = baseline s in
-  let round_times =
-    install_round_tracking s ~target:max_int ~on_all_done:(fun () -> ())
+(* One measurement from now: [sec] simulated seconds, or until every
+   workload VM completes [target] rounds. *)
+let measure ?probe (s : Scenario.t) ~target ~sec =
+  let engine = s.Scenario.engine in
+  let started = Engine.now engine in
+  let base = Metrics.snapshot (Sim_vmm.Vmm.metrics s.Scenario.vmm) in
+  let rounds =
+    track_rounds ~target (kernels s) ~on_all_done:(fun () -> Engine.halt engine)
   in
   let limit = started + Units.cycles_of_sec_f (freq s) sec in
   timed s "engine.run" (fun () ->
-      with_probe s probe (fun () -> Engine.run ~until:limit s.Scenario.engine));
-  timed s "collect" (fun () -> collect s ~round_times ~started ~base)
+      with_probe s probe (fun () -> Engine.run ~until:limit engine));
+  timed s "collect" (fun () -> collect s ~rounds ~started ~base)
+
+let run_rounds ?probe s ~rounds ~max_sec =
+  if rounds <= 0 then invalid_arg "Runner.run_rounds: rounds must be positive";
+  measure ?probe s ~target:rounds ~sec:max_sec
+
+let run_window ?probe s ~sec =
+  if sec <= 0. then invalid_arg "Runner.run_window: sec must be positive";
+  Sim_vmm.Vmm.reset_accounting s.Scenario.vmm;
+  List.iter
+    (fun k ->
+      Sim_guest.Kernel.reset_marks k;
+      Sim_guest.Monitor.reset_window (Sim_guest.Kernel.monitor k))
+    (kernels s);
+  measure ?probe s ~target:max_int ~sec
 
 let vm_metrics m ~vm =
   match Hashtbl.find_opt m.by_name vm with
@@ -234,6 +243,16 @@ let monitor_of (s : Scenario.t) ~vm =
   | Some k -> Sim_guest.Kernel.monitor k
   | None -> invalid_arg (Printf.sprintf "Runner.monitor_of: VM %s is idle" vm)
 
+let vm_kv vm =
+  let k suffix = Printf.sprintf "vm.%s.%s" vm.vm_name suffix in
+  [
+    (k "rounds", float_of_int vm.rounds);
+    (k "online_rate", vm.online_rate);
+    (k "attained_cycles", float_of_int vm.attained_cycles);
+    (k "entitled_cycles", float_of_int vm.entitled_cycles);
+    (k "theft_cycles", float_of_int vm.theft_cycles);
+  ]
+
 (* Flat snapshot of a metrics record for run-registry records. *)
 let metrics_kv (m : metrics) =
   let global =
@@ -245,17 +264,4 @@ let metrics_kv (m : metrics) =
       ("invariant_violations", float_of_int m.invariant_violations);
     ]
   in
-  let per_vm =
-    List.concat_map
-      (fun vm ->
-        let k suffix = Printf.sprintf "vm.%s.%s" vm.vm_name suffix in
-        [
-          (k "rounds", float_of_int vm.rounds);
-          (k "online_rate", vm.online_rate);
-          (k "attained_cycles", float_of_int vm.attained_cycles);
-          (k "entitled_cycles", float_of_int vm.entitled_cycles);
-          (k "theft_cycles", float_of_int vm.theft_cycles);
-        ])
-      m.vms
-  in
-  global @ per_vm
+  global @ List.concat_map vm_kv m.vms

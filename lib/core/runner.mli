@@ -26,7 +26,7 @@ type vm_metrics = {
       (** Equation (2) share of the measurement window, in cycles *)
   theft_cycles : int;
       (** [max 0 (attained - entitled)] — cycles attained beyond the
-          weighted entitlement (see {!Sim_vmm.Vmm.theft_cycles}) *)
+          weighted entitlement, what a scheduler attack maximises *)
   spin_over_threshold : int;
   adjusting_events : int;
   vcrd_transitions : int;
@@ -54,6 +54,45 @@ type metrics = {
   fault_stats : (string * int) list;
       (** injector tallies, cumulative; [[]] on clean runs *)
 }
+
+(** {2 One VM's outcome, on one host or across hosts} *)
+
+type rounds
+(** One VM's round clock. A round's time is read from the VMM the
+    kernel is attached to when it completes, so a VM that moves
+    between hosts is timed by each host in turn. *)
+
+val track_rounds :
+  target:int ->
+  on_all_done:(unit -> unit) ->
+  Sim_guest.Kernel.t list ->
+  rounds list
+(** Start each kernel's clock (its one round hook), in list order.
+    [on_all_done] runs once, when the last kernel completes [target]
+    rounds; the kernels may run on different worker domains. *)
+
+val vm_outcome :
+  freq:Sim_engine.Units.freq ->
+  absolute:Sim_obs.Metrics.snapshot list ->
+  window:Sim_obs.Metrics.snapshot list ->
+  started:int ->
+  ?rounds:rounds ->
+  vmm:Sim_vmm.Vmm.t ->
+  moved:bool ->
+  Sim_vmm.Domain.t ->
+  vm_metrics
+(** The domain's VM over a measurement begun at cycle [started]:
+    [rounds] is its clock (none for an idle VM), [vmm] its host now,
+    [absolute] and [window] the metrics of every host it ran on, at
+    the end and over the measurement (per-VM values are summed).
+    A VM that [moved] here has an accounting window on [vmm] that
+    began at its arrival, so its attained cycles are the domain's own
+    online cycles since its clock started, which travel with it, and
+    its online rate is attained / ((now - [started]) x VCPUs). *)
+
+val vm_kv : vm_metrics -> (string * float) list
+(** One VM's run-record entries [vm.<name>.]: rounds, online rate,
+    attained / entitled / theft cycles. *)
 
 val run_rounds :
   ?probe:float * (Scenario.t -> unit) ->
@@ -91,9 +130,8 @@ val vm_metrics : metrics -> vm:string -> vm_metrics
 
 val metrics_kv : metrics -> (string * float) list
 (** Flatten a metrics record into (key, value) pairs for a
-    run-registry snapshot: the global counters plus, per VM,
-    rounds / online rate / attained / entitled / theft cycles.
-    Pure observation — reads the record, touches nothing. *)
+    run-registry snapshot: the global counters plus {!vm_kv} of each
+    VM. Pure observation — reads the record, touches nothing. *)
 
 val monitor_of : Scenario.t -> vm:string -> Sim_guest.Monitor.t
 (** The VM's Monitoring Module (histograms and traces survive the

@@ -183,11 +183,6 @@ let build ?(domain_id_base = 0) ?(vcpu_id_base = 0) ?(launch = true) config
       instances;
   { config; engine; machine; vmm; dom0; vms = instances; injector }
 
-let expected_online_rate t inst =
-  Sim_vmm.Domain.expected_online_rate inst.domain
-    ~all:(Sim_vmm.Vmm.domains t.vmm)
-    ~pcpus:(Config.pcpus t.config)
-
 let find_vm t name =
   match List.find_opt (fun i -> i.spec.vm_name = name) t.vms with
   | Some i -> i

@@ -66,9 +66,6 @@ val build :
     scenario publishes its trace + registry in {!Obs_hub} for
     export. *)
 
-val expected_online_rate : t -> vm_instance -> float
-(** Equation (2) for the instance's domain. *)
-
 val find_vm : t -> string -> vm_instance
 
 (** {2 Declarative scenario descriptors}

@@ -262,11 +262,6 @@ let entitled_cycles t dom =
       (e *. float_of_int elapsed *. float_of_int (Domain.vcpu_count dom))
   end
 
-(* Cycles attained beyond entitlement — the theft a scheduler-attack
-   guest extracts. Zero for any domain at or below its share. *)
-let theft_cycles t dom =
-  Int.max 0 (attained_cycles t dom - entitled_cycles t dom)
-
 (* Register the standing gauges: closures over counters the
    subsystems already keep, evaluated only at snapshot time so the
    hot paths are untouched. One registry per Vmm (never global) keeps
@@ -387,14 +382,15 @@ let create_domain t ?(concurrent_type = false) ~name ~weight ~vcpus () =
   in
   add_domain t dom;
   (* Fairness gauges: attained vs entitled share over the current
-     accounting window, and the excess (theft). Evaluated only at
-     snapshot time, like every gauge. *)
+     accounting window, and the excess (theft, what a scheduler-attack
+     guest extracts). Evaluated only at snapshot time, like every
+     gauge. *)
   Metrics.gauge t.metrics ~subsystem:"vmm" ~vm:name ~name:"attained_cycles"
     (fun () -> attained_cycles t dom);
   Metrics.gauge t.metrics ~subsystem:"vmm" ~vm:name ~name:"entitled_cycles"
     (fun () -> entitled_cycles t dom);
   Metrics.gauge t.metrics ~subsystem:"vmm" ~vm:name ~name:"theft_cycles"
-    (fun () -> theft_cycles t dom);
+    (fun () -> Int.max 0 (attained_cycles t dom - entitled_cycles t dom));
   dom
 
 (* Least-loaded online PCPU (ties broken towards the lowest index, so

@@ -162,12 +162,9 @@ val attained_cycles : t -> Domain.t -> int
 val entitled_cycles : t -> Domain.t -> int
 (** The domain's proportional-share entitlement over the window:
     Eq.(2)'s expected per-VCPU online rate times elapsed time and
-    VCPU count. *)
-
-val theft_cycles : t -> Domain.t -> int
-(** [max 0 (attained - entitled)] — cycles extracted beyond the fair
-    share, the quantity a scheduler attack maximises. Also exported
-    per VM as the [vmm/{attained,entitled,theft}_cycles] gauges. *)
+    VCPU count. Attained, entitled and their excess (theft, the
+    quantity a scheduler attack maximises) are also exported per VM
+    as the [vmm/{attained,entitled,theft}_cycles] gauges. *)
 
 val ctx_switches : t -> int
 

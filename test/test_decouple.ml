@@ -225,16 +225,16 @@ let test_decoupled_steals_move_work () =
     true
     (r.Decouple.rp_grants >= 1);
   let migrated =
-    List.filter (fun v -> v.Decouple.r_migrations > 0) r.Decouple.rp_vms
+    List.filter (fun (_, migrations, _) -> migrations > 0) r.Decouple.rp_vms
   in
   Alcotest.(check bool) "a migrated VM exists" true (migrated <> []);
   List.iter
-    (fun v ->
+    (fun ((v : Runner.vm_metrics), _, _) ->
       Alcotest.(check bool)
         (Printf.sprintf "%s kept progressing after migration (%d rounds)"
-           v.Decouple.r_vm v.Decouple.r_rounds)
+           v.Runner.vm_name v.Runner.rounds)
         true
-        (v.Decouple.r_rounds >= 1))
+        (v.Runner.rounds >= 1))
     migrated;
   (* steal latency is the protocol's 2-window round trip *)
   Alcotest.(check bool) "steal latency positive" true
@@ -252,14 +252,25 @@ let test_decoupled_worker_invariance () =
   Alcotest.(check int) "grants equal" r1.Decouple.rp_grants
     r2.Decouple.rp_grants;
   List.iter2
-    (fun a b ->
-      Alcotest.(check string) "vm name" a.Decouple.r_vm b.Decouple.r_vm;
+    (fun ((a : Runner.vm_metrics), ma, sa) ((b : Runner.vm_metrics), mb, sb) ->
+      let name = a.Runner.vm_name in
+      Alcotest.(check string) "vm name" name b.Runner.vm_name;
+      Alcotest.(check int) (name ^ " rounds") a.Runner.rounds b.Runner.rounds;
+      Alcotest.(check (float 0.))
+        (name ^ " mean round")
+        (Runner.mean_round a) (Runner.mean_round b);
+      Alcotest.(check (float 0.))
+        (name ^ " online rate")
+        a.Runner.online_rate b.Runner.online_rate;
       Alcotest.(check int)
-        (a.Decouple.r_vm ^ " rounds")
-        a.Decouple.r_rounds b.Decouple.r_rounds;
+        (name ^ " over-threshold waits")
+        a.Runner.spin_over_threshold b.Runner.spin_over_threshold;
       Alcotest.(check int)
-        (a.Decouple.r_vm ^ " final shard")
-        a.Decouple.r_final_shard b.Decouple.r_final_shard)
+        (name ^ " vcrd flips")
+        a.Runner.vcrd_transitions b.Runner.vcrd_transitions;
+      Alcotest.(check bool) (name ^ " whole record") true (a = b);
+      Alcotest.(check int) (name ^ " migrations") ma mb;
+      Alcotest.(check int) (name ^ " final shard") sa sb)
     r1.Decouple.rp_vms r2.Decouple.rp_vms
 
 (* The only grant-bearing decoupled run with pinned outputs (the
@@ -270,6 +281,62 @@ let test_decoupled_steal_pinned () =
   Alcotest.(check int) "grants" 2 r.Decouple.rp_grants;
   Alcotest.(check int) "events" 41743 r.Decouple.rp_events;
   Alcotest.(check int) "digest" 4357812683845658914 r.Decouple.rp_digest
+
+(* The steal run test_render pins (V2:EP migrates once): Runner's round
+   clock follows each kernel across the move, so every VM's reported
+   rounds are what its kernel completed, each round took time, and the
+   migrated VM's outcome is measured like the others'. *)
+let test_round_clock_across_a_move () =
+  let config =
+    {
+      (Config.with_work_conserving (Config.with_scale Config.default 0.05) true)
+      with
+      Config.topology = Sim_hw.Topology.make ~sockets:2 ~cores_per_socket:2;
+      sim_jobs = 2;
+    }
+  in
+  let vms =
+    Scenario.numbered_vms config ~weight:256
+      Scenario.
+        [
+          W_speccpu "gcc"; W_nas "EP"; W_speccpu "gcc"; W_nas "EP";
+          W_speccpu "bzip2"; W_nas "EP";
+        ]
+  in
+  let d = Decouple.build config ~sched:Config.Asman ~vms in
+  let r = Decouple.run ~workers:2 d ~rounds:2 ~max_sec:120. in
+  let kernel name =
+    List.concat_map
+      (fun k -> (Decouple.scenario d k).Scenario.vms)
+      (List.init (Decouple.shards d) Fun.id)
+    |> List.find (fun (i : Scenario.vm_instance) ->
+           i.Scenario.spec.Scenario.vm_name = name)
+    |> fun i -> Option.get i.Scenario.kernel
+  in
+  Alcotest.(check (list (pair string int)))
+    "V2:EP is the one migrated VM" [ ("V2:EP", 1) ]
+    (List.filter_map
+       (fun ((v : Runner.vm_metrics), m, _) ->
+         if m > 0 then Some (v.Runner.vm_name, m) else None)
+       r.Decouple.rp_vms);
+  List.iter
+    (fun ((v : Runner.vm_metrics), _, _) ->
+      let name = v.Runner.vm_name in
+      Alcotest.(check int)
+        (name ^ " rounds = kernel's min_rounds")
+        (Sim_guest.Kernel.min_rounds (kernel name))
+        v.Runner.rounds;
+      List.iteri
+        (fun i sec ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s round %d lasts %.6f s > 0" name (i + 1) sec)
+            true (sec > 0.))
+        v.Runner.round_sec;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s mean round %f is finite" name (Runner.mean_round v))
+        true
+        (Float.is_finite (Runner.mean_round v)))
+    r.Decouple.rp_vms
 
 (* Build-time preconditions: misaligned topology and missing VMs are
    rejected up front, not discovered as a mid-run crash. *)
@@ -338,6 +405,8 @@ let suite =
       test_decoupled_worker_invariance;
     Alcotest.test_case "grant-bearing run is pinned" `Quick
       test_decoupled_steal_pinned;
+    Alcotest.test_case "round clock across a move" `Quick
+      test_round_clock_across_a_move;
     Alcotest.test_case "build rejects bad shapes" `Quick
       test_build_rejects_bad_shapes;
     Alcotest.test_case "park requires quiescence" `Quick

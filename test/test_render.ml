@@ -43,16 +43,16 @@ let test_single_host () =
 let decoupled =
   {|scheduler: asman   decoupled: 2 shards x 2 workers   simulated: 4.480 s   events: 5509
 
-+--------------+--------+------------+-------------+
-| VM           | rounds | migrations | final shard |
-+--------------+--------+------------+-------------+
-| V1:176.gcc   | 6      | 0          | 0           |
-| V2:EP        | 2      | 1          | 0           |
-| V3:176.gcc   | 6      | 0          | 0           |
-| V4:EP        | 3      | 0          | 1           |
-| V5:256.bzip2 | 4      | 0          | 0           |
-| V6:EP        | 2      | 0          | 1           |
-+--------------+--------+------------+-------------+
++--------------+--------+----------------+--------+----------+----------+------------+------------+-------------+
+| VM           | rounds | mean round (s) | online | expected | over-thr | vcrd flips | migrations | final shard |
++--------------+--------+----------------+--------+----------+----------+------------+------------+-------------+
+| V1:176.gcc   | 6      | 0.726          | 0.131  | 0.100    | 0        | 0          | 0          | 0           |
+| V2:EP        | 2      | 2.014          | 0.170  | 0.100    | 11       | 3          | 1          | 0           |
+| V3:176.gcc   | 6      | 0.736          | 0.132  | 0.100    | 0        | 0          | 0          | 0           |
+| V4:EP        | 3      | 1.264          | 0.274  | 0.167    | 21       | 3          | 0          | 1           |
+| V5:256.bzip2 | 4      | 0.895          | 0.130  | 0.100    | 0        | 0          | 0          | 0           |
+| V6:EP        | 2      | 2.235          | 0.162  | 0.167    | 12       | 9          | 0          | 1           |
++--------------+--------+----------------+--------+----------+----------+------------+------------+-------------+
 fabric: 448 windows, 224 cross-shard posts (max 3 per window), lookahead 23300000 cycles
 steals: 1 requests, 1 grants, 0 nacks, mean latency 46600000 cycles
 decoupled digest: a64cf100
