@@ -3,7 +3,7 @@ module Hosts = Asman.Hosts
 
 (* Where a VM currently is, from the controller's point of view.
    Written only by controller (incubator-member) events; host events
-   learn about ownership through mailbox deliveries. *)
+   learn about ownership through fabric mail. *)
 type phase =
   | Incubating  (** trace entry not yet arrived *)
   | Pending  (** arrived, waiting in the admission queue *)
@@ -79,9 +79,6 @@ let sec_of t cycles = Units.sec_of_cycles t.freq cycles
 let now_sec t = sec_of t (inc_now t)
 let name u = u.cu_entry.Vtrace.e_name
 
-(* every controller <-> host message rides one lookahead *)
-let send t ~src ~dst action = Hosts.send t.hosts ~src ~dst action
-
 let logf t fmt =
   Printf.ksprintf (fun s -> t.log_rev <- (inc_now t, s) :: t.log_rev) fmt
 
@@ -123,9 +120,10 @@ and ctrl_depart t u =
     u.cu_phase <- Departing h;
     logf t "halt %s host %d" (name u) h;
     (* the host drains the guest, detaches it and reports back *)
-    send t ~src:(controller t) ~dst:h (fun () ->
+    Hosts.send t.hosts ~src:(controller t) ~dst:h (fun () ->
         Hosts.depart t.hosts u.cu_vm ~gone:(fun () ->
-            send t ~src:h ~dst:(controller t) (fun () -> ctrl_departed t u h)))
+            Hosts.send t.hosts ~src:h ~dst:(controller t) (fun () ->
+                ctrl_departed t u h)))
   | Evicting _ | Migrating _ | Placing _ ->
     (* mid-migration; try again once the move settles *)
     let (_ : Engine.handle) =
@@ -151,7 +149,7 @@ and ctrl_departed t u h =
 and ship ?extra ?shipped t u ~dst ~first ~nacked =
   Hosts.migrate ?extra ?shipped t.hosts u.cu_vm ~dst ~nacked
     ~arrived:(fun () ->
-      send t ~src:dst ~dst:(controller t) (fun () ->
+      Hosts.send t.hosts ~src:dst ~dst:(controller t) (fun () ->
           ctrl_attached t u dst ~first))
 
 (* Source side of a pressure migration, executing on the source
@@ -159,7 +157,8 @@ and ship ?extra ?shipped t u ~dst ~first ~nacked =
    stop-and-copy rides as footprint-proportional extra latency. *)
 and host_release t u ~src ~dst =
   let nack () =
-    send t ~src ~dst:(controller t) (fun () -> ctrl_migration_nack t u ~src ~dst)
+    Hosts.send t.hosts ~src ~dst:(controller t) (fun () ->
+        ctrl_migration_nack t u ~src ~dst)
   in
   if
     List.memq u.cu_vm (Hosts.residents t.hosts src)
@@ -170,7 +169,7 @@ and host_release t u ~src ~dst =
       ~shipped:(fun ~downtime ->
         u.cu_migrations <- u.cu_migrations + 1;
         u.cu_downtime <- u.cu_downtime + downtime;
-        send t ~src ~dst:(controller t) (fun () ->
+        Hosts.send t.hosts ~src ~dst:(controller t) (fun () ->
             ctrl_migration_started t u ~src ~dst))
   else nack ()
 
@@ -317,7 +316,7 @@ let rebalance_tick t =
         u.cu_phase <- Evicting s;
         t.evictions <- t.evictions + 1;
         logf t "evict %s %d->%d" (name u) s d;
-        send t ~src:(controller t) ~dst:s (fun () ->
+        Hosts.send t.hosts ~src:(controller t) ~dst:s (fun () ->
             host_release t u ~src:s ~dst:d)
     end
   end

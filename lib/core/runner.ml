@@ -100,7 +100,7 @@ let vm_outcome ~freq ~absolute ~window ~started ?rounds ~vmm ~moved
       ( Sim_vmm.Vmm.attained_cycles vmm domain,
         Sim_vmm.Vmm.online_rate vmm domain )
   in
-  let entitled = Sim_vmm.Vmm.entitled_cycles vmm domain in
+  let entitled = Sim_vmm.Domain.entitled_cycles domain in
   {
     vm_name = name;
     rounds = List.length times;

@@ -23,7 +23,9 @@ type vm_metrics = {
   expected_online : float;  (** Equation (2) *)
   attained_cycles : int;  (** VCPU-online cycles over the measurement *)
   entitled_cycles : int;
-      (** Equation (2) share of the measurement window, in cycles *)
+      (** Equation (2) share of the measurement window, in cycles:
+          {!Sim_vmm.Domain.entitled_cycles}, summed over the hosts the
+          VM resided on *)
   theft_cycles : int;
       (** [max 0 (attained - entitled)] — cycles attained beyond the
           weighted entitlement, what a scheduler attack maximises *)
@@ -88,7 +90,8 @@ val vm_outcome :
     A VM that [moved] here has an accounting window on [vmm] that
     began at its arrival, so its attained cycles are the domain's own
     online cycles since its clock started, which travel with it, and
-    its online rate is attained / ((now - [started]) x VCPUs). *)
+    its online rate is attained / ((now - [started]) x VCPUs). Its
+    entitlement travels with it the same way. *)
 
 val vm_kv : vm_metrics -> (string * float) list
 (** One VM's run-record entries [vm.<name>.]: rounds, online rate,

@@ -6,8 +6,8 @@
    advances them in lockstep conservative windows on a {!Team} of
    worker domains:
 
-     1. flush every member's {!Mailbox} into its queue, in
-        (time, src, seq) order;
+     1. deliver every member's outbox: sources in index order, each
+        outbox in post order, straight into the destination queues;
      2. t_min   := min over members of Engine.next_time;
      3. limit   := t_min + lookahead - 1 (inclusive); every member
         drains [Engine.run ~until:limit] concurrently, lock-free;
@@ -16,25 +16,40 @@
 
    Safety: {!post} requires [time >= src clock + lookahead], and a
    draining member's clock stays <= limit < t_min + lookahead, so no
-   message posted during a window can land inside it; holding mail until the next flush
-   reorders nothing any member could have observed. Member event
-   streams therefore depend only on the member partition and the
-   message contents — never on the worker count — which
-   {!fingerprint}/{!digest} check cheaply via the engines' rolling
-   stream fingerprints. *)
+   message posted during a window can land inside it; holding mail
+   until the next delivery reorders nothing any member could have
+   observed. Member event streams therefore depend only on the member
+   partition and the message contents — never on the worker count —
+   which {!fingerprint}/{!digest} check cheaply via the engines'
+   rolling stream fingerprints.
+
+   Outboxes. Each member owns one: parallel dst/time/action arrays
+   that double only when a window posts more than any before it, so
+   steady-state mail allocates nothing. Only the member's own events
+   append to it, so it needs no lock; the coordinator reads it only
+   between windows, after the Team barrier. Delivery sorts nothing:
+   the destination fires in exact (time, seq) order, so mail with
+   different times fires in time order however it was scheduled, and
+   equal-time mail takes seqs in delivery order — the (src, post
+   order) tie-break. [Engine.stream_fp] hashes fire times only. *)
+
+type outbox = {
+  mutable dst : int array;
+  mutable time : int array;
+  mutable act : (unit -> unit) array;
+  mutable len : int;
+}
 
 type t = {
   members : Engine.t array;
   lookahead : int;
-  inboxes : Mailbox.t array;
-  (* Prebuilt flush sinks (schedule into the member's queue): one
-     closure per member for the fabric's lifetime. *)
-  sinks : (time:int -> (unit -> unit) -> unit) array;
-  out_seq : int array;  (* per-src sequence counters *)
+  outboxes : outbox array;  (* indexed by source member *)
   mutable windows : int;
   mutable cross_posts : int;
   mutable max_window_mail : int;
 }
+
+let nop () = ()
 
 let create ~lookahead members =
   if Array.length members = 0 then invalid_arg "Fabric.create: no members";
@@ -42,12 +57,12 @@ let create ~lookahead members =
   {
     members;
     lookahead;
-    inboxes = Array.map (fun _ -> Mailbox.create ()) members;
-    sinks =
+    outboxes =
       Array.map
-        (fun m ~time act -> ignore (Engine.schedule_at m ~time act))
+        (fun _ ->
+          { dst = Array.make 64 0; time = Array.make 64 0;
+            act = Array.make 64 nop; len = 0 })
         members;
-    out_seq = Array.make (Array.length members) 0;
     windows = 0;
     cross_posts = 0;
     max_window_mail = 0;
@@ -56,6 +71,17 @@ let create ~lookahead members =
 let members t = Array.length t.members
 let member t i = t.members.(i)
 
+let grow o =
+  let cap = Array.length o.time in
+  let copy a fill =
+    let a' = Array.make (2 * cap) fill in
+    Array.blit a 0 a' 0 cap;
+    a'
+  in
+  o.dst <- copy o.dst 0;
+  o.time <- copy o.time 0;
+  o.act <- copy o.act nop
+
 let post t ~src ~dst ~time action =
   let now = Engine.now t.members.(src) in
   if time < now + t.lookahead then
@@ -63,16 +89,29 @@ let post t ~src ~dst ~time action =
       (Printf.sprintf
          "Fabric.post: time %d violates lookahead (member %d clock %d + %d)"
          time src now t.lookahead);
-  let seq = t.out_seq.(src) in
-  t.out_seq.(src) <- seq + 1;
-  Mailbox.post t.inboxes.(dst) ~time ~src ~seq action
+  let o = t.outboxes.(src) in
+  if o.len = Array.length o.time then grow o;
+  let i = o.len in
+  o.dst.(i) <- dst;
+  o.time.(i) <- time;
+  o.act.(i) <- action;
+  o.len <- i + 1
 
 (* Coordinator-only, between windows. *)
 let deliver t =
   let delivered = ref 0 in
-  Array.iteri
-    (fun i inbox -> delivered := !delivered + Mailbox.flush inbox t.sinks.(i))
-    t.inboxes;
+  for src = 0 to Array.length t.outboxes - 1 do
+    let o = t.outboxes.(src) in
+    let n = o.len in
+    for i = 0 to n - 1 do
+      ignore
+        (Engine.schedule_at t.members.(o.dst.(i)) ~time:o.time.(i) o.act.(i))
+    done;
+    (* Drop closure references so delivered actions are collectable. *)
+    Array.fill o.act 0 n nop;
+    o.len <- 0;
+    delivered := !delivered + n
+  done;
   t.cross_posts <- t.cross_posts + !delivered;
   if !delivered > t.max_window_mail then t.max_window_mail <- !delivered
 

@@ -4,12 +4,13 @@
     Each member is a complete engine (own clock, queue, RNG, trace)
     carrying an independent sub-simulation; the fabric advances all of
     them in lockstep conservative windows on a persistent {!Team} of
-    worker domains, flushing deterministic [(time, src, seq)]-ordered
-    {!Mailbox}es between windows. Every cross-member interaction must
-    go through {!post} at least [lookahead] cycles ahead — members
-    never touch each other's state directly — so executed event
-    streams depend only on the member partition and message contents,
-    never on the worker count. *)
+    worker domains. Between windows each member's outbox is delivered
+    straight into the destination queues, whose [(time, seq)] order
+    fires mail in [(time, src, per-src post order)]. Every
+    cross-member interaction must go through {!post} at least
+    [lookahead] cycles ahead — members never touch each other's state
+    directly — so executed event streams depend only on the member
+    partition and message contents, never on the worker count. *)
 
 type t
 
@@ -25,9 +26,9 @@ val post : t -> src:int -> dst:int -> time:int -> (unit -> unit) -> unit
 (** Mail an event from member [src] to member [dst]. The conservative
     contract requires [time >= Engine.now src + lookahead]; violations
     raise [Invalid_argument]. Delivery happens at the next window
-    boundary in [(time, src, per-src seq)] order. Call only from an
-    event executing on member [src] (the per-src sequence counter is
-    unsynchronized by design). *)
+    boundary; equal-time mail to one member fires in
+    [(src, post order)]. Call only from an event executing on member
+    [src]: [src]'s outbox is unsynchronized by design. *)
 
 val run : ?workers:int -> ?until:int -> ?stop:(unit -> bool) -> t -> unit
 (** Advance all members window by window until every queue is empty,
@@ -46,10 +47,10 @@ val workers : ?workers:int -> t -> int
 
 val windows : t -> int
 val cross_posts : t -> int
-(** Messages delivered through mailboxes so far. *)
+(** Messages delivered so far. *)
 
 val max_window_mail : t -> int
-(** Largest single-window delivery batch (mailbox pressure stat). *)
+(** Largest single-window delivery batch (outbox pressure stat). *)
 
 val events_fired : t -> int
 (** Total events fired across members. *)

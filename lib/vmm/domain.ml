@@ -10,6 +10,8 @@ type t = {
   mutable vcrd_transitions : int;
   mutable high_cycles : int;
   mutable high_since : int;
+  mutable entitled_before : int;
+  mutable entitled_here : unit -> int;
 }
 
 let make ?(concurrent_type = false) ~id ~name ~weight ~vcpus () =
@@ -30,6 +32,8 @@ let make ?(concurrent_type = false) ~id ~name ~weight ~vcpus () =
     vcrd_transitions = 0;
     high_cycles = 0;
     high_since = 0;
+    entitled_before = 0;
+    entitled_here = (fun () -> 0);
   }
 
 let vcpu_count t = Array.length t.vcpus
@@ -59,3 +63,5 @@ let expected_online_rate t ~all ~pcpus =
 
 let online_cycles t =
   Array.fold_left (fun acc (v : Vcpu.t) -> acc + v.Vcpu.online_cycles) 0 t.vcpus
+
+let entitled_cycles t = t.entitled_before + t.entitled_here ()

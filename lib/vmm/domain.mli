@@ -21,6 +21,12 @@ type t = {
   mutable vcrd_transitions : int;  (** Low->High transitions *)
   mutable high_cycles : int;  (** total time spent with VCRD = High *)
   mutable high_since : int;  (** valid while vcrd = High *)
+  mutable entitled_before : int;
+      (** Eq. (2) entitlement of the residencies on earlier hosts, in
+          the current measurement window *)
+  mutable entitled_here : unit -> int;
+      (** the open residency's entitlement, read on the host the
+          domain is attached to (0 while detached) *)
 }
 
 val make :
@@ -50,3 +56,9 @@ val expected_online_rate : t -> all:t list -> pcpus:int -> float
 val online_cycles : t -> int
 (** Sum of the VCPUs' accumulated online time (excludes any open
     online span). *)
+
+val entitled_cycles : t -> int
+(** The domain's proportional-share entitlement over the measurement
+    window: the sum over its residencies of that host's Eq. (2)
+    expected online rate times residency time and VCPU count. Like the
+    online cycles, it travels with the domain between hosts. *)

@@ -248,19 +248,24 @@ let attained_cycles t dom =
   in
   domain_online_cycles t dom - base
 
-(* The domain's proportional-share entitlement over the same window:
-   Eq.(2)'s per-VCPU expected online rate times elapsed wall time and
-   VCPU count. *)
-let entitled_cycles t dom =
-  let elapsed = now t - t.acct_start in
-  if elapsed <= 0 then 0
-  else begin
-    let e =
-      Domain.expected_online_rate dom ~all:(domains t) ~pcpus:(pcpu_count t)
-    in
-    int_of_float
-      (e *. float_of_int elapsed *. float_of_int (Domain.vcpu_count dom))
-  end
+(* The domain's proportional-share entitlement on this host over the
+   window, from its arrival on or after the window start: Eq.(2)'s
+   per-VCPU expected online rate on this host times the elapsed time
+   and VCPU count. A domain created here has been resident since
+   cycle 0. *)
+let reside t dom ~since =
+  dom.Domain.entitled_here <-
+    (fun () ->
+      let elapsed = now t - Int.max t.acct_start since in
+      if elapsed <= 0 then 0
+      else begin
+        let e =
+          Domain.expected_online_rate dom ~all:(domains t)
+            ~pcpus:(pcpu_count t)
+        in
+        int_of_float
+          (e *. float_of_int elapsed *. float_of_int (Domain.vcpu_count dom))
+      end)
 
 (* Register the standing gauges: closures over counters the
    subsystems already keep, evaluated only at snapshot time so the
@@ -381,6 +386,7 @@ let create_domain t ?(concurrent_type = false) ~name ~weight ~vcpus () =
     Domain.make ~concurrent_type ~id:domain_id ~name ~weight ~vcpus:vcpu_array ()
   in
   add_domain t dom;
+  reside t dom ~since:0;
   (* Fairness gauges: attained vs entitled share over the current
      accounting window, and the excess (theft, what a scheduler-attack
      guest extracts). Evaluated only at snapshot time, like every
@@ -388,9 +394,9 @@ let create_domain t ?(concurrent_type = false) ~name ~weight ~vcpus () =
   Metrics.gauge t.metrics ~subsystem:"vmm" ~vm:name ~name:"attained_cycles"
     (fun () -> attained_cycles t dom);
   Metrics.gauge t.metrics ~subsystem:"vmm" ~vm:name ~name:"entitled_cycles"
-    (fun () -> entitled_cycles t dom);
+    (fun () -> Domain.entitled_cycles dom);
   Metrics.gauge t.metrics ~subsystem:"vmm" ~vm:name ~name:"theft_cycles"
-    (fun () -> Int.max 0 (attained_cycles t dom - entitled_cycles t dom));
+    (fun () -> Int.max 0 (attained_cycles t dom - Domain.entitled_cycles dom));
   dom
 
 (* Least-loaded online PCPU (ties broken towards the lowest index, so
@@ -713,6 +719,10 @@ let detach_domain t (dom : Domain.t) =
     invalid_arg
       (Printf.sprintf "Vmm.detach_domain: domain %d not on this host"
          dom.Domain.id);
+  (* Close the residency at this host's share, before the domain
+     leaves the share's denominator. *)
+  dom.Domain.entitled_before <- Domain.entitled_cycles dom;
+  dom.Domain.entitled_here <- (fun () -> 0);
   t.domains_rev <- List.filter (fun d -> d != dom) t.domains_rev;
   t.domains_stale <- true;
   (match t.last_credit_sum with
@@ -743,6 +753,7 @@ let attach_domain t (dom : Domain.t) =
       if Vcpu.is_ready v then Runqueue.insert t.runqueues.(v.Vcpu.home) v)
     dom.Domain.vcpus;
   add_domain t dom;
+  reside t dom ~since:(now t);
   (match t.last_credit_sum with
   | Some sum -> t.last_credit_sum <- Some (sum + domain_credit_sum dom)
   | None -> ());
@@ -756,7 +767,8 @@ let reset_accounting t =
   Hashtbl.reset t.acct_online_base;
   List.iter
     (fun d ->
-      Hashtbl.replace t.acct_online_base d.Domain.id (domain_online_cycles t d))
+      Hashtbl.replace t.acct_online_base d.Domain.id (domain_online_cycles t d);
+      d.Domain.entitled_before <- 0)
     (domains t);
   Array.iteri
     (fun p since ->

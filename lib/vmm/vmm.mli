@@ -126,22 +126,25 @@ val sched_migratable : t -> Domain.t -> bool
 
 val detach_domain : t -> Domain.t -> unit
 (** Remove the domain from this host: Ready VCPUs leave their run
-    queues, the accounting base entry is dropped, and the domain's
-    credit leaves the conservation ledger. Raises [Invalid_argument]
-    if a VCPU is [Running] or the domain is not on this host. *)
+    queues, the accounting base entry is dropped, the residency's
+    entitlement is closed at this host's Eq. (2) share, and the
+    domain's credit leaves the conservation ledger. Raises
+    [Invalid_argument] if a VCPU is [Running] or the domain is not on
+    this host. *)
 
 val attach_domain : t -> Domain.t -> unit
 (** Adopt a detached domain (legal after {!start}): VCPUs are
     re-homed deterministically onto this host's PCPUs, Ready ones
     enter their new home queues, the domain's credit joins the
-    conservation ledger, and its accounting window starts at its
-    current online total. *)
+    conservation ledger, its accounting window starts at its current
+    online total, and its entitlement accrues at this host's share
+    from now. *)
 
 (** {2 Accounting} *)
 
 val reset_accounting : t -> unit
-(** Restart the measurement window for {!online_rate} and
-    {!idle_fraction}. *)
+(** Restart the measurement window for {!online_rate},
+    {!idle_fraction} and the resident domains' entitlement. *)
 
 val online_rate : t -> Domain.t -> float
 (** Measured per-VCPU online rate of the domain over the current
@@ -157,14 +160,11 @@ val idle_fraction : t -> float
 
 val attained_cycles : t -> Domain.t -> int
 (** Online cycles the domain attained over the current accounting
-    window (counts open spans). *)
-
-val entitled_cycles : t -> Domain.t -> int
-(** The domain's proportional-share entitlement over the window:
-    Eq.(2)'s expected per-VCPU online rate times elapsed time and
-    VCPU count. Attained, entitled and their excess (theft, the
-    quantity a scheduler attack maximises) are also exported per VM
-    as the [vmm/{attained,entitled,theft}_cycles] gauges. *)
+    window (counts open spans). Attained, entitled
+    ({!Domain.entitled_cycles}) and their excess (theft, the quantity
+    a scheduler attack maximises) are also exported per VM as the
+    [vmm/{attained,entitled,theft}_cycles] gauges of the host that
+    created the domain. *)
 
 val ctx_switches : t -> int
 

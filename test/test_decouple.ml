@@ -1,84 +1,109 @@
 (* Decoupled VMM on the PDES fabric: cross-shard message ordering
-   under the (time, src, seq) discipline, the steal protocol's race
-   behaviour (same-window contention, stale requests after the target
-   migrated), worker-count invariance of full decoupled scenarios, and
-   the mailbox hot path's zero-allocation contract. *)
+   under the (time, src, post order) discipline, the steal protocol's
+   race behaviour (same-window contention, stale requests after the
+   target migrated), worker-count invariance of full decoupled
+   scenarios, and the fabric's allocation-free mail path. *)
 
 open Sim_engine
 open Asman
 
-(* ----- mailbox (time, src, seq) ordering ----- *)
+(* ----- cross-member mail (time, src, post order) ----- *)
 
-let flush_order mb =
+(* [members] engines on a fabric with lookahead 10; each of [posts]
+   is a (src, time, f) triple: at [time] member [src] runs
+   [f fab ~src mark], whose posts log through [mark]. Returns the
+   logged labels in fire order and the delivered-message count. *)
+let mail_order ?(members = 2) posts =
+  let fab =
+    Fabric.create ~lookahead:10 (Array.init members (fun _ -> Engine.create ()))
+  in
   let order = ref [] in
-  ignore (Mailbox.flush mb (fun ~time:_ act -> act ()));
-  ignore order;
-  ()
-
-let _ = flush_order
+  let mark x () = order := x :: !order in
+  List.iter
+    (fun (src, at, f) ->
+      ignore
+        (Engine.schedule_at (Fabric.member fab src) ~time:at (fun () ->
+             f fab ~src mark)))
+    posts;
+  Fabric.run ~workers:1 fab;
+  (List.rev !order, Fabric.cross_posts fab)
 
 let test_mailbox_orders_by_time () =
-  let mb = Mailbox.create ~cap:4 () in
-  let order = ref [] in
-  let mark x () = order := x :: !order in
-  Mailbox.post mb ~time:30 ~src:0 ~seq:0 (mark 30);
-  Mailbox.post mb ~time:10 ~src:0 ~seq:1 (mark 10);
-  Mailbox.post mb ~time:20 ~src:0 ~seq:2 (mark 20);
-  let n = Mailbox.flush mb (fun ~time:_ act -> act ()) in
+  let order, n =
+    mail_order
+      [
+        ( 0, 0,
+          fun fab ~src mark ->
+            Fabric.post fab ~src ~dst:1 ~time:30 (mark 30);
+            Fabric.post fab ~src ~dst:1 ~time:10 (mark 10);
+            Fabric.post fab ~src ~dst:1 ~time:20 (mark 20) );
+      ]
+  in
   Alcotest.(check int) "three delivered" 3 n;
-  Alcotest.(check (list int)) "time order" [ 10; 20; 30 ] (List.rev !order)
+  Alcotest.(check (list int)) "time order" [ 10; 20; 30 ] order
 
-(* Equal-time mail from different sources delivers in source order —
-   the tie-break that makes a window boundary race (two shards posting
-   at the same timestamp) deterministic. *)
+(* Equal-time mail from different sources fires in source order,
+   whatever order the sources posted in — the tie-break that makes a
+   window boundary race (two shards posting at the same timestamp)
+   deterministic. Members 2, 0 and 1 post, in that order, for t=100
+   on member 3. *)
 let test_mailbox_ties_break_on_src () =
-  let mb = Mailbox.create ~cap:4 () in
-  let order = ref [] in
-  let mark x () = order := x :: !order in
-  Mailbox.post mb ~time:100 ~src:2 ~seq:0 (mark 2);
-  Mailbox.post mb ~time:100 ~src:0 ~seq:0 (mark 0);
-  Mailbox.post mb ~time:100 ~src:1 ~seq:0 (mark 1);
-  ignore (Mailbox.flush mb (fun ~time:_ act -> act ()));
-  Alcotest.(check (list int)) "src order at equal time" [ 0; 1; 2 ]
-    (List.rev !order)
+  let post fab ~src mark = Fabric.post fab ~src ~dst:3 ~time:100 (mark src) in
+  let order, _ =
+    mail_order ~members:4 [ (2, 0, post); (0, 1, post); (1, 2, post) ]
+  in
+  Alcotest.(check (list int)) "src order at equal time" [ 0; 1; 2 ] order
 
-(* Equal (time, src) falls back to the per-src sequence: one source's
+(* Equal (time, src) falls back to post order: one source's
    same-timestamp posts keep their program order. *)
 let test_mailbox_ties_break_on_seq () =
-  let mb = Mailbox.create ~cap:4 () in
-  let order = ref [] in
-  let mark x () = order := x :: !order in
-  Mailbox.post mb ~time:100 ~src:1 ~seq:7 (mark 7);
-  Mailbox.post mb ~time:100 ~src:1 ~seq:5 (mark 5);
-  Mailbox.post mb ~time:100 ~src:1 ~seq:6 (mark 6);
-  ignore (Mailbox.flush mb (fun ~time:_ act -> act ()));
-  Alcotest.(check (list int)) "seq order at equal (time, src)" [ 5; 6; 7 ]
-    (List.rev !order)
+  let order, _ =
+    mail_order
+      [
+        ( 1, 0,
+          fun fab ~src mark ->
+            List.iter
+              (fun x -> Fabric.post fab ~src ~dst:0 ~time:100 (mark x))
+              [ 7; 5; 6 ] );
+      ]
+  in
+  Alcotest.(check (list int)) "post order at equal (time, src)" [ 7; 5; 6 ]
+    order
 
-(* ----- mailbox hot path allocates nothing (regression) ----- *)
+(* ----- steady-state mail allocates nothing (regression) ----- *)
 
+(* Member 0 posts [batch] no-op messages to member 1 every lookahead,
+   so each window delivers one batch. A warm-up run grows the outbox
+   and the destination's slab; the measured run then delivers 1000
+   messages over 10 windows. *)
 let test_mailbox_flush_zero_alloc () =
-  let mb = Mailbox.create ~cap:16 () in
+  let la = 1000 and batch = 100 in
+  let fab =
+    Fabric.create ~lookahead:la [| Engine.create (); Engine.create () |]
+  in
+  let e0 = Fabric.member fab 0 in
   let nop () = () in
-  let sink ~time:_ (_ : unit -> unit) = () in
-  (* warm up past the doubling threshold so steady state is reached *)
-  for i = 0 to 127 do
-    Mailbox.post mb ~time:i ~src:0 ~seq:i nop
-  done;
-  ignore (Mailbox.flush mb sink);
-  let before = Gc.minor_words () in
-  for w = 0 to 9 do
-    for i = 0 to 99 do
-      Mailbox.post mb ~time:((w * 100) + i) ~src:(i land 3) ~seq:i nop
+  let rec poster () =
+    let now = Engine.now e0 in
+    for i = 0 to batch - 1 do
+      Fabric.post fab ~src:0 ~dst:1 ~time:(now + la + i) nop
     done;
-    ignore (Mailbox.flush mb sink)
-  done;
+    ignore (Engine.schedule_at e0 ~time:(now + la) poster)
+  in
+  ignore (Engine.schedule_at e0 ~time:0 poster);
+  Fabric.run ~workers:1 ~until:((10 * la) - 1) fab;
+  let posted = Fabric.cross_posts fab in
+  let before = Gc.minor_words () in
+  Fabric.run ~workers:1 ~until:((20 * la) - 1) fab;
   let words = Gc.minor_words () -. before in
-  (* 1000 posts + 10 flushes; the budget covers Gc.minor_words's own
-     boxed floats and nothing else — a per-message allocation would
-     cost thousands of words *)
+  Alcotest.(check int) "1000 messages delivered" 1000
+    (Fabric.cross_posts fab - posted);
+  (* The budget covers one [Fabric.run]'s fixed cost (its team and
+     loop), a few words per window and Gc.minor_words's own boxed
+     floats — a per-message allocation would cost thousands of
+     words *)
   Alcotest.(check bool)
-    (Printf.sprintf "hot path allocation-free (%.0f minor words)" words)
+    (Printf.sprintf "mail path allocation-free (%.0f minor words)" words)
     true
     (words < 256.)
 
@@ -336,7 +361,37 @@ let test_round_clock_across_a_move () =
         (Printf.sprintf "%s mean round %f is finite" name (Runner.mean_round v))
         true
         (Float.is_finite (Runner.mean_round v)))
-    r.Decouple.rp_vms
+    r.Decouple.rp_vms;
+  (* V2:EP's entitlement is one value for every reader: the share of
+     each shard it lived on, over its stay there. Runner's record and
+     the fairness gauges on its birth shard agree. *)
+  let v2 =
+    List.find
+      (fun ((v : Runner.vm_metrics), _, _) -> v.Runner.vm_name = "V2:EP")
+      r.Decouple.rp_vms
+    |> fun (v, _, _) -> v
+  in
+  let birth =
+    List.find
+      (fun k ->
+        List.exists
+          (fun (i : Scenario.vm_instance) ->
+            i.Scenario.spec.Scenario.vm_name = "V2:EP")
+          (Decouple.scenario d k).Scenario.vms)
+      (List.init (Decouple.shards d) Fun.id)
+  in
+  let gauge name =
+    Sim_obs.Metrics.get
+      (Sim_obs.Metrics.snapshot
+         (Sim_vmm.Vmm.metrics (Decouple.scenario d birth).Scenario.vmm))
+      ~subsystem:"vmm" ~vm:"V2:EP" ~name ()
+  in
+  Alcotest.(check int) "V2:EP entitled cycles" 4_541_169_999
+    v2.Runner.entitled_cycles;
+  Alcotest.(check int) "V2:EP entitled: Runner = birth gauge"
+    v2.Runner.entitled_cycles (gauge "entitled_cycles");
+  Alcotest.(check int) "V2:EP theft: Runner = birth gauge"
+    v2.Runner.theft_cycles (gauge "theft_cycles")
 
 (* Build-time preconditions: misaligned topology and missing VMs are
    rejected up front, not discovered as a mid-run crash. *)

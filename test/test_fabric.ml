@@ -1,4 +1,4 @@
-(* Conservative PDES fabric: window protocol, cross-member mailbox
+(* Conservative PDES fabric: window protocol, cross-member mail
    ordering, cancellation across mail delivery, and the -j1-vs-jN
    determinism contract over full Engine members. *)
 
@@ -72,29 +72,33 @@ let test_post_at_lookahead_accepted () =
   Alcotest.(check int) "delivered exactly at lookahead edge" 150 !delivered;
   Alcotest.(check int) "one cross post" 1 (Fabric.cross_posts fab)
 
-(* Cross-member mail is delivered in (time, src, per-src seq) order no
-   matter the order the posts were made in. *)
+(* Cross-member mail fires in (time, src, per-src post order) no
+   matter the order the posts were made in, on one worker and on two. *)
 let test_mail_order () =
-  let fab = fabric ~members:3 ~lookahead:10 () in
-  let log = ref [] in
-  let arrival tag () = log := tag :: !log in
-  (* Members 0 and 1 each post to member 2 from their t=0 events;
-     posts land at mixed times and are issued in an order that
-     disagrees with (time, src, seq). *)
-  ignore
-    (at fab 0 ~time:0 (fun () ->
-         Fabric.post fab ~src:0 ~dst:2 ~time:30 (arrival "t30-src0-a");
-         Fabric.post fab ~src:0 ~dst:2 ~time:20 (arrival "t20-src0");
-         Fabric.post fab ~src:0 ~dst:2 ~time:30 (arrival "t30-src0-b")));
-  ignore
-    (at fab 1 ~time:0 (fun () ->
-         Fabric.post fab ~src:1 ~dst:2 ~time:30 (arrival "t30-src1");
-         Fabric.post fab ~src:1 ~dst:2 ~time:20 (arrival "t20-src1")));
-  Fabric.run ~workers:1 fab;
-  Alcotest.(check (list string))
-    "delivery order is (time, src, seq)"
-    [ "t20-src0"; "t20-src1"; "t30-src0-a"; "t30-src0-b"; "t30-src1" ]
-    (List.rev !log)
+  List.iter
+    (fun workers ->
+      let fab = fabric ~members:3 ~lookahead:10 () in
+      let log = ref [] in
+      let arrival tag () = log := tag :: !log in
+      (* Members 0 and 1 each post to member 2 from their t=0 events;
+         posts land at mixed times and are made in an order that
+         disagrees with (time, src, post order). *)
+      ignore
+        (at fab 0 ~time:0 (fun () ->
+             Fabric.post fab ~src:0 ~dst:2 ~time:30 (arrival "t30-src0-a");
+             Fabric.post fab ~src:0 ~dst:2 ~time:20 (arrival "t20-src0");
+             Fabric.post fab ~src:0 ~dst:2 ~time:30 (arrival "t30-src0-b")));
+      ignore
+        (at fab 1 ~time:0 (fun () ->
+             Fabric.post fab ~src:1 ~dst:2 ~time:30 (arrival "t30-src1");
+             Fabric.post fab ~src:1 ~dst:2 ~time:20 (arrival "t20-src1")));
+      Fabric.run ~workers fab;
+      Alcotest.(check (list string))
+        (Printf.sprintf "delivery order is (time, src, seq) at %d workers"
+           workers)
+        [ "t20-src0"; "t20-src1"; "t30-src0-a"; "t30-src0-b"; "t30-src1" ]
+        (List.rev !log))
+    [ 1; 2 ]
 
 (* ----- cancel ----- *)
 
@@ -123,7 +127,7 @@ let test_cancel_inside_drained_window () =
   Alcotest.(check bool) "victim is stale after cancel" false !stale;
   Alcotest.(check int) "two events fired" 2 (Fabric.events_fired fab)
 
-(* Mailbox delivery recycles pooled queue slots on the destination
+(* Mail delivery recycles pooled queue slots on the destination
    member; cancelling a local decoy scheduled at the mailed event's
    exact fire time must unlink the decoy, never the mail. *)
 let test_cancel_decoy_spares_mailed_event () =
